@@ -32,10 +32,12 @@
 // Algorithms are resolved through a name-keyed registry: the paper's
 // methods (sgd, asgd, saga, asaga, svrg, admm, bcd), the composite-
 // objective family (cd — proximal coordinate descent with incremental
-// residuals, gcg — restart-based generalized conjugate gradient), the
-// Mllib-style baseline (mllib-sgd) and the TCP-transport variants
-// (asgd-remote, asaga-remote) are pre-registered, and new workloads plug in via
-// Register without touching the engine. Solvers receive a context.Context
+// residuals, gcg — restart-based generalized conjugate gradient) and the
+// Mllib-style baseline (mllib-sgd) are pre-registered, and new workloads
+// plug in via Register without touching the engine. sgd, asgd, saga and
+// asaga dispatch registered ops, so they run on either transport; the names
+// asgd-remote and asaga-remote are deprecated aliases of asgd and asaga.
+// Solvers receive a context.Context
 // that is threaded down into the AC, so cancellation or a deadline aborts
 // barrier waits and result collection mid-run.
 //

@@ -8,6 +8,7 @@ import (
 
 	"repro/async"
 	"repro/internal/dataset"
+	"repro/internal/la"
 	"repro/internal/opt"
 )
 
@@ -353,6 +354,18 @@ func TestCheckpointEveryAndSolveFrom(t *testing.T) {
 	}
 	if len(resumed.W) != len(res.W) {
 		t.Fatalf("resumed model dim %d != %d", len(resumed.W), len(res.W))
+	}
+
+	// a checkpoint written when asgd had a TCP-only twin names that twin;
+	// the alias resolves, so it resumes like any other
+	old := *mid
+	old.Algorithm = "asgd-remote"
+	again, err := eng.SolveFrom(context.Background(), &old, d, async.SolveOptions{Params: tinyParams(60)})
+	if err != nil {
+		t.Fatalf("resume of an asgd-remote checkpoint: %v", err)
+	}
+	if !la.Equal(again.W, resumed.W, 0) {
+		t.Fatal("the asgd-remote checkpoint resumed to a different model than its asgd original")
 	}
 
 	// validation paths

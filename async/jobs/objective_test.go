@@ -10,6 +10,7 @@ import (
 
 	"repro/async"
 	"repro/async/jobs"
+	"repro/internal/la"
 )
 
 // gateObjective backs the normalization-equivalence checks: jobs submit and
@@ -86,6 +87,10 @@ func TestObjectiveSubmitRejections(t *testing.T) {
 		{"l1 on saga",
 			jobs.Spec{Algorithm: "saga", Dataset: ds,
 				Objective: async.Objective{L2: 0.01, L1: 0.001}},
+			"no proximal step"},
+		{"l1 on asaga-remote", // judged as asaga, the solver the alias runs
+			jobs.Spec{Algorithm: "asaga-remote", Dataset: ds,
+				Objective: async.Objective{L1: 0.001}},
 			"no proximal step"},
 		{"l1 on svrg",
 			jobs.Spec{Algorithm: "svrg", Dataset: ds,
@@ -168,6 +173,49 @@ func TestElasticNetJobsEndToEnd(t *testing.T) {
 				t.Fatalf("%s: solve collapsed to the all-zero model", algo)
 			}
 		})
+	}
+}
+
+// TestAliasJobRunsCanonicalSolver: asgd-remote is a deprecated spelling of
+// asgd, so a job under that name is validated as asgd — penalties accepted —
+// and solves the submitted objective: on a one-worker (sequential, hence deterministic) engine it
+// lands on the same bits as the asgd job, and not on the unpenalized model.
+func TestAliasJobRunsCanonicalSolver(t *testing.T) {
+	s := newScheduler(t, jobs.Config{
+		Engines:       1,
+		EngineOptions: []async.Option{async.WithWorkers(1), async.WithPartitions(2)},
+	})
+	solve := func(algo string, obj async.Objective) []float64 {
+		t.Helper()
+		id, err := s.Submit(jobs.Spec{
+			Algorithm: algo,
+			Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
+			Step:      jobs.StepSpec{Kind: "const", A: 0.02},
+			Objective: obj,
+			Updates:   60, SnapshotEvery: 20,
+		})
+		if err != nil {
+			t.Fatalf("%s %+v: %v", algo, obj, err)
+		}
+		waitState(t, s, id, jobs.StateDone)
+		if j, _ := s.Status(id); j.Spec.Algorithm != algo {
+			t.Fatalf("submitted spelling %q rewritten to %q", algo, j.Spec.Algorithm)
+		}
+		res, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.W
+	}
+	elastic := async.Objective{Loss: "least-squares", L2: 0.01, L1: 0.01}
+	canon := solve("asgd", elastic)
+	alias := solve("asgd-remote", elastic)
+	plain := solve("asgd-remote", async.Objective{})
+	if !la.Equal(canon, alias, 0) {
+		t.Fatal("asgd-remote and asgd solved the same spec to different models")
+	}
+	if la.Equal(alias, plain, 0) {
+		t.Fatal("asgd-remote ignored the submitted penalties")
 	}
 }
 

@@ -263,6 +263,16 @@ func (sp *Spec) normalize() error {
 	return nil
 }
 
+// canonAlgorithm is the name submission checks key on: the resolved
+// solver's own, so a deprecated alias (asgd-remote, asaga-remote) is judged
+// as the solver it runs. Spec.Algorithm itself keeps the submitted spelling.
+func (sp Spec) canonAlgorithm() string {
+	if s, err := async.Lookup(sp.Algorithm); err == nil {
+		return strings.ToLower(s.Name())
+	}
+	return strings.ToLower(sp.Algorithm)
+}
+
 // canonLossName collapses the loss-name aliases for conflict detection.
 func canonLossName(s string) string {
 	switch strings.ToLower(s) {
@@ -279,14 +289,12 @@ func canonLossName(s string) string {
 // registry applies its own gate at run time.
 var noProxSolvers = map[string]bool{
 	"saga": true, "asaga": true, "svrg": true, "admm": true, "bcd": true,
-	"mllib-sgd": true, "asgd-remote": true, "asaga-remote": true,
+	"mllib-sgd": true,
 }
 
-// penaltyBlindSolvers optimize a hardwired or wire-validated plain loss and
-// would ignore any penalty term entirely.
-var penaltyBlindSolvers = map[string]bool{
-	"admm": true, "bcd": true, "asgd-remote": true, "asaga-remote": true,
-}
+// penaltyBlindSolvers optimize a hardwired plain loss and would ignore any
+// penalty term entirely.
+var penaltyBlindSolvers = map[string]bool{"admm": true, "bcd": true}
 
 // normalizeObjective merges the deprecated flat Loss alias into the
 // structured Objective, validates it, and checks the chosen solver can
@@ -303,7 +311,7 @@ func (sp *Spec) normalizeObjective() error {
 	if err := sp.Objective.Validate(); err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	algo := strings.ToLower(sp.Algorithm)
+	algo := sp.canonAlgorithm()
 	if sp.Objective.L1 > 0 && noProxSolvers[algo] {
 		return fmt.Errorf("jobs: solver %q has no proximal step and cannot solve an ℓ1 objective (use sgd, asgd, cd or gcg)", algo)
 	}
@@ -332,7 +340,7 @@ func (sp *Spec) normalizeMode() error {
 	if sp.Mode == "" {
 		return nil
 	}
-	algo := strings.ToLower(sp.Algorithm)
+	algo := sp.canonAlgorithm()
 	allowed, ok := modeSolvers[algo]
 	if !ok {
 		return fmt.Errorf("jobs: solver %q has no selection modes (mode applies to: cd, gcg)", algo)
@@ -472,7 +480,7 @@ func (sp Spec) solveOptions(workers int) (async.SolveOptions, error) {
 		Objective: sp.objective(),
 		FStar:     sp.FStar,
 	}
-	switch strings.ToLower(sp.Algorithm) {
+	switch sp.canonAlgorithm() {
 	case "cd":
 		out.CD.Mode = sp.Mode
 	case "gcg":

@@ -35,10 +35,23 @@ func TestPaperAlgorithmsRegistered(t *testing.T) {
 			t.Errorf("Lookup(%q): %v", strings.ToUpper(n), err)
 		}
 	}
-	// the baseline and TCP-transport variants ride along
-	for _, n := range []string{"mllib-sgd", "asgd-remote", "asaga-remote"} {
-		if _, err := async.Lookup(n); err != nil {
-			t.Errorf("Lookup(%q): %v", n, err)
+	// the baseline rides along
+	if _, err := async.Lookup("mllib-sgd"); err != nil {
+		t.Errorf("Lookup(mllib-sgd): %v", err)
+	}
+	// the deprecated TCP-variant names resolve to the one solver per
+	// method and are not listed as solvers of their own
+	for alias, canon := range map[string]string{"asgd-remote": "asgd", "asaga-remote": "asaga"} {
+		s, err := async.Lookup(alias)
+		if err != nil {
+			t.Errorf("Lookup(%q): %v", alias, err)
+			continue
+		}
+		if s.Name() != canon {
+			t.Errorf("Lookup(%q).Name() = %q, want %q", alias, s.Name(), canon)
+		}
+		if names[alias] {
+			t.Errorf("alias %q listed by Solvers()", alias)
 		}
 	}
 	if _, err := async.Lookup("nope"); err == nil {

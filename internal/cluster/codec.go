@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -11,41 +9,29 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/la"
 )
 
 // Compact binary wire codec. Every TCP connection carries length-prefixed
 // frames:
 //
-//	[4-byte big-endian frame length L][1-byte format][L-1 bytes body]
+//	[4-byte big-endian frame length L][1-byte format version][L-1 bytes body]
 //
-// format 0 (frameGob):    body is a self-contained gob stream of one Message
-// format 1 (frameBinary): body is the compact binary encoding below
-//
-// The binary format encodes the hot protocol messages — RunTask,
-// TaskResult, Fetch/FetchReply, BroadcastPush — with varint integers,
-// raw little-endian float64 payloads, and varint-delta coordinate indices,
-// cutting per-task message size and encode allocations versus gob (which
-// re-transmits type descriptors and boxes every field through reflection).
-// Messages the binary format does not cover (partition installs) and
-// payload types nobody registered fall back to a gob frame transparently;
-// both sides always accept both formats.
-//
-// Negotiation rides the Hello handshake: the framed endpoint stamps
-// BinCodecName into Hello.Codecs on the way out, and a receiver that
-// understands it answers with a HelloAck — from then on each side sends
-// binary for whatever it can encode. Endpoints that never see the
-// advertisement simply keep exchanging gob frames.
+// The body encodes one protocol message with varint integers, raw
+// little-endian float64 payloads, and varint-delta coordinate indices. It is
+// the only format: the version byte must be frameVersion, and a receiver
+// rejects anything else. Payload values (task args, results, broadcast
+// values) are the builtin types PutValue lists plus whatever was registered
+// through RegisterPayloadCodec; a message carrying anything else — an
+// unregistered payload type, or a task with an in-process func — fails to
+// encode with ErrNotEncodable and nothing is written.
 const (
-	frameGob    byte = 0
-	frameBinary byte = 1
+	frameVersion byte = 1
 
 	// maxFrame bounds a frame so a corrupted or hostile length prefix
 	// cannot trigger an unbounded allocation.
 	maxFrame = 1 << 30
-
-	// BinCodecName identifies this codec revision in Hello.Codecs.
-	BinCodecName = "bin/1"
 )
 
 // Builtin payload codes. Codes ≥ payloadRegistered are claimed through
@@ -63,9 +49,11 @@ const (
 	payloadRegistered byte = 16
 )
 
-// errNoBinary marks a message (or payload) the binary format cannot carry;
-// the sender falls back to a gob frame.
-var errNoBinary = errors.New("cluster: message has no binary encoding")
+// ErrNotEncodable marks a message the wire format cannot carry: a task with
+// an in-process func, or a payload type nobody registered a codec for. The
+// fault is the message's, not the connection's — Cluster.Submit reports it
+// without marking the worker down.
+var ErrNotEncodable = errors.New("cluster: message has no wire encoding")
 
 // payloadCodec is one registered payload type.
 type payloadCodec struct {
@@ -83,7 +71,8 @@ var payloadRegistry = struct {
 // RegisterPayloadCodec teaches the binary codec a payload type: prototype's
 // concrete type is encoded by enc under the given code and decoded by dec.
 // Codes below 16 are reserved for builtins; registering a taken code or
-// type panics (registration is an init-time act, like gob.Register).
+// type panics (registration is an init-time act). This is how a custom op's
+// Args or result type becomes shippable over TCP.
 func RegisterPayloadCodec(code byte, prototype any, enc func(*BinWriter, any) error, dec func(*BinReader) (any, error)) {
 	if code < payloadRegistered {
 		panic(fmt.Sprintf("cluster: payload code %d is reserved", code))
@@ -156,8 +145,7 @@ func (w *BinWriter) PutIndexDeltas(idx []int32) {
 }
 
 // PutValue appends a payload value: builtins directly, registered types via
-// their codec. It returns errNoBinary (wrapped) for anything else, which
-// makes the enclosing message fall back to gob.
+// their codec. It returns ErrNotEncodable (wrapped) for anything else.
 func (w *BinWriter) PutValue(v any) error {
 	switch x := v.(type) {
 	case nil:
@@ -202,7 +190,7 @@ func (w *BinWriter) PutValue(v any) error {
 		c := payloadRegistry.byType[reflect.TypeOf(v)]
 		payloadRegistry.mu.RUnlock()
 		if c == nil {
-			return fmt.Errorf("%w: payload %T", errNoBinary, v)
+			return fmt.Errorf("%w: payload type %T has no registered codec", ErrNotEncodable, v)
 		}
 		w.PutByte(c.code)
 		return c.enc(w, v)
@@ -425,30 +413,28 @@ func (r *BinReader) Value() (any, error) {
 	}
 }
 
-// encodeBinMessage renders m into w in the binary format, or returns
-// errNoBinary (possibly wrapped) when m cannot be carried.
-func encodeBinMessage(w *BinWriter, m *Message) error {
+// errNoBody reports a message whose Kind-matching pointer field is unset.
+func errNoBody(k Kind) error {
+	return fmt.Errorf("cluster: %v message without its body", k)
+}
+
+// encodeMessage renders m into w.
+func encodeMessage(w *BinWriter, m *Message) error {
 	w.PutByte(byte(m.Kind))
 	w.PutVarint(m.Seq)
 	switch m.Kind {
 	case KindHello:
 		if m.Hello == nil {
-			return errNoBinary
+			return errNoBody(m.Kind)
 		}
 		w.PutVarint(int64(m.Hello.Worker))
-		w.PutUvarint(uint64(len(m.Hello.Codecs)))
-		for _, c := range m.Hello.Codecs {
-			w.PutString(c)
-		}
-	case KindHelloAck:
-		if m.HelloAck == nil {
-			return errNoBinary
-		}
-		w.PutString(m.HelloAck.Codec)
 	case KindRunTask:
 		t := m.Task
-		if t == nil || t.Func() != nil {
-			return errNoBinary // in-process task funcs never cross a wire
+		if t == nil {
+			return errNoBody(m.Kind)
+		}
+		if t.Func() != nil {
+			return fmt.Errorf("%w: task %d carries an in-process func; only a registered op crosses a real transport", ErrNotEncodable, t.ID)
 		}
 		w.PutVarint(t.ID)
 		w.PutString(t.Op)
@@ -459,7 +445,7 @@ func encodeBinMessage(w *BinWriter, m *Message) error {
 	case KindTaskResult:
 		r := m.Result
 		if r == nil {
-			return errNoBinary
+			return errNoBody(m.Kind)
 		}
 		w.PutVarint(r.TaskID)
 		w.PutVarint(int64(r.Worker))
@@ -469,10 +455,15 @@ func encodeBinMessage(w *BinWriter, m *Message) error {
 		w.PutVarint(int64(r.ComputeTime))
 		w.PutVarint(int64(r.WaitTime))
 		return w.PutValue(r.Payload)
+	case KindInstallPartition:
+		if m.Install == nil || m.Install.Part == nil || m.Install.Part.X == nil {
+			return errNoBody(m.Kind)
+		}
+		return putPartition(w, m.Install.Part)
 	case KindFetch:
 		f := m.Fetch
 		if f == nil {
-			return errNoBinary
+			return errNoBody(m.Kind)
 		}
 		w.PutVarint(int64(f.Worker))
 		w.PutString(f.ID)
@@ -480,7 +471,7 @@ func encodeBinMessage(w *BinWriter, m *Message) error {
 	case KindFetchReply:
 		f := m.FetchReply
 		if f == nil {
-			return errNoBinary
+			return errNoBody(m.Kind)
 		}
 		w.PutString(f.ID)
 		w.PutVarint(f.Version)
@@ -489,39 +480,127 @@ func encodeBinMessage(w *BinWriter, m *Message) error {
 	case KindBroadcastPush:
 		p := m.Push
 		if p == nil {
-			return errNoBinary
+			return errNoBody(m.Kind)
 		}
 		w.PutString(p.ID)
 		w.PutVarint(p.Version)
 		return w.PutValue(p.Value)
 	case KindAck:
 		if m.Ack == nil {
-			return errNoBinary
+			return errNoBody(m.Kind)
 		}
 		w.PutVarint(m.Ack.Seq)
 		w.PutString(m.Ack.Err)
 	case KindShutdown:
 		// kind and seq say it all
 	default:
-		return errNoBinary // partition installs and future kinds ride gob
+		return fmt.Errorf("cluster: kind %d has no encoding", m.Kind)
 	}
 	return nil
 }
 
-// decodeBinMessage parses a binary frame body.
-func decodeBinMessage(body []byte) (Message, error) {
+// putPartition appends a data partition: the header fields, then the CSR
+// block as absolute row pointers, column indices and raw values, then the
+// labels. The slice lengths are checked here so a malformed in-memory
+// partition fails on the sending side, not as the receiver's decode error.
+func putPartition(w *BinWriter, p *dataset.Partition) error {
+	x := p.X
+	if len(x.RowPtr) != x.NumRows+1 || len(x.ColIdx) != len(x.Val) || len(p.Y) != x.NumRows {
+		return fmt.Errorf("cluster: partition %d is malformed: %d rows, %d row pointers, %d/%d nonzeros, %d labels",
+			p.Index, x.NumRows, len(x.RowPtr), len(x.ColIdx), len(x.Val), len(p.Y))
+	}
+	w.PutString(p.Dataset)
+	w.PutVarint(int64(p.Index))
+	w.PutVarint(int64(p.RowLo))
+	w.PutVarint(int64(p.RowHi))
+	w.PutUvarint(uint64(x.NumCols))
+	w.PutUvarint(uint64(x.NumRows))
+	for _, v := range x.RowPtr {
+		w.PutUvarint(uint64(v))
+	}
+	w.PutUvarint(uint64(len(x.Val)))
+	for _, j := range x.ColIdx {
+		w.PutUvarint(uint64(j))
+	}
+	w.PutFloat64s(x.Val)
+	w.PutFloat64s(p.Y)
+	return nil
+}
+
+// partition decodes putPartition's encoding. Every count is checked against
+// the remaining input before its slice is allocated, and the CSR invariants
+// the kernels index by without checks — row pointers starting at 0,
+// non-decreasing and ending at nnz, column indices below NumCols, one label
+// per row, RowHi−RowLo rows — are enforced here, at the wire boundary.
+func (r *BinReader) partition() *dataset.Partition {
+	p := &dataset.Partition{
+		Dataset: r.String(),
+		Index:   int(r.Varint()),
+		RowLo:   int(r.Varint()),
+		RowHi:   int(r.Varint()),
+	}
+	cols := r.Uvarint()
+	if cols > math.MaxInt32 {
+		r.fail("partition has %d columns", cols)
+	}
+	rows := r.Length(1) // a row pointer is ≥1 byte
+	if r.err != nil {
+		return nil
+	}
+	if p.RowLo < 0 || p.RowHi < p.RowLo || p.RowHi-p.RowLo != rows {
+		r.fail("partition rows [%d,%d) do not span %d rows", p.RowLo, p.RowHi, rows)
+		return nil
+	}
+	x := &la.CSR{NumRows: rows, NumCols: int(cols), RowPtr: make([]int64, rows+1)}
+	prev := int64(0)
+	for i := range x.RowPtr {
+		v := int64(r.Uvarint()) // a value past MaxInt64 wraps negative and fails below
+		if r.err != nil {
+			return nil
+		}
+		if v < prev || (i == 0 && v != 0) {
+			r.fail("row pointer %d = %d breaks CSR monotonicity", i, v)
+			return nil
+		}
+		x.RowPtr[i], prev = v, v
+	}
+	nnz := r.Length(9) // ≥1 byte of column index + 8 bytes of value each
+	if r.err == nil && int64(nnz) != prev {
+		r.fail("partition declares %d nonzeros but row pointers end at %d", nnz, prev)
+	}
+	if r.err != nil {
+		return nil
+	}
+	x.ColIdx = make([]int32, nnz)
+	for k := range x.ColIdx {
+		j := r.Uvarint()
+		if r.err != nil {
+			return nil
+		}
+		if j >= cols {
+			r.fail("column index %d out of range [0,%d)", j, cols)
+			return nil
+		}
+		x.ColIdx[k] = int32(j)
+	}
+	x.Val = make([]float64, nnz)
+	r.Float64s(x.Val)
+	p.Y = make(la.Vec, rows)
+	r.Float64s(p.Y)
+	if r.err != nil {
+		return nil
+	}
+	p.X = x
+	return p
+}
+
+// decodeMessage parses a frame body.
+func decodeMessage(body []byte) (Message, error) {
 	r := NewBinReader(body)
 	m := Message{Kind: Kind(r.Byte()), Seq: r.Varint()}
 	switch m.Kind {
 	case KindHello:
-		h := &Hello{Worker: int(r.Varint())}
-		n := r.Length(1)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			h.Codecs = append(h.Codecs, r.String())
-		}
-		m.Hello = h
-	case KindHelloAck:
-		m.HelloAck = &HelloAck{Codec: r.String()}
+		m.Hello = &Hello{Worker: int(r.Varint())}
 	case KindRunTask:
 		t := &Task{
 			ID:        r.Varint(),
@@ -552,6 +631,8 @@ func decodeBinMessage(body []byte) (Message, error) {
 		}
 		res.Payload = v
 		m.Result = res
+	case KindInstallPartition:
+		m.Install = &InstallPartition{Part: r.partition()}
 	case KindFetch:
 		m.Fetch = &FetchReq{Worker: int(r.Varint()), ID: r.String(), Version: r.Varint()}
 	case KindFetchReply:
@@ -574,7 +655,7 @@ func decodeBinMessage(body []byte) (Message, error) {
 		m.Ack = &Ack{Seq: r.Varint(), Err: r.String()}
 	case KindShutdown:
 	default:
-		r.fail("kind %d has no binary decoding", m.Kind)
+		r.fail("kind %d has no decoding", m.Kind)
 	}
 	if err := r.Err(); err != nil {
 		return Message{}, err
@@ -582,45 +663,29 @@ func decodeBinMessage(body []byte) (Message, error) {
 	return m, nil
 }
 
-// EncodeFrame renders one message as a complete wire frame. When binary is
-// requested the compact codec is attempted first, falling back to gob for
-// messages it cannot carry; usedBinary reports which format was written.
-// The endpoint's Send path and the bench suite's bytes/task accounting both
-// go through this function.
-func EncodeFrame(m Message, useBinary bool) (frame []byte, usedBinary bool, err error) {
+// EncodeFrame renders one message as a complete wire frame. The endpoint's
+// Send path and the bench suites' bytes/task accounting both go through the
+// same encoder. The bool parameter and result are vestigial — they selected
+// and reported the frame format when a second one existed; the parameter is
+// ignored and the result is true whenever err is nil. They stay only because
+// benchmark/ (frozen for this change) calls this signature.
+func EncodeFrame(m Message, _ bool) ([]byte, bool, error) {
 	var w BinWriter
-	body, usedBinary, err := appendFrameBody(&w, nil, &m, useBinary)
-	if err != nil {
-		return nil, false, err
-	}
-	return body, usedBinary, nil
+	frame, err := appendFrame(&w, nil, &m)
+	return frame, err == nil, err
 }
 
-// appendFrameBody writes [len][format][body] for m into dst, using bw as
-// the scratch encoder for binary bodies.
-func appendFrameBody(bw *BinWriter, dst []byte, m *Message, useBinary bool) ([]byte, bool, error) {
-	if useBinary {
-		bw.Reset()
-		if err := encodeBinMessage(bw, m); err == nil {
-			body := bw.Bytes()
-			dst = binary4(dst, uint32(len(body)+1))
-			dst = append(dst, frameBinary)
-			return append(dst, body...), true, nil
-		} else if !errors.Is(err, errNoBinary) {
-			return nil, false, err
-		}
+// appendFrame writes [len][version][body] for m into dst, using bw as the
+// scratch encoder for the body.
+func appendFrame(bw *BinWriter, dst []byte, m *Message) ([]byte, error) {
+	bw.Reset()
+	if err := encodeMessage(bw, m); err != nil {
+		return nil, err
 	}
-	var gb bytes.Buffer
-	if err := gob.NewEncoder(&gb).Encode(m); err != nil {
-		return nil, false, fmt.Errorf("cluster: gob encode: %w", err)
-	}
-	dst = binary4(dst, uint32(gb.Len()+1))
-	dst = append(dst, frameGob)
-	return append(dst, gb.Bytes()...), false, nil
-}
-
-func binary4(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	body := bw.Bytes()
+	n := uint32(len(body) + 1)
+	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n), frameVersion)
+	return append(dst, body...), nil
 }
 
 // DecodeFrame parses one complete wire frame (length prefix included) back
@@ -637,17 +702,9 @@ func DecodeFrame(frame []byte) (Message, error) {
 	return decodeFrameBody(frame[4], frame[5:])
 }
 
-func decodeFrameBody(format byte, body []byte) (Message, error) {
-	switch format {
-	case frameGob:
-		var m Message
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-			return Message{}, fmt.Errorf("cluster: gob decode: %w", err)
-		}
-		return m, nil
-	case frameBinary:
-		return decodeBinMessage(body)
-	default:
-		return Message{}, fmt.Errorf("cluster: unknown frame format %d", format)
+func decodeFrameBody(version byte, body []byte) (Message, error) {
+	if version != frameVersion {
+		return Message{}, fmt.Errorf("cluster: unknown frame format %d", version)
 	}
+	return decodeMessage(body)
 }

@@ -1,14 +1,44 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/la"
 )
+
+// encoding/gob is the reference the codec is checked against: a message
+// must decode from its wire frame to what a gob round trip of the same
+// value yields. Production code has no gob path; these are the payload
+// types the reference needs to see behind an interface.
+func init() {
+	gob.Register(la.Vec{})
+	gob.Register(&la.DeltaVec{})
+}
+
+// gobRoundTrip passes m through the reference codec, returning the decoded
+// copy and the encoded size.
+func gobRoundTrip(t *testing.T, m Message) (Message, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+		t.Fatalf("gob encode: %v", err)
+	}
+	n := buf.Len()
+	var back Message
+	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		t.Fatalf("gob decode: %v", err)
+	}
+	return back, n
+}
 
 // payloadEqual compares decoded payloads semantically: dense and sparse
 // vectors by value (nil and empty are the same), everything else by
@@ -35,29 +65,23 @@ func payloadEqual(a, b any) bool {
 	}
 }
 
-// roundTrip encodes m in both formats, decodes both frames, and checks the
-// two decodings agree with the original. It returns the frame sizes.
-func roundTrip(t *testing.T, m Message) (binBytes, gobBytes int) {
+// roundTrip encodes m as a wire frame, decodes it, and checks the decoding
+// agrees with both the original and the gob reference round trip. It
+// returns the frame size and the reference's encoded size.
+func roundTrip(t *testing.T, m Message) (frameBytes, gobBytes int) {
 	t.Helper()
-	RegisterGobTypes()
-	binFrame, usedBin, err := EncodeFrame(m, true)
+	frame, _, err := EncodeFrame(m, true)
 	if err != nil {
-		t.Fatalf("binary encode: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
-	if !usedBin {
-		t.Fatalf("kind %v fell back to gob unexpectedly", m.Kind)
-	}
-	gobFrame, _, err := EncodeFrame(m, false)
+	wire, err := DecodeFrame(frame)
 	if err != nil {
-		t.Fatalf("gob encode: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
-	check := func(name string, frame []byte) {
-		back, err := DecodeFrame(frame)
-		if err != nil {
-			t.Fatalf("%s decode: %v", name, err)
-		}
+	ref, gobBytes := gobRoundTrip(t, m)
+	check := func(name string, back, m Message) {
 		if back.Kind != m.Kind || back.Seq != m.Seq {
-			t.Fatalf("%s decode: kind/seq (%v,%d) != (%v,%d)", name, back.Kind, back.Seq, m.Kind, m.Seq)
+			t.Fatalf("%s: kind/seq (%v,%d) != (%v,%d)", name, back.Kind, back.Seq, m.Kind, m.Seq)
 		}
 		switch m.Kind {
 		case KindTaskResult:
@@ -65,48 +89,68 @@ func roundTrip(t *testing.T, m Message) (binBytes, gobBytes int) {
 			if r.TaskID != o.TaskID || r.Worker != o.Worker || r.Op != o.Op ||
 				r.Dispatch != o.Dispatch || r.Err != o.Err ||
 				r.ComputeTime != o.ComputeTime || r.WaitTime != o.WaitTime {
-				t.Fatalf("%s decode: result fields differ: %+v vs %+v", name, r, o)
+				t.Fatalf("%s: result fields differ: %+v vs %+v", name, r, o)
 			}
 			if !payloadEqual(o.Payload, r.Payload) {
-				t.Fatalf("%s decode: payload differs", name)
+				t.Fatalf("%s: payload differs", name)
 			}
 		case KindRunTask:
 			tk, o := back.Task, m.Task
 			if tk.ID != o.ID || tk.Op != o.Op || tk.Partition != o.Partition ||
 				tk.Seed != o.Seed || tk.Dispatch != o.Dispatch || !payloadEqual(o.Args, tk.Args) {
-				t.Fatalf("%s decode: task differs: %+v vs %+v", name, tk, o)
+				t.Fatalf("%s: task differs: %+v vs %+v", name, tk, o)
 			}
 		case KindFetchReply:
 			if back.FetchReply.ID != m.FetchReply.ID || back.FetchReply.Version != m.FetchReply.Version ||
 				back.FetchReply.Err != m.FetchReply.Err || !payloadEqual(m.FetchReply.Value, back.FetchReply.Value) {
-				t.Fatalf("%s decode: fetch reply differs", name)
+				t.Fatalf("%s: fetch reply differs", name)
 			}
 		case KindBroadcastPush:
 			if back.Push.ID != m.Push.ID || back.Push.Version != m.Push.Version ||
 				!payloadEqual(m.Push.Value, back.Push.Value) {
-				t.Fatalf("%s decode: push differs", name)
+				t.Fatalf("%s: push differs", name)
+			}
+		case KindInstallPartition:
+			if !partitionEqual(back.Install.Part, m.Install.Part) {
+				t.Fatalf("%s: partition differs", name)
 			}
 		case KindHello:
-			if back.Hello.Worker != m.Hello.Worker || !reflect.DeepEqual(back.Hello.Codecs, m.Hello.Codecs) {
-				t.Fatalf("%s decode: hello differs", name)
-			}
-		case KindHelloAck:
-			if back.HelloAck.Codec != m.HelloAck.Codec {
-				t.Fatalf("%s decode: hello-ack differs", name)
+			if !reflect.DeepEqual(back.Hello, m.Hello) {
+				t.Fatalf("%s: hello differs", name)
 			}
 		case KindFetch:
 			if !reflect.DeepEqual(back.Fetch, m.Fetch) {
-				t.Fatalf("%s decode: fetch differs", name)
+				t.Fatalf("%s: fetch differs", name)
 			}
 		case KindAck:
 			if !reflect.DeepEqual(back.Ack, m.Ack) {
-				t.Fatalf("%s decode: ack differs", name)
+				t.Fatalf("%s: ack differs", name)
 			}
 		}
 	}
-	check("binary", binFrame)
-	check("gob", gobFrame)
-	return len(binFrame), len(gobFrame)
+	check("wire vs original", wire, m)
+	check("wire vs gob reference", wire, ref)
+	return len(frame), gobBytes
+}
+
+// partitionEqual compares partitions by value, nil and empty slices alike.
+func partitionEqual(a, b *dataset.Partition) bool {
+	if a.Dataset != b.Dataset || a.Index != b.Index || a.RowLo != b.RowLo || a.RowHi != b.RowHi ||
+		a.X.NumRows != b.X.NumRows || a.X.NumCols != b.X.NumCols ||
+		len(a.X.RowPtr) != len(b.X.RowPtr) || len(a.X.ColIdx) != len(b.X.ColIdx) {
+		return false
+	}
+	for i := range a.X.RowPtr {
+		if a.X.RowPtr[i] != b.X.RowPtr[i] {
+			return false
+		}
+	}
+	for k := range a.X.ColIdx {
+		if a.X.ColIdx[k] != b.X.ColIdx[k] {
+			return false
+		}
+	}
+	return la.Equal(a.X.Val, b.X.Val, 0) && la.Equal(a.Y, b.Y, 0)
 }
 
 func randVec(rng *rand.Rand, n int) la.Vec {
@@ -140,9 +184,9 @@ func TestCodecResultRoundTripDense(t *testing.T) {
 			Dispatch: rng.Int63(), Payload: randVec(rng, n),
 			ComputeTime: time.Duration(rng.Int63n(1e9)), WaitTime: time.Duration(rng.Int63n(1e6)),
 		}}
-		binB, gobB := roundTrip(t, m)
-		if n >= 100 && binB >= gobB {
-			t.Errorf("n=%d: binary frame (%dB) not smaller than gob (%dB)", n, binB, gobB)
+		frameB, gobB := roundTrip(t, m)
+		if n >= 100 && frameB >= gobB {
+			t.Errorf("n=%d: wire frame (%dB) not smaller than gob (%dB)", n, frameB, gobB)
 		}
 	}
 }
@@ -178,8 +222,7 @@ func TestCodecSpecialFloats(t *testing.T) {
 
 func TestCodecControlMessages(t *testing.T) {
 	msgs := []Message{
-		{Kind: KindHello, Hello: &Hello{Worker: 4, Codecs: []string{BinCodecName}}},
-		{Kind: KindHelloAck, HelloAck: &HelloAck{Codec: BinCodecName}},
+		{Kind: KindHello, Hello: &Hello{Worker: 4}},
 		{Kind: KindFetch, Fetch: &FetchReq{Worker: 1, ID: "model", Version: 42}},
 		{Kind: KindAck, Seq: 9, Ack: &Ack{Seq: 9, Err: "boom"}},
 		{Kind: KindShutdown},
@@ -190,23 +233,126 @@ func TestCodecControlMessages(t *testing.T) {
 	}
 }
 
-// TestCodecInstallFallsBack: partition installs (rare, setup-time) have no
-// binary encoding and ride gob frames even when binary is negotiated.
-func TestCodecInstallFallsBack(t *testing.T) {
-	RegisterGobTypes()
-	frame, usedBin, err := EncodeFrame(Message{Kind: KindInstallPartition, Seq: 3, Install: &InstallPartition{}}, true)
+// rawInstall is a partition-install frame stated field by field, so tests
+// can write shapes the encoder itself refuses to produce. goodInstall is a
+// valid 2-row × 4-col CSR with 3 nonzeros at global rows [10,12).
+type rawInstall struct {
+	rowLo, rowHi int64
+	rows, cols   uint64
+	rowPtr       []uint64
+	nnz          uint64
+	colIdx       []uint64
+	floats       int // values then labels
+}
+
+func goodInstall() rawInstall {
+	return rawInstall{rowLo: 10, rowHi: 12, rows: 2, cols: 4,
+		rowPtr: []uint64{0, 1, 3}, nnz: 3, colIdx: []uint64{0, 1, 3}, floats: 3 + 2}
+}
+
+// frame renders the install as a complete wire frame.
+func (ri rawInstall) frame() []byte {
+	var w BinWriter
+	w.PutByte(byte(KindInstallPartition))
+	w.PutVarint(7) // seq
+	w.PutString("ds")
+	w.PutVarint(3) // partition index
+	w.PutVarint(ri.rowLo)
+	w.PutVarint(ri.rowHi)
+	w.PutUvarint(ri.cols)
+	w.PutUvarint(ri.rows)
+	for _, v := range ri.rowPtr {
+		w.PutUvarint(v)
+	}
+	w.PutUvarint(ri.nnz)
+	for _, j := range ri.colIdx {
+		w.PutUvarint(j)
+	}
+	w.PutFloat64s(make([]float64, ri.floats))
+	n := uint32(len(w.Bytes()) + 1)
+	return append([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), frameVersion}, w.Bytes()...)
+}
+
+// badInstallFrames are partition installs a decoder must refuse, keyed by
+// the fragment its error has to name: goodInstall broken in one place each.
+func badInstallFrames() map[string][]byte {
+	out := map[string][]byte{}
+	for want, breakIt := range map[string]func(*rawInstall){
+		"truncated":           func(ri *rawInstall) { ri.floats-- },
+		"monotonicity":        func(ri *rawInstall) { ri.rowPtr = []uint64{0, 3, 1} },
+		"row pointer 0":       func(ri *rawInstall) { ri.rowPtr = []uint64{1, 1, 3} },
+		"out of range":        func(ri *rawInstall) { ri.colIdx = []uint64{0, 4, 3} },
+		"row pointers end at": func(ri *rawInstall) { ri.rowPtr = []uint64{0, 1, 2} },
+		"do not span":         func(ri *rawInstall) { ri.rowHi++ },
+		// a count far past the frame must fail as a count, before any slice
+		// of that size exists
+		"exceeds remaining": func(ri *rawInstall) { ri.rows, ri.rowHi = 1<<40, ri.rowLo+1<<40 },
+	} {
+		ri := goodInstall()
+		breakIt(&ri)
+		out[want] = ri.frame()
+	}
+	return out
+}
+
+// TestCodecInstallRoundTrip: a partition install crosses the wire in the
+// binary format and decodes to the same CSR block and labels; malformed
+// installs are refused with an error naming the broken invariant.
+func TestCodecInstallRoundTrip(t *testing.T) {
+	p := tinyPartition(t, 3)
+	roundTrip(t, Message{Kind: KindInstallPartition, Seq: 3, Install: &InstallPartition{Part: p}})
+
+	if _, err := DecodeFrame(goodInstall().frame()); err != nil {
+		t.Fatalf("hand-built valid install refused: %v", err)
+	}
+	for want, frame := range badInstallFrames() {
+		_, err := DecodeFrame(frame)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("bad install %q: err = %v", want, err)
+		}
+	}
+
+	// the encoder refuses what it cannot state: no partition, or slices
+	// that disagree with the declared shape
+	for name, part := range map[string]*dataset.Partition{
+		"nil":       nil,
+		"no matrix": {Index: 1},
+		"short y":   {Index: 1, RowHi: p.NumRows(), X: p.X, Y: p.Y[:1]},
+	} {
+		if _, _, err := EncodeFrame(Message{Kind: KindInstallPartition, Install: &InstallPartition{Part: part}}, true); err == nil {
+			t.Errorf("install with %s partition encoded", name)
+		}
+	}
+}
+
+// TestFrameVersionChecked: the format byte is a version check — anything
+// but frameVersion (the retired gob format 0 included) is refused.
+func TestFrameVersionChecked(t *testing.T) {
+	frame, _, err := EncodeFrame(Message{Kind: KindShutdown}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if usedBin {
-		t.Fatal("install message must fall back to gob")
+	for _, v := range []byte{0, 2, 255} {
+		frame[4] = v
+		if _, err := DecodeFrame(frame); err == nil {
+			t.Errorf("frame format %d accepted", v)
+		}
 	}
-	back, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != KindInstallPartition || back.Seq != 3 {
-		t.Fatalf("got %v seq %d", back.Kind, back.Seq)
+}
+
+// TestEncodeRefusesFuncTask: a task carrying an in-process func, or args of
+// a type without a codec, fails to encode with ErrNotEncodable.
+func TestEncodeRefusesFuncTask(t *testing.T) {
+	fn := &Task{ID: 1}
+	fn.SetFunc(func(*Env, *Task) (any, error) { return nil, nil })
+	for name, task := range map[string]*Task{
+		"func":             fn,
+		"unregistered arg": {ID: 2, Op: "op", Args: struct{ X int }{1}},
+	} {
+		_, _, err := EncodeFrame(Message{Kind: KindRunTask, Task: task}, true)
+		if !errors.Is(err, ErrNotEncodable) {
+			t.Errorf("%s task: err = %v, want ErrNotEncodable", name, err)
+		}
 	}
 }
 
@@ -221,7 +367,7 @@ func TestCodecEncodeSteadyStateAllocs(t *testing.T) {
 	var out []byte
 	var err error
 	work := func() {
-		out, _, err = appendFrameBody(&w, out[:0], &m, true)
+		out, err = appendFrame(&w, out[:0], &m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,24 +379,54 @@ func TestCodecEncodeSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzDecodeFrame hardens the wire decoder: arbitrary bytes must never
-// panic or over-allocate, and every frame the encoder produces must decode.
+// panic or over-allocate, every frame the encoder produces must decode, and
+// a partition that does decode satisfies the CSR invariants the kernels
+// index by.
 func FuzzDecodeFrame(f *testing.F) {
-	RegisterGobTypes()
 	rng := rand.New(rand.NewSource(4))
 	seedMsgs := []Message{
 		{Kind: KindTaskResult, Result: &Result{TaskID: 3, Payload: randVec(rng, 16)}},
 		{Kind: KindTaskResult, Result: &Result{TaskID: 4, Payload: randDeltaVec(rng, 1000, 20)}},
-		{Kind: KindHello, Hello: &Hello{Worker: 0, Codecs: []string{BinCodecName}}},
+		{Kind: KindHello, Hello: &Hello{Worker: 0}},
 		{Kind: KindFetch, Fetch: &FetchReq{Worker: 2, ID: "m", Version: 1}},
 		{Kind: KindShutdown},
+		{Kind: KindInstallPartition, Seq: 1, Install: &InstallPartition{Part: tinyPartition(f, 0)}},
 	}
 	for _, m := range seedMsgs {
-		if frame, _, err := EncodeFrame(m, true); err == nil {
-			f.Add(frame)
+		frame, _, err := EncodeFrame(m, true)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(frame)
 	}
-	f.Add([]byte{0, 0, 0, 2, frameBinary, byte(KindTaskResult)})
+	f.Add([]byte{0, 0, 0, 2, frameVersion, byte(KindTaskResult)})
+	for _, frame := range badInstallFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeFrame(data) // must not panic
+		m, err := DecodeFrame(data) // must not panic
+		if err != nil || m.Kind != KindInstallPartition {
+			return
+		}
+		p := m.Install.Part
+		x := p.X
+		// every slice was paid for by frame bytes: nothing allocated past it
+		if len(x.RowPtr) > len(data) || len(x.ColIdx) > len(data) || len(p.Y) > len(data) {
+			t.Fatalf("decoded %d/%d/%d entries from a %d-byte frame", len(x.RowPtr), len(x.ColIdx), len(p.Y), len(data))
+		}
+		if len(x.RowPtr) != x.NumRows+1 || x.RowPtr[0] != 0 || x.RowPtr[x.NumRows] != int64(len(x.Val)) ||
+			len(x.ColIdx) != len(x.Val) || len(p.Y) != x.NumRows || p.NumRows() != x.NumRows {
+			t.Fatalf("decoded partition breaks its shape: %+v", p)
+		}
+		for i := 0; i < x.NumRows; i++ {
+			if x.RowPtr[i+1] < x.RowPtr[i] {
+				t.Fatalf("row pointers decrease at %d", i)
+			}
+		}
+		for _, j := range x.ColIdx {
+			if j < 0 || int(j) >= x.NumCols {
+				t.Fatalf("column index %d outside [0,%d)", j, x.NumCols)
+			}
+		}
 	})
 }

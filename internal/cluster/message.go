@@ -3,8 +3,8 @@
 // state, a server that dispatches tasks and collects results, and a
 // pluggable Transport with two implementations — in-process channels (the
 // default, simulating the paper's XSEDE cluster with real concurrency and
-// real wall-clock timing) and TCP + gob (demonstrating the same protocol
-// across real sockets).
+// real wall-clock timing) and TCP carrying length-prefixed binary frames
+// (codec.go; the same protocol across real sockets).
 //
 // The protocol is message-passing in both directions:
 //
@@ -17,11 +17,9 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/la"
 )
 
 // Kind discriminates protocol messages.
@@ -38,7 +36,6 @@ const (
 	KindFetchReply
 	KindBroadcastPush
 	KindShutdown
-	KindHelloAck
 )
 
 func (k Kind) String() string {
@@ -61,8 +58,6 @@ func (k Kind) String() string {
 		return "broadcast-push"
 	case KindShutdown:
 		return "shutdown"
-	case KindHelloAck:
-		return "hello-ack"
 	default:
 		return "unknown"
 	}
@@ -76,7 +71,7 @@ type TaskFunc func(env *Env, t *Task) (any, error)
 type Task struct {
 	ID        int64
 	Op        string // registered op name; "" when fn is set (in-proc only)
-	Args      any    // op arguments; concrete type must be gob-registered for TCP
+	Args      any    // op arguments; over TCP a non-builtin type needs RegisterPayloadCodec
 	Partition int    // partition the task targets; -1 = worker-wide
 	Seed      int64  // per-task sampling seed, for reproducibility
 	Dispatch  int64  // server logical clock (update count) at dispatch — staleness bookkeeping
@@ -137,21 +132,9 @@ type InstallPartition struct {
 	Part *dataset.Partition
 }
 
-// Hello is the worker's first message on a transport connection. Codecs
-// advertises the wire codecs the sender can decode (e.g. BinCodecName); the
-// framed TCP endpoint fills it in and the receiving side answers with a
-// HelloAck naming the codec it picked, after which both directions use it.
+// Hello is the worker's first message on a transport connection.
 type Hello struct {
 	Worker int
-	Codecs []string
-}
-
-// HelloAck completes the codec negotiation: it names the codec the receiver
-// of a Hello selected from the offered list ("" = stay on gob). It is
-// consumed inside the framed endpoint and never surfaces to the worker or
-// server loops.
-type HelloAck struct {
-	Codec string
 }
 
 // Ack acknowledges an install (correlated by sequence number).
@@ -166,7 +149,6 @@ type Message struct {
 	Kind       Kind
 	Seq        int64 // request/ack correlation for control messages
 	Hello      *Hello
-	HelloAck   *HelloAck
 	Task       *Task
 	Result     *Result
 	Install    *InstallPartition
@@ -174,22 +156,4 @@ type Message struct {
 	Fetch      *FetchReq
 	FetchReply *FetchReply
 	Push       *BroadcastPush
-}
-
-// RegisterGobTypes registers every protocol type plus the payload types the
-// optimization layer ships, so the TCP transport can encode them. Callers
-// with custom Args/Payload types must gob.Register them too.
-func RegisterGobTypes() {
-	gob.Register(Hello{})
-	gob.Register(HelloAck{})
-	gob.Register(Task{})
-	gob.Register(Result{})
-	gob.Register(InstallPartition{})
-	gob.Register(Ack{})
-	gob.Register(FetchReq{})
-	gob.Register(FetchReply{})
-	gob.Register(BroadcastPush{})
-	gob.Register(dataset.Partition{})
-	gob.Register(la.Vec{})
-	gob.Register(&la.DeltaVec{})
 }

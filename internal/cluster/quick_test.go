@@ -66,10 +66,10 @@ func TestPropCacheGetAfterPut(t *testing.T) {
 	}
 }
 
-// TestGobMessageRoundTrip encodes every message kind through gob, as the
-// TCP transport does, and checks the fields survive.
+// TestGobMessageRoundTrip passes every message kind through encoding/gob —
+// the reference codec_test.go compares the wire format against — and checks
+// the fields survive, so a disagreement there points at the wire codec.
 func TestGobMessageRoundTrip(t *testing.T) {
-	RegisterGobTypes()
 	gob.Register(map[string]int{})
 	msgs := []Message{
 		{Kind: KindHello, Hello: &Hello{Worker: 3}},

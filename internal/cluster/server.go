@@ -48,6 +48,10 @@ type Cluster struct {
 
 	wg       sync.WaitGroup // receive loops
 	workerWg sync.WaitGroup // local worker goroutines
+
+	// wired is set once any worker sits behind a real transport: from then
+	// on only registered ops can be dispatched (see InProcess).
+	wired atomic.Bool
 }
 
 type workerHandle struct {
@@ -89,6 +93,9 @@ func newCluster() *Cluster {
 func (c *Cluster) addWorker(id int, ep Endpoint) {
 	h := &workerHandle{id: id, ep: ep, acks: map[int64]chan Ack{}}
 	h.alive.Store(true)
+	if _, inproc := ep.(*chanEndpoint); !inproc {
+		c.wired.Store(true)
+	}
 	c.mu.Lock()
 	for len(c.workers) <= id {
 		c.workers = append(c.workers, nil)
@@ -168,7 +175,15 @@ func (c *Cluster) SetFetchHandler(fn FetchHandler) {
 // NextTaskID allocates a unique task id.
 func (c *Cluster) NextTaskID() int64 { return c.taskID.Add(1) }
 
-// Submit dispatches a task to a worker.
+// InProcess reports whether every worker shares the driver's address space
+// (channel endpoints). Only then can a task carry an in-process func
+// (Task.SetFunc); a cluster with any worker behind a real transport runs
+// registered ops only.
+func (c *Cluster) InProcess() bool { return !c.wired.Load() }
+
+// Submit dispatches a task to a worker. A task the wire cannot carry fails
+// with ErrNotEncodable and leaves the worker alive: nothing was sent, and
+// the fault is the task's.
 func (c *Cluster) Submit(worker int, t *Task) error {
 	h, err := c.handle(worker)
 	if err != nil {
@@ -178,6 +193,9 @@ func (c *Cluster) Submit(worker int, t *Task) error {
 		return fmt.Errorf("%w: worker %d", ErrWorkerDown, worker)
 	}
 	if err := h.ep.Send(Message{Kind: KindRunTask, Task: t}); err != nil {
+		if errors.Is(err, ErrNotEncodable) {
+			return err
+		}
 		h.alive.Store(false)
 		return fmt.Errorf("%w: worker %d: %v", ErrWorkerDown, worker, err)
 	}

@@ -6,25 +6,14 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/straggler"
 )
 
 // FramedEndpoint carries protocol messages over a stream connection as
-// length-prefixed frames (see codec.go). Each frame is either a compact
-// binary message or a self-contained gob blob; receivers always accept
-// both, and a sender switches to binary once the peer has advertised
-// support through the Hello/HelloAck negotiation:
-//
-//   - outgoing Hello messages are stamped with Codecs = [BinCodecName];
-//   - an endpoint that receives such a Hello enables binary sends and
-//     answers with a HelloAck (the Hello still surfaces to the caller);
-//   - an endpoint that receives a matching HelloAck enables binary sends
-//     and consumes the ack internally.
-//
-// Sends are serialized by a mutex; receives happen from a single loop per
-// endpoint, matching the Endpoint contract.
+// length-prefixed binary frames (see codec.go). Sends are serialized by a
+// mutex; receives happen from a single loop per endpoint, matching the
+// Endpoint contract.
 type FramedEndpoint struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -34,7 +23,6 @@ type FramedEndpoint struct {
 	enc BinWriter // reused frame scratch, guarded by wmu
 	out []byte    // reused frame buffer, guarded by wmu
 
-	binSend   atomic.Bool // peer can decode binary frames
 	closeOnce sync.Once
 }
 
@@ -47,19 +35,12 @@ func NewFramedEndpoint(conn net.Conn) *FramedEndpoint {
 	}
 }
 
-// BinarySend reports whether the peer negotiated the binary codec.
-func (e *FramedEndpoint) BinarySend() bool { return e.binSend.Load() }
-
-// Send encodes m as one frame and flushes it.
+// Send encodes m as one frame and flushes it. A message that cannot be
+// encoded (ErrNotEncodable) fails before anything reaches the connection.
 func (e *FramedEndpoint) Send(m Message) error {
-	if m.Kind == KindHello && m.Hello != nil && len(m.Hello.Codecs) == 0 {
-		h := *m.Hello
-		h.Codecs = []string{BinCodecName}
-		m.Hello = &h
-	}
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	out, usedBinary, err := appendFrameBody(&e.enc, e.out[:0], &m, e.binSend.Load())
+	out, err := appendFrame(&e.enc, e.out[:0], &m)
 	if err != nil {
 		return fmt.Errorf("cluster: framed send: %w", err)
 	}
@@ -70,47 +51,28 @@ func (e *FramedEndpoint) Send(m Message) error {
 	if err := e.bw.Flush(); err != nil {
 		return fmt.Errorf("cluster: framed send: %w", err)
 	}
-	countTx(usedBinary, len(out))
+	wireTxFrames.Inc()
+	wireTxBytes.Add(int64(len(out)))
 	return nil
 }
 
-// Recv reads frames until one carries a caller-visible message, handling
-// codec negotiation transparently.
+// Recv reads and decodes one frame.
 func (e *FramedEndpoint) Recv() (Message, error) {
-	for {
-		var hdr [5]byte
-		if _, err := io.ReadFull(e.br, hdr[:]); err != nil {
-			return Message{}, fmt.Errorf("cluster: framed recv: %w", err)
-		}
-		l := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-		if l < 1 || l > maxFrame {
-			return Message{}, fmt.Errorf("cluster: framed recv: bad frame length %d", l)
-		}
-		body := make([]byte, l-1)
-		if _, err := io.ReadFull(e.br, body); err != nil {
-			return Message{}, fmt.Errorf("cluster: framed recv: %w", err)
-		}
-		countRx(hdr[4], int(l)+4)
-		m, err := decodeFrameBody(hdr[4], body)
-		if err != nil {
-			return Message{}, err
-		}
-		switch {
-		case m.Kind == KindHello && m.Hello != nil:
-			if offersCodec(m.Hello.Codecs, BinCodecName) {
-				e.binSend.Store(true)
-				_ = e.Send(Message{Kind: KindHelloAck, HelloAck: &HelloAck{Codec: BinCodecName}})
-			}
-			return m, nil
-		case m.Kind == KindHelloAck:
-			if m.HelloAck != nil && m.HelloAck.Codec == BinCodecName {
-				e.binSend.Store(true)
-			}
-			continue // negotiation detail, invisible to the caller
-		default:
-			return m, nil
-		}
+	var hdr [5]byte
+	if _, err := io.ReadFull(e.br, hdr[:]); err != nil {
+		return Message{}, fmt.Errorf("cluster: framed recv: %w", err)
 	}
+	l := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
+	if l < 1 || l > maxFrame {
+		return Message{}, fmt.Errorf("cluster: framed recv: bad frame length %d", l)
+	}
+	body := make([]byte, l-1)
+	if _, err := io.ReadFull(e.br, body); err != nil {
+		return Message{}, fmt.Errorf("cluster: framed recv: %w", err)
+	}
+	wireRxFrames.Inc()
+	wireRxBytes.Add(int64(l) + 4)
+	return decodeFrameBody(hdr[4], body)
 }
 
 // Close tears down the connection.
@@ -118,15 +80,6 @@ func (e *FramedEndpoint) Close() error {
 	var err error
 	e.closeOnce.Do(func() { err = e.conn.Close() })
 	return err
-}
-
-func offersCodec(codecs []string, name string) bool {
-	for _, c := range codecs {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }
 
 // ListenTCP starts a server listener and accepts exactly numWorkers worker
@@ -148,10 +101,8 @@ func ListenTCP(addr string, numWorkers int) (*Cluster, net.Listener, error) {
 // ServeTCP accepts exactly numWorkers worker connections on an existing
 // listener and assembles the Cluster. Connections that fail the handshake
 // (bad hello, duplicate or out-of-range id) are dropped and the slot stays
-// open for a retry. Workers that advertise the binary codec in their Hello
-// are answered with a HelloAck and served binary frames from then on.
+// open for a retry.
 func ServeTCP(ln net.Listener, numWorkers int) (*Cluster, error) {
-	RegisterGobTypes()
 	if numWorkers <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive worker count %d", numWorkers)
 	}
@@ -182,7 +133,6 @@ func ServeTCP(ln net.Listener, numWorkers int) (*Cluster, error) {
 // DialWorkerTCP connects a worker process to the server and runs its
 // executor loop until shutdown. It blocks for the lifetime of the worker.
 func DialWorkerTCP(addr string, id int, delay straggler.Model, seed int64) error {
-	RegisterGobTypes()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("cluster: dial %s: %w", addr, err)

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -11,7 +11,7 @@ import (
 )
 
 // tcpArgs / tcpReply are the payload types shipped over the wire in these
-// tests; they are gob-registered like any real op payload would be.
+// tests; each gets a payload codec, like any real op's types would.
 type tcpArgs struct {
 	Scale float64
 }
@@ -22,9 +22,16 @@ type tcpReply struct {
 }
 
 func init() {
-	gob.Register(tcpArgs{})
-	gob.Register(tcpReply{})
-	gob.Register(la.Vec{})
+	RegisterPayloadCodec(200, tcpArgs{},
+		func(w *BinWriter, v any) error { w.PutFloat64(v.(tcpArgs).Scale); return nil },
+		func(r *BinReader) (any, error) { return tcpArgs{Scale: r.Float64()}, r.Err() })
+	RegisterPayloadCodec(201, tcpReply{},
+		func(w *BinWriter, v any) error {
+			w.PutVarint(int64(v.(tcpReply).Rows))
+			w.PutFloat64(v.(tcpReply).Sum)
+			return nil
+		},
+		func(r *BinReader) (any, error) { return tcpReply{Rows: int(r.Varint()), Sum: r.Float64()}, r.Err() })
 	RegisterOp("test.tcpSum", func(env *Env, t *Task) (any, error) {
 		p, err := env.Partition(t.Partition)
 		if err != nil {
@@ -145,5 +152,34 @@ func TestTCPClusterPush(t *testing.T) {
 	}
 	if got := r.Payload.(float64); got != 10 {
 		t.Fatalf("norm = %v, want 10", got)
+	}
+}
+
+// TestTCPSubmitFuncTaskRefused: a task carrying an in-process func cannot
+// be encoded; Submit says so and the worker — not at fault — stays alive
+// and keeps serving ops.
+func TestTCPSubmitFuncTaskRefused(t *testing.T) {
+	c := startTCPCluster(t, 1)
+	if c.InProcess() {
+		t.Fatal("TCP cluster reports in-process workers")
+	}
+	if local := newTestCluster(t, 1, nil); !local.InProcess() {
+		t.Fatal("local cluster reports wired workers")
+	}
+	task := &Task{ID: c.NextTaskID()}
+	task.SetFunc(func(*Env, *Task) (any, error) { return nil, nil })
+	if err := c.Submit(0, task); !errors.Is(err, ErrNotEncodable) {
+		t.Fatalf("func task over TCP: err = %v, want ErrNotEncodable", err)
+	}
+	if !c.Alive(0) {
+		t.Fatal("an unencodable task marked its worker down")
+	}
+	c.PushAll("model", 1, la.Vec{3, 4})
+	time.Sleep(50 * time.Millisecond) // let the push land
+	if err := c.Submit(0, &Task{ID: c.NextTaskID(), Op: "test.tcpBroadcastNorm", Args: int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if r := awaitResult(t, c); r.Failed() || r.Payload.(float64) != 5 {
+		t.Fatalf("worker unusable after a refused task: %+v", r)
 	}
 }

@@ -2,42 +2,13 @@ package cluster
 
 import "repro/internal/telemetry"
 
-// Wire instrumentation on the process-global registry, labeled by frame
-// format. The per-format children are resolved once here so the per-frame
-// path is a cached zero-alloc counter add.
+// Wire instrumentation on the process-global registry. The families keep
+// their "format" label (dashboards and the benchmark select on it) though
+// "binary" is the only format there is; the children are resolved once here
+// so the per-frame path is a cached zero-alloc counter add.
 var (
-	wireTxFrames  = telemetry.Default().CounterVec("async_wire_tx_frames_total", "Frames sent, by codec format.", "format")
-	wireTxBytes   = telemetry.Default().CounterVec("async_wire_tx_bytes_total", "Bytes sent in frames, by codec format.", "format")
-	wireRxFrames  = telemetry.Default().CounterVec("async_wire_rx_frames_total", "Frames received, by codec format.", "format")
-	wireRxBytes   = telemetry.Default().CounterVec("async_wire_rx_bytes_total", "Bytes received in frames, by codec format.", "format")
-	wireTxBin     = wireTxFrames.With("binary")
-	wireTxGob     = wireTxFrames.With("gob")
-	wireTxBinByte = wireTxBytes.With("binary")
-	wireTxGobByte = wireTxBytes.With("gob")
-	wireRxBin     = wireRxFrames.With("binary")
-	wireRxGob     = wireRxFrames.With("gob")
-	wireRxBinByte = wireRxBytes.With("binary")
-	wireRxGobByte = wireRxBytes.With("gob")
+	wireTxFrames = telemetry.Default().CounterVec("async_wire_tx_frames_total", "Frames sent, by codec format.", "format").With("binary")
+	wireTxBytes  = telemetry.Default().CounterVec("async_wire_tx_bytes_total", "Bytes sent in frames, by codec format.", "format").With("binary")
+	wireRxFrames = telemetry.Default().CounterVec("async_wire_rx_frames_total", "Frames received, by codec format.", "format").With("binary")
+	wireRxBytes  = telemetry.Default().CounterVec("async_wire_rx_bytes_total", "Bytes received in frames, by codec format.", "format").With("binary")
 )
-
-// countTx accounts one sent frame of n bytes.
-func countTx(binary bool, n int) {
-	if binary {
-		wireTxBin.Inc()
-		wireTxBinByte.Add(int64(n))
-	} else {
-		wireTxGob.Inc()
-		wireTxGobByte.Add(int64(n))
-	}
-}
-
-// countRx accounts one received frame of n bytes (header included).
-func countRx(format byte, n int) {
-	if format == frameBinary {
-		wireRxBin.Inc()
-		wireRxBinByte.Add(int64(n))
-	} else {
-		wireRxGob.Inc()
-		wireRxGobByte.Add(int64(n))
-	}
-}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -197,7 +197,7 @@ type Kernel func(env *cluster.Env, parts []int, seed int64) (value any, batch in
 
 // ReducePayload wraps an ASYNCreduce partial for transport; the coordinator
 // unwraps it when tagging attributes. Registered ops that participate in
-// remote ASYNCreduceOp dispatch return it directly.
+// ASYNCreduceOp dispatch return it directly.
 type ReducePayload struct {
 	Val   any
 	N     int
@@ -207,10 +207,6 @@ type ReducePayload struct {
 // BatchSize implements BatchSized.
 func (k ReducePayload) BatchSize() int { return k.N }
 
-func init() {
-	gob.Register(ReducePayload{})
-}
-
 // ASYNCreduce dispatches one task per selected worker, computing the kernel
 // over the worker's partitions with a local (worker-side) reduction, and
 // returns immediately: results arrive in the AC queue as workers finish.
@@ -218,60 +214,57 @@ func init() {
 // reduce exactly as §5.1 describes (per-worker execution, immediate
 // return). It returns the number of tasks actually dispatched; workers that
 // died between selection and dispatch are skipped.
+//
+// The kernel is a closure, so this form needs every worker in the driver's
+// process: on a cluster with workers behind a real transport it fails
+// before dispatching anything (use ASYNCreduceOp with a registered op).
 func (ac *Context) ASYNCreduce(sel *Selection, k Kernel) (int, error) {
 	if sel == nil || sel.used {
 		return 0, nil
 	}
-	sel.used = true
-	c := ac.rctx.Cluster()
-	router := c.Router()
-	dispatched := 0
-	for _, w := range sel.Workers {
-		parts := ac.rctx.PartitionsOn(w)
-		if len(parts) == 0 {
-			ac.coord.release([]int{w})
-			continue
-		}
-		t := &cluster.Task{
-			ID:       c.NextTaskID(),
-			Seed:     ac.coord.NextDispatchSeq()*1_000_003 + int64(w),
-			Dispatch: ac.coord.Updates(),
-		}
-		kern := k
+	if !ac.rctx.Cluster().InProcess() {
+		sel.used = true
+		ac.coord.release(sel.Workers)
+		return 0, errors.New("core: ASYNCreduce takes a closure kernel, which cannot cross a real transport; dispatch a registered op with ASYNCreduceOp")
+	}
+	return ac.dispatch(sel, func(t *cluster.Task, _ int, parts []int) {
 		t.SetFunc(func(env *cluster.Env, tk *cluster.Task) (any, error) {
-			v, n, err := kern(env, parts, tk.Seed)
+			v, n, err := k(env, parts, tk.Seed)
 			if err != nil {
 				return nil, err
 			}
 			return ReducePayload{Val: v, N: n, Empty: n == 0 && v == nil}, nil
 		})
-		router.Route(t.ID, ac.coord.results)
-		ac.coord.noteDispatch(w, t.ID, t.Dispatch)
-		if err := c.Submit(w, t); err != nil {
-			ac.coord.undoDispatch(w, t.ID)
-			router.Unroute(t.ID)
-			ac.coord.release([]int{w})
-			continue
-		}
-		dispatched++
-	}
-	return dispatched, nil
+	})
 }
 
-// ASYNCreduceOp is the remote-capable flavour of ASYNCreduce: instead of an
-// in-process kernel it dispatches a registered op (see cluster.RegisterOp)
-// whose args are built per worker by argsFor — everything crossing the wire
-// is serializable, so this path works over the TCP transport. The op must
+// ASYNCreduceOp is the transport-independent flavour of ASYNCreduce:
+// instead of a closure kernel it dispatches a registered op (see
+// cluster.RegisterOp) whose args are built per worker by argsFor. An
+// in-process worker calls the registered function with the args value as
+// is; over TCP the args cross the wire, so their type must be a codec
+// builtin or registered with cluster.RegisterPayloadCodec. The op must
 // return a ReducePayload.
 func (ac *Context) ASYNCreduceOp(sel *Selection, op string, argsFor func(worker int, parts []int) any) (int, error) {
 	if sel == nil || sel.used {
 		return 0, nil
 	}
+	return ac.dispatch(sel, func(t *cluster.Task, w int, parts []int) {
+		t.Op, t.Args = op, argsFor(w, parts)
+	})
+}
+
+// dispatch submits one task per selected worker that owns partitions; fill
+// supplies the task body (func or op) and everything else — id, sampling
+// seed, dispatch clock, routing, in-flight bookkeeping — is shared. A task
+// the transport cannot encode aborts the dispatch with that error: no
+// worker is at fault, so skipping it like a dead one would spin the driver.
+func (ac *Context) dispatch(sel *Selection, fill func(t *cluster.Task, worker int, parts []int)) (int, error) {
 	sel.used = true
 	c := ac.rctx.Cluster()
 	router := c.Router()
 	dispatched := 0
-	for _, w := range sel.Workers {
+	for i, w := range sel.Workers {
 		parts := ac.rctx.PartitionsOn(w)
 		if len(parts) == 0 {
 			ac.coord.release([]int{w})
@@ -279,16 +272,19 @@ func (ac *Context) ASYNCreduceOp(sel *Selection, op string, argsFor func(worker 
 		}
 		t := &cluster.Task{
 			ID:       c.NextTaskID(),
-			Op:       op,
-			Args:     argsFor(w, parts),
 			Seed:     ac.coord.NextDispatchSeq()*1_000_003 + int64(w),
 			Dispatch: ac.coord.Updates(),
 		}
+		fill(t, w, parts)
 		router.Route(t.ID, ac.coord.results)
 		ac.coord.noteDispatch(w, t.ID, t.Dispatch)
 		if err := c.Submit(w, t); err != nil {
 			ac.coord.undoDispatch(w, t.ID)
 			router.Unroute(t.ID)
+			if errors.Is(err, cluster.ErrNotEncodable) {
+				ac.coord.release(sel.Workers[i:])
+				return dispatched, fmt.Errorf("core: dispatch to worker %d: %w", w, err)
+			}
 			ac.coord.release([]int{w})
 			continue
 		}

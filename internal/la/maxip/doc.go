@@ -6,9 +6,9 @@
 // atom without an O(d) pass when a MaxIP structure stands between the
 // iterate and the dictionary).
 //
-// # The two structures
+// # The structure
 //
-// Index is the production path: it maintains the exact per-column inner
+// Index maintains the exact per-column inner
 // products s_j = ⟨x_j, u⟩ against a caller-owned query vector u under a
 // tournament tree, and makes both halves of a selection decision sublinear
 // in d:
@@ -46,17 +46,4 @@
 // ground truth, and rebuild (or stop being greedy) when they repeatedly do
 // not. That driver-side contract lives with the consumer (internal/opt's
 // greedy selector); the index's part of the bargain is exactness given u.
-//
-// SRP is the literal paper construction kept for comparison: a bucketed
-// sign-random-projection LSH over norm-augmented columns (the asymmetric
-// transform x̂ = [x; √(M²−‖x‖²)], q̂ = [q; 0] reduces MaxIP to angular
-// nearest-neighbor). It returns a candidate set that contains the true
-// argmax with high probability and needs no per-update maintenance at all
-// (the indexed columns are data, hence constant) — but each query pays
-// O(L·K·n) dense projections of q, which at the sparse-wide aspect ratio
-// (n rows ≪ nnz ≪ d) costs about as much as the exact column sweep it is
-// supposed to avoid. On that catalog dataset the maintained-score Index
-// wins by orders of magnitude, which is why it is the default; SRP stays
-// behind its own constructor for dense-query workloads and as the
-// benchmark's honesty check (bench: select.srp_ns vs select.maxip_ns).
 package maxip

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -85,10 +84,6 @@ type ADMMPartial struct {
 	XPlusU la.Vec
 	// PrimalSq is ‖x_i − z‖², the worker's primal residual contribution.
 	PrimalSq float64
-}
-
-func init() {
-	gob.Register(ADMMPartial{})
 }
 
 // admmKernel solves each owned partition's proximal subproblem at the

@@ -1,19 +1,94 @@
 package opt
 
 import (
+	"errors"
 	"math"
+	"net"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/la"
 	"repro/internal/rdd"
 	"repro/internal/straggler"
 )
 
+// transport is the dimension every sgd/asgd/saga/asaga pin runs across: one
+// solver code path must behave the same whether its tasks reach the workers
+// over in-process channels or over loopback TCP sockets.
+type transport string
+
+const (
+	local    transport = "local"
+	loopback transport = "tcp"
+)
+
+// eachTransport runs f as one subtest per transport.
+func eachTransport(t *testing.T, f func(t *testing.T, tr transport)) {
+	for _, tr := range []transport{local, loopback} {
+		t.Run(string(tr), func(t *testing.T) { f(t, tr) })
+	}
+}
+
+// newClusterOn assembles a cluster of workers reached over tr: goroutines
+// behind channel endpoints, or goroutines that dial a loopback listener and
+// speak the framed wire protocol — the cmd/asyncd path, in one process.
+// Worker seeds agree across transports so paired runs are comparable.
+func newClusterOn(t *testing.T, tr transport, workers int, delay straggler.Model) *cluster.Cluster {
+	t.Helper()
+	const seed = 31
+	if tr == local {
+		c, err := cluster.NewLocal(cluster.Config{NumWorkers: workers, Delay: delay, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Shutdown)
+		return c
+	}
+	if delay == nil {
+		delay = straggler.None{}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type served struct {
+		c   *cluster.Cluster
+		err error
+	}
+	ch := make(chan served, 1)
+	go func() {
+		c, err := cluster.ServeTCP(ln, workers)
+		ch <- served{c, err}
+	}()
+	for i := 0; i < workers; i++ {
+		go func(id int) {
+			_ = cluster.DialWorkerTCP(ln.Addr().String(), id, delay, seed+int64(id))
+		}(i)
+	}
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		t.Cleanup(func() {
+			r.c.Shutdown()
+			_ = ln.Close()
+		})
+		return r.c
+	case <-time.After(10 * time.Second):
+		t.Fatal("TCP cluster assembly timed out")
+		return nil
+	}
+}
+
 // rig is a ready-to-run optimization test fixture.
 type rig struct {
+	c      *cluster.Cluster
 	ac     *core.Context
 	rctx   *rdd.Context
 	points *rdd.RDD[rdd.Point]
@@ -22,16 +97,19 @@ type rig struct {
 	f0     float64 // objective at w = 0
 }
 
-func newRig(t *testing.T, workers, parts int, delay straggler.Model) *rig {
+// denseCfg is the small tall dataset the convergence pins run on.
+func denseCfg() dataset.SynthConfig {
+	return dataset.SynthConfig{Name: "opt-test", Rows: 160, Cols: 8, NNZPerRow: 5, Noise: 0.05, Seed: 17}
+}
+
+// newRigOn distributes cfg's dataset over a fresh cluster on tr. Wide
+// (rows < cols) systems are near-interpolating: F* ≈ noise² ≈ 0 and the CG
+// reference on the singular normal equations is unreliable, so their fstar
+// stays 0 and convergence is asserted against that.
+func newRigOn(t *testing.T, tr transport, workers, parts int, delay straggler.Model, cfg dataset.SynthConfig) *rig {
 	t.Helper()
-	c, err := cluster.NewLocal(cluster.Config{NumWorkers: workers, Delay: delay, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
-	d, err := dataset.Generate(dataset.SynthConfig{
-		Name: "opt-test", Rows: 160, Cols: 8, NNZPerRow: 5, Noise: 0.05, Seed: 17,
-	})
+	c := newClusterOn(t, tr, workers, delay)
+	d, err := dataset.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +120,22 @@ func newRig(t *testing.T, workers, parts int, delay straggler.Model) *rig {
 	}
 	ac := core.New(rctx)
 	t.Cleanup(ac.Close)
-	_, fstar, err := ReferenceOptimum(d)
-	if err != nil {
-		t.Fatal(err)
+	var fstar float64
+	if cfg.Rows >= cfg.Cols {
+		if _, fstar, err = ReferenceOptimum(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return &rig{
-		ac: ac, rctx: rctx, points: points, d: d, fstar: fstar,
+		c: c, ac: ac, rctx: rctx, points: points, d: d, fstar: fstar,
 		f0: Objective(d, LeastSquares{}, make([]float64, d.NumCols())),
 	}
+}
+
+// newRig is the in-process dense fixture most tests use.
+func newRig(t *testing.T, workers, parts int, delay straggler.Model) *rig {
+	t.Helper()
+	return newRigOn(t, local, workers, parts, delay, denseCfg())
 }
 
 // assertConverged checks the run reduced suboptimality by at least factor.
@@ -91,35 +177,39 @@ func medianOf(v []float64) float64 {
 }
 
 func TestSyncSGDConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := SyncSGD(r.ac, r.d, Params{
-		Step: InvSqrt{A: 0.08}, SampleFrac: 0.4, Updates: 80, SnapshotEvery: 20,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
-	if res.Trace.Algorithm != "SGD" {
-		t.Fatalf("algo %q", res.Trace.Algorithm)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := SyncSGD(r.ac, r.d, Params{
+			Step: InvSqrt{A: 0.08}, SampleFrac: 0.4, Updates: 80, SnapshotEvery: 20,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+		if res.Trace.Algorithm != "SGD" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
 }
 
 func TestASGDConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := ASGD(r.ac, r.d, Params{
-		Step: Scaled{Base: InvSqrt{A: 0.08}, Factor: 4}, SampleFrac: 0.4,
-		Updates: 800, SnapshotEvery: 200,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
-	if res.Trace.Algorithm != "ASGD" {
-		t.Fatalf("algo %q", res.Trace.Algorithm)
-	}
-	if len(res.Trace.AvgWait) == 0 {
-		t.Fatal("no wait times recorded")
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := ASGD(r.ac, r.d, Params{
+			Step: Scaled{Base: InvSqrt{A: 0.08}, Factor: 4}, SampleFrac: 0.4,
+			Updates: 800, SnapshotEvery: 200,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+		if res.Trace.Algorithm != "ASGD" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+		if len(res.Trace.AvgWait) == 0 {
+			t.Fatal("no wait times recorded")
+		}
+	})
 }
 
 func TestASGDWithStalenessLR(t *testing.T) {
@@ -147,34 +237,98 @@ func TestASGDWithSSPBarrier(t *testing.T) {
 }
 
 func TestSAGAConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := SAGA(r.ac, r.d, Params{
-		Step: Constant{A: 0.05}, SampleFrac: 0.3, Updates: 100, SnapshotEvery: 25,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := SAGA(r.ac, r.d, Params{
+			Step: Constant{A: 0.05}, SampleFrac: 0.3, Updates: 100, SnapshotEvery: 25,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+	})
 }
 
 func TestASAGAConverges(t *testing.T) {
 	// a single asynchronous run's final error is heavy-tailed in the
 	// goroutine interleaving, so the convergence claim is asserted on the
-	// median of independent runs rather than one draw
-	factors := make([]float64, 0, 5)
-	for i := 0; i < 5; i++ {
-		r := newRig(t, 4, 8, nil)
-		res, err := ASAGA(r.ac, r.d, Params{
-			Step: Constant{A: 0.05 / 4}, SampleFrac: 0.3, Updates: 400, SnapshotEvery: 100,
+	// median of independent runs rather than one draw. Over TCP this also
+	// exercises the historical-gradient path — version cache, fetch-on-miss,
+	// per-sample history shards — across real sockets.
+	eachTransport(t, func(t *testing.T, tr transport) {
+		factors := make([]float64, 0, 5)
+		for i := 0; i < 5; i++ {
+			r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+			res, err := ASAGA(r.ac, r.d, Params{
+				Step: Constant{A: 0.05 / 4}, SampleFrac: 0.3, Updates: 400, SnapshotEvery: 100,
+			}, r.fstar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.assertTrace(t, res)
+			factors = append(factors, r.reduction(res))
+		}
+		if m := medianOf(factors); m < 4 {
+			t.Fatalf("ASAGA did not converge: median reduction %.2fx of %v, want >= 4x", m, factors)
+		}
+	})
+}
+
+// TestASGDHonoursInitW: a warm start reaches the workers' first model on
+// every transport.
+func TestASGDHonoursInitW(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 1, 2, nil, denseCfg())
+		init := la.NewVec(r.d.NumCols())
+		for j := range init {
+			init[j] = float64(j + 1)
+		}
+		res, err := ASGD(r.ac, r.d, Params{
+			Step: Constant{A: 1e-12}, SampleFrac: 0.5, Updates: 3, InitW: init,
 		}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.assertTrace(t, res)
-		factors = append(factors, r.reduction(res))
+		if !la.Equal(res.W, init, 1e-6) {
+			t.Fatalf("model %v did not start from InitW %v", res.W, init)
+		}
+	})
+}
+
+// TestClosureSolverOverTCPFailsLoudly: svrg still dispatches closure
+// kernels, which no wire can carry. On a TCP cluster the driver must say so
+// up front — not mark workers down one failed send at a time.
+func TestClosureSolverOverTCPFailsLoudly(t *testing.T) {
+	r := newRigOn(t, loopback, 2, 4, nil, denseCfg())
+	_, err := EpochVR(r.ac, r.d, VRParams{
+		Params: Params{Step: Constant{A: 0.02}, SampleFrac: 0.3, Updates: 1},
+		Epochs: 1, UpdatesPerEpoch: 4,
+	}, r.fstar)
+	if err == nil || !strings.Contains(err.Error(), "closure kernel") {
+		t.Fatalf("svrg over TCP: err = %v, want one naming the closure task form", err)
 	}
-	if m := medianOf(factors); m < 4 {
-		t.Fatalf("ASAGA did not converge: median reduction %.2fx of %v, want >= 4x", m, factors)
+	if alive := r.c.AliveWorkers(); len(alive) != 2 {
+		t.Fatalf("closure dispatch cost worker liveness: alive = %v", alive)
+	}
+	if st := r.ac.STAT(); st.Pending != 0 {
+		t.Fatalf("refused dispatch left %d tasks pending", st.Pending)
+	}
+	// an op whose args have no payload codec is the same class of fault:
+	// the dispatch aborts with the encode error, nothing stays reserved
+	sel, err := r.ac.ASYNCbarrier(core.BSP(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := r.ac.ASYNCreduceOp(sel, GradOpName, func(int, []int) any { return struct{ X int }{1} })
+	if n != 0 || !errors.Is(err, cluster.ErrNotEncodable) {
+		t.Fatalf("unencodable op args: dispatched %d, err = %v", n, err)
+	}
+	if st := r.ac.STAT(); st.Pending != 0 || len(r.c.AliveWorkers()) != 2 {
+		t.Fatalf("unencodable op args left pending=%d alive=%v", st.Pending, r.c.AliveWorkers())
+	}
+	// the cluster is intact: an op-dispatching solver runs right after
+	if _, err := ASGD(r.ac, r.d, Params{Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 4}, r.fstar); err != nil {
+		t.Fatalf("asgd after the refused svrg: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 
@@ -72,10 +71,6 @@ type BCDPartial struct {
 	Block []int32
 	G     la.Vec // block gradient over the worker's rows
 	H     la.Vec // diagonal curvature over the worker's rows
-}
-
-func init() {
-	gob.Register(BCDPartial{})
 }
 
 // bcdKernel computes the exact block gradient/curvature over every owned

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -98,10 +97,6 @@ type CDDelta struct {
 	RunID int64
 	Round int64
 	Delta *la.DeltaVec // nil only before the first flush
-}
-
-func init() {
-	gob.Register(CDDelta{})
 }
 
 // cdRunSeq hands every CD run a process-unique residual fence.

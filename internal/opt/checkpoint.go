@@ -2,7 +2,6 @@ package opt
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -97,8 +96,8 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// checkpointMagic opens every binary checkpoint; files that do not start
-// with it fall back to the gob decoder (the pre-binary format).
+// checkpointMagic opens every checkpoint; data that does not start with it
+// is not a checkpoint.
 var checkpointMagic = []byte("ACP1")
 
 // SaveCheckpoint writes the checkpoint in the compact binary format (the
@@ -154,26 +153,21 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. Binary
-// checkpoints (magic-prefixed) decode through the length-validated BinReader
-// — a corrupt length field fails before any outsized allocation; files
-// written by older releases decode through the gob fallback.
+// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. The body
+// decodes through the length-validated BinReader — a corrupt length field
+// fails before any outsized allocation.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	defer func(start time.Time) { optCpLoad.ObserveSince(start) }(time.Now())
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("opt: load checkpoint: %w", err)
 	}
-	var c *Checkpoint
-	if bytes.HasPrefix(data, checkpointMagic) {
-		if c, err = decodeBinaryCheckpoint(data[len(checkpointMagic):]); err != nil {
-			return nil, fmt.Errorf("opt: load checkpoint: %w", err)
-		}
-	} else {
-		c = &Checkpoint{}
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(c); err != nil {
-			return nil, fmt.Errorf("opt: load checkpoint: %w", err)
-		}
+	if !bytes.HasPrefix(data, checkpointMagic) {
+		return nil, fmt.Errorf("opt: load checkpoint: missing %q magic", checkpointMagic)
+	}
+	c, err := decodeBinaryCheckpoint(data[len(checkpointMagic):])
+	if err != nil {
+		return nil, fmt.Errorf("opt: load checkpoint: %w", err)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

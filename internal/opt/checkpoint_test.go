@@ -66,20 +66,17 @@ func TestCheckpointExtendedStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointGobFallback: files written by the pre-binary (gob) format
-// still load.
-func TestCheckpointGobFallback(t *testing.T) {
+// TestCheckpointRejectsGob: the pre-binary gob format is retired — such a
+// blob (like anything else without the ACP1 magic) is an error, not a
+// checkpoint.
+func TestCheckpointRejectsGob(t *testing.T) {
 	cp := &Checkpoint{Algorithm: "ASGD", W: la.Vec{4, 5}, Updates: 3, AvgHist: la.Vec{1, 1}}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Algorithm != "ASGD" || got.Updates != 3 || !la.Equal(got.W, cp.W, 0) || !la.Equal(got.AvgHist, cp.AvgHist, 0) {
-		t.Fatalf("gob fallback lost fields: %+v", got)
+	if got, err := LoadCheckpoint(&buf); err == nil {
+		t.Fatalf("gob blob loaded as a checkpoint: %+v", got)
 	}
 }
 
@@ -111,6 +108,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		cp, err := LoadCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, []byte("ACP1")) {
+			t.Fatalf("input without the ACP1 magic loaded: %+v", cp)
 		}
 		if err := cp.Validate(); err != nil {
 			t.Fatalf("loaded checkpoint fails validation: %v", err)

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 
@@ -28,9 +27,88 @@ type SagaPartial struct {
 	HistSum la.Vec // Σ_{i∈S} ∇f_i(w_hist(i))
 }
 
+// GradOpArgs parameterize the registered kernel ops — the one task form
+// sgd, asgd, saga and asaga dispatch on every transport: everything a worker
+// needs to rebuild the kernel. Loss, L2 and L1 are the ObjectiveSpec fields
+// of the driver's loss (see wireObjective), so the worker resolves the same
+// Loss value the driver holds. In process the struct is handed to the op as
+// is; over TCP it crosses as payloadGradOpArgs (sparse.go).
+type GradOpArgs struct {
+	BroadcastID string
+	Version     int64
+	Frac        float64
+	Parts       []int
+	Loss        string
+	L2, L1      float64
+}
+
+// The registered ops behind GradKernel and SagaKernel.
+const (
+	GradOpName = "opt.grad"
+	SagaOpName = "opt.saga"
+)
+
 func init() {
-	gob.Register(la.Vec{})
-	gob.Register(SagaPartial{})
+	registerKernelOp(GradOpName, GradKernel)
+	registerKernelOp(SagaOpName, SagaKernel)
+}
+
+// registerKernelOp registers name as the op that runs the kernel build
+// produces from a task's GradOpArgs.
+func registerKernelOp(name string, build func(Loss, core.DynBroadcast, float64) core.Kernel) {
+	cluster.RegisterOp(name, func(env *cluster.Env, t *cluster.Task) (any, error) {
+		a, ok := t.Args.(GradOpArgs)
+		if !ok {
+			return nil, fmt.Errorf("opt: %s args are %T", name, t.Args)
+		}
+		// args may have arrived over a wire, so they are validated here, at
+		// the op boundary — the kernel itself carries no range check
+		if a.Frac <= 0 || a.Frac > 1 {
+			return nil, fmt.Errorf("opt: %s sample fraction %v outside (0,1]", name, a.Frac)
+		}
+		loss, err := ObjectiveSpec{Loss: a.Loss, L2: a.L2, L1: a.L1}.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		kern := build(loss, core.DynBroadcast{ID: a.BroadcastID, Version: a.Version}, a.Frac)
+		v, n, err := kern(env, a.Parts, t.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return core.ReducePayload{Val: v, N: n, Empty: n == 0 && v == nil}, nil
+	})
+}
+
+// wireObjective names loss in ObjectiveSpec terms — what a kernel op's args
+// carry in place of the Loss value. Only the family ObjectiveSpec.Resolve
+// rebuilds qualifies: least squares or logistic, bare or under Ridge or
+// Composite.
+func wireObjective(loss Loss) (ObjectiveSpec, error) {
+	if lin, l2, l1, ok := splitProx(loss); ok {
+		switch lin.(type) {
+		case LeastSquares, Logistic:
+			return ObjectiveSpec{Loss: lin.Name(), L2: l2, L1: l1}, nil
+		}
+	}
+	return ObjectiveSpec{}, fmt.Errorf("opt: loss %q cannot be named to a worker (least-squares or logistic, optionally under Ridge or Composite)", loss.Name())
+}
+
+// kernelDispatch is the loopSpec.Dispatch of the four paper methods: each
+// cycle tasks every selected worker with op against the published model.
+func kernelDispatch(ac *core.Context, op string, p *Params) (func(core.DynBroadcast, *core.Selection) (int, error), error) {
+	obj, err := wireObjective(p.Loss)
+	if err != nil {
+		return nil, err
+	}
+	return func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
+		return ac.ASYNCreduceOp(sel, op, func(_ int, parts []int) any {
+			return GradOpArgs{
+				BroadcastID: wBr.ID, Version: wBr.Version,
+				Frac: p.SampleFrac, Parts: parts,
+				Loss: obj.Loss, L2: obj.L2, L1: obj.L1,
+			}
+		})
+	}, nil
 }
 
 // asVec extracts the dense model vector from a broadcast value.
@@ -65,8 +143,8 @@ func gradSweep(loss Loss, p *dataset.Partition, rng *rand.Rand, frac float64, w,
 // per-sample loss gradients at the broadcast model, and return the
 // (unnormalized) gradient sum. The driver divides by the batch size from
 // the result attributes. frac is validated by the drivers' defaults() (and
-// by the remote op handlers for args that arrive over a wire) so the hot
-// path carries no range check.
+// by the op handler for args that arrive over a wire) so the hot path
+// carries no range check.
 //
 // Sparse-delta path: when the loss is linear (see LinearLoss) and every
 // partition of the task sits below SparseDensityThreshold, the kernel

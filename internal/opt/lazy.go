@@ -51,7 +51,7 @@ const shrinkRenorm = 1e-120
 const l1cumRenorm = 1e18
 
 // proxApplier applies collected gradient payloads for the SGD family
-// (SyncSGD has its own per-round reduction; ASGD and RemoteASGD use this).
+// (SyncSGD has its own per-round reduction; ASGD uses this).
 // Dense la.Vec payloads take the eager path; sparse *la.DeltaVec payloads
 // take the O(nnz) path with lazy L2 shrinkage and prox-at-settle ℓ1
 // soft-thresholding.

@@ -10,8 +10,8 @@ import "fmt"
 // L2 ridge term) and a nonsmooth part the drivers apply through the prox
 // operator, one coordinate at a time — the linlearn `prox.call_single`
 // idiom. Smooth objectives carry the identity prox; ℓ1/elastic-net carry the
-// soft-threshold. Drivers that cannot apply a prox (SAGA, SVRG, the remote
-// and consensus solvers) reject objectives whose prox is not the identity.
+// soft-threshold. Drivers that cannot apply a prox (SAGA, SVRG, the
+// consensus solvers) reject objectives whose prox is not the identity.
 
 // Prox is the proximal operator of the separable nonsmooth term ψ:
 // Call1(v, t) = argmin_u ψ(u)·t + ½(u − v)² for one coordinate.

@@ -75,6 +75,11 @@ func TestSparsePathMatchesDenseElasticNet(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := elasticNetParams(tc.l2, tc.l1)
 			wSparse := runASGD(t, p)
+			// l2 and l1 reach a worker across a real wire and rebuild the
+			// driver's objective there: same bits as the in-process run
+			if wTCP := runASGDOn(t, loopback, p); !la.Equal(wSparse, wTCP, 0) {
+				t.Fatal("elastic-net ASGD over TCP diverged from the in-process run")
+			}
 			wDense := func() la.Vec {
 				forceDense(t)
 				return runASGD(t, p)

@@ -162,10 +162,24 @@ func RegisterSolver(s Solver) {
 	solvers[key] = s
 }
 
-// LookupSolver resolves a solver by name (case-insensitive).
+// solverAliases maps deprecated names onto the solver that absorbed them.
+// asgd and asaga dispatch registered ops on every transport, so their
+// former TCP-only twins are just other spellings — kept resolvable because
+// stored job specs, old checkpoints and the benchmark name them.
+var solverAliases = map[string]string{
+	"asgd-remote":  "asgd",
+	"asaga-remote": "asaga",
+}
+
+// LookupSolver resolves a solver by name (case-insensitive; deprecated
+// aliases resolve to their canonical solver, whose Name() says which).
 func LookupSolver(name string) (Solver, error) {
+	key := strings.ToLower(name)
+	if canon, ok := solverAliases[key]; ok {
+		key = canon
+	}
 	solverMu.RLock()
-	s, ok := solvers[strings.ToLower(name)]
+	s, ok := solvers[key]
 	solverMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("opt: unknown solver %q (known: %s)",
@@ -174,7 +188,7 @@ func LookupSolver(name string) (Solver, error) {
 	return s, nil
 }
 
-// SolverNames lists every registered solver name, sorted.
+// SolverNames lists every registered solver name, sorted (aliases excluded).
 func SolverNames() []string {
 	solverMu.RLock()
 	defer solverMu.RUnlock()
@@ -205,12 +219,6 @@ func init() {
 	RegisterSolver(solverFunc{"cd", solveCD})
 	RegisterSolver(solverFunc{"gcg", solveGCG})
 	RegisterSolver(solverFunc{"mllib-sgd", solveMllibSGD})
-	RegisterSolver(solverFunc{"asgd-remote", func(_ context.Context, r SolveRequest) (*Result, error) {
-		return RemoteASGD(r.AC, r.Data, r.Config.Params, r.Config.FStar)
-	}})
-	RegisterSolver(solverFunc{"asaga-remote", func(_ context.Context, r SolveRequest) (*Result, error) {
-		return RemoteASAGA(r.AC, r.Data, r.Config.Params, r.Config.FStar)
-	}})
 }
 
 func solveSVRG(_ context.Context, r SolveRequest) (*Result, error) {

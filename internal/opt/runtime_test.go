@@ -94,13 +94,24 @@ func resumePair(t *testing.T, k int64, tol float64,
 // uninterrupted run is bit-reproducible and the comparison is meaningful.
 func denseRig(t *testing.T) *rig { return newRig(t, 1, 2, nil) }
 
+// resumePairEachTransport runs resumePair on the single-worker dense fixture
+// over every transport: the resume contract of the four op-dispatching
+// solvers holds bitwise whether the worker is a goroutine or a socket away.
+func resumePairEachTransport(t *testing.T, run func(r *rig, seg segCfg) (*Result, error)) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		resumePair(t, 6, 0, func(t *testing.T) *rig {
+			return newRigOn(t, tr, 1, 2, nil, denseCfg())
+		}, run)
+	})
+}
+
 // asgdParams is the shared base configuration (12 update budget).
 func asgdParams() Params {
 	return Params{Step: InvSqrt{A: 0.05}, SampleFrac: 0.4, Updates: 12, SnapshotEvery: 4}
 }
 
 func TestResumeEquivalenceSyncSGD(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return SyncSGD(r.ac, r.d, p, r.fstar)
@@ -108,7 +119,7 @@ func TestResumeEquivalenceSyncSGD(t *testing.T) {
 }
 
 func TestResumeEquivalenceASGD(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return ASGD(r.ac, r.d, p, r.fstar)
@@ -126,7 +137,7 @@ func TestResumeEquivalenceASGDMomentum(t *testing.T) {
 }
 
 func TestResumeEquivalenceSAGA(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return SAGA(r.ac, r.d, p, r.fstar)
@@ -134,27 +145,37 @@ func TestResumeEquivalenceSAGA(t *testing.T) {
 }
 
 func TestResumeEquivalenceASAGA(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return ASAGA(r.ac, r.d, p, r.fstar)
 	})
 }
 
-func TestResumeEquivalenceRemoteASGD(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
-		p := asgdParams()
-		seg.apply(&p)
-		return RemoteASGD(r.ac, r.d, p, r.fstar)
-	})
-}
-
-func TestResumeEquivalenceRemoteASAGA(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
-		p := asgdParams()
-		seg.apply(&p)
-		return RemoteASAGA(r.ac, r.d, p, r.fstar)
-	})
+// TestTransportsAgreeBitwise: on one worker a run is sequential, so the
+// same solver on the same seeds must produce the same bits over channels
+// and over sockets — the wire moves values, it never changes them.
+func TestTransportsAgreeBitwise(t *testing.T) {
+	for name, solve := range map[string]func(*rig, Params) (*Result, error){
+		"sgd":   func(r *rig, p Params) (*Result, error) { return SyncSGD(r.ac, r.d, p, r.fstar) },
+		"asgd":  func(r *rig, p Params) (*Result, error) { return ASGD(r.ac, r.d, p, r.fstar) },
+		"saga":  func(r *rig, p Params) (*Result, error) { return SAGA(r.ac, r.d, p, r.fstar) },
+		"asaga": func(r *rig, p Params) (*Result, error) { return ASAGA(r.ac, r.d, p, r.fstar) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var ws []la.Vec
+			for _, tr := range []transport{local, loopback} {
+				res, err := solve(newRigOn(t, tr, 1, 2, nil, denseCfg()), asgdParams())
+				if err != nil {
+					t.Fatalf("%s: %v", tr, err)
+				}
+				ws = append(ws, res.W)
+			}
+			if !la.Equal(ws[0], ws[1], 0) {
+				t.Fatalf("local and TCP runs diverged:\n%v\n%v", ws[0], ws[1])
+			}
+		})
+	}
 }
 
 func TestResumeEquivalenceEpochVR(t *testing.T) {

@@ -219,6 +219,10 @@ func SAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	if err := st.init(p); err != nil {
 		return nil, err
 	}
+	dispatch, err := kernelDispatch(ac, SagaOpName, &p)
+	if err != nil {
+		return nil, err
+	}
 	u := &sagaRoundUpdater{
 		sagaState: st,
 		sum:       newRoundAccum(d.NumCols()),
@@ -229,14 +233,12 @@ func SAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubPlain,
 		Barrier: core.BSP(), Round: true, RoundBudget: true,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, SagaKernel(p.Loss, wBr, p.SampleFrac))
-		},
+		Dispatch: dispatch,
 	})
 }
 
 // sagaStreamUpdater applies one collected SAGA partial per model update
-// (the asynchronous variants, local and remote).
+// (the asynchronous variant).
 type sagaStreamUpdater struct{ *sagaState }
 
 func (u sagaStreamUpdater) Apply(payload any, attrs *core.Attrs, alpha float64) error {
@@ -258,13 +260,15 @@ func ASAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resu
 	if err := st.init(p); err != nil {
 		return nil, err
 	}
+	dispatch, err := kernelDispatch(ac, SagaOpName, &p)
+	if err != nil {
+		return nil, err
+	}
 	return runLoop(ac, d, sagaStreamUpdater{st}, &loopSpec{
 		Algo: "ASAGA", Name: "asaga", Key: "saga.w",
 		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubStamped,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, SagaKernel(p.Loss, wBr, p.SampleFrac))
-		},
+		Dispatch: dispatch,
 	})
 }
 

@@ -237,6 +237,10 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 	if err != nil {
 		return nil, err
 	}
+	dispatch, err := kernelDispatch(ac, GradOpName, &p)
+	if err != nil {
+		return nil, err
+	}
 	_, lambda, l1, _ := splitProx(p.Loss)
 	u := &syncSGDUpdater{
 		w:      w,
@@ -250,9 +254,7 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubEager, Prune: true,
 		Barrier: core.BSP(), Round: true, RoundBudget: true,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, GradKernel(p.Loss, wBr, p.SampleFrac))
-		},
+		Dispatch: dispatch,
 	})
 }
 
@@ -291,13 +293,15 @@ func ASGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	dispatch, err := kernelDispatch(ac, GradOpName, &p)
+	if err != nil {
+		return nil, err
+	}
 	u := &asgdUpdater{w: w, ap: newProxApplier(&p, d.NumCols())}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "ASGD", Name: "asgd", Key: "sgd.w",
 		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubStamped, Prune: true,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, GradKernel(p.Loss, wBr, p.SampleFrac))
-		},
+		Dispatch: dispatch,
 	})
 }

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 
@@ -81,17 +80,12 @@ type SagaDelta struct {
 	HistSum *la.DeltaVec // Σ_{i∈S} ∇f_i(w_hist(i))
 }
 
-func init() {
-	gob.Register(SagaDelta{})
-}
-
 // Binary payload codes claimed by the opt layer (the core layer owns 16;
 // see internal/core/codec.go).
 const (
 	payloadSagaPartial byte = 17
 	payloadSagaDelta   byte = 18
 	payloadGradOpArgs  byte = 19
-	payloadSagaOpArgs  byte = 20
 )
 
 func init() {
@@ -164,54 +158,29 @@ func init() {
 			if !ok {
 				return fmt.Errorf("opt: grad-args codec got %T", v)
 			}
-			putOpArgs(w, a.BroadcastID, a.Version, a.Frac, a.Parts, a.Loss)
-			return nil
-		},
-		func(r *cluster.BinReader) (any, error) {
-			var a GradOpArgs
-			a.BroadcastID, a.Version, a.Frac, a.Parts, a.Loss = getOpArgs(r)
-			return a, r.Err()
-		})
-	cluster.RegisterPayloadCodec(payloadSagaOpArgs, SagaOpArgs{},
-		func(w *cluster.BinWriter, v any) error {
-			a, ok := v.(SagaOpArgs)
-			if !ok {
-				return fmt.Errorf("opt: saga-args codec got %T", v)
+			w.PutString(a.BroadcastID)
+			w.PutVarint(a.Version)
+			w.PutFloat64(a.Frac)
+			w.PutUvarint(uint64(len(a.Parts)))
+			for _, p := range a.Parts {
+				w.PutVarint(int64(p))
 			}
-			putOpArgs(w, a.BroadcastID, a.Version, a.Frac, a.Parts, a.Loss)
+			w.PutString(a.Loss)
+			w.PutFloat64(a.L2)
+			w.PutFloat64(a.L1)
 			return nil
 		},
 		func(r *cluster.BinReader) (any, error) {
-			var a SagaOpArgs
-			a.BroadcastID, a.Version, a.Frac, a.Parts, a.Loss = getOpArgs(r)
+			a := GradOpArgs{BroadcastID: r.String(), Version: r.Varint(), Frac: r.Float64()}
+			if n := r.Length(1); n > 0 {
+				a.Parts = make([]int, n)
+				for i := range a.Parts {
+					a.Parts[i] = int(r.Varint())
+				}
+			}
+			a.Loss, a.L2, a.L1 = r.String(), r.Float64(), r.Float64()
 			return a, r.Err()
 		})
-}
-
-func putOpArgs(w *cluster.BinWriter, id string, version int64, frac float64, parts []int, loss string) {
-	w.PutString(id)
-	w.PutVarint(version)
-	w.PutFloat64(frac)
-	w.PutUvarint(uint64(len(parts)))
-	for _, p := range parts {
-		w.PutVarint(int64(p))
-	}
-	w.PutString(loss)
-}
-
-func getOpArgs(r *cluster.BinReader) (id string, version int64, frac float64, parts []int, loss string) {
-	id = r.String()
-	version = r.Varint()
-	frac = r.Float64()
-	n := r.Length(1)
-	if r.Err() == nil && n > 0 {
-		parts = make([]int, n)
-		for i := range parts {
-			parts[i] = int(r.Varint())
-		}
-	}
-	loss = r.String()
-	return
 }
 
 func asPayloadVec(v any) (la.Vec, error) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/la"
-	"repro/internal/rdd"
 )
 
 // sparseCfg is the sparse dataset the path-equivalence tests run on: wide
@@ -19,26 +18,12 @@ func sparseCfg() dataset.SynthConfig {
 	}
 }
 
-// newSparseRig assembles an engine over an arbitrary synthetic dataset
-// (the shared newRig fixture is dense by construction).
+// newSparseRig assembles an in-process engine over an arbitrary synthetic
+// dataset (the shared newRig fixture is dense by construction).
 func newSparseRig(t *testing.T, workers, parts int, cfg dataset.SynthConfig) (*core.Context, *dataset.Dataset) {
 	t.Helper()
-	c, err := cluster.NewLocal(cluster.Config{NumWorkers: workers, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
-	d, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rctx := rdd.NewContext(c)
-	if _, err := rctx.Distribute(d, parts); err != nil {
-		t.Fatal(err)
-	}
-	ac := core.New(rctx)
-	t.Cleanup(ac.Close)
-	return ac, d
+	r := newRigOn(t, local, workers, parts, nil, cfg)
+	return r.ac, r.d
 }
 
 // forceDense pins the density threshold to 0 (every task takes the dense
@@ -50,11 +35,17 @@ func forceDense(t *testing.T) {
 	t.Cleanup(func() { SparseDensityThreshold = old })
 }
 
-// runASGD executes one deterministic single-worker ASGD run.
+// runASGD executes one deterministic single-worker in-process ASGD run.
 func runASGD(t *testing.T, p Params) la.Vec {
 	t.Helper()
-	ac, d := newSparseRig(t, 1, 2, sparseCfg())
-	res, err := ASGD(ac, d, p, 0)
+	return runASGDOn(t, local, p)
+}
+
+// runASGDOn is runASGD with the worker reached over tr.
+func runASGDOn(t *testing.T, tr transport, p Params) la.Vec {
+	t.Helper()
+	r := newRigOn(t, tr, 1, 2, nil, sparseCfg())
+	res, err := ASGD(r.ac, r.d, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +60,10 @@ func runASGD(t *testing.T, p Params) la.Vec {
 func TestSparsePathMatchesDenseASGD(t *testing.T) {
 	p := Params{Step: InvSqrt{A: 0.1}, SampleFrac: 0.3, Updates: 150, SnapshotEvery: 50}
 	wSparse := runASGD(t, p)
+	// the sparse deltas cross a real wire unchanged
+	if wTCP := runASGDOn(t, loopback, p); !la.Equal(wSparse, wTCP, 0) {
+		t.Fatal("sparse ASGD over TCP diverged from the in-process run")
+	}
 	wDense := func() la.Vec {
 		forceDense(t)
 		return runASGD(t, p)
@@ -105,17 +100,21 @@ func TestSparsePathMatchesDenseRidge(t *testing.T) {
 // sparse SAGA driver against the eager dense update.
 func TestSparsePathMatchesDenseASAGA(t *testing.T) {
 	p := Params{Step: Constant{A: 0.02}, SampleFrac: 0.25, Updates: 120, SnapshotEvery: 40}
-	run := func() la.Vec {
-		ac, d := newSparseRig(t, 1, 2, sparseCfg())
-		res, err := ASAGA(ac, d, p, 0)
+	run := func(tr transport) la.Vec {
+		r := newRigOn(t, tr, 1, 2, nil, sparseCfg())
+		res, err := ASAGA(r.ac, r.d, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.W
 	}
-	wSparse := run()
+	wSparse := run(local)
+	// the SagaDelta pairs cross a real wire unchanged
+	if wTCP := run(loopback); !la.Equal(wSparse, wTCP, 0) {
+		t.Fatal("sparse ASAGA over TCP diverged from the in-process run")
+	}
 	forceDense(t)
-	wDense := run()
+	wDense := run(local)
 	if !la.Equal(wSparse, wDense, 1e-9) {
 		t.Fatal("sparse and dense ASAGA paths diverged on a fixed seed")
 	}
@@ -288,38 +287,41 @@ func TestSparseSagaKernelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRemoteASGDSparseOverTCP drives the whole stack — sparse kernels,
-// SagaOp/GradOp args and delta payloads through the negotiated binary
-// codec, lazy driver updates — across real sockets.
-func TestRemoteASGDSparseOverTCP(t *testing.T) {
-	r := newTCPRigWith(t, 3, dataset.SynthConfig{
-		Name: "tcp-sparse", Rows: 400, Cols: 30_000, NNZPerRow: 8, Noise: 0.05, Seed: 12,
-	})
-	res, err := RemoteASGD(r.ac, r.d, Params{
-		Step: Scaled{Base: InvSqrt{A: 0.6}, Factor: 3}, SampleFrac: 0.2,
-		Updates: 600, SnapshotEvery: 200,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
+// TestSparseConvergesOverTCP drives the whole stack — sparse kernels, op
+// args and delta payloads through the wire codec, lazy driver updates —
+// across real sockets with three workers interleaving.
+func TestSparseConvergesOverTCP(t *testing.T) {
+	for name, tc := range map[string]struct {
+		seed  int64
+		solve func(*rig) (*Result, error)
+	}{
+		"asgd": {12, func(r *rig) (*Result, error) {
+			return ASGD(r.ac, r.d, Params{
+				Step: Scaled{Base: InvSqrt{A: 0.6}, Factor: 3}, SampleFrac: 0.2,
+				Updates: 600, SnapshotEvery: 200,
+			}, r.fstar)
+		}},
+		"asaga": {13, func(r *rig) (*Result, error) {
+			return ASAGA(r.ac, r.d, Params{
+				Step: Constant{A: 0.1 / 3}, SampleFrac: 0.2,
+				Updates: 600, SnapshotEvery: 200,
+			}, r.fstar)
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRigOn(t, loopback, 3, 6, nil, dataset.SynthConfig{
+				Name: "tcp-sparse", Rows: 400, Cols: 30_000, NNZPerRow: 8, Noise: 0.05, Seed: tc.seed,
+			})
+			res, err := tc.solve(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// a wide near-interpolating system converges slowly along its
+			// 400-dim row space; the test is about the sparse wire path,
+			// not the rate
+			r.assertConverged(t, res, 2)
+		})
 	}
-	// a wide near-interpolating system converges slowly along its 400-dim
-	// row space; the test is about the sparse wire path, not the rate
-	r.assertConverged(t, res, 2)
-}
-
-// TestRemoteASAGASparseOverTCP is the SagaDelta flavour of the above.
-func TestRemoteASAGASparseOverTCP(t *testing.T) {
-	r := newTCPRigWith(t, 3, dataset.SynthConfig{
-		Name: "tcp-sparse-saga", Rows: 400, Cols: 30_000, NNZPerRow: 8, Noise: 0.05, Seed: 13,
-	})
-	res, err := RemoteASAGA(r.ac, r.d, Params{
-		Step: Constant{A: 0.1 / 3}, SampleFrac: 0.2,
-		Updates: 600, SnapshotEvery: 200,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 2)
 }
 
 // TestSparseASGDOnSparseData guards SparseGradKernel (the top-k path)

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -56,10 +55,6 @@ func TopK(g la.Vec, k int) la.SparseVec {
 	sc.idx, sc.val = idx[:0], val[:0]
 	topkScratch.Put(sc)
 	return sv
-}
-
-func init() {
-	gob.Register(la.SparseVec{})
 }
 
 // SparseGradKernel is GradKernel with top-k sparsification of the locally

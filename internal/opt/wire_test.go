@@ -10,31 +10,20 @@ import (
 	"repro/internal/la"
 )
 
-// wireTrip encodes a task result carrying payload through the binary codec
-// and back, asserting it also gob-round-trips (the fallback format).
+// wireTrip encodes a task result carrying payload as a wire frame and
+// decodes it back.
 func wireTrip(t *testing.T, payload any) any {
 	t.Helper()
-	cluster.RegisterGobTypes()
 	m := cluster.Message{Kind: cluster.KindTaskResult, Result: &cluster.Result{
 		TaskID: 3, Worker: 1, Op: GradOpName, Payload: payload,
 	}}
-	frame, usedBin, err := cluster.EncodeFrame(m, true)
+	frame, _, err := cluster.EncodeFrame(m, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !usedBin {
-		t.Fatalf("payload %T fell back to gob", payload)
 	}
 	back, err := cluster.DecodeFrame(frame)
 	if err != nil {
 		t.Fatal(err)
-	}
-	gobFrame, _, err := cluster.EncodeFrame(m, false)
-	if err != nil {
-		t.Fatalf("gob fallback encode: %v", err)
-	}
-	if _, err := cluster.DecodeFrame(gobFrame); err != nil {
-		t.Fatalf("gob fallback decode: %v", err)
 	}
 	return back.Result.Payload
 }
@@ -94,20 +83,17 @@ func TestWireSagaDeltaRoundTrip(t *testing.T) {
 }
 
 func TestWireOpArgsRoundTrip(t *testing.T) {
-	cluster.RegisterGobTypes()
-	for _, args := range []any{
-		GradOpArgs{BroadcastID: "sgd.w", Version: 12, Frac: 0.25, Parts: []int{0, 3, 7}, Loss: "logistic"},
-		SagaOpArgs{BroadcastID: "saga.w", Version: 4, Frac: 1, Parts: []int{1}, Loss: "least-squares"},
+	for _, args := range []GradOpArgs{
+		{BroadcastID: "sgd.w", Version: 12, Frac: 0.25, Parts: []int{0, 3, 7}, Loss: "logistic"},
+		{BroadcastID: "saga.w", Version: 4, Frac: 1, Parts: []int{1}, Loss: "least-squares", L2: 0.05, L1: 0.001},
+		{BroadcastID: "w", Frac: 0.5},
 	} {
 		m := cluster.Message{Kind: cluster.KindRunTask, Task: &cluster.Task{
 			ID: 8, Op: GradOpName, Args: args, Partition: -1, Seed: 99, Dispatch: 5,
 		}}
-		frame, usedBin, err := cluster.EncodeFrame(m, true)
+		frame, _, err := cluster.EncodeFrame(m, true)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !usedBin {
-			t.Fatalf("args %T fell back to gob", args)
 		}
 		back, err := cluster.DecodeFrame(frame)
 		if err != nil {

@@ -12,6 +12,7 @@
 package rdd
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -199,11 +200,17 @@ func (ctx *Context) RunSync(parts []int, mk func(part int) *cluster.Task) ([]*cl
 			}
 			t := mk(part)
 			router.Route(t.ID, ch)
-			if err := ctx.c.Submit(w, t); err == nil {
+			err = ctx.c.Submit(w, t)
+			if err == nil {
 				pendingByID[t.ID] = part
 				return nil
 			}
 			router.Unroute(t.ID)
+			if errors.Is(err, cluster.ErrNotEncodable) {
+				// the stage's closure cannot cross this transport; no
+				// worker is at fault, so recovery would only churn placement
+				return fmt.Errorf("rdd: partition %d: %w", part, err)
+			}
 			if _, err := ctx.Recover(part); err != nil {
 				return fmt.Errorf("rdd: partition %d unrecoverable: %w", part, err)
 			}
