@@ -3,6 +3,7 @@ package jobs_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -114,5 +115,29 @@ func TestRetryDisabled(t *testing.T) {
 	}
 	if got := flakyAlways.attempts.Load() - before; got != 1 {
 		t.Fatalf("solver ran %d times, want exactly 1", got)
+	}
+}
+
+// TestDivergedJobFailsWithoutRetry: a job whose model runs to NaN ends
+// failed, carrying the solver's divergence message, and spends none of its
+// retry budget — the same job would diverge the same way again.
+func TestDivergedJobFailsWithoutRetry(t *testing.T) {
+	s := newScheduler(t, jobs.Config{Engines: 1})
+	id, err := s.Submit(jobs.Spec{
+		Algorithm:  "asgd",
+		Dataset:    jobs.DatasetSpec{Name: "rcv1-like"},
+		Step:       jobs.StepSpec{Kind: "const", A: 1e200},
+		Updates:    300,
+		MaxRetries: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := waitState(t, s, id, jobs.StateFailed)
+	if !strings.Contains(job.Err, "diverged") || !strings.Contains(job.Err, "coordinate") {
+		t.Fatalf("failed job's message does not name the divergence: %q", job.Err)
+	}
+	if job.Retries != 0 {
+		t.Fatalf("a diverged job was retried %d times", job.Retries)
 	}
 }

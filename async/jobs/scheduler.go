@@ -1144,6 +1144,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 		err = context.Canceled
 	}
 	if err != nil && !j.cancelRequested && !errors.Is(err, context.Canceled) &&
+		!errors.Is(err, opt.ErrDiverged) && // deterministic: a retry diverges again
 		!s.closed && !s.draining && j.retries < j.spec.maxRetries() {
 		// transient runtime failure with retry budget left: re-queue and
 		// resume from the last durable checkpoint instead of failing

@@ -166,6 +166,9 @@ func TestMetricsExpositionGrammar(t *testing.T) {
 		"async_wal_size_bytes",
 		// wire codec
 		"async_wire_tx_frames_total", "async_wire_rx_bytes_total",
+		// broadcast fetch path and worker caches
+		"async_broadcast_fetches_total", "async_broadcast_cache_evictions_total",
+		"async_broadcast_cache_versions",
 	} {
 		if _, ok := typed[fam]; !ok {
 			t.Errorf("family %s missing a TYPE line", fam)

@@ -332,12 +332,14 @@ func BenchmarkCSRMatVec(b *testing.B) {
 	b.SetBytes(int64(m.NNZ() * 12))
 }
 
-// BenchmarkBroadcastCache measures the worker-side versioned cache.
+// BenchmarkBroadcastCache measures the worker-side versioned cache holding
+// 64 retained versions (a SAGA-style history).
 func BenchmarkBroadcastCache(b *testing.B) {
-	c := cluster.NewBroadcastCache(0)
+	c := cluster.NewBroadcastCache()
 	v := la.NewVec(256)
 	for ver := int64(0); ver < 64; ver++ {
 		c.Put("w", ver, v)
+		c.Retain("w", ver)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -163,11 +163,15 @@ func TestEnvPartitions(t *testing.T) {
 }
 
 func TestBroadcastCacheBasics(t *testing.T) {
-	c := NewBroadcastCache(0)
+	c := NewBroadcastCache()
 	if _, ok := c.Get("w", 1); ok {
 		t.Fatal("empty cache hit")
 	}
+	if _, _, ok := c.Latest("w"); ok {
+		t.Fatal("empty cache has a latest version")
+	}
 	c.Put("w", 1, "a")
+	c.Retain("w", 1)
 	c.Put("w", 2, "b")
 	if v, ok := c.Get("w", 1); !ok || v != "a" {
 		t.Fatalf("get = %v %v", v, ok)
@@ -182,27 +186,59 @@ func TestBroadcastCacheBasics(t *testing.T) {
 	}
 }
 
+// TestBroadcastCacheEviction walks the retention rule: the newest version
+// and retained versions stay, a stale Put survives exactly until the next
+// Put, and a Release evicts unless the version is the newest.
 func TestBroadcastCacheEviction(t *testing.T) {
-	c := NewBroadcastCache(2)
+	c := NewBroadcastCache()
+	has := func(ver int64) bool { _, ok := c.Get("w", ver); return ok }
 	c.Put("w", 1, "a")
 	c.Put("w", 2, "b")
+	if has(1) || !has(2) {
+		t.Fatal("a newer Put must replace an unreferenced newest version")
+	}
+	c.Retain("w", 2)
 	c.Put("w", 3, "c")
-	if _, ok := c.Get("w", 1); ok {
-		t.Fatal("oldest version not evicted")
+	c.Put("w", 4, "d")
+	if !has(2) || has(3) || !has(4) {
+		t.Fatal("retained version 2 and newest 4 must be all that is left")
 	}
-	if _, ok := c.Get("w", 2); !ok {
-		t.Fatal("version 2 wrongly evicted")
+	if got := c.Stats(); got.Evicted != 2 || got.Versions != 2 {
+		t.Fatalf("stats %+v, want 2 evicted, 2 held", got)
 	}
-	if _, ok := c.Get("w", 3); !ok {
-		t.Fatal("version 3 missing")
+	// a stale Put stays until the next Put of the id, unless retained by then
+	c.Put("w", 1, "a")
+	if !has(1) {
+		t.Fatal("stale Put dropped before the task that fetched it could use it")
 	}
-	if c.Stats().Evicted != 1 {
-		t.Fatalf("evicted = %d", c.Stats().Evicted)
+	c.Put("x", 9, "other id") // another id's Put does not touch it
+	if !has(1) {
+		t.Fatal("stale Put evicted by another id")
 	}
-	// re-putting the same version must not grow the order list
-	c.Put("w", 3, "c2")
-	if v, _ := c.Get("w", 3); v != "c2" {
-		t.Fatal("overwrite failed")
+	c.Put("w", 3, "c")
+	if has(1) || !has(3) {
+		t.Fatal("the next Put must drop the previous stale version and keep its own")
+	}
+	c.Retain("w", 3)
+	c.Put("w", 5, "e")
+	if !has(3) || has(4) || !has(5) {
+		t.Fatal("a stale version retained in time must survive; old newest 4 must go")
+	}
+	// Release evicts, except the newest
+	c.Release("w", 2)
+	c.Retain("w", 5)
+	c.Release("w", 5)
+	if has(2) || !has(5) {
+		t.Fatal("Release must evict version 2 and keep the newest")
+	}
+	// overwriting a version in place neither grows nor evicts
+	c.Put("w", 5, "e2")
+	if v, _ := c.Get("w", 5); v != "e2" || c.Stats().Versions != 3 { // w@3, w@5, x@9
+		t.Fatalf("overwrite: %v, stats %+v", v, c.Stats())
+	}
+	c.releaseAll()
+	if has(3) || !has(5) || c.Stats().Versions != 2 {
+		t.Fatalf("releaseAll must leave only the newest of each id: %+v", c.Stats())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,15 +92,12 @@ func RegisterPayloadCodec(code byte, prototype any, enc func(*BinWriter, any) er
 	payloadRegistry.byType[t] = c
 }
 
-// BinWriter builds the body of a binary frame. The zero value is ready to
-// use; Reset reuses the buffer across messages so steady-state encoding
+// BinWriter builds a binary frame. The zero value is ready to use;
+// encodeFrame reuses the buffer across messages, so steady-state encoding
 // performs no allocations once the buffer has grown to the working size.
 type BinWriter struct{ buf []byte }
 
-// Reset truncates the buffer, keeping its capacity.
-func (w *BinWriter) Reset() { w.buf = w.buf[:0] }
-
-// Bytes returns the accumulated encoding (valid until the next Reset).
+// Bytes returns the accumulated encoding (valid until the writer is reused).
 func (w *BinWriter) Bytes() []byte { return w.buf }
 
 // PutByte appends a raw byte.
@@ -122,10 +120,14 @@ func (w *BinWriter) PutFloat64(f float64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
 }
 
-// PutFloat64s appends a run of little-endian float64s (no length prefix).
+// PutFloat64s appends a run of little-endian float64s (no length prefix):
+// the buffer grows once and the values are written in place.
 func (w *BinWriter) PutFloat64s(fs []float64) {
-	for _, f := range fs {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
+	off := len(w.buf)
+	w.buf = slices.Grow(w.buf, 8*len(fs))[:off+8*len(fs)]
+	dst := w.buf[off:]
+	for i, f := range fs {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
 	}
 }
 
@@ -310,14 +312,15 @@ func (r *BinReader) Float64s(dst []float64) {
 	if r.err != nil {
 		return
 	}
-	if r.off+8*len(dst) > len(r.buf) {
+	if 8*len(dst) > len(r.buf)-r.off {
 		r.fail("truncated float64 run of %d", len(dst))
 		return
 	}
+	src := r.buf[r.off : r.off+8*len(dst)]
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-		r.off += 8
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	r.off += len(src)
 }
 
 // IndexDeltas reconstructs nnz strictly increasing indices below n from the
@@ -468,6 +471,7 @@ func encodeMessage(w *BinWriter, m *Message) error {
 		w.PutVarint(int64(f.Worker))
 		w.PutString(f.ID)
 		w.PutVarint(f.Version)
+		w.PutVarint(f.Have)
 	case KindFetchReply:
 		f := m.FetchReply
 		if f == nil {
@@ -475,6 +479,7 @@ func encodeMessage(w *BinWriter, m *Message) error {
 		}
 		w.PutString(f.ID)
 		w.PutVarint(f.Version)
+		w.PutVarint(f.Base)
 		w.PutString(f.Err)
 		return w.PutValue(f.Value)
 	case KindBroadcastPush:
@@ -634,9 +639,9 @@ func decodeMessage(body []byte) (Message, error) {
 	case KindInstallPartition:
 		m.Install = &InstallPartition{Part: r.partition()}
 	case KindFetch:
-		m.Fetch = &FetchReq{Worker: int(r.Varint()), ID: r.String(), Version: r.Varint()}
+		m.Fetch = &FetchReq{Worker: int(r.Varint()), ID: r.String(), Version: r.Varint(), Have: r.Varint()}
 	case KindFetchReply:
-		f := &FetchReply{ID: r.String(), Version: r.Varint(), Err: r.String()}
+		f := &FetchReply{ID: r.String(), Version: r.Varint(), Base: r.Varint(), Err: r.String()}
 		v, err := r.Value()
 		if err != nil {
 			return Message{}, err
@@ -671,21 +676,25 @@ func decodeMessage(body []byte) (Message, error) {
 // benchmark/ (frozen for this change) calls this signature.
 func EncodeFrame(m Message, _ bool) ([]byte, bool, error) {
 	var w BinWriter
-	frame, err := appendFrame(&w, nil, &m)
+	frame, err := encodeFrame(&w, &m)
 	return frame, err == nil, err
 }
 
-// appendFrame writes [len][version][body] for m into dst, using bw as the
-// scratch encoder for the body.
-func appendFrame(bw *BinWriter, dst []byte, m *Message) ([]byte, error) {
-	bw.Reset()
-	if err := encodeMessage(bw, m); err != nil {
+// encodeFrame renders [len][version][body] for m in w, replacing what w
+// held: the body is encoded directly behind a reserved header whose length
+// is filled in last, so a frame is written once. The result is w's buffer,
+// valid until w is used again.
+func encodeFrame(w *BinWriter, m *Message) ([]byte, error) {
+	w.buf = append(w.buf[:0], 0, 0, 0, 0, frameVersion)
+	if err := encodeMessage(w, m); err != nil {
 		return nil, err
 	}
-	body := bw.Bytes()
-	n := uint32(len(body) + 1)
-	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n), frameVersion)
-	return append(dst, body...), nil
+	n := len(w.buf) - 4
+	if n > maxFrame {
+		return nil, fmt.Errorf("cluster: %v frame of %d bytes exceeds the %d-byte limit", m.Kind, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(w.buf, uint32(n))
+	return w.buf, nil
 }
 
 // DecodeFrame parses one complete wire frame (length prefix included) back

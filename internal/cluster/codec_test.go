@@ -269,8 +269,14 @@ func (ri rawInstall) frame() []byte {
 		w.PutUvarint(j)
 	}
 	w.PutFloat64s(make([]float64, ri.floats))
-	n := uint32(len(w.Bytes()) + 1)
-	return append([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), frameVersion}, w.Bytes()...)
+	return wrapFrame(w.Bytes())
+}
+
+// wrapFrame puts the length prefix and format byte in front of a hand-built
+// frame body.
+func wrapFrame(body []byte) []byte {
+	n := uint32(len(body) + 1)
+	return append([]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), frameVersion}, body...)
 }
 
 // badInstallFrames are partition installs a decoder must refuse, keyed by
@@ -364,11 +370,8 @@ func TestCodecEncodeSteadyStateAllocs(t *testing.T) {
 		TaskID: 1, Worker: 0, Payload: randDeltaVec(rng, 10000, 200),
 	}}
 	var w BinWriter
-	var out []byte
-	var err error
 	work := func() {
-		out, err = appendFrame(&w, out[:0], &m)
-		if err != nil {
+		if _, err := encodeFrame(&w, &m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,16 +382,18 @@ func TestCodecEncodeSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzDecodeFrame hardens the wire decoder: arbitrary bytes must never
-// panic or over-allocate, every frame the encoder produces must decode, and
-// a partition that does decode satisfies the CSR invariants the kernels
-// index by.
+// panic or over-allocate, every frame the encoder produces must decode, a
+// partition that does decode satisfies the CSR invariants the kernels
+// index by, and a patch reply that does decode either applies cleanly to
+// the base it names or is refused — without ever writing the base.
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(4))
 	seedMsgs := []Message{
 		{Kind: KindTaskResult, Result: &Result{TaskID: 3, Payload: randVec(rng, 16)}},
 		{Kind: KindTaskResult, Result: &Result{TaskID: 4, Payload: randDeltaVec(rng, 1000, 20)}},
 		{Kind: KindHello, Hello: &Hello{Worker: 0}},
-		{Kind: KindFetch, Fetch: &FetchReq{Worker: 2, ID: "m", Version: 1}},
+		{Kind: KindFetch, Fetch: &FetchReq{Worker: 2, ID: "m", Version: 4, Have: 3}},
+		{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "m", Version: 4, Base: 3, Value: randDeltaVec(rng, 8, 2)}},
 		{Kind: KindShutdown},
 		{Kind: KindInstallPartition, Seq: 1, Install: &InstallPartition{Part: tinyPartition(f, 0)}},
 	}
@@ -403,8 +408,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range badInstallFrames() {
 		f.Add(frame)
 	}
+	for _, frame := range badPatchReplies() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeFrame(data) // must not panic
+		if err == nil && m.Kind == KindFetchReply && m.FetchReply.Base != 0 {
+			base := la.Vec{1, 2, 3, 4, 5, 6, 7, 8}
+			v, err := applyPatch(m.FetchReply, 3, base)
+			if err == nil && len(v) != len(base) {
+				t.Fatalf("patch produced %d coordinates from a base of %d", len(v), len(base))
+			}
+			if !bitsEqual(base, la.Vec{1, 2, 3, 4, 5, 6, 7, 8}) {
+				t.Fatal("applying a patch wrote its base")
+			}
+			return
+		}
 		if err != nil || m.Kind != KindInstallPartition {
 			return
 		}

@@ -37,7 +37,7 @@ func NewEnv(workerID int, seed int64, fetch func(id string, version int64) (any,
 	return &Env{
 		WorkerID: workerID,
 		parts:    map[int]*dataset.Partition{},
-		cache:    NewBroadcastCache(0),
+		cache:    NewBroadcastCache(),
 		rng:      rand.New(rand.NewSource(seed)),
 		fetch:    fetch,
 	}
@@ -133,17 +133,19 @@ func (e *Env) StoreDelete(key string) {
 // StoreClear drops every worker-local value. The store holds per-run state
 // (broadcast history tables, ADMM subproblem state), so a reused engine
 // clears it between runs to keep jobs from observing a predecessor's
-// state.
+// state. The history tables are what holds references into the broadcast
+// cache, so those are all released with them.
 func (e *Env) StoreClear() {
 	e.storeMu.Lock()
-	defer e.storeMu.Unlock()
 	e.store = nil
+	e.storeMu.Unlock()
+	e.cache.releaseAll()
 }
 
 // BroadcastValue resolves a broadcast value: cache first, then a blocking
 // fetch from the server. This is the worker half of the ASYNCbroadcaster:
 // the server re-broadcasts only (id, version); the value itself crosses the
-// wire once per worker.
+// wire once per worker for as long as the cache's retention rule keeps it.
 func (e *Env) BroadcastValue(id string, version int64) (any, error) {
 	if v, ok := e.cache.Get(id, version); ok {
 		return v, nil
@@ -159,35 +161,53 @@ func (e *Env) BroadcastValue(id string, version int64) (any, error) {
 	return v, nil
 }
 
-// BroadcastCache is the worker-side versioned broadcast store. Values are
-// keyed by (id, version); history depth per id is bounded by maxVersions
-// (0 = unbounded) with oldest-version eviction, mirroring the paper's note
-// that workers keep previously broadcast model parameters in local memory.
+// BroadcastCache is the worker-side versioned broadcast store, keyed by
+// (id, version). Versions are non-negative.
+//
+// Retention rule: per id the cache keeps the newest version it was given
+// plus every version marked by Retain — the versions the worker's history
+// table (core.DynBroadcast.Record) still references — and nothing else. A
+// Put drops the previous newest version unless it is retained; a Release
+// drops its version unless it is the newest. The one exception is a stale
+// Put (a version older than the newest, e.g. a task dispatched before an
+// eager push landed): it survives until the next Put of that id so the task
+// that resolved it can still Retain it. A plain SGD-style run therefore
+// holds 1–2 versions per id and a SAGA-style run exactly the versions
+// Algorithm 4 can still read; anything evicted and asked for again is
+// fetched again.
 type BroadcastCache struct {
-	mu          sync.RWMutex
-	byID        map[string]map[int64]any
-	order       map[string][]int64 // insertion order per id, for eviction
-	maxVersions int
+	mu   sync.RWMutex
+	byID map[string]*idVersions
 
-	hits    atomic.Int64
-	misses  atomic.Int64
-	evicted atomic.Int64
+	hits     atomic.Int64
+	misses   atomic.Int64
+	evicted  atomic.Int64
+	versions atomic.Int64
 }
 
-// NewBroadcastCache builds a cache holding at most maxVersions versions per
-// broadcast id (0 = unbounded).
-func NewBroadcastCache(maxVersions int) *BroadcastCache {
-	return &BroadcastCache{
-		byID:        map[string]map[int64]any{},
-		order:       map[string][]int64{},
-		maxVersions: maxVersions,
-	}
+// noVersion is the "none" value of idVersions.newest and .loose.
+const noVersion int64 = -1
+
+type idVersions struct {
+	vals   map[int64]any
+	held   map[int64]struct{} // retained versions (a value need not be present)
+	newest int64              // highest version Put so far
+	loose  int64              // a stale, unretained Put awaiting the next Put
+}
+
+// NewBroadcastCache builds an empty cache.
+func NewBroadcastCache() *BroadcastCache {
+	return &BroadcastCache{byID: map[string]*idVersions{}}
 }
 
 // Get returns the cached value for (id, version).
 func (c *BroadcastCache) Get(id string, version int64) (any, bool) {
 	c.mu.RLock()
-	v, ok := c.byID[id][version]
+	var v any
+	ok := false
+	if e := c.byID[id]; e != nil {
+		v, ok = e.vals[version]
+	}
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -197,63 +217,131 @@ func (c *BroadcastCache) Get(id string, version int64) (any, bool) {
 	return v, ok
 }
 
-// Put stores a value for (id, version), evicting the oldest version of the
-// same id when the per-id bound is exceeded.
+func (c *BroadcastCache) entry(id string) *idVersions {
+	e := c.byID[id]
+	if e == nil {
+		e = &idVersions{vals: map[int64]any{}, held: map[int64]struct{}{}, newest: noVersion, loose: noVersion}
+		c.byID[id] = e
+	}
+	return e
+}
+
+// evict drops version from e unless it is the newest or retained. Callers
+// hold c.mu.
+func (c *BroadcastCache) evict(e *idVersions, version int64) {
+	if version == e.newest {
+		return
+	}
+	if _, held := e.held[version]; held {
+		return
+	}
+	if _, ok := e.vals[version]; ok {
+		delete(e.vals, version)
+		c.evicted.Add(1)
+		c.versions.Add(-1)
+		cacheEvictions.Inc()
+		cacheVersions.Add(-1)
+	}
+}
+
+// Put stores a value for (id, version) and applies the retention rule.
 func (c *BroadcastCache) Put(id string, version int64, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m, ok := c.byID[id]
-	if !ok {
-		m = map[int64]any{}
-		c.byID[id] = m
+	e := c.entry(id)
+	if _, exists := e.vals[version]; !exists {
+		c.versions.Add(1)
+		cacheVersions.Add(1)
 	}
-	if _, exists := m[version]; !exists {
-		c.order[id] = append(c.order[id], version)
+	e.vals[version] = v
+	prevLoose, prevNewest := e.loose, e.newest
+	e.loose = noVersion
+	if version >= e.newest {
+		e.newest = version
+	} else {
+		e.loose = version
 	}
-	m[version] = v
-	if c.maxVersions > 0 {
-		for len(c.order[id]) > c.maxVersions {
-			oldest := c.order[id][0]
-			c.order[id] = c.order[id][1:]
-			delete(m, oldest)
-			c.evicted.Add(1)
+	if prevLoose != version {
+		c.evict(e, prevLoose)
+	}
+	c.evict(e, prevNewest)
+}
+
+// Retain marks (id, version) as referenced: it stays cached until Release,
+// whatever newer versions arrive.
+func (c *BroadcastCache) Retain(id string, version int64) {
+	c.mu.Lock()
+	c.entry(id).held[version] = struct{}{}
+	c.mu.Unlock()
+}
+
+// Release drops the reference Retain took; the version is evicted unless it
+// is the newest of its id.
+func (c *BroadcastCache) Release(id string, version int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.byID[id]; e != nil {
+		delete(e.held, version)
+		c.evict(e, version)
+	}
+}
+
+// releaseAll drops every reference and with it every version but the
+// newest of each id.
+func (c *BroadcastCache) releaseAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.byID {
+		clear(e.held)
+		e.loose = noVersion
+		for ver := range e.vals {
+			c.evict(e, ver)
 		}
 	}
 }
 
-// Latest returns the highest cached version for id.
+// drop empties the cache (its worker is exiting), so the process-wide
+// versions gauge stops counting what it held.
+func (c *BroadcastCache) drop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.versions.Swap(0)
+	cacheVersions.Add(-float64(n))
+	clear(c.byID)
+}
+
+// Latest returns the newest cached version of id.
 func (c *BroadcastCache) Latest(id string) (int64, any, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	m := c.byID[id]
-	var best int64 = -1
-	var bv any
-	for ver, v := range m {
-		if ver > best {
-			best, bv = ver, v
-		}
+	e := c.byID[id]
+	if e == nil {
+		return noVersion, nil, false
 	}
-	return best, bv, best >= 0
+	v, ok := e.vals[e.newest]
+	return e.newest, v, ok
 }
 
 // CacheStats is a snapshot of cache counters, used by the broadcast ablation.
 type CacheStats struct {
 	Hits, Misses, Evicted int64
-	Versions              int
+	Versions              int // (id, version) values held
+	Retained              int // (id, version) references held (Retain without Release)
 }
 
 // Stats snapshots the counters.
 func (c *BroadcastCache) Stats() CacheStats {
 	c.mu.RLock()
-	n := 0
-	for _, m := range c.byID {
-		n += len(m)
+	retained := 0
+	for _, e := range c.byID {
+		retained += len(e.held)
 	}
 	c.mu.RUnlock()
 	return CacheStats{
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),
 		Evicted:  c.evicted.Load(),
-		Versions: n,
+		Versions: int(c.versions.Load()),
+		Retained: retained,
 	}
 }

@@ -11,6 +11,29 @@
 //	server → worker: RunTask, InstallPartition, BroadcastPush, FetchReply, Shutdown
 //	worker → server: Hello, TaskResult, Fetch, Ack
 //
+// Broadcast fetch (the ASYNCbroadcaster miss path). A worker that needs
+// (id, version) sends FetchReq{ID, Version, Have}, where Have is the newest
+// version of that id in its cache (0 = none). The server answers with one
+// FetchReply for that (ID, Version):
+//
+//   - Base == 0: Value is the whole value. Always so on the in-process
+//     endpoint pair, which passes the driver's pointer and never copies.
+//   - Base != 0: Value is a *la.DeltaVec patch against version Base — the
+//     coordinates whose float64 bit patterns differ between the two versions,
+//     with their replacement (not additive) values. Sent only on an endpoint
+//     that serialises, when Base == Have, both versions are la.Vec of equal
+//     length still in the driver store, and the patch encodes shorter than
+//     the dense vector. The worker copies its base — held by pointer across
+//     the request, so a concurrent push cannot pull it away — and overwrites
+//     the listed coordinates: the result is bit-identical to the driver's
+//     vector whatever produced the change.
+//
+// The worker validates a patch before touching anything: Base must equal the
+// Have it sent, the value must be a sparse delta (whose decode already
+// enforced strictly increasing indices below N), and N must equal the base
+// vector's length. Any violation fails the fetch — and with it the task —
+// with an error; nothing is cached and the base is never modified.
+//
 // Stragglers are injected at the worker executor: after a task's real
 // compute finishes, the worker sleeps for the model's extra delay, exactly
 // like the paper's sleep-based controlled delay (§6.3).
@@ -109,12 +132,16 @@ type FetchReq struct {
 	Worker  int
 	ID      string
 	Version int64
+	Have    int64 // newest version of ID the worker holds; 0 = none
 }
 
-// FetchReply carries the requested broadcast value back to the worker.
+// FetchReply carries the requested broadcast value back to the worker:
+// whole when Base is 0, else as a patch against version Base (see the
+// protocol comment above).
 type FetchReply struct {
 	ID      string
 	Version int64
+	Base    int64
 	Value   any
 	Err     string
 }

@@ -8,41 +8,89 @@ import (
 	"time"
 )
 
-// TestPropCacheBounded: whatever the insertion sequence, a bounded cache
-// never holds more than maxVersions versions of an id, and Latest always
-// reports the highest surviving version.
+// TestPropCacheBounded checks the retention rule against a model under
+// random interleavings of Put (fresh and stale), Retain and Release on two
+// ids: after every step the newest version of an id and every retained
+// version that was cached when retained are present, and after every Put
+// the id holds nothing else but that Put's own version — so the cache is
+// bounded by 2 + the number of references, whatever the history.
 func TestPropCacheBounded(t *testing.T) {
-	f := func(versions []uint8, bound uint8) bool {
-		maxV := int(bound%8) + 1
-		c := NewBroadcastCache(maxV)
-		var lastVer int64 = -1
-		for _, v := range versions {
-			ver := int64(v)
-			c.Put("id", ver, ver)
-			lastVer = ver
+	f := func(ops []uint16) bool {
+		c := NewBroadcastCache()
+		type model struct {
+			newest int64
+			held   map[int64]bool
 		}
-		st := c.Stats()
-		if st.Versions > maxV {
-			return false
-		}
-		if lastVer >= 0 {
-			// the most recent Put must always be retrievable (eviction
-			// drops the oldest-inserted version, never the newest)
-			if got, ok := c.Get("id", lastVer); !ok || got != lastVer {
+		ids := map[string]*model{"a": {newest: -1, held: map[int64]bool{}}, "b": {newest: -1, held: map[int64]bool{}}}
+		has := func(id string, ver int64) bool {
+			c.mu.RLock()
+			defer c.mu.RUnlock()
+			e := c.byID[id]
+			if e == nil {
 				return false
 			}
-			// Latest reports a surviving version at least as new as it
-			latest, val, ok := c.Latest("id")
-			if !ok || latest < lastVer {
-				return false
+			_, ok := e.vals[ver]
+			return ok
+		}
+		for _, op := range ops {
+			id := "a"
+			if op&1 == 1 {
+				id = "b"
 			}
-			if got, ok := c.Get("id", latest); !ok || got != val {
-				return false
+			m := ids[id]
+			ver := int64(op >> 4 % 16)
+			switch op >> 1 & 7 {
+			case 0, 1, 2, 3: // Put: fresh or stale as ver falls
+				c.Put(id, ver, ver)
+				if ver > m.newest {
+					m.newest = ver
+				}
+				// exactly newest ∪ retained ∪ {ver}
+				c.mu.RLock()
+				for got := range c.byID[id].vals {
+					if got != m.newest && got != ver && !m.held[got] {
+						c.mu.RUnlock()
+						return false
+					}
+				}
+				c.mu.RUnlock()
+				if !has(id, ver) {
+					return false
+				}
+			case 4, 5: // Retain, as Record does: only a version just resolved
+				if has(id, ver) {
+					c.Retain(id, ver)
+					m.held[ver] = true
+				}
+			default:
+				c.Release(id, ver)
+				delete(m.held, ver)
+				if ver != m.newest && has(id, ver) {
+					return false // released and not newest: gone at once
+				}
+			}
+			for id, m := range ids {
+				if m.newest >= 0 && !has(id, m.newest) {
+					return false
+				}
+				for ver := range m.held {
+					if !has(id, ver) {
+						return false
+					}
+				}
+				if lv, val, ok := c.Latest(id); m.newest >= 0 && (!ok || lv != m.newest || val != m.newest) {
+					return false
+				}
 			}
 		}
-		return true
+		// the counters agree with the maps
+		n := 0
+		for _, e := range c.byID {
+			n += len(e.vals)
+		}
+		return c.Stats().Versions == n
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +98,7 @@ func TestPropCacheBounded(t *testing.T) {
 // TestPropCacheGetAfterPut: any put is readable until evicted.
 func TestPropCacheGetAfterPut(t *testing.T) {
 	f := func(ids []uint8) bool {
-		c := NewBroadcastCache(0)
+		c := NewBroadcastCache()
 		for i, raw := range ids {
 			id := string(rune('a' + raw%4))
 			c.Put(id, int64(i), i)

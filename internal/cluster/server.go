@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/la"
 	"repro/internal/straggler"
 )
 
@@ -57,6 +58,7 @@ type Cluster struct {
 type workerHandle struct {
 	id    int
 	ep    Endpoint
+	wire  bool // ep serialises messages (anything but the in-process pair)
 	alive atomic.Bool
 
 	ackMu sync.Mutex
@@ -91,9 +93,10 @@ func newCluster() *Cluster {
 // addWorker registers a server-side endpoint for worker id and starts its
 // receive loop.
 func (c *Cluster) addWorker(id int, ep Endpoint) {
-	h := &workerHandle{id: id, ep: ep, acks: map[int64]chan Ack{}}
+	_, inproc := ep.(*chanEndpoint)
+	h := &workerHandle{id: id, ep: ep, wire: !inproc, acks: map[int64]chan Ack{}}
 	h.alive.Store(true)
-	if _, inproc := ep.(*chanEndpoint); !inproc {
+	if h.wire {
 		c.wired.Store(true)
 	}
 	c.mu.Lock()
@@ -149,20 +152,38 @@ func (c *Cluster) recvLoop(h *workerHandle) {
 // ships one value to one worker).
 func (c *Cluster) FetchCount() int64 { return c.fetchCount.Load() }
 
+// serveFetch answers one fetch. Over an endpoint that serialises, a dense
+// vector the worker already holds an older version of goes out as a patch
+// against that version whenever the patch is the shorter encoding (see the
+// protocol comment in message.go); everything else goes out whole.
 func (c *Cluster) serveFetch(h *workerHandle, req *FetchReq) {
 	c.fetchCount.Add(1)
 	c.fetchMu.RLock()
 	fn := c.fetch
 	c.fetchMu.RUnlock()
 	rep := FetchReply{ID: req.ID, Version: req.Version}
+	var patch *la.DeltaVec
 	if fn == nil {
 		rep.Err = "no fetch handler installed"
 	} else if v, err := fn(req.ID, req.Version); err != nil {
 		rep.Err = err.Error()
 	} else {
 		rep.Value = v
+		if next, ok := v.(la.Vec); ok && h.wire && req.Have != 0 {
+			base, _ := fn(req.ID, req.Have) // pruned from the store: no base, so dense
+			if b, ok := base.(la.Vec); ok {
+				patch = diffVec(b, next)
+			}
+		}
+		if patch != nil {
+			rep.Base, rep.Value = req.Have, patch
+			fetchPatch.Inc()
+		} else {
+			fetchDense.Inc()
+		}
 	}
 	_ = h.ep.Send(Message{Kind: KindFetchReply, FetchReply: &rep})
+	la.PutDelta(patch) // Send has serialised it
 }
 
 // SetFetchHandler installs the broadcast fetch handler.

@@ -17,46 +17,48 @@ import (
 type FramedEndpoint struct {
 	conn net.Conn
 	br   *bufio.Reader
+	body []byte // reused frame body, owned by the one Recv loop
 
 	wmu sync.Mutex
-	bw  *bufio.Writer
-	enc BinWriter // reused frame scratch, guarded by wmu
-	out []byte    // reused frame buffer, guarded by wmu
+	enc BinWriter // reused frame buffer, guarded by wmu
 
 	closeOnce sync.Once
 }
+
+// maxReusedBody caps the receive buffer an endpoint keeps between frames: a
+// one-off partition install may be hundreds of megabytes, and holding on to
+// that for the life of the connection would pin it.
+const maxReusedBody = 4 << 20
 
 // NewFramedEndpoint wraps a connection in the framed message protocol.
 func NewFramedEndpoint(conn net.Conn) *FramedEndpoint {
 	return &FramedEndpoint{
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 1<<16),
-		bw:   bufio.NewWriterSize(conn, 1<<16),
 	}
 }
 
-// Send encodes m as one frame and flushes it. A message that cannot be
-// encoded (ErrNotEncodable) fails before anything reaches the connection.
+// Send encodes m as one frame and writes it to the connection. A message
+// that cannot be encoded (ErrNotEncodable) fails before anything reaches the
+// connection.
 func (e *FramedEndpoint) Send(m Message) error {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	out, err := appendFrame(&e.enc, e.out[:0], &m)
+	frame, err := encodeFrame(&e.enc, &m)
 	if err != nil {
 		return fmt.Errorf("cluster: framed send: %w", err)
 	}
-	e.out = out // keep the grown buffer for reuse
-	if _, err := e.bw.Write(out); err != nil {
-		return fmt.Errorf("cluster: framed send: %w", err)
-	}
-	if err := e.bw.Flush(); err != nil {
+	if _, err := e.conn.Write(frame); err != nil {
 		return fmt.Errorf("cluster: framed send: %w", err)
 	}
 	wireTxFrames.Inc()
-	wireTxBytes.Add(int64(len(out)))
+	wireTxBytes.Add(int64(len(frame)))
 	return nil
 }
 
-// Recv reads and decodes one frame.
+// Recv reads and decodes one frame. The body buffer is reused from frame to
+// frame: the decoder copies every string, vector and index run out of it, so
+// no Message aliases it (TestDecodeDoesNotAliasFrame).
 func (e *FramedEndpoint) Recv() (Message, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(e.br, hdr[:]); err != nil {
@@ -66,7 +68,15 @@ func (e *FramedEndpoint) Recv() (Message, error) {
 	if l < 1 || l > maxFrame {
 		return Message{}, fmt.Errorf("cluster: framed recv: bad frame length %d", l)
 	}
-	body := make([]byte, l-1)
+	body := e.body
+	if n := int(l - 1); n <= cap(body) {
+		body = body[:n]
+	} else {
+		body = make([]byte, n)
+		if n <= maxReusedBody {
+			e.body = body
+		}
+	}
 	if _, err := io.ReadFull(e.br, body); err != nil {
 		return Message{}, fmt.Errorf("cluster: framed recv: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/la"
 	"repro/internal/straggler"
 )
 
@@ -49,6 +50,7 @@ func (w *Worker) Run() error {
 	if err := w.ep.Send(Message{Kind: KindHello, Hello: &Hello{Worker: w.id}}); err != nil {
 		return fmt.Errorf("cluster: worker %d hello: %w", w.id, err)
 	}
+	defer w.env.cache.drop()
 	go w.recvLoop()
 	var lastSubmit time.Time
 	for {
@@ -152,11 +154,18 @@ func (w *Worker) recvLoop() {
 	}
 }
 
-// fetchFromServer implements the broadcast miss path: request (id, version)
-// and block for the reply. The executor is single-threaded so at most one
-// fetch is outstanding per worker.
+// fetchFromServer implements the broadcast miss path: request (id, version),
+// offering the newest version of id already held as a patch base, and block
+// for the reply. The base is held here by pointer for the whole exchange, so
+// whatever recvLoop's push path does to the cache meanwhile cannot pull it
+// away. The executor is single-threaded so at most one fetch is outstanding
+// per worker.
 func (w *Worker) fetchFromServer(id string, version int64) (any, error) {
-	req := Message{Kind: KindFetch, Fetch: &FetchReq{Worker: w.id, ID: id, Version: version}}
+	have, base, ok := w.env.Cache().Latest(id)
+	if _, isVec := base.(la.Vec); !ok || !isVec || have <= 0 {
+		have, base = 0, nil
+	}
+	req := Message{Kind: KindFetch, Fetch: &FetchReq{Worker: w.id, ID: id, Version: version, Have: have}}
 	if err := w.ep.Send(req); err != nil {
 		return nil, err
 	}
@@ -171,7 +180,17 @@ func (w *Worker) fetchFromServer(id string, version int64) (any, error) {
 			if rep.Err != "" {
 				return nil, fmt.Errorf("cluster: fetch %s@%d: %s", id, version, rep.Err)
 			}
-			return rep.Value, nil
+			if rep.Base == 0 {
+				return rep.Value, nil
+			}
+			v, err := applyPatch(rep, have, base)
+			if d, ok := rep.Value.(*la.DeltaVec); ok {
+				la.PutDelta(d) // decoded from the wire: nobody else holds it
+			}
+			if err != nil {
+				return nil, fmt.Errorf("cluster: fetch %s@%d: %w", id, version, err)
+			}
+			return v, nil
 		}
 	}
 }

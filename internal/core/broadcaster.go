@@ -10,9 +10,14 @@ import (
 // DynBroadcast is the handle returned by ASYNCbroadcast (§4.3): a broadcast
 // id plus the version assigned to the value. Re-broadcasting a new value
 // under the same id ships only the (id, version) pair inside tasks; workers
-// pull the value at most once per version and keep prior versions in their
-// local cache, which is what makes historical-gradient methods (SAGA/ASAGA)
-// communication-efficient.
+// pull the value at most once per version while they keep it, which is what
+// makes historical-gradient methods (SAGA/ASAGA) communication-efficient.
+//
+// Retention: a worker keeps, per id, the newest version it resolved plus
+// every version its history table still references — a version Record
+// stored for some sample and no later Record overwrote. Everything else is
+// dropped from the worker's cache (cluster.BroadcastCache) and would be
+// fetched again if asked for. ResetRun drops all references.
 type DynBroadcast struct {
 	ID      string
 	Version int64
@@ -76,9 +81,65 @@ func (b DynBroadcast) Value(env *cluster.Env) (any, error) {
 // historyTable records, per broadcast id, the version each sample index
 // last used — the worker half of historical gradients. Partitions are
 // pinned to workers, so each worker owns the table shard for its samples.
+//
+// Every live version has one versionRef counting the samples that point at
+// it; the worker's broadcast cache is told when a count crosses 0↔1
+// (Retain/Release, under mu so the two crossings of one version cannot
+// reorder) and keeps exactly the versions some sample can still read. A
+// sample's entry is allocated once and then repointed, so the steady-state
+// cost of a Record is one map read.
 type historyTable struct {
 	mu   sync.Mutex
-	vers map[int]int64 // global sample index → broadcast version
+	vers map[int]*sampleRef    // global sample index → the version it last used
+	refs map[int64]*versionRef // the versions some sample points at
+	cur  *versionRef           // refs[the latest recorded version]: a task records one version many times
+}
+
+type versionRef struct {
+	ver     int64
+	samples int
+}
+
+type sampleRef struct{ at *versionRef }
+
+// lookup returns the version recorded for sample index.
+func (h *historyTable) lookup(index int) (int64, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if s := h.vers[index]; s != nil {
+		return s.at.ver, true
+	}
+	return 0, false
+}
+
+// record points sample index at version ver of broadcast id.
+func (h *historyTable) record(cache *cluster.BroadcastCache, id string, index int, ver int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.cur == nil || h.cur.ver != ver {
+		if h.cur = h.refs[ver]; h.cur == nil {
+			h.cur = &versionRef{ver: ver}
+			h.refs[ver] = h.cur
+			cache.Retain(id, ver)
+		}
+	}
+	s := h.vers[index]
+	if s == nil {
+		s = &sampleRef{}
+		h.vers[index] = s
+	}
+	old := s.at
+	if old == h.cur {
+		return
+	}
+	s.at = h.cur
+	h.cur.samples++
+	if old != nil {
+		if old.samples--; old.samples == 0 {
+			delete(h.refs, old.ver)
+			cache.Release(id, old.ver)
+		}
+	}
 }
 
 // historyKeys interns the per-id store keys: resolving a history handle is
@@ -97,7 +158,7 @@ func historyKey(id string) string {
 
 func getHistory(env *cluster.Env, id string) *historyTable {
 	return env.StoreGetOrCreate(historyKey(id), func() any {
-		return &historyTable{vers: map[int]int64{}}
+		return &historyTable{vers: map[int]*sampleRef{}, refs: map[int64]*versionRef{}}
 	}).(*historyTable)
 }
 
@@ -105,10 +166,7 @@ func getHistory(env *cluster.Env, id string) *historyTable {
 // (w_br.value(index) in Algorithm 4). If the sample has no recorded
 // version yet, def is used (SAGA initializes history at w₀).
 func (b DynBroadcast) ValueAt(env *cluster.Env, index int, def int64) (any, int64, error) {
-	h := getHistory(env, b.ID)
-	h.mu.Lock()
-	ver, ok := h.vers[index]
-	h.mu.Unlock()
+	ver, ok := getHistory(env, b.ID).lookup(index)
 	if !ok {
 		ver = def
 	}
@@ -126,10 +184,7 @@ func (b DynBroadcast) ValueAt(env *cluster.Env, index int, def int64) (any, int6
 // reporting ok=false when the sample has never been recorded (SAGA treats
 // such samples as having zero historical gradient).
 func (b DynBroadcast) TryValueAt(env *cluster.Env, index int) (any, bool, error) {
-	h := getHistory(env, b.ID)
-	h.mu.Lock()
-	ver, ok := h.vers[index]
-	h.mu.Unlock()
+	ver, ok := getHistory(env, b.ID).lookup(index)
 	if !ok {
 		return nil, false, nil
 	}
@@ -143,10 +198,7 @@ func (b DynBroadcast) TryValueAt(env *cluster.Env, index int) (any, bool, error)
 // Record stores the broadcast version just used for sample index, to be
 // read back by the next ValueAt for that sample.
 func (b DynBroadcast) Record(env *cluster.Env, index int) {
-	h := getHistory(env, b.ID)
-	h.mu.Lock()
-	h.vers[index] = b.Version
-	h.mu.Unlock()
+	getHistory(env, b.ID).record(env.Cache(), b.ID, index, b.Version)
 }
 
 // BroadcastHistory is a resolved handle onto the worker's history table for
@@ -154,20 +206,19 @@ func (b DynBroadcast) Record(env *cluster.Env, index int) {
 // lookup concatenates a store key, which would otherwise allocate on every
 // sample) and then use it allocation-free.
 type BroadcastHistory struct {
-	b DynBroadcast
-	h *historyTable
+	b     DynBroadcast
+	h     *historyTable
+	cache *cluster.BroadcastCache
 }
 
 // History resolves the worker's history-table handle for this broadcast.
 func (b DynBroadcast) History(env *cluster.Env) BroadcastHistory {
-	return BroadcastHistory{b: b, h: getHistory(env, b.ID)}
+	return BroadcastHistory{b: b, h: getHistory(env, b.ID), cache: env.Cache()}
 }
 
 // TryValueAt is DynBroadcast.TryValueAt through the resolved handle.
 func (bh BroadcastHistory) TryValueAt(env *cluster.Env, index int) (any, bool, error) {
-	bh.h.mu.Lock()
-	ver, ok := bh.h.vers[index]
-	bh.h.mu.Unlock()
+	ver, ok := bh.h.lookup(index)
 	if !ok {
 		return nil, false, nil
 	}
@@ -180,17 +231,11 @@ func (bh BroadcastHistory) TryValueAt(env *cluster.Env, index int) (any, bool, e
 
 // Record is DynBroadcast.Record through the resolved handle.
 func (bh BroadcastHistory) Record(index int) {
-	bh.h.mu.Lock()
-	bh.h.vers[index] = bh.b.Version
-	bh.h.mu.Unlock()
+	bh.h.record(bh.cache, bh.b.ID, index, bh.b.Version)
 }
 
 // RecordedVersion reports the version recorded for a sample (testing and
 // diagnostics).
 func (b DynBroadcast) RecordedVersion(env *cluster.Env, index int) (int64, bool) {
-	h := getHistory(env, b.ID)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	v, ok := h.vers[index]
-	return v, ok
+	return getHistory(env, b.ID).lookup(index)
 }

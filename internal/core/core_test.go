@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -569,3 +570,53 @@ func TestASYNCbroadcastEagerPopulatesCache(t *testing.T) {
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// TestHistoryRetainsWhatItReferences walks Algorithm 4's access pattern on a
+// bare worker Env: after every task the cache holds exactly the versions
+// some sample still records plus the newest, each fetched once; re-recording
+// a sample at its own version changes nothing; StoreClear lets go of all.
+func TestHistoryRetainsWhatItReferences(t *testing.T) {
+	fetches := map[int64]int{}
+	env := cluster.NewEnv(0, 1, func(id string, ver int64) (any, error) {
+		fetches[ver]++
+		return la.Vec{float64(ver)}, nil
+	})
+	rng := rand.New(rand.NewSource(3))
+	recorded := map[int]int64{}
+	for ver := int64(1); ver <= 200; ver++ {
+		b := DynBroadcast{ID: "w", Version: ver}
+		if v, err := b.Value(env); err != nil || v.(la.Vec)[0] != float64(ver) {
+			t.Fatalf("version %d: %v %v", ver, v, err)
+		}
+		hist := b.History(env)
+		for k := 0; k < 3; k++ {
+			idx := rng.Intn(40)
+			hv, ok, err := hist.TryValueAt(env, idx)
+			if err != nil || ok != (recorded[idx] != 0) || (ok && hv.(la.Vec)[0] != float64(recorded[idx])) {
+				t.Fatalf("version %d sample %d: history read %v %v %v, recorded %d", ver, idx, hv, ok, err, recorded[idx])
+			}
+			hist.Record(idx)
+			hist.Record(idx) // same version again: no double count
+			recorded[idx] = ver
+		}
+		want := map[int64]bool{ver: true}
+		for _, v := range recorded {
+			want[v] = true
+		}
+		if st := env.Cache().Stats(); st.Versions != len(want) || st.Retained != len(want) {
+			t.Fatalf("after version %d: cache holds %d versions under %d references, history reads %d", ver, st.Versions, st.Retained, len(want))
+		}
+	}
+	for ver, n := range fetches {
+		if n != 1 {
+			t.Fatalf("version %d crossed the wire %d times", ver, n)
+		}
+	}
+	env.StoreClear()
+	if st := env.Cache().Stats(); st.Versions != 1 || st.Retained != 0 {
+		t.Fatalf("after StoreClear: %+v, want the newest version and no references", st)
+	}
+	if _, ok := (DynBroadcast{ID: "w"}).RecordedVersion(env, 0); ok {
+		t.Fatal("history survived StoreClear")
+	}
+}

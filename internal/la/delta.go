@@ -109,9 +109,11 @@ func (d *DeltaVec) MergeFrom(o *DeltaVec) {
 	// entries of d below i are already in place
 }
 
-// grow resizes d to hold n entries, preserving the current prefix.
+// grow resizes d to hold n entries, preserving the current prefix. Both
+// capacities are checked: a delta filled by plain appends (and later pooled)
+// need not have grown its two slices in step.
 func (d *DeltaVec) grow(n int) {
-	if cap(d.Idx) >= n {
+	if cap(d.Idx) >= n && cap(d.Val) >= n {
 		d.Idx = d.Idx[:n]
 		d.Val = d.Val[:n]
 		return

@@ -169,3 +169,18 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+// TestPooledDeltaUnevenCapacity: a delta filled by plain appends grows its
+// two slices out of step (int32 and float64 size classes differ); once
+// pooled, the next GetDelta must still hand out room for nnz entries in both.
+func TestPooledDeltaUnevenCapacity(t *testing.T) {
+	for _, caps := range [][2]int{{600, 512}, {512, 600}} {
+		for _, nnz := range []int{500, 558, 700} {
+			PutDelta(&DeltaVec{Idx: make([]int32, 0, caps[0]), Val: make([]float64, 0, caps[1])})
+			g := GetDelta(nnz, 1000)
+			if len(g.Idx) != nnz || len(g.Val) != nnz {
+				t.Fatalf("caps %v, GetDelta(%d): %d indices, %d values", caps, nnz, len(g.Idx), len(g.Val))
+			}
+		}
+	}
+}

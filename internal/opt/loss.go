@@ -207,16 +207,40 @@ func splitProx(loss Loss) (lin LinearLoss, l2, l1 float64, ok bool) {
 // Objective evaluates the full mean loss F(w) = (1/n) Σ ℓ_i(w) over a
 // dataset on the driver. Experiments use it post hoc on recorded snapshots
 // so evaluation never perturbs run timing.
+//
+// The penalties of Ridge and Composite do not depend on the sample, so they
+// are peeled off and added once per evaluation — O(nnz + cols), where summing
+// Loss.Value over the rows would pay O(cols) per row. The result agrees with
+// that sum up to rounding.
 func Objective(d *dataset.Dataset, loss Loss, w la.Vec) float64 {
 	n := d.NumRows()
 	if n == 0 {
 		return 0
 	}
+	var penalty float64
+peel:
+	for {
+		switch l := loss.(type) {
+		case Ridge:
+			penalty += 0.5 * l.Lambda * la.Dot(w, w)
+			loss = l.Inner
+		case Composite:
+			if l.L2 > 0 {
+				penalty += 0.5 * l.L2 * la.Dot(w, w)
+			}
+			if l.L1 > 0 {
+				penalty += l.L1 * la.Norm1(w)
+			}
+			loss = l.Inner
+		default:
+			break peel
+		}
+	}
 	var sum float64
 	for i := 0; i < n; i++ {
 		sum += loss.Value(d.X.Row(i), d.Y[i], w)
 	}
-	return sum / float64(n)
+	return sum/float64(n) + penalty
 }
 
 // ReferenceOptimum computes F(w*) for the least-squares problem by solving

@@ -193,3 +193,41 @@ func TestScheduleDecayMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestObjectivePenaltiesOnce: Objective adds a Ridge/Composite penalty once
+// per evaluation; that must agree, to rounding, with what it replaces — the
+// mean of the per-sample Loss.Value, whose semantics stay — on dense and on
+// CSR-sparse data, for nested wrappers too.
+func TestObjectivePenaltiesOnce(t *testing.T) {
+	for _, cfg := range []dataset.SynthConfig{
+		{Name: "dense", Rows: 120, Cols: 16, NNZPerRow: 16, Noise: 0.3, Seed: 5},
+		{Name: "csr", Rows: 90, Cols: 400, NNZPerRow: 7, Noise: 0.3, Seed: 6},
+	} {
+		d, err := dataset.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		w := la.NewVec(d.NumCols())
+		for j := range w {
+			w[j] = rng.NormFloat64()
+		}
+		for _, loss := range []Loss{
+			LeastSquares{},
+			Ridge{Inner: LeastSquares{}, Lambda: 0.3},
+			Ridge{Inner: Logistic{}, Lambda: 0.01},
+			Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.1},
+			Composite{Inner: Logistic{}, L1: 0.05},
+			Composite{Inner: Ridge{Inner: LeastSquares{}, Lambda: 0.1}, L2: 0.2, L1: 0.3},
+		} {
+			var sum float64
+			for i := 0; i < d.NumRows(); i++ {
+				sum += loss.Value(d.X.Row(i), d.Y[i], w)
+			}
+			want := sum / float64(d.NumRows())
+			if got := Objective(d, loss, w); math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Errorf("%s, %s: Objective %v, per-sample mean %v", cfg.Name, loss.Name(), got, want)
+			}
+		}
+	}
+}

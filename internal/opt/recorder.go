@@ -1,6 +1,9 @@
 package opt
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/dataset"
@@ -31,6 +34,11 @@ type Progress struct {
 // on the driver goroutine, so implementations should be quick or hand off.
 type ProgressFunc func(Progress)
 
+// ErrDiverged marks a run whose model left the finite floats: the step size,
+// damping or block size is too aggressive for the problem. Running the same
+// job again diverges again.
+var ErrDiverged = errors.New("model diverged")
+
 // Recorder captures model snapshots every `every` updates (plus the first
 // and the moment Finish is called).
 type Recorder struct {
@@ -39,6 +47,7 @@ type Recorder struct {
 	snaps      []snapshot
 	total      time.Duration
 	onProgress ProgressFunc
+	err        error // first non-finite snapshot, wrapping ErrDiverged
 }
 
 // NewRecorder starts the clock. every <= 0 disables periodic snapshots
@@ -54,11 +63,24 @@ func (r *Recorder) Notify(fn ProgressFunc) { r.onProgress = fn }
 
 func (r *Recorder) record(elapsed time.Duration, updates int64, w la.Vec, final bool) {
 	wc := w.Clone()
+	if r.err == nil {
+		for j, x := range wc {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				r.err = fmt.Errorf("%w: coordinate %d of %d is %v in the snapshot after %d updates", ErrDiverged, j, len(wc), x, updates)
+				break
+			}
+		}
+	}
 	r.snaps = append(r.snaps, snapshot{elapsed, updates, wc})
 	if r.onProgress != nil {
 		r.onProgress(Progress{Updates: updates, Elapsed: elapsed, Final: final, W: wc})
 	}
 }
+
+// Err reports the first recorded snapshot that held a non-finite
+// coordinate, or nil. The run loop checks it after every snapshot, so a
+// diverged run ends with an error instead of a trace of NaNs.
+func (r *Recorder) Err() error { return r.err }
 
 // Due reports whether Maybe(updates, …) would record a snapshot — drivers
 // with lazily deferred update terms check it so they settle the model only

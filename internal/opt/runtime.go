@@ -171,13 +171,18 @@ func (rt *runState) export(global int64) *Checkpoint {
 }
 
 // afterUpdate runs the per-update-boundary duties: settle-if-snapshot-due,
-// record, emit a due checkpoint, and report a pending preemption.
-func (rt *runState) afterUpdate(rec *Recorder, global int64) (preempt bool) {
+// record, emit a due checkpoint, and report a pending preemption. A snapshot
+// that shows the model diverged ends the run with an error, before any
+// checkpoint of that model is handed out.
+func (rt *runState) afterUpdate(rec *Recorder, global int64) (preempt bool, err error) {
 	p := rt.spec.P
 	if rec.Due(global) {
 		rt.settle()
 	}
 	rec.Maybe(global, rt.u.Model())
+	if err := rt.diverged(rec); err != nil {
+		return false, err
+	}
 	if rt.cpDue {
 		rt.cpDue = false
 		if p.OnCheckpoint != nil {
@@ -186,7 +191,16 @@ func (rt *runState) afterUpdate(rec *Recorder, global int64) (preempt bool) {
 			p.OnCheckpoint(rt.export(global))
 		}
 	}
-	return p.Preempt.Requested()
+	return p.Preempt.Requested(), nil
+}
+
+// diverged reports a recorded snapshot that left the finite floats, under
+// the solver's name.
+func (rt *runState) diverged(rec *Recorder) error {
+	if err := rec.Err(); err != nil {
+		return fmt.Errorf("opt: %s: %w", rt.spec.Algo, err)
+	}
+	return nil
 }
 
 // preempted finalizes a preempted run: settle, capture, drain, and wrap the
@@ -272,6 +286,9 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 	rec := p.recorder()
 	rt.settle()
 	rec.Force(global, u.Model())
+	if err := rt.diverged(rec); err != nil { // a resume from a diverged checkpoint
+		return nil, err
+	}
 
 	ru, _ := u.(RoundUpdater)
 	if spec.Round && ru == nil {
@@ -307,7 +324,9 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 			global++
 			rt.onAdvance(global - rt.base)
 			if applied {
-				if rt.afterUpdate(rec, global) {
+				if stop, err := rt.afterUpdate(rec, global); err != nil {
+					return nil, err
+				} else if stop {
 					return rt.preempted(ac, global)
 				}
 			} else {
@@ -384,7 +403,9 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 				continue // empty round: no clock advance, retry
 			}
 			global = rt.base + ac.AdvanceClock()
-			if rt.afterUpdate(rec, global) {
+			if stop, err := rt.afterUpdate(rec, global); err != nil {
+				return nil, err
+			} else if stop {
 				return rt.preempted(ac, global)
 			}
 			continue
@@ -413,13 +434,18 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 				return nil, fmt.Errorf("opt: %s: %w", spec.Algo, err)
 			}
 			global = rt.base + ac.AdvanceClock()
-			if rt.afterUpdate(rec, global) {
+			if stop, err := rt.afterUpdate(rec, global); err != nil {
+				return nil, err
+			} else if stop {
 				return rt.preempted(ac, global)
 			}
 		}
 	}
 	rt.settle()
 	rec.Finish(global, u.Model())
+	if err := rt.diverged(rec); err != nil {
+		return nil, err
+	}
 	p.Trace.Event("run_done", "algo", spec.Algo, "global", global)
 	if ac != nil {
 		drain(ac, 5*time.Second)

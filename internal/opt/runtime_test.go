@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,5 +411,29 @@ func TestResumeEquivalenceSparseASGD(t *testing.T) {
 	})
 	if len(counts) != 2 || counts[0] != counts[1] {
 		t.Fatalf("coords full=%v vs resumed=%v — count must ride the checkpoint", counts[:1], counts[1:])
+	}
+}
+
+// TestDivergedRunReturnsError: a run whose model leaves the finite floats
+// ends with ErrDiverged at the first snapshot that shows it — on the
+// streaming loop and on the round loop — instead of a nil error and a trace
+// of NaNs.
+func TestDivergedRunReturnsError(t *testing.T) {
+	tooBig := Params{Step: Constant{A: 1e200}, SampleFrac: 0.4, Updates: 400, SnapshotEvery: 10}
+	for name, solve := range map[string]func(*rig) (*Result, error){
+		"asgd": func(r *rig) (*Result, error) { return ASGD(r.ac, r.d, tooBig, r.fstar) },
+		"sgd":  func(r *rig) (*Result, error) { return SyncSGD(r.ac, r.d, tooBig, r.fstar) },
+	} {
+		r := newRig(t, 2, 4, nil)
+		res, err := solve(r)
+		if !errors.Is(err, ErrDiverged) || res != nil {
+			t.Fatalf("%s: result %v, err %v; want ErrDiverged", name, res, err)
+		}
+		if !strings.Contains(err.Error(), "coordinate") || !strings.Contains(err.Error(), "updates") {
+			t.Fatalf("%s: error does not say where and when: %v", name, err)
+		}
+		if got := r.ac.Updates(); got >= 400 {
+			t.Fatalf("%s: ran its whole budget (%d updates) after diverging", name, got)
+		}
 	}
 }
