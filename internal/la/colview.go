@@ -1,6 +1,6 @@
 package la
 
-import "sort"
+import "slices"
 
 // ColView is a column-major index over a CSR's stored entries — the
 // incremental-maintenance substrate of the coordinate-descent family. A CSR
@@ -12,48 +12,55 @@ import "sort"
 //
 // The view stores only the distinct columns present (row partitions of a
 // wide sparse matrix touch a small fraction of the dimension), so memory is
-// O(nnz + distinct columns) and lookup is a binary search over the distinct
-// set.
+// O(nnz + distinct columns) and lookup by column id is a binary search over
+// the distinct set. Lookup by stored entry needs no search: EntrySlot maps
+// every CSR entry to its column's slot.
 type ColView struct {
 	Cols   []int32   // sorted distinct column ids present in the matrix
 	Starts []int32   // len(Cols)+1 offsets into Rows/Vals
 	Rows   []int32   // row ids, grouped by column
 	Vals   []float64 // matching stored values
+
+	// EntrySlot is aligned with the source CSR's ColIdx: EntrySlot[p] ==
+	// Slot(ColIdx[p]) for every stored entry p, so a walk over a CSR row
+	// reaches its columns' slots by indexing.
+	EntrySlot []int32
 }
 
-// NewColView builds the column index of m in O(nnz·log c) for c distinct
-// columns.
+// NewColView builds the column index of m in O(nnz + NumCols) time, with
+// one transient NumCols-sized scratch table.
 func NewColView(m *CSR) *ColView {
 	nnz := int(m.RowPtr[m.NumRows])
-	cols := make([]int32, nnz)
-	copy(cols, m.ColIdx[:nnz])
-	sortInt32(cols)
-	distinct := cols[:0]
-	for i, c := range cols {
-		if i == 0 || c != distinct[len(distinct)-1] {
-			distinct = append(distinct, c)
+	// slotOf[j] first counts column j's stored entries, then holds its slot
+	slotOf := make([]int32, m.NumCols)
+	distinct := 0
+	for _, j := range m.ColIdx[:nnz] {
+		if slotOf[j] == 0 {
+			distinct++
 		}
+		slotOf[j]++
 	}
 	v := &ColView{
-		Cols:   append([]int32(nil), distinct...),
-		Starts: make([]int32, len(distinct)+1),
-		Rows:   make([]int32, nnz),
-		Vals:   make([]float64, nnz),
+		Cols:      make([]int32, 0, distinct),
+		Starts:    make([]int32, 1, distinct+1),
+		Rows:      make([]int32, nnz),
+		Vals:      make([]float64, nnz),
+		EntrySlot: make([]int32, nnz),
 	}
-	// counting pass, then place each entry at its column's cursor
-	counts := make([]int32, len(v.Cols))
-	for i := 0; i < m.NumRows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			counts[v.slot(m.ColIdx[p])]++
+	for j, c := range slotOf {
+		if c == 0 {
+			continue
 		}
+		slotOf[j] = int32(len(v.Cols))
+		v.Cols = append(v.Cols, int32(j))
+		v.Starts = append(v.Starts, v.Starts[len(v.Cols)-1]+c)
 	}
-	for k, c := range counts {
-		v.Starts[k+1] = v.Starts[k] + c
-	}
-	cursor := append([]int32(nil), v.Starts[:len(v.Cols)]...)
+	// place each entry at its column's cursor, rows ascending within a column
+	cursor := slices.Clone(v.Starts[:distinct])
 	for i := 0; i < m.NumRows; i++ {
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			k := v.slot(m.ColIdx[p])
+			k := slotOf[m.ColIdx[p]]
+			v.EntrySlot[p] = k
 			v.Rows[cursor[k]] = int32(i)
 			v.Vals[cursor[k]] = m.Val[p]
 			cursor[k]++
@@ -64,12 +71,8 @@ func NewColView(m *CSR) *ColView {
 
 // Slot returns the dense index of column j in Cols, or -1 when absent —
 // the handle external column indexes (maxip) key their per-column state on.
-func (v *ColView) Slot(j int32) int { return v.slot(j) }
-
-// slot returns the dense index of column j in Cols, or -1 when absent.
-func (v *ColView) slot(j int32) int {
-	k := sort.Search(len(v.Cols), func(i int) bool { return v.Cols[i] >= j })
-	if k < len(v.Cols) && v.Cols[k] == j {
+func (v *ColView) Slot(j int32) int {
+	if k, ok := slices.BinarySearch(v.Cols, j); ok {
 		return k
 	}
 	return -1
@@ -79,7 +82,7 @@ func (v *ColView) slot(j int32) int {
 // column has no stored entries). The slices alias the view; callers must
 // not mutate them.
 func (v *ColView) Col(j int32) (rows []int32, vals []float64) {
-	k := v.slot(j)
+	k := v.Slot(j)
 	if k < 0 {
 		return nil, nil
 	}

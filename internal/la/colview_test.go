@@ -117,3 +117,35 @@ func TestColViewApplyDelta(t *testing.T) {
 		t.Fatal("incrementally maintained residuals diverged from recompute")
 	}
 }
+
+// TestColViewEntrySlot pins the per-entry slot table: EntrySlot[p] is the
+// slot of the column stored at CSR entry p, for every entry — on a random
+// matrix and on one with empty rows and columns no row stores.
+func TestColViewEntrySlot(t *testing.T) {
+	holes := NewCSR(5, 12, 5)
+	for _, r := range []SparseVec{
+		{N: 12},
+		{Idx: []int32{3, 7}, Val: []float64{1, 2}, N: 12},
+		{N: 12},
+		{Idx: []int32{0, 7, 11}, Val: []float64{3, 4, 5}, N: 12},
+		{N: 12},
+	} {
+		if err := holes.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, m := range map[string]*CSR{"random": randCSR(60, 400, 5, 13), "holes": holes} {
+		v := NewColView(m)
+		if name == "holes" && (len(v.Cols) != 4 || v.Slot(5) != -1) {
+			t.Fatalf("holes: distinct cols %v, Slot(5) = %d", v.Cols, v.Slot(5))
+		}
+		if len(v.EntrySlot) != m.NNZ() {
+			t.Fatalf("%s: EntrySlot has %d entries, matrix stores %d", name, len(v.EntrySlot), m.NNZ())
+		}
+		for p, j := range m.ColIdx {
+			if got, want := int(v.EntrySlot[p]), v.Slot(j); got != want || want < 0 {
+				t.Fatalf("%s: entry %d (col %d): EntrySlot %d, Slot %d", name, p, j, got, want)
+			}
+		}
+	}
+}

@@ -13,11 +13,19 @@
 // tournament tree, and makes both halves of a selection decision sublinear
 // in d:
 //
-//   - Maintenance is O(nnz of dirty rows): when u changes on a set of rows
-//     (in the solvers, the rows touched by a sparse model update — the
-//     la.DeltaVec touched-set is exactly the dirty list), only the columns
-//     stored on those rows can have moved; Flush re-scores those columns and
-//     repairs their tournament paths.
+//   - Maintenance costs what changed, with no search and no repeated match:
+//     O(entries of dirty rows + entries of dirty columns + distinct tree
+//     nodes above the dirty leaves). When u changes on a set of rows (in the
+//     solvers, the rows touched by a sparse model update — the la.DeltaVec
+//     touched-set is exactly the dirty list), only the columns stored on
+//     those rows can have moved. Flush reaches them by indexing the column
+//     view's per-entry slot table (la.ColView.EntrySlot, aligned with the
+//     CSR's ColIdx — no lookup per entry), re-scores each once, and then
+//     repairs the tournament one level at a time over the de-duplicated
+//     parent set, so a match shared by many dirty leaves is played once. A
+//     greedy_cd round on sparse-wide dirties ~140 rows → ~9k entries →
+//     ~8.7k columns whose leaf-to-root paths (17 matches each) share all
+//     but ~45k nodes; BenchmarkFlushGreedyRound probes exactly that shape.
 //   - Query is O(k·log d): TopK extracts the k best-ranked columns from the
 //     tree without visiting the other d−k.
 //
@@ -32,8 +40,15 @@
 // order, never by accumulating the increment into the stale score. Scores
 // after any interleaving of SetRow/AddRows/Flush are therefore bitwise
 // identical to a from-scratch Rebuild at the same u: equal inputs, equal
-// order, equal floating-point result. TestIndexRebuildBitwise and
-// FuzzMaxIPIndex hold this line.
+// order, equal floating-point result — and the tournament tree, a pure
+// function of the ranks, is node-for-node the tree a rebuild would play.
+// TestIndexRebuildBitwise, TestFlushRepairShapes and FuzzMaxIPIndex hold
+// this line on scores, ranks and the whole tree array.
+//
+// The pin costs little: with the slot table and shared-path repair the
+// full-column dot is about a tenth of a greedy_cd solve, so an
+// incremental-score design (s_j += x_ij·Δu_i with a periodic rebuild and a
+// tolerance) could buy at most that, and is not taken.
 //
 // # Candidate-set correctness contract
 //

@@ -72,13 +72,8 @@ func FuzzMaxIPIndex(f *testing.F) {
 				}
 			}
 		}
-		// terminal invariant: every maintained score bitwise-equals a fresh build
-		ix.Flush()
-		fresh := New(x, cv, u, Options{ExactBelow: exactBelow})
-		for _, j := range cv.Cols {
-			if a, b := ix.Score(j), fresh.Score(j); a != b {
-				t.Fatalf("col %d: incremental %v != rebuild %v", j, a, b)
-			}
-		}
+		// terminal invariant: every maintained score and every tree node
+		// bitwise-equals a fresh build
+		requireRebuildEqual(t, ix, u, Options{ExactBelow: exactBelow})
 	})
 }

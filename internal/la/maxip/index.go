@@ -51,7 +51,9 @@ type Index struct {
 	dirtyRows []int32
 	colMark   []uint64
 	colGen    uint64
-	dirtyCols []int32 // dirty slots, first-touch order
+	dirtyCols []int32  // dirty slots, first-touch order
+	nodeMark  []uint32 // per internal tree node: Flush generation that replayed it
+	nodeGen   uint32
 
 	savedSlot []int32 // TopK mask/restore scratch
 	savedRank []float64
@@ -86,6 +88,7 @@ func New(x *la.CSR, cv *la.ColView, u la.Vec, opts Options) *Index {
 			ix.base <<= 1
 		}
 		ix.tree = make([]int32, 2*ix.base)
+		ix.nodeMark = make([]uint32, ix.base)
 	}
 	ix.Rebuild(u)
 	return ix
@@ -177,6 +180,33 @@ func (ix *Index) repair(k int) {
 	}
 }
 
+// repairAbove replays the tournament above a set of re-ranked slots one
+// level at a time: each pass plays the match at every distinct parent of
+// the previous level's nodes, so a match shared by many dirty leaves is
+// played once, after both of its subtrees are final. nodes arrives holding
+// the slots and is consumed as scratch: each level overwrites the last.
+func (ix *Index) repairAbove(nodes []int32) {
+	if ix.nodeGen++; ix.nodeGen == 0 { // stamp wrapped: old marks would alias
+		clear(ix.nodeMark)
+		ix.nodeGen = 1
+	}
+	for t, k := range nodes {
+		nodes[t] = int32(ix.base) + k
+	}
+	for len(nodes) > 0 && nodes[0] > 1 {
+		parents := nodes[:0]
+		for _, c := range nodes {
+			p := c >> 1
+			if ix.nodeMark[p] != ix.nodeGen {
+				ix.nodeMark[p] = ix.nodeGen
+				ix.tree[p] = ix.better(ix.tree[2*p], ix.tree[2*p+1])
+				parents = append(parents, p)
+			}
+		}
+		nodes = parents
+	}
+}
+
 // SetRow sets query coordinate i (a matrix row) to v and defers the
 // re-scoring of that row's columns to the next Flush.
 func (ix *Index) SetRow(i int32, v float64) {
@@ -205,25 +235,26 @@ func (ix *Index) AddRows(dv *la.DeltaVec) {
 // ignored.
 func (ix *Index) MarkCol(j int32) {
 	if k := ix.cv.Slot(j); k >= 0 {
-		ix.markSlot(k)
+		ix.markSlot(int32(k))
 	}
 }
 
-func (ix *Index) markSlot(k int) {
+func (ix *Index) markSlot(k int32) {
 	if ix.colMark[k] != ix.colGen {
 		ix.colMark[k] = ix.colGen
-		ix.dirtyCols = append(ix.dirtyCols, int32(k))
+		ix.dirtyCols = append(ix.dirtyCols, k)
 	}
 }
 
-// Flush propagates dirty query rows to the columns stored on them,
-// re-scores exactly those columns, and repairs their tournament paths.
+// Flush propagates dirty query rows to the columns stored on them (through
+// the view's per-entry slot table — no lookup), re-scores exactly those
+// columns, and replays the tournament matches above them once each.
 // Returns the number of columns re-scored. Cost: O(Σ nnz(dirty rows) +
-// dirty columns · log c).
+// Σ nnz(dirty columns) + distinct tree nodes above the dirty leaves).
 func (ix *Index) Flush() int {
 	for _, i := range ix.dirtyRows {
-		for p := ix.x.RowPtr[i]; p < ix.x.RowPtr[i+1]; p++ {
-			ix.markSlot(ix.cv.Slot(ix.x.ColIdx[p]))
+		for _, k := range ix.cv.EntrySlot[ix.x.RowPtr[i]:ix.x.RowPtr[i+1]] {
+			ix.markSlot(k)
 		}
 	}
 	ix.dirtyRows = ix.dirtyRows[:0]
@@ -232,9 +263,9 @@ func (ix *Index) Flush() int {
 	for _, k := range ix.dirtyCols {
 		ix.s[k] = ix.colDot(int(k))
 		ix.rank[k] = ix.rankOf(int(k))
-		if !ix.exact {
-			ix.repair(int(k))
-		}
+	}
+	if !ix.exact {
+		ix.repairAbove(ix.dirtyCols)
 	}
 	ix.dirtyCols = ix.dirtyCols[:0]
 	ix.colGen++
@@ -245,11 +276,24 @@ func (ix *Index) Flush() int {
 // no stored entries), flushing pending updates first.
 func (ix *Index) Score(j int32) float64 {
 	ix.Flush()
-	k := ix.cv.Slot(j)
-	if k < 0 {
-		return 0
+	return ix.scoreOf(j)
+}
+
+// Scores appends the maintained inner products of cols to out, in order,
+// after a single flush — the batch form of Score.
+func (ix *Index) Scores(cols []int32, out []float64) []float64 {
+	ix.Flush()
+	for _, j := range cols {
+		out = append(out, ix.scoreOf(j))
 	}
-	return ix.s[k]
+	return out
+}
+
+func (ix *Index) scoreOf(j int32) float64 {
+	if k := ix.cv.Slot(j); k >= 0 {
+		return ix.s[k]
+	}
+	return 0
 }
 
 // TopK appends the k best-ranked column ids to out (highest rank first,

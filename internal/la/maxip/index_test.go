@@ -119,8 +119,9 @@ func TestIndexMatchesOracle(t *testing.T) {
 }
 
 // TestIndexRebuildBitwise pins the rebuild-equivalence invariant: after a
-// random sequence of sparse AddRows updates, every maintained score equals
-// a from-scratch Rebuild at the same query — bitwise.
+// random sequence of sparse AddRows updates, every maintained score and
+// every tournament node equals a from-scratch build at the same query —
+// bitwise.
 func TestIndexRebuildBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randomCSR(t, rng, 64, 2000, 8)
@@ -150,14 +151,7 @@ func TestIndexRebuildBitwise(t *testing.T) {
 			ix.Flush() // mix flushed and pending states across steps
 		}
 	}
-	ix.Flush()
-
-	fresh := New(x, cv, u, Options{ExactBelow: -1})
-	for _, j := range cv.Cols {
-		if a, b := ix.Score(j), fresh.Score(j); a != b {
-			t.Fatalf("col %d: incremental score %v != rebuild %v (bitwise contract)", j, a, b)
-		}
-	}
+	requireRebuildEqual(t, ix, u, Options{ExactBelow: -1})
 	// and the index's own Rebuild agrees with its incremental state
 	got := ix.TopK(16, nil)
 	ix.Rebuild(u)

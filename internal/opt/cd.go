@@ -3,7 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -259,7 +259,7 @@ func newCDUpdater(d *dataset.Dataset, p *CDParams) (*cdUpdater, error) {
 func (u *cdUpdater) pickBlock() []int32 {
 	if u.sel != nil && !u.sel.fallback {
 		u.dispatches++
-		return append([]int32(nil), u.sel.pick(u.blockSize)...)
+		return u.sel.pick(u.blockSize)
 	}
 	d := len(u.perm)
 	block := make([]int32, u.blockSize)
@@ -276,7 +276,7 @@ func (u *cdUpdater) pickBlock() []int32 {
 		copy(block, u.perm[:u.blockSize])
 	}
 	u.dispatches++
-	sort.Slice(block, func(a, b int) bool { return block[a] < block[b] })
+	slices.Sort(block)
 	return block
 }
 

@@ -2,7 +2,7 @@ package opt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -230,7 +230,7 @@ func newGCGGreedyUpdater(d *dataset.Dataset, p *GCGParams) (*gcgGreedyUpdater, e
 func (u *gcgGreedyUpdater) pickAtoms() []int32 {
 	u.dispatches++
 	if !u.sel.fallback {
-		return append([]int32(nil), u.sel.pick(u.atoms)...)
+		return u.sel.pick(u.atoms)
 	}
 	d := len(u.w)
 	block := make([]int32, u.atoms)
@@ -238,7 +238,7 @@ func (u *gcgGreedyUpdater) pickAtoms() []int32 {
 	for k := range block {
 		block[k] = int32((pos + k) % d)
 	}
-	sort.Slice(block, func(a, b int) bool { return block[a] < block[b] })
+	slices.Sort(block)
 	return block
 }
 

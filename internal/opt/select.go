@@ -2,7 +2,7 @@ package opt
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/la"
@@ -53,10 +53,10 @@ type gsSelector struct {
 	nl2, nl1 float64
 	r        la.Vec // residual mirror r_i = x_i·w
 
-	buf      []int32 // pick scratch
-	misses   int     // consecutive verification misses
-	rebuilt  bool    // a rebuild already answered the current miss streak
-	fallback bool    // permanent: greedy disabled, caller reverts to cyclic
+	pred     []float64 // verify scratch: the index's scores for a block
+	misses   int       // consecutive verification misses
+	rebuilt  bool      // a rebuild already answered the current miss streak
+	fallback bool      // permanent: greedy disabled, caller reverts to cyclic
 }
 
 // newGSSelector builds the selector at the current model w (usually zeros).
@@ -125,12 +125,12 @@ func (s *gsSelector) advance(delta *la.DeltaVec) {
 }
 
 // pick returns the k best-scored coordinates, ascending (the block-order
-// contract of the delta broadcast). Fewer than k come back only when the
-// data stores fewer distinct columns.
+// contract of the delta broadcast), in a buffer the caller owns — the
+// round's kernels hold it after the next pick. Fewer than k come back only
+// when the data stores fewer distinct columns.
 func (s *gsSelector) pick(k int) []int32 {
-	s.buf = s.ix.TopK(k, s.buf[:0])
-	block := s.buf
-	sort.Slice(block, func(a, b int) bool { return block[a] < block[b] })
+	block := s.ix.TopK(k, make([]int32, 0, k))
+	slices.Sort(block)
 	return block
 }
 
@@ -143,8 +143,8 @@ func (s *gsSelector) verify(block []int32, g la.Vec) bool {
 		return false
 	}
 	ok := true
-	for k, j := range block {
-		pred := s.ix.Score(j)
+	s.pred = s.ix.Scores(block, s.pred[:0])
+	for k, pred := range s.pred {
 		if diff := math.Abs(pred - g[k]); diff > selVerifyTol*math.Max(1, math.Abs(g[k])) {
 			ok = false
 			break

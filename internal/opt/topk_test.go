@@ -87,6 +87,9 @@ func TestPropTopKKeepsLargest(t *testing.T) {
 // TestTopKAllocs pins the selection path's budget: with the scratch pair
 // pooled, a steady-state call pays only the two result-slice copies.
 func TestTopKAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
 	rng := rand.New(rand.NewSource(19))
 	g := make(la.Vec, 8192)
 	for i := range g {
