@@ -51,9 +51,10 @@ func replicaConfig(st store.Store, replica string) jobs.Config {
 	}
 }
 
-// verifyLog replays the shared log and enforces the two cluster-wide safety
-// invariants: claim epochs strictly increase per job, and the job under
-// test has exactly one terminal Done record. Returns that record.
+// verifyLog replays the shared log and enforces the cluster-wide safety
+// invariants: claim epochs strictly increase per job, no job in the log has
+// more than one terminal record, and the job under test has exactly one
+// terminal Done record. Returns that record.
 func verifyLog(t *testing.T, replay func(func(store.Record) error) error, id jobs.ID) store.Record {
 	t.Helper()
 	lastEpoch := map[string]int64{}
@@ -73,10 +74,31 @@ func verifyLog(t *testing.T, replay func(func(store.Record) error) error, id job
 	if err != nil {
 		t.Fatal(err)
 	}
+	verifyTerminalOnce(t, replay)
 	if len(done) != 1 {
 		t.Fatalf("job %s has %d Done records, want exactly 1 (double run)", id, len(done))
 	}
 	return done[0]
+}
+
+// verifyTerminalOnce asserts that every job in the log reached at most one
+// terminal state.
+func verifyTerminalOnce(t *testing.T, replay func(func(store.Record) error) error) {
+	t.Helper()
+	terminal := map[string][]store.Type{}
+	if err := replay(func(r store.Record) error {
+		if r.Type.Terminal() {
+			terminal[r.Job] = append(terminal[r.Job], r.Type)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for job, types := range terminal {
+		if len(types) > 1 {
+			t.Fatalf("job %s has terminal records %v, want at most one", job, types)
+		}
+	}
 }
 
 // asgdSpec is the real-solver workload the failover tests run: long enough

@@ -39,12 +39,22 @@
 //
 // # Lifecycle and observation
 //
-// Jobs move queued → running → done | failed | canceled. Cancel aborts a
-// queued job before it ever starts and interrupts a running one through
-// its per-job context, which the engine threads into barrier waits and
-// collects. Status/List return point-in-time snapshots, Wait blocks for a
-// terminal state, and Subscribe streams Events (state transitions plus
-// per-snapshot progress: updates done, current suboptimality, elapsed
-// time) with full history replay. Terminal jobs are retained — result
-// included — until Config.Retention evicts the oldest.
+// Jobs move queued → running → done | failed | canceled, with running →
+// preempted → running excursions when an engine is taken away mid-run. A
+// job's state is what its records say: every transition is one
+// store.Record folded by store.JobState.Apply — the transition table lives
+// there, in package store's doc — whether this scheduler commits it, boot
+// recovery replays it, or a peer replica's copy is mirrored from the shared
+// log. The State the API shows is that fold's terminal phase, else running
+// while an engine here holds the job, else preempted (it has run and holds
+// a checkpoint) or queued. Cancel aborts a queued job before it ever starts
+// and interrupts a running one through its per-job context, which the
+// engine threads into barrier waits and collects; canceling a job another
+// replica has claimed returns ErrRemoteJob.
+//
+// Status/List return point-in-time snapshots, Wait blocks for a terminal
+// state, and Subscribe streams Events (state transitions plus per-snapshot
+// progress: updates done, current suboptimality, elapsed time) with full
+// history replay. Terminal jobs are retained — result included — until
+// Config.Retention evicts the oldest.
 package jobs

@@ -121,29 +121,27 @@ type Job struct {
 
 // job is the scheduler-internal record; all fields are guarded by the
 // scheduler mutex except ctx/cancel/done (safe for concurrent use) and
-// spec/dataKey/seq (immutable after Submit).
+// id/spec/dataKey (immutable after construction).
 type job struct {
 	id      ID
 	spec    Spec
 	dataKey string
-	seq     int64
 
-	state   State
-	engine  int
+	// JobState is what the job's records say. Only its Apply writes it —
+	// through commitLocked for this replica's transitions, directly for
+	// replayed and mirrored records — except Updates, which in-run progress
+	// also advances.
+	store.JobState
+
+	engine  int // pool slot running the job here; -1 while it waits (kept once terminal)
 	skipped int // times affinity routing jumped a later job past this head
-	err     string
-	// submitted is the original submission wall time (never reset; SLO
-	// deadlines and durable records anchor to it), queued the last enqueue
-	// (reset on preemption, for queue-wait accounting).
-	submitted time.Time
-	queued    time.Time
-	started   time.Time
-	finished  time.Time
+	// queued is the last enqueue (reset on preemption, for queue-wait
+	// accounting).
+	queued  time.Time
+	started time.Time
 	// deadline is submitted + Spec.SLOMillis (zero when the spec named no
 	// SLO); it survives restarts because replay re-derives it.
 	deadline time.Time
-	updates  int64
-	finalErr *float64
 	wait     *metrics.WaitSummary
 	result   *async.Result
 
@@ -159,14 +157,7 @@ type job struct {
 	cp           *opt.Checkpoint
 	preempting   bool
 	preemptAsked time.Time
-	preemptions  int
 	resumedFrom  ID
-
-	// durable-checkpoint bookkeeping (store-backed schedulers only): the
-	// dispatch-seq key and update clock of the last spill on disk.
-	cpSeq     int64
-	cpUpdates int64
-	cpSpilled bool
 
 	// replica-mode state: lease is the fencing token this replica holds
 	// while the job runs here; leaseLost flags a heartbeat self-fence (the
@@ -183,7 +174,7 @@ type job struct {
 
 	// trace is the job's run-scoped telemetry stream (scheduler lifecycle
 	// events plus the driver runtime's, correlated by job ID). Immutable
-	// pointer after Submit/rebuild; the Trace itself is internally locked.
+	// pointer after construction; the Trace itself is internally locked.
 	trace *telemetry.Trace
 	// runStats is the latest engine-coordinator snapshot for the job's run.
 	runStats *async.RunStats
@@ -193,25 +184,79 @@ type job struct {
 	subs     []chan Event
 }
 
+// newJob builds the scheduler record a submitted record opens — the one
+// constructor behind Submit, boot replay and tail import. The caller
+// supplies the decoded spec and registers the job.
+func newJob(rec *store.Record, spec Spec) *job {
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &job{
+		id:      ID(rec.Job),
+		spec:    spec,
+		dataKey: spec.Dataset.Key(),
+		engine:  -1,
+		ctx:     ctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		trace:   telemetry.NewTrace(rec.Job, 0),
+	}
+	j.Apply(rec)
+	j.queued = time.Unix(0, j.Submitted) // the submission time the SLO deadline anchors to
+	if spec.SLOMillis > 0 {
+		j.deadline = j.queued.Add(time.Duration(spec.SLOMillis) * time.Millisecond)
+	}
+	return j
+}
+
+// askPreempt asks the running solver to stop at its next update boundary.
+func (j *job) askPreempt() {
+	j.preempting = true
+	j.preemptAsked = time.Now()
+	j.preempt.Trigger()
+}
+
+// state is the job's lifecycle state as the API shows it: the terminal
+// phase its records reached, else running while an engine here holds it,
+// else waiting — preempted when it has run before and holds a checkpoint to
+// resume from, queued otherwise.
+func (j *job) state() State {
+	switch {
+	case j.Phase == store.PhaseDone:
+		return StateDone
+	case j.Phase == store.PhaseFailed:
+		return StateFailed
+	case j.Phase == store.PhaseCanceled:
+		return StateCanceled
+	case j.engine >= 0:
+		return StateRunning
+	case j.Phase != store.PhaseQueued && (j.cp != nil || j.HasCp):
+		return StatePreempted
+	}
+	return StateQueued
+}
+
 func (j *job) snapshot() Job {
 	s := Job{
 		ID:            j.id,
 		Spec:          j.spec,
-		State:         j.state,
+		State:         j.state(),
 		Engine:        j.engine,
-		Err:           j.err,
+		Err:           j.Detail,
 		Queued:        j.queued,
 		Started:       j.started,
-		Finished:      j.finished,
-		Updates:       j.updates,
-		FinalError:    j.finalErr,
+		Updates:       j.Updates,
 		Wait:          j.wait,
-		Preemptions:   j.preemptions,
+		Preemptions:   j.Preemptions,
 		HasCheckpoint: j.cp != nil,
 		ResumedFrom:   j.resumedFrom,
 		RunStats:      j.runStats,
 		Retries:       j.retries,
 		Remote:        j.remote,
+	}
+	if j.Phase.Terminal() {
+		s.Finished = time.Unix(0, j.Finished)
+	}
+	if j.HasFinal {
+		s.FinalError = finitePtr(j.FinalError)
 	}
 	if j.lease.Epoch != 0 {
 		s.Owner = j.lease.Owner
@@ -219,16 +264,16 @@ func (j *job) snapshot() Job {
 		s.Owner = j.remoteOwner
 	}
 	switch {
-	case j.state == StateQueued || j.state == StatePreempted:
+	case s.State == StateQueued || s.State == StatePreempted:
 		// live wait; a preempted job's queued stamp restarts at preemption
 		// (started still holds the previous dispatch, so it must not win)
 		s.QueueWaitMS = float64(time.Since(j.queued).Microseconds()) / 1000.0
 	case !j.started.IsZero() && !j.started.Before(j.queued):
 		s.QueueWaitMS = float64(j.started.Sub(j.queued).Microseconds()) / 1000.0
-	case !j.finished.IsZero():
+	case j.Phase.Terminal():
 		// canceled while waiting after a preemption (queued stamp is later
 		// than the old start): report the wait from requeue to finalize
-		s.QueueWaitMS = float64(j.finished.Sub(j.queued).Microseconds()) / 1000.0
+		s.QueueWaitMS = float64(s.Finished.Sub(j.queued).Microseconds()) / 1000.0
 	}
 	return s
 }

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,38 +9,22 @@ import (
 
 	"repro/async/jobs/store"
 	"repro/internal/opt"
-	"repro/internal/telemetry"
 )
 
-// replayJob accumulates one job's state while the log replays: the last
-// state-defining record wins, checkpointed records ride along.
-type replayJob struct {
-	id          ID
-	jobSeq      int64
-	spec        []byte
-	submitted   int64 // unix nanos
-	state       State
-	updates     int64
-	cpSeq       int64 // dispatch seq keying the last durable spill
-	cpUpdates   int64
-	hasCp       bool
-	preemptions int
-	detail      string
-	finalErr    float64
-	hasFinal    bool
-	finished    int64 // unix nanos of the terminal record
+// decodeSpec parses the spec a submitted record carries.
+func decodeSpec(rec *store.Record) (Spec, error) {
+	var spec Spec
+	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+		return Spec{}, fmt.Errorf("job %s spec: %w", rec.Job, err)
+	}
+	return spec, nil
 }
 
-// recover rebuilds the scheduler from the store's log: terminal jobs
-// reload into the retention store, queued jobs re-enqueue in priority/FIFO
-// order, and jobs that were running or preempted at the crash re-enqueue
-// as preempted with their last durable checkpoint — they resume through
-// the normal Params.Resume path, losing at most CheckpointEvery updates.
-// Called once from New, before the scheduler serves.
-func (s *Scheduler) recover() error {
-	start := time.Now()
-	byID := map[ID]*replayJob{}
-	var order []*replayJob
+// replayLocked folds the store's log straight into jobs: a submitted
+// record opens a job, every later record goes through its Apply. Nothing
+// but s.jobs (and, in replica mode, the tail watermark) changes; the jobs
+// come back in submission order.
+func (s *Scheduler) replayLocked() ([]*job, error) {
 	replay := s.cfg.Store.Replay
 	if s.leaseStore != nil {
 		// replica mode replays through the watermarked tail reader so the
@@ -55,96 +38,100 @@ func (s *Scheduler) recover() error {
 		}
 	}
 	err := replay(func(rec store.Record) error {
-		id := ID(rec.Job)
-		rj := byID[id]
-		if rj == nil {
-			if rec.Type != store.TypeSubmitted {
-				// orphan transition (its submit was compacted away with a
-				// terminal record the retention limit then dropped): skip
+		if j := s.jobs[ID(rec.Job)]; j != nil {
+			if !j.Apply(&rec) || rec.Type != store.TypeSubmitted {
 				return nil
 			}
-			rj = &replayJob{id: id, state: StateQueued}
-			byID[id] = rj
-			order = append(order, rj)
+			// a repeated submitted the fold accepted (a resubmission whose
+			// first ack was lost): the job re-opens from it, below
+		} else if rec.Type != store.TypeSubmitted {
+			// orphan transition (its submit was compacted away with a
+			// terminal record the retention limit then dropped): skip
+			return nil
 		}
-		switch rec.Type {
-		case store.TypeSubmitted:
-			rj.jobSeq = rec.JobSeq
-			rj.spec = rec.Spec
-			rj.submitted = rec.Time
-		case store.TypeDispatched:
-			rj.state = StateRunning
-		case store.TypeCheckpointed:
-			rj.cpSeq, rj.cpUpdates, rj.hasCp = rec.DispatchSeq, rec.Updates, true
-			if rec.Updates > rj.updates {
-				rj.updates = rec.Updates
-			}
-		case store.TypePreempted:
-			rj.state = StatePreempted
-			rj.preemptions++
-			rj.cpSeq, rj.cpUpdates, rj.hasCp = rec.DispatchSeq, rec.Updates, true
-			if rec.Updates > rj.updates {
-				rj.updates = rec.Updates
-			}
-		case store.TypeDone:
-			rj.state = StateDone
-			rj.updates = rec.Updates
-			rj.finalErr, rj.hasFinal = rec.FinalError, rec.HasFinal
-			rj.finished = rec.Time
-		case store.TypeFailed:
-			rj.state, rj.detail, rj.finished = StateFailed, rec.Detail, rec.Time
-		case store.TypeCanceled:
-			rj.state, rj.detail, rj.finished = StateCanceled, rec.Detail, rec.Time
+		spec, err := decodeSpec(&rec)
+		if err != nil {
+			return fmt.Errorf("jobs: recovery: %w", err)
 		}
+		s.jobs[ID(rec.Job)] = newJob(&rec, spec)
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("jobs: recovery replay: %w", err)
+		return nil, fmt.Errorf("jobs: recovery replay: %w", err)
 	}
+	// submission order, so queue FIFO-within-priority and the ID sequence
+	// both restore deterministically
+	return s.orderedLocked(), nil
+}
 
-	// materialize in submission order so queue FIFO-within-priority and the
-	// ID sequence both restore deterministically
-	sort.Slice(order, func(a, b int) bool { return order[a].jobSeq < order[b].jobSeq })
+// recover rebuilds the scheduler from the store's log: terminal jobs
+// reload into the retention store, queued jobs re-enqueue in priority/FIFO
+// order, and jobs that were running or preempted at the crash re-enqueue
+// with their last durable checkpoint — they resume through the normal
+// Params.Resume path, losing at most CheckpointEvery updates. Called once
+// from New, before the scheduler serves.
+func (s *Scheduler) recover() error {
+	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	order, err := s.replayLocked()
+	if err != nil {
+		return err
+	}
 	var terminal []*job
-	for _, rj := range order {
-		if rj.jobSeq > s.seq {
-			s.seq = rj.jobSeq
+	for _, j := range order {
+		if j.JobSeq > s.seq {
+			s.seq = j.JobSeq
 		}
+		j.trace.Event("recovered", "state", string(j.state()), "updates", j.Updates,
+			"preemptions", j.Preemptions)
 		// rebuild the serving counters the log proves: every replayed job was
 		// once accepted, and terminal records pin their outcome. Without this
 		// the Prometheus counters would reset to zero on every restart while
 		// the job listing still showed the finished work. Jobs that fail
 		// during rebuild (stale spec) are counted by finalizeLocked itself.
 		s.submitted++
-		s.preemptedN += int64(rj.preemptions)
-		switch rj.state {
-		case StateDone:
+		s.tenantSub[j.spec.Tenant]++
+		s.preemptedN += int64(j.Preemptions)
+		switch j.Phase {
+		case store.PhaseDone:
 			s.doneN++
-		case StateFailed:
+			s.tenantDone[j.spec.Tenant]++
+		case store.PhaseFailed:
 			s.failedN++
-		case StateCanceled:
+		case store.PhaseCanceled:
 			s.killedN++
 		}
-		j, err := s.rebuildLocked(rj)
-		if err != nil {
-			return err
-		}
-		if j.state.Terminal() {
+		if j.Phase.Terminal() {
 			terminal = append(terminal, j)
+			continue
 		}
+		// non-terminal: validate the spec against this process's registry and
+		// catalog; a job whose algorithm no longer resolves fails loudly
+		// instead of wedging the queue
+		if err := j.spec.normalize(); err != nil {
+			_ = s.finalizeLocked(j, nil, fmt.Errorf("recovery: %w", err))
+			continue
+		}
+		s.requeueLocked(j)
+		s.emitLocked(j, EventQueued, "")
+		if !j.HasCp {
+			continue
+		}
+		// resumes through the normal preempted path; a missing or corrupt
+		// spill restarts the job from scratch rather than refusing to serve
+		// it (work since update 0 is lost, which the log can only ever
+		// under-state, never invent)
+		if j.cp, err = s.cfg.Store.LoadCheckpoint(string(j.id), j.CpSeq); err != nil {
+			s.storeErrs++
+			continue
+		}
+		s.emitLocked(j, EventPreempted, "recovered")
 	}
 	// retention order is completion order
-	sort.Slice(terminal, func(a, b int) bool {
-		return terminal[a].finished.Before(terminal[b].finished)
-	})
+	sort.SliceStable(terminal, func(a, b int) bool { return terminal[a].Finished < terminal[b].Finished })
 	for _, j := range terminal {
-		s.terminal = append(s.terminal, j.id)
-	}
-	for len(s.terminal) > s.cfg.Retention {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
+		s.finishLocked(j)
 	}
 	s.recoveredN = len(s.jobs)
 	// replica mode: jobs whose live lease another replica holds are
@@ -158,12 +145,12 @@ func (s *Scheduler) recover() error {
 			now := time.Now()
 			for _, l := range leases {
 				j, ok := s.jobs[ID(l.Job)]
-				if !ok || j.state.Terminal() || l.Owner == s.cfg.ReplicaID {
+				if !ok || j.Phase.Terminal() || l.Owner == s.cfg.ReplicaID {
 					continue
 				}
 				if l.Live(now) {
-					s.removeFromQueueLocked(j)
-					j.remote, j.remoteOwner = true, l.Owner
+					s.yieldLocked(j)
+					j.remoteOwner = l.Owner
 				} else if j.orphanedAt.IsZero() {
 					j.orphanedAt = time.Unix(0, l.ExpiresAt)
 				}
@@ -187,206 +174,89 @@ func (s *Scheduler) recover() error {
 	return nil
 }
 
-// rebuildLocked turns one replayed job into a live scheduler record.
-func (s *Scheduler) rebuildLocked(rj *replayJob) (*job, error) {
-	var spec Spec
-	if err := json.Unmarshal(rj.spec, &spec); err != nil {
-		return nil, fmt.Errorf("jobs: recovery: job %s spec: %w", rj.id, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:          rj.id,
-		spec:        spec,
-		dataKey:     spec.Dataset.Key(),
-		seq:         rj.jobSeq,
-		engine:      -1,
-		submitted:   time.Unix(0, rj.submitted),
-		queued:      time.Unix(0, rj.submitted),
-		updates:     rj.updates,
-		preemptions: rj.preemptions,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-	}
-	if spec.SLOMillis > 0 {
-		j.deadline = j.submitted.Add(time.Duration(spec.SLOMillis) * time.Millisecond)
-	}
-	j.trace = telemetry.NewTrace(string(j.id), 0)
-	j.trace.Event("recovered", "state", string(rj.state), "updates", rj.updates,
-		"preemptions", rj.preemptions)
-	s.tenantSub[spec.Tenant]++
-	if rj.state == StateDone {
-		s.tenantDone[spec.Tenant]++
-	}
-	s.jobs[j.id] = j
-
-	if rj.state.Terminal() {
-		j.state = rj.state
-		j.err = rj.detail
-		j.finished = time.Unix(0, rj.finished)
-		if rj.hasFinal {
-			j.finalErr = finitePtr(rj.finalErr)
-		}
-		close(j.done)
-		s.emitLocked(j, EventType(rj.state), j.err)
-		return j, nil
-	}
-
-	// non-terminal: validate the spec against this process's registry and
-	// catalog; a job whose algorithm no longer resolves fails loudly
-	// instead of wedging the queue
-	if err := spec.normalize(); err != nil {
-		j.state = StateQueued
-		s.finalizeLocked(j, nil, fmt.Errorf("recovery: %w", err))
-		return j, nil
-	}
-	j.spec = spec
-
-	if rj.hasCp {
-		cp, err := s.cfg.Store.LoadCheckpoint(string(j.id), rj.cpSeq)
-		if err == nil {
-			// resumes through the normal preempted path
-			j.cp = cp
-			j.cpSeq, j.cpUpdates, j.cpSpilled = rj.cpSeq, rj.cpUpdates, true
-			j.state = StatePreempted
-			j.queued = time.Now() // queue-wait accounting restarts here
-			s.enqueueLocked(j)
-			s.emitLocked(j, EventQueued, "")
-			s.emitLocked(j, EventPreempted, "recovered")
-			return j, nil
-		}
-		// spill missing or corrupt: restart the job from scratch rather
-		// than refusing to serve it (work since update 0 is lost, which the
-		// log can only ever under-state, never invent)
-		s.storeErrs++
-	}
-	j.state = StateQueued
-	j.queued = time.Now()
-	s.enqueueLocked(j)
-	s.emitLocked(j, EventQueued, "")
-	return j, nil
-}
-
-// snapshotRecordsLocked rebuilds the compaction snapshot from live state:
-// for every held job, a submitted record plus its current state-defining
-// records. Replaying the snapshot reproduces exactly the scheduler's
-// recoverable state.
+// snapshotRecordsLocked is the compaction snapshot: the Records of every
+// held job's fold, in submission order. Replaying it reproduces exactly the
+// scheduler's recoverable state.
 func (s *Scheduler) snapshotRecordsLocked() []*store.Record {
-	ordered := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		ordered = append(ordered, j)
-	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
-	recs := make([]*store.Record, 0, 2*len(ordered))
-	for _, j := range ordered {
-		specJSON, err := json.Marshal(j.spec)
-		if err != nil {
-			continue
-		}
-		recs = append(recs, &store.Record{
-			Type: store.TypeSubmitted, Job: string(j.id), Time: j.submitted.UnixNano(),
-			JobSeq: j.seq, Spec: specJSON,
-		})
-		if j.cpSpilled && !j.state.Terminal() {
-			recs = append(recs, &store.Record{
-				Type: store.TypeCheckpointed, Job: string(j.id), Time: j.submitted.UnixNano(),
-				Updates: j.cpUpdates, DispatchSeq: j.cpSeq,
-			})
-		}
-		switch j.state {
-		case StateRunning:
-			recs = append(recs, &store.Record{
-				Type: store.TypeDispatched, Job: string(j.id), Time: j.started.UnixNano(),
-			})
-		case StatePreempted:
-			recs = append(recs, &store.Record{
-				Type: store.TypePreempted, Job: string(j.id), Time: j.queued.UnixNano(),
-				Updates: j.cpUpdates, DispatchSeq: j.cpSeq,
-			})
-		case StateDone:
-			rec := &store.Record{
-				Type: store.TypeDone, Job: string(j.id), Time: j.finished.UnixNano(),
-				Updates: j.updates,
-			}
-			if j.finalErr != nil {
-				rec.FinalError, rec.HasFinal = *j.finalErr, true
-			}
-			recs = append(recs, rec)
-		case StateFailed:
-			recs = append(recs, &store.Record{
-				Type: store.TypeFailed, Job: string(j.id), Time: j.finished.UnixNano(), Detail: j.err,
-			})
-		case StateCanceled:
-			recs = append(recs, &store.Record{
-				Type: store.TypeCanceled, Job: string(j.id), Time: j.finished.UnixNano(), Detail: j.err,
-			})
-		}
+	recs := make([]*store.Record, 0, 2*len(s.jobs))
+	for _, j := range s.orderedLocked() {
+		recs = append(recs, j.Records(string(j.id))...)
 	}
 	return recs
 }
 
-// compactLocked rewrites the log to the live set when the store is
-// configured. Called under the scheduler lock (compaction must not race
-// appends that would then be lost by the rewrite).
+// compactLocked rewrites the store's log to the live set. Called under the
+// scheduler lock (compaction must not race appends that would then be lost
+// by the rewrite).
 func (s *Scheduler) compactLocked() error {
-	if s.cfg.Store == nil {
-		return nil
-	}
 	return s.cfg.Store.Compact(s.snapshotRecordsLocked())
 }
 
 // spillLocked durably saves a checkpoint keyed by its dispatch_seq and then
-// appends the record (TypeCheckpointed or TypePreempted) that references
+// commits the record (TypeCheckpointed or TypePreempted) that references
 // it — spill strictly first, so the log never names a spill that is not on
-// disk. Best effort: a failed spill is counted and the job keeps serving
-// from memory.
-func (s *Scheduler) spillLocked(j *job, cp *opt.Checkpoint, typ store.Type) {
-	if s.cfg.Store == nil || cp == nil {
-		return
-	}
+// disk. A failed spill is counted and the job keeps serving from memory,
+// its record uncommitted; the error returned is commitLocked's.
+func (s *Scheduler) spillLocked(j *job, cp *opt.Checkpoint, typ store.Type) error {
 	seq := cp.Int("dispatch_seq")
-	if err := s.cfg.Store.SaveCheckpoint(string(j.id), seq, cp); err != nil {
-		s.storeErrs++
-		return
+	if s.cfg.Store != nil {
+		if err := s.cfg.Store.SaveCheckpoint(string(j.id), seq, cp); err != nil {
+			s.storeErrs++
+			return nil
+		}
 	}
-	j.cpSeq, j.cpUpdates, j.cpSpilled = seq, cp.Updates, true
-	s.logAppendLocked(s.stampOwner(j, &store.Record{
-		Type: typ, Job: string(j.id), Updates: cp.Updates, DispatchSeq: seq,
-	}))
+	return s.commitLocked(j, &store.Record{Type: typ, Job: string(j.id), Updates: cp.Updates, DispatchSeq: seq})
 }
 
-// logAppendLocked appends a lifecycle record, best effort: serving does not
-// stop when the disk misbehaves, but the failure is counted and surfaced
-// through Stats/metrics. Submit is the exception — it calls the store
-// directly because acknowledging an unlogged job would break the
-// append-before-ack invariant. Triggers compaction past the threshold.
-func (s *Scheduler) logAppendLocked(rec *store.Record) {
-	if s.cfg.Store == nil {
-		return
+// commitLocked is the one way this replica moves a job: stamp the record
+// with the job's fencing token, append it, fold it. A fenced append
+// (store.ErrFenced: the lease is gone, or the job already has its terminal
+// record) is returned with the job untouched — the caller gives the job
+// up. Any other store error degrades durability, not service: the record
+// is folded and serving continues (appendLocked counts the failure).
+// Without a store the fold is all there is. Compaction triggers here, after
+// the fold, so the snapshot includes the record just committed.
+func (s *Scheduler) commitLocked(j *job, rec *store.Record) error {
+	if s.leaseStore != nil && j.lease.Epoch != 0 {
+		rec.Owner, rec.Epoch = j.lease.Owner, j.lease.Epoch
 	}
-	if rec.Time == 0 {
-		rec.Time = time.Now().UnixNano()
+	err := s.appendLocked(rec)
+	if errors.Is(err, store.ErrFenced) {
+		return err
 	}
-	if err := s.cfg.Store.Append(rec); err != nil {
-		s.storeErrs++
-		if errors.Is(err, store.ErrFenced) {
-			// a stale fencing token, not a sick disk: the job's adopter owns
-			// its history now, and serving is not degraded
-			s.fencedN++
-		} else {
-			s.degraded = true
-		}
-		return
-	}
-	s.degraded = false
-	if s.leaseStore != nil {
-		// a replica never rewrites the shared log around its peers' live
-		// jobs; Shared self-compacts past its own threshold instead
-		return
-	}
-	if s.cfg.Store.Metrics().AppendsSinceCompact >= int64(s.cfg.CompactEvery) {
+	j.Apply(rec)
+	// a replica never rewrites the shared log around its peers' live jobs;
+	// Shared self-compacts past its own threshold instead
+	if err == nil && s.cfg.Store != nil && s.leaseStore == nil &&
+		s.cfg.Store.Metrics().AppendsSinceCompact >= int64(s.cfg.CompactEvery) {
 		if err := s.compactLocked(); err != nil {
 			s.storeErrs++
 		}
 	}
+	return nil
+}
+
+// appendLocked stamps and appends one record (a no-op without a store),
+// counting failures and surfacing them through Stats/metrics: a fenced
+// append is a stale fencing token, not a sick disk, so only other errors
+// mark the scheduler degraded.
+func (s *Scheduler) appendLocked(rec *store.Record) error {
+	if rec.Time == 0 {
+		rec.Time = time.Now().UnixNano()
+	}
+	if s.cfg.Store == nil {
+		return nil
+	}
+	err := s.cfg.Store.Append(rec)
+	switch {
+	case err == nil:
+		s.degraded = false
+	case errors.Is(err, store.ErrFenced):
+		s.storeErrs++
+		s.fencedN++
+	default:
+		s.storeErrs++
+		s.degraded = true
+	}
+	return err
 }

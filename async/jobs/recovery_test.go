@@ -83,3 +83,30 @@ func TestRecoveryEdgeCases(t *testing.T) {
 	}
 	waitState(t, s, id, jobs.StateDone)
 }
+
+// TestRecoveryResubmittedAfterLostAck: Submit reuses the job ID when its
+// append fails, and a failed append may still have reached the disk — the
+// log then holds two submitted records for one ID, and the second is the
+// one the client was told about. Recovery must serve that one.
+func TestRecoveryResubmittedAfterLostAck(t *testing.T) {
+	m := store.NewMem()
+	lost := jobs.Spec{Algorithm: gateQueued.name, Dataset: jobs.DatasetSpec{Name: "rcv1-like"}, Updates: 31}
+	acked := lost
+	acked.Updates = 32
+	for i, sp := range []jobs.Spec{lost, acked} {
+		b, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Append(&store.Record{Type: store.TypeSubmitted, Job: "job-000001", JobSeq: 1, Time: int64(100 + i), Spec: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := newScheduler(t, jobs.Config{Engines: 1, Store: m})
+	if st := s.Stats(); st.RecoveredJobs != 1 {
+		t.Fatalf("recovered %d jobs, want 1", st.RecoveredJobs)
+	}
+	expectStart(t, gateQueued, 32)
+	release(t, gateQueued)
+	waitState(t, s, "job-000001", jobs.StateDone)
+}

@@ -2,12 +2,10 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"time"
 
 	"repro/async/jobs/store"
-	"repro/internal/telemetry"
 )
 
 // Replica mode: several schedulers share one lease-capable store (a Shared
@@ -36,60 +34,39 @@ import (
 func (s *Scheduler) startReplicaLoops() {
 	s.replicaStop = make(chan struct{})
 	s.wg.Add(2)
-	go s.heartbeatLoop(s.replicaStop)
-	go s.tailLoop(s.replicaStop)
+	go s.every(s.cfg.RenewEvery, s.replicaStop, s.renewHeldLeases)
+	go s.every(s.cfg.AdoptScanEvery, s.replicaStop, func() {
+		s.syncTail()
+		s.adoptOrphans()
+	})
 }
 
-func (s *Scheduler) heartbeatLoop(stop <-chan struct{}) {
+// every runs fn each period until stop closes.
+func (s *Scheduler) every(period time.Duration, stop <-chan struct{}, fn func()) {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.RenewEvery)
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			s.renewHeldLeases()
+			fn()
 		}
 	}
-}
-
-func (s *Scheduler) tailLoop(stop <-chan struct{}) {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.AdoptScanEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			s.syncTail()
-			s.adoptOrphans()
-		}
-	}
-}
-
-// stampOwner copies the job's lease fencing token onto an
-// ownership-asserting record. A no-op without a held lease (single-owner
-// mode, or records of never-dispatched jobs).
-func (s *Scheduler) stampOwner(j *job, rec *store.Record) *store.Record {
-	if s.leaseStore != nil && j.lease.Epoch != 0 {
-		rec.Owner, rec.Epoch = j.lease.Owner, j.lease.Epoch
-	}
-	return rec
 }
 
 // claimLocked runs the lease CAS for a job about to dispatch. On
-// ErrLeaseHeld the job is marked remote and leaves the queue (another
-// replica won it); on store trouble the job stays queued for the next
-// round. A successful claim of an adoption candidate loads the orphan's
-// last spilled checkpoint and records the failover latency.
+// ErrLeaseHeld (another replica won it) or ErrFenced (the log already holds
+// its terminal record) the job is marked remote and leaves the queue; on
+// store trouble the job stays queued for the next round. A successful
+// claim of an adoption candidate loads the orphan's last spilled checkpoint
+// and records the failover latency.
 func (s *Scheduler) claimLocked(j *job) bool {
 	l, err := s.leaseStore.Claim(string(j.id), s.cfg.ReplicaID, s.cfg.LeaseTTL)
 	switch {
-	case errors.Is(err, store.ErrLeaseHeld):
-		s.removeFromQueueLocked(j)
-		j.remote = true
+	case errors.Is(err, store.ErrLeaseHeld), errors.Is(err, store.ErrFenced):
+		s.yieldLocked(j)
 		return false
 	case err != nil:
 		s.storeErrs++
@@ -113,10 +90,10 @@ func (s *Scheduler) claimLocked(j *job) bool {
 		j.trace.Event("adopted", "epoch", l.Epoch,
 			"failover_ms", float64(lat.Microseconds())/1000.0)
 	}
-	if j.cp == nil && j.cpSpilled {
+	if j.cp == nil && j.HasCp {
 		// adopted (or tail-mirrored) checkpoint: pull the spill so the run
 		// resumes from it instead of update 0
-		if cp, err := s.cfg.Store.LoadCheckpoint(string(j.id), j.cpSeq); err == nil {
+		if cp, err := s.cfg.Store.LoadCheckpoint(string(j.id), j.CpSeq); err == nil {
 			j.cp = cp
 		} else {
 			s.storeErrs++
@@ -143,38 +120,55 @@ func (s *Scheduler) releaseLeaseLocked(j *job) {
 // fenceRunningLocked marks a running job's lease lost and cancels its run;
 // the unwind path then abandons the outcome instead of finalizing it.
 func (s *Scheduler) fenceRunningLocked(j *job) {
-	if j.leaseLost || j.state != StateRunning || j.remote {
+	if j.leaseLost || j.state() != StateRunning {
 		return
 	}
 	j.leaseLost = true
 	j.cancel()
 }
 
+// yieldLocked gives a waiting job up to the replica the log says owns it:
+// it leaves the queue and is mirrored from the tail from now on. If no
+// owner ever finishes it, the orphan scan flips it back to claimable.
+func (s *Scheduler) yieldLocked(j *job) {
+	s.removeFromQueueLocked(j)
+	j.lease = store.Lease{}
+	j.remote = true
+}
+
 // abandonLocked discards a fenced run's outcome: the job's durable history
 // belongs to its adopter now, so nothing is appended, released, or
-// finalized here. The job is marked remote; if no adopter ever claims it,
-// the orphan scan flips it back to claimable.
+// finalized here — the job is yielded.
 func (s *Scheduler) abandonLocked(j *job) {
-	if j.state.Terminal() {
-		// finalizeRemoteLocked landed while run() had mu released (its
-		// ownership Renew runs unlocked): the mirrored terminal state is
-		// the truth — flipping it back to queued would re-open a job whose
-		// done channel is already closed
+	if j.Phase.Terminal() {
+		// a peer's terminal record was mirrored while run() had mu released
+		// (its ownership Renew runs unlocked): that is the truth, and the
+		// job is already finished
 		return
 	}
-	s.fencedN++
 	j.preempting = false
 	j.engine = -1
-	j.lease = store.Lease{}
 	j.leaseLost = false
 	j.cancelRequested = false
-	// the self-fence canceled the run context; a future re-adoption
-	// needs a fresh one
+	// the run context is spent (the self-fence canceled it); a future
+	// re-adoption needs a fresh one
+	j.cancel()
 	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.remote = true
-	j.state = StateQueued
+	s.yieldLocked(j)
 	j.trace.Event("abandoned", "reason", "lease lost")
 	s.emitLocked(j, EventPreempted, "lease lost; run abandoned")
+}
+
+// requeueLocked puts a job that is not running (any more) into the waiting
+// queue and restarts its queue-wait clock. Whether it waits as queued or
+// as preempted is not decided here: state() reads it off the job's records
+// and checkpoint.
+func (s *Scheduler) requeueLocked(j *job) {
+	j.engine = -1
+	j.queued = time.Now()
+	if !s.inQueueLocked(j) {
+		s.enqueueLocked(j)
+	}
 }
 
 // renewHeldLeases extends every lease this replica holds. The store calls
@@ -187,7 +181,7 @@ func (s *Scheduler) renewHeldLeases() {
 	s.mu.Lock()
 	var hs []held
 	for _, j := range s.jobs {
-		if j.state == StateRunning && !j.remote && !j.leaseLost && j.lease.Epoch != 0 {
+		if j.state() == StateRunning && !j.leaseLost && j.lease.Epoch != 0 {
 			hs = append(hs, held{j, j.lease})
 		}
 	}
@@ -242,70 +236,62 @@ func (s *Scheduler) syncTail() {
 	s.dispatchLocked()
 }
 
-// applyRemoteLocked folds one shared-log record into local state. Records
-// this replica wrote itself (rec.Owner == ReplicaID, or a Submitted for a
-// known job) are idempotently skipped: the local mutation already applied.
+// applyRemoteLocked mirrors one shared-log record: the job's fold takes
+// the record, and what is left here are the replica-side effects — queue
+// membership, the remote flag, self-fencing. Records this replica wrote
+// itself are skipped (the commit already folded them), and while this
+// replica holds the job's lease a foreign record is either stale or proof
+// that it was displaced.
 func (s *Scheduler) applyRemoteLocked(rec *store.Record) {
-	us := s.cfg.ReplicaID
 	j := s.jobs[ID(rec.Job)]
-	switch rec.Type {
-	case store.TypeSubmitted:
+	switch {
+	case rec.Type == store.TypeSubmitted:
 		if j == nil {
 			s.importRemoteSubmitLocked(rec)
 		}
+		return // a known job keeps the submission it was built from
+	case j == nil || rec.Owner == s.cfg.ReplicaID:
+		return
+	}
+	if held := j.lease.Epoch != 0 && !j.leaseLost; held && !rec.Type.Terminal() {
+		if rec.Type == store.TypeClaimed && rec.Epoch > j.lease.Epoch {
+			// the log proves a newer claim displaced ours
+			s.fenceRunningLocked(j)
+		}
+		return
+	}
+	if !j.Apply(rec) {
+		return // the job is already terminal
+	}
+	switch rec.Type {
 	case store.TypeClaimed:
-		if j == nil || rec.Owner == us || j.state.Terminal() {
-			return
-		}
-		if j.lease.Epoch != 0 && !j.leaseLost {
-			if rec.Epoch > j.lease.Epoch {
-				// the log proves a newer claim displaced ours
-				s.fenceRunningLocked(j)
-			}
-			return
-		}
-		s.removeFromQueueLocked(j)
-		j.remote, j.remoteOwner = true, rec.Owner
-	case store.TypeDispatched:
-		if j == nil || rec.Owner == "" || rec.Owner == us || j.state.Terminal() {
-			return
-		}
-		if j.lease.Epoch != 0 && !j.leaseLost {
-			return
-		}
-		s.removeFromQueueLocked(j)
-		j.remote, j.remoteOwner = true, rec.Owner
-		if rec.Updates > j.updates {
-			j.updates = rec.Updates
-		}
+		s.yieldLocked(j)
+		j.remoteOwner = rec.Owner
 	case store.TypeCheckpointed, store.TypePreempted:
-		if j == nil || rec.Owner == "" || rec.Owner == us || j.state.Terminal() {
-			return
-		}
-		j.cpSeq, j.cpUpdates, j.cpSpilled = rec.DispatchSeq, rec.Updates, true
 		j.cp = nil // stale local capture; reload from the spill on adoption
-		if rec.Updates > j.updates {
-			j.updates = rec.Updates
-		}
 	case store.TypeReleased:
-		if j == nil || rec.Owner == "" || rec.Owner == us || j.state.Terminal() || !j.remote {
-			return
-		}
-		// the owner let go (preemption, retry): the job is claimable again
-		j.remote, j.remoteOwner = false, ""
-		j.state = StateQueued
-		if j.cpSpilled {
-			j.state = StatePreempted
-		}
-		j.queued = time.Now()
-		if !s.inQueueLocked(j) {
-			s.enqueueLocked(j)
+		// the owner let go (preemption, retry), or a compaction recorded
+		// that nobody holds the job: it is claimable again
+		if j.remote {
+			j.remote, j.remoteOwner = false, ""
+			s.requeueLocked(j)
 		}
 	case store.TypeDone, store.TypeFailed, store.TypeCanceled:
-		if j == nil || rec.Owner == us || j.state.Terminal() {
-			return
+		// local bookkeeping only — no store appends and no completion
+		// counters (the owner counted the outcome), but waiters unblock and
+		// subscribers see the terminal event exactly as if the job had
+		// finished here
+		if j.engine >= 0 {
+			// we believed the run was ours; the foreign terminal record
+			// proves otherwise. finishLocked cancels it, and leaseLost sends
+			// its unwind down the abandon path, which backs off on the
+			// terminal phase
+			j.leaseLost = true
+			j.engine = -1
 		}
-		s.finalizeRemoteLocked(j, rec)
+		j.lease = store.Lease{}
+		j.remote, j.remoteOwner = true, rec.Owner
+		s.finishLocked(j)
 	}
 }
 
@@ -321,35 +307,18 @@ func (s *Scheduler) importRemoteSubmitLocked(rec *store.Record) {
 		// stay with their home replica
 		return
 	}
-	var spec Spec
-	if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+	spec, err := decodeSpec(rec)
+	if err != nil {
 		s.storeErrs++
 		return
 	}
 	if err := spec.normalize(); err != nil {
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:        ID(rec.Job),
-		spec:      spec,
-		dataKey:   spec.Dataset.Key(),
-		seq:       rec.JobSeq,
-		state:     StateQueued,
-		engine:    -1,
-		submitted: time.Unix(0, rec.Time),
-		queued:    time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-	}
-	if spec.SLOMillis > 0 {
-		j.deadline = j.submitted.Add(time.Duration(spec.SLOMillis) * time.Millisecond)
-	}
-	j.trace = telemetry.NewTrace(string(j.id), 0)
+	j := newJob(rec, spec)
 	j.trace.Event("imported", "algorithm", spec.Algorithm, "tenant", spec.Tenant)
 	s.jobs[j.id] = j
-	s.enqueueLocked(j)
+	s.requeueLocked(j)
 	s.emitLocked(j, EventQueued, "imported from shared log")
 }
 
@@ -373,17 +342,17 @@ func (s *Scheduler) adoptOrphans() {
 	dispatch := false
 	for _, l := range leases {
 		j, ok := s.jobs[ID(l.Job)]
-		if !ok || j.state.Terminal() {
+		if !ok || j.Phase.Terminal() {
 			continue
 		}
 		if l.Live(now) {
-			if l.Owner != s.cfg.ReplicaID && !j.remote && j.state != StateRunning {
-				s.removeFromQueueLocked(j)
-				j.remote, j.remoteOwner = true, l.Owner
+			if l.Owner != s.cfg.ReplicaID && !j.remote && j.engine < 0 {
+				s.yieldLocked(j)
+				j.remoteOwner = l.Owner
 			}
 			continue
 		}
-		if j.state == StateRunning && !j.remote {
+		if j.engine >= 0 {
 			continue // our own expiring run; the heartbeat handles it
 		}
 		if s.inQueueLocked(j) {
@@ -394,12 +363,7 @@ func (s *Scheduler) adoptOrphans() {
 		}
 		j.remote, j.remoteOwner = false, ""
 		j.orphanedAt = time.Unix(0, l.ExpiresAt)
-		j.state = StateQueued
-		if j.cpSpilled || j.cp != nil {
-			j.state = StatePreempted
-		}
-		j.queued = now
-		s.enqueueLocked(j)
+		s.requeueLocked(j)
 		j.trace.Event("orphaned", "expired_owner", l.Owner, "epoch", l.Epoch)
 		s.emitLocked(j, EventQueued, "lease expired; adoptable")
 		dispatch = true
@@ -417,58 +381,6 @@ func (s *Scheduler) inQueueLocked(j *job) bool {
 		}
 	}
 	return false
-}
-
-// finalizeRemoteLocked mirrors another replica's terminal record: local
-// bookkeeping only — no store appends and no completion counters (the
-// owner counted the outcome), but waiters unblock and subscribers see the
-// terminal event exactly as if the job had finished here.
-func (s *Scheduler) finalizeRemoteLocked(j *job, rec *store.Record) {
-	s.removeFromQueueLocked(j)
-	if j.state == StateRunning && !j.remote {
-		// we believed the run was ours; the foreign terminal record proves
-		// otherwise — stop it, its unwind backs off on the terminal state
-		s.fenceRunningLocked(j)
-	}
-	j.engine = -1
-	j.remote, j.remoteOwner = true, rec.Owner
-	j.lease = store.Lease{}
-	// j.leaseLost is deliberately left as-is: a fenced run's unwind may not
-	// have observed it yet, and clearing it here would send that unwind down
-	// the finalize path instead of the (terminal-guarded) abandon path
-	j.finished = time.Unix(0, rec.Time)
-	if rec.Updates > j.updates {
-		j.updates = rec.Updates
-	}
-	var typ EventType
-	switch rec.Type {
-	case store.TypeDone:
-		j.state, typ = StateDone, EventDone
-		if rec.HasFinal {
-			j.finalErr = finitePtr(rec.FinalError)
-		}
-	case store.TypeFailed:
-		j.state, typ = StateFailed, EventFailed
-		j.err = rec.Detail
-	default:
-		j.state, typ = StateCanceled, EventCanceled
-		j.err = rec.Detail
-	}
-	j.trace.Event(string(typ), "owner", rec.Owner, "updates", j.updates)
-	ev := s.newEventLocked(j, typ, j.err)
-	ev.Updates = j.updates
-	ev.Error = j.finalErr
-	s.deliverLocked(j, ev)
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	close(j.done)
-	s.terminal = append(s.terminal, j.id)
-	for len(s.terminal) > s.cfg.Retention {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
-	}
 }
 
 // Kill terminates the scheduler the way a crash would: runs are canceled
@@ -489,7 +401,7 @@ func (s *Scheduler) Kill() {
 	}
 	s.queue = nil
 	for _, j := range s.jobs {
-		if j.state == StateRunning && !j.remote {
+		if j.state() == StateRunning {
 			if s.leaseStore != nil {
 				j.leaseLost = true // unwind abandons instead of finalizing
 			} else {
@@ -499,14 +411,5 @@ func (s *Scheduler) Kill() {
 		}
 	}
 	s.mu.Unlock()
-	s.wg.Wait()
-	s.mu.Lock()
-	slots := s.slots
-	s.slots = nil
-	s.mu.Unlock()
-	for _, sl := range slots {
-		if sl.eng != nil {
-			_ = sl.eng.Close()
-		}
-	}
+	_ = s.closeEngines() // a crash reports nothing
 }

@@ -14,6 +14,7 @@ import (
 	"repro/async"
 	"repro/async/jobs/store"
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
 )
@@ -358,52 +359,25 @@ func (s *Scheduler) Submit(spec Spec) (ID, error) {
 		s.tenantRej[spec.Tenant]++
 		return "", fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
-	now := time.Now()
-	id := ID(fmt.Sprintf("job-%06d", s.seq+1))
+	id := fmt.Sprintf("job-%06d", s.seq+1)
 	if s.cfg.ReplicaID != "" {
 		// replica-qualified IDs: two replicas minting concurrently must
 		// never collide
-		id = ID(fmt.Sprintf("job-%s-%06d", s.cfg.ReplicaID, s.seq+1))
+		id = fmt.Sprintf("job-%s-%06d", s.cfg.ReplicaID, s.seq+1)
 	}
-	if s.cfg.Store != nil {
-		// append-before-ack: the submitted record must be durable before the
-		// caller learns the ID; a failed append fails the Submit
-		specJSON, err := json.Marshal(spec)
-		if err != nil {
-			return "", fmt.Errorf("jobs: encode spec: %w", err)
-		}
-		rec := &store.Record{
-			Type: store.TypeSubmitted, Job: string(id), Time: now.UnixNano(),
-			JobSeq: s.seq + 1, Spec: specJSON,
-		}
-		if err := s.cfg.Store.Append(rec); err != nil {
-			s.storeErrs++
-			s.degraded = true
-			return "", fmt.Errorf("%w: durable submit: %v", ErrStoreUnavailable, err)
-		}
-		s.degraded = false
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		return "", fmt.Errorf("jobs: encode spec: %w", err)
+	}
+	rec := &store.Record{Type: store.TypeSubmitted, Job: id, JobSeq: s.seq + 1, Spec: specJSON}
+	// append-before-ack: the submitted record must be durable before the
+	// caller learns the ID; a failed append fails the Submit
+	if err := s.appendLocked(rec); err != nil {
+		return "", fmt.Errorf("%w: durable submit: %v", ErrStoreUnavailable, err)
 	}
 	s.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{
-		id:          id,
-		spec:        spec,
-		dataKey:     spec.Dataset.Key(),
-		seq:         s.seq,
-		state:       StateQueued,
-		engine:      -1,
-		submitted:   now,
-		queued:      now,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		cp:          cp,
-		resumedFrom: src,
-	}
-	if spec.SLOMillis > 0 {
-		j.deadline = now.Add(time.Duration(spec.SLOMillis) * time.Millisecond)
-	}
-	j.trace = telemetry.NewTrace(string(id), 0)
+	j := newJob(rec, spec)
+	j.cp, j.resumedFrom = cp, src
 	j.trace.Event("queued", "algorithm", spec.Algorithm, "tenant", spec.Tenant,
 		"priority", spec.Priority, "resumed_from", string(src))
 	s.jobs[j.id] = j
@@ -443,12 +417,10 @@ func (s *Scheduler) Preempt(id ID) error {
 	if j.remote {
 		return fmt.Errorf("%w: %s runs on %s", ErrRemoteJob, id, j.remoteOwner)
 	}
-	if j.state != StateRunning {
-		return fmt.Errorf("%w: %s is %s", ErrNotRunning, id, j.state)
+	if st := j.state(); st != StateRunning {
+		return fmt.Errorf("%w: %s is %s", ErrNotRunning, id, st)
 	}
-	j.preempting = true
-	j.preemptAsked = time.Now()
-	j.preempt.Trigger()
+	j.askPreempt()
 	return nil
 }
 
@@ -507,26 +479,28 @@ func (s *Scheduler) List() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Job, 0, len(s.jobs))
-	ordered := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		ordered = append(ordered, j)
-	}
-	sort.Slice(ordered, func(a, b int) bool { return jobLess(ordered[a], ordered[b]) })
-	for _, j := range ordered {
+	for _, j := range s.orderedLocked() {
 		out = append(out, j.snapshot())
 	}
 	return out
 }
 
-// jobLess is the listing order: submission ordinal, then ID. Imported
-// remote jobs keep their home replica's JobSeq, so ordinals alone are not
-// unique across replicas — the ID tie-break keeps pagination total and
-// stable.
-func jobLess(a, b *job) bool {
-	if a.seq != b.seq {
-		return a.seq < b.seq
+// orderedLocked returns the held jobs in listing order: submission ordinal,
+// then ID. Imported remote jobs keep their home replica's JobSeq, so
+// ordinals alone are not unique across replicas — the ID tie-break keeps
+// pagination (and the compaction snapshot) total and stable.
+func (s *Scheduler) orderedLocked() []*job {
+	ordered := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		ordered = append(ordered, j)
 	}
-	return a.id < b.id
+	sort.Slice(ordered, func(a, b int) bool {
+		if ordered[a].JobSeq != ordered[b].JobSeq {
+			return ordered[a].JobSeq < ordered[b].JobSeq
+		}
+		return ordered[a].id < ordered[b].id
+	})
+	return ordered
 }
 
 // ListQuery filters and paginates ListPage.
@@ -549,11 +523,6 @@ type ListQuery struct {
 func (s *Scheduler) ListPage(q ListQuery) (page []Job, next ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ordered := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		ordered = append(ordered, j)
-	}
-	sort.Slice(ordered, func(a, b int) bool { return jobLess(ordered[a], ordered[b]) })
 	// the cursor is the full (seq, id) pair: seqs tie across replicas (an
 	// imported job keeps its home replica's ordinal), and a bare
 	// strictly-greater seq comparison would skip or duplicate at ties
@@ -562,11 +531,11 @@ func (s *Scheduler) ListPage(q ListQuery) (page []Job, next ID) {
 		afterSeq, afterID = cursorSeq(s.jobs, q.After), q.After
 	}
 	page = []Job{}
-	for _, j := range ordered {
-		if j.seq < afterSeq || (j.seq == afterSeq && j.id <= afterID) {
+	for _, j := range s.orderedLocked() {
+		if j.JobSeq < afterSeq || (j.JobSeq == afterSeq && j.id <= afterID) {
 			continue
 		}
-		if q.State != "" && j.state != q.State {
+		if q.State != "" && j.state() != q.State {
 			continue
 		}
 		if q.Tenant != "" && j.spec.Tenant != q.Tenant {
@@ -588,7 +557,7 @@ func (s *Scheduler) ListPage(q ListQuery) (page []Job, next ID) {
 // ordinal after the last dash.
 func cursorSeq(jobs map[ID]*job, id ID) int64 {
 	if j, ok := jobs[id]; ok {
-		return j.seq
+		return j.JobSeq
 	}
 	if i := strings.LastIndexByte(string(id), '-'); i >= 0 {
 		if n, err := strconv.ParseInt(string(id)[i+1:], 10, 64); err == nil {
@@ -633,11 +602,13 @@ func (s *Scheduler) Cancel(id ID) error {
 	if j.remote {
 		return fmt.Errorf("%w: %s runs on %s", ErrRemoteJob, id, j.remoteOwner)
 	}
-	switch j.state {
+	switch j.state() {
 	case StateQueued, StatePreempted:
-		s.removeFromQueueLocked(j)
-		j.cancel()
-		s.finalizeLocked(j, nil, context.Canceled)
+		if err := s.finalizeLocked(j, nil, context.Canceled); err != nil {
+			// the log refused the record: another replica claimed the job
+			// since this one last scanned the tail
+			return fmt.Errorf("%w: %s: %v", ErrRemoteJob, id, err)
+		}
 	case StateRunning:
 		j.cancelRequested = true
 		j.cancel()
@@ -671,7 +642,7 @@ func (s *Scheduler) Subscribe(id ID) (<-chan Event, func(), error) {
 	for _, ev := range j.events {
 		ch <- ev
 	}
-	if j.state.Terminal() {
+	if j.Phase.Terminal() {
 		close(ch)
 		return ch, func() {}, nil
 	}
@@ -728,10 +699,10 @@ func (s *Scheduler) Stats() Stats {
 		st.Fenced = s.fencedN
 		st.Adopted = s.adoptedN
 		for _, j := range s.jobs {
-			if j.lease.Epoch != 0 && !j.state.Terminal() {
+			if j.lease.Epoch != 0 && !j.Phase.Terminal() {
 				st.LeasesHeld++
 			}
-			if j.remote && !j.state.Terminal() {
+			if j.remote && !j.Phase.Terminal() {
 				st.RemoteJobs++
 			}
 		}
@@ -771,7 +742,7 @@ func (s *Scheduler) tenantStatsLocked() map[string]TenantStats {
 		}
 	}
 	for _, j := range s.jobs {
-		if t := j.spec.Tenant; t != "" && j.state == StateRunning {
+		if t := j.spec.Tenant; t != "" && j.state() == StateRunning {
 			ts := out[t]
 			ts.Running++
 			out[t] = ts
@@ -796,10 +767,8 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	}
 	s.draining = true
 	for _, j := range s.jobs {
-		if j.state == StateRunning && !j.preempting {
-			j.preempting = true
-			j.preemptAsked = time.Now()
-			j.preempt.Trigger()
+		if j.state() == StateRunning && !j.preempting {
+			j.askPreempt()
 		}
 	}
 	s.mu.Unlock()
@@ -845,26 +814,30 @@ func (s *Scheduler) Close() error {
 		close(s.replicaStop)
 		s.replicaStop = nil
 	}
-	if s.draining {
-		// a completed Drain leaves queued/preempted jobs for the next boot:
-		// their submitted records (and spilled checkpoints) are durable, so
-		// finalizing them here would cancel work the store can still resume
-		s.queue = nil
-	} else {
-		queued := s.queue
-		s.queue = nil
+	queued := s.queue
+	s.queue = nil
+	if !s.draining {
+		// (a completed Drain instead leaves queued/preempted jobs for the
+		// next boot: their submitted records and spilled checkpoints are
+		// durable, so finalizing them would cancel work the store can resume)
 		for _, j := range queued {
-			j.cancel()
-			s.finalizeLocked(j, nil, context.Canceled)
+			// a fenced cancel only means the job is another replica's now
+			_ = s.finalizeLocked(j, nil, context.Canceled)
 		}
 	}
 	for _, j := range s.jobs {
-		if j.state == StateRunning {
+		if j.state() == StateRunning {
 			j.cancelRequested = true
 			j.cancel()
 		}
 	}
 	s.mu.Unlock()
+	return s.closeEngines()
+}
+
+// closeEngines waits for every run and loop to unwind, then closes the
+// pool. The scheduler is already marked closed.
+func (s *Scheduler) closeEngines() error {
 	s.wg.Wait()
 	s.mu.Lock()
 	slots := s.slots
@@ -902,16 +875,17 @@ func (s *Scheduler) dispatchLocked() {
 			}
 			return // store trouble: stop the round, the job stays queued
 		}
+		resumed := j.state() == StatePreempted
+		if s.commitLocked(j, &store.Record{Type: store.TypeDispatched, Job: string(j.id), Updates: j.Updates}) != nil {
+			// fenced between claim and dispatch: the job is someone else's
+			s.yieldLocked(j)
+			continue
+		}
 		s.removeFromQueueLocked(j)
 		sl.busy = true
-		resumed := j.state == StatePreempted
-		j.state = StateRunning
 		j.engine = sl.id
 		j.preempt = opt.NewPreemptSignal() // fresh per dispatch; Preempt targets it
 		j.started = time.Now()
-		s.logAppendLocked(s.stampOwner(j, &store.Record{
-			Type: store.TypeDispatched, Job: string(j.id), Updates: j.updates,
-		}))
 		wait := j.started.Sub(j.queued)
 		s.queueWaitTotal += wait
 		if wait > s.queueWaitMax {
@@ -960,7 +934,7 @@ func (s *Scheduler) maybePreemptLocked() {
 	head := s.queue[0]
 	var candidates []*job
 	for _, j := range s.jobs {
-		if j.state != StateRunning {
+		if j.state() != StateRunning {
 			continue
 		}
 		if j.preempting {
@@ -977,7 +951,7 @@ func (s *Scheduler) maybePreemptLocked() {
 			continue
 		}
 		if victim == nil || j.spec.Priority < victim.spec.Priority ||
-			(j.spec.Priority == victim.spec.Priority && j.seq > victim.seq) {
+			(j.spec.Priority == victim.spec.Priority && j.JobSeq > victim.JobSeq) {
 			victim = j
 		}
 	}
@@ -989,9 +963,7 @@ func (s *Scheduler) maybePreemptLocked() {
 	if victim == nil {
 		return
 	}
-	victim.preempting = true
-	victim.preemptAsked = time.Now()
-	victim.preempt.Trigger()
+	victim.askPreempt()
 }
 
 // sloVictimLocked picks the running job with the most deadline slack that
@@ -1014,7 +986,7 @@ func (s *Scheduler) sloVictimLocked(head *job, headSlack time.Duration, candidat
 			continue // no better off than the head; displacing it gains nothing
 		}
 		if victim == nil || slack > victimSlack ||
-			(slack == victimSlack && j.seq > victim.seq) {
+			(slack == victimSlack && j.JobSeq > victim.JobSeq) {
 			victim, victimSlack = j, slack
 		}
 	}
@@ -1099,9 +1071,10 @@ func (s *Scheduler) run(sl *slot, j *job) {
 	// replica mode: before any state transition, confirm we still own the
 	// job. A fenced run's outcome — success included — must be abandoned,
 	// not finalized: the adopter owns the job's history now. leaseLost is
-	// checked even with the lease cleared — finalizeRemoteLocked drops the
-	// lease while fencing us, and that unwind must still abandon, not fall
-	// through to the preempt/retry branches on an already-terminal job.
+	// checked even with the lease cleared — mirroring a peer's terminal
+	// record drops the lease while fencing us, and that unwind must still
+	// abandon, not fall through to the preempt/retry branches on an
+	// already-terminal job.
 	if s.leaseStore != nil && (j.leaseLost || j.lease.Epoch != 0) {
 		lost := j.leaseLost
 		if !lost {
@@ -1112,6 +1085,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 			lost = j.leaseLost || errors.Is(rerr, store.ErrFenced)
 		}
 		if lost {
+			s.fencedN++
 			s.abandonLocked(j)
 			s.dispatchLocked()
 			return
@@ -1119,23 +1093,22 @@ func (s *Scheduler) run(sl *slot, j *job) {
 	}
 	var pe *opt.PreemptedError
 	if errors.As(err, &pe) && !j.cancelRequested && !s.closed {
+		if s.spillLocked(j, pe.Checkpoint, store.TypePreempted) != nil {
+			s.abandonLocked(j) // the log refused the preemption: not our job
+			s.dispatchLocked()
+			return
+		}
 		j.preempting = false
-		j.preemptions++
 		s.preemptedN++
-		j.trace.Event("preempted", "updates", pe.Checkpoint.Updates, "preemptions", j.preemptions)
+		j.trace.Event("preempted", "updates", pe.Checkpoint.Updates, "preemptions", j.Preemptions)
 		j.cp = pe.Checkpoint
-		j.state = StatePreempted
-		j.engine = -1
-		j.queued = time.Now() // queue-wait accounting restarts here
-		s.spillLocked(j, pe.Checkpoint, store.TypePreempted)
 		// the lease releases with the spill durable: any replica (this one
 		// included) may re-claim the preempted job through the same CAS
 		s.releaseLeaseLocked(j)
-		s.enqueueLocked(j)
+		s.requeueLocked(j) // queue-wait accounting restarts here
 		ev := s.newEventLocked(j, EventPreempted, "")
 		ev.Updates = pe.Checkpoint.Updates
 		s.deliverLocked(j, ev)
-		j.updates = pe.Checkpoint.Updates
 		s.dispatchLocked()
 		return
 	}
@@ -1151,19 +1124,14 @@ func (s *Scheduler) run(sl *slot, j *job) {
 		j.retries++
 		s.retriesN++
 		j.trace.Event("retrying", "attempt", j.retries, "error", err.Error())
-		j.engine = -1
-		j.state = StateQueued
-		if j.cp != nil {
-			j.state = StatePreempted
-		}
-		j.queued = time.Now()
 		s.releaseLeaseLocked(j)
-		s.enqueueLocked(j)
+		s.requeueLocked(j)
 		s.emitLocked(j, EventQueued, fmt.Sprintf("retrying after: %v", err))
 		s.dispatchLocked()
 		return
 	}
-	s.finalizeLocked(j, res, err)
+	// a fenced terminal append abandons the run inside finalizeLocked
+	_ = s.finalizeLocked(j, res, err)
 	s.dispatchLocked()
 }
 
@@ -1229,11 +1197,14 @@ func (s *Scheduler) execute(sl *slot, j *job) (*async.Result, error) {
 	// from the spec or from an engine-level WithCheckpointEvery default
 	opts.Params.OnCheckpoint = func(cp *opt.Checkpoint) {
 		s.mu.Lock()
-		if j.state == StateRunning {
+		if j.state() == StateRunning {
 			// durable first (spill + checkpointed record), then visible:
 			// Checkpoint/resume_from never serve state the log doesn't cover
-			s.spillLocked(j, cp, store.TypeCheckpointed)
-			j.cp = cp
+			if s.spillLocked(j, cp, store.TypeCheckpointed) != nil {
+				s.fenceRunningLocked(j) // refused: the lease is gone, stop the run
+			} else {
+				j.cp = cp
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -1263,10 +1234,10 @@ func (s *Scheduler) progress(j *job, p opt.Progress, ds *dataset.Dataset, loss o
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.state != StateRunning {
+	if j.state() != StateRunning {
 		return
 	}
-	j.updates = p.Updates
+	j.Updates = p.Updates
 	if j.engine >= 0 && j.engine < len(s.slots) {
 		if eng := s.slots[j.engine].eng; eng != nil {
 			j.runStats = eng.RunStats()
@@ -1279,51 +1250,51 @@ func (s *Scheduler) progress(j *job, p opt.Progress, ds *dataset.Dataset, loss o
 	s.deliverLocked(j, ev)
 }
 
-// finalizeLocked moves a job to its terminal state, publishes the terminal
-// event, closes subscriptions, and applies the retention limit.
-func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) {
-	if j.state.Terminal() {
-		return
+// finalizeLocked commits the terminal record a finished run (or a cancel)
+// calls for and, once the log has it, finishes the job. A fenced append
+// means the job is another replica's: nothing is finalized or dropped, the
+// run (if any) is abandoned, and the error is returned.
+func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) error {
+	if j.Phase.Terminal() {
+		return nil
 	}
-	j.finished = time.Now()
-	var typ EventType
+	rec := &store.Record{Job: string(j.id)}
+	var wait *metrics.WaitSummary
 	switch {
 	case err == nil:
-		j.state = StateDone
-		typ = EventDone
-		j.result = res
+		rec.Type, rec.Updates = store.TypeDone, j.Updates
 		if res != nil && res.Trace != nil {
-			j.finalErr = finitePtr(res.Trace.FinalError())
+			if fe := finitePtr(res.Trace.FinalError()); fe != nil {
+				rec.FinalError, rec.HasFinal = *fe, true
+			}
 			w := res.Trace.Waits()
-			j.wait = &w
+			wait = &w
 			if n := len(res.Trace.Points); n > 0 {
-				j.updates = res.Trace.Points[n-1].Updates
+				rec.Updates = res.Trace.Points[n-1].Updates
 			}
 		}
-		s.doneN++
 	case j.cancelRequested || errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		typ = EventCanceled
-		j.err = err.Error()
+		rec.Type, rec.Detail = store.TypeCanceled, err.Error()
+	default:
+		rec.Type, rec.Detail = store.TypeFailed, err.Error()
+	}
+	if cerr := s.commitLocked(j, rec); cerr != nil {
+		if j.engine >= 0 {
+			s.abandonLocked(j)
+		} else {
+			s.yieldLocked(j)
+		}
+		return cerr
+	}
+	switch j.Phase {
+	case store.PhaseDone:
+		j.result, j.wait = res, wait
+		s.doneN++
+		s.tenantDone[j.spec.Tenant]++
+	case store.PhaseCanceled:
 		s.killedN++
 	default:
-		j.state = StateFailed
-		typ = EventFailed
-		j.err = err.Error()
 		s.failedN++
-	}
-	switch j.state {
-	case StateDone:
-		s.tenantDone[j.spec.Tenant]++
-		rec := &store.Record{Type: store.TypeDone, Job: string(j.id), Updates: j.updates}
-		if j.finalErr != nil {
-			rec.FinalError, rec.HasFinal = *j.finalErr, true
-		}
-		s.logAppendLocked(s.stampOwner(j, rec))
-	case StateFailed:
-		s.logAppendLocked(s.stampOwner(j, &store.Record{Type: store.TypeFailed, Job: string(j.id), Detail: j.err}))
-	case StateCanceled:
-		s.logAppendLocked(s.stampOwner(j, &store.Record{Type: store.TypeCanceled, Job: string(j.id), Detail: j.err}))
 	}
 	j.lease = store.Lease{} // the terminal record cleared it store-side
 	if s.cfg.Store != nil {
@@ -1331,10 +1302,25 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) {
 			s.storeErrs++
 		}
 	}
-	j.trace.Event(string(typ), "updates", j.updates, "message", j.err)
-	ev := s.newEventLocked(j, typ, j.err)
-	ev.Updates = j.updates
-	ev.Error = j.finalErr
+	s.finishLocked(j)
+	return nil
+}
+
+// finishLocked is the tail every job that reached a terminal phase goes
+// through, whoever wrote the record — this replica, a previous process
+// (boot replay) or a peer (tail mirroring): it leaves the queue, its
+// context ends, the terminal event goes out, subscriptions and the done
+// channel close, and the retention limit applies.
+func (s *Scheduler) finishLocked(j *job) {
+	s.removeFromQueueLocked(j)
+	j.cancel()
+	typ := EventType(j.state())
+	j.trace.Event(string(typ), "updates", j.Updates, "message", j.Detail, "owner", j.Owner)
+	ev := s.newEventLocked(j, typ, j.Detail)
+	ev.Updates = j.Updates
+	if j.HasFinal {
+		ev.Error = finitePtr(j.FinalError)
+	}
 	ev.Wait = j.wait
 	s.deliverLocked(j, ev)
 	for _, ch := range j.subs {
@@ -1351,7 +1337,7 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) {
 
 func (s *Scheduler) newEventLocked(j *job, typ EventType, msg string) Event {
 	j.eventSeq++
-	return Event{Job: j.id, Seq: j.eventSeq, Type: typ, State: j.state, Message: msg}
+	return Event{Job: j.id, Seq: j.eventSeq, Type: typ, State: j.state(), Message: msg}
 }
 
 func (s *Scheduler) emitLocked(j *job, typ EventType, msg string) {

@@ -41,18 +41,44 @@
 // files the log mentions — a spill that crashed before its record is
 // ignored, and the job resumes from the previous durable capture.
 //
-// # Compaction contract
+// # One lifecycle fold, and the compaction contract
 //
-// The log grows by a handful of records per job; compaction rewrites it
-// to the live set only. Compact takes a snapshot of records (rebuilt by
-// the scheduler from its in-memory state: one submitted record per held
-// job plus its current state-defining records), writes them to a fresh
-// temp log, fsyncs, and atomically renames it over wal.log — a crash at
-// any point leaves either the old log or the new one, never a mix.
-// Checkpoint files for jobs absent from the snapshot are deleted after
-// the rename. The scheduler triggers compaction every Config.CompactEvery
-// appends and once after recovery; records evicted by the scheduler's
-// retention limit simply stop appearing in snapshots.
+// What a job's records mean is decided in one place. JobState.Apply folds
+// a record into what the log can prove about the job (phase, submission
+// ordinal and time, spec, update clock, checkpoint pointer, preemption
+// count, terminal detail, last owner); JobState.Records is its inverse,
+// the minimal records whose fold is that state. Live commits, boot replay,
+// tail mirroring, the scheduler's compaction snapshot and Shared's
+// self-compaction all call this pair and nothing else interprets a record
+// type. The whole transition table, phase × record type:
+//
+//	            submitted  dispatched  checkpointed  preempted  done/failed/canceled  claimed/renewed/released
+//	none        queued     ✗           ✗             ✗          ✗                     ✗
+//	queued      queued     running     running       preempted  terminal              (unchanged)
+//	running     ✗          running     running       preempted  terminal              (unchanged)
+//	preempted   ✗          running     preempted     preempted  terminal              (unchanged)
+//	terminal    ✗          ✗           ✗             ✗          ✗                     ✗
+//
+// ✗ is an illegal pair: Apply returns false and the state is untouched, so
+// terminal phases absorb everything. Among the live phases the fold is
+// lenient — crash, retry and adoption histories legally re-dispatch a
+// running job, and a submitted repeated before the job moved (a
+// resubmission whose first ack was lost) supersedes the first. The newest checkpointed or preempted record is the
+// checkpoint pointer (a terminal record clears it), the update clock only
+// moves forward, and preempted records count (a compacted one carries the
+// count so far in JobSeq). The law tying the pair together, fuzzed:
+//
+//	fold(Records(s)) == s
+//
+// Compaction rewrites the log to Records(s) for every job it keeps (plus
+// the lease table), through a temp file, fsync and atomic rename — a crash
+// leaves either log, never a mix — and then deletes the spills of jobs the
+// new log no longer names. By the law a compaction changes no reader's
+// view and compacting twice changes nothing. A single-owner scheduler
+// compacts to the jobs it holds every Config.CompactEvery appends and once
+// after recovery, so jobs past its retention limit leave the log; Shared
+// compacts itself from its own folds (no replica sees the whole cluster),
+// bounding terminal history by SharedOptions.RetainTerminal.
 //
 // # Leases and epoch fencing
 //
@@ -64,16 +90,15 @@
 // lease is live, and succeeds with an epoch strictly above every epoch
 // the job has ever seen. That high-water mark is the fence: any
 // lifecycle append carrying a stale epoch — or no owner at all while a
-// live foreign lease exists — is rejected with ErrFenced. A replica that
-// loses its lease (crash, partition, missed renewals) can therefore
-// never retroactively finalize the job; the adopter's epoch wins, and
-// exactly one terminal record lands in the log. Terminal records clear
-// the lease and its epoch history. Submitted, claimed, renewed, and
-// released records are never themselves fenced.
+// live foreign lease exists — is rejected with ErrFenced, so a replica
+// that lost its lease can never retroactively finalize the job.
 //
-// Stores implementing the optional LeaseStore interface (Claim / Renew /
-// Release / Leases / ReplaySince) expose this to the scheduler's replica
-// mode; Mem and Shared both do.
+// Mem and Shared (the LeaseStore implementations) keep each job's fold
+// beside the lease table, under the lock that orders the log, and a job
+// whose fold is terminal refuses every further claim and append with
+// ErrFenced: a peer still holding a stale queued copy of a canceled job
+// cannot claim, run and finish it a second time. That is where "exactly
+// one terminal record" is enforced for more than one replica.
 //
 // # Shared: one directory, many replicas
 //
@@ -92,8 +117,9 @@
 // # Seam
 //
 // The scheduler depends only on the Store interface (append / replay /
-// checkpoint spill / compact) plus the optional LeaseStore extension.
-// WAL is the single-node file implementation, Shared the multi-replica
-// one, and Mem the in-memory implementation used by tests; faulty.Wrap
-// layers deterministic fault injection over any of them.
+// checkpoint spill / compact), the optional LeaseStore extension, and the
+// JobState fold. WAL is the single-node file implementation, Shared the
+// multi-replica one (they share the spill-file and log-rewrite code), and
+// Mem the in-memory one used by tests; faulty.Wrap layers deterministic
+// fault injection over any of them.
 package store

@@ -53,12 +53,14 @@ type Watermark struct {
 // expired, or the claimant already owns it — always bumping the epoch.
 // Renew extends a live lease the caller holds; a renew after expiry fails
 // with ErrFenced (the owner must re-claim, racing any adopter through the
-// same CAS). Terminal records clear the lease implicitly.
+// same CAS). Terminal records clear the lease implicitly, and from then on
+// the job refuses claims and appends alike with ErrFenced.
 type LeaseStore interface {
 	Store
 	// Claim atomically acquires the job's lease for owner with the given
 	// TTL, bumping the epoch past every epoch ever observed for the job.
-	// Fails with ErrLeaseHeld while another owner's lease is live.
+	// Fails with ErrLeaseHeld while another owner's lease is live, and with
+	// ErrFenced once the job has a terminal record.
 	Claim(job, owner string, ttl time.Duration) (Lease, error)
 	// Renew extends the caller's live lease; ErrFenced if the (owner,
 	// epoch) pair is stale or the lease already expired.
@@ -76,21 +78,40 @@ type LeaseStore interface {
 	ReplaySince(w Watermark, fn func(Record) error) (Watermark, error)
 }
 
-// leaseTable is the in-memory lease state both lease-capable stores derive
-// from the record stream. Not self-locking: the owning store guards it.
+// leaseTable is the in-memory state both lease-capable stores derive from
+// the record stream: who holds which job, and — beside it — each job's
+// lifecycle fold, so the lock that orders the log is also where a finished
+// job refuses to be claimed or moved again. Not self-locking: the owning
+// store guards it.
 type leaseTable struct {
 	leases   map[string]Lease
 	maxEpoch map[string]int64 // highest epoch ever observed per job
+	jobs     map[string]*JobState
 }
 
 func newLeaseTable() *leaseTable {
-	return &leaseTable{leases: map[string]Lease{}, maxEpoch: map[string]int64{}}
+	return &leaseTable{leases: map[string]Lease{}, maxEpoch: map[string]int64{}, jobs: map[string]*JobState{}}
 }
 
-// apply folds one record into the table. Claim/renew/release maintain the
-// lease map; terminal records clear the job's lease (the job is over) and
-// its epoch high-water (the job ID will never be claimed again).
+// terminal reports whether the job's fold has reached a terminal phase.
+func (t *leaseTable) terminal(job string) bool {
+	s := t.jobs[job]
+	return s != nil && s.Phase.Terminal()
+}
+
+// apply folds one record into the table. Every record goes through the
+// job's lifecycle fold; claim/renew/release maintain the lease map, and
+// terminal records clear the job's lease (the job is over) and its epoch
+// high-water (fence and claim refuse a terminal job from here on).
 func (t *leaseTable) apply(rec *Record) {
+	s := t.jobs[rec.Job]
+	if s == nil && rec.Type == TypeSubmitted {
+		s = &JobState{}
+		t.jobs[rec.Job] = s
+	}
+	if s != nil {
+		s.Apply(rec)
+	}
 	switch rec.Type {
 	case TypeClaimed:
 		t.leases[rec.Job] = Lease{Job: rec.Job, Owner: rec.Owner, Epoch: rec.Epoch, ExpiresAt: rec.ExpiresAt}
@@ -121,8 +142,12 @@ func (t *leaseTable) apply(rec *Record) {
 // live lease, in which case only its owner may move the job's state: an
 // unfenced Canceled from a bystander must not clear a running replica's
 // lease out from under it. Submissions and lease-protocol records are
-// never fenced here (claims carry their own CAS).
+// never fenced here (claims carry their own CAS). A job whose fold is
+// terminal refuses every further record: it reached its one terminal state.
 func (t *leaseTable) fence(rec *Record, now time.Time) error {
+	if t.terminal(rec.Job) {
+		return ErrFenced
+	}
 	switch rec.Type {
 	case TypeClaimed, TypeRenewed, TypeReleased, TypeSubmitted:
 		return nil
@@ -141,9 +166,12 @@ func (t *leaseTable) fence(rec *Record, now time.Time) error {
 }
 
 // claim runs the claim CAS against the table and returns the records's
-// lease fields. The caller appends the returned Claimed record durably
-// before applying it.
+// lease fields; a finished job is never claimed again (ErrFenced). The
+// caller appends the returned Claimed record durably before applying it.
 func (t *leaseTable) claim(job, owner string, ttl time.Duration, now time.Time) (Lease, error) {
+	if t.terminal(job) {
+		return Lease{}, ErrFenced
+	}
 	if l, ok := t.leases[job]; ok && l.Owner != owner && l.Live(now) {
 		return Lease{}, ErrLeaseHeld
 	}

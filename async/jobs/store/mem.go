@@ -19,7 +19,7 @@ import (
 type Mem struct {
 	mu      sync.Mutex
 	records []Record
-	spills  map[string][]byte // job\x00dispatchSeq → encoded checkpoint
+	spills  map[string]memSpill // job → its one retained spill
 	seq     uint64
 	gen     uint64 // bumped by Compact; versions ReplaySince watermarks
 	lt      *leaseTable
@@ -33,12 +33,15 @@ type Mem struct {
 	closed  bool
 }
 
-// NewMem builds an empty in-memory store.
-func NewMem() *Mem { return &Mem{spills: map[string][]byte{}, lt: newLeaseTable()} }
-
-func spillKey(job string, dispatchSeq int64) string {
-	return fmt.Sprintf("%s\x00%d", job, dispatchSeq)
+// memSpill is a job's newest encoded checkpoint (a newer spill replaces the
+// older one, as the file stores do).
+type memSpill struct {
+	dispatchSeq int64
+	data        []byte
 }
+
+// NewMem builds an empty in-memory store.
+func NewMem() *Mem { return &Mem{spills: map[string]memSpill{}, lt: newLeaseTable()} }
 
 // Replay streams the held records in order.
 func (m *Mem) Replay(fn func(Record) error) error {
@@ -92,12 +95,7 @@ func (m *Mem) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoint) 
 	if m.closed {
 		return ErrClosed
 	}
-	for k := range m.spills {
-		if len(k) > len(job) && k[:len(job)] == job && k[len(job)] == 0 {
-			delete(m.spills, k)
-		}
-	}
-	m.spills[spillKey(job, dispatchSeq)] = buf.Bytes()
+	m.spills[job] = memSpill{dispatchSeq, buf.Bytes()}
 	m.nspills++
 	return nil
 }
@@ -105,12 +103,12 @@ func (m *Mem) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoint) 
 // LoadCheckpoint decodes the spill keyed by (job, dispatchSeq).
 func (m *Mem) LoadCheckpoint(job string, dispatchSeq int64) (*opt.Checkpoint, error) {
 	m.mu.Lock()
-	b, ok := m.spills[spillKey(job, dispatchSeq)]
+	sp, ok := m.spills[job]
 	m.mu.Unlock()
-	if !ok {
+	if !ok || sp.dispatchSeq != dispatchSeq {
 		return nil, fmt.Errorf("store: no spill for %s@%d", job, dispatchSeq)
 	}
-	return opt.LoadCheckpoint(bytes.NewReader(b))
+	return opt.LoadCheckpoint(bytes.NewReader(sp.data))
 }
 
 // DropJob removes the job's spills.
@@ -120,18 +118,15 @@ func (m *Mem) DropJob(job string) error {
 	if m.closed {
 		return ErrClosed
 	}
-	for k := range m.spills {
-		if len(k) > len(job) && k[:len(job)] == job && k[len(job)] == 0 {
-			delete(m.spills, k)
-		}
-	}
+	delete(m.spills, job)
 	return nil
 }
 
 // Compact replaces the record list with snapshot and drops spills of jobs
 // it no longer mentions. Lease state survives the rewrite: the table is
 // re-serialized onto the new log so claims and epoch high-waters are not
-// lost.
+// lost, and the job folds restart from the snapshot — the table is always
+// the fold of the records held.
 func (m *Mem) Compact(snapshot []*Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -141,9 +136,11 @@ func (m *Mem) Compact(snapshot []*Record) error {
 	snapshot = append(snapshot, m.lt.snapshotRecords(time.Now().UnixNano())...)
 	keep := make(map[string]bool, len(snapshot))
 	m.records = m.records[:0]
+	m.lt = newLeaseTable()
 	for i, rec := range snapshot {
 		rec.Seq = uint64(i + 1)
 		m.records = append(m.records, *rec)
+		m.lt.apply(rec)
 		keep[rec.Job] = true
 	}
 	m.seq = uint64(len(snapshot))
@@ -151,16 +148,9 @@ func (m *Mem) Compact(snapshot []*Record) error {
 	m.since = 0
 	m.compact++
 	m.appends += int64(len(snapshot))
-	for k := range m.spills {
-		job := k
-		for i := 0; i < len(k); i++ {
-			if k[i] == 0 {
-				job = k[:i]
-				break
-			}
-		}
+	for job := range m.spills {
 		if !keep[job] {
-			delete(m.spills, k)
+			delete(m.spills, job)
 		}
 	}
 	return nil

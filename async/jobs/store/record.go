@@ -70,7 +70,9 @@ type Record struct {
 	// to restore queue/retention ordering and SLO deadlines.
 	Time int64
 
-	// JobSeq is the scheduler's submission ordinal (TypeSubmitted).
+	// JobSeq is the scheduler's submission ordinal (TypeSubmitted). On a
+	// TypePreempted record written by a compaction it is the job's
+	// preemption count so far (see JobState.Apply); live ones leave it 0.
 	JobSeq int64
 	// Spec is the JSON-encoded job spec (TypeSubmitted).
 	Spec []byte

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -46,8 +45,8 @@ const (
 //
 // Unlike WAL, Compact ignores the caller's snapshot: no single replica
 // sees the whole cluster's live set, so Shared derives the compacted log
-// from the log itself (latest submitted/checkpoint/state record per job,
-// terminal history bounded by RetainTerminal, lease table re-serialized).
+// from the log itself (the Records of each job's lifecycle fold, terminal
+// history bounded by RetainTerminal, lease table re-serialized).
 // Other replicas detect the rewrite by inode change and re-read from the
 // top; ReplaySince watermarks carry a generation for the same reason.
 type Shared struct {
@@ -167,6 +166,23 @@ func (s *Shared) flock() error {
 
 func (s *Shared) funlock() { _ = syscall.Flock(int(s.lockF.Fd()), syscall.LOCK_UN) }
 
+// enter is how every operation on the shared log starts: take the handle
+// mutex and the cross-handle flock, and bring the cached view up to date.
+// The returned func releases both.
+func (s *Shared) enter() (leave func(), err error) {
+	s.mu.Lock()
+	if s.dead || s.closed {
+		err = ErrClosed
+	} else if err = s.flock(); err == nil {
+		if err = s.refreshLocked(); err == nil {
+			return func() { s.funlock(); s.mu.Unlock() }, nil
+		}
+		s.funlock()
+	}
+	s.mu.Unlock()
+	return nil, err
+}
+
 func (s *Shared) checkMagic() error {
 	head := make([]byte, sharedMagicLen)
 	if _, err := s.f.ReadAt(head, 0); err != nil || !bytes.Equal(head, walMagic) {
@@ -249,12 +265,13 @@ func (s *Shared) scanTailLocked() error {
 	return nil
 }
 
-func (s *Shared) syncLog() error {
+// syncFile fsyncs f (unless NoSync) and accounts the latency.
+func (s *Shared) syncFile(f *os.File) error {
 	if s.opts.NoSync {
 		return nil
 	}
 	start := time.Now()
-	if err := s.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("store: fsync: %w", err)
 	}
 	s.fsyncs++
@@ -262,6 +279,8 @@ func (s *Shared) syncLog() error {
 	walFsyncLat.ObserveSince(start)
 	return nil
 }
+
+func (s *Shared) syncLog() error { return s.syncFile(s.f) }
 
 // appendRecLocked durably writes one record at the tail of the refreshed
 // view and folds it into the caches. Fencing is the caller's concern.
@@ -343,45 +362,18 @@ func (s *Shared) Replica() string { return s.replica }
 // Replay streams the current log from the top. Called once at scheduler
 // boot; later cross-replica records arrive through ReplaySince.
 func (s *Shared) Replay(fn func(Record) error) error {
-	s.mu.Lock()
-	if s.dead || s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	err := s.refreshLocked()
-	recs := append([]Record(nil), s.records...)
-	s.funlock()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.ReplaySince(Watermark{}, fn)
+	return err
 }
 
 // Append durably logs one record, fencing ownership-asserting records
 // against the live lease table (ErrFenced for stale owners).
 func (s *Shared) Append(rec *Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
+	leave, err := s.enter()
+	if err != nil {
 		return err
 	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return err
-	}
+	defer leave()
 	if err := s.lt.fence(rec, time.Now()); err != nil {
 		s.fenced++
 		walFencedAppends.Inc()
@@ -403,18 +395,11 @@ func (s *Shared) Append(rec *Record) error {
 // expired, or self-held leases are claimable (epoch bumps past every epoch
 // ever observed); a live foreign lease fails with ErrLeaseHeld.
 func (s *Shared) Claim(job, owner string, ttl time.Duration) (Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return Lease{}, ErrClosed
-	}
-	if err := s.flock(); err != nil {
+	leave, err := s.enter()
+	if err != nil {
 		return Lease{}, err
 	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return Lease{}, err
-	}
+	defer leave()
 	l, err := s.lt.claim(job, owner, ttl, time.Now())
 	if err != nil {
 		return Lease{}, err
@@ -432,18 +417,11 @@ func (s *Shared) Claim(job, owner string, ttl time.Duration) (Lease, error) {
 // expired or was superseded (the caller must stop acting as owner and
 // re-claim).
 func (s *Shared) Renew(job, owner string, epoch int64, ttl time.Duration) (Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return Lease{}, ErrClosed
-	}
-	if err := s.flock(); err != nil {
+	leave, err := s.enter()
+	if err != nil {
 		return Lease{}, err
 	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return Lease{}, err
-	}
+	defer leave()
 	l, err := s.lt.renew(job, owner, epoch, ttl, time.Now())
 	if err != nil {
 		s.fenced++
@@ -462,18 +440,11 @@ func (s *Shared) Renew(job, owner string, epoch int64, ttl time.Duration) (Lease
 // Release ends this replica's lease. Releasing a lease the table no longer
 // holds is a no-op; a mismatched live lease is ErrFenced.
 func (s *Shared) Release(job, owner string, epoch int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
+	leave, err := s.enter()
+	if err != nil {
 		return err
 	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return err
-	}
+	defer leave()
 	_, held, err := s.lt.release(job, owner, epoch)
 	if err != nil {
 		s.fenced++
@@ -489,45 +460,28 @@ func (s *Shared) Release(job, owner string, epoch int64) error {
 // Leases snapshots the lease table (expired entries included — they are
 // the orphans an adopter scans for).
 func (s *Shared) Leases() ([]Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return nil, ErrClosed
-	}
-	if err := s.flock(); err != nil {
+	leave, err := s.enter()
+	if err != nil {
 		return nil, err
 	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return nil, err
-	}
+	defer leave()
 	return s.lt.snapshot(), nil
 }
 
 // ReplaySince streams records appended after the watermark; a compaction
 // swap bumps the generation and the rewritten log replays from its top.
 func (s *Shared) ReplaySince(w Watermark, fn func(Record) error) (Watermark, error) {
-	s.mu.Lock()
-	if s.dead || s.closed {
-		s.mu.Unlock()
-		return w, ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		s.mu.Unlock()
+	leave, err := s.enter()
+	if err != nil {
 		return w, err
 	}
-	err := s.refreshLocked()
 	from := 0
-	if err == nil && w.Gen == s.gen && w.Seq <= uint64(len(s.records)) {
+	if w.Gen == s.gen && w.Seq <= uint64(len(s.records)) {
 		from = int(w.Seq)
 	}
 	recs := append([]Record(nil), s.records[from:]...)
 	out := Watermark{Gen: s.gen, Seq: s.seq}
-	s.funlock()
-	s.mu.Unlock()
-	if err != nil {
-		return w, err
-	}
+	leave()
 	for _, r := range recs {
 		if err := fn(r); err != nil {
 			return w, err
@@ -536,67 +490,27 @@ func (s *Shared) ReplaySince(w Watermark, fn func(Record) error) (Watermark, err
 	return out, nil
 }
 
-// SaveCheckpoint durably spills cp keyed by (job, dispatchSeq) — temp
-// file, fsync, rename — then removes the job's older spills. Spills need
-// no flock: job IDs are replica-unique at submission and lease-owned
-// afterwards, so two replicas never spill the same job concurrently.
+// SaveCheckpoint durably spills cp keyed by (job, dispatchSeq); see
+// saveSpill for the protocol. Spills need no flock: job IDs are
+// replica-unique at submission and lease-owned afterwards, so two replicas
+// never spill the same job concurrently.
 func (s *Shared) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoint) error {
-	name, err := ckptName(job, dispatchSeq)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead || s.closed {
 		return ErrClosed
 	}
-	var buf bytes.Buffer
-	if err := opt.SaveCheckpoint(&buf, cp); err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	tmp := filepath.Join(s.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	if !s.opts.NoSync {
-		start := time.Now()
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: fsync: %w", err)
-		}
-		s.fsyncs++
-		s.fsyncNS += time.Since(start).Nanoseconds()
-		walFsyncLat.ObserveSince(start)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
+	if err := saveSpill(s.dir, job, dispatchSeq, cp, s.syncFile); err != nil {
+		return err
 	}
 	s.spills++
 	walSpills.Inc()
-	dropSpillFiles(s.dir, job, name)
 	return nil
 }
 
 // LoadCheckpoint loads the spill keyed by (job, dispatchSeq).
 func (s *Shared) LoadCheckpoint(job string, dispatchSeq int64) (*opt.Checkpoint, error) {
-	name, err := ckptName(job, dispatchSeq)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("store: load checkpoint %s@%d: %w", job, dispatchSeq, err)
-	}
-	defer f.Close()
-	return opt.LoadCheckpoint(f)
+	return loadSpill(s.dir, job, dispatchSeq)
 }
 
 // DropJob removes all spilled checkpoints of a terminal job.
@@ -606,7 +520,7 @@ func (s *Shared) DropJob(job string) error {
 	if s.dead || s.closed {
 		return ErrClosed
 	}
-	dropSpillFiles(s.dir, job, "")
+	sweepSpills(s.dir, func(j, _ string) bool { return j == job })
 	return nil
 }
 
@@ -615,67 +529,39 @@ func (s *Shared) DropJob(job string) error {
 // compacting to it would destroy cluster state. Shared instead derives the
 // snapshot from the log itself (see selfCompactLocked).
 func (s *Shared) Compact([]*Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
+	leave, err := s.enter()
+	if err != nil {
 		return err
 	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return err
-	}
+	defer leave()
 	return s.selfCompactLocked()
 }
 
-// selfCompactLocked rewrites the log from the log: per job the latest
-// submitted, checkpoint, and state-defining records survive (terminal jobs
-// keep only submitted + terminal, bounded to the RetainTerminal most
-// recent), and the lease table is re-serialized so claims and epoch
-// high-waters outlive the rewrite. Atomic: temp log, fsync, rename; a
-// crash leaves either complete log. Other replicas detect the swap by
-// inode change on their next refresh.
+// selfCompactLocked rewrites the log from the log: every job survives as
+// the Records of its lifecycle fold (terminal jobs bounded to the
+// RetainTerminal most recent), and the lease table is re-serialized so
+// claims and epoch high-waters outlive the rewrite (atomic: see
+// rewriteLog). Other replicas detect the swap by inode change on their
+// next refresh.
 func (s *Shared) selfCompactLocked() error {
-	type agg struct {
-		submitted *Record
-		ckpt      *Record
-		state     *Record // latest dispatched/preempted
-		terminal  *Record
-	}
-	byJob := map[string]*agg{}
-	var order []string
+	// jobs in order of first appearance, so the rewrite is deterministic
+	var order, terminalJobs []string
+	seen := map[string]bool{}
 	for i := range s.records {
-		rec := &s.records[i]
-		a := byJob[rec.Job]
-		if a == nil {
-			a = &agg{}
-			byJob[rec.Job] = a
-			order = append(order, rec.Job)
-		}
-		switch rec.Type {
-		case TypeSubmitted:
-			a.submitted = rec
-		case TypeCheckpointed:
-			a.ckpt = rec
-		case TypeDispatched, TypePreempted:
-			a.state = rec
-		case TypeDone, TypeFailed, TypeCanceled:
-			a.terminal = rec
+		job := s.records[i].Job
+		if st := s.lt.jobs[job]; st != nil && !seen[job] {
+			seen[job] = true
+			order = append(order, job)
+			if st.Phase.Terminal() {
+				terminalJobs = append(terminalJobs, job)
+			}
 		}
 	}
 	// bound terminal history: most recent RetainTerminal finish times win
-	var terminalJobs []string
-	for _, job := range order {
-		if a := byJob[job]; a.terminal != nil {
-			terminalJobs = append(terminalJobs, job)
-		}
-	}
 	drop := map[string]bool{}
 	if over := len(terminalJobs) - s.opts.RetainTerminal; over > 0 {
-		sort.Slice(terminalJobs, func(i, j int) bool {
-			return byJob[terminalJobs[i]].terminal.Time < byJob[terminalJobs[j]].terminal.Time
+		sort.SliceStable(terminalJobs, func(i, j int) bool {
+			return s.lt.jobs[terminalJobs[i]].Finished < s.lt.jobs[terminalJobs[j]].Finished
 		})
 		for _, job := range terminalJobs[:over] {
 			drop[job] = true
@@ -683,89 +569,34 @@ func (s *Shared) selfCompactLocked() error {
 	}
 	var snapshot []*Record
 	for _, job := range order {
-		a := byJob[job]
-		if a.submitted == nil || drop[job] {
-			continue
-		}
-		snapshot = append(snapshot, a.submitted)
-		if a.terminal != nil {
-			snapshot = append(snapshot, a.terminal)
-			continue
-		}
-		if a.ckpt != nil {
-			snapshot = append(snapshot, a.ckpt)
-		}
-		if a.state != nil {
-			snapshot = append(snapshot, a.state)
+		if !drop[job] {
+			snapshot = append(snapshot, s.lt.jobs[job].Records(job)...)
 		}
 	}
 	snapshot = append(snapshot, s.lt.snapshotRecords(time.Now().UnixNano())...)
 
-	tmp := filepath.Join(s.dir, walName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	nf, buf, err := rewriteLog(s.dir, snapshot, s.buf, s.syncFile)
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	buf := append(s.buf[:0], walMagic...)
-	keep := make(map[string]bool, len(snapshot))
-	newRecs := make([]Record, 0, len(snapshot))
-	for i, rec := range snapshot {
-		cp := *rec
-		cp.Seq = uint64(i + 1)
-		buf = cp.encode(buf)
-		keep[cp.Job] = true
-		newRecs = append(newRecs, cp)
-	}
-	s.buf = buf[:0]
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact fsync: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	path := filepath.Join(s.dir, walName)
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact reopen: %w", err)
+		return err
 	}
 	_ = s.f.Close()
-	s.f = nf
+	s.f, s.buf = nf, buf[:0]
+	// the view restarts from the rewritten log, exactly as a peer's will:
+	// jobs past the retention bound leave the fold with their records
+	s.records = make([]Record, 0, len(snapshot))
+	s.lt = newLeaseTable()
+	for _, rec := range snapshot {
+		s.records = append(s.records, *rec)
+		s.lt.apply(rec)
+	}
 	s.gen++
-	s.seq = uint64(len(newRecs))
+	s.seq = uint64(len(snapshot))
 	s.off = int64(len(buf))
-	s.records = newRecs
 	s.sinceCompact = 0
 	s.compactions++
-	s.appends += int64(len(newRecs))
+	s.appends += int64(len(snapshot))
 	walCompactions.Inc()
-	walAppends.Add(int64(len(newRecs)))
-	// GC spills of jobs the compacted log no longer mentions
-	entries, err := os.ReadDir(s.dir)
-	if err == nil {
-		for _, e := range entries {
-			n := e.Name()
-			if !strings.HasPrefix(n, "cp-") || !strings.HasSuffix(n, ".ckpt") {
-				continue
-			}
-			core := strings.TrimSuffix(strings.TrimPrefix(n, "cp-"), ".ckpt")
-			if i := strings.LastIndexByte(core, '-'); i > 0 {
-				core = core[:i]
-			}
-			if !keep[core] {
-				_ = os.Remove(filepath.Join(s.dir, n))
-			}
-		}
-	}
+	walAppends.Add(int64(len(snapshot)))
 	return nil
 }
 
@@ -776,14 +607,7 @@ func (s *Shared) Sync() error {
 	if s.dead || s.closed {
 		return ErrClosed
 	}
-	start := time.Now()
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
-	}
-	s.fsyncs++
-	s.fsyncNS += time.Since(start).Nanoseconds()
-	walFsyncLat.ObserveSince(start)
-	return nil
+	return s.syncLog()
 }
 
 // Metrics snapshots the counters.
@@ -849,19 +673,4 @@ func (s *Shared) Kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dead = true
-}
-
-// dropSpillFiles removes job's spill files in dir except keep ("" = all).
-func dropSpillFiles(dir, job, keep string) {
-	prefix := "cp-" + job + "-"
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		n := e.Name()
-		if strings.HasPrefix(n, prefix) && strings.HasSuffix(n, ".ckpt") && n != keep {
-			_ = os.Remove(filepath.Join(dir, n))
-		}
-	}
 }

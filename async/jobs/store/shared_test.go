@@ -373,3 +373,52 @@ func TestSharedTransientAppendFailureRollsBack(t *testing.T) {
 		t.Fatalf("peer claim over live lease (epoch %d): %v, want ErrLeaseHeld", la.Epoch, err)
 	}
 }
+
+// TestSharedCompactKeepsPreemptSpill: self-compaction must keep a job's
+// newest checkpoint pointer whatever record type carried it. A preempted
+// record followed by a re-dispatch used to be dropped as a superseded
+// state record, so the job's only spill pointer vanished and the next
+// adopter restarted from update 0.
+func TestSharedCompactKeepsPreemptSpill(t *testing.T) {
+	const job = "job-a-000001"
+	for _, tc := range []struct {
+		name    string
+		history []*Record
+	}{
+		{"preempted then redispatched", []*Record{
+			{Type: TypeSubmitted, Job: job, JobSeq: 1, Spec: []byte(`{}`)},
+			{Type: TypeDispatched, Job: job},
+			{Type: TypePreempted, Job: job, Updates: 300, DispatchSeq: 12},
+			{Type: TypeDispatched, Job: job, Updates: 300},
+		}},
+		{"newest pointer wins", []*Record{
+			{Type: TypeSubmitted, Job: job, JobSeq: 1, Spec: []byte(`{}`)},
+			{Type: TypeDispatched, Job: job},
+			{Type: TypeCheckpointed, Job: job, Updates: 200, DispatchSeq: 9},
+			{Type: TypePreempted, Job: job, Updates: 300, DispatchSeq: 12},
+			{Type: TypeDispatched, Job: job, Updates: 300},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openShared(t, t.TempDir(), "a")
+			for _, rec := range tc.history {
+				if err := s.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Compact(nil); err != nil {
+				t.Fatal(err)
+			}
+			var last *Record
+			for _, r := range replayAll(t, s) {
+				r := r
+				if r.Type == TypeCheckpointed || r.Type == TypePreempted {
+					last = &r
+				}
+			}
+			if last == nil || last.DispatchSeq != 12 || last.Updates != 300 {
+				t.Fatalf("newest surviving checkpoint pointer %+v, want dispatch_seq 12 at 300 updates", last)
+			}
+		})
+	}
+}

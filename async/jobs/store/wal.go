@@ -212,75 +212,25 @@ func (w *WAL) syncFile(f *os.File) error {
 	return nil
 }
 
-// ckptName builds the spill filename for (job, dispatchSeq). Job IDs are
-// scheduler-generated ("job-000042"); anything path-like is rejected.
-func ckptName(job string, dispatchSeq int64) (string, error) {
-	if job == "" || strings.ContainsAny(job, "/\\:*?\"<>|") || strings.Contains(job, "..") {
-		return "", fmt.Errorf("store: invalid job id %q", job)
-	}
-	return fmt.Sprintf("cp-%s-%d.ckpt", job, dispatchSeq), nil
-}
-
-// SaveCheckpoint durably spills cp keyed by (job, dispatchSeq): temp file,
-// fsync, rename into place, then older spills of the same job are removed.
-// The caller appends the checkpointed record only after this returns, so
-// the log never references a spill that is not on disk.
+// SaveCheckpoint durably spills cp keyed by (job, dispatchSeq); see
+// saveSpill for the protocol.
 func (w *WAL) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoint) error {
-	name, err := ckptName(job, dispatchSeq)
-	if err != nil {
-		return err
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead || w.closed {
 		return ErrClosed
 	}
-	var buf bytes.Buffer
-	if err := opt.SaveCheckpoint(&buf, cp); err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	tmp := filepath.Join(w.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	if err := w.syncFile(f); err != nil {
-		f.Close()
+	if err := saveSpill(w.dir, job, dispatchSeq, cp, w.syncFile); err != nil {
 		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, name)); err != nil {
-		return fmt.Errorf("store: spill %s: %w", job, err)
 	}
 	w.spills++
 	walSpills.Inc()
-	w.dropSpillsLocked(job, name)
 	return nil
-}
-
-// dropSpillsLocked removes the job's spill files except keep ("" = all).
-func (w *WAL) dropSpillsLocked(job, keep string) {
-	dropSpillFiles(w.dir, job, keep)
 }
 
 // LoadCheckpoint loads the spill keyed by (job, dispatchSeq).
 func (w *WAL) LoadCheckpoint(job string, dispatchSeq int64) (*opt.Checkpoint, error) {
-	name, err := ckptName(job, dispatchSeq)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(filepath.Join(w.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("store: load checkpoint %s@%d: %w", job, dispatchSeq, err)
-	}
-	defer f.Close()
-	return opt.LoadCheckpoint(f)
+	return loadSpill(w.dir, job, dispatchSeq)
 }
 
 // DropJob removes all spilled checkpoints of a terminal job.
@@ -290,60 +240,23 @@ func (w *WAL) DropJob(job string) error {
 	if w.dead || w.closed {
 		return ErrClosed
 	}
-	w.dropSpillsLocked(job, "")
+	sweepSpills(w.dir, func(j, _ string) bool { return j == job })
 	return nil
 }
 
-// Compact atomically replaces the log with snapshot: a fresh temp log is
-// written (records re-sequenced from 1), fsynced, and renamed over
-// wal.log; checkpoints of jobs no snapshot record names are then deleted.
-// A crash anywhere leaves either the complete old log or the complete new
-// one.
+// Compact atomically replaces the log with snapshot (see rewriteLog).
 func (w *WAL) Compact(snapshot []*Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead || w.closed {
 		return ErrClosed
 	}
-	tmp := filepath.Join(w.dir, walName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	nf, buf, err := rewriteLog(w.dir, snapshot, w.buf, w.syncFile)
 	if err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	buf := append(w.buf[:0], walMagic...)
-	keep := make(map[string]bool, len(snapshot))
-	for i, rec := range snapshot {
-		rec.Seq = uint64(i + 1)
-		buf = rec.encode(buf)
-		keep[rec.Job] = true
-	}
-	w.buf = buf[:0]
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	if err := w.syncFile(f); err != nil {
-		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	path := filepath.Join(w.dir, walName)
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	old := w.f
-	nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compact reopen: %w", err)
-	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return fmt.Errorf("store: compact reopen: %w", err)
-	}
-	w.f = nf
-	_ = old.Close()
+	_ = w.f.Close()
+	w.f, w.buf = nf, buf[:0]
 	w.seq = uint64(len(snapshot))
 	w.size = int64(len(buf))
 	w.sinceCompact = 0
@@ -352,24 +265,53 @@ func (w *WAL) Compact(snapshot []*Record) error {
 	walCompactions.Inc()
 	walAppends.Add(int64(len(snapshot)))
 	walSize.SetInt(w.size)
-	// GC spills of jobs the compacted log no longer mentions
-	entries, err := os.ReadDir(w.dir)
-	if err == nil {
-		for _, e := range entries {
-			n := e.Name()
-			if !strings.HasPrefix(n, "cp-") || !strings.HasSuffix(n, ".ckpt") {
-				continue
-			}
-			core := strings.TrimSuffix(strings.TrimPrefix(n, "cp-"), ".ckpt")
-			if i := strings.LastIndexByte(core, '-'); i > 0 {
-				core = core[:i]
-			}
-			if !keep[core] {
-				_ = os.Remove(filepath.Join(w.dir, n))
-			}
-		}
-	}
 	return nil
+}
+
+// rewriteLog atomically replaces dir's log with snapshot, re-sequenced
+// from 1: a fresh temp log is written, synced and renamed over wal.log, so
+// a crash anywhere leaves either the complete old log or the complete new
+// one; spills of jobs the new log no longer mentions are then deleted. It
+// returns the new log, positioned for appending, and its bytes (in buf,
+// reused).
+func rewriteLog(dir string, snapshot []*Record, buf []byte, sync func(*os.File) error) (*os.File, []byte, error) {
+	tmp := filepath.Join(dir, walName+".tmp")
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, buf, fmt.Errorf("store: compact: %w", err)
+	}
+	buf = append(buf[:0], walMagic...)
+	keep := make(map[string]bool, len(snapshot))
+	for i, rec := range snapshot {
+		rec.Seq = uint64(i + 1)
+		buf = rec.encode(buf)
+		keep[rec.Job] = true
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return nil, buf, fmt.Errorf("store: compact: %w", err)
+	}
+	if err := sync(f); err != nil {
+		f.Close()
+		return nil, buf, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, buf, fmt.Errorf("store: compact: %w", err)
+	}
+	path := filepath.Join(dir, walName)
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, buf, fmt.Errorf("store: compact: %w", err)
+	}
+	nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, buf, fmt.Errorf("store: compact reopen: %w", err)
+	}
+	if _, err := nf.Seek(0, 2); err != nil {
+		nf.Close()
+		return nil, buf, fmt.Errorf("store: compact reopen: %w", err)
+	}
+	sweepSpills(dir, func(j, _ string) bool { return !keep[j] })
+	return nf, buf, nil
 }
 
 // Sync fsyncs the log (graceful-shutdown flush).
@@ -379,14 +321,7 @@ func (w *WAL) Sync() error {
 	if w.dead || w.closed {
 		return ErrClosed
 	}
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync: %w", err)
-	}
-	w.fsyncs++
-	w.fsyncNS += time.Since(start).Nanoseconds()
-	walFsyncLat.ObserveSince(start)
-	return nil
+	return w.syncFile(w.f)
 }
 
 // Metrics snapshots the counters.
