@@ -34,18 +34,20 @@
 // objective family (cd — proximal coordinate descent with incremental
 // residuals, gcg — restart-based generalized conjugate gradient) and the
 // Mllib-style baseline (mllib-sgd) are pre-registered, and new workloads
-// plug in via Register without touching the engine. sgd, asgd, saga and
-// asaga dispatch registered ops, so they run on either transport; the names
-// asgd-remote and asaga-remote are deprecated aliases of asgd and asaga.
-// Solvers receive a context.Context
-// that is threaded down into the AC, so cancellation or a deadline aborts
-// barrier waits and result collection mid-run.
+// plug in via Register without touching the engine. Every solver but the
+// baseline dispatches registered ops, so it runs on either transport; the
+// names asgd-remote and asaga-remote are deprecated aliases of asgd and
+// asaga. Solvers receive a context.Context that is threaded down into the
+// AC, so cancellation or a deadline aborts barrier waits and result
+// collection mid-run. A run whose tasks keep failing on the workers ends
+// with an error carrying the worker's message (core.ErrTaskFailed).
 //
 // For drivers that need the raw Table-1 primitives (ASYNCbroadcast,
 // ASYNCbarrier, ASYNCreduce, ASYNCcollect), Engine.Context exposes the
 // underlying AC; the barrier and filter constructors (ASP, BSP, SSP,
 // MinAvailable, MaxAvgTaskTime) are re-exported here so such drivers need
-// no internal imports.
+// no internal imports. ASYNCreduce takes a closure and so needs in-process
+// workers; ASYNCreduceOp dispatches a registered op and runs anywhere.
 //
 // An engine serves one Solve at a time (ErrBusy) and holds one dataset at
 // a time (Release swaps it); between solves the engine resets its logical

@@ -9,6 +9,8 @@ import (
 
 	"repro/async"
 	"repro/async/jobs"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/metrics"
@@ -139,5 +141,64 @@ func TestDivergedJobFailsWithoutRetry(t *testing.T) {
 	}
 	if job.Retries != 0 {
 		t.Fatalf("a diverged job was retried %d times", job.Retries)
+	}
+}
+
+// failingTaskSolver drives the raw AC loop with an op that errors on every
+// worker: what a solver whose args fail to decode, or whose op panics, looks
+// like from the scheduler.
+type failingTaskSolver struct{ attempts atomic.Int32 }
+
+const failingTaskOp = "jobs.test.fail"
+
+func (*failingTaskSolver) Name() string { return "failing-task" }
+
+func (f *failingTaskSolver) Solve(_ context.Context, e *async.Engine, _ *dataset.Dataset, _ async.SolveOptions) (*async.Result, error) {
+	f.attempts.Add(1)
+	ac := e.Context()
+	for {
+		sel, err := ac.ASYNCbarrier(core.ASP(), nil)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := ac.ASYNCreduceOp(sel, failingTaskOp, func(int, []int) any { return nil }); err != nil {
+			return nil, err
+		}
+		if _, err := ac.ASYNCcollectAll(); errors.Is(err, core.ErrTaskFailed) {
+			return nil, err
+		}
+	}
+}
+
+var failingTask = &failingTaskSolver{}
+
+func init() {
+	cluster.RegisterOp(failingTaskOp, func(*cluster.Env, *cluster.Task) (any, error) {
+		return nil, errors.New("boom: the op fails on every worker")
+	})
+	if err := async.Register(failingTask); err != nil {
+		panic(err)
+	}
+}
+
+// TestFailedTaskJobFailsWithoutRetry: a job whose every task errors on the
+// workers ends failed with the worker's message after one attempt — the
+// engine reports it where it used to re-dispatch forever, and the scheduler
+// spends no retry on a failure a retry would repeat.
+func TestFailedTaskJobFailsWithoutRetry(t *testing.T) {
+	s := newScheduler(t, jobs.Config{Engines: 1})
+	before := failingTask.attempts.Load()
+	spec := flakySpec("failing-task", 114)
+	spec.MaxRetries = 3
+	id, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := waitState(t, s, id, jobs.StateFailed)
+	if !strings.Contains(job.Err, "boom: the op fails on every worker") {
+		t.Fatalf("failed job's message does not carry the worker's: %q", job.Err)
+	}
+	if got := failingTask.attempts.Load() - before; got != 1 || job.Retries != 0 {
+		t.Fatalf("solver ran %d times with %d retries, want one attempt", got, job.Retries)
 	}
 }

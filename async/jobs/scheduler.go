@@ -13,6 +13,7 @@ import (
 
 	"repro/async"
 	"repro/async/jobs/store"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/opt"
@@ -1118,6 +1119,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 	}
 	if err != nil && !j.cancelRequested && !errors.Is(err, context.Canceled) &&
 		!errors.Is(err, opt.ErrDiverged) && // deterministic: a retry diverges again
+		!errors.Is(err, core.ErrTaskFailed) && // so is a task that kept failing on the workers
 		!s.closed && !s.draining && j.retries < j.spec.maxRetries() {
 		// transient runtime failure with retry budget left: re-queue and
 		// resume from the last durable checkpoint instead of failing

@@ -411,6 +411,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range badPatchReplies() {
 		f.Add(frame)
 	}
+	for _, frame := range ExtraFuzzSeeds {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeFrame(data) // must not panic
 		if err == nil && m.Kind == KindFetchReply && m.FetchReply.Base != 0 {

@@ -207,17 +207,20 @@ type ReducePayload struct {
 // BatchSize implements BatchSized.
 func (k ReducePayload) BatchSize() int { return k.N }
 
-// ASYNCreduce dispatches one task per selected worker, computing the kernel
-// over the worker's partitions with a local (worker-side) reduction, and
-// returns immediately: results arrive in the AC queue as workers finish.
-// This is the ASYNCreduce action of Table 1 — it differs from Spark's
-// reduce exactly as §5.1 describes (per-worker execution, immediate
-// return). It returns the number of tasks actually dispatched; workers that
-// died between selection and dispatch are skipped.
+// ASYNCreduce is the ASYNCreduce action of Table 1 in its closure form:
+// one task per selected worker runs k over the worker's partitions with a
+// local (worker-side) reduction, and the call returns at once — results
+// arrive in the AC queue as workers finish. It differs from Spark's reduce
+// exactly as §5.1 describes (per-worker execution, immediate return). It
+// returns the number of tasks actually dispatched; workers that died
+// between selection and dispatch are skipped.
 //
-// The kernel is a closure, so this form needs every worker in the driver's
-// process: on a cluster with workers behind a real transport it fails
-// before dispatching anything (use ASYNCreduceOp with a registered op).
+// This form is the in-process helper for code written straight against
+// Table 1 — the examples, internal/experiments, ASYNCreduceRDD and
+// ASYNCaggregate below. A closure cannot cross a real transport, so on a
+// cluster with workers behind one it fails before dispatching anything.
+// Solvers do not use it: every internal/opt solver dispatches a registered
+// op with ASYNCreduceOp, which is what lets one solver run on any transport.
 func (ac *Context) ASYNCreduce(sel *Selection, k Kernel) (int, error) {
 	if sel == nil || sel.used {
 		return 0, nil
@@ -238,13 +241,14 @@ func (ac *Context) ASYNCreduce(sel *Selection, k Kernel) (int, error) {
 	})
 }
 
-// ASYNCreduceOp is the transport-independent flavour of ASYNCreduce:
-// instead of a closure kernel it dispatches a registered op (see
-// cluster.RegisterOp) whose args are built per worker by argsFor. An
-// in-process worker calls the registered function with the args value as
-// is; over TCP the args cross the wire, so their type must be a codec
-// builtin or registered with cluster.RegisterPayloadCodec. The op must
-// return a ReducePayload.
+// ASYNCreduceOp is ASYNCreduce for code that must run on any transport —
+// the form every solver uses: instead of a closure it dispatches a
+// registered op (see cluster.RegisterOp) whose args are built per worker by
+// argsFor. An in-process worker calls the registered function with the args
+// value as is; over TCP the args cross the wire, so their type must be a
+// codec builtin or registered with cluster.RegisterPayloadCodec. The op must
+// return a ReducePayload. A task whose op errors on the worker produces no
+// result; see ErrTaskFailed for when that ends the run.
 func (ac *Context) ASYNCreduceOp(sel *Selection, op string, argsFor func(worker int, parts []int) any) (int, error) {
 	if sel == nil || sel.used {
 		return 0, nil

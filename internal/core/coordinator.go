@@ -18,6 +18,26 @@ var ErrNoWorkers = errors.New("core: no live workers")
 // the configured timeout.
 var ErrBarrierTimeout = errors.New("core: barrier timed out")
 
+// ErrTaskFailed marks a run ended by the task-failure rule. A task that
+// errors on its worker (op error or panic, undecodable args, refused patch)
+// yields no result; the worker becomes available again and the driver's next
+// cycle hands it a fresh task — the re-dispatch. Once every live worker's
+// task has failed and been re-dispatched maxTaskRetries times over with no
+// task succeeding in between, the next failure ends the run: Collect and
+// ASYNCbarrier return an error wrapping ErrTaskFailed with that worker's
+// message, until ResetRun. Such a failure is taken as deterministic, and
+// supervising layers do not retry it.
+//
+// The count is run-wide so that the one failure that is a matter of timing
+// stays harmless: a slow worker asking for a model version the driver has
+// pruned meanwhile. That can only happen after other tasks succeeded, so at
+// most one such failure per worker piles up between two successes. A lone
+// failing worker among healthy ones is passed over, as a dead one is.
+var ErrTaskFailed = errors.New("core: task failed")
+
+// maxTaskRetries is the k of the rule above.
+const maxTaskRetries = 2
+
 // workerState is the coordinator's internal per-worker record.
 type workerState struct {
 	alive      bool
@@ -57,6 +77,11 @@ type Coordinator struct {
 	// against a stale watcher goroutine clobbering a newer binding.
 	ctxErr error
 	ctxGen int64
+
+	// failures counts failed tasks since the last one that succeeded;
+	// taskErr is set when they exhaust the retry rule (see ErrTaskFailed).
+	failures int
+	taskErr  error
 
 	// waitSamples accumulate the per-worker wait-time metric (Fig. 4/6).
 	waitTotal map[int]time.Duration
@@ -133,7 +158,12 @@ func (co *Coordinator) ingest(r *cluster.Result) {
 	if !ws.dispatchAt.IsZero() {
 		mDispatchRoundtrip.ObserveSince(ws.dispatchAt)
 	}
-	if !r.Failed() {
+	if r.Failed() {
+		if co.failures++; co.failures > maxTaskRetries*co.statLocked().AliveWorkers && co.taskErr == nil {
+			co.taskErr = fmt.Errorf("%w on worker %d (%d failures in a row): %s", ErrTaskFailed, r.Worker, co.failures, r.Err)
+		}
+	} else {
+		co.failures = 0
 		attrs := Attrs{
 			Worker:    r.Worker,
 			Staleness: staleness,
@@ -222,6 +252,7 @@ func (co *Coordinator) ResetRun(timeout time.Duration) error {
 	co.queue = nil
 	co.updates = 0
 	co.dispatchSeq = 0
+	co.failures, co.taskErr = 0, nil
 	co.waitTotal = map[int]time.Duration{}
 	co.waitCount = map[int]int64{}
 	co.staleHist = map[int64]int64{}
@@ -411,8 +442,9 @@ func (co *Coordinator) Pending() int {
 
 // Collect pops the oldest task result, blocking until one is available or
 // timeout elapses (0 = block indefinitely while work is possible). It fails
-// with ErrNoWorkers when nothing is queued, nothing is in flight, and no
-// workers remain.
+// when nothing is queued and nothing is in flight, or — like a cancelled
+// context, and met again at the driver loop's next barrier — once the run's
+// tasks have failed past the retry rule (see ErrTaskFailed).
 func (co *Coordinator) Collect(timeout time.Duration) (TaskResult, error) {
 	deadline := time.Time{}
 	if timeout > 0 {
@@ -430,6 +462,9 @@ func (co *Coordinator) Collect(timeout time.Duration) (TaskResult, error) {
 	for len(co.queue) == 0 {
 		if co.ctxErr != nil {
 			return TaskResult{}, co.ctxErr
+		}
+		if co.taskErr != nil {
+			return TaskResult{}, co.taskErr
 		}
 		if co.closed {
 			return TaskResult{}, errors.New("core: coordinator closed")

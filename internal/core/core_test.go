@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -618,5 +619,62 @@ func TestHistoryRetainsWhatItReferences(t *testing.T) {
 	}
 	if _, ok := (DynBroadcast{ID: "w"}).RecordedVersion(env, 0); ok {
 		t.Fatal("history survived StoreClear")
+	}
+}
+
+// TestTaskFailureRule pins the rule of ErrTaskFailed: failures with no
+// success in between end the run once every worker has been re-dispatched
+// maxTaskRetries times over; a success starts the count again; the error
+// carries the worker's message, sticks, and ResetRun clears it.
+func TestTaskFailureRule(t *testing.T) {
+	const workers = 2
+	ac, _ := setup(t, workers, 4, nil)
+	failing := func(*cluster.Env, []int, int64) (any, int, error) {
+		return nil, 0, errTest("boom from the kernel")
+	}
+	// round dispatches k to every worker and collects until nothing is in
+	// flight, returning the last collect error
+	round := func(k Kernel) error {
+		t.Helper()
+		sel, err := ac.ASYNCbarrier(BSP(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := ac.ASYNCreduce(sel, k); err != nil || n != workers {
+			t.Fatalf("dispatched %d, err %v", n, err)
+		}
+		for {
+			if _, err := ac.ASYNCcollectAll(); err != nil {
+				return err
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		// maxTaskRetries full rounds of failures stay below the bound …
+		for r := 0; r < maxTaskRetries; r++ {
+			if err := round(failing); errors.Is(err, ErrTaskFailed) {
+				t.Fatalf("pass %d, round %d: run ended after %d failures: %v", i, r, (r+1)*workers, err)
+			}
+		}
+		// … and one success starts the count over
+		if err := round(countKernel); errors.Is(err, ErrTaskFailed) {
+			t.Fatalf("a successful round reported %v", err)
+		}
+	}
+	var err error
+	for r := 0; r <= maxTaskRetries && !errors.Is(err, ErrTaskFailed); r++ {
+		err = round(failing)
+	}
+	if !errors.Is(err, ErrTaskFailed) || !strings.Contains(err.Error(), "boom from the kernel") {
+		t.Fatalf("after %d straight failures: err = %v, want ErrTaskFailed with the worker's message", (maxTaskRetries+1)*workers, err)
+	}
+	if _, again := ac.ASYNCcollectAll(); !errors.Is(again, ErrTaskFailed) {
+		t.Fatalf("the failure did not stick: next collect = %v", again)
+	}
+	if err := ac.ResetRun(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := round(countKernel); errors.Is(err, ErrTaskFailed) {
+		t.Fatalf("ResetRun kept the previous run's failure: %v", err)
 	}
 }

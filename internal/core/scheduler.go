@@ -110,6 +110,9 @@ func (sc *scheduler) await(f BarrierFunc, filter WorkerFilter, timeout time.Dura
 		if err := sc.coord.ctxErr; err != nil {
 			return nil, err
 		}
+		if err := sc.coord.taskErr; err != nil {
+			return nil, err
+		}
 		st := sc.coord.statLocked()
 		if st.AliveWorkers == 0 {
 			return nil, ErrNoWorkers

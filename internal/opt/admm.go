@@ -86,16 +86,18 @@ type ADMMPartial struct {
 	PrimalSq float64
 }
 
+func init() {
+	registerKernelOp(admmOpName, false, func(_ Loss, a GradOpArgs) core.Kernel {
+		return admmKernel(a.model(), a.Rho, a.CGTol, a.CGIters)
+	})
+}
+
 // admmKernel solves each owned partition's proximal subproblem at the
 // current consensus and returns Σ(x_i + u_i) with the partition count as
 // the batch size (partitions are ADMM's "agents").
 func admmKernel(zBr core.DynBroadcast, rho, cgTol float64, cgIters int) core.Kernel {
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		zv, err := zBr.Value(env)
-		if err != nil {
-			return nil, 0, err
-		}
-		z, err := asVec(zv)
+		z, err := modelVec(env, zBr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -252,14 +254,18 @@ func ADMM(ac *core.Context, d *dataset.Dataset, p ADMMParams, fstar float64) (*R
 		CheckpointEvery: p.CheckpointEvery, OnCheckpoint: p.OnCheckpoint,
 		Preempt: p.Preempt, Resume: p.Resume,
 	}
+	dispatch, err := kernelDispatch(ac, admmOpName, LeastSquares{}, 0, func(a *GradOpArgs) {
+		a.Rho, a.CGTol, a.CGIters = p.Rho, p.CGTol, p.CGIters
+	})
+	if err != nil {
+		return nil, err
+	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: "admm", Key: "admm.z",
 		P: &lp, Loss: LeastSquares{}, FStar: fstar,
 		Target: int64(p.Rounds), Publish: pubPlain,
 		Round: true, StreamRound: true, RoundBudget: true,
-		Dispatch: func(zBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, admmKernel(zBr, p.Rho, p.CGTol, p.CGIters))
-		},
+		Dispatch: dispatch,
 	})
 }
 

@@ -8,44 +8,50 @@ import (
 )
 
 func TestADMMSyncConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := ADMM(r.ac, r.d, ADMMParams{
-		Rho: 1, Rounds: 40, Barrier: core.BSP(), Snapshot: 10,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 50) // ADMM with exact local solves converges fast
-	if res.Trace.Algorithm != "ADMM" {
-		t.Fatalf("algo %q", res.Trace.Algorithm)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := ADMM(r.ac, r.d, ADMMParams{
+			Rho: 1, Rounds: 40, Barrier: core.BSP(), Snapshot: 10,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 50) // ADMM with exact local solves converges fast
+		if res.Trace.Algorithm != "ADMM" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
 }
 
 func TestADMMAsyncConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := ADMM(r.ac, r.d, ADMMParams{
-		Rho: 1, Rounds: 80, Snapshot: 20, // default barrier: ASP
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 20)
-	if res.Trace.Algorithm != "ADMM-async" {
-		t.Fatalf("algo %q", res.Trace.Algorithm)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := ADMM(r.ac, r.d, ADMMParams{
+			Rho: 1, Rounds: 80, Snapshot: 20, // default barrier: ASP
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 20)
+		if res.Trace.Algorithm != "ADMM-async" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
 }
 
 func TestADMMAsyncUnderStraggler(t *testing.T) {
-	r := newRig(t, 4, 8, straggler.ControlledDelay{Worker: 0, Intensity: 2})
-	res, err := ADMM(r.ac, r.d, ADMMParams{
-		Rho: 1, Rounds: 80, Snapshot: 20,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// unloaded runs reduce error 50x+; 5x keeps headroom for the rare
-	// straggler-heavy interleaving under full-suite load
-	r.assertConverged(t, res, 5)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, straggler.ControlledDelay{Worker: 0, Intensity: 2}, denseCfg())
+		res, err := ADMM(r.ac, r.d, ADMMParams{
+			Rho: 1, Rounds: 80, Snapshot: 20,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// unloaded runs reduce error 50x+; 5x keeps headroom for the rare
+		// straggler-heavy interleaving under full-suite load
+		r.assertConverged(t, res, 5)
+	})
 }
 
 func TestADMMValidation(t *testing.T) {

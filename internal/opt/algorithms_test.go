@@ -295,17 +295,19 @@ func TestASGDHonoursInitW(t *testing.T) {
 	})
 }
 
-// TestClosureSolverOverTCPFailsLoudly: svrg still dispatches closure
-// kernels, which no wire can carry. On a TCP cluster the driver must say so
-// up front — not mark workers down one failed send at a time.
+// TestClosureSolverOverTCPFailsLoudly: a driver written against the closure
+// form of ASYNCreduce hands the engine a kernel no wire can carry. On a TCP
+// cluster the dispatch must say so up front — not mark workers down one
+// failed send at a time.
 func TestClosureSolverOverTCPFailsLoudly(t *testing.T) {
 	r := newRigOn(t, loopback, 2, 4, nil, denseCfg())
-	_, err := EpochVR(r.ac, r.d, VRParams{
-		Params: Params{Step: Constant{A: 0.02}, SampleFrac: 0.3, Updates: 1},
-		Epochs: 1, UpdatesPerEpoch: 4,
-	}, r.fstar)
-	if err == nil || !strings.Contains(err.Error(), "closure kernel") {
-		t.Fatalf("svrg over TCP: err = %v, want one naming the closure task form", err)
+	sel, err := r.ac.ASYNCbarrier(core.BSP(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := r.ac.ASYNCreduce(sel, GradKernel(LeastSquares{}, core.DynBroadcast{ID: "w", Version: 1}, 0.5))
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "closure kernel") {
+		t.Fatalf("closure reduce over TCP: dispatched %d, err = %v, want one naming the closure task form", n, err)
 	}
 	if alive := r.c.AliveWorkers(); len(alive) != 2 {
 		t.Fatalf("closure dispatch cost worker liveness: alive = %v", alive)
@@ -315,11 +317,11 @@ func TestClosureSolverOverTCPFailsLoudly(t *testing.T) {
 	}
 	// an op whose args have no payload codec is the same class of fault:
 	// the dispatch aborts with the encode error, nothing stays reserved
-	sel, err := r.ac.ASYNCbarrier(core.BSP(), nil)
+	sel, err = r.ac.ASYNCbarrier(core.BSP(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := r.ac.ASYNCreduceOp(sel, GradOpName, func(int, []int) any { return struct{ X int }{1} })
+	n, err = r.ac.ASYNCreduceOp(sel, GradOpName, func(int, []int) any { return struct{ X int }{1} })
 	if n != 0 || !errors.Is(err, cluster.ErrNotEncodable) {
 		t.Fatalf("unencodable op args: dispatched %d, err = %v", n, err)
 	}
@@ -328,20 +330,22 @@ func TestClosureSolverOverTCPFailsLoudly(t *testing.T) {
 	}
 	// the cluster is intact: an op-dispatching solver runs right after
 	if _, err := ASGD(r.ac, r.d, Params{Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 4}, r.fstar); err != nil {
-		t.Fatalf("asgd after the refused svrg: %v", err)
+		t.Fatalf("asgd after the refused dispatches: %v", err)
 	}
 }
 
 func TestEpochVRConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := EpochVR(r.ac, r.d, VRParams{
-		Params: Params{Step: Constant{A: 0.02}, SampleFrac: 0.3, Updates: 1, SnapshotEvery: 40},
-		Epochs: 4, UpdatesPerEpoch: 80,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := EpochVR(r.ac, r.d, VRParams{
+			Params: Params{Step: Constant{A: 0.02}, SampleFrac: 0.3, Updates: 1, SnapshotEvery: 40},
+			Epochs: 4, UpdatesPerEpoch: 80,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+	})
 }
 
 func TestMllibSGDConverges(t *testing.T) {

@@ -73,6 +73,12 @@ type BCDPartial struct {
 	H     la.Vec // diagonal curvature over the worker's rows
 }
 
+func init() {
+	registerKernelOp(bcdOpName, false, func(_ Loss, a GradOpArgs) core.Kernel {
+		return bcdKernel(a.model(), a.Block)
+	})
+}
+
 // bcdKernel computes the exact block gradient/curvature over every owned
 // row at the broadcast model. Block membership is resolved through a
 // persistent scratch lookup table (position+1, 0 = not in block) instead of
@@ -80,12 +86,11 @@ type BCDPartial struct {
 // task sees a clean table.
 func bcdKernel(wBr core.DynBroadcast, block []int32) core.Kernel {
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		wv, err := wBr.Value(env)
+		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
-		w, err := asVec(wv)
-		if err != nil {
+		if err := checkBlock(block, len(w)); err != nil {
 			return nil, 0, err
 		}
 		lookup := env.Scratch().I32("opt.bcd.lookup", len(w))
@@ -245,18 +250,21 @@ func AsyncBCD(ac *core.Context, d *dataset.Dataset, p BCDParams, fstar float64) 
 		CheckpointEvery: p.CheckpointEvery, OnCheckpoint: p.OnCheckpoint,
 		Preempt: p.Preempt, Resume: p.Resume,
 	}
+	dispatch, err := kernelDispatch(ac, bcdOpName, LeastSquares{}, 0, func(a *GradOpArgs) {
+		a.Block = u.pickBlock()
+		if u.sync {
+			u.block = a.Block
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: "bcd", Key: "bcd.w",
 		P: &lp, Loss: LeastSquares{}, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubPlain, Prune: true,
-		Round: sync,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			block := u.pickBlock()
-			if u.sync {
-				u.block = block
-			}
-			return ac.ASYNCreduce(sel, bcdKernel(wBr, block))
-		},
+		Round:    sync,
+		Dispatch: dispatch,
 	})
 }
 

@@ -8,42 +8,48 @@ import (
 )
 
 func TestBCDSyncConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := AsyncBCD(r.ac, r.d, BCDParams{
-		BlockSize: 4, Step: 0.9, Updates: 120, Barrier: core.BSP(), Snapshot: 30, Seed: 1,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
-	if res.Trace.Algorithm != "BCD" {
-		t.Fatalf("algo %q", res.Trace.Algorithm)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := AsyncBCD(r.ac, r.d, BCDParams{
+			BlockSize: 4, Step: 0.9, Updates: 120, Barrier: core.BSP(), Snapshot: 30, Seed: 1,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+		if res.Trace.Algorithm != "BCD" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
 }
 
 func TestBCDAsyncConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := AsyncBCD(r.ac, r.d, BCDParams{
-		BlockSize: 4, Step: 0.5, Updates: 400, Snapshot: 100, Seed: 2,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
-	if res.Trace.Algorithm != "BCD-async" {
-		t.Fatalf("algo %q", res.Trace.Algorithm)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := AsyncBCD(r.ac, r.d, BCDParams{
+			BlockSize: 4, Step: 0.5, Updates: 400, Snapshot: 100, Seed: 2,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+		if res.Trace.Algorithm != "BCD-async" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
 }
 
 func TestBCDAsyncUnderStraggler(t *testing.T) {
-	r := newRig(t, 4, 8, straggler.ControlledDelay{Worker: 1, Intensity: 2})
-	res, err := AsyncBCD(r.ac, r.d, BCDParams{
-		BlockSize: 4, Step: 0.5, Updates: 400, Snapshot: 100, Seed: 3,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 5)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, straggler.ControlledDelay{Worker: 1, Intensity: 2}, denseCfg())
+		res, err := AsyncBCD(r.ac, r.d, BCDParams{
+			BlockSize: 4, Step: 0.5, Updates: 400, Snapshot: 100, Seed: 3,
+		}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 5)
+	})
 }
 
 func TestBCDValidation(t *testing.T) {

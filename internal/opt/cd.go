@@ -117,6 +117,13 @@ type cdState struct {
 	parts map[int]*cdPartState
 }
 
+func init() {
+	registerKernelOp(cdOpName, false, func(loss Loss, a GradOpArgs) core.Kernel {
+		lin, _, _, _ := splitProx(loss) // a resolved objective always has a linear core
+		return cdKernel(lin, curvOf(lin), a.model(), a.aux(), a.Block)
+	})
+}
+
 // cdKernel evaluates the block gradient g_J = Σ_i ℓ'(r_i, y_i)·x_iJ and
 // curvature h_J = curv·Σ_i x_iJ² over the worker's rows, maintaining the
 // per-row residuals incrementally from the delta broadcast.
@@ -146,6 +153,9 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 			if err != nil {
 				return fail(err)
 			}
+			if err := checkBlock(block, p.X.NumCols); err != nil {
+				return fail(err)
+			}
 			ps := st.parts[pi]
 			if ps == nil {
 				ps = &cdPartState{cv: la.NewColView(p.X), r: la.NewVec(p.NumRows()), runID: -1}
@@ -161,11 +171,7 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 			default:
 				// cold start, resume, or missed rounds: rebuild from the
 				// model broadcast in one O(partition nnz) pass
-				wv, err := wBr.Value(env)
-				if err != nil {
-					return fail(err)
-				}
-				w, err := asVec(wv)
+				w, err := modelVec(env, wBr)
 				if err != nil {
 					return fail(err)
 				}
@@ -191,16 +197,34 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 	}
 }
 
+// coordStep is the per-coordinate step rule — the one thing cd and greedy
+// gcg differ in: from w_j, the round's summed block gradient g and curvature
+// h on j, and the scheduled step size, it returns the coordinate's new value
+// (ok=false leaves the coordinate alone). A rule is built from the dataset
+// rows, the penalties and CDParams.DampStep.
+type coordStep func(wj, g, h, alpha float64) (uj float64, ok bool)
+
+// proxNewtonStep is cd's rule, the damped preconditioned prox step of the
+// file comment (sum units; the schedule is unused).
+func proxNewtonStep(n int, l2, l1, damp float64) coordStep {
+	nl2, nl1 := float64(n)*l2, float64(n)*l1
+	return func(wj, g, h, _ float64) (float64, bool) {
+		den := h + nl2
+		if den <= 0 {
+			return 0, false
+		}
+		tau := damp / den
+		return SoftThreshold(wj-tau*(g+nl2*wj), tau*nl1), true
+	}
+}
+
 // cdUpdater owns the coordinate-descent driver state: the model, the block
 // cursor/RNG (dispatch-counted for checkpoint replay, like BCD), the
-// round's combined partials, and the last applied coordinate delta.
+// round's combined partials, and the last applied coordinate delta. Greedy
+// gcg runs on it too, with its own step rule (gcg.go).
 type cdUpdater struct {
 	w          la.Vec
-	lin        LinearLoss
-	l2, l1     float64
-	curv       float64
-	step       float64
-	n          int // total dataset rows (sum-unit penalty scaling)
+	step       coordStep
 	blockSize  int
 	cyclic     bool
 	sel        *gsSelector // greedy mode; nil otherwise
@@ -216,19 +240,16 @@ type cdUpdater struct {
 	delta *la.DeltaVec // last round's coordinate changes (driver-owned)
 }
 
-func newCDUpdater(d *dataset.Dataset, p *CDParams) (*cdUpdater, error) {
-	cols, rows := d.NumCols(), d.NumRows()
+// newCDUpdater builds the updater for p's objective, block size, mode and
+// seed, stepping by the rule step builds.
+func newCDUpdater(d *dataset.Dataset, p *CDParams, step func(n int, l2, l1, damp float64) coordStep) (*cdUpdater, error) {
+	cols := d.NumCols()
 	lin, l2, l1, ok := splitProx(p.Loss)
 	if !ok {
 		return nil, fmt.Errorf("opt: cd cannot decompose objective %q into a linear core", p.Loss.Name())
 	}
-	curv := curvOf(lin)
-	if curv <= 0 {
-		return nil, fmt.Errorf("opt: cd has no curvature bound for loss %q", lin.Name())
-	}
 	u := &cdUpdater{
-		w: la.NewVec(cols), lin: lin, l2: l2, l1: l1, curv: curv,
-		step: p.DampStep, n: rows, blockSize: p.BlockSize,
+		w: la.NewVec(cols), step: step(d.NumRows(), l2, l1, p.DampStep), blockSize: p.BlockSize,
 		cyclic: p.Mode != "random",
 		rng:    rand.New(rand.NewSource(p.Seed + 1)),
 		perm:   make([]int32, cols),
@@ -308,7 +329,7 @@ func (u *cdUpdater) Apply(payload any, _ *core.Attrs, _ float64) error {
 	return nil
 }
 
-func (u *cdUpdater) FlushRound(_ float64) (bool, error) {
+func (u *cdUpdater) FlushRound(alpha float64) (bool, error) {
 	if u.got == 0 {
 		u.g.Zero()
 		u.h.Zero()
@@ -320,16 +341,12 @@ func (u *cdUpdater) FlushRound(_ float64) (bool, error) {
 		// the still-pre-step model) or trip the permanent cyclic fallback
 		u.sel.verify(u.block, u.g[:len(u.block)])
 	}
-	nl2 := float64(u.n) * u.l2
-	nl1 := float64(u.n) * u.l1
 	delta := &la.DeltaVec{N: len(u.w)}
 	for k, j := range u.block {
-		den := u.h[k] + nl2
-		if den <= 0 {
+		uj, ok := u.step(u.w[j], u.g[k], u.h[k], alpha)
+		if !ok {
 			continue
 		}
-		tau := u.step / den
-		uj := SoftThreshold(u.w[j]-tau*(u.g[k]+nl2*u.w[j]), tau*nl1)
 		if d := uj - u.w[j]; d != 0 {
 			delta.Idx = append(delta.Idx, j)
 			delta.Val = append(delta.Val, d)
@@ -383,20 +400,31 @@ func CD(ac *core.Context, d *dataset.Dataset, p CDParams, fstar float64) (*Resul
 	if err := p.defaults(d.NumCols()); err != nil {
 		return nil, err
 	}
-	u, err := newCDUpdater(d, &p)
+	u, err := newCDUpdater(d, &p, proxNewtonStep)
+	if err != nil {
+		return nil, err
+	}
+	return u.run(ac, d, &p.Params, "CD", "cd", fstar)
+}
+
+// run drives u as solver name: bulk-synchronous rounds, each dispatching
+// opt.cd on the round's block against the model and the name.delta stamp.
+func (u *cdUpdater) run(ac *core.Context, d *dataset.Dataset, p *Params, algo, name string, fstar float64) (*Result, error) {
+	deltaID := name + ".delta"
+	dispatch, err := kernelDispatch(ac, cdOpName, p.Loss, 0, func(a *GradOpArgs) {
+		u.block = u.pickBlock()
+		dBr := ac.ASYNCbroadcast(deltaID, u.exportDelta())
+		ac.RDD().PruneBroadcast(deltaID, 4*ac.RDD().Cluster().NumWorkers())
+		a.AuxID, a.AuxVersion, a.Block = dBr.ID, dBr.Version, u.block
+	})
 	if err != nil {
 		return nil, err
 	}
 	return runLoop(ac, d, u, &loopSpec{
-		Algo: "CD", Name: "cd", Key: "cd.w",
-		P: &p.Params, Loss: p.Loss, FStar: fstar,
+		Algo: algo, Name: name, Key: name + ".w",
+		P: p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubPlain, Prune: true,
 		Barrier: core.BSP(), Round: true,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			u.block = u.pickBlock()
-			dBr := ac.ASYNCbroadcast("cd.delta", u.exportDelta())
-			ac.RDD().PruneBroadcast("cd.delta", 4*ac.RDD().Cluster().NumWorkers())
-			return ac.ASYNCreduce(sel, cdKernel(u.lin, u.curv, wBr, dBr, u.block))
-		},
+		Dispatch: dispatch,
 	})
 }

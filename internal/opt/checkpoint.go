@@ -213,8 +213,8 @@ func decodeBinaryCheckpoint(body []byte) (*Checkpoint, error) {
 }
 
 // readVec decodes one payload value and asserts it is a vector (or nil when
-// allowed). Decoded vectors come from the la pool but are retained by the
-// checkpoint for its lifetime, never recycled.
+// allowed). Decoded vectors come from the la pool; a checkpoint retains its
+// own for its lifetime and never recycles them.
 func readVec(br *cluster.BinReader, required bool) (la.Vec, error) {
 	v, err := br.Value()
 	if err != nil {
@@ -222,13 +222,13 @@ func readVec(br *cluster.BinReader, required bool) (la.Vec, error) {
 	}
 	if v == nil {
 		if required {
-			return nil, fmt.Errorf("opt: checkpoint vector missing")
+			return nil, fmt.Errorf("opt: encoded vector missing")
 		}
 		return nil, nil
 	}
 	w, ok := v.(la.Vec)
 	if !ok {
-		return nil, fmt.Errorf("opt: checkpoint vector decoded as %T", v)
+		return nil, fmt.Errorf("opt: encoded vector decoded as %T", v)
 	}
 	return w, nil
 }

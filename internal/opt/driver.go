@@ -8,12 +8,15 @@ import (
 )
 
 // The unified driver runtime splits every solver into two halves: the
-// solver-specific Updater below (kernel wiring plus the arithmetic of one
-// model update) and the algorithm-independent loop in runtime.go (broadcast
-// staging, barrier waits, dispatch, result collection, recorder cadence,
-// lazy-settle scheduling, checkpoint emission, preemption, drain, trace
-// assembly). No solver owns its own collect/apply loop; drain/trace/
-// progress/settle interplay lives in exactly one place.
+// solver-specific Updater below (the arithmetic of one model update) and the
+// algorithm-independent loop in runtime.go (broadcast staging, barrier
+// waits, dispatch, result collection, recorder cadence, lazy-settle
+// scheduling, checkpoint emission, preemption, drain, trace assembly). No
+// solver owns its own collect/apply loop; drain/trace/progress/settle
+// interplay lives in exactly one place. The worker half has one form too:
+// a solver's per-task work is a registered op plus a GradOpArgs value
+// (kernelDispatch in kernel.go), never a closure, so every solver runs on
+// every transport.
 
 // Updater owns a run's solver-specific driver state. The runtime guarantees
 // all methods are called from the driver goroutine.
@@ -57,8 +60,8 @@ func importModel(w la.Vec, cp *Checkpoint) error {
 }
 
 // vecUpdater is the minimal Updater over a bare model vector — no lazy
-// terms, no extra state. AC-free synchronous drivers (mllib-sgd) and
-// simple streaming drivers embed or use it directly.
+// terms, no extra state: what the AC-free synchronous driver (mllib-sgd)
+// runs on.
 type vecUpdater struct{ w la.Vec }
 
 func (u *vecUpdater) Model() la.Vec { return u.w }

@@ -1,10 +1,15 @@
 package opt
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/la"
 )
 
 // TestASGDSurvivesWorkerDeath kills a worker mid-run: ASGD must keep
@@ -94,4 +99,88 @@ func TestASGDAllWorkersDeadFails(t *testing.T) {
 		t.Fatal("non-error error")
 	}
 	_ = core.ErrNoWorkers
+}
+
+// failOpName is a registered op that errors on every task — the shape of a
+// decode error, an op panic or a refused patch that no retry cures.
+const failOpName = "opt.test.fail"
+
+func init() {
+	cluster.RegisterOp(failOpName, func(env *cluster.Env, _ *cluster.Task) (any, error) {
+		return nil, errors.New("boom: this op fails on every worker")
+	})
+}
+
+// nopRounds is the least RoundUpdater: the failing runs never apply anything.
+type nopRounds struct{ vecUpdater }
+
+func (*nopRounds) FlushRound(float64) (bool, error) { return false, nil }
+
+// TestFailedTaskFailsRun: a run whose every task errors on the worker ends
+// with an error carrying the worker's text, on both transports and in both
+// loop shapes. At the parent commit the coordinator dropped failed results
+// and the loop re-dispatched forever.
+func TestFailedTaskFailsRun(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		for name, spec := range map[string]loopSpec{
+			"stream": {},
+			"round":  {Round: true, Barrier: core.BSP()},
+		} {
+			t.Run(name, func(t *testing.T) {
+				r := newRigOn(t, tr, 2, 4, nil, denseCfg())
+				p := asgdParams()
+				if err := p.defaults(); err != nil {
+					t.Fatal(err)
+				}
+				spec.Algo, spec.Name, spec.Key = "FAIL", "fail", "fail.w"
+				spec.P, spec.Loss, spec.Target = &p, LeastSquares{}, int64(p.Updates)
+				spec.Dispatch = func(_ core.DynBroadcast, sel *core.Selection) (int, error) {
+					return r.ac.ASYNCreduceOp(sel, failOpName, func(_ int, parts []int) any { return parts })
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := runLoop(r.ac, r.d, &nopRounds{vecUpdater{w: la.NewVec(r.d.NumCols())}}, &spec)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if !errors.Is(err, core.ErrTaskFailed) || !strings.Contains(err.Error(), "boom: this op fails") {
+						t.Fatalf("err = %v, want core.ErrTaskFailed carrying the worker's message", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a run whose every task fails never returned")
+				}
+			})
+		}
+	})
+}
+
+// TestRegistrySolversRunOverTCP walks the registry: every solver but the
+// AC-free baseline finishes a short run on a loopback-TCP cluster, so a
+// solver that hands the engine a closure, or a payload without a codec,
+// fails here and not in production.
+func TestRegistrySolversRunOverTCP(t *testing.T) {
+	for _, name := range SolverNames() {
+		if name == "mllib-sgd" {
+			continue // plain RDD stages, no AC: not a task-form question
+		}
+		t.Run(name, func(t *testing.T) {
+			r := newRigOn(t, loopback, 2, 4, nil, denseCfg())
+			s, err := LookupSolver(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Solve(context.Background(), SolveRequest{
+				AC: r.ac, Points: r.points, Data: r.d,
+				Config: SolveConfig{Params: asgdParams(), FStar: r.fstar},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.assertTrace(t, res)
+			if la.Norm2(res.W) == 0 {
+				t.Fatal("the run never moved the model")
+			}
+		})
+	}
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -181,154 +180,31 @@ func (u *gcgUpdater) restart(global int64) error {
 	return u.Import(cp)
 }
 
-// gcgGreedyUpdater owns the greedy-atom driver state: the model, the MaxIP
-// selector, the round's atom set and its combined exact gradients, and the
-// residual-delta chain the workers advance on (the same CDDelta machinery
-// as coordinate descent, under the "gcg.delta" broadcast id).
-type gcgGreedyUpdater struct {
-	w          la.Vec
-	lin        LinearLoss
-	l2, l1     float64
-	n          int // dataset rows: kernel gradients are sum-unit, steps mean-unit
-	atoms      int
-	sel        *gsSelector
-	runID      int64
-	dispatches int64
-
-	round int64
-	block []int32
-	g     la.Vec
-	got   int
-	delta *la.DeltaVec
+// scheduledStep is greedy gcg's coordinate rule: one proximal-gradient step
+// at the scheduled size on the mean-unit composite gradient of the atom
+// (kernel gradients are sum-unit; the curvature the block kernel also
+// returns, and cd's damping, are not used).
+func scheduledStep(n int, l2, l1, _ float64) coordStep {
+	rows := float64(n)
+	return func(wj, g, _, alpha float64) (float64, bool) {
+		gj := g/rows + l2*wj
+		return SoftThreshold(wj-alpha*gj, alpha*l1), true
+	}
 }
 
-func newGCGGreedyUpdater(d *dataset.Dataset, p *GCGParams) (*gcgGreedyUpdater, error) {
-	lin, l2, l1, ok := splitProx(p.Loss)
-	if !ok {
-		return nil, fmt.Errorf("opt: greedy gcg cannot decompose objective %q into a linear core", p.Loss.Name())
-	}
-	cols := d.NumCols()
+// newGreedyGCGUpdater is greedy coordinate descent with the scheduled step:
+// block pick, residual-delta chain, selector verification and resume are
+// cd's (cd.go), under the "gcg.delta" broadcast id.
+func newGreedyGCGUpdater(d *dataset.Dataset, p *GCGParams) (*cdUpdater, error) {
 	atoms := p.Atoms
 	if atoms == 0 {
 		atoms = 32
 	}
-	if atoms > cols {
+	if cols := d.NumCols(); atoms > cols {
 		atoms = cols
 	}
-	u := &gcgGreedyUpdater{
-		w: la.NewVec(cols), lin: lin, l2: l2, l1: l1,
-		n: d.NumRows(), atoms: atoms,
-		runID: cdRunSeq.Add(1),
-		g:     la.NewVec(atoms),
-	}
-	u.sel = newGSSelector(d, lin, l2, l1, u.w, p.exactBelow)
-	return u, nil
-}
-
-// pickAtoms draws the round's atom set: the selector's top-|score| set, or
-// the cyclic cursor once the verification fallback has tripped.
-func (u *gcgGreedyUpdater) pickAtoms() []int32 {
-	u.dispatches++
-	if !u.sel.fallback {
-		return u.sel.pick(u.atoms)
-	}
-	d := len(u.w)
-	block := make([]int32, u.atoms)
-	pos := int(u.dispatches-1) * u.atoms % d
-	for k := range block {
-		block[k] = int32((pos + k) % d)
-	}
-	slices.Sort(block)
-	return block
-}
-
-func (u *gcgGreedyUpdater) exportDelta() CDDelta {
-	dd := CDDelta{RunID: u.runID, Round: u.round}
-	if u.delta != nil {
-		dd.Delta = u.delta.Clone()
-	}
-	return dd
-}
-
-func (u *gcgGreedyUpdater) Model() la.Vec { return u.w }
-func (u *gcgGreedyUpdater) Settle()       {}
-
-func (u *gcgGreedyUpdater) Apply(payload any, _ *core.Attrs, _ float64) error {
-	part, ok := payload.(BCDPartial)
-	if !ok {
-		return fmt.Errorf("unexpected payload %T", payload)
-	}
-	la.Axpy(1, part.G, u.g[:len(part.G)])
-	u.got++
-	la.PutVec(part.G)
-	la.PutVec(part.H) // curvature rides the block kernel but greedy GCG steps by schedule
-	return nil
-}
-
-func (u *gcgGreedyUpdater) FlushRound(alpha float64) (bool, error) {
-	if u.got == 0 {
-		u.g.Zero()
-		return false, nil
-	}
-	if !u.sel.fallback {
-		u.sel.verify(u.block, u.g[:len(u.block)])
-	}
-	n := float64(u.n)
-	delta := &la.DeltaVec{N: len(u.w)}
-	for k, j := range u.block {
-		gj := u.g[k]/n + u.l2*u.w[j] // mean-unit composite gradient on atom j
-		uj := SoftThreshold(u.w[j]-alpha*gj, alpha*u.l1)
-		if d := uj - u.w[j]; d != 0 {
-			delta.Idx = append(delta.Idx, j)
-			delta.Val = append(delta.Val, d)
-			u.w[j] = uj
-		}
-	}
-	if !u.sel.fallback {
-		u.sel.advance(delta)
-	}
-	u.delta = delta
-	u.round++
-	u.g.Zero()
-	u.got = 0
-	return true, nil
-}
-
-func (u *gcgGreedyUpdater) Export(cp *Checkpoint) { cp.SetInt("dispatches", u.dispatches) }
-
-func (u *gcgGreedyUpdater) Import(cp *Checkpoint) error {
-	if err := importModel(u.w, cp); err != nil {
-		return err
-	}
-	// greedy picks are state-dependent: rebuild the selector at the restored
-	// model; the counter restores so a later fallback's cursor is stable
-	u.dispatches = cp.Int("dispatches")
-	u.sel.misses, u.sel.rebuilt, u.sel.fallback = 0, false, false
-	u.sel.reset()
-	u.round = 0
-	u.delta = nil
-	u.runID = cdRunSeq.Add(1)
-	return nil
-}
-
-// greedyGCG runs the atom-selection mode on the block-kernel machinery.
-func greedyGCG(ac *core.Context, d *dataset.Dataset, p GCGParams, fstar float64) (*Result, error) {
-	u, err := newGCGGreedyUpdater(d, &p)
-	if err != nil {
-		return nil, err
-	}
-	return runLoop(ac, d, u, &loopSpec{
-		Algo: "GCG-greedy", Name: "gcg", Key: "gcg.w",
-		P: &p.Params, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubPlain, Prune: true,
-		Barrier: core.BSP(), Round: true,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			u.block = u.pickAtoms()
-			dBr := ac.ASYNCbroadcast("gcg.delta", u.exportDelta())
-			ac.RDD().PruneBroadcast("gcg.delta", 4*ac.RDD().Cluster().NumWorkers())
-			return ac.ASYNCreduce(sel, cdKernel(u.lin, 1, wBr, dBr, u.block))
-		},
-	})
+	cp := CDParams{Params: p.Params, BlockSize: atoms, Mode: "greedy", exactBelow: p.exactBelow}
+	return newCDUpdater(d, &cp, scheduledStep)
 }
 
 // GCG runs restart-based generalized conjugate gradient over the composite
@@ -338,9 +214,17 @@ func GCG(ac *core.Context, d *dataset.Dataset, p GCGParams, fstar float64) (*Res
 		return nil, err
 	}
 	if p.Mode == "greedy" {
-		return greedyGCG(ac, d, p, fstar)
+		u, err := newGreedyGCGUpdater(d, &p)
+		if err != nil {
+			return nil, err
+		}
+		return u.run(ac, d, &p.Params, "GCG-greedy", "gcg", fstar)
 	}
 	u := newGCGUpdater(d.NumCols(), &p)
+	dispatch, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)
+	if err != nil {
+		return nil, err
+	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "GCG", Name: "gcg", Key: "gcg.w",
 		P: &p.Params, Loss: p.Loss, FStar: fstar,
@@ -353,8 +237,6 @@ func GCG(ac *core.Context, d *dataset.Dataset, p GCGParams, fstar float64) (*Res
 			}
 			return u.restart(global)
 		},
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, FullGradKernel(p.Loss, wBr))
-		},
+		Dispatch: dispatch,
 	})
 }

@@ -9,36 +9,40 @@ import (
 // TestGCGConvergesLS: generalized CG on plain least squares converges on
 // the shared rig.
 func TestGCGConvergesLS(t *testing.T) {
-	r := newRig(t, 2, 4, nil)
-	p := GCGParams{RestartEvery: 10}
-	p.Step = Constant{A: 0.05}
-	p.Updates = 60
-	p.SnapshotEvery = 10
-	res, err := GCG(r.ac, r.d, p, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 4)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 2, 4, nil, denseCfg())
+		p := GCGParams{RestartEvery: 10}
+		p.Step = Constant{A: 0.05}
+		p.Updates = 60
+		p.SnapshotEvery = 10
+		res, err := GCG(r.ac, r.d, p, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 4)
+	})
 }
 
 // TestGCGElasticNet: the prox step keeps the ℓ1 term exact — the composite
 // objective decreases and stays below the smooth-only start.
 func TestGCGElasticNet(t *testing.T) {
-	r := newRig(t, 1, 2, nil)
-	loss := Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.01}
-	p := GCGParams{RestartEvery: 8}
-	p.Loss = loss
-	p.Step = Constant{A: 0.05}
-	p.Updates = 40
-	p.SnapshotEvery = 10
-	res, err := GCG(r.ac, r.d, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0 := Objective(r.d, loss, la.NewVec(r.d.NumCols()))
-	if f := Objective(r.d, loss, res.W); f >= f0 {
-		t.Fatalf("GCG did not reduce the composite objective: %v → %v", f0, f)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 1, 2, nil, denseCfg())
+		loss := Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.01}
+		p := GCGParams{RestartEvery: 8}
+		p.Loss = loss
+		p.Step = Constant{A: 0.05}
+		p.Updates = 40
+		p.SnapshotEvery = 10
+		res, err := GCG(r.ac, r.d, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f0 := Objective(r.d, loss, la.NewVec(r.d.NumCols()))
+		if f := Objective(r.d, loss, res.W); f >= f0 {
+			t.Fatalf("GCG did not reduce the composite objective: %v → %v", f0, f)
+		}
+	})
 }
 
 // TestGCGRestartIsCheckpointRoundTrip pins the restart mechanism to the
@@ -74,30 +78,32 @@ func TestGCGRestartIsCheckpointRoundTrip(t *testing.T) {
 // same budget of full-gradient rounds spends on tail coordinates, and the
 // two selector backends (tree / exact scan) agree at 1e-9.
 func TestGCGGreedyConverges(t *testing.T) {
-	d := illCondDataset(t, 200, 512, 8, 61)
-	loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
-	run := func(exactBelow int) la.Vec {
-		ac := cdRig(t, d, 1, 2)
-		p := GCGParams{Mode: "greedy", Atoms: 8, exactBelow: exactBelow}
-		p.Loss = loss
-		p.Step = Constant{A: 0.02}
-		p.Updates = 60
-		p.SnapshotEvery = 10
-		res, err := GCG(ac, d, p, 0)
-		if err != nil {
-			t.Fatal(err)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		d := illCondDataset(t, 200, 512, 8, 61)
+		loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
+		run := func(exactBelow int) la.Vec {
+			ac := cdRigOn(t, tr, d, 1, 2)
+			p := GCGParams{Mode: "greedy", Atoms: 8, exactBelow: exactBelow}
+			p.Loss = loss
+			p.Step = Constant{A: 0.02}
+			p.Updates = 60
+			p.SnapshotEvery = 10
+			res, err := GCG(ac, d, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.W
 		}
-		return res.W
-	}
-	wTree := run(-1)
-	wScan := run(1 << 30)
-	if !la.Equal(wTree, wScan, 1e-9) {
-		t.Fatal("tree-selector and scan-selector greedy GCG diverged")
-	}
-	f0 := Objective(d, loss, la.NewVec(d.NumCols()))
-	if f := Objective(d, loss, wTree); f >= f0*0.1 {
-		t.Fatalf("greedy GCG barely moved: %v → %v", f0, f)
-	}
+		wTree := run(-1)
+		wScan := run(1 << 30)
+		if !la.Equal(wTree, wScan, 1e-9) {
+			t.Fatal("tree-selector and scan-selector greedy GCG diverged")
+		}
+		f0 := Objective(d, loss, la.NewVec(d.NumCols()))
+		if f := Objective(d, loss, wTree); f >= f0*0.1 {
+			t.Fatalf("greedy GCG barely moved: %v → %v", f0, f)
+		}
+	})
 }
 
 // TestGCGModeValidation: unknown modes and negative atom counts error out.
@@ -122,44 +128,46 @@ func TestGCGModeValidation(t *testing.T) {
 // from the restored model (the selector rebuilds rather than replaying
 // draws), and the step schedule continues from the restored update count.
 func TestGCGGreedyResume(t *testing.T) {
-	d := illCondDataset(t, 120, 256, 8, 71)
-	loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
-	params := func() GCGParams {
-		p := GCGParams{Mode: "greedy", Atoms: 8}
-		p.Loss = loss
-		p.Step = Constant{A: 0.02}
-		p.SnapshotEvery = 10
-		return p
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		d := illCondDataset(t, 120, 256, 8, 71)
+		loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
+		params := func() GCGParams {
+			p := GCGParams{Mode: "greedy", Atoms: 8}
+			p.Loss = loss
+			p.Step = Constant{A: 0.02}
+			p.SnapshotEvery = 10
+			return p
+		}
 
-	full := params()
-	full.Updates = 30
-	res, err := GCG(cdRig(t, d, 1, 2), d, full, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+		full := params()
+		full.Updates = 30
+		res, err := GCG(cdRigOn(t, tr, d, 1, 2), d, full, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	var cp *Checkpoint
-	head := params()
-	head.Updates = 10
-	head.CheckpointEvery = 10
-	head.OnCheckpoint = func(c *Checkpoint) { cp = c }
-	if _, err := GCG(cdRig(t, d, 1, 2), d, head, 0); err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil {
-		t.Fatal("no checkpoint emitted")
-	}
-	tail := params()
-	tail.Updates = 30
-	tail.Resume = cp
-	resumed, err := GCG(cdRig(t, d, 1, 2), d, tail, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !la.Equal(resumed.W, res.W, 1e-9) {
-		t.Fatal("resumed greedy GCG diverged from the uninterrupted run")
-	}
+		var cp *Checkpoint
+		head := params()
+		head.Updates = 10
+		head.CheckpointEvery = 10
+		head.OnCheckpoint = func(c *Checkpoint) { cp = c }
+		if _, err := GCG(cdRigOn(t, tr, d, 1, 2), d, head, 0); err != nil {
+			t.Fatal(err)
+		}
+		if cp == nil {
+			t.Fatal("no checkpoint emitted")
+		}
+		tail := params()
+		tail.Updates = 30
+		tail.Resume = cp
+		resumed, err := GCG(cdRigOn(t, tr, d, 1, 2), d, tail, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !la.Equal(resumed.W, res.W, 1e-9) {
+			t.Fatal("resumed greedy GCG diverged from the uninterrupted run")
+		}
+	})
 }
 
 // TestGCGGreedyFallbackCursor: once the verification fallback trips, atom
@@ -169,14 +177,14 @@ func TestGCGGreedyFallbackCursor(t *testing.T) {
 	d := illCondDataset(t, 60, 40, 4, 73)
 	p := GCGParams{Mode: "greedy", Atoms: 16}
 	p.Loss = Composite{Inner: LeastSquares{}, L2: 0.01}
-	u, err := newGCGGreedyUpdater(d, &p)
+	u, err := newGreedyGCGUpdater(d, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u.sel.fallback = true
 	seen := map[int32]bool{}
 	for r := 0; r < 3; r++ {
-		block := u.pickAtoms()
+		block := u.pickBlock()
 		if len(block) != 16 {
 			t.Fatalf("pick %d: got %d atoms, want 16", r, len(block))
 		}

@@ -28,7 +28,7 @@ type SagaPartial struct {
 }
 
 // GradOpArgs parameterize the registered kernel ops — the one task form
-// sgd, asgd, saga and asaga dispatch on every transport: everything a worker
+// every AC-based solver dispatches on every transport: everything a worker
 // needs to rebuild the kernel. Loss, L2 and L1 are the ObjectiveSpec fields
 // of the driver's loss (see wireObjective), so the worker resolves the same
 // Loss value the driver holds. In process the struct is handed to the op as
@@ -40,22 +40,55 @@ type GradOpArgs struct {
 	Parts       []int
 	Loss        string
 	L2, L1      float64
+
+	// The rest is optional: zero for the ops that do not read it.
+	AuxID      string  // a second broadcast (with AuxVersion): svrg's anchor, the
+	AuxVersion int64   // cd.delta/gcg.delta stamp
+	Block      []int32 // opt.cd, opt.bcd: the coordinate block of the round
+	Rho, CGTol float64 // opt.admm: penalty and local-solve tolerance
+	CGIters    int     // opt.admm: local-solve iteration cap
 }
 
-// The registered ops behind GradKernel and SagaKernel.
+func (a GradOpArgs) model() core.DynBroadcast {
+	return core.DynBroadcast{ID: a.BroadcastID, Version: a.Version}
+}
+
+func (a GradOpArgs) aux() core.DynBroadcast {
+	return core.DynBroadcast{ID: a.AuxID, Version: a.AuxVersion}
+}
+
+// The registered ops: GradKernel and SagaKernel behind the two exported
+// names, and one per remaining kernel (cd.go, admm.go and bcd.go register
+// theirs beside the kernel).
 const (
-	GradOpName = "opt.grad"
-	SagaOpName = "opt.saga"
+	GradOpName     = "opt.grad"
+	SagaOpName     = "opt.saga"
+	vrOpName       = "opt.vr"
+	fullGradOpName = "opt.fullgrad"
+	cdOpName       = "opt.cd"
+	admmOpName     = "opt.admm"
+	bcdOpName      = "opt.bcd"
 )
 
 func init() {
-	registerKernelOp(GradOpName, GradKernel)
-	registerKernelOp(SagaOpName, SagaKernel)
+	registerKernelOp(GradOpName, true, func(loss Loss, a GradOpArgs) core.Kernel {
+		return GradKernel(loss, a.model(), a.Frac)
+	})
+	registerKernelOp(SagaOpName, true, func(loss Loss, a GradOpArgs) core.Kernel {
+		return SagaKernel(loss, a.model(), a.Frac)
+	})
+	registerKernelOp(vrOpName, true, func(loss Loss, a GradOpArgs) core.Kernel {
+		return VRKernel(loss, a.model(), a.aux(), a.Frac)
+	})
+	registerKernelOp(fullGradOpName, false, func(loss Loss, a GradOpArgs) core.Kernel {
+		return FullGradKernel(loss, a.model())
+	})
 }
 
 // registerKernelOp registers name as the op that runs the kernel build
-// produces from a task's GradOpArgs.
-func registerKernelOp(name string, build func(Loss, core.DynBroadcast, float64) core.Kernel) {
+// produces from a task's GradOpArgs and the loss they name. sampled marks a
+// kernel that draws a mini-batch at rate Frac.
+func registerKernelOp(name string, sampled bool, build func(Loss, GradOpArgs) core.Kernel) {
 	cluster.RegisterOp(name, func(env *cluster.Env, t *cluster.Task) (any, error) {
 		a, ok := t.Args.(GradOpArgs)
 		if !ok {
@@ -63,20 +96,30 @@ func registerKernelOp(name string, build func(Loss, core.DynBroadcast, float64) 
 		}
 		// args may have arrived over a wire, so they are validated here, at
 		// the op boundary — the kernel itself carries no range check
-		if a.Frac <= 0 || a.Frac > 1 {
+		if sampled && (a.Frac <= 0 || a.Frac > 1) {
 			return nil, fmt.Errorf("opt: %s sample fraction %v outside (0,1]", name, a.Frac)
 		}
 		loss, err := ObjectiveSpec{Loss: a.Loss, L2: a.L2, L1: a.L1}.Resolve()
 		if err != nil {
 			return nil, err
 		}
-		kern := build(loss, core.DynBroadcast{ID: a.BroadcastID, Version: a.Version}, a.Frac)
-		v, n, err := kern(env, a.Parts, t.Seed)
+		v, n, err := build(loss, a)(env, a.Parts, t.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return core.ReducePayload{Val: v, N: n, Empty: n == 0 && v == nil}, nil
 	})
+}
+
+// checkBlock validates a coordinate block that may have arrived over a wire
+// against the model dimension, before a kernel indexes by it.
+func checkBlock(block []int32, cols int) error {
+	for _, j := range block {
+		if j < 0 || int(j) >= cols {
+			return fmt.Errorf("opt: block coordinate %d outside [0,%d)", j, cols)
+		}
+	}
+	return nil
 }
 
 // wireObjective names loss in ObjectiveSpec terms — what a kernel op's args
@@ -93,22 +136,38 @@ func wireObjective(loss Loss) (ObjectiveSpec, error) {
 	return ObjectiveSpec{}, fmt.Errorf("opt: loss %q cannot be named to a worker (least-squares or logistic, optionally under Ridge or Composite)", loss.Name())
 }
 
-// kernelDispatch is the loopSpec.Dispatch of the four paper methods: each
+// kernelDispatch builds the loopSpec.Dispatch of every AC-based solver: each
 // cycle tasks every selected worker with op against the published model.
-func kernelDispatch(ac *core.Context, op string, p *Params) (func(core.DynBroadcast, *core.Selection) (int, error), error) {
-	obj, err := wireObjective(p.Loss)
+// fill, when non-nil, runs once per cycle to set the op's optional args (a
+// block, a second broadcast, the ADMM scalars).
+func kernelDispatch(ac *core.Context, op string, loss Loss, frac float64, fill func(*GradOpArgs)) (func(core.DynBroadcast, *core.Selection) (int, error), error) {
+	obj, err := wireObjective(loss)
 	if err != nil {
 		return nil, err
 	}
 	return func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
+		a := GradOpArgs{
+			BroadcastID: wBr.ID, Version: wBr.Version, Frac: frac,
+			Loss: obj.Loss, L2: obj.L2, L1: obj.L1,
+		}
+		if fill != nil {
+			fill(&a)
+		}
 		return ac.ASYNCreduceOp(sel, op, func(_ int, parts []int) any {
-			return GradOpArgs{
-				BroadcastID: wBr.ID, Version: wBr.Version,
-				Frac: p.SampleFrac, Parts: parts,
-				Loss: obj.Loss, L2: obj.L2, L1: obj.L1,
-			}
+			a.Parts = parts
+			return a
 		})
 	}, nil
+}
+
+// modelVec resolves a broadcast on the worker as the dense vector every
+// kernel expects there.
+func modelVec(env *cluster.Env, br core.DynBroadcast) (la.Vec, error) {
+	v, err := br.Value(env)
+	if err != nil {
+		return nil, err
+	}
+	return asVec(v)
 }
 
 // asVec extracts the dense model vector from a broadcast value.
@@ -166,11 +225,7 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	// gradient only
 	lin, _, _, linOK := splitProx(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		wv, err := wBr.Value(env)
-		if err != nil {
-			return nil, 0, err
-		}
-		w, err := asVec(wv)
+		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -228,11 +283,7 @@ func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	lin, lambda, linOK := splitLoss(loss)
 	sparseOK := linOK && lambda == 0 // lazy SAGA shrinkage is not supported
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		wv, err := wBr.Value(env)
-		if err != nil {
-			return nil, 0, err
-		}
-		w, err := asVec(wv)
+		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -330,19 +381,11 @@ func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Ker
 	lin, lambda, linOK := splitLoss(loss)
 	sparseOK := linOK && lambda == 0
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		wv, err := wBr.Value(env)
+		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
-		w, err := asVec(wv)
-		if err != nil {
-			return nil, 0, err
-		}
-		av, err := anchorBr.Value(env)
-		if err != nil {
-			return nil, 0, err
-		}
-		anchor, err := asVec(av)
+		anchor, err := modelVec(env, anchorBr)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -407,11 +450,7 @@ func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Ker
 // of each variance-reduction epoch.
 func FullGradKernel(loss Loss, wBr core.DynBroadcast) core.Kernel {
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		wv, err := wBr.Value(env)
-		if err != nil {
-			return nil, 0, err
-		}
-		w, err := asVec(wv)
+		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -125,10 +125,9 @@ func TestKernelOpValidatesArgs(t *testing.T) {
 	}
 }
 
-// TestKernelSolversRejectUnnameableLoss: the four op-dispatching solvers
-// ship the loss by name, so a Loss outside the nameable family fails at the
-// driver before any task — never as a silently different objective on the
-// workers.
+// TestKernelSolversRejectUnnameableLoss: the solvers that take a Loss ship it
+// by name, so one outside the nameable family fails at the driver before any
+// task — never as a silently different objective on the workers.
 func TestKernelSolversRejectUnnameableLoss(t *testing.T) {
 	r := newRig(t, 1, 1, nil)
 	solvers := map[string]func(Params) (*Result, error){
@@ -136,6 +135,12 @@ func TestKernelSolversRejectUnnameableLoss(t *testing.T) {
 		"asgd":  func(p Params) (*Result, error) { return ASGD(r.ac, r.d, p, 0) },
 		"saga":  func(p Params) (*Result, error) { return SAGA(r.ac, r.d, p, 0) },
 		"asaga": func(p Params) (*Result, error) { return ASAGA(r.ac, r.d, p, 0) },
+		"svrg": func(p Params) (*Result, error) {
+			return EpochVR(r.ac, r.d, VRParams{Params: p, Epochs: 1, UpdatesPerEpoch: 1}, 0)
+		},
+		"cd":         func(p Params) (*Result, error) { return CD(r.ac, r.d, CDParams{Params: p}, 0) },
+		"gcg":        func(p Params) (*Result, error) { return GCG(r.ac, r.d, GCGParams{Params: p}, 0) },
+		"gcg-greedy": func(p Params) (*Result, error) { return GCG(r.ac, r.d, GCGParams{Params: p, Mode: "greedy"}, 0) },
 	}
 	for _, loss := range []Loss{
 		badLoss{},

@@ -96,11 +96,11 @@ func resumePair(t *testing.T, k int64, tol float64,
 func denseRig(t *testing.T) *rig { return newRig(t, 1, 2, nil) }
 
 // resumePairEachTransport runs resumePair on the single-worker dense fixture
-// over every transport: the resume contract of the four op-dispatching
-// solvers holds bitwise whether the worker is a goroutine or a socket away.
-func resumePairEachTransport(t *testing.T, run func(r *rig, seg segCfg) (*Result, error)) {
+// over every transport: a solver's resume contract holds to the same
+// tolerance whether the worker is a goroutine or a socket away.
+func resumePairEachTransport(t *testing.T, k int64, tol float64, run func(r *rig, seg segCfg) (*Result, error)) {
 	eachTransport(t, func(t *testing.T, tr transport) {
-		resumePair(t, 6, 0, func(t *testing.T) *rig {
+		resumePair(t, k, tol, func(t *testing.T) *rig {
 			return newRigOn(t, tr, 1, 2, nil, denseCfg())
 		}, run)
 	})
@@ -112,7 +112,7 @@ func asgdParams() Params {
 }
 
 func TestResumeEquivalenceSyncSGD(t *testing.T) {
-	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return SyncSGD(r.ac, r.d, p, r.fstar)
@@ -120,7 +120,7 @@ func TestResumeEquivalenceSyncSGD(t *testing.T) {
 }
 
 func TestResumeEquivalenceASGD(t *testing.T) {
-	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return ASGD(r.ac, r.d, p, r.fstar)
@@ -138,7 +138,7 @@ func TestResumeEquivalenceASGDMomentum(t *testing.T) {
 }
 
 func TestResumeEquivalenceSAGA(t *testing.T) {
-	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return SAGA(r.ac, r.d, p, r.fstar)
@@ -146,7 +146,7 @@ func TestResumeEquivalenceSAGA(t *testing.T) {
 }
 
 func TestResumeEquivalenceASAGA(t *testing.T) {
-	resumePairEachTransport(t, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
 		return ASAGA(r.ac, r.d, p, r.fstar)
@@ -155,13 +155,42 @@ func TestResumeEquivalenceASAGA(t *testing.T) {
 
 // TestTransportsAgreeBitwise: on one worker a run is sequential, so the
 // same solver on the same seeds must produce the same bits over channels
-// and over sockets — the wire moves values, it never changes them.
+// and over sockets — the wire moves values, it never changes them. Every
+// AC-based registry solver is here, cd and gcg in both of their modes.
 func TestTransportsAgreeBitwise(t *testing.T) {
+	elastic := Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.01}
+	cd := func(mode string) func(*rig, Params) (*Result, error) {
+		return func(r *rig, p Params) (*Result, error) {
+			p.Loss = elastic
+			return CD(r.ac, r.d, CDParams{Params: p, BlockSize: 4, Mode: mode}, 0)
+		}
+	}
+	gcg := func(mode string) func(*rig, Params) (*Result, error) {
+		return func(r *rig, p Params) (*Result, error) {
+			p.Loss = elastic
+			return GCG(r.ac, r.d, GCGParams{Params: p, RestartEvery: 5, Mode: mode, Atoms: 4}, 0)
+		}
+	}
 	for name, solve := range map[string]func(*rig, Params) (*Result, error){
 		"sgd":   func(r *rig, p Params) (*Result, error) { return SyncSGD(r.ac, r.d, p, r.fstar) },
 		"asgd":  func(r *rig, p Params) (*Result, error) { return ASGD(r.ac, r.d, p, r.fstar) },
 		"saga":  func(r *rig, p Params) (*Result, error) { return SAGA(r.ac, r.d, p, r.fstar) },
 		"asaga": func(r *rig, p Params) (*Result, error) { return ASAGA(r.ac, r.d, p, r.fstar) },
+		"svrg": func(r *rig, p Params) (*Result, error) {
+			return EpochVR(r.ac, r.d, VRParams{Params: p, Epochs: 3, UpdatesPerEpoch: 4}, r.fstar)
+		},
+		"cd-cyclic":  cd("cyclic"),
+		"cd-greedy":  cd("greedy"),
+		"gcg-full":   gcg("full"),
+		"gcg-greedy": gcg("greedy"),
+		"admm": func(r *rig, p Params) (*Result, error) {
+			return ADMM(r.ac, r.d, ADMMParams{Rho: 1, Rounds: p.Updates, Snapshot: p.SnapshotEvery}, r.fstar)
+		},
+		"bcd": func(r *rig, p Params) (*Result, error) {
+			return AsyncBCD(r.ac, r.d, BCDParams{
+				BlockSize: 4, Step: 1, Updates: p.Updates, Snapshot: p.SnapshotEvery, Seed: 5,
+			}, r.fstar)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var ws []la.Vec
@@ -175,6 +204,9 @@ func TestTransportsAgreeBitwise(t *testing.T) {
 			if !la.Equal(ws[0], ws[1], 0) {
 				t.Fatalf("local and TCP runs diverged:\n%v\n%v", ws[0], ws[1])
 			}
+			if la.Norm2(ws[0]) == 0 {
+				t.Fatal("the run never moved the model: equal bits prove nothing")
+			}
 		})
 	}
 }
@@ -182,7 +214,7 @@ func TestTransportsAgreeBitwise(t *testing.T) {
 func TestResumeEquivalenceEpochVR(t *testing.T) {
 	// k=7 lands mid-epoch (epochs of 5): the resumed run must continue
 	// against the checkpointed anchor and μ, not re-anchor
-	resumePair(t, 7, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 7, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := VRParams{
 			Params: Params{Step: Constant{A: 0.03}, SampleFrac: 0.4, Updates: 1, SnapshotEvery: 5},
 			Epochs: 3, UpdatesPerEpoch: 5,
@@ -193,7 +225,7 @@ func TestResumeEquivalenceEpochVR(t *testing.T) {
 }
 
 func TestResumeEquivalenceADMM(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := ADMMParams{Rho: 1, Rounds: 12, Snapshot: 4}
 		p.CheckpointEvery = seg.every
 		p.OnCheckpoint = seg.onCp
@@ -205,7 +237,7 @@ func TestResumeEquivalenceADMM(t *testing.T) {
 
 func TestResumeEquivalenceBCD(t *testing.T) {
 	// the checkpointed dispatch count replays the block RNG exactly
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := BCDParams{BlockSize: 4, Step: 1, Updates: 12, Snapshot: 4, Seed: 5}
 		p.CheckpointEvery = seg.every
 		p.OnCheckpoint = seg.onCp
@@ -220,7 +252,7 @@ func TestResumeEquivalenceBCD(t *testing.T) {
 // resume rebuilds per-partition residuals from the restored model, so the
 // trajectories agree to rounding rather than bitwise.
 func TestResumeEquivalenceCD(t *testing.T) {
-	resumePair(t, 6, 1e-9, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 1e-9, func(r *rig, seg segCfg) (*Result, error) {
 		p := CDParams{BlockSize: 4, Mode: "random", Seed: 5}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: 0.05, L1: 0.01}
 		p.Updates = 12
@@ -234,7 +266,7 @@ func TestResumeEquivalenceCD(t *testing.T) {
 // boundary (k = 6, RestartEvery = 3) both runs drop the conjugate
 // direction there, so the resumed trajectory is bitwise identical.
 func TestResumeEquivalenceGCG(t *testing.T) {
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
+	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := GCGParams{RestartEvery: 3}
 		p.Step = Constant{A: 0.02}
 		p.Updates = 12
@@ -393,24 +425,6 @@ func TestResumeDimMismatch(t *testing.T) {
 	p.Resume = &Checkpoint{Algorithm: "asgd", W: la.Vec{1, 2, 3}, Updates: 1}
 	if _, err := ASGD(r.ac, r.d, p, r.fstar); err == nil {
 		t.Fatal("dim mismatch accepted")
-	}
-}
-
-func TestResumeEquivalenceSparseASGD(t *testing.T) {
-	// the shipped-coordinate count is driver state: the resumed run must
-	// report the whole run's communication cost, not the tail segment's
-	var counts []int64
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
-		p := asgdParams()
-		seg.apply(&p)
-		res, coords, err := SparseASGD(r.ac, r.d, p, 0.5, r.fstar)
-		if err == nil {
-			counts = append(counts, coords)
-		}
-		return res, err
-	})
-	if len(counts) != 2 || counts[0] != counts[1] {
-		t.Fatalf("coords full=%v vs resumed=%v — count must ride the checkpoint", counts[:1], counts[1:])
 	}
 }
 

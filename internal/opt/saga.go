@@ -219,7 +219,7 @@ func SAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	if err := st.init(p); err != nil {
 		return nil, err
 	}
-	dispatch, err := kernelDispatch(ac, SagaOpName, &p)
+	dispatch, err := kernelDispatch(ac, SagaOpName, p.Loss, p.SampleFrac, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,7 @@ func ASAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resu
 	if err := st.init(p); err != nil {
 		return nil, err
 	}
-	dispatch, err := kernelDispatch(ac, SagaOpName, &p)
+	dispatch, err := kernelDispatch(ac, SagaOpName, p.Loss, p.SampleFrac, nil)
 	if err != nil {
 		return nil, err
 	}

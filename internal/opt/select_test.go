@@ -15,27 +15,29 @@ import (
 // closed-form elastic-net solution the cyclic pass reaches — the order
 // changes, the fixed point does not.
 func TestCDGreedyClosedForm(t *testing.T) {
-	a := []float64{1.5, -0.8, 2.0, 0.5, 1.0, -1.2, 0.9, 1.8, -0.4, 0.7, 1.1, -2.2}
-	y := []float64{2.0, 0.1, -1.5, 0.05, 0.8, -0.02, 1.2, 0.03, 0.3, -0.9, 0.01, 2.5}
-	const l2, l1 = 0.1, 0.2
-	d := diagDataset(t, a, y)
-	n := float64(len(a))
+	eachTransport(t, func(t *testing.T, tr transport) {
+		a := []float64{1.5, -0.8, 2.0, 0.5, 1.0, -1.2, 0.9, 1.8, -0.4, 0.7, 1.1, -2.2}
+		y := []float64{2.0, 0.1, -1.5, 0.05, 0.8, -0.02, 1.2, 0.03, 0.3, -0.9, 0.01, 2.5}
+		const l2, l1 = 0.1, 0.2
+		d := diagDataset(t, a, y)
+		n := float64(len(a))
 
-	ac := cdRig(t, d, 2, 4)
-	p := CDParams{BlockSize: 4, Mode: "greedy", DampStep: 1}
-	p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
-	p.Updates = 6
-	p.SnapshotEvery = 3
-	res, err := CD(ac, d, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range a {
-		want := SoftThreshold(2*a[j]*y[j], n*l1) / (2*a[j]*a[j] + n*l2)
-		if math.Abs(res.W[j]-want) > 1e-9 {
-			t.Fatalf("w[%d] = %v, closed form %v", j, res.W[j], want)
+		ac := cdRigOn(t, tr, d, 2, 4)
+		p := CDParams{BlockSize: 4, Mode: "greedy", DampStep: 1}
+		p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
+		p.Updates = 6
+		p.SnapshotEvery = 3
+		res, err := CD(ac, d, p, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		for j := range a {
+			want := SoftThreshold(2*a[j]*y[j], n*l1) / (2*a[j]*a[j] + n*l2)
+			if math.Abs(res.W[j]-want) > 1e-9 {
+				t.Fatalf("w[%d] = %v, closed form %v", j, res.W[j], want)
+			}
+		}
+	})
 }
 
 // TestCDGreedySelectorEquivalence is the satellite pin: greedy CD run on
@@ -44,35 +46,37 @@ func TestCDGreedyClosedForm(t *testing.T) {
 // share the tie-break order (score desc, column asc), so the entire block
 // sequence — and hence the run — must agree.
 func TestCDGreedySelectorEquivalence(t *testing.T) {
-	d, err := dataset.Generate(dataset.SynthConfig{
-		Name: "gs-eq", Rows: 150, Cols: 600, NNZPerRow: 6, Noise: 0.1, Seed: 41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loss := Composite{Inner: LeastSquares{}, L2: 0.01, L1: 0.004}
-	run := func(exactBelow int) la.Vec {
-		ac := cdRig(t, d, 1, 3)
-		p := CDParams{BlockSize: 16, Mode: "greedy", DampStep: 0.9, exactBelow: exactBelow}
-		p.Loss = loss
-		p.Updates = 30
-		p.SnapshotEvery = 10
-		res, err := CD(ac, d, p, 0)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		d, err := dataset.Generate(dataset.SynthConfig{
+			Name: "gs-eq", Rows: 150, Cols: 600, NNZPerRow: 6, Noise: 0.1, Seed: 41,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.W
-	}
-	wTree := run(-1)      // force the tournament tree
-	wScan := run(1 << 30) // force the exact linear scan
-	if !la.Equal(wTree, wScan, 1e-9) {
-		t.Fatal("tree-selector and scan-selector greedy CD diverged")
-	}
-	fTree := Objective(d, loss, wTree)
-	fScan := Objective(d, loss, wScan)
-	if math.Abs(fTree-fScan) > 1e-9*math.Max(1, math.Abs(fScan)) {
-		t.Fatalf("objectives diverged: tree %v vs scan %v", fTree, fScan)
-	}
+		loss := Composite{Inner: LeastSquares{}, L2: 0.01, L1: 0.004}
+		run := func(exactBelow int) la.Vec {
+			ac := cdRigOn(t, tr, d, 1, 3)
+			p := CDParams{BlockSize: 16, Mode: "greedy", DampStep: 0.9, exactBelow: exactBelow}
+			p.Loss = loss
+			p.Updates = 30
+			p.SnapshotEvery = 10
+			res, err := CD(ac, d, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.W
+		}
+		wTree := run(-1)      // force the tournament tree
+		wScan := run(1 << 30) // force the exact linear scan
+		if !la.Equal(wTree, wScan, 1e-9) {
+			t.Fatal("tree-selector and scan-selector greedy CD diverged")
+		}
+		fTree := Objective(d, loss, wTree)
+		fScan := Objective(d, loss, wScan)
+		if math.Abs(fTree-fScan) > 1e-9*math.Max(1, math.Abs(fScan)) {
+			t.Fatalf("objectives diverged: tree %v vs scan %v", fTree, fScan)
+		}
+	})
 }
 
 // illCondDataset builds the concentrated-signal design greedy selection is
@@ -129,28 +133,30 @@ func illCondDataset(t testing.TB, rows, cols, heavy int, seed int64) *dataset.Da
 // same round budget — the budget is far too small for a full cyclic pass,
 // so cursor order barely touches the heavy coordinates.
 func TestCDGreedyBeatsCyclic(t *testing.T) {
-	d := illCondDataset(t, 200, 512, 8, 47)
-	loss := Composite{Inner: LeastSquares{}, L2: 0.001}
-	run := func(mode string) float64 {
-		ac := cdRig(t, d, 1, 2)
-		p := CDParams{BlockSize: 8, Mode: mode, DampStep: 1}
-		p.Loss = loss
-		p.Updates = 12 // cyclic needs 64 rounds for one full pass
-		p.SnapshotEvery = 4
-		res, err := CD(ac, d, p, 0)
-		if err != nil {
-			t.Fatal(err)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		d := illCondDataset(t, 200, 512, 8, 47)
+		loss := Composite{Inner: LeastSquares{}, L2: 0.001}
+		run := func(mode string) float64 {
+			ac := cdRigOn(t, tr, d, 1, 2)
+			p := CDParams{BlockSize: 8, Mode: mode, DampStep: 1}
+			p.Loss = loss
+			p.Updates = 12 // cyclic needs 64 rounds for one full pass
+			p.SnapshotEvery = 4
+			res, err := CD(ac, d, p, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Objective(d, loss, res.W)
 		}
-		return Objective(d, loss, res.W)
-	}
-	fGreedy := run("greedy")
-	fCyclic := run("cyclic")
-	if fGreedy >= fCyclic {
-		t.Fatalf("greedy %v did not beat cyclic %v on concentrated signal", fGreedy, fCyclic)
-	}
-	if fGreedy > fCyclic*0.05 {
-		t.Fatalf("greedy %v should be far below cyclic %v at this budget", fGreedy, fCyclic)
-	}
+		fGreedy := run("greedy")
+		fCyclic := run("cyclic")
+		if fGreedy >= fCyclic {
+			t.Fatalf("greedy %v did not beat cyclic %v on concentrated signal", fGreedy, fCyclic)
+		}
+		if fGreedy > fCyclic*0.05 {
+			t.Fatalf("greedy %v should be far below cyclic %v at this budget", fGreedy, fCyclic)
+		}
+	})
 }
 
 // TestGSSelectorVerifyContract exercises the driver-side half of the
@@ -199,42 +205,44 @@ func TestGSSelectorVerifyContract(t *testing.T) {
 // must still reach the diagonal design's closed form — the selector
 // rebuilds from the restored model rather than replaying draws.
 func TestCDGreedyResume(t *testing.T) {
-	a := []float64{1.5, -0.8, 2.0, 0.5, 1.0, -1.2, 0.9, 1.8}
-	y := []float64{2.0, 0.1, -1.5, 0.05, 0.8, -0.02, 1.2, 0.03}
-	const l2, l1 = 0.1, 0.1
-	d := diagDataset(t, a, y)
-	n := float64(len(a))
+	eachTransport(t, func(t *testing.T, tr transport) {
+		a := []float64{1.5, -0.8, 2.0, 0.5, 1.0, -1.2, 0.9, 1.8}
+		y := []float64{2.0, 0.1, -1.5, 0.05, 0.8, -0.02, 1.2, 0.03}
+		const l2, l1 = 0.1, 0.1
+		d := diagDataset(t, a, y)
+		n := float64(len(a))
 
-	var cp *Checkpoint
-	{
-		ac := cdRig(t, d, 1, 2)
+		var cp *Checkpoint
+		{
+			ac := cdRigOn(t, tr, d, 1, 2)
+			p := CDParams{BlockSize: 2, Mode: "greedy", DampStep: 1}
+			p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
+			p.Updates = 2
+			p.SnapshotEvery = 1
+			p.CheckpointEvery = 1
+			p.OnCheckpoint = func(c *Checkpoint) { cp = c }
+			if _, err := CD(ac, d, p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cp == nil {
+			t.Fatal("no checkpoint emitted")
+		}
+		ac := cdRigOn(t, tr, d, 1, 2)
 		p := CDParams{BlockSize: 2, Mode: "greedy", DampStep: 1}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
-		p.Updates = 2
-		p.SnapshotEvery = 1
-		p.CheckpointEvery = 1
-		p.OnCheckpoint = func(c *Checkpoint) { cp = c }
-		if _, err := CD(ac, d, p, 0); err != nil {
+		p.Updates = 8
+		p.SnapshotEvery = 2
+		p.Resume = cp
+		res, err := CD(ac, d, p, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if cp == nil {
-		t.Fatal("no checkpoint emitted")
-	}
-	ac := cdRig(t, d, 1, 2)
-	p := CDParams{BlockSize: 2, Mode: "greedy", DampStep: 1}
-	p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
-	p.Updates = 8
-	p.SnapshotEvery = 2
-	p.Resume = cp
-	res, err := CD(ac, d, p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range a {
-		want := SoftThreshold(2*a[j]*y[j], n*l1) / (2*a[j]*a[j] + n*l2)
-		if math.Abs(res.W[j]-want) > 1e-9 {
-			t.Fatalf("w[%d] = %v, closed form %v after resume", j, res.W[j], want)
+		for j := range a {
+			want := SoftThreshold(2*a[j]*y[j], n*l1) / (2*a[j]*a[j] + n*l2)
+			if math.Abs(res.W[j]-want) > 1e-9 {
+				t.Fatalf("w[%d] = %v, closed form %v after resume", j, res.W[j], want)
+			}
 		}
-	}
+	})
 }

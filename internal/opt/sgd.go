@@ -237,7 +237,7 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	dispatch, err := kernelDispatch(ac, GradOpName, &p)
+	dispatch, err := kernelDispatch(ac, GradOpName, p.Loss, p.SampleFrac, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +293,7 @@ func ASGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	dispatch, err := kernelDispatch(ac, GradOpName, &p)
+	dispatch, err := kernelDispatch(ac, GradOpName, p.Loss, p.SampleFrac, nil)
 	if err != nil {
 		return nil, err
 	}

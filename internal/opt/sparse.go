@@ -86,78 +86,83 @@ const (
 	payloadSagaPartial byte = 17
 	payloadSagaDelta   byte = 18
 	payloadGradOpArgs  byte = 19
+	payloadBCDPartial  byte = 20
+	payloadADMMPartial byte = 21
+	payloadCDDelta     byte = 22
 )
 
+// putBlock appends a coordinate block (any order) as a count and uvarints.
+func putBlock(w *cluster.BinWriter, block []int32) {
+	w.PutUvarint(uint64(len(block)))
+	for _, j := range block {
+		w.PutUvarint(uint64(uint32(j)))
+	}
+}
+
+// readBlock is putBlock's inverse; an empty block decodes as nil. The
+// coordinates are range-checked by the kernel that indexes by them.
+func readBlock(r *cluster.BinReader) []int32 {
+	n := r.Length(1)
+	if n == 0 {
+		return nil
+	}
+	block := make([]int32, n)
+	for i := range block {
+		block[i] = int32(uint32(r.Uvarint()))
+	}
+	return block
+}
+
+// registerPayload registers T's wire codec under code; the cluster codec
+// picks it by the value's type, so enc and dec see the concrete T.
+func registerPayload[T any](code byte, enc func(*cluster.BinWriter, T) error, dec func(*cluster.BinReader) (T, error)) {
+	var proto T
+	cluster.RegisterPayloadCodec(code, proto,
+		func(w *cluster.BinWriter, v any) error { return enc(w, v.(T)) },
+		func(r *cluster.BinReader) (any, error) { return dec(r) })
+}
+
+// putPair appends two payload values back to back.
+func putPair(w *cluster.BinWriter, a, b any) error {
+	if err := w.PutValue(a); err != nil {
+		return err
+	}
+	return w.PutValue(b)
+}
+
+// readDelta decodes a payload value that must be a sparse delta, or nil
+// where the field may be unset.
+func readDelta(r *cluster.BinReader, required bool) (*la.DeltaVec, error) {
+	v, err := r.Value()
+	if err != nil || (v == nil && !required) {
+		return nil, err
+	}
+	d, ok := v.(*la.DeltaVec)
+	if !ok {
+		return nil, fmt.Errorf("opt: encoded sparse delta decoded as %T", v)
+	}
+	return d, nil
+}
+
 func init() {
-	cluster.RegisterPayloadCodec(payloadSagaPartial, SagaPartial{},
-		func(w *cluster.BinWriter, v any) error {
-			p, ok := v.(SagaPartial)
-			if !ok {
-				return fmt.Errorf("opt: saga codec got %T", v)
+	registerPayload(payloadSagaPartial,
+		func(w *cluster.BinWriter, p SagaPartial) error { return putPair(w, p.Sum, p.HistSum) },
+		func(r *cluster.BinReader) (p SagaPartial, err error) {
+			if p.Sum, err = readVec(r, false); err == nil {
+				p.HistSum, err = readVec(r, false)
 			}
-			if err := w.PutValue(p.Sum); err != nil {
-				return err
-			}
-			return w.PutValue(p.HistSum)
-		},
-		func(r *cluster.BinReader) (any, error) {
-			s, err := r.Value()
-			if err != nil {
-				return nil, err
-			}
-			h, err := r.Value()
-			if err != nil {
-				return nil, err
-			}
-			p := SagaPartial{}
-			if s != nil {
-				if p.Sum, err = asPayloadVec(s); err != nil {
-					return nil, err
-				}
-			}
-			if h != nil {
-				if p.HistSum, err = asPayloadVec(h); err != nil {
-					return nil, err
-				}
-			}
-			return p, nil
+			return p, err
 		})
-	cluster.RegisterPayloadCodec(payloadSagaDelta, SagaDelta{},
-		func(w *cluster.BinWriter, v any) error {
-			p, ok := v.(SagaDelta)
-			if !ok {
-				return fmt.Errorf("opt: saga-delta codec got %T", v)
+	registerPayload(payloadSagaDelta,
+		func(w *cluster.BinWriter, p SagaDelta) error { return putPair(w, p.Sum, p.HistSum) },
+		func(r *cluster.BinReader) (p SagaDelta, err error) {
+			if p.Sum, err = readDelta(r, true); err == nil {
+				p.HistSum, err = readDelta(r, true)
 			}
-			if err := w.PutValue(p.Sum); err != nil {
-				return err
-			}
-			return w.PutValue(p.HistSum)
-		},
-		func(r *cluster.BinReader) (any, error) {
-			s, err := r.Value()
-			if err != nil {
-				return nil, err
-			}
-			h, err := r.Value()
-			if err != nil {
-				return nil, err
-			}
-			p := SagaDelta{}
-			var ok bool
-			if p.Sum, ok = s.(*la.DeltaVec); !ok {
-				return nil, fmt.Errorf("opt: saga-delta sum decoded as %T", s)
-			}
-			if p.HistSum, ok = h.(*la.DeltaVec); !ok {
-				return nil, fmt.Errorf("opt: saga-delta hist decoded as %T", h)
-			}
-			return p, nil
+			return p, err
 		})
-	cluster.RegisterPayloadCodec(payloadGradOpArgs, GradOpArgs{},
-		func(w *cluster.BinWriter, v any) error {
-			a, ok := v.(GradOpArgs)
-			if !ok {
-				return fmt.Errorf("opt: grad-args codec got %T", v)
-			}
+	registerPayload(payloadGradOpArgs,
+		func(w *cluster.BinWriter, a GradOpArgs) error {
 			w.PutString(a.BroadcastID)
 			w.PutVarint(a.Version)
 			w.PutFloat64(a.Frac)
@@ -168,9 +173,15 @@ func init() {
 			w.PutString(a.Loss)
 			w.PutFloat64(a.L2)
 			w.PutFloat64(a.L1)
+			w.PutString(a.AuxID)
+			w.PutVarint(a.AuxVersion)
+			putBlock(w, a.Block)
+			w.PutFloat64(a.Rho)
+			w.PutFloat64(a.CGTol)
+			w.PutVarint(int64(a.CGIters))
 			return nil
 		},
-		func(r *cluster.BinReader) (any, error) {
+		func(r *cluster.BinReader) (GradOpArgs, error) {
 			a := GradOpArgs{BroadcastID: r.String(), Version: r.Varint(), Frac: r.Float64()}
 			if n := r.Length(1); n > 0 {
 				a.Parts = make([]int, n)
@@ -179,14 +190,47 @@ func init() {
 				}
 			}
 			a.Loss, a.L2, a.L1 = r.String(), r.Float64(), r.Float64()
+			a.AuxID, a.AuxVersion, a.Block = r.String(), r.Varint(), readBlock(r)
+			a.Rho, a.CGTol, a.CGIters = r.Float64(), r.Float64(), int(r.Varint())
 			return a, r.Err()
 		})
-}
-
-func asPayloadVec(v any) (la.Vec, error) {
-	w, ok := v.(la.Vec)
-	if !ok {
-		return nil, fmt.Errorf("opt: payload vector decoded as %T", v)
-	}
-	return w, nil
+	registerPayload(payloadBCDPartial,
+		func(w *cluster.BinWriter, p BCDPartial) error {
+			putBlock(w, p.Block)
+			return putPair(w, p.G, p.H)
+		},
+		func(r *cluster.BinReader) (p BCDPartial, err error) {
+			p.Block = readBlock(r)
+			if p.G, err = readVec(r, true); err == nil {
+				p.H, err = readVec(r, true)
+			}
+			if err == nil && (len(p.G) != len(p.Block) || len(p.H) != len(p.Block)) {
+				err = fmt.Errorf("opt: bcd-partial of %d coordinates carries %d gradients, %d curvatures", len(p.Block), len(p.G), len(p.H))
+			}
+			return p, err
+		})
+	registerPayload(payloadADMMPartial,
+		func(w *cluster.BinWriter, p ADMMPartial) error {
+			w.PutFloat64(p.PrimalSq)
+			return w.PutValue(p.XPlusU)
+		},
+		func(r *cluster.BinReader) (p ADMMPartial, err error) {
+			p.PrimalSq = r.Float64()
+			p.XPlusU, err = readVec(r, true)
+			return p, err
+		})
+	registerPayload(payloadCDDelta,
+		func(w *cluster.BinWriter, d CDDelta) error {
+			w.PutVarint(d.RunID)
+			w.PutVarint(d.Round)
+			if d.Delta == nil {
+				return w.PutValue(nil) // a typed nil pointer would not encode as nil
+			}
+			return w.PutValue(d.Delta)
+		},
+		func(r *cluster.BinReader) (d CDDelta, err error) {
+			d.RunID, d.Round = r.Varint(), r.Varint()
+			d.Delta, err = readDelta(r, false)
+			return d, err
+		})
 }

@@ -323,25 +323,3 @@ func TestSparseConvergesOverTCP(t *testing.T) {
 		})
 	}
 }
-
-// TestSparseASGDOnSparseData guards SparseGradKernel (the top-k path)
-// against the adaptive kernel payloads: it must keep shipping la.SparseVec
-// even on datasets where GradKernel would take the sparse-delta path
-// (regression: it once delegated to GradKernel and errored on *la.DeltaVec
-// payloads, livelocking the SparseASGD driver loop).
-func TestSparseASGDOnSparseData(t *testing.T) {
-	ac, d := newSparseRig(t, 1, 2, sparseCfg())
-	res, coords, err := SparseASGD(ac, d, Params{
-		Step: InvSqrt{A: 0.1}, SampleFrac: 0.3, Updates: 40, SnapshotEvery: 20,
-	}, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Trace.Total; got <= 0 {
-		t.Fatalf("no run recorded: total %v", got)
-	}
-	k := int(0.05 * float64(d.NumCols()))
-	if coords <= 0 || coords > int64(40*k) {
-		t.Fatalf("shipped %d coordinates, want in (0, %d]", coords, 40*k)
-	}
-}

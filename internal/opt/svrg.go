@@ -22,7 +22,7 @@ type VRParams struct {
 // instead of re-anchoring.
 type vrUpdater struct {
 	ac       *core.Context
-	loss     Loss
+	fullPass func(core.DynBroadcast, *core.Selection) (int, error) // opt.fullgrad dispatch
 	filter   core.WorkerFilter
 	epochLen int64
 
@@ -99,7 +99,7 @@ func (u *vrUpdater) begin(global int64) error {
 	err := bspRound(u.ac,
 		u.filter,
 		func(sel *core.Selection) (int, error) {
-			return u.ac.ASYNCreduce(sel, FullGradKernel(u.loss, u.anchorBr))
+			return u.fullPass(u.anchorBr, sel)
 		},
 		func(payload any, attrs *core.Attrs) error {
 			g, ok := payload.(la.Vec)
@@ -139,13 +139,23 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p VRParams, fstar float64) (*
 	if p.Epochs <= 0 || p.UpdatesPerEpoch <= 0 {
 		return nil, fmt.Errorf("opt: EpochVR needs positive Epochs and UpdatesPerEpoch")
 	}
+	fullPass, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)
+	if err != nil {
+		return nil, err
+	}
 	u := &vrUpdater{
 		ac:       ac,
-		loss:     p.Loss,
+		fullPass: fullPass,
 		filter:   p.Filter,
 		epochLen: int64(p.UpdatesPerEpoch),
 		w:        la.NewVec(d.NumCols()),
 		mu:       la.NewVec(d.NumCols()),
+	}
+	dispatch, err := kernelDispatch(ac, vrOpName, p.Loss, p.SampleFrac, func(a *GradOpArgs) {
+		a.AuxID, a.AuxVersion = u.anchorBr.ID, u.anchorBr.Version
+	})
+	if err != nil {
+		return nil, err
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "EpochVR", Name: "svrg", Key: "vr.w",
@@ -154,8 +164,6 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p VRParams, fstar float64) (*
 		Publish:    pubStamped,
 		EpochLen:   int64(p.UpdatesPerEpoch),
 		EpochBegin: u.begin,
-		Dispatch: func(wBr core.DynBroadcast, sel *core.Selection) (int, error) {
-			return ac.ASYNCreduce(sel, VRKernel(p.Loss, wBr, u.anchorBr, p.SampleFrac))
-		},
+		Dispatch:   dispatch,
 	})
 }

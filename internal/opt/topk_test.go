@@ -113,32 +113,3 @@ func BenchmarkTopK(b *testing.B) {
 		TopK(g, k)
 	}
 }
-
-func TestSparseASGDConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, coords, err := SparseASGD(r.ac, r.d, Params{
-		Step: Scaled{Base: InvSqrt{A: 0.08}, Factor: 4}, SampleFrac: 0.4,
-		Updates: 800, SnapshotEvery: 200,
-	}, 0.5, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4x keeps headroom under full-suite load: unloaded runs sit at ~8x
-	r.assertConverged(t, res, 4)
-	// with top-50%, at most half the coordinates per update crossed
-	maxCoords := int64(800) * int64(r.d.NumCols()) / 2
-	if coords == 0 || coords > maxCoords {
-		t.Fatalf("coords shipped %d, want (0, %d]", coords, maxCoords)
-	}
-}
-
-func TestSparseASGDValidation(t *testing.T) {
-	r := newRig(t, 1, 1, nil)
-	p := Params{Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 1}
-	if _, _, err := SparseASGD(r.ac, r.d, p, 0, r.fstar); err == nil {
-		t.Fatal("zero top-k fraction accepted")
-	}
-	if _, _, err := SparseASGD(r.ac, r.d, p, 1.5, r.fstar); err == nil {
-		t.Fatal("top-k fraction > 1 accepted")
-	}
-}

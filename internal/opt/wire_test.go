@@ -3,6 +3,7 @@ package opt
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -87,6 +88,12 @@ func TestWireOpArgsRoundTrip(t *testing.T) {
 		{BroadcastID: "sgd.w", Version: 12, Frac: 0.25, Parts: []int{0, 3, 7}, Loss: "logistic"},
 		{BroadcastID: "saga.w", Version: 4, Frac: 1, Parts: []int{1}, Loss: "least-squares", L2: 0.05, L1: 0.001},
 		{BroadcastID: "w", Frac: 0.5},
+		// the optional fields: svrg's anchor, a cd round (sorted block, delta
+		// stamp), a bcd round (a block in draw order), the ADMM scalars
+		{BroadcastID: "vr.w", Version: 9, Frac: 0.3, Parts: []int{0, 1}, AuxID: "vr.anchor", AuxVersion: 2},
+		{BroadcastID: "cd.w", Version: 7, Parts: []int{2}, L2: 0.01, L1: 0.02, AuxID: "cd.delta", AuxVersion: 7, Block: []int32{1, 5, 199999}},
+		{BroadcastID: "bcd.w", Version: 3, Parts: []int{0}, Block: []int32{7, 0, 3}},
+		{BroadcastID: "admm.z", Version: 5, Parts: []int{1, 3}, Rho: 1.5, CGTol: 1e-8, CGIters: 200},
 	} {
 		m := cluster.Message{Kind: cluster.KindRunTask, Task: &cluster.Task{
 			ID: 8, Op: GradOpName, Args: args, Partition: -1, Seed: 99, Dispatch: 5,
@@ -101,6 +108,47 @@ func TestWireOpArgsRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(back.Task.Args, args) {
 			t.Fatalf("op args did not survive: %#v vs %#v", back.Task.Args, args)
+		}
+	}
+}
+
+// TestWireSolverPayloadsRoundTrip: the three value types the converted
+// solvers put on a wire — block partials and consensus partials as task
+// results, the cd/gcg round delta as a fetched broadcast value — come back
+// bit for bit, the empty and nil shapes included.
+func TestWireSolverPayloadsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for name, payload := range map[string]any{
+		"bcd partial":       BCDPartial{Block: []int32{9, 2, 5}, G: wireRandVec(rng, 3), H: wireRandVec(rng, 3)},
+		"bcd partial empty": BCDPartial{G: la.Vec{}, H: la.Vec{}},
+		"admm partial":      ADMMPartial{XPlusU: wireRandVec(rng, 40), PrimalSq: 0.125},
+	} {
+		got, ok := wireTrip(t, core.ReducePayload{Val: payload, N: 4}).(core.ReducePayload)
+		if !ok || got.N != 4 || !reflect.DeepEqual(got.Val, payload) {
+			t.Errorf("%s did not survive the wire: %#v vs %#v", name, got.Val, payload)
+		}
+	}
+	for name, dd := range map[string]CDDelta{
+		"delta":       {RunID: 3, Round: 41, Delta: wireRandDelta(rng, 5000, 30)},
+		"empty delta": {RunID: 3, Round: 42, Delta: &la.DeltaVec{N: 5000}},
+		"nil delta":   {RunID: 4},
+	} {
+		m := cluster.Message{Kind: cluster.KindFetchReply, FetchReply: &cluster.FetchReply{ID: "cd.delta", Version: 8, Value: dd}}
+		frame, _, err := cluster.EncodeFrame(m, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := cluster.DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := back.FetchReply.Value.(CDDelta)
+		same := ok && got.RunID == dd.RunID && got.Round == dd.Round && (got.Delta == nil) == (dd.Delta == nil)
+		if same && dd.Delta != nil { // a decoded delta is pooled: compare contents, not capacity
+			same = got.Delta.N == dd.Delta.N && slices.Equal(got.Delta.Idx, dd.Delta.Idx) && slices.Equal(got.Delta.Val, dd.Delta.Val)
+		}
+		if !same {
+			t.Errorf("%s did not survive the wire: %#v vs %#v", name, back.FetchReply.Value, dd)
 		}
 	}
 }
