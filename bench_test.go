@@ -5,9 +5,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the paper-vs-measured comparison. Benchmarks
-// run at ScaleTiny so the whole suite finishes in minutes; use
-// cmd/asyncbench -scale small|full for the bigger versions.
+// Benchmarks run at ScaleTiny so the whole suite finishes in minutes; the
+// same harnesses run bigger as go run ./cmd/asyncbench -exp <id> -scale
+// small|full. These are figure regenerators, not the performance gate: that
+// is go run ./benchmark (see benchmark/README.md).
 package repro
 
 import (

@@ -1,17 +1,12 @@
 // Command asyncbench regenerates the paper's tables and figures on the
-// simulated cluster, and doubles as the performance-trajectory tool: -json
-// runs the hot-path benchmark suite and writes a BENCH_<date>.json report,
-// -compare gates one report against a baseline.
+// simulated cluster. The repository's performance benchmark is a separate
+// program: go run ./benchmark (see benchmark/README.md).
 //
 // Usage:
 //
 //	asyncbench -exp fig3 -scale small
 //	asyncbench -exp all -scale tiny
-//	asyncbench -json                        # writes BENCH_<date>.json
-//	asyncbench -json -out bench_pr.json
-//	asyncbench -compare old.json,new.json   # exit 1 on >15% regression
-//	asyncbench -compare old.json,new.json -threshold 0.10
-//	asyncbench -json -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	asyncbench -exp fig3 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
 // Experiments: table2, fig2..fig8, table3, ablation-broadcast,
 // ablation-localreduce, ablation-barrier, ablation-staleness,
@@ -24,10 +19,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 )
@@ -42,12 +35,6 @@ func main() {
 		quiet   = flag.Bool("quiet", false, "suppress progress logging")
 		csvDir  = flag.String("csvdir", "", "also write figure series as CSV files into this directory")
 
-		jsonMode  = flag.Bool("json", false, "run the hot-path benchmark suite and write a BENCH_<date>.json report")
-		out       = flag.String("out", "", "report path for -json (default BENCH_<date>.json)")
-		schedJobs = flag.Int("schedjobs", 0, "scheduler jobs for the -json throughput leg (0 = default)")
-		compare   = flag.String("compare", "", "old.json,new.json: compare two reports, exit 1 on regression")
-		threshold = flag.Float64("threshold", 0.15, "relative regression threshold for -compare (0.15 = 15%)")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -57,15 +44,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer stopProfiles()
-	if *jsonMode {
-		runSuite(*out, *schedJobs, *quiet)
-		stopProfiles()
-		return
-	}
-	if *compare != "" {
-		runCompare(*compare, *threshold)
-		return
-	}
 	o := experiments.Options{
 		Seed:        *seed,
 		SyncUpdates: *rounds,
@@ -94,9 +72,9 @@ func main() {
 }
 
 // startProfiles arms the pprof outputs named by -cpuprofile/-memprofile so
-// a regression flagged by the CI bench gate can be rerun locally and
-// diagnosed from artifacts. The returned stop is idempotent: it ends the
-// CPU profile and writes the heap snapshot.
+// a slow experiment can be diagnosed from the run that showed it. The
+// returned stop is idempotent: it ends the CPU profile and writes the heap
+// snapshot.
 func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	stopped := false
 	if cpuPath != "" {
@@ -139,59 +117,5 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "asyncbench: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// runSuite measures the hot paths and writes the BENCH_<date>.json report.
-func runSuite(out string, schedJobs int, quiet bool) {
-	now := time.Now()
-	opts := bench.SuiteOptions{SchedulerJobs: schedJobs}
-	if !quiet {
-		opts.Log = os.Stderr
-	}
-	r, err := bench.RunSuite(now, opts)
-	if err != nil {
-		fatalf("suite: %v", err)
-	}
-	if out == "" {
-		out = bench.DefaultFilename(now)
-	}
-	if err := r.Write(out); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("wrote %s (%d metrics)\n", out, len(r.Entries))
-}
-
-// runCompare gates new against old, printing every shared metric and
-// exiting non-zero when any regresses past the threshold.
-func runCompare(spec string, threshold float64) {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		fatalf("-compare wants old.json,new.json")
-	}
-	old, err := bench.ReadReport(strings.TrimSpace(parts[0]))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cur, err := bench.ReadReport(strings.TrimSpace(parts[1]))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for _, e := range cur.Entries {
-		oe, ok := old.Lookup(e.Name)
-		if !ok {
-			fmt.Printf("%-28s %14.4g %-10s (new metric)\n", e.Name, e.Value, e.Unit)
-			continue
-		}
-		fmt.Printf("%-28s %14.4g -> %-14.4g %s\n", e.Name, oe.Value, e.Value, e.Unit)
-	}
-	regs := bench.Compare(old, cur, threshold)
-	if len(regs) == 0 {
-		fmt.Printf("no regressions beyond %.0f%%\n", threshold*100)
-		return
-	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
-	}
 	os.Exit(1)
 }

@@ -20,7 +20,9 @@
 // (straggler), datasets (dataset, la), and one experiment harness per
 // paper table and figure (experiments). bench_test.go in this directory
 // regenerates every table and figure as a Go benchmark; cmd/asyncbench
-// does the same as a CLI.
+// does the same as a CLI. Performance is measured by one program,
+// go run ./benchmark (BENCHMARK.json declares it, benchmark/README.md
+// explains it).
 //
 // See README.md for a quickstart and a tour of the layout.
 package repro

@@ -314,17 +314,6 @@ func (co *Coordinator) undoDispatch(worker int, taskID int64) {
 	co.cond.Broadcast()
 }
 
-// reserve marks workers unavailable ahead of dispatch (barrier selection).
-func (co *Coordinator) reserve(workers []int) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for _, w := range workers {
-		if ws := co.workers[w]; ws != nil {
-			ws.available = false
-		}
-	}
-}
-
 // release undoes a reservation that was never dispatched.
 func (co *Coordinator) release(workers []int) {
 	co.mu.Lock()

@@ -79,7 +79,7 @@ func TestASPBarrierSelectsAllAvailable(t *testing.T) {
 	}
 	// reserved workers are no longer available
 	if got := ac.STAT().AvailableWorkers; got != 0 {
-		t.Fatalf("available after reserve = %d", got)
+		t.Fatalf("available after barrier = %d", got)
 	}
 	sel.Release()
 	if got := ac.STAT().AvailableWorkers; got != 3 {

@@ -4,8 +4,8 @@ import "repro/internal/telemetry"
 
 // Coordinator-level instrumentation on the process-global registry. All
 // observations happen on paths that already hold co.mu and touch maps, so
-// the zero-alloc atomic ops add nothing measurable (pinned by
-// telemetry.overhead_ns in internal/bench).
+// the zero-alloc atomic ops add nothing measurable (reported as
+// trace.overhead_share by benchmark/).
 var (
 	mTasksDispatched = telemetry.Default().Counter("async_core_tasks_dispatched_total",
 		"Tasks handed to workers by the ASYNC scheduler.")

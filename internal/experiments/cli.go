@@ -141,8 +141,9 @@ func IDs() []string {
 }
 
 // Run executes one experiment by id and writes its output (series and/or
-// tables) to w. It is the engine behind cmd/asyncbench. When o.CSVDir is
-// set, figure series are additionally written there as CSV files.
+// tables) to w; cmd/asyncbench is its command line and does nothing else.
+// When o.CSVDir is set, figure series are additionally written there as CSV
+// files.
 func Run(o Options, id string, w io.Writer) error {
 	fn, ok := experimentReg[strings.ToLower(id)]
 	if !ok {

@@ -102,12 +102,6 @@ func CDS(o Options, pair Pair) ([]Series, error) {
 	return out, nil
 }
 
-// Fig3 is the SGD/ASGD convergence sweep under controlled delays.
-func Fig3(o Options) ([]Series, error) { return CDS(o, SGDPair) }
-
-// Fig5 is the SAGA/ASAGA convergence sweep under controlled delays.
-func Fig5(o Options) ([]Series, error) { return CDS(o, SAGAPair) }
-
 // WaitTable condenses a CDS/PCS series list into the average-wait-time view
 // of Figs. 4 and 6 (one row per series, mean worker wait in ms).
 func WaitTable(title string, series []Series) *metrics.Table {
@@ -164,12 +158,6 @@ func PCS(o Options, pair Pair) ([]Series, error) {
 	}
 	return out, nil
 }
-
-// Fig7 is SGD vs ASGD under production-cluster stragglers (32 workers).
-func Fig7(o Options) ([]Series, error) { return PCS(o, SGDPair) }
-
-// Fig8 is SAGA vs ASAGA under production-cluster stragglers (32 workers).
-func Fig8(o Options) ([]Series, error) { return PCS(o, SAGAPair) }
 
 // Table3 reproduces the 32-worker average-wait-time table from PCS runs of
 // both pairs.

@@ -15,8 +15,9 @@
 // testing.AllocsPerRun). Vectors that must outlive a call come from the
 // GetVec/PutVec pool, which recycles storage across tasks; everything else
 // is caller-provided or O(1). Treat this as API: a change that makes any
-// of these allocate is a regression, and the CI bench job will surface it
-// as ns/gradient and allocs/op movement in BENCH_*.json.
+// of these allocate is a regression; the AllocsPerRun tests fail on it and
+// the repository benchmark (benchmark/) shows it as la.grad_accum_ns and
+// opt.kernel_task_us movement.
 //
 // Sparse-delta invariant: the O(nnz) data path is built from DeltaVec (a
 // pooled, mutable sparse update with sorted indices — GetDelta/PutDelta
@@ -28,7 +29,7 @@
 // nothing in steady state (TestDeltaAccumSteadyStateAllocFree,
 // TestSparseGradKernelZeroAlloc in internal/opt). When the sparse path
 // engages, which update terms may be deferred, and how deltas travel the
-// wire are contracts of internal/opt (SparseDensityThreshold, lazy.go) and
+// wire are contracts of internal/opt (sparse.go, lazy.go) and
 // internal/cluster (codec.go) respectively.
 package la
 

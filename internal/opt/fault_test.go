@@ -117,14 +117,17 @@ type nopRounds struct{ vecUpdater }
 func (*nopRounds) FlushRound(float64) (bool, error) { return false, nil }
 
 // TestFailedTaskFailsRun: a run whose every task errors on the worker ends
-// with an error carrying the worker's text, on both transports and in both
-// loop shapes. At the parent commit the coordinator dropped failed results
-// and the loop re-dispatched forever.
+// with an error carrying the worker's text, on both transports and in every
+// loop shape — streaming, rounds, and svrg's full pass outside the main loop
+// (which used to report an all-failed pass as "empty full pass"). At the
+// parent commit the coordinator dropped failed results and the loop
+// re-dispatched forever.
 func TestFailedTaskFailsRun(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		for name, spec := range map[string]loopSpec{
 			"stream": {},
 			"round":  {Round: true, Barrier: core.BSP()},
+			"svrg":   {EpochLen: 10},
 		} {
 			t.Run(name, func(t *testing.T) {
 				r := newRigOn(t, tr, 2, 4, nil, denseCfg())
@@ -132,14 +135,21 @@ func TestFailedTaskFailsRun(t *testing.T) {
 				if err := p.defaults(); err != nil {
 					t.Fatal(err)
 				}
+				fail := func(_ core.DynBroadcast, sel *core.Selection) (int, error) {
+					return r.ac.ASYNCreduceOp(sel, failOpName, func(_ int, parts []int) any { return parts })
+				}
+				var u Updater = &nopRounds{vecUpdater{w: la.NewVec(r.d.NumCols())}}
 				spec.Algo, spec.Name, spec.Key = "FAIL", "fail", "fail.w"
 				spec.P, spec.Loss, spec.Target = &p, LeastSquares{}, int64(p.Updates)
-				spec.Dispatch = func(_ core.DynBroadcast, sel *core.Selection) (int, error) {
-					return r.ac.ASYNCreduceOp(sel, failOpName, func(_ int, parts []int) any { return parts })
+				spec.Dispatch = fail
+				if name == "svrg" {
+					vr := &vrUpdater{ac: r.ac, fullPass: fail, epochLen: spec.EpochLen,
+						w: la.NewVec(r.d.NumCols()), mu: la.NewVec(r.d.NumCols())}
+					u, spec.EpochBegin = vr, vr.begin
 				}
 				done := make(chan error, 1)
 				go func() {
-					_, err := runLoop(r.ac, r.d, &nopRounds{vecUpdater{w: la.NewVec(r.d.NumCols())}}, &spec)
+					_, err := runLoop(r.ac, r.d, u, &spec)
 					done <- err
 				}()
 				select {

@@ -206,7 +206,7 @@ func gradSweep(loss Loss, p *dataset.Partition, rng *rand.Rand, frac float64, w,
 // carries no range check.
 //
 // Sparse-delta path: when the loss is linear (see LinearLoss) and every
-// partition of the task sits below SparseDensityThreshold, the kernel
+// partition of the task sits below sparseDensityThreshold, the kernel
 // accumulates only touched coordinates and returns a pooled *la.DeltaVec —
 // O(nnz) per task. For an L2-regularized loss the sparse payload carries
 // the inner gradient only; the driver applies the shrinkage lazily
@@ -275,7 +275,7 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 // frac is validated by the drivers' defaults(), not here.
 //
 // Sparse-delta path: for an unregularized linear loss over partitions below
-// SparseDensityThreshold the kernel returns a SagaDelta of pooled sparse
+// sparseDensityThreshold the kernel returns a SagaDelta of pooled sparse
 // sums (the current and historical gradients of a sampled row share its
 // support); the driver applies the update — including the dense avgHist
 // drift — lazily in O(nnz) (see saga.go).

@@ -143,12 +143,3 @@ func TestReferenceOptimumForComposite(t *testing.T) {
 		t.Fatal("reference solve accepted an objective without a linear core")
 	}
 }
-
-// TestProxSettleBenchHook smoke-tests the bench hook: repeated steps keep
-// the model finite and thresholded (the suite only times it).
-func TestProxSettleBenchHook(t *testing.T) {
-	step := ProxSettleBench(256, 16)
-	for i := 0; i < 5; i++ {
-		step()
-	}
-}

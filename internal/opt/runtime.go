@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -496,8 +498,11 @@ func newTrace(ac *core.Context, algo string, d *dataset.Dataset, rec *Recorder, 
 
 // bspRound runs one blocking bulk-synchronous reduction outside the main
 // loop (the full-gradient pass of variance-reduced epochs): barrier on BSP,
-// dispatch, collect all n partials, folding each through absorb. An early
-// collect error means the remaining partials were empty samples.
+// dispatch, collect all n partials, folding each through absorb. A collect
+// error that ends the run (a cancelled context, the task-failure rule) is
+// returned; any other means nothing is left in flight — the remaining
+// partials were empty samples, failed tasks or dead workers' — and ends the
+// round.
 func bspRound(ac *core.Context, filter core.WorkerFilter, dispatch func(*core.Selection) (int, error), absorb func(payload any, attrs *core.Attrs) error) error {
 	sel, err := ac.ASYNCbarrier(core.BSP(), filter)
 	if err != nil {
@@ -510,6 +515,9 @@ func bspRound(ac *core.Context, filter core.WorkerFilter, dispatch func(*core.Se
 	for i := 0; i < n; i++ {
 		tr, err := ac.ASYNCcollectAll()
 		if err != nil {
+			if errors.Is(err, core.ErrTaskFailed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return err
+			}
 			break
 		}
 		if err := absorb(tr.Payload, &tr.Attrs); err != nil {

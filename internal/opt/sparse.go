@@ -20,12 +20,12 @@ import (
 // dense paths produce bitwise-identical gradients (regression-tested in
 // sparse_test.go).
 
-// SparseDensityThreshold gates the sparse task path: a task takes it only
+// sparseDensityThreshold gates the sparse task path: a task takes it only
 // when every partition it sweeps has density (nnz / rows·cols) at or below
 // this value (the paper's sparse datasets sit near 0.2% density). It is a
 // variable for tests, which pin it to 0 to force the dense path; treat it
 // as a constant in production code.
-var SparseDensityThreshold = 0.1
+var sparseDensityThreshold = 0.1
 
 // sparseWorkFactor is the second half of the gate: the compact step costs
 // roughly an order of magnitude more per touched coordinate than a dense
@@ -45,7 +45,7 @@ func sparseTaskViable(env *cluster.Env, parts []int, frac float64, dim int) bool
 	totalNNZ := 0
 	for _, pi := range parts {
 		p, err := env.Partition(pi)
-		if err != nil || p.X.Density() > SparseDensityThreshold {
+		if err != nil || p.X.Density() > sparseDensityThreshold {
 			return false
 		}
 		totalNNZ += p.X.NNZ()

@@ -30,9 +30,9 @@ func newSparseRig(t *testing.T, workers, parts int, cfg dataset.SynthConfig) (*c
 // path) and restores it on cleanup.
 func forceDense(t *testing.T) {
 	t.Helper()
-	old := SparseDensityThreshold
-	SparseDensityThreshold = 0
-	t.Cleanup(func() { SparseDensityThreshold = old })
+	old := sparseDensityThreshold
+	sparseDensityThreshold = 0
+	t.Cleanup(func() { sparseDensityThreshold = old })
 }
 
 // runASGD executes one deterministic single-worker in-process ASGD run.

@@ -96,23 +96,29 @@ func (u *vrUpdater) begin(global int64) error {
 	}
 	u.mu.Zero()
 	total := 0
-	err := bspRound(u.ac,
-		u.filter,
-		func(sel *core.Selection) (int, error) {
-			return u.fullPass(u.anchorBr, sel)
-		},
-		func(payload any, attrs *core.Attrs) error {
-			g, ok := payload.(la.Vec)
-			if !ok {
-				return fmt.Errorf("unexpected full-pass payload %T", payload)
-			}
-			la.Axpy(1, g, u.mu)
-			la.PutVec(g)
-			total += attrs.MiniBatch
-			return nil
-		})
-	if err != nil {
-		return fmt.Errorf("opt: EpochVR anchor at update %d: %w", global, err)
+	// A pass that comes back empty is dispatched again, as the main loop
+	// retries an empty round: when its tasks all failed, the third pass
+	// trips the failure rule and the run ends with core.ErrTaskFailed and
+	// the worker's message. The bound is for a pass empty for another reason.
+	for pass := 0; total == 0 && pass < 3; pass++ {
+		err := bspRound(u.ac,
+			u.filter,
+			func(sel *core.Selection) (int, error) {
+				return u.fullPass(u.anchorBr, sel)
+			},
+			func(payload any, attrs *core.Attrs) error {
+				g, ok := payload.(la.Vec)
+				if !ok {
+					return fmt.Errorf("unexpected full-pass payload %T", payload)
+				}
+				la.Axpy(1, g, u.mu)
+				la.PutVec(g)
+				total += attrs.MiniBatch
+				return nil
+			})
+		if err != nil {
+			return fmt.Errorf("opt: EpochVR anchor at update %d: %w", global, err)
+		}
 	}
 	if total == 0 {
 		return fmt.Errorf("opt: EpochVR at update %d: empty full pass", global)
