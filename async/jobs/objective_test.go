@@ -2,6 +2,7 @@ package jobs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,9 @@ import (
 
 	"repro/async"
 	"repro/async/jobs"
+	"repro/internal/dataset"
 	"repro/internal/la"
+	"repro/internal/opt"
 )
 
 // gateObjective backs the normalization-equivalence checks: jobs submit and
@@ -104,10 +107,14 @@ func TestObjectiveSubmitRejections(t *testing.T) {
 			jobs.Spec{Algorithm: "bcd", Dataset: ds,
 				Objective: async.Objective{L2: 0.01}},
 			"ignores penalty terms"},
-		{"auto_fstar objective mismatch",
+		{"auto_fstar objective mismatch", // stopped by the least-squares gate, auto_fstar or not
 			jobs.Spec{Algorithm: "admm", Dataset: ds, AutoFStar: true,
 				Objective: async.Objective{Loss: "logistic"}},
-			"auto_fstar"},
+			"plain least squares only"},
+		{"logistic on bcd",
+			jobs.Spec{Algorithm: "bcd", Dataset: ds,
+				Objective: async.Objective{Loss: "logistic"}},
+			"plain least squares only"},
 		{"unknown loss",
 			jobs.Spec{Algorithm: "asgd", Dataset: ds,
 				Objective: async.Objective{Loss: "hinge"}},
@@ -127,6 +134,65 @@ func TestObjectiveSubmitRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFacadeRejectsWhatSubmitRejects pins that the two entry points apply
+// one gate: over every built-in solver × objective × mode, Scheduler.Submit
+// refuses exactly what Engine.Solve refuses, on the same ground. (admm and
+// bcd once solved plain least squares for an l2 or logistic objective handed
+// to the facade, which only submission rejected.)
+func TestFacadeRejectsWhatSubmitRejects(t *testing.T) {
+	s := newScheduler(t, jobs.Config{Engines: 1})
+	eng, err := async.New(async.WithWorkers(2), async.WithPartitions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	d, err := dataset.Generate(dataset.RCV1Like(dataset.ScaleTiny, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := []string{"no proximal step", "ignores penalty terms", "no selection modes", "unknown mode"}
+	gateOf := func(err error) string {
+		for _, g := range gates {
+			if strings.Contains(err.Error(), g) {
+				return g
+			}
+		}
+		return ""
+	}
+	for _, solver := range opt.SolverNames() {
+		for name, obj := range map[string]async.Objective{
+			"plain": {}, "l2": {L2: 0.1}, "l1": {L1: 0.01}, "logistic": {Loss: "logistic"},
+		} {
+			for _, mode := range []string{"", "greedy", "bogus"} {
+				t.Run(solver+"/"+name+"/mode="+mode, func(t *testing.T) {
+					id, subErr := s.Submit(jobs.Spec{
+						Algorithm: solver, Dataset: jobs.DatasetSpec{Name: "rcv1-like"},
+						Objective: obj, Mode: mode, Updates: 2,
+					})
+					if subErr == nil {
+						s.Cancel(id)
+					}
+					opts := async.SolveOptions{
+						Params:    opt.Params{Step: opt.Constant{A: 0.01}, SampleFrac: 0.3, Updates: 2},
+						Objective: obj,
+					}
+					opts.CD.Mode, opts.GCG.Mode = mode, mode
+					_, solveErr := eng.Solve(context.Background(), solver, d, opts)
+					if (subErr == nil) != (solveErr == nil) {
+						t.Fatalf("Submit: %v\nSolve:  %v", subErr, solveErr)
+					}
+					if subErr == nil {
+						return
+					}
+					if g := gateOf(subErr); g == "" || g != gateOf(solveErr) {
+						t.Fatalf("refused on different grounds:\nSubmit: %v\nSolve:  %v", subErr, solveErr)
+					}
+				})
+			}
+		}
 	}
 }
 

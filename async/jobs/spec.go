@@ -140,23 +140,25 @@ type Spec struct {
 
 	// Objective is the structured composite objective: a named loss
 	// (least-squares default, logistic) plus optional l2 (ridge) and l1
-	// (sparsity) penalties. ℓ1 objectives are accepted only for solvers
-	// with a proximal step (sgd, asgd, cd, gcg).
+	// (sparsity) penalties. Submission rejects an objective the chosen
+	// solver cannot optimize faithfully (opt.Accepts: an ℓ1 term needs a
+	// proximal step; some solvers hardwire plain least squares).
 	Objective async.Objective `json:"objective,omitzero"`
 
 	// Loss is the deprecated flat alias for Objective.Loss, kept for
 	// pre-objective clients; setting both to different losses is an error.
 	Loss string `json:"loss,omitempty"`
-	// Mode selects the block-selection order for the coordinate solvers:
-	// cd accepts cyclic (default), random, or greedy (Gauss-Southwell via
-	// the driver-side MaxIP index, with verified-or-fallback semantics);
-	// gcg accepts full (default) or greedy. Solvers without selection
-	// modes reject a non-empty mode at submission.
+	// Mode selects the block-selection order of a coordinate solver, e.g.
+	// greedy (Gauss-Southwell via the driver-side MaxIP index, with
+	// verified-or-fallback semantics); empty is the solver's default. The
+	// modes a solver has are declared with its registration in
+	// internal/opt; a solver without any, and a mode the solver does not
+	// list, are rejected at submission.
 	Mode string `json:"mode,omitempty"`
 	// SampleFrac is the mini-batch sampling rate b (default 0.3).
 	SampleFrac float64 `json:"sample_frac,omitempty"`
-	// Updates is the model-update budget (default 200; rounds for
-	// admm/bcd).
+	// Updates is the model-update budget (default 200; rounds for the
+	// round-budgeted solvers).
 	Updates int `json:"updates,omitempty"`
 	// SnapshotEvery is the trace/progress resolution (default Updates/10).
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
@@ -218,11 +220,15 @@ func (sp *Spec) normalize() error {
 	if _, err := sp.Barrier.barrier(); err != nil {
 		return err
 	}
-	if err := sp.normalizeObjective(); err != nil {
+	loss, err := sp.normalizeObjective()
+	if err != nil {
 		return err
 	}
-	if err := sp.normalizeMode(); err != nil {
-		return err
+	// the registry's gate, the one Engine.Solve applies: can the chosen
+	// solver optimize that objective, under that selection mode?
+	sp.Mode = strings.ToLower(sp.Mode)
+	if err := opt.Accepts(sp.Algorithm, loss, sp.Mode); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
 	if sp.SampleFrac == 0 {
 		sp.SampleFrac = 0.3
@@ -263,16 +269,6 @@ func (sp *Spec) normalize() error {
 	return nil
 }
 
-// canonAlgorithm is the name submission checks key on: the resolved
-// solver's own, so a deprecated alias (asgd-remote, asaga-remote) is judged
-// as the solver it runs. Spec.Algorithm itself keeps the submitted spelling.
-func (sp Spec) canonAlgorithm() string {
-	if s, err := async.Lookup(sp.Algorithm); err == nil {
-		return strings.ToLower(s.Name())
-	}
-	return strings.ToLower(sp.Algorithm)
-}
-
 // canonLossName collapses the loss-name aliases for conflict detection.
 func canonLossName(s string) string {
 	switch strings.ToLower(s) {
@@ -283,77 +279,18 @@ func canonLossName(s string) string {
 	}
 }
 
-// noProxSolvers are the built-in solvers without a proximal step: an ℓ1
-// objective would be silently dropped, so submission rejects it up front.
-// Solvers outside this map (including custom registrations) pass; the opt
-// registry applies its own gate at run time.
-var noProxSolvers = map[string]bool{
-	"saga": true, "asaga": true, "svrg": true, "admm": true, "bcd": true,
-	"mllib-sgd": true,
-}
-
-// penaltyBlindSolvers optimize a hardwired plain loss and would ignore any
-// penalty term entirely.
-var penaltyBlindSolvers = map[string]bool{"admm": true, "bcd": true}
-
 // normalizeObjective merges the deprecated flat Loss alias into the
-// structured Objective, validates it, and checks the chosen solver can
-// actually optimize it.
-func (sp *Spec) normalizeObjective() error {
+// structured Objective and resolves it.
+func (sp *Spec) normalizeObjective() (opt.Loss, error) {
 	if sp.Loss != "" && sp.Objective.Loss != "" &&
 		canonLossName(sp.Loss) != canonLossName(sp.Objective.Loss) {
-		return fmt.Errorf("jobs: loss %q conflicts with objective.loss %q (drop the deprecated top-level loss)",
+		return nil, fmt.Errorf("jobs: loss %q conflicts with objective.loss %q (drop the deprecated top-level loss)",
 			sp.Loss, sp.Objective.Loss)
 	}
 	if sp.Objective.Loss == "" {
 		sp.Objective.Loss = sp.Loss
 	}
-	if err := sp.Objective.Validate(); err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	algo := sp.canonAlgorithm()
-	if sp.Objective.L1 > 0 && noProxSolvers[algo] {
-		return fmt.Errorf("jobs: solver %q has no proximal step and cannot solve an ℓ1 objective (use sgd, asgd, cd or gcg)", algo)
-	}
-	if (sp.Objective.L1 > 0 || sp.Objective.L2 > 0) && penaltyBlindSolvers[algo] {
-		return fmt.Errorf("jobs: solver %q ignores penalty terms; submit the objective to sgd, asgd, cd or gcg instead", algo)
-	}
-	// admm/bcd hardwire least squares: auto_fstar against any other
-	// submitted objective would gauge the run against the wrong optimum
-	if sp.AutoFStar && (algo == "admm" || algo == "bcd") &&
-		canonLossName(sp.Objective.Loss) != "least-squares" {
-		return fmt.Errorf("jobs: auto_fstar would compute the reference optimum of objective %q, but solver %q optimizes plain least squares — drop auto_fstar or change the objective", sp.Objective.Loss, algo)
-	}
-	return nil
-}
-
-// modeSolvers lists, per algorithm, the selection modes Spec.Mode accepts.
-// Solvers outside the map have no mode knob and reject a non-empty Mode.
-var modeSolvers = map[string][]string{
-	"cd":  {"cyclic", "random", "greedy"},
-	"gcg": {"full", "greedy"},
-}
-
-// normalizeMode lower-cases and validates Spec.Mode against the chosen
-// solver's selection modes.
-func (sp *Spec) normalizeMode() error {
-	if sp.Mode == "" {
-		return nil
-	}
-	algo := sp.canonAlgorithm()
-	allowed, ok := modeSolvers[algo]
-	if !ok {
-		return fmt.Errorf("jobs: solver %q has no selection modes (mode applies to: cd, gcg)", algo)
-	}
-	mode := strings.ToLower(sp.Mode)
-	for _, m := range allowed {
-		if mode == m {
-			sp.Mode = mode
-			return nil
-		}
-	}
-	return fmt.Errorf("jobs: unknown mode %q for solver %q (known: %s)",
-		sp.Mode, algo, strings.Join(allowed, ", "))
+	return sp.loss()
 }
 
 // objective returns the merged structured objective (flat Loss alias
@@ -480,11 +417,8 @@ func (sp Spec) solveOptions(workers int) (async.SolveOptions, error) {
 		Objective: sp.objective(),
 		FStar:     sp.FStar,
 	}
-	switch sp.canonAlgorithm() {
-	case "cd":
-		out.CD.Mode = sp.Mode
-	case "gcg":
-		out.GCG.Mode = sp.Mode
-	}
+	// a solver reads its own family's mode; submission has checked the
+	// chosen one accepts it
+	out.CD.Mode, out.GCG.Mode = sp.Mode, sp.Mode
 	return out, nil
 }

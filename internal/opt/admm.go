@@ -24,50 +24,27 @@ import (
 // Worker-local state (x_i, u_i, cached Gram operator) lives in the worker
 // Env store; the consensus z travels via the ASYNCbroadcaster.
 
-// ADMMParams configures an ADMM run.
-type ADMMParams struct {
-	Rho      float64 // augmented-Lagrangian penalty (> 0)
-	Rounds   int     // z-updates
-	CGTol    float64 // local subproblem tolerance
-	CGIters  int     // local subproblem iteration cap
-	Barrier  core.BarrierFunc
-	Filter   core.WorkerFilter
-	Snapshot int // trace resolution in z-updates
-
-	// OnProgress observes recorder snapshots as z-updates land (see
-	// Params.OnProgress).
-	OnProgress ProgressFunc
-
-	// CheckpointEvery / OnCheckpoint / Preempt / Resume mirror the Params
-	// fields of the same names (see Params); the checkpoint carries z and
-	// the per-worker consensus contributions. Worker-side primal/dual
-	// iterates are soft state a resumed run re-seeds.
-	CheckpointEvery int
-	OnCheckpoint    func(*Checkpoint)
-	Preempt         *PreemptSignal
-	Resume          *Checkpoint
+// ADMMConfig carries the consensus-solver knobs: the augmented-Lagrangian
+// penalty Rho (zero is 1) and the local conjugate-gradient solve's tolerance
+// (zero is 1e-8) and iteration cap (zero is 200). Params.Updates is the
+// z-update budget and Params.SnapshotEvery the trace resolution in
+// z-updates (zero is 5).
+type ADMMConfig struct {
+	Rho     float64
+	CGTol   float64
+	CGIters int
 }
 
-func (p *ADMMParams) defaults() error {
-	if p.Rho <= 0 {
-		p.Rho = 1
+func (c *ADMMConfig) defaults() {
+	if c.Rho <= 0 {
+		c.Rho = 1
 	}
-	if p.Rounds <= 0 {
-		return fmt.Errorf("opt: ADMM needs positive Rounds")
+	if c.CGTol <= 0 {
+		c.CGTol = 1e-8
 	}
-	if p.CGTol <= 0 {
-		p.CGTol = 1e-8
+	if c.CGIters <= 0 {
+		c.CGIters = 200
 	}
-	if p.CGIters <= 0 {
-		p.CGIters = 200
-	}
-	if p.Barrier == nil {
-		p.Barrier = core.ASP()
-	}
-	if p.Snapshot <= 0 {
-		p.Snapshot = 5
-	}
-	return nil
 }
 
 // admmState is the per-partition ADMM state kept in the Env store, plus the
@@ -234,36 +211,34 @@ func (u *admmUpdater) Import(cp *Checkpoint) error {
 	return nil
 }
 
-// ADMM runs consensus ADMM. Synchronous (BSP) when p.Barrier is core.BSP():
-// every z-update averages all partitions' (x_i + u_i). Under ASP/SSP the
-// server re-averages from the latest contribution of each worker as results
-// arrive — asynchronous consensus ADMM. fstar is the reference optimum of
-// the global least-squares problem.
-func ADMM(ac *core.Context, d *dataset.Dataset, p ADMMParams, fstar float64) (*Result, error) {
-	if err := p.defaults(); err != nil {
+// ADMM runs consensus ADMM for p.Updates z-updates. Synchronous (BSP) when
+// p.Barrier is core.BSP(): every z-update averages all partitions'
+// (x_i + u_i). Under ASP/SSP the server re-averages from the latest
+// contribution of each worker as results arrive — asynchronous consensus
+// ADMM. The objective is plain least squares whatever p.Loss says; the
+// checkpoint carries z and the per-worker consensus contributions
+// (worker-side primal/dual iterates are soft state a resumed run re-seeds).
+// fstar is the reference optimum of the global least-squares problem.
+func ADMM(ac *core.Context, d *dataset.Dataset, p Params, c ADMMConfig, fstar float64) (*Result, error) {
+	if err := p.runDefaults(5); err != nil {
 		return nil, err
 	}
+	c.defaults()
 	u := &admmUpdater{z: la.NewVec(d.NumCols()), latest: map[int]admmContrib{}}
 	algo := "ADMM-async"
 	if isBSPBarrier(ac, p.Barrier) {
 		algo = "ADMM"
 	}
-	lp := Params{
-		Updates: p.Rounds, Barrier: p.Barrier, Filter: p.Filter,
-		SnapshotEvery: p.Snapshot, OnProgress: p.OnProgress,
-		CheckpointEvery: p.CheckpointEvery, OnCheckpoint: p.OnCheckpoint,
-		Preempt: p.Preempt, Resume: p.Resume,
-	}
 	dispatch, err := kernelDispatch(ac, admmOpName, LeastSquares{}, 0, func(a *GradOpArgs) {
-		a.Rho, a.CGTol, a.CGIters = p.Rho, p.CGTol, p.CGIters
+		a.Rho, a.CGTol, a.CGIters = c.Rho, c.CGTol, c.CGIters
 	})
 	if err != nil {
 		return nil, err
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: "admm", Key: "admm.z",
-		P: &lp, Loss: LeastSquares{}, FStar: fstar,
-		Target: int64(p.Rounds), Publish: pubPlain,
+		P: &p, Loss: LeastSquares{}, FStar: fstar,
+		Target: int64(p.Updates), Publish: pubPlain,
 		Round: true, StreamRound: true, RoundBudget: true,
 		Dispatch: dispatch,
 	})

@@ -10,9 +10,7 @@ import (
 func TestADMMSyncConverges(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
-		res, err := ADMM(r.ac, r.d, ADMMParams{
-			Rho: 1, Rounds: 40, Barrier: core.BSP(), Snapshot: 10,
-		}, r.fstar)
+		res, err := ADMM(r.ac, r.d, Params{Updates: 40, Barrier: core.BSP(), SnapshotEvery: 10}, ADMMConfig{Rho: 1}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,9 +24,7 @@ func TestADMMSyncConverges(t *testing.T) {
 func TestADMMAsyncConverges(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
-		res, err := ADMM(r.ac, r.d, ADMMParams{
-			Rho: 1, Rounds: 80, Snapshot: 20, // default barrier: ASP
-		}, r.fstar)
+		res, err := ADMM(r.ac, r.d, Params{Updates: 80, SnapshotEvery: 20}, ADMMConfig{Rho: 1}, r.fstar) // default barrier: ASP
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,9 +38,7 @@ func TestADMMAsyncConverges(t *testing.T) {
 func TestADMMAsyncUnderStraggler(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, straggler.ControlledDelay{Worker: 0, Intensity: 2}, denseCfg())
-		res, err := ADMM(r.ac, r.d, ADMMParams{
-			Rho: 1, Rounds: 80, Snapshot: 20,
-		}, r.fstar)
+		res, err := ADMM(r.ac, r.d, Params{Updates: 80, SnapshotEvery: 20}, ADMMConfig{Rho: 1}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +50,7 @@ func TestADMMAsyncUnderStraggler(t *testing.T) {
 
 func TestADMMValidation(t *testing.T) {
 	r := newRig(t, 1, 1, nil)
-	if _, err := ADMM(r.ac, r.d, ADMMParams{Rounds: 0}, r.fstar); err == nil {
+	if _, err := ADMM(r.ac, r.d, Params{Updates: 0}, ADMMConfig{}, r.fstar); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 }
@@ -65,9 +59,7 @@ func TestADMMRhoSensitivity(t *testing.T) {
 	// any positive rho must still converge (ADMM is famously insensitive)
 	for _, rho := range []float64{0.1, 1, 10} {
 		r := newRig(t, 2, 4, nil)
-		res, err := ADMM(r.ac, r.d, ADMMParams{
-			Rho: rho, Rounds: 60, Barrier: core.BSP(), Snapshot: 20,
-		}, r.fstar)
+		res, err := ADMM(r.ac, r.d, Params{Updates: 60, Barrier: core.BSP(), SnapshotEvery: 20}, ADMMConfig{Rho: rho}, r.fstar)
 		if err != nil {
 			t.Fatalf("rho=%v: %v", rho, err)
 		}

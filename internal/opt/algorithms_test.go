@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net"
@@ -337,10 +338,9 @@ func TestClosureSolverOverTCPFailsLoudly(t *testing.T) {
 func TestEpochVRConverges(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
-		res, err := EpochVR(r.ac, r.d, VRParams{
-			Params: Params{Step: Constant{A: 0.02}, SampleFrac: 0.3, Updates: 1, SnapshotEvery: 40},
-			Epochs: 4, UpdatesPerEpoch: 80,
-		}, r.fstar)
+		res, err := EpochVR(r.ac, r.d,
+			Params{Step: Constant{A: 0.02}, SampleFrac: 0.3, Updates: 1, SnapshotEvery: 40},
+			VRConfig{Epochs: 4, UpdatesPerEpoch: 80}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func TestEpochVRConverges(t *testing.T) {
 
 func TestMllibSGDConverges(t *testing.T) {
 	r := newRig(t, 4, 8, nil)
-	res, err := MllibSGD(r.rctx, r.points, r.d, Params{
+	res, err := MllibSGD(context.Background(), r.rctx, r.points, r.d, Params{
 		Step: InvSqrt{A: 0.08}, SampleFrac: 0.4, Updates: 80, SnapshotEvery: 20,
 	}, r.fstar)
 	if err != nil {
@@ -364,7 +364,7 @@ func TestMllibSGDConverges(t *testing.T) {
 func TestFig2Shape(t *testing.T) {
 	r := newRig(t, 4, 8, nil)
 	p := Params{Step: InvSqrt{A: 0.08}, SampleFrac: 0.4, Updates: 60, SnapshotEvery: 20}
-	mllib, err := MllibSGD(r.rctx, r.points, r.d, p, r.fstar)
+	mllib, err := MllibSGD(context.Background(), r.rctx, r.points, r.d, p, r.fstar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,10 +426,10 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := SyncSGD(r.ac, r.d, Params{Step: Constant{A: 1}, SampleFrac: 0.5, Updates: 0}, 0); err == nil {
 		t.Fatal("zero updates accepted")
 	}
-	if _, err := EpochVR(r.ac, r.d, VRParams{
-		Params: Params{Step: Constant{A: 1}, SampleFrac: 0.5, Updates: 1},
-	}, 0); err == nil {
-		t.Fatal("zero epochs accepted")
+	// zero Epochs is "use the default" (VRConfig.defaults)
+	if _, err := EpochVR(r.ac, r.d, Params{Step: Constant{A: 1}, SampleFrac: 0.5, Updates: 1},
+		VRConfig{Epochs: -1}, 0); err == nil {
+		t.Fatal("negative epochs accepted")
 	}
 }
 

@@ -19,16 +19,11 @@ type gradAgg struct {
 // directly against the synchronous RDD layer (sample → map → reduce per
 // round) with Mllib's 1/√t step decay, entirely bypassing the ASYNC
 // components. Differences between this and SyncSGD measure ASYNC's
-// synchronous-path overhead.
-func MllibSGD(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
-	return MllibSGDCtx(context.Background(), rctx, points, d, p, fstar)
-}
-
-// MllibSGDCtx is MllibSGD with cancellation: the baseline bypasses the AC
-// (so Context.Bind cannot reach it) and instead checks ctx between rounds.
-// It runs through the unified driver runtime in its AC-free synchronous
-// mode — one SyncStep per Spark-style round.
-func MllibSGDCtx(ctx context.Context, rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
+// synchronous-path overhead. Bypassing the AC means Context.Bind cannot
+// reach it, so it checks ctx between rounds itself. It runs through the
+// unified driver runtime in its AC-free synchronous mode — one SyncStep per
+// Spark-style round.
+func MllibSGD(ctx context.Context, rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
 	if err := p.defaults(); err != nil {
 		return nil, err
 	}

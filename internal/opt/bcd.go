@@ -22,46 +22,27 @@ import (
 // worker contributes a partial (g_J, h_J) for the same block; asynchrony
 // makes those partials stale in exactly the ASYNC sense.
 
-// BCDParams configures AsyncBCD.
-type BCDParams struct {
-	BlockSize int     // coordinates per block
-	Step      float64 // damping in (0, 1]; 1 = full diagonal-Newton step
-	Updates   int     // block updates
-	Barrier   core.BarrierFunc
-	Filter    core.WorkerFilter
-	Snapshot  int
+// BCDConfig carries the block-coordinate knobs: coordinates per block (zero
+// is min(32, cols)), the damping Step in (0,1] (zero is 1, the full
+// diagonal-Newton step) and the block RNG seed.
+type BCDConfig struct {
+	BlockSize int
+	Step      float64
 	Seed      int64
-
-	// OnProgress observes recorder snapshots as block updates land (see
-	// Params.OnProgress).
-	OnProgress ProgressFunc
-
-	// CheckpointEvery / OnCheckpoint / Preempt / Resume mirror the Params
-	// fields of the same names (see Params). Besides the model, the
-	// checkpoint carries the dispatch count, which Import replays against
-	// the seeded RNG so a resumed run continues the block sequence exactly
-	// where the original stopped.
-	CheckpointEvery int
-	OnCheckpoint    func(*Checkpoint)
-	Preempt         *PreemptSignal
-	Resume          *Checkpoint
 }
 
-func (p *BCDParams) defaults(cols int) error {
-	if p.BlockSize <= 0 || p.BlockSize > cols {
-		return fmt.Errorf("opt: BCD block size %d outside (0,%d]", p.BlockSize, cols)
+func (c *BCDConfig) defaults(cols int) error {
+	if c.BlockSize == 0 {
+		c.BlockSize = min(32, cols)
 	}
-	if p.Step <= 0 || p.Step > 1 {
-		return fmt.Errorf("opt: BCD step %v outside (0,1]", p.Step)
+	if c.BlockSize < 0 || c.BlockSize > cols {
+		return fmt.Errorf("opt: BCD block size %d outside (0,%d]", c.BlockSize, cols)
 	}
-	if p.Updates <= 0 {
-		return fmt.Errorf("opt: BCD needs positive Updates")
+	if c.Step == 0 {
+		c.Step = 1
 	}
-	if p.Barrier == nil {
-		p.Barrier = core.ASP()
-	}
-	if p.Snapshot <= 0 {
-		p.Snapshot = 10
+	if c.Step < 0 || c.Step > 1 {
+		return fmt.Errorf("opt: BCD step %v outside (0,1]", c.Step)
 	}
 	return nil
 }
@@ -144,7 +125,6 @@ type bcdUpdater struct {
 	w         la.Vec
 	step      float64
 	blockSize int
-	seed      int64
 	rng       *rand.Rand
 	perm      []int32
 	sync      bool
@@ -155,18 +135,18 @@ type bcdUpdater struct {
 	got        int
 }
 
-func newBCDUpdater(cols int, p BCDParams, sync bool) *bcdUpdater {
+func newBCDUpdater(cols int, c BCDConfig, sync bool) *bcdUpdater {
 	u := &bcdUpdater{
-		w: la.NewVec(cols), step: p.Step, blockSize: p.BlockSize,
-		seed: p.Seed, rng: rand.New(rand.NewSource(p.Seed + 1)),
+		w: la.NewVec(cols), step: c.Step, blockSize: c.BlockSize,
+		rng:  rand.New(rand.NewSource(c.Seed + 1)),
 		perm: make([]int32, cols), sync: sync,
 	}
 	for j := range u.perm {
 		u.perm[j] = int32(j)
 	}
 	if sync {
-		u.g = la.NewVec(p.BlockSize)
-		u.h = la.NewVec(p.BlockSize)
+		u.g = la.NewVec(c.BlockSize)
+		u.h = la.NewVec(c.BlockSize)
 	}
 	return u
 }
@@ -231,11 +211,18 @@ func (u *bcdUpdater) Import(cp *Checkpoint) error {
 	return nil
 }
 
-// AsyncBCD runs the block coordinate method. With core.BSP() it is a
-// synchronous Jacobi block solver (all partials combined before the step);
-// under ASP each worker's partial triggers its own damped step.
-func AsyncBCD(ac *core.Context, d *dataset.Dataset, p BCDParams, fstar float64) (*Result, error) {
-	if err := p.defaults(d.NumCols()); err != nil {
+// AsyncBCD runs the block coordinate method for p.Updates block updates.
+// With core.BSP() it is a synchronous Jacobi block solver (all partials
+// combined before the step); under ASP each worker's partial triggers its
+// own damped step. The objective is plain least squares whatever p.Loss
+// says. Besides the model, the checkpoint carries the dispatch count, which
+// Import replays against the seeded RNG so a resumed run continues the block
+// sequence exactly where the original stopped.
+func AsyncBCD(ac *core.Context, d *dataset.Dataset, p Params, c BCDConfig, fstar float64) (*Result, error) {
+	if err := p.runDefaults(10); err != nil {
+		return nil, err
+	}
+	if err := c.defaults(d.NumCols()); err != nil {
 		return nil, err
 	}
 	sync := isBSPBarrier(ac, p.Barrier)
@@ -243,13 +230,7 @@ func AsyncBCD(ac *core.Context, d *dataset.Dataset, p BCDParams, fstar float64) 
 	if sync {
 		algo = "BCD"
 	}
-	u := newBCDUpdater(d.NumCols(), p, sync)
-	lp := Params{
-		Updates: p.Updates, Barrier: p.Barrier, Filter: p.Filter,
-		SnapshotEvery: p.Snapshot, OnProgress: p.OnProgress,
-		CheckpointEvery: p.CheckpointEvery, OnCheckpoint: p.OnCheckpoint,
-		Preempt: p.Preempt, Resume: p.Resume,
-	}
+	u := newBCDUpdater(d.NumCols(), c, sync)
 	dispatch, err := kernelDispatch(ac, bcdOpName, LeastSquares{}, 0, func(a *GradOpArgs) {
 		a.Block = u.pickBlock()
 		if u.sync {
@@ -261,7 +242,7 @@ func AsyncBCD(ac *core.Context, d *dataset.Dataset, p BCDParams, fstar float64) 
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: "bcd", Key: "bcd.w",
-		P: &lp, Loss: LeastSquares{}, FStar: fstar,
+		P: &p, Loss: LeastSquares{}, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubPlain, Prune: true,
 		Round:    sync,
 		Dispatch: dispatch,

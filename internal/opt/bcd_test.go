@@ -10,9 +10,8 @@ import (
 func TestBCDSyncConverges(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
-		res, err := AsyncBCD(r.ac, r.d, BCDParams{
-			BlockSize: 4, Step: 0.9, Updates: 120, Barrier: core.BSP(), Snapshot: 30, Seed: 1,
-		}, r.fstar)
+		res, err := AsyncBCD(r.ac, r.d, Params{Updates: 120, Barrier: core.BSP(), SnapshotEvery: 30},
+			BCDConfig{BlockSize: 4, Step: 0.9, Seed: 1}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,9 +25,8 @@ func TestBCDSyncConverges(t *testing.T) {
 func TestBCDAsyncConverges(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
-		res, err := AsyncBCD(r.ac, r.d, BCDParams{
-			BlockSize: 4, Step: 0.5, Updates: 400, Snapshot: 100, Seed: 2,
-		}, r.fstar)
+		res, err := AsyncBCD(r.ac, r.d, Params{Updates: 400, SnapshotEvery: 100},
+			BCDConfig{BlockSize: 4, Step: 0.5, Seed: 2}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,9 +40,8 @@ func TestBCDAsyncConverges(t *testing.T) {
 func TestBCDAsyncUnderStraggler(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 4, 8, straggler.ControlledDelay{Worker: 1, Intensity: 2}, denseCfg())
-		res, err := AsyncBCD(r.ac, r.d, BCDParams{
-			BlockSize: 4, Step: 0.5, Updates: 400, Snapshot: 100, Seed: 3,
-		}, r.fstar)
+		res, err := AsyncBCD(r.ac, r.d, Params{Updates: 400, SnapshotEvery: 100},
+			BCDConfig{BlockSize: 4, Step: 0.5, Seed: 3}, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,15 +51,19 @@ func TestBCDAsyncUnderStraggler(t *testing.T) {
 
 func TestBCDValidation(t *testing.T) {
 	r := newRig(t, 1, 1, nil)
-	cases := []BCDParams{
-		{BlockSize: 0, Step: 0.5, Updates: 10},
-		{BlockSize: 999, Step: 0.5, Updates: 10},
-		{BlockSize: 2, Step: 0, Updates: 10},
-		{BlockSize: 2, Step: 1.5, Updates: 10},
-		{BlockSize: 2, Step: 0.5, Updates: 0},
+	// zero BlockSize and Step are "use the default" (BCDConfig.defaults)
+	cases := []struct {
+		c       BCDConfig
+		updates int
+	}{
+		{BCDConfig{BlockSize: -1, Step: 0.5}, 10},
+		{BCDConfig{BlockSize: 999, Step: 0.5}, 10},
+		{BCDConfig{BlockSize: 2, Step: -1}, 10},
+		{BCDConfig{BlockSize: 2, Step: 1.5}, 10},
+		{BCDConfig{BlockSize: 2, Step: 0.5}, 0},
 	}
-	for i, p := range cases {
-		if _, err := AsyncBCD(r.ac, r.d, p, r.fstar); err == nil {
+	for i, tc := range cases {
+		if _, err := AsyncBCD(r.ac, r.d, Params{Updates: tc.updates}, tc.c, r.fstar); err == nil {
 			t.Fatalf("case %d: invalid params accepted", i)
 		}
 	}

@@ -34,17 +34,19 @@ import (
 // model broadcast in one O(partition nnz) pass and is incremental again
 // from the next round.
 
-// CDParams configures CD. The embedded Params supplies the objective, the
-// update budget, trace resolution and the checkpoint/preempt/resume hooks;
-// Step and SampleFrac are unused (the method is a full-pass coordinate
-// solver with its own damping), and the barrier is forced to BSP — the
-// block step needs every worker's rows.
-type CDParams struct {
-	Params
-	BlockSize int     // coordinates per block (default min(32, cols))
-	Mode      string  // block order: "cyclic" (default), "random", or "greedy"
-	DampStep  float64 // damping in (0,1]; 1 = full preconditioned prox step
-	Seed      int64   // block RNG seed (random mode)
+// CDConfig carries the proximal coordinate-descent knobs: coordinates per
+// block (zero is 32, capped at cols), the block order Mode (cdModes; empty
+// is the first), the damping Step in (0,1] (zero is 1, the full
+// preconditioned prox step) and the block RNG seed of random mode. Of the
+// run's Params the solver reads the objective, the update budget, trace
+// resolution and the checkpoint/preempt/resume hooks; Step and SampleFrac
+// are unused (a full-pass coordinate solver with its own damping), and the
+// barrier is forced to BSP — the block step needs every worker's rows.
+type CDConfig struct {
+	BlockSize int
+	Mode      string
+	Step      float64
+	Seed      int64
 
 	// exactBelow forwards to the greedy selector's maxip.Options.ExactBelow
 	// (tests pin tree-vs-scan selector equivalence through it; zero is the
@@ -52,39 +54,22 @@ type CDParams struct {
 	exactBelow int
 }
 
-func (p *CDParams) defaults(cols int) error {
-	if p.Loss == nil {
-		p.Loss = LeastSquares{}
+// cdModes are cd's block orders: cyclic cursor, seeded random draw, or
+// greedy (Gauss-Southwell via the driver-side MaxIP index).
+var cdModes = []string{"cyclic", "random", "greedy"}
+
+func (c *CDConfig) defaults(cols int) error {
+	if c.BlockSize <= 0 {
+		c.BlockSize = 32
 	}
-	if p.BlockSize <= 0 {
-		p.BlockSize = 32
+	c.BlockSize = min(c.BlockSize, cols)
+	if c.Step == 0 {
+		c.Step = 1
 	}
-	if p.BlockSize > cols {
-		p.BlockSize = cols
+	if c.Step < 0 || c.Step > 1 {
+		return fmt.Errorf("opt: CD step %v outside (0,1]", c.Step)
 	}
-	if p.DampStep == 0 {
-		p.DampStep = 1
-	}
-	if p.DampStep < 0 || p.DampStep > 1 {
-		return fmt.Errorf("opt: CD step %v outside (0,1]", p.DampStep)
-	}
-	switch p.Mode {
-	case "":
-		p.Mode = "cyclic"
-	case "cyclic", "random", "greedy":
-	default:
-		return fmt.Errorf("opt: CD mode %q (cyclic, random, greedy)", p.Mode)
-	}
-	if p.Updates <= 0 {
-		return fmt.Errorf("opt: CD needs positive Updates")
-	}
-	if p.SnapshotEvery <= 0 {
-		p.SnapshotEvery = 10
-	}
-	if p.CheckpointEvery < 0 {
-		return fmt.Errorf("opt: CheckpointEvery %d must be non-negative", p.CheckpointEvery)
-	}
-	return nil
+	return checkMode("cd", cdModes, &c.Mode)
 }
 
 // CDDelta is the round-delta broadcast riding alongside the model: the
@@ -201,7 +186,7 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 // gcg differ in: from w_j, the round's summed block gradient g and curvature
 // h on j, and the scheduled step size, it returns the coordinate's new value
 // (ok=false leaves the coordinate alone). A rule is built from the dataset
-// rows, the penalties and CDParams.DampStep.
+// rows, the penalties and CDConfig.Step.
 type coordStep func(wj, g, h, alpha float64) (uj float64, ok bool)
 
 // proxNewtonStep is cd's rule, the damped preconditioned prox step of the
@@ -240,24 +225,24 @@ type cdUpdater struct {
 	delta *la.DeltaVec // last round's coordinate changes (driver-owned)
 }
 
-// newCDUpdater builds the updater for p's objective, block size, mode and
-// seed, stepping by the rule step builds.
-func newCDUpdater(d *dataset.Dataset, p *CDParams, step func(n int, l2, l1, damp float64) coordStep) (*cdUpdater, error) {
+// newCDUpdater builds the updater for the objective loss under c (defaults
+// applied), stepping by the rule step builds.
+func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig, step func(n int, l2, l1, damp float64) coordStep) (*cdUpdater, error) {
 	cols := d.NumCols()
-	lin, l2, l1, ok := splitProx(p.Loss)
+	lin, l2, l1, ok := splitProx(loss)
 	if !ok {
-		return nil, fmt.Errorf("opt: cd cannot decompose objective %q into a linear core", p.Loss.Name())
+		return nil, fmt.Errorf("opt: cd cannot decompose objective %q into a linear core", loss.Name())
 	}
 	u := &cdUpdater{
-		w: la.NewVec(cols), step: step(d.NumRows(), l2, l1, p.DampStep), blockSize: p.BlockSize,
-		cyclic: p.Mode != "random",
-		rng:    rand.New(rand.NewSource(p.Seed + 1)),
+		w: la.NewVec(cols), step: step(d.NumRows(), l2, l1, c.Step), blockSize: c.BlockSize,
+		cyclic: c.Mode != "random",
+		rng:    rand.New(rand.NewSource(c.Seed + 1)),
 		perm:   make([]int32, cols),
 		runID:  cdRunSeq.Add(1),
-		g:      la.NewVec(p.BlockSize), h: la.NewVec(p.BlockSize),
+		g:      la.NewVec(c.BlockSize), h: la.NewVec(c.BlockSize),
 	}
-	if p.Mode == "greedy" {
-		u.sel = newGSSelector(d, lin, l2, l1, u.w, p.exactBelow)
+	if c.Mode == "greedy" {
+		u.sel = newGSSelector(d, lin, l2, l1, u.w, c.exactBelow)
 	}
 	for j := range u.perm {
 		u.perm[j] = int32(j)
@@ -396,15 +381,18 @@ func (u *cdUpdater) Import(cp *Checkpoint) error {
 
 // CD runs proximal coordinate descent over the composite objective
 // p.Loss. fstar is the reference optimum used for error traces.
-func CD(ac *core.Context, d *dataset.Dataset, p CDParams, fstar float64) (*Result, error) {
-	if err := p.defaults(d.NumCols()); err != nil {
+func CD(ac *core.Context, d *dataset.Dataset, p Params, c CDConfig, fstar float64) (*Result, error) {
+	if err := p.runDefaults(10); err != nil {
 		return nil, err
 	}
-	u, err := newCDUpdater(d, &p, proxNewtonStep)
+	if err := c.defaults(d.NumCols()); err != nil {
+		return nil, err
+	}
+	u, err := newCDUpdater(d, p.Loss, c, proxNewtonStep)
 	if err != nil {
 		return nil, err
 	}
-	return u.run(ac, d, &p.Params, "CD", "cd", fstar)
+	return u.run(ac, d, &p, "CD", "cd", fstar)
 }
 
 // run drives u as solver name: bulk-synchronous rounds, each dispatching

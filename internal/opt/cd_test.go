@@ -58,11 +58,11 @@ func TestCDLassoClosedForm(t *testing.T) {
 		n := float64(len(a))
 
 		ac := cdRigOn(t, tr, d, 2, 4)
-		p := CDParams{BlockSize: 4, Mode: "cyclic", DampStep: 1}
+		p, c := Params{}, CDConfig{BlockSize: 4, Mode: "cyclic", Step: 1}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
 		p.Updates = 6 // two full cyclic passes over 12 coords in blocks of 4
 		p.SnapshotEvery = 3
-		res, err := CD(ac, d, p, 0)
+		res, err := CD(ac, d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +103,11 @@ func TestCDIncrementalMatchesRecompute(t *testing.T) {
 		const l2, l1, step = 0.01, 0.005, 0.8
 
 		ac := cdRigOn(t, tr, d, 1, 3)
-		p := CDParams{BlockSize: bs, Mode: "cyclic", DampStep: step}
+		p, c := Params{}, CDConfig{BlockSize: bs, Mode: "cyclic", Step: step}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
 		p.Updates = updates
 		p.SnapshotEvery = 10
-		res, err := CD(ac, d, p, 0)
+		res, err := CD(ac, d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,11 +150,11 @@ func TestCDRandomModeDeterministic(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		run := func() la.Vec {
 			r := newRigOn(t, tr, 1, 2, nil, denseCfg())
-			p := CDParams{BlockSize: 4, Mode: "random", Seed: 5}
+			p, c := Params{}, CDConfig{BlockSize: 4, Mode: "random", Seed: 5}
 			p.Loss = Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.01}
 			p.Updates = 12
 			p.SnapshotEvery = 4
-			res, err := CD(r.ac, r.d, p, 0)
+			res, err := CD(r.ac, r.d, p, c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,11 +181,11 @@ func TestCDLogisticConverges(t *testing.T) {
 		}
 		ac := cdRigOn(t, tr, d, 2, 4)
 		loss := Composite{Inner: Logistic{}, L2: 0.01, L1: 0.002}
-		p := CDParams{BlockSize: 8}
+		p, c := Params{}, CDConfig{BlockSize: 8}
 		p.Loss = loss
 		p.Updates = 30
 		p.SnapshotEvery = 10
-		res, err := CD(ac, d, p, 0)
+		res, err := CD(ac, d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,10 +200,10 @@ func TestCDLogisticConverges(t *testing.T) {
 // bound fails fast instead of looping.
 func TestCDRejectsUnknownObjective(t *testing.T) {
 	r := newRig(t, 1, 2, nil)
-	p := CDParams{}
+	p, c := Params{}, CDConfig{}
 	p.Loss = Ridge{Inner: badLoss{}, Lambda: 0.1}
 	p.Updates = 4
-	if _, err := CD(r.ac, r.d, p, 0); err == nil {
+	if _, err := CD(r.ac, r.d, p, c, 0); err == nil {
 		t.Fatal("CD accepted an objective it cannot decompose")
 	}
 }

@@ -31,10 +31,13 @@ import (
 // same state as a restart at that boundary, which is what makes resumed
 // GCG runs bitwise-reproducible at restart boundaries.
 
-// GCGParams configures GCG. The embedded Params supplies the objective,
-// step schedule, update budget and checkpoint/preempt/resume hooks;
-// SampleFrac is ignored (every round is a full gradient pass) and the
-// barrier is forced to BSP.
+// GCGConfig carries the generalized-CG knobs: RestartEvery updates between
+// conjugate restarts (zero is 20; full mode), the Mode (gcgModes; empty is
+// the first) and, in greedy mode, Atoms coordinates per round (zero is 32,
+// capped at cols). Of the run's Params the solver reads the objective, step
+// schedule, update budget and checkpoint/preempt/resume hooks; SampleFrac is
+// ignored (every round is a full gradient pass) and the barrier is forced to
+// BSP.
 //
 // Mode "greedy" switches from full-gradient conjugate rounds to greedy atom
 // rounds: each round the driver's MaxIP selector (internal/la/maxip, shared
@@ -45,36 +48,31 @@ import (
 // move. There is no conjugate recursion over the changing active set, and
 // RestartEvery is ignored; the selector's verification contract (rebuild on
 // miss, permanent cyclic fallback on repeated misses) applies unchanged.
-type GCGParams struct {
-	Params
-	RestartEvery int    // updates between conjugate restarts (default 20; full mode)
-	Mode         string // "full" (default) or "greedy"
-	Atoms        int    // greedy mode: atoms per round (default min(32, cols))
+type GCGConfig struct {
+	RestartEvery int
+	Mode         string
+	Atoms        int
 
 	// exactBelow forwards to the greedy selector's maxip.Options.ExactBelow
 	// (the test knob; zero = package default, negative = force the tree).
 	exactBelow int
 }
 
-func (p *GCGParams) defaults() error {
-	if p.RestartEvery < 0 {
-		return fmt.Errorf("opt: GCG restart interval %d must be non-negative", p.RestartEvery)
+// gcgModes are gcg's round kinds: the full-gradient conjugate solver, or
+// greedy MaxIP atom selection.
+var gcgModes = []string{"full", "greedy"}
+
+func (c *GCGConfig) defaults() error {
+	if c.RestartEvery < 0 {
+		return fmt.Errorf("opt: GCG restart interval %d must be non-negative", c.RestartEvery)
 	}
-	if p.RestartEvery == 0 {
-		p.RestartEvery = 20
+	if c.RestartEvery == 0 {
+		c.RestartEvery = 20
 	}
-	switch p.Mode {
-	case "":
-		p.Mode = "full"
-	case "full", "greedy":
-	default:
-		return fmt.Errorf("opt: GCG mode %q (full, greedy)", p.Mode)
+	if c.Atoms < 0 {
+		return fmt.Errorf("opt: GCG atoms %d must be non-negative", c.Atoms)
 	}
-	if p.Atoms < 0 {
-		return fmt.Errorf("opt: GCG atoms %d must be non-negative", p.Atoms)
-	}
-	p.SampleFrac = 1 // full-gradient rounds; satisfy Params validation
-	return p.Params.defaults()
+	return checkMode("gcg", gcgModes, &c.Mode)
 }
 
 // gcgUpdater owns the conjugate-gradient driver state: the model, the
@@ -91,8 +89,8 @@ type gcgUpdater struct {
 	hasDir bool
 }
 
-func newGCGUpdater(cols int, p *GCGParams) *gcgUpdater {
-	_, _, l1, _ := splitProx(p.Loss)
+func newGCGUpdater(cols int, loss Loss) *gcgUpdater {
+	_, _, l1, _ := splitProx(loss)
 	return &gcgUpdater{
 		w: la.NewVec(cols), l1: l1,
 		acc: la.NewVec(cols), g: la.NewVec(cols),
@@ -195,42 +193,44 @@ func scheduledStep(n int, l2, l1, _ float64) coordStep {
 // newGreedyGCGUpdater is greedy coordinate descent with the scheduled step:
 // block pick, residual-delta chain, selector verification and resume are
 // cd's (cd.go), under the "gcg.delta" broadcast id.
-func newGreedyGCGUpdater(d *dataset.Dataset, p *GCGParams) (*cdUpdater, error) {
-	atoms := p.Atoms
-	if atoms == 0 {
-		atoms = 32
+func newGreedyGCGUpdater(d *dataset.Dataset, loss Loss, c GCGConfig) (*cdUpdater, error) {
+	cc := CDConfig{BlockSize: c.Atoms, Mode: "greedy", exactBelow: c.exactBelow}
+	if err := cc.defaults(d.NumCols()); err != nil {
+		return nil, err
 	}
-	if cols := d.NumCols(); atoms > cols {
-		atoms = cols
-	}
-	cp := CDParams{Params: p.Params, BlockSize: atoms, Mode: "greedy", exactBelow: p.exactBelow}
-	return newCDUpdater(d, &cp, scheduledStep)
+	return newCDUpdater(d, loss, cc, scheduledStep)
 }
 
 // GCG runs restart-based generalized conjugate gradient over the composite
 // objective p.Loss. fstar is the reference optimum used for error traces.
-func GCG(ac *core.Context, d *dataset.Dataset, p GCGParams, fstar float64) (*Result, error) {
-	if err := p.defaults(); err != nil {
+func GCG(ac *core.Context, d *dataset.Dataset, p Params, c GCGConfig, fstar float64) (*Result, error) {
+	if err := p.needStep(); err != nil {
 		return nil, err
 	}
-	if p.Mode == "greedy" {
-		u, err := newGreedyGCGUpdater(d, &p)
+	if err := p.runDefaults(10); err != nil {
+		return nil, err
+	}
+	if err := c.defaults(); err != nil {
+		return nil, err
+	}
+	if c.Mode == "greedy" {
+		u, err := newGreedyGCGUpdater(d, p.Loss, c)
 		if err != nil {
 			return nil, err
 		}
-		return u.run(ac, d, &p.Params, "GCG-greedy", "gcg", fstar)
+		return u.run(ac, d, &p, "GCG-greedy", "gcg", fstar)
 	}
-	u := newGCGUpdater(d.NumCols(), &p)
+	u := newGCGUpdater(d.NumCols(), p.Loss)
 	dispatch, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)
 	if err != nil {
 		return nil, err
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "GCG", Name: "gcg", Key: "gcg.w",
-		P: &p.Params, Loss: p.Loss, FStar: fstar,
+		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), Publish: pubEager, Prune: true,
 		Barrier: core.BSP(), Round: true,
-		EpochLen: int64(p.RestartEvery),
+		EpochLen: int64(c.RestartEvery),
 		EpochBegin: func(global int64) error {
 			if global == 0 {
 				return nil // run start: nothing to restart

@@ -11,11 +11,11 @@ import (
 func TestGCGConvergesLS(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 2, 4, nil, denseCfg())
-		p := GCGParams{RestartEvery: 10}
+		p, c := Params{}, GCGConfig{RestartEvery: 10}
 		p.Step = Constant{A: 0.05}
 		p.Updates = 60
 		p.SnapshotEvery = 10
-		res, err := GCG(r.ac, r.d, p, r.fstar)
+		res, err := GCG(r.ac, r.d, p, c, r.fstar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,12 +29,12 @@ func TestGCGElasticNet(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 1, 2, nil, denseCfg())
 		loss := Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.01}
-		p := GCGParams{RestartEvery: 8}
+		p, c := Params{}, GCGConfig{RestartEvery: 8}
 		p.Loss = loss
 		p.Step = Constant{A: 0.05}
 		p.Updates = 40
 		p.SnapshotEvery = 10
-		res, err := GCG(r.ac, r.d, p, 0)
+		res, err := GCG(r.ac, r.d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestGCGElasticNet(t *testing.T) {
 // updater in exactly the state a checkpoint export/import produces (model
 // preserved bitwise, conjugate direction and gradient memory dropped).
 func TestGCGRestartIsCheckpointRoundTrip(t *testing.T) {
-	u := newGCGUpdater(4, &GCGParams{})
+	u := newGCGUpdater(4, nil)
 	copy(u.w, []float64{1, -2, 3, -4})
 	copy(u.dir, []float64{0.5, 0.5, 0.5, 0.5})
 	copy(u.gPrev, []float64{1, 1, 1, 1})
@@ -83,12 +83,12 @@ func TestGCGGreedyConverges(t *testing.T) {
 		loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
 		run := func(exactBelow int) la.Vec {
 			ac := cdRigOn(t, tr, d, 1, 2)
-			p := GCGParams{Mode: "greedy", Atoms: 8, exactBelow: exactBelow}
+			p, c := Params{}, GCGConfig{Mode: "greedy", Atoms: 8, exactBelow: exactBelow}
 			p.Loss = loss
 			p.Step = Constant{A: 0.02}
 			p.Updates = 60
 			p.SnapshotEvery = 10
-			res, err := GCG(ac, d, p, 0)
+			res, err := GCG(ac, d, p, c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,16 +109,13 @@ func TestGCGGreedyConverges(t *testing.T) {
 // TestGCGModeValidation: unknown modes and negative atom counts error out.
 func TestGCGModeValidation(t *testing.T) {
 	r := newRig(t, 1, 1, nil)
-	p := GCGParams{Mode: "sideways"}
+	p, c := Params{}, GCGConfig{Mode: "sideways"}
 	p.Step = Constant{A: 0.05}
 	p.Updates = 1
-	if _, err := GCG(r.ac, r.d, p, 0); err == nil {
+	if _, err := GCG(r.ac, r.d, p, c, 0); err == nil {
 		t.Fatal("unknown GCG mode accepted")
 	}
-	p = GCGParams{Atoms: -1}
-	p.Step = Constant{A: 0.05}
-	p.Updates = 1
-	if _, err := GCG(r.ac, r.d, p, 0); err == nil {
+	if _, err := GCG(r.ac, r.d, p, GCGConfig{Atoms: -1}, 0); err == nil {
 		t.Fatal("negative atom count accepted")
 	}
 }
@@ -131,8 +128,9 @@ func TestGCGGreedyResume(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		d := illCondDataset(t, 120, 256, 8, 71)
 		loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
-		params := func() GCGParams {
-			p := GCGParams{Mode: "greedy", Atoms: 8}
+		c := GCGConfig{Mode: "greedy", Atoms: 8}
+		params := func() Params {
+			var p Params
 			p.Loss = loss
 			p.Step = Constant{A: 0.02}
 			p.SnapshotEvery = 10
@@ -141,7 +139,7 @@ func TestGCGGreedyResume(t *testing.T) {
 
 		full := params()
 		full.Updates = 30
-		res, err := GCG(cdRigOn(t, tr, d, 1, 2), d, full, 0)
+		res, err := GCG(cdRigOn(t, tr, d, 1, 2), d, full, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +149,7 @@ func TestGCGGreedyResume(t *testing.T) {
 		head.Updates = 10
 		head.CheckpointEvery = 10
 		head.OnCheckpoint = func(c *Checkpoint) { cp = c }
-		if _, err := GCG(cdRigOn(t, tr, d, 1, 2), d, head, 0); err != nil {
+		if _, err := GCG(cdRigOn(t, tr, d, 1, 2), d, head, c, 0); err != nil {
 			t.Fatal(err)
 		}
 		if cp == nil {
@@ -160,7 +158,7 @@ func TestGCGGreedyResume(t *testing.T) {
 		tail := params()
 		tail.Updates = 30
 		tail.Resume = cp
-		resumed, err := GCG(cdRigOn(t, tr, d, 1, 2), d, tail, 0)
+		resumed, err := GCG(cdRigOn(t, tr, d, 1, 2), d, tail, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,9 +173,7 @@ func TestGCGGreedyResume(t *testing.T) {
 // wrapping blocks keyed off the dispatch counter.
 func TestGCGGreedyFallbackCursor(t *testing.T) {
 	d := illCondDataset(t, 60, 40, 4, 73)
-	p := GCGParams{Mode: "greedy", Atoms: 16}
-	p.Loss = Composite{Inner: LeastSquares{}, L2: 0.01}
-	u, err := newGreedyGCGUpdater(d, &p)
+	u, err := newGreedyGCGUpdater(d, Composite{Inner: LeastSquares{}, L2: 0.01}, GCGConfig{Mode: "greedy", Atoms: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

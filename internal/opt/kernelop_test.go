@@ -136,11 +136,11 @@ func TestKernelSolversRejectUnnameableLoss(t *testing.T) {
 		"saga":  func(p Params) (*Result, error) { return SAGA(r.ac, r.d, p, 0) },
 		"asaga": func(p Params) (*Result, error) { return ASAGA(r.ac, r.d, p, 0) },
 		"svrg": func(p Params) (*Result, error) {
-			return EpochVR(r.ac, r.d, VRParams{Params: p, Epochs: 1, UpdatesPerEpoch: 1}, 0)
+			return EpochVR(r.ac, r.d, p, VRConfig{Epochs: 1, UpdatesPerEpoch: 1}, 0)
 		},
-		"cd":         func(p Params) (*Result, error) { return CD(r.ac, r.d, CDParams{Params: p}, 0) },
-		"gcg":        func(p Params) (*Result, error) { return GCG(r.ac, r.d, GCGParams{Params: p}, 0) },
-		"gcg-greedy": func(p Params) (*Result, error) { return GCG(r.ac, r.d, GCGParams{Params: p, Mode: "greedy"}, 0) },
+		"cd":         func(p Params) (*Result, error) { return CD(r.ac, r.d, p, CDConfig{}, 0) },
+		"gcg":        func(p Params) (*Result, error) { return GCG(r.ac, r.d, p, GCGConfig{}, 0) },
+		"gcg-greedy": func(p Params) (*Result, error) { return GCG(r.ac, r.d, p, GCGConfig{Mode: "greedy"}, 0) },
 	}
 	for _, loss := range []Loss{
 		badLoss{},

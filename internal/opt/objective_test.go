@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -141,5 +142,41 @@ func TestReferenceOptimumForComposite(t *testing.T) {
 	// objectives without a usable smooth core are refused, not mis-solved
 	if _, _, err := ReferenceOptimumFor(d, Composite{Inner: badLoss{}, L1: 0.1}); err == nil {
 		t.Fatal("reference solve accepted an objective without a linear core")
+	}
+}
+
+// TestAcceptsGate is the capability gate's truth table at its source: what
+// each registration declares decides, and the texts keep the phrases clients
+// match on.
+func TestAcceptsGate(t *testing.T) {
+	l1 := Composite{Inner: LeastSquares{}, L1: 0.01}
+	ridge := Ridge{Inner: LeastSquares{}, Lambda: 0.1}
+	for _, tc := range []struct {
+		solver string
+		loss   Loss
+		mode   string
+		want   string // "" = accepted
+	}{
+		{"asgd", l1, "", ""},
+		{"cd", l1, "greedy", ""},
+		{"gcg", Logistic{}, "full", ""},
+		{"admm", nil, "", ""},
+		{"bcd", LeastSquares{}, "", ""},
+		{"saga", l1, "", "no proximal step"},
+		{"asaga-remote", l1, "", "asaga has no proximal step"}, // judged as the solver the alias runs
+		{"admm", l1, "", "no proximal step"},
+		{"admm", ridge, "", "ignores penalty terms"},
+		{"bcd", Logistic{}, "", "plain least squares only"},
+		{"sgd", nil, "greedy", "no selection modes"},
+		{"gcg", nil, "cyclic", "unknown mode"},
+		{"not-built-in", l1, "bogus", ""}, // extensions answer for themselves
+	} {
+		err := Accepts(tc.solver, tc.loss, tc.mode)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s/%v/%q: refused: %v", tc.solver, tc.loss, tc.mode, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s/%v/%q: err = %v, want one mentioning %q", tc.solver, tc.loss, tc.mode, err, tc.want)
+		}
 	}
 }

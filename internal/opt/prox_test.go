@@ -159,7 +159,7 @@ func TestRejectL1(t *testing.T) {
 	if _, err := ASAGA(r.ac, r.d, p, 0); err == nil {
 		t.Fatal("ASAGA ran an ℓ1 objective")
 	}
-	if _, err := EpochVR(r.ac, r.d, VRParams{Params: p, Epochs: 1, UpdatesPerEpoch: 4}, 0); err == nil {
+	if _, err := EpochVR(r.ac, r.d, p, VRConfig{Epochs: 1, UpdatesPerEpoch: 4}, 0); err == nil {
 		t.Fatal("EpochVR ran an ℓ1 objective")
 	}
 }

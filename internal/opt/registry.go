@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,10 +13,10 @@ import (
 	"repro/internal/rdd"
 )
 
-// SolveConfig is the algorithm-independent run configuration the solver
-// registry accepts: the shared Params plus the per-family extensions the
-// epoch, consensus and coordinate methods need. Zero values for an
-// extension mean "use that solver's defaults".
+// SolveConfig is the one parameter form of a run: the shared Params plus
+// each solver family's own config. A solver reads Params and its own
+// family; what a zero field means is said once, in the defaults method
+// beside that solver (svrg.go, admm.go, bcd.go, cd.go, gcg.go).
 type SolveConfig struct {
 	Params
 
@@ -49,50 +50,6 @@ func (c *SolveConfig) ApplyObjective() error {
 	return nil
 }
 
-// VRConfig carries the epoch structure for variance-reduced solvers
-// (svrg). Zero Epochs defaults to 3; zero UpdatesPerEpoch spreads
-// Params.Updates evenly across the epochs.
-type VRConfig struct {
-	Epochs          int
-	UpdatesPerEpoch int
-}
-
-// ADMMConfig carries the consensus-solver knobs; Params.Updates is the
-// round budget and Params.SnapshotEvery the trace resolution.
-type ADMMConfig struct {
-	Rho     float64
-	CGTol   float64
-	CGIters int
-}
-
-// BCDConfig carries the block-coordinate knobs; zero BlockSize picks
-// min(32, cols) and zero Step the full diagonal-Newton step.
-type BCDConfig struct {
-	BlockSize int
-	Step      float64
-	Seed      int64
-}
-
-// CDConfig carries the proximal coordinate-descent knobs; zero BlockSize
-// picks min(32, cols), empty Mode is "cyclic", zero Step the full
-// preconditioned prox step.
-type CDConfig struct {
-	BlockSize int
-	Mode      string
-	Step      float64
-	Seed      int64
-}
-
-// GCGConfig carries the generalized-CG knobs; zero RestartEvery restarts
-// every 20 updates. Mode "greedy" switches to MaxIP atom selection with
-// Atoms coordinates per round (zero picks min(32, cols)); empty Mode is
-// the full-gradient conjugate solver.
-type GCGConfig struct {
-	RestartEvery int
-	Mode         string
-	Atoms        int
-}
-
 // SolveRequest is everything a registered solver runs against: the ASYNC
 // context, the distributed base RDD (baselines that bypass the AC need
 // it), the dataset, and the configuration.
@@ -113,29 +70,82 @@ type Solver interface {
 	Solve(ctx context.Context, req SolveRequest) (*Result, error)
 }
 
-// solverFunc adapts a plain function to Solver, binding ctx to the AC
-// around the call so cancellation propagates into ASYNCbarrier and
-// ASYNCcollect without each algorithm having to thread it manually.
+// solverFunc is a built-in registration: the function that runs the method
+// and what the method accepts. Solve checks the run against the latter and
+// binds ctx to the AC around the call, so cancellation propagates into
+// ASYNCbarrier and ASYNCcollect without each algorithm threading it.
 type solverFunc struct {
 	name string
 	fn   func(ctx context.Context, req SolveRequest) (*Result, error)
+
+	prox    bool     // has a proximal step, so honours an ℓ1 term exactly
+	plainLS bool     // optimizes hardwired plain least squares, whatever the objective says
+	modes   []string // selection modes, the first the default; nil for none
 }
 
 func (s solverFunc) Name() string { return s.name }
 
-// proxCapable names the built-in solvers with a proximal step — the only
-// ones that can honour an ℓ1 term exactly.
-var proxCapable = map[string]bool{"sgd": true, "asgd": true, "cd": true, "gcg": true}
+// accepts is the capability gate: it rejects an objective the solver would
+// optimize as a different one, and a selection mode it does not have.
+func (s solverFunc) accepts(loss Loss, mode string) error {
+	if !s.prox {
+		if err := rejectL1(loss, s.name); err != nil {
+			return err
+		}
+	}
+	if _, isLS := loss.(LeastSquares); s.plainLS && loss != nil && !isLS {
+		return fmt.Errorf("opt: %s optimizes plain least squares only: it ignores penalty terms and any other loss, so it cannot solve objective %q", s.name, loss.Name())
+	}
+	if mode == "" {
+		return nil
+	}
+	if len(s.modes) == 0 {
+		return fmt.Errorf("opt: %s has no selection modes, got mode %q", s.name, mode)
+	}
+	return checkMode(s.name, s.modes, &mode)
+}
+
+// checkMode resolves *mode against a solver's selection modes: empty picks
+// the first, anything else must be one of them.
+func checkMode(solver string, modes []string, mode *string) error {
+	if *mode == "" {
+		*mode = modes[0]
+	}
+	if !slices.Contains(modes, *mode) {
+		return fmt.Errorf("opt: unknown mode %q for %s (known: %s)", *mode, solver, strings.Join(modes, ", "))
+	}
+	return nil
+}
+
+// Accepts reports whether the named solver can faithfully optimize loss
+// under the selection mode mode ("" is the solver's default). It is the one
+// gate both entry points apply: every registry run passes through it, and the
+// jobs API calls it at submission. Names that are not built-in registrations
+// (RegisterSolver extensions) pass; they answer for themselves at run time.
+func Accepts(solver string, loss Loss, mode string) error {
+	if s, err := LookupSolver(solver); err == nil {
+		if sf, ok := s.(solverFunc); ok {
+			return sf.accepts(loss, mode)
+		}
+	}
+	return nil
+}
 
 func (s solverFunc) Solve(ctx context.Context, req SolveRequest) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := req.Config.ApplyObjective(); err != nil {
+	cfg := &req.Config
+	if err := cfg.ApplyObjective(); err != nil {
 		return nil, err
 	}
-	if l1Of(req.Config.Loss) > 0 && !proxCapable[s.name] {
-		return nil, rejectL1(req.Config.Loss, s.name)
+	// the facade carries the mode per family; a solver reads its own
+	mode := cfg.CD.Mode
+	if mode == "" {
+		mode = cfg.GCG.Mode
+	}
+	if err := s.accepts(cfg.Loss, mode); err != nil {
+		return nil, err
 	}
 	if req.AC != nil {
 		release := req.AC.Bind(ctx)
@@ -201,117 +211,37 @@ func SolverNames() []string {
 }
 
 func init() {
-	RegisterSolver(solverFunc{"sgd", func(_ context.Context, r SolveRequest) (*Result, error) {
+	RegisterSolver(solverFunc{name: "sgd", prox: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return SyncSGD(r.AC, r.Data, r.Config.Params, r.Config.FStar)
 	}})
-	RegisterSolver(solverFunc{"asgd", func(_ context.Context, r SolveRequest) (*Result, error) {
+	RegisterSolver(solverFunc{name: "asgd", prox: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return ASGD(r.AC, r.Data, r.Config.Params, r.Config.FStar)
 	}})
-	RegisterSolver(solverFunc{"saga", func(_ context.Context, r SolveRequest) (*Result, error) {
+	RegisterSolver(solverFunc{name: "saga", fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return SAGA(r.AC, r.Data, r.Config.Params, r.Config.FStar)
 	}})
-	RegisterSolver(solverFunc{"asaga", func(_ context.Context, r SolveRequest) (*Result, error) {
+	RegisterSolver(solverFunc{name: "asaga", fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return ASAGA(r.AC, r.Data, r.Config.Params, r.Config.FStar)
 	}})
-	RegisterSolver(solverFunc{"svrg", solveSVRG})
-	RegisterSolver(solverFunc{"admm", solveADMM})
-	RegisterSolver(solverFunc{"bcd", solveBCD})
-	RegisterSolver(solverFunc{"cd", solveCD})
-	RegisterSolver(solverFunc{"gcg", solveGCG})
-	RegisterSolver(solverFunc{"mllib-sgd", solveMllibSGD})
-}
-
-func solveSVRG(_ context.Context, r SolveRequest) (*Result, error) {
-	cfg := r.Config
-	vp := VRParams{
-		Params:          cfg.Params,
-		Epochs:          cfg.VR.Epochs,
-		UpdatesPerEpoch: cfg.VR.UpdatesPerEpoch,
-	}
-	if vp.Epochs <= 0 {
-		vp.Epochs = 3
-	}
-	if vp.UpdatesPerEpoch <= 0 {
-		vp.UpdatesPerEpoch = cfg.Updates / vp.Epochs
-		if vp.UpdatesPerEpoch < 1 {
-			vp.UpdatesPerEpoch = 1
+	RegisterSolver(solverFunc{name: "svrg", fn: func(_ context.Context, r SolveRequest) (*Result, error) {
+		return EpochVR(r.AC, r.Data, r.Config.Params, r.Config.VR, r.Config.FStar)
+	}})
+	RegisterSolver(solverFunc{name: "admm", plainLS: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
+		return ADMM(r.AC, r.Data, r.Config.Params, r.Config.ADMM, r.Config.FStar)
+	}})
+	RegisterSolver(solverFunc{name: "bcd", plainLS: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
+		return AsyncBCD(r.AC, r.Data, r.Config.Params, r.Config.BCD, r.Config.FStar)
+	}})
+	RegisterSolver(solverFunc{name: "cd", prox: true, modes: cdModes, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
+		return CD(r.AC, r.Data, r.Config.Params, r.Config.CD, r.Config.FStar)
+	}})
+	RegisterSolver(solverFunc{name: "gcg", prox: true, modes: gcgModes, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
+		return GCG(r.AC, r.Data, r.Config.Params, r.Config.GCG, r.Config.FStar)
+	}})
+	RegisterSolver(solverFunc{name: "mllib-sgd", fn: func(ctx context.Context, r SolveRequest) (*Result, error) {
+		if r.Points == nil {
+			return nil, fmt.Errorf("opt: mllib-sgd needs the distributed points RDD")
 		}
-	}
-	return EpochVR(r.AC, r.Data, vp, cfg.FStar)
-}
-
-func solveADMM(_ context.Context, r SolveRequest) (*Result, error) {
-	cfg := r.Config
-	return ADMM(r.AC, r.Data, ADMMParams{
-		Rho:             cfg.ADMM.Rho,
-		Rounds:          cfg.Updates,
-		CGTol:           cfg.ADMM.CGTol,
-		CGIters:         cfg.ADMM.CGIters,
-		Barrier:         cfg.Barrier,
-		Filter:          cfg.Filter,
-		Snapshot:        cfg.SnapshotEvery,
-		OnProgress:      cfg.OnProgress,
-		CheckpointEvery: cfg.CheckpointEvery,
-		OnCheckpoint:    cfg.OnCheckpoint,
-		Preempt:         cfg.Preempt,
-		Resume:          cfg.Resume,
-	}, cfg.FStar)
-}
-
-func solveBCD(_ context.Context, r SolveRequest) (*Result, error) {
-	cfg := r.Config
-	bp := BCDParams{
-		BlockSize:       cfg.BCD.BlockSize,
-		Step:            cfg.BCD.Step,
-		Updates:         cfg.Updates,
-		Barrier:         cfg.Barrier,
-		Filter:          cfg.Filter,
-		Snapshot:        cfg.SnapshotEvery,
-		Seed:            cfg.BCD.Seed,
-		OnProgress:      cfg.OnProgress,
-		CheckpointEvery: cfg.CheckpointEvery,
-		OnCheckpoint:    cfg.OnCheckpoint,
-		Preempt:         cfg.Preempt,
-		Resume:          cfg.Resume,
-	}
-	if bp.BlockSize <= 0 {
-		bp.BlockSize = 32
-		if cols := r.Data.NumCols(); cols < bp.BlockSize {
-			bp.BlockSize = cols
-		}
-	}
-	if bp.Step <= 0 {
-		bp.Step = 1
-	}
-	return AsyncBCD(r.AC, r.Data, bp, cfg.FStar)
-}
-
-func solveCD(_ context.Context, r SolveRequest) (*Result, error) {
-	cfg := r.Config
-	cp := CDParams{
-		Params:    cfg.Params,
-		BlockSize: cfg.CD.BlockSize,
-		Mode:      cfg.CD.Mode,
-		DampStep:  cfg.CD.Step,
-		Seed:      cfg.CD.Seed,
-	}
-	return CD(r.AC, r.Data, cp, cfg.FStar)
-}
-
-func solveGCG(_ context.Context, r SolveRequest) (*Result, error) {
-	cfg := r.Config
-	gp := GCGParams{
-		Params:       cfg.Params,
-		RestartEvery: cfg.GCG.RestartEvery,
-		Mode:         cfg.GCG.Mode,
-		Atoms:        cfg.GCG.Atoms,
-	}
-	return GCG(r.AC, r.Data, gp, cfg.FStar)
-}
-
-func solveMllibSGD(ctx context.Context, r SolveRequest) (*Result, error) {
-	if r.Points == nil {
-		return nil, fmt.Errorf("opt: mllib-sgd needs the distributed points RDD")
-	}
-	return MllibSGDCtx(ctx, r.AC.RDD(), r.Points, r.Data, r.Config.Params, r.Config.FStar)
+		return MllibSGD(ctx, r.AC.RDD(), r.Points, r.Data, r.Config.Params, r.Config.FStar)
+	}})
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/la"
+	"repro/internal/telemetry"
 )
 
 // segCfg parameterizes one segment of a resume-equivalence run: the first
@@ -111,6 +112,41 @@ func asgdParams() Params {
 	return Params{Step: InvSqrt{A: 0.05}, SampleFrac: 0.4, Updates: 12, SnapshotEvery: 4}
 }
 
+// TestEverySolverTracesItsRun walks the registry: whatever Params carries
+// reaches the runtime, so every solver's run-scoped trace says when the run
+// started, checkpointed and finished. A solver that rebuilds its Params by
+// hand and forgets a field (admm and bcd once dropped Trace) fails here.
+func TestEverySolverTracesItsRun(t *testing.T) {
+	for _, name := range SolverNames() {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 2, 4, nil)
+			s, err := LookupSolver(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := asgdParams()
+			p.Trace = telemetry.NewTrace("run-"+name, 0)
+			p.CheckpointEvery = 4
+			p.OnCheckpoint = func(*Checkpoint) {}
+			if _, err := s.Solve(context.Background(), SolveRequest{
+				AC: r.ac, Points: r.points, Data: r.d,
+				Config: SolveConfig{Params: p, FStar: r.fstar},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var events bytes.Buffer
+			if _, err := p.Trace.WriteTo(&events); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range []string{"run_start", "checkpoint", "run_done"} {
+				if !strings.Contains(events.String(), `"event":"`+ev+`"`) {
+					t.Errorf("no %s event in the run's trace:\n%s", ev, events.String())
+				}
+			}
+		})
+	}
+}
+
 func TestResumeEquivalenceSyncSGD(t *testing.T) {
 	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
@@ -162,13 +198,13 @@ func TestTransportsAgreeBitwise(t *testing.T) {
 	cd := func(mode string) func(*rig, Params) (*Result, error) {
 		return func(r *rig, p Params) (*Result, error) {
 			p.Loss = elastic
-			return CD(r.ac, r.d, CDParams{Params: p, BlockSize: 4, Mode: mode}, 0)
+			return CD(r.ac, r.d, p, CDConfig{BlockSize: 4, Mode: mode}, 0)
 		}
 	}
 	gcg := func(mode string) func(*rig, Params) (*Result, error) {
 		return func(r *rig, p Params) (*Result, error) {
 			p.Loss = elastic
-			return GCG(r.ac, r.d, GCGParams{Params: p, RestartEvery: 5, Mode: mode, Atoms: 4}, 0)
+			return GCG(r.ac, r.d, p, GCGConfig{RestartEvery: 5, Mode: mode, Atoms: 4}, 0)
 		}
 	}
 	for name, solve := range map[string]func(*rig, Params) (*Result, error){
@@ -177,19 +213,18 @@ func TestTransportsAgreeBitwise(t *testing.T) {
 		"saga":  func(r *rig, p Params) (*Result, error) { return SAGA(r.ac, r.d, p, r.fstar) },
 		"asaga": func(r *rig, p Params) (*Result, error) { return ASAGA(r.ac, r.d, p, r.fstar) },
 		"svrg": func(r *rig, p Params) (*Result, error) {
-			return EpochVR(r.ac, r.d, VRParams{Params: p, Epochs: 3, UpdatesPerEpoch: 4}, r.fstar)
+			return EpochVR(r.ac, r.d, p, VRConfig{Epochs: 3, UpdatesPerEpoch: 4}, r.fstar)
 		},
 		"cd-cyclic":  cd("cyclic"),
 		"cd-greedy":  cd("greedy"),
 		"gcg-full":   gcg("full"),
 		"gcg-greedy": gcg("greedy"),
 		"admm": func(r *rig, p Params) (*Result, error) {
-			return ADMM(r.ac, r.d, ADMMParams{Rho: 1, Rounds: p.Updates, Snapshot: p.SnapshotEvery}, r.fstar)
+			return ADMM(r.ac, r.d, Params{Updates: p.Updates, SnapshotEvery: p.SnapshotEvery}, ADMMConfig{Rho: 1}, r.fstar)
 		},
 		"bcd": func(r *rig, p Params) (*Result, error) {
-			return AsyncBCD(r.ac, r.d, BCDParams{
-				BlockSize: 4, Step: 1, Updates: p.Updates, Snapshot: p.SnapshotEvery, Seed: 5,
-			}, r.fstar)
+			return AsyncBCD(r.ac, r.d, Params{Updates: p.Updates, SnapshotEvery: p.SnapshotEvery},
+				BCDConfig{BlockSize: 4, Step: 1, Seed: 5}, r.fstar)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -215,35 +250,26 @@ func TestResumeEquivalenceEpochVR(t *testing.T) {
 	// k=7 lands mid-epoch (epochs of 5): the resumed run must continue
 	// against the checkpointed anchor and μ, not re-anchor
 	resumePairEachTransport(t, 7, 0, func(r *rig, seg segCfg) (*Result, error) {
-		p := VRParams{
-			Params: Params{Step: Constant{A: 0.03}, SampleFrac: 0.4, Updates: 1, SnapshotEvery: 5},
-			Epochs: 3, UpdatesPerEpoch: 5,
-		}
-		seg.apply(&p.Params)
-		return EpochVR(r.ac, r.d, p, r.fstar)
+		p := Params{Step: Constant{A: 0.03}, SampleFrac: 0.4, Updates: 1, SnapshotEvery: 5}
+		seg.apply(&p)
+		return EpochVR(r.ac, r.d, p, VRConfig{Epochs: 3, UpdatesPerEpoch: 5}, r.fstar)
 	})
 }
 
 func TestResumeEquivalenceADMM(t *testing.T) {
 	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
-		p := ADMMParams{Rho: 1, Rounds: 12, Snapshot: 4}
-		p.CheckpointEvery = seg.every
-		p.OnCheckpoint = seg.onCp
-		p.Preempt = seg.preempt
-		p.Resume = seg.resume
-		return ADMM(r.ac, r.d, p, r.fstar)
+		p := Params{Updates: 12, SnapshotEvery: 4}
+		seg.apply(&p)
+		return ADMM(r.ac, r.d, p, ADMMConfig{Rho: 1}, r.fstar)
 	})
 }
 
 func TestResumeEquivalenceBCD(t *testing.T) {
 	// the checkpointed dispatch count replays the block RNG exactly
 	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
-		p := BCDParams{BlockSize: 4, Step: 1, Updates: 12, Snapshot: 4, Seed: 5}
-		p.CheckpointEvery = seg.every
-		p.OnCheckpoint = seg.onCp
-		p.Preempt = seg.preempt
-		p.Resume = seg.resume
-		return AsyncBCD(r.ac, r.d, p, r.fstar)
+		p := Params{Updates: 12, SnapshotEvery: 4}
+		seg.apply(&p)
+		return AsyncBCD(r.ac, r.d, p, BCDConfig{BlockSize: 4, Step: 1, Seed: 5}, r.fstar)
 	})
 }
 
@@ -253,12 +279,12 @@ func TestResumeEquivalenceBCD(t *testing.T) {
 // trajectories agree to rounding rather than bitwise.
 func TestResumeEquivalenceCD(t *testing.T) {
 	resumePairEachTransport(t, 6, 1e-9, func(r *rig, seg segCfg) (*Result, error) {
-		p := CDParams{BlockSize: 4, Mode: "random", Seed: 5}
+		p, c := Params{}, CDConfig{BlockSize: 4, Mode: "random", Seed: 5}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: 0.05, L1: 0.01}
 		p.Updates = 12
 		p.SnapshotEvery = 4
-		seg.apply(&p.Params)
-		return CD(r.ac, r.d, p, 0)
+		seg.apply(&p)
+		return CD(r.ac, r.d, p, c, 0)
 	})
 }
 
@@ -267,12 +293,12 @@ func TestResumeEquivalenceCD(t *testing.T) {
 // direction there, so the resumed trajectory is bitwise identical.
 func TestResumeEquivalenceGCG(t *testing.T) {
 	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
-		p := GCGParams{RestartEvery: 3}
+		p, c := Params{}, GCGConfig{RestartEvery: 3}
 		p.Step = Constant{A: 0.02}
 		p.Updates = 12
 		p.SnapshotEvery = 4
-		seg.apply(&p.Params)
-		return GCG(r.ac, r.d, p, 0)
+		seg.apply(&p)
+		return GCG(r.ac, r.d, p, c, 0)
 	})
 }
 
@@ -280,7 +306,7 @@ func TestResumeEquivalenceMllibSGD(t *testing.T) {
 	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()
 		seg.apply(&p)
-		return MllibSGDCtx(context.Background(), r.rctx, r.points, r.d, p, r.fstar)
+		return MllibSGD(context.Background(), r.rctx, r.points, r.d, p, r.fstar)
 	})
 }
 

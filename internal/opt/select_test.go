@@ -23,11 +23,11 @@ func TestCDGreedyClosedForm(t *testing.T) {
 		n := float64(len(a))
 
 		ac := cdRigOn(t, tr, d, 2, 4)
-		p := CDParams{BlockSize: 4, Mode: "greedy", DampStep: 1}
+		p, c := Params{}, CDConfig{BlockSize: 4, Mode: "greedy", Step: 1}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
 		p.Updates = 6
 		p.SnapshotEvery = 3
-		res, err := CD(ac, d, p, 0)
+		res, err := CD(ac, d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +56,11 @@ func TestCDGreedySelectorEquivalence(t *testing.T) {
 		loss := Composite{Inner: LeastSquares{}, L2: 0.01, L1: 0.004}
 		run := func(exactBelow int) la.Vec {
 			ac := cdRigOn(t, tr, d, 1, 3)
-			p := CDParams{BlockSize: 16, Mode: "greedy", DampStep: 0.9, exactBelow: exactBelow}
+			p, c := Params{}, CDConfig{BlockSize: 16, Mode: "greedy", Step: 0.9, exactBelow: exactBelow}
 			p.Loss = loss
 			p.Updates = 30
 			p.SnapshotEvery = 10
-			res, err := CD(ac, d, p, 0)
+			res, err := CD(ac, d, p, c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,11 +138,11 @@ func TestCDGreedyBeatsCyclic(t *testing.T) {
 		loss := Composite{Inner: LeastSquares{}, L2: 0.001}
 		run := func(mode string) float64 {
 			ac := cdRigOn(t, tr, d, 1, 2)
-			p := CDParams{BlockSize: 8, Mode: mode, DampStep: 1}
+			p, c := Params{}, CDConfig{BlockSize: 8, Mode: mode, Step: 1}
 			p.Loss = loss
 			p.Updates = 12 // cyclic needs 64 rounds for one full pass
 			p.SnapshotEvery = 4
-			res, err := CD(ac, d, p, 0)
+			res, err := CD(ac, d, p, c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,13 +215,13 @@ func TestCDGreedyResume(t *testing.T) {
 		var cp *Checkpoint
 		{
 			ac := cdRigOn(t, tr, d, 1, 2)
-			p := CDParams{BlockSize: 2, Mode: "greedy", DampStep: 1}
+			p, c := Params{}, CDConfig{BlockSize: 2, Mode: "greedy", Step: 1}
 			p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
 			p.Updates = 2
 			p.SnapshotEvery = 1
 			p.CheckpointEvery = 1
 			p.OnCheckpoint = func(c *Checkpoint) { cp = c }
-			if _, err := CD(ac, d, p, 0); err != nil {
+			if _, err := CD(ac, d, p, c, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -229,12 +229,12 @@ func TestCDGreedyResume(t *testing.T) {
 			t.Fatal("no checkpoint emitted")
 		}
 		ac := cdRigOn(t, tr, d, 1, 2)
-		p := CDParams{BlockSize: 2, Mode: "greedy", DampStep: 1}
+		p, c := Params{}, CDConfig{BlockSize: 2, Mode: "greedy", Step: 1}
 		p.Loss = Composite{Inner: LeastSquares{}, L2: l2, L1: l1}
 		p.Updates = 8
 		p.SnapshotEvery = 2
 		p.Resume = cp
-		res, err := CD(ac, d, p, 0)
+		res, err := CD(ac, d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

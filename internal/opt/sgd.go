@@ -113,15 +113,12 @@ func (s *stepper) importFrom(cp *Checkpoint) {
 	}
 }
 
-func (p *Params) defaults() error {
+// runDefaults validates and defaults the part of Params every solver's run
+// reads: the objective, the budget, the barrier, the trace resolution
+// (snapshotEvery is the family's default) and the checkpoint cadence.
+func (p *Params) runDefaults(snapshotEvery int) error {
 	if p.Loss == nil {
 		p.Loss = LeastSquares{}
-	}
-	if p.Step == nil {
-		return errors.New("opt: Params.Step is required")
-	}
-	if p.SampleFrac <= 0 || p.SampleFrac > 1 {
-		return fmt.Errorf("opt: sample fraction %v outside (0,1]", p.SampleFrac)
 	}
 	if p.Updates <= 0 {
 		return errors.New("opt: Params.Updates must be positive")
@@ -129,16 +126,37 @@ func (p *Params) defaults() error {
 	if p.Barrier == nil {
 		p.Barrier = core.ASP()
 	}
-	if p.Momentum < 0 || p.Momentum >= 1 {
-		return fmt.Errorf("opt: momentum %v outside [0,1)", p.Momentum)
-	}
 	if p.SnapshotEvery <= 0 {
-		p.SnapshotEvery = 10
+		p.SnapshotEvery = snapshotEvery
 	}
 	if p.CheckpointEvery < 0 {
 		return fmt.Errorf("opt: CheckpointEvery %d must be non-negative", p.CheckpointEvery)
 	}
 	return nil
+}
+
+// needStep rejects a run without a step schedule.
+func (p *Params) needStep() error {
+	if p.Step == nil {
+		return errors.New("opt: Params.Step is required")
+	}
+	return nil
+}
+
+// defaults is runDefaults plus the sampling part only the stochastic
+// gradient solvers read: the step schedule, the mini-batch rate and the
+// momentum coefficient.
+func (p *Params) defaults() error {
+	if err := p.needStep(); err != nil {
+		return err
+	}
+	if p.SampleFrac <= 0 || p.SampleFrac > 1 {
+		return fmt.Errorf("opt: sample fraction %v outside (0,1]", p.SampleFrac)
+	}
+	if p.Momentum < 0 || p.Momentum >= 1 {
+		return fmt.Errorf("opt: momentum %v outside [0,1)", p.Momentum)
+	}
+	return p.runDefaults(10)
 }
 
 // Result bundles a run's trace and final model.

@@ -123,13 +123,11 @@ func TestSparsePathMatchesDenseASAGA(t *testing.T) {
 // TestSparsePathMatchesDenseEpochVR checks the lazy μ drift of the sparse
 // variance-reduced inner loop.
 func TestSparsePathMatchesDenseEpochVR(t *testing.T) {
-	p := VRParams{
-		Params: Params{Step: Constant{A: 0.05}, SampleFrac: 0.3, Updates: 1, SnapshotEvery: 40},
-		Epochs: 3, UpdatesPerEpoch: 40,
-	}
+	p := Params{Step: Constant{A: 0.05}, SampleFrac: 0.3, Updates: 1, SnapshotEvery: 40}
+	c := VRConfig{Epochs: 3, UpdatesPerEpoch: 40}
 	run := func() la.Vec {
 		ac, d := newSparseRig(t, 1, 2, sparseCfg())
-		res, err := EpochVR(ac, d, p, 0)
+		res, err := EpochVR(ac, d, p, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

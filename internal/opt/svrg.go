@@ -8,11 +8,26 @@ import (
 	"repro/internal/la"
 )
 
-// VRParams extends Params with the epoch structure of Listing 3.
-type VRParams struct {
-	Params
-	Epochs          int // outer epochs, each starting with a full pass
-	UpdatesPerEpoch int // asynchronous inner updates per epoch
+// VRConfig carries the epoch structure of Listing 3 for the
+// variance-reduced solver (svrg): Epochs outer epochs, each a full pass
+// followed by UpdatesPerEpoch asynchronous inner updates. Zero Epochs is 3;
+// zero UpdatesPerEpoch spreads Params.Updates evenly across the epochs.
+type VRConfig struct {
+	Epochs          int
+	UpdatesPerEpoch int
+}
+
+func (c *VRConfig) defaults(updates int) error {
+	if c.Epochs < 0 || c.UpdatesPerEpoch < 0 {
+		return fmt.Errorf("opt: EpochVR epochs %d and updates per epoch %d must be non-negative", c.Epochs, c.UpdatesPerEpoch)
+	}
+	if c.Epochs == 0 {
+		c.Epochs = 3
+	}
+	if c.UpdatesPerEpoch == 0 {
+		c.UpdatesPerEpoch = max(updates/c.Epochs, 1)
+	}
+	return nil
 }
 
 // vrUpdater is the variance-reduced inner-loop state: the anchor w̃ and its
@@ -135,15 +150,15 @@ func (u *vrUpdater) begin(global int64) error {
 //
 // mixing synchronous Spark-style actions with ASYNC's asynchronous
 // reductions, which is exactly the pattern the listing demonstrates.
-func EpochVR(ac *core.Context, d *dataset.Dataset, p VRParams, fstar float64) (*Result, error) {
+func EpochVR(ac *core.Context, d *dataset.Dataset, p Params, c VRConfig, fstar float64) (*Result, error) {
 	if err := p.defaults(); err != nil {
+		return nil, err
+	}
+	if err := c.defaults(p.Updates); err != nil {
 		return nil, err
 	}
 	if err := rejectL1(p.Loss, "svrg"); err != nil {
 		return nil, err
-	}
-	if p.Epochs <= 0 || p.UpdatesPerEpoch <= 0 {
-		return nil, fmt.Errorf("opt: EpochVR needs positive Epochs and UpdatesPerEpoch")
 	}
 	fullPass, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)
 	if err != nil {
@@ -153,7 +168,7 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p VRParams, fstar float64) (*
 		ac:       ac,
 		fullPass: fullPass,
 		filter:   p.Filter,
-		epochLen: int64(p.UpdatesPerEpoch),
+		epochLen: int64(c.UpdatesPerEpoch),
 		w:        la.NewVec(d.NumCols()),
 		mu:       la.NewVec(d.NumCols()),
 	}
@@ -165,10 +180,10 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p VRParams, fstar float64) (*
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "EpochVR", Name: "svrg", Key: "vr.w",
-		P: &p.Params, Loss: p.Loss, FStar: fstar,
-		Target:     int64(p.Epochs) * int64(p.UpdatesPerEpoch),
+		P: &p, Loss: p.Loss, FStar: fstar,
+		Target:     int64(c.Epochs) * int64(c.UpdatesPerEpoch),
 		Publish:    pubStamped,
-		EpochLen:   int64(p.UpdatesPerEpoch),
+		EpochLen:   int64(c.UpdatesPerEpoch),
 		EpochBegin: u.begin,
 		Dispatch:   dispatch,
 	})
