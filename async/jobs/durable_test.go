@@ -189,6 +189,63 @@ func TestGracefulDrainRestartNoWorkLost(t *testing.T) {
 	waitState(t, s2, queuedID, jobs.StateDone)
 }
 
+// TestSoleOwnerCompactionFollowsRetention pins the one thing a sole-owner
+// handle does differently from a replica's: its Compact installs the
+// scheduler's snapshot, so Config.Retention — not the store's own 256-job
+// terminal bound a replica compacts itself to — decides what leaves the log.
+// 300 finished jobs under Retention 400 must all survive many compactions
+// and a restart, in submission order.
+func TestSoleOwnerCompactionFollowsRetention(t *testing.T) {
+	const n = 300
+	cfg := jobs.Config{
+		Engines: 2, Retention: 400, CompactEvery: 64,
+		EngineOptions: []async.Option{async.WithWorkers(1), async.WithPartitions(2)},
+	}
+	dir := t.TempDir()
+	w1, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = w1
+	s1 := newScheduler(t, cfg)
+	ids := make([]jobs.ID, n)
+	for i := range ids {
+		ids[i], err = s1.Submit(jobs.Spec{
+			Algorithm: "asgd",
+			Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
+			Step:      jobs.StepSpec{Kind: "const", A: 0.01},
+			Updates:   5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s1, ids[i], jobs.StateDone)
+	}
+	if m := w1.Metrics(); m.Compactions < 10 {
+		t.Fatalf("%d compactions over %d jobs, want the scheduler compacting every 64 appends", m.Compactions, n)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w1.Close()
+
+	w2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	cfg.Store = w2
+	list := newScheduler(t, cfg).List()
+	if len(list) != n {
+		t.Fatalf("restart lists %d jobs, want all %d (a handle compacting itself keeps 256)", len(list), n)
+	}
+	for i, j := range list {
+		if j.ID != ids[i] || j.State != jobs.StateDone {
+			t.Fatalf("job %d after restart: %s %s, want %s done", i, j.ID, j.State, ids[i])
+		}
+	}
+}
+
 // TestPrometheusMetricsScrape pins the /v1/metrics exposition: Prometheus
 // text content type, serving counters, WAL counters, tenant labels; /v1/stats
 // keeps the JSON Stats shape.

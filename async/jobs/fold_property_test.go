@@ -55,7 +55,7 @@ func replayed(t *testing.T, st store.Store) []store.Record {
 // scheduler's one commit path, and every reader of the resulting log must
 // tell the same story — the live fold, the test's hand-kept model, boot
 // replay, the scheduler's compaction snapshot (directly and through
-// Mem.Compact), and Shared's self-compaction — and compacting twice must
+// Mem.Compact), and a replica handle's self-compaction — and compacting twice must
 // change nothing. Seeded by CHAOS_SEED; a failure prints the seed.
 func TestFoldAgreesAcrossReaders(t *testing.T) {
 	seed := chaosSeed()
@@ -204,7 +204,7 @@ func TestFoldAgreesAcrossReaders(t *testing.T) {
 	}
 	agree("boot replay of the compacted log", boot)
 
-	// Shared's self-compaction of the same raw log, once and twice
+	// a replica handle's self-compaction of the same raw log, once and twice
 	sh, err := store.OpenShared(t.TempDir(), "a", store.SharedOptions{NoSync: true, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -219,11 +219,11 @@ func TestFoldAgreesAcrossReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	once := replayed(t, sh)
-	agree("Shared self-compaction", foldRecords(once))
+	agree("replica self-compaction", foldRecords(once))
 	if err := sh.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
 	if twice := replayed(t, sh); !reflect.DeepEqual(twice, once) {
-		fail("Shared compacting twice changed the log:\n got %v\nwant %v", twice, once)
+		fail("a replica compacting twice changed the log:\n got %v\nwant %v", twice, once)
 	}
 }

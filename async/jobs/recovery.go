@@ -162,8 +162,8 @@ func (s *Scheduler) recover() error {
 	// recovery ends with a compaction — in single-owner mode only: the
 	// rebuilt state is the live set and the old log (torn tail included)
 	// is rewritten to exactly it. A replica must never rewrite the shared
-	// log around its peers' live jobs; Shared self-compacts from the full
-	// log instead.
+	// log around its peers' live jobs; a replica handle self-compacts from
+	// the full log instead.
 	if s.leaseStore == nil {
 		if err := s.compactLocked(); err != nil {
 			return fmt.Errorf("jobs: post-recovery compaction: %w", err)
@@ -226,7 +226,7 @@ func (s *Scheduler) commitLocked(j *job, rec *store.Record) error {
 	}
 	j.Apply(rec)
 	// a replica never rewrites the shared log around its peers' live jobs;
-	// Shared self-compacts past its own threshold instead
+	// a replica handle self-compacts past its own threshold instead
 	if err == nil && s.cfg.Store != nil && s.leaseStore == nil &&
 		s.cfg.Store.Metrics().AppendsSinceCompact >= int64(s.cfg.CompactEvery) {
 		if err := s.compactLocked(); err != nil {

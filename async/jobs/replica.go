@@ -8,9 +8,9 @@ import (
 	"repro/async/jobs/store"
 )
 
-// Replica mode: several schedulers share one lease-capable store (a Shared
-// WAL on a common directory, or one *Mem in tests). Every job is claimed
-// through the store's lease CAS before it dispatches, every
+// Replica mode: several schedulers share one lease-capable store (replica
+// handles of the WAL in a common directory, or one *Mem in tests). Every
+// job is claimed through the store's lease CAS before it dispatches, every
 // ownership-asserting append carries the claim's (owner, epoch) fencing
 // token, and two background loops keep the replicas coherent:
 //

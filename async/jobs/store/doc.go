@@ -48,7 +48,7 @@
 // ordinal and time, spec, update clock, checkpoint pointer, preemption
 // count, terminal detail, last owner); JobState.Records is its inverse,
 // the minimal records whose fold is that state. Live commits, boot replay,
-// tail mirroring, the scheduler's compaction snapshot and Shared's
+// tail mirroring, the scheduler's compaction snapshot and a replica handle's
 // self-compaction all call this pair and nothing else interprets a record
 // type. The whole transition table, phase × record type:
 //
@@ -76,9 +76,9 @@
 // new log no longer names. By the law a compaction changes no reader's
 // view and compacting twice changes nothing. A single-owner scheduler
 // compacts to the jobs it holds every Config.CompactEvery appends and once
-// after recovery, so jobs past its retention limit leave the log; Shared
-// compacts itself from its own folds (no replica sees the whole cluster),
-// bounding terminal history by SharedOptions.RetainTerminal.
+// after recovery, so jobs past its retention limit leave the log; a replica
+// handle compacts itself from its own folds (no replica sees the whole
+// cluster), bounding terminal history by SharedOptions.RetainTerminal.
 //
 // # Leases and epoch fencing
 //
@@ -93,33 +93,58 @@
 // live foreign lease exists — is rejected with ErrFenced, so a replica
 // that lost its lease can never retroactively finalize the job.
 //
-// Mem and Shared (the LeaseStore implementations) keep each job's fold
+// Mem and WAL (the LeaseStore implementations) keep each job's fold
 // beside the lease table, under the lock that orders the log, and a job
 // whose fold is terminal refuses every further claim and append with
 // ErrFenced: a peer still holding a stale queued copy of a canceled job
 // cannot claim, run and finish it a second time. That is where "exactly
 // one terminal record" is enforced for more than one replica.
 //
-// # Shared: one directory, many replicas
+// # One log, two ways of opening it, behind one seam
 //
-// Shared is the multi-handle WAL: every replica opens the same directory
-// and serializes mutations through flock(2) on wal.lock. Each handle
-// keeps a cached view of the log and refreshes it incrementally by
-// scanning the tail it has not yet seen; a compaction by any replica is
-// detected by inode comparison and bumps a generation counter, so
-// ReplaySince(Watermark{Gen, Seq}) lets the scheduler consume exactly
-// the records that are new to it. Torn tails are truncated under the
-// lock by whichever handle finds them — a record half-written by a
-// killed replica costs that replica its un-acked suffix and nothing
-// else, and a claim torn mid-append is dropped on recovery (the job
-// stays claimable; no lease leaks from a partial record).
+// WAL is the only file store. Every handle serializes mutations through
+// flock(2) on wal.lock, keeps a cached view of the log and refreshes it
+// under the lock by scanning the tail it has not yet seen; a compaction by
+// any handle is detected by inode comparison and bumps a generation
+// counter, so ReplaySince(Watermark{Gen, Seq}) lets a scheduler consume
+// exactly the records that are new to it. Torn tails are truncated under
+// the lock by whichever handle finds them — a record half-written by a
+// killed process costs that process its un-acked suffix and nothing else,
+// and a claim torn mid-append is dropped on recovery (the job stays
+// claimable; no lease leaks from a partial record).
 //
-// # Seam
+// Open hands out the directory's sole owner, OpenShared one of any number
+// of replicas. Which it is, is enforced rather than assumed: a handle holds
+// flock on wal.owner for its whole life — exclusive for a sole owner,
+// shared for a replica, never waited for — so a second sole owner, or a
+// sole owner beside replicas in either order, fails at open with an error
+// naming the directory (before the lock, two sole owners each wrote at
+// their own offset and acknowledged records vanished). Close releases it,
+// and so do Kill and the torn-append failpoint: a dead process holds no
+// locks. The lock is what makes the differences between the two sound, and
+// they are four — three one-line tests of how the handle was opened, and
+// one argument Open passes:
+//
+//   - the owner lock's mode;
+//   - Compact: a sole owner sees every job, so it installs the caller's
+//     snapshot and the scheduler's Retention decides what leaves the log; a
+//     replica's caller misses every job its peers own, so a replica ignores
+//     the snapshot it is handed — installing it would destroy cluster state
+//     — and installs the one its own folds derive;
+//   - self-compaction inside Append (SharedOptions.CompactEvery) is a
+//     replica's; a sole owner's scheduler drives compaction
+//     (Config.CompactEvery) and Open turns the store's own off;
+//   - the sweep of orphaned *.tmp files at open is a sole owner's: only it
+//     knows no writer is mid-rename.
+//
+// Everything else — recovery, the lock-and-refresh every operation starts
+// with (a sole owner takes no shortcut around it; it costs ≈ 3 µs an
+// append), fence and lifecycle fold, append and unwind, spills, failpoints,
+// counters — is one code path.
 //
 // The scheduler depends only on the Store interface (append / replay /
 // checkpoint spill / compact), the optional LeaseStore extension, and the
-// JobState fold. WAL is the single-node file implementation, Shared the
-// multi-replica one (they share the spill-file and log-rewrite code), and
-// Mem the in-memory one used by tests; faulty.Wrap layers deterministic
-// fault injection over any of them.
+// JobState fold. WAL is the file implementation and Mem the in-memory one
+// used by tests; faulty.Wrap layers deterministic fault injection over
+// either.
 package store

@@ -46,7 +46,7 @@ type Plan struct {
 	FailSyncN int64
 }
 
-// failpointer is the crash-failpoint surface WAL and Shared both expose.
+// failpointer is the crash-failpoint surface the file log exposes.
 type failpointer interface{ FailAfterAppends(n int64) }
 
 // Store wraps an inner LeaseStore with the Plan's faults. It implements

@@ -44,8 +44,9 @@ type Watermark struct {
 
 // LeaseStore is the multi-replica extension of Store: lease-based job
 // claiming with epoch fencing, plus incremental tail replay so replicas
-// learn of each other's appends. Shared (file-locked multi-handle WAL) and
-// Mem implement it; a remote backend slots in behind the same surface.
+// learn of each other's appends. WAL (a replica handle of the flock'd file
+// log) and Mem implement it; a remote backend slots in behind the same
+// surface.
 //
 // Fencing contract: Append with a non-empty rec.Owner succeeds only while
 // the job's live lease matches (Owner, Epoch) exactly and is unexpired;

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func openShared(t *testing.T, dir, replica string) *Shared {
+func openShared(t *testing.T, dir, replica string) *WAL {
 	t.Helper()
 	s, err := OpenShared(dir, replica, SharedOptions{NoSync: true})
 	if err != nil {

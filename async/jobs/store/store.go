@@ -12,14 +12,17 @@ import (
 var ErrClosed = errors.New("store: closed")
 
 // Store is the durability seam the scheduler writes through. WAL is the
-// single-node file implementation; Mem backs tests. A shared multi-replica
-// backend (lease-based job claiming) implements the same surface.
+// file implementation — one log, opened by its sole owner (Open) or shared
+// by replicas (OpenShared) — and Mem backs tests; both are also LeaseStores
+// (lease-based job claiming for replicas).
 //
 // Append must make the record durable before returning (append-before-ack);
 // SaveCheckpoint must durably spill the capture before the caller appends
 // the record that references it. Replay yields the recovered records in log
 // order. Compact atomically replaces the log with the given snapshot and
-// garbage-collects checkpoints of jobs absent from it.
+// garbage-collects checkpoints of jobs absent from it — except on a replica
+// handle, whose caller cannot see its peers' jobs: it compacts to the
+// snapshot the log itself folds to.
 type Store interface {
 	// Replay streams the recovered records in log order. It is called once,
 	// before the first Append.

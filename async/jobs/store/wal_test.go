@@ -88,6 +88,24 @@ func replayAll(t *testing.T, s Store) []Record {
 	return out
 }
 
+// openMode opens dir in one of the two ways a directory's log is opened: as
+// its sole owner or as replica "r" (fsync on, no self-compaction either way).
+func openMode(mode, dir string) (*WAL, error) {
+	if mode == "replica" {
+		return OpenShared(dir, "r", SharedOptions{CompactEvery: -1})
+	}
+	return Open(dir, Options{})
+}
+
+// eachMode runs fn once per openMode mode. The file behaviour — recovery,
+// torn-tail truncation, spills, failpoints — is one code path, so the tests
+// of it take the mode as one more input.
+func eachMode(t *testing.T, fn func(t *testing.T, mode string)) {
+	for _, mode := range []string{"sole", "replica"} {
+		t.Run(mode, func(t *testing.T) { fn(t, mode) })
+	}
+}
+
 func TestWALAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{})
@@ -131,103 +149,109 @@ func TestWALAppendReplay(t *testing.T) {
 }
 
 func TestWALTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
+	eachMode(t, func(t *testing.T, mode string) {
+		dir := t.TempDir()
+		w, err := openMode(mode, dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	w.Close()
-	path := filepath.Join(dir, "wal.log")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// tear the last record in half — a crash mid-append
-	torn := data[:len(data)-17]
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	recs := replayAll(t, w2)
-	if len(recs) != 2 {
-		t.Fatalf("replayed %d records after torn tail, want 2", len(recs))
-	}
-	if !w2.Metrics().TruncatedTail {
-		t.Fatal("torn tail not reported")
-	}
-	// the torn bytes are gone: appending then reopening yields 3 clean records
-	if err := w2.Append(testRecord(9, TypeDispatched, "job-000001")); err != nil {
-		t.Fatal(err)
-	}
-	w2.Close()
-	w3, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w3.Close()
-	if got := replayAll(t, w3); len(got) != 3 || got[2].Type != TypeDispatched {
-		t.Fatalf("after repair: %+v", got)
-	}
+		for i := 1; i <= 3; i++ {
+			if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Close()
+		path := filepath.Join(dir, "wal.log")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// tear the last record in half — a crash mid-append
+		torn := data[:len(data)-17]
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w2, err := openMode(mode, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		recs := replayAll(t, w2)
+		if len(recs) != 2 {
+			t.Fatalf("replayed %d records after torn tail, want 2", len(recs))
+		}
+		if !w2.Metrics().TruncatedTail {
+			t.Fatal("torn tail not reported")
+		}
+		// the torn bytes are gone: appending then reopening yields 3 clean records
+		if err := w2.Append(testRecord(9, TypeDispatched, "job-000001")); err != nil {
+			t.Fatal(err)
+		}
+		w2.Close()
+		w3, err := openMode(mode, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w3.Close()
+		if got := replayAll(t, w3); len(got) != 3 || got[2].Type != TypeDispatched {
+			t.Fatalf("after repair: %+v", got)
+		}
+	})
 }
 
 func TestWALBitFlipKeepsPrefix(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 4; i++ {
-		if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
+	eachMode(t, func(t *testing.T, mode string) {
+		dir := t.TempDir()
+		w, err := openMode(mode, dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	w.Close()
-	path := filepath.Join(dir, "wal.log")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// flip one bit two thirds in: records before the flipped one survive
-	data[2*len(data)/3] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	recs := replayAll(t, w2)
-	if len(recs) == 0 || len(recs) >= 4 {
-		t.Fatalf("replayed %d records after bit flip, want a strict valid prefix", len(recs))
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("prefix out of order: %+v", recs)
+		for i := 1; i <= 4; i++ {
+			if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if !w2.Metrics().TruncatedTail {
-		t.Fatal("bit flip not reported as truncation")
-	}
+		w.Close()
+		path := filepath.Join(dir, "wal.log")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// flip one bit two thirds in: records before the flipped one survive
+		data[2*len(data)/3] ^= 0x01
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w2, err := openMode(mode, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		recs := replayAll(t, w2)
+		if len(recs) == 0 || len(recs) >= 4 {
+			t.Fatalf("replayed %d records after bit flip, want a strict valid prefix", len(recs))
+		}
+		for i, r := range recs {
+			if r.Seq != uint64(i+1) {
+				t.Fatalf("prefix out of order: %+v", recs)
+			}
+		}
+		if !w2.Metrics().TruncatedTail {
+			t.Fatal("bit flip not reported as truncation")
+		}
+	})
 }
 
 func TestWALBadMagicRejected(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("not a wal at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic accepted: %v", err)
-	}
+	eachMode(t, func(t *testing.T, mode string) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("not a wal at all"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := openMode(mode, dir); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("bad magic accepted: %v", err)
+		}
+	})
 }
 
 func testCheckpoint(updates int64, dispatchSeq int64) *opt.Checkpoint {
@@ -238,40 +262,44 @@ func testCheckpoint(updates int64, dispatchSeq int64) *opt.Checkpoint {
 }
 
 func TestWALCheckpointSpill(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.SaveCheckpoint("job-000001", 10, testCheckpoint(100, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SaveCheckpoint("job-000001", 20, testCheckpoint(200, 20)); err != nil {
-		t.Fatal(err)
-	}
-	// the newer spill replaced the older
-	if _, err := w.LoadCheckpoint("job-000001", 10); err == nil {
-		t.Fatal("stale spill survived a newer one")
-	}
-	cp, err := w.LoadCheckpoint("job-000001", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Updates != 200 || cp.Int("dispatch_seq") != 20 || cp.W[0] != 0.5 {
-		t.Fatalf("loaded %+v", cp)
-	}
-	if err := w.DropJob("job-000001"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.LoadCheckpoint("job-000001", 20); err == nil {
-		t.Fatal("spill survived DropJob")
-	}
-	if _, err := w.LoadCheckpoint("../evil", 1); err == nil {
-		t.Fatal("path-traversal job id accepted")
-	}
+	eachMode(t, func(t *testing.T, mode string) {
+		dir := t.TempDir()
+		w, err := openMode(mode, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if err := w.SaveCheckpoint("job-000001", 10, testCheckpoint(100, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.SaveCheckpoint("job-000001", 20, testCheckpoint(200, 20)); err != nil {
+			t.Fatal(err)
+		}
+		// the newer spill replaced the older
+		if _, err := w.LoadCheckpoint("job-000001", 10); err == nil {
+			t.Fatal("stale spill survived a newer one")
+		}
+		cp, err := w.LoadCheckpoint("job-000001", 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Updates != 200 || cp.Int("dispatch_seq") != 20 || cp.W[0] != 0.5 {
+			t.Fatalf("loaded %+v", cp)
+		}
+		if err := w.DropJob("job-000001"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.LoadCheckpoint("job-000001", 20); err == nil {
+			t.Fatal("spill survived DropJob")
+		}
+		if _, err := w.LoadCheckpoint("../evil", 1); err == nil {
+			t.Fatal("path-traversal job id accepted")
+		}
+	})
 }
 
+// Sole-only: only a sole owner can know no writer is live, so only Open
+// sweeps; a replica opening beside a peer mid-rename must leave temps alone.
 func TestWALOpenSweepsOrphanedTemps(t *testing.T) {
 	dir := t.TempDir()
 	// a crash mid temp+fsync+rename leaves the temp behind; the spill GC
@@ -290,6 +318,9 @@ func TestWALOpenSweepsOrphanedTemps(t *testing.T) {
 	}
 }
 
+// Sole-only: installing the caller's snapshot is what a sole owner does; a
+// replica ignores it (TestSharedCompactionSwapDetected and
+// TestSharedCompactKeepsPreemptSpill pin that side).
 func TestWALCompact(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{})
@@ -344,44 +375,104 @@ func TestWALCompact(t *testing.T) {
 }
 
 func TestWALFailpointTornAppend(t *testing.T) {
+	eachMode(t, func(t *testing.T, mode string) {
+		dir := t.TempDir()
+		w, err := openMode(mode, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 2; i++ {
+			if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.FailAfterAppends(1)
+		if err := w.Append(testRecord(3, TypeDispatched, "job-000001")); err != nil {
+			t.Fatal(err) // one more append succeeds
+		}
+		if err := w.Append(testRecord(4, TypeCheckpointed, "job-000001")); err == nil {
+			t.Fatal("armed failpoint did not fire")
+		}
+		// dead store: every mutation fails
+		if err := w.Append(testRecord(5, TypePreempted, "job-000001")); err == nil {
+			t.Fatal("dead store accepted an append")
+		}
+		if err := w.Sync(); err == nil {
+			t.Fatal("dead store accepted a sync")
+		}
+		w.Close()
+		// recovery keeps the 3 acknowledged records, cuts the torn one
+		w2, err := openMode(mode, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		recs := replayAll(t, w2)
+		if len(recs) != 3 {
+			t.Fatalf("replayed %d records, want the 3 acknowledged", len(recs))
+		}
+		if !w2.Metrics().TruncatedTail {
+			t.Fatal("torn failpoint append not reported")
+		}
+	})
+}
+
+// TestSecondOpenRefused pins the owner lock: a directory takes one sole owner
+// or any number of replicas, and every other combination fails at open with
+// an error naming the directory. Without it two sole owners each write at
+// their own offset of one file — six acknowledged appends, three replayed.
+func TestSecondOpenRefused(t *testing.T) {
+	refused := func(what, dir string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("%s: err = %v, want a refusal naming %s", what, err, dir)
+		}
+	}
 	dir := t.TempDir()
-	w, err := Open(dir, Options{})
+	w1, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 2; i++ {
-		if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
+	_, err = Open(dir, Options{})
+	refused("Open beside Open", dir, err)
+	_, err = OpenShared(dir, "a", SharedOptions{})
+	refused("OpenShared beside Open", dir, err)
+	for i := 1; i <= 3; i++ {
+		if err := w1.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.FailAfterAppends(1)
-	if err := w.Append(testRecord(3, TypeDispatched, "job-000001")); err != nil {
-		t.Fatal(err) // one more append succeeds
-	}
-	if err := w.Append(testRecord(4, TypeCheckpointed, "job-000001")); err == nil {
-		t.Fatal("armed failpoint did not fire")
-	}
-	// dead store: every mutation fails
-	if err := w.Append(testRecord(5, TypePreempted, "job-000001")); err == nil {
-		t.Fatal("dead store accepted an append")
-	}
-	if err := w.Sync(); err == nil {
-		t.Fatal("dead store accepted a sync")
-	}
-	w.Close()
-	// recovery keeps the 3 acknowledged records, cuts the torn one
-	w2, err := Open(dir, Options{})
-	if err != nil {
+	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Close released it: replicas now coexist, and shut a sole owner out
+	a, err := OpenShared(dir, "a", SharedOptions{})
+	if err != nil {
+		t.Fatalf("OpenShared after Close: %v", err)
+	}
+	b, err := OpenShared(dir, "b", SharedOptions{})
+	if err != nil {
+		t.Fatalf("second replica: %v", err)
+	}
+	_, err = Open(dir, Options{})
+	refused("Open beside replicas", dir, err)
+	a.Close()
+	_, err = Open(dir, Options{})
+	refused("Open beside the remaining replica", dir, err)
+	// a dead process holds no locks
+	b.Kill()
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open after Kill: %v", err)
+	}
 	defer w2.Close()
-	recs := replayAll(t, w2)
-	if len(recs) != 3 {
+	b.Close()
+	if recs := replayAll(t, w2); len(recs) != 3 {
 		t.Fatalf("replayed %d records, want the 3 acknowledged", len(recs))
 	}
-	if !w2.Metrics().TruncatedTail {
-		t.Fatal("torn failpoint append not reported")
-	}
+	_, err = Open(dir, Options{})
+	refused("Open beside the reopened owner", dir, err)
 }
 
 // TestMemStoreParity drives Mem through the same motions to pin the seam's

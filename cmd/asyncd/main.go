@@ -124,23 +124,24 @@ func runService(cfg serviceConfig) error {
 		CompactEvery:  cfg.compactEvery,
 		EngineOptions: []async.Option{async.WithWorkers(cfg.workers)},
 	}
-	switch {
-	case cfg.replicaID != "":
-		if cfg.storeDir == "" {
-			return errors.New("-replica-id needs -store-dir (replicas coordinate through the shared log)")
+	if cfg.replicaID != "" && cfg.storeDir == "" {
+		return errors.New("-replica-id needs -store-dir (replicas coordinate through the shared log)")
+	}
+	if cfg.storeDir != "" {
+		var w *store.WAL
+		var err error
+		if cfg.replicaID != "" {
+			w, err = store.OpenShared(cfg.storeDir, cfg.replicaID, store.SharedOptions{
+				CompactEvery: cfg.compactEvery,
+			})
+			jc.ReplicaID = cfg.replicaID
+			jc.LeaseTTL = cfg.leaseTTL
+		} else {
+			w, err = store.Open(cfg.storeDir, store.Options{})
 		}
-		sh, err := store.OpenShared(cfg.storeDir, cfg.replicaID, store.SharedOptions{
-			CompactEvery: cfg.compactEvery,
-		})
-		if err != nil {
-			return err
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			err = fmt.Errorf("-store-dir %s is already served by another process; start every daemon on this directory with -replica-id to share it (%w)", cfg.storeDir, err)
 		}
-		defer sh.Close()
-		jc.Store = sh
-		jc.ReplicaID = cfg.replicaID
-		jc.LeaseTTL = cfg.leaseTTL
-	case cfg.storeDir != "":
-		w, err := store.Open(cfg.storeDir, store.Options{})
 		if err != nil {
 			return err
 		}
