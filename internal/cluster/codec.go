@@ -482,14 +482,6 @@ func encodeMessage(w *BinWriter, m *Message) error {
 		w.PutVarint(f.Base)
 		w.PutString(f.Err)
 		return w.PutValue(f.Value)
-	case KindBroadcastPush:
-		p := m.Push
-		if p == nil {
-			return errNoBody(m.Kind)
-		}
-		w.PutString(p.ID)
-		w.PutVarint(p.Version)
-		return w.PutValue(p.Value)
 	case KindAck:
 		if m.Ack == nil {
 			return errNoBody(m.Kind)
@@ -648,14 +640,6 @@ func decodeMessage(body []byte) (Message, error) {
 		}
 		f.Value = v
 		m.FetchReply = f
-	case KindBroadcastPush:
-		p := &BroadcastPush{ID: r.String(), Version: r.Varint()}
-		v, err := r.Value()
-		if err != nil {
-			return Message{}, err
-		}
-		p.Value = v
-		m.Push = p
 	case KindAck:
 		m.Ack = &Ack{Seq: r.Varint(), Err: r.String()}
 	case KindShutdown:

@@ -105,11 +105,6 @@ func roundTrip(t *testing.T, m Message) (frameBytes, gobBytes int) {
 				back.FetchReply.Err != m.FetchReply.Err || !payloadEqual(m.FetchReply.Value, back.FetchReply.Value) {
 				t.Fatalf("%s: fetch reply differs", name)
 			}
-		case KindBroadcastPush:
-			if back.Push.ID != m.Push.ID || back.Push.Version != m.Push.Version ||
-				!payloadEqual(m.Push.Value, back.Push.Value) {
-				t.Fatalf("%s: push differs", name)
-			}
 		case KindInstallPartition:
 			if !partitionEqual(back.Install.Part, m.Install.Part) {
 				t.Fatalf("%s: partition differs", name)
@@ -204,7 +199,7 @@ func TestCodecResultRoundTripSparse(t *testing.T) {
 
 func TestCodecSpecialFloats(t *testing.T) {
 	v := la.Vec{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64}
-	roundTrip(t, Message{Kind: KindBroadcastPush, Push: &BroadcastPush{ID: "w", Version: 3, Value: v}})
+	roundTrip(t, Message{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "w", Version: 3, Value: v}})
 	// NaN defeats == comparison; check it survives the binary trip by hand
 	frame, _, err := EncodeFrame(Message{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "w", Version: 1, Value: la.Vec{math.NaN()}}}, true)
 	if err != nil {
@@ -346,6 +341,31 @@ func TestFrameVersionChecked(t *testing.T) {
 	}
 }
 
+// retiredKindFrame is an eager broadcast push as it would have to look on
+// the wire now: kinds are numbered by position, so retiring the push left
+// the byte after KindShutdown's unassigned, and this is an id, a version and
+// a dense value behind that byte.
+func retiredKindFrame() []byte {
+	var w BinWriter
+	w.PutByte(byte(KindShutdown) + 1)
+	w.PutVarint(0) // seq
+	w.PutString("w")
+	w.PutVarint(3)
+	_ = w.PutValue(la.Vec{1, 2}) // a builtin payload always encodes
+	return wrapFrame(w.buf)
+}
+
+// TestRetiredKindRefused: the protocol has no kind past KindShutdown, so a
+// frame carrying one is unknown input and neither side can send it.
+func TestRetiredKindRefused(t *testing.T) {
+	if _, err := DecodeFrame(retiredKindFrame()); err == nil || !strings.Contains(err.Error(), "no decoding") {
+		t.Fatalf("retired kind decoded: err = %v", err)
+	}
+	if _, _, err := EncodeFrame(Message{Kind: KindShutdown + 1}, true); err == nil {
+		t.Fatal("retired kind encoded")
+	}
+}
+
 // TestEncodeRefusesFuncTask: a task carrying an in-process func, or args of
 // a type without a codec, fails to encode with ErrNotEncodable.
 func TestEncodeRefusesFuncTask(t *testing.T) {
@@ -405,6 +425,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte{0, 0, 0, 2, frameVersion, byte(KindTaskResult)})
+	f.Add(retiredKindFrame())
 	for _, frame := range badInstallFrames() {
 		f.Add(frame)
 	}

@@ -166,15 +166,20 @@ func (e *Env) BroadcastValue(id string, version int64) (any, error) {
 //
 // Retention rule: per id the cache keeps the newest version it was given
 // plus every version marked by Retain — the versions the worker's history
-// table (core.DynBroadcast.Record) still references — and nothing else. A
-// Put drops the previous newest version unless it is retained; a Release
-// drops its version unless it is the newest. The one exception is a stale
-// Put (a version older than the newest, e.g. a task dispatched before an
-// eager push landed): it survives until the next Put of that id so the task
-// that resolved it can still Retain it. A plain SGD-style run therefore
+// table (core.BroadcastHistory.Record) still references — and nothing else.
+// A Put drops the previous newest version unless it is retained; a Release
+// drops its version unless it is the newest. A plain SGD-style run therefore
 // holds 1–2 versions per id and a SAGA-style run exactly the versions
 // Algorithm 4 can still read; anything evicted and asked for again is
 // fetched again.
+//
+// Versions arrive in increasing order: a worker runs one task at a time,
+// tasks reach it in dispatch order, the driver numbers the versions of an id
+// in the order it registers them, and a task names the version current at
+// its dispatch (fetched here, then Put) or one its history retained (still
+// cached, no Put). Only a caller resolving a handle older than one this
+// worker already resolved can Put below the newest; it gets its value, and
+// the cache keeps it only if it is retained.
 type BroadcastCache struct {
 	mu   sync.RWMutex
 	byID map[string]*idVersions
@@ -185,14 +190,13 @@ type BroadcastCache struct {
 	versions atomic.Int64
 }
 
-// noVersion is the "none" value of idVersions.newest and .loose.
+// noVersion is the "none" value of idVersions.newest.
 const noVersion int64 = -1
 
 type idVersions struct {
 	vals   map[int64]any
 	held   map[int64]struct{} // retained versions (a value need not be present)
 	newest int64              // highest version Put so far
-	loose  int64              // a stale, unretained Put awaiting the next Put
 }
 
 // NewBroadcastCache builds an empty cache.
@@ -220,7 +224,7 @@ func (c *BroadcastCache) Get(id string, version int64) (any, bool) {
 func (c *BroadcastCache) entry(id string) *idVersions {
 	e := c.byID[id]
 	if e == nil {
-		e = &idVersions{vals: map[int64]any{}, held: map[int64]struct{}{}, newest: noVersion, loose: noVersion}
+		e = &idVersions{vals: map[int64]any{}, held: map[int64]struct{}{}, newest: noVersion}
 		c.byID[id] = e
 	}
 	return e
@@ -249,22 +253,18 @@ func (c *BroadcastCache) Put(id string, version int64, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entry(id)
+	if _, held := e.held[version]; version < e.newest && !held {
+		return
+	}
 	if _, exists := e.vals[version]; !exists {
 		c.versions.Add(1)
 		cacheVersions.Add(1)
 	}
 	e.vals[version] = v
-	prevLoose, prevNewest := e.loose, e.newest
-	e.loose = noVersion
-	if version >= e.newest {
+	if prev := e.newest; version > prev {
 		e.newest = version
-	} else {
-		e.loose = version
+		c.evict(e, prev)
 	}
-	if prevLoose != version {
-		c.evict(e, prevLoose)
-	}
-	c.evict(e, prevNewest)
 }
 
 // Retain marks (id, version) as referenced: it stays cached until Release,
@@ -293,7 +293,6 @@ func (c *BroadcastCache) releaseAll() {
 	defer c.mu.Unlock()
 	for _, e := range c.byID {
 		clear(e.held)
-		e.loose = noVersion
 		for ver := range e.vals {
 			c.evict(e, ver)
 		}

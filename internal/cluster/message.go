@@ -8,7 +8,7 @@
 //
 // The protocol is message-passing in both directions:
 //
-//	server → worker: RunTask, InstallPartition, BroadcastPush, FetchReply, Shutdown
+//	server → worker: RunTask, InstallPartition, FetchReply, Shutdown
 //	worker → server: Hello, TaskResult, Fetch, Ack
 //
 // Broadcast fetch (the ASYNCbroadcaster miss path). A worker that needs
@@ -23,10 +23,10 @@
 //     with their replacement (not additive) values. Sent only on an endpoint
 //     that serialises, when Base == Have, both versions are la.Vec of equal
 //     length still in the driver store, and the patch encodes shorter than
-//     the dense vector. The worker copies its base — held by pointer across
-//     the request, so a concurrent push cannot pull it away — and overwrites
-//     the listed coordinates: the result is bit-identical to the driver's
-//     vector whatever produced the change.
+//     the dense vector. The worker copies its base — only its executor
+//     goroutine, the one waiting for this reply, ever changes its cache — and
+//     overwrites the listed coordinates: the result is bit-identical to the
+//     driver's vector whatever produced the change.
 //
 // The worker validates a patch before touching anything: Base must equal the
 // Have it sent, the value must be a sparse delta (whose decode already
@@ -48,7 +48,9 @@ import (
 // Kind discriminates protocol messages.
 type Kind int
 
-// Protocol message kinds.
+// Protocol message kinds, numbered by position. Driver and workers are
+// always one build and a frame is never persisted (the WAL stores Records),
+// so retiring a kind renumbers the ones after it safely.
 const (
 	KindHello Kind = iota + 1
 	KindRunTask
@@ -57,7 +59,6 @@ const (
 	KindAck
 	KindFetch
 	KindFetchReply
-	KindBroadcastPush
 	KindShutdown
 )
 
@@ -77,8 +78,6 @@ func (k Kind) String() string {
 		return "fetch"
 	case KindFetchReply:
 		return "fetch-reply"
-	case KindBroadcastPush:
-		return "broadcast-push"
 	case KindShutdown:
 		return "shutdown"
 	default:
@@ -146,13 +145,6 @@ type FetchReply struct {
 	Err     string
 }
 
-// BroadcastPush eagerly installs a broadcast value in the worker cache.
-type BroadcastPush struct {
-	ID      string
-	Version int64
-	Value   any
-}
-
 // InstallPartition ships a data partition to a worker at setup (or during
 // recovery after a crash).
 type InstallPartition struct {
@@ -182,5 +174,4 @@ type Message struct {
 	Ack        *Ack
 	Fetch      *FetchReq
 	FetchReply *FetchReply
-	Push       *BroadcastPush
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/la"
 )
@@ -261,7 +260,6 @@ func TestDecodeDoesNotAliasFrame(t *testing.T) {
 		{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "model", Version: 8, Value: randVec(rng, 32)}},
 		{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "model", Version: 8, Base: 7, Value: randDeltaVec(rng, 32, 5)}},
 		{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "model", Version: 8, Err: "not found on driver"}},
-		{Kind: KindBroadcastPush, Push: &BroadcastPush{ID: "model", Version: 2, Value: randVec(rng, 16)}},
 	}
 	for _, m := range msgs {
 		frame, _, err := EncodeFrame(m, true)
@@ -408,44 +406,4 @@ func init() {
 		}
 		return v.(la.Vec).Clone(), nil
 	})
-}
-
-// TestPushRacesResolve runs the worker's two cache writers against each
-// other — recvLoop installing eager pushes, the executor resolving (and
-// patching against) whatever is newest — for the race detector, and checks
-// that every resolved vector is the driver's bit for bit.
-func TestPushRacesResolve(t *testing.T) {
-	c := startTCPCluster(t, 1)
-	const versions, dim = 120, 512
-	rng := rand.New(rand.NewSource(15))
-	store := make([]la.Vec, versions+1)
-	store[1] = randVec(rng, dim)
-	for ver := 2; ver <= versions; ver++ {
-		store[ver] = store[ver-1].Clone()
-		for k := 0; k < 8; k++ {
-			store[ver][rng.Intn(dim)] = rng.NormFloat64()
-		}
-	}
-	c.SetFetchHandler(func(id string, ver int64) (any, error) { return store[ver], nil })
-	pushed := make(chan struct{})
-	go func() {
-		defer close(pushed)
-		for ver := 2; ver <= versions; ver += 2 {
-			_ = c.Push(0, "model", int64(ver), store[ver])
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	for ver := 1; ver <= versions; ver++ {
-		if err := c.Submit(0, &Task{ID: c.NextTaskID(), Op: "test.tcpBroadcastNorm", Args: int64(ver)}); err != nil {
-			t.Fatal(err)
-		}
-		r := awaitResult(t, c)
-		if r.Failed() {
-			t.Fatalf("version %d: %s", ver, r.Err)
-		}
-		if got, want := r.Payload.(float64), la.Norm2(store[ver]); got != want {
-			t.Fatalf("version %d: norm %v, want %v", ver, got, want)
-		}
-	}
-	<-pushed
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // TestPropCacheBounded checks the retention rule against a model under
-// random interleavings of Put (fresh and stale), Retain and Release on two
-// ids: after every step the newest version of an id and every retained
-// version that was cached when retained are present, and after every Put
-// the id holds nothing else but that Put's own version — so the cache is
-// bounded by 2 + the number of references, whatever the history.
+// random interleavings of Put (at, above and below the newest), Retain and
+// Release on two ids: after every step the newest version of an id and every
+// retained version that was cached when retained are present, and after
+// every Put the id holds nothing else — so the cache is bounded by 1 + the
+// number of references, whatever the history.
 func TestPropCacheBounded(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c := NewBroadcastCache()
@@ -40,21 +40,21 @@ func TestPropCacheBounded(t *testing.T) {
 			m := ids[id]
 			ver := int64(op >> 4 % 16)
 			switch op >> 1 & 7 {
-			case 0, 1, 2, 3: // Put: fresh or stale as ver falls
+			case 0, 1, 2, 3: // Put: above, at or below the newest as ver falls
 				c.Put(id, ver, ver)
 				if ver > m.newest {
 					m.newest = ver
 				}
-				// exactly newest ∪ retained ∪ {ver}
+				// exactly newest ∪ retained
 				c.mu.RLock()
 				for got := range c.byID[id].vals {
-					if got != m.newest && got != ver && !m.held[got] {
+					if got != m.newest && !m.held[got] {
 						c.mu.RUnlock()
 						return false
 					}
 				}
 				c.mu.RUnlock()
-				if !has(id, ver) {
+				if has(id, ver) != (ver == m.newest || m.held[ver]) {
 					return false
 				}
 			case 4, 5: // Retain, as Record does: only a version just resolved
@@ -126,7 +126,6 @@ func TestGobMessageRoundTrip(t *testing.T) {
 		{Kind: KindAck, Ack: &Ack{Seq: 4, Err: "boom"}},
 		{Kind: KindFetch, Fetch: &FetchReq{Worker: 1, ID: "w", Version: 8}},
 		{Kind: KindFetchReply, FetchReply: &FetchReply{ID: "w", Version: 8, Value: map[string]int{"z": 3}}},
-		{Kind: KindBroadcastPush, Push: &BroadcastPush{ID: "w", Version: 2, Value: map[string]int{"q": 4}}},
 		{Kind: KindShutdown},
 	}
 	for _, m := range msgs {

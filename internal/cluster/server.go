@@ -258,25 +258,6 @@ func (c *Cluster) Install(worker int, p *dataset.Partition, timeout time.Duratio
 	}
 }
 
-// Push eagerly installs a broadcast value in one worker's cache.
-func (c *Cluster) Push(worker int, id string, version int64, v any) error {
-	h, err := c.handle(worker)
-	if err != nil {
-		return err
-	}
-	if !h.alive.Load() {
-		return fmt.Errorf("%w: worker %d", ErrWorkerDown, worker)
-	}
-	return h.ep.Send(Message{Kind: KindBroadcastPush, Push: &BroadcastPush{ID: id, Version: version, Value: v}})
-}
-
-// PushAll pushes a broadcast value to every live worker.
-func (c *Cluster) PushAll(id string, version int64, v any) {
-	for _, w := range c.AliveWorkers() {
-		_ = c.Push(w, id, version, v)
-	}
-}
-
 // AddLocalWorker grows an in-process cluster by one worker (elastic
 // scale-out, in the spirit of Litz-style elasticity the paper cites). The
 // new worker gets the next free id and starts empty: move partitions to it

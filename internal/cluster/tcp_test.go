@@ -138,23 +138,6 @@ func TestTCPClusterFetchPath(t *testing.T) {
 	}
 }
 
-func TestTCPClusterPush(t *testing.T) {
-	c := startTCPCluster(t, 1)
-	c.PushAll("model", 9, la.Vec{6, 8})
-	time.Sleep(50 * time.Millisecond) // let the push land
-	task := &Task{ID: c.NextTaskID(), Op: "test.tcpBroadcastNorm", Args: int64(9)}
-	if err := c.Submit(0, task); err != nil {
-		t.Fatal(err)
-	}
-	r := awaitResult(t, c)
-	if r.Failed() {
-		t.Fatalf("pushed broadcast not visible: %s", r.Err)
-	}
-	if got := r.Payload.(float64); got != 10 {
-		t.Fatalf("norm = %v, want 10", got)
-	}
-}
-
 // TestTCPSubmitFuncTaskRefused: a task carrying an in-process func cannot
 // be encoded; Submit says so and the worker — not at fault — stays alive
 // and keeps serving ops.
@@ -174,8 +157,7 @@ func TestTCPSubmitFuncTaskRefused(t *testing.T) {
 	if !c.Alive(0) {
 		t.Fatal("an unencodable task marked its worker down")
 	}
-	c.PushAll("model", 1, la.Vec{3, 4})
-	time.Sleep(50 * time.Millisecond) // let the push land
+	c.SetFetchHandler(func(string, int64) (any, error) { return la.Vec{3, 4}, nil })
 	if err := c.Submit(0, &Task{ID: c.NextTaskID(), Op: "test.tcpBroadcastNorm", Args: int64(1)}); err != nil {
 		t.Fatal(err)
 	}

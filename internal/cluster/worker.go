@@ -113,9 +113,8 @@ func (w *Worker) execute(t *Task) (payload any, err error) {
 	return op(w.env, t)
 }
 
-// recvLoop demultiplexes inbound messages. Control messages (installs,
-// broadcast pushes) are handled here so they take effect even while a task
-// is executing.
+// recvLoop demultiplexes inbound messages. Partition installs are handled
+// here so they take effect even while a task is executing.
 func (w *Worker) recvLoop() {
 	for {
 		m, err := w.ep.Recv()
@@ -139,8 +138,6 @@ func (w *Worker) recvLoop() {
 				close(w.quit)
 				return
 			}
-		case KindBroadcastPush:
-			w.env.Cache().Put(m.Push.ID, m.Push.Version, m.Push.Value)
 		case KindFetchReply:
 			select {
 			case w.fetchReplies <- m.FetchReply:
@@ -156,10 +153,9 @@ func (w *Worker) recvLoop() {
 
 // fetchFromServer implements the broadcast miss path: request (id, version),
 // offering the newest version of id already held as a patch base, and block
-// for the reply. The base is held here by pointer for the whole exchange, so
-// whatever recvLoop's push path does to the cache meanwhile cannot pull it
-// away. The executor is single-threaded so at most one fetch is outstanding
-// per worker.
+// for the reply. No goroutine but the executor's — this one — mutates the
+// cache (recvLoop only hands the reply over), so the base cannot change
+// during the exchange and at most one fetch is outstanding per worker.
 func (w *Worker) fetchFromServer(id string, version int64) (any, error) {
 	have, base, ok := w.env.Cache().Latest(id)
 	if _, isVec := base.(la.Vec); !ok || !isVec || have <= 0 {

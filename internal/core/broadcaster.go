@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/cluster"
@@ -13,30 +12,25 @@ import (
 // pull the value at most once per version while they keep it, which is what
 // makes historical-gradient methods (SAGA/ASAGA) communication-efficient.
 //
-// Retention: a worker keeps, per id, the newest version it resolved plus
-// every version its history table still references — a version Record
-// stored for some sample and no later Record overwrote. Everything else is
-// dropped from the worker's cache (cluster.BroadcastCache) and would be
-// fetched again if asked for. ResetRun drops all references.
+// Every version is published the same way: registered on the driver, fetched
+// by a worker on first use, cached there. Retention has two halves. The
+// driver keeps the newest 4·workers versions of an id (rdd.Context.Broadcast
+// is the one site that decides, and says why). A worker keeps, per id, the
+// newest version it resolved plus every version its history table still
+// references — a version BroadcastHistory.Record stored for some sample and
+// no later Record overwrote — so a historical read never goes back to the
+// driver. Everything else is dropped from the worker's cache
+// (cluster.BroadcastCache). ResetRun drops all references.
 type DynBroadcast struct {
 	ID      string
 	Version int64
 }
 
 // ASYNCbroadcast registers value under id with a fresh version on the
-// driver. Nothing is pushed: workers resolve (id, version) lazily through
-// the fetch path and cache it. This is the ASYNCbroadcaster's driver half.
+// driver. Nothing is sent: workers resolve (id, version) through the fetch
+// path and cache it. This is the ASYNCbroadcaster's driver half.
 func (ac *Context) ASYNCbroadcast(id string, value any) DynBroadcast {
-	b := ac.rctx.BroadcastQuiet(id, value)
-	return DynBroadcast{ID: id, Version: b.Version}
-}
-
-// ASYNCbroadcastEager additionally pushes the value to all live workers,
-// trading bandwidth for first-use latency (Spark-style eager broadcast with
-// ASYNC versioning).
-func (ac *Context) ASYNCbroadcastEager(id string, value any) DynBroadcast {
-	b := ac.rctx.BroadcastQuiet(id, value)
-	ac.rctx.Cluster().PushAll(id, b.Version, value)
+	b := ac.rctx.Broadcast(id, value)
 	return DynBroadcast{ID: id, Version: b.Version}
 }
 
@@ -162,45 +156,6 @@ func getHistory(env *cluster.Env, id string) *historyTable {
 	}).(*historyTable)
 }
 
-// ValueAt resolves the broadcast value recorded for sample index
-// (w_br.value(index) in Algorithm 4). If the sample has no recorded
-// version yet, def is used (SAGA initializes history at w₀).
-func (b DynBroadcast) ValueAt(env *cluster.Env, index int, def int64) (any, int64, error) {
-	ver, ok := getHistory(env, b.ID).lookup(index)
-	if !ok {
-		ver = def
-	}
-	if ver <= 0 {
-		return nil, 0, fmt.Errorf("core: sample %d has no recorded version and no default", index)
-	}
-	v, err := env.BroadcastValue(b.ID, ver)
-	if err != nil {
-		return nil, 0, err
-	}
-	return v, ver, nil
-}
-
-// TryValueAt resolves the broadcast value recorded for sample index,
-// reporting ok=false when the sample has never been recorded (SAGA treats
-// such samples as having zero historical gradient).
-func (b DynBroadcast) TryValueAt(env *cluster.Env, index int) (any, bool, error) {
-	ver, ok := getHistory(env, b.ID).lookup(index)
-	if !ok {
-		return nil, false, nil
-	}
-	v, err := env.BroadcastValue(b.ID, ver)
-	if err != nil {
-		return nil, false, err
-	}
-	return v, true, nil
-}
-
-// Record stores the broadcast version just used for sample index, to be
-// read back by the next ValueAt for that sample.
-func (b DynBroadcast) Record(env *cluster.Env, index int) {
-	getHistory(env, b.ID).record(env.Cache(), b.ID, index, b.Version)
-}
-
 // BroadcastHistory is a resolved handle onto the worker's history table for
 // one broadcast id. Per-sample loops hoist the handle once per task (the
 // lookup concatenates a store key, which would otherwise allocate on every
@@ -216,7 +171,10 @@ func (b DynBroadcast) History(env *cluster.Env) BroadcastHistory {
 	return BroadcastHistory{b: b, h: getHistory(env, b.ID), cache: env.Cache()}
 }
 
-// TryValueAt is DynBroadcast.TryValueAt through the resolved handle.
+// TryValueAt resolves the broadcast value recorded for sample index
+// (w_br.value(index) in Algorithm 4), reporting ok=false when the sample has
+// never been recorded (SAGA treats such samples as having zero historical
+// gradient).
 func (bh BroadcastHistory) TryValueAt(env *cluster.Env, index int) (any, bool, error) {
 	ver, ok := bh.h.lookup(index)
 	if !ok {
@@ -229,7 +187,8 @@ func (bh BroadcastHistory) TryValueAt(env *cluster.Env, index int) (any, bool, e
 	return v, true, nil
 }
 
-// Record is DynBroadcast.Record through the resolved handle.
+// Record stores the handle's version as the one just used for sample index,
+// to be read back by the next TryValueAt for that sample.
 func (bh BroadcastHistory) Record(index int) {
 	bh.h.record(bh.cache, bh.b.ID, index, bh.b.Version)
 }

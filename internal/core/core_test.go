@@ -491,27 +491,30 @@ func TestASYNCbroadcastHistory(t *testing.T) {
 	}
 	sel, _ := ac.ASYNCbarrier(ASP(), nil)
 	kern := func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
+		// an earlier task used b1 for sample 7
+		if _, err := b1.Value(env); err != nil {
+			return nil, 0, err
+		}
+		b1.History(env).Record(7)
 		// current value resolves to b2's payload
 		cur, err := b2.Value(env)
 		if err != nil {
 			return nil, 0, err
 		}
-		// sample 7 has no recorded version → falls back to default (b1)
-		hist, ver, err := b2.ValueAt(env, 7, b1.Version)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ver != b1.Version {
-			return nil, 0, errTest("default version not used")
+		// the id's history is one table whichever handle reads it: sample 7
+		// still resolves to b1's payload, from the cache
+		h := b2.History(env)
+		hist, ok, err := h.TryValueAt(env, 7)
+		if err != nil || !ok {
+			return nil, 0, errTest("recorded version not readable")
 		}
 		// record and re-read: must now resolve to b2
-		b2.Record(env, 7)
-		_, ver2, err := b2.ValueAt(env, 7, b1.Version)
-		if err != nil {
-			return nil, 0, err
-		}
-		if ver2 != b2.Version {
+		h.Record(7)
+		if ver, _ := b2.RecordedVersion(env, 7); ver != b2.Version {
 			return nil, 0, errTest("recorded version not used")
+		}
+		if now, ok, err := h.TryValueAt(env, 7); err != nil || !ok || now.(la.Vec)[0] != 2 {
+			return nil, 0, errTest("re-recorded sample does not read the new version")
 		}
 		return cur.(la.Vec)[0] + hist.(la.Vec)[0], 1, nil
 	}
@@ -525,16 +528,24 @@ func TestASYNCbroadcastHistory(t *testing.T) {
 	if p.(float64) != 3 { // 2 (current) + 1 (historical)
 		t.Fatalf("payload %v, want 3", p)
 	}
+	if got := ac.RDD().Cluster().FetchCount(); got != 2 {
+		t.Fatalf("%d fetches, want one per version", got)
+	}
 }
 
+// A sample nobody recorded has no historical value and no default: the
+// caller is told so (SAGA takes its historical gradient as zero) and nothing
+// is fetched.
 func TestASYNCbroadcastValueAtNoDefault(t *testing.T) {
 	ac, _ := setup(t, 1, 1, nil)
 	b := ac.ASYNCbroadcast("x", 1)
 	sel, _ := ac.ASYNCbarrier(ASP(), nil)
 	kern := func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		_, _, err := b.ValueAt(env, 3, 0)
-		if err == nil {
-			return nil, 0, errTest("missing default accepted")
+		if v, ok, err := b.History(env).TryValueAt(env, 3); v != nil || ok || err != nil {
+			return nil, 0, errTest("unrecorded sample resolved to a value")
+		}
+		if _, ok := b.RecordedVersion(env, 3); ok {
+			return nil, 0, errTest("unrecorded sample has a version")
 		}
 		return true, 1, nil
 	}
@@ -544,27 +555,8 @@ func TestASYNCbroadcastValueAtNoDefault(t *testing.T) {
 	if p, err := ac.ASYNCcollect(); err != nil || p != true {
 		t.Fatalf("collect %v %v", p, err)
 	}
-}
-
-func TestASYNCbroadcastEagerPopulatesCache(t *testing.T) {
-	ac, _ := setup(t, 2, 2, nil)
-	b := ac.ASYNCbroadcastEager("e", la.Vec{9})
-	time.Sleep(30 * time.Millisecond)
-	sel, _ := ac.ASYNCbarrier(ASP(), nil)
-	kern := func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		if _, ok := env.Cache().Get(b.ID, b.Version); !ok {
-			return nil, 0, errTest("eager broadcast not cached")
-		}
-		return true, 1, nil
-	}
-	n, err := ac.ASYNCreduce(sel, kern)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if p, err := ac.ASYNCcollect(); err != nil || p != true {
-			t.Fatalf("collect: %v %v", p, err)
-		}
+	if got := ac.RDD().Cluster().FetchCount(); got != 0 {
+		t.Fatalf("%d fetches for a sample with no history", got)
 	}
 }
 

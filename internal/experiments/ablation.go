@@ -168,14 +168,12 @@ func AblationLocalReduce(o Options) (*metrics.Table, error) {
 			return nil, err
 		}
 		ac := eng.Context()
-		rctx := eng.RDD()
 		w := la.NewVec(pr.d.NumCols())
 		collected := 0
 		var samples, vecsShipped int64
 		start := time.Now()
 		for collected < tasks {
 			wBr := ac.ASYNCbroadcast("abl.w", w.Clone())
-			rctx.PruneBroadcast("abl.w", 4*cdsWorkers)
 			sel, err := ac.ASYNCbarrier(core.ASP(), nil)
 			if err != nil {
 				eng.Close()

@@ -237,8 +237,7 @@ func ADMM(ac *core.Context, d *dataset.Dataset, p Params, c ADMMConfig, fstar fl
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: "admm", Key: "admm.z",
-		P: &p, Loss: LeastSquares{}, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubPlain,
+		P: &p, Loss: LeastSquares{}, FStar: fstar, Target: int64(p.Updates),
 		Round: true, StreamRound: true, RoundBudget: true,
 		Dispatch: dispatch,
 	})

@@ -52,7 +52,7 @@ func TestGradSweepAllocFree(t *testing.T) {
 	}
 	g := la.NewVec(len(w))
 	rng := rand.New(rand.NewSource(3))
-	for _, loss := range []Loss{LeastSquares{}, Logistic{}, Ridge{Inner: LeastSquares{}, Lambda: 0.01}} {
+	for _, loss := range []Loss{LeastSquares{}, Logistic{}, Composite{Inner: LeastSquares{}, L2: 0.01}} {
 		if allocs := testing.AllocsPerRun(50, func() {
 			gradSweep(loss, p, rng, 0.3, w, g)
 		}); allocs != 0 {

@@ -242,8 +242,7 @@ func AsyncBCD(ac *core.Context, d *dataset.Dataset, p Params, c BCDConfig, fstar
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: "bcd", Key: "bcd.w",
-		P: &p, Loss: LeastSquares{}, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubPlain, Prune: true,
+		P: &p, Loss: LeastSquares{}, FStar: fstar, Target: int64(p.Updates),
 		Round:    sync,
 		Dispatch: dispatch,
 	})

@@ -402,7 +402,6 @@ func (u *cdUpdater) run(ac *core.Context, d *dataset.Dataset, p *Params, algo, n
 	dispatch, err := kernelDispatch(ac, cdOpName, p.Loss, 0, func(a *GradOpArgs) {
 		u.block = u.pickBlock()
 		dBr := ac.ASYNCbroadcast(deltaID, u.exportDelta())
-		ac.RDD().PruneBroadcast(deltaID, 4*ac.RDD().Cluster().NumWorkers())
 		a.AuxID, a.AuxVersion, a.Block = dBr.ID, dBr.Version, u.block
 	})
 	if err != nil {
@@ -410,8 +409,7 @@ func (u *cdUpdater) run(ac *core.Context, d *dataset.Dataset, p *Params, algo, n
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: algo, Name: name, Key: name + ".w",
-		P: p, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubPlain, Prune: true,
+		P: p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true,
 		Dispatch: dispatch,
 	})

@@ -201,7 +201,7 @@ func TestCDLogisticConverges(t *testing.T) {
 func TestCDRejectsUnknownObjective(t *testing.T) {
 	r := newRig(t, 1, 2, nil)
 	p, c := Params{}, CDConfig{}
-	p.Loss = Ridge{Inner: badLoss{}, Lambda: 0.1}
+	p.Loss = Composite{Inner: badLoss{}, L2: 0.1}
 	p.Updates = 4
 	if _, err := CD(r.ac, r.d, p, c, 0); err == nil {
 		t.Fatal("CD accepted an objective it cannot decompose")

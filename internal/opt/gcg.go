@@ -227,8 +227,7 @@ func GCG(ac *core.Context, d *dataset.Dataset, p Params, c GCGConfig, fstar floa
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "GCG", Name: "gcg", Key: "gcg.w",
-		P: &p, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubEager, Prune: true,
+		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true,
 		EpochLen: int64(c.RestartEvery),
 		EpochBegin: func(global int64) error {

@@ -124,7 +124,7 @@ func checkBlock(block []int32, cols int) error {
 
 // wireObjective names loss in ObjectiveSpec terms — what a kernel op's args
 // carry in place of the Loss value. Only the family ObjectiveSpec.Resolve
-// rebuilds qualifies: least squares or logistic, bare or under Ridge or
+// rebuilds qualifies: least squares or logistic, bare or under a
 // Composite.
 func wireObjective(loss Loss) (ObjectiveSpec, error) {
 	if lin, l2, l1, ok := splitProx(loss); ok {
@@ -133,7 +133,7 @@ func wireObjective(loss Loss) (ObjectiveSpec, error) {
 			return ObjectiveSpec{Loss: lin.Name(), L2: l2, L1: l1}, nil
 		}
 	}
-	return ObjectiveSpec{}, fmt.Errorf("opt: loss %q cannot be named to a worker (least-squares or logistic, optionally under Ridge or Composite)", loss.Name())
+	return ObjectiveSpec{}, fmt.Errorf("opt: loss %q cannot be named to a worker (least-squares or logistic, optionally under a Composite)", loss.Name())
 }
 
 // kernelDispatch builds the loopSpec.Dispatch of every AC-based solver: each

@@ -41,11 +41,10 @@ func TestKernelOpMatchesClosure(t *testing.T) {
 	losses := []Loss{
 		LeastSquares{},
 		Logistic{},
-		Ridge{Inner: LeastSquares{}, Lambda: 0.1},
-		Ridge{Inner: Logistic{}, Lambda: 0.03},
+		Composite{Inner: LeastSquares{}, L2: 0.1},
+		Composite{Inner: Logistic{}, L2: 0.03},
 		Composite{Inner: LeastSquares{}, L2: 0.05, L1: 0.02},
 		Composite{Inner: Logistic{}, L1: 0.02},
-		Composite{Inner: LeastSquares{}, L2: 0.05}, // resolves as Ridge on the worker
 	}
 	envs := map[string]func() (*cluster.Env, []int){
 		"dense": func() (*cluster.Env, []int) {
@@ -144,8 +143,8 @@ func TestKernelSolversRejectUnnameableLoss(t *testing.T) {
 	}
 	for _, loss := range []Loss{
 		badLoss{},
-		Ridge{Inner: badLoss{}, Lambda: 0.1},
-		Ridge{Inner: Ridge{Inner: LeastSquares{}, Lambda: 0.1}, Lambda: 0.1},
+		Composite{Inner: badLoss{}, L2: 0.1},
+		Composite{Inner: Composite{Inner: LeastSquares{}, L2: 0.1}, L2: 0.1},
 	} {
 		for name, solve := range solvers {
 			if _, err := solve(Params{Loss: loss, Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 1}); err == nil {

@@ -103,7 +103,7 @@ func TestRidgeASGDShrinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := base
-	reg.Loss = Ridge{Inner: LeastSquares{}, Lambda: 5}
+	reg.Loss = Composite{Inner: LeastSquares{}, L2: 5}
 	ridge, err := ASGD(r.ac, r.d, reg, r.fstar)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@
 // loop, recorder cadence, lazy-settle scheduling, mid-run checkpointing
 // (Params.CheckpointEvery / Resume), and preemption (Params.Preempt).
 //
-// Semantics of lazy L2 under staleness: on the sparse task path the Ridge
+// Semantics of lazy L2 under staleness: on the sparse task path the L2
 // shrinkage (1−αλ)·w is deferred per coordinate and applied at the
 // driver's CURRENT model when a coordinate is next touched or the model is
 // settled — not at the (possibly stale) worker model the task's inner
@@ -50,8 +50,8 @@ type LinearLoss interface {
 }
 
 // splitLoss decomposes a loss into its linear core and an L2 coefficient:
-// LeastSquares and Logistic are their own cores with λ = 0, Ridge (and an
-// ℓ1-free Composite) peels off its penalty when the inner loss is linear.
+// LeastSquares and Logistic are their own cores with λ = 0, an ℓ1-free
+// Composite peels off its penalty when the inner loss is linear.
 // ok reports whether the sparse task path can represent the loss at all;
 // when it can and λ > 0, workers ship inner-only gradients and the driver
 // applies the shrinkage lazily (see lazy.go). Objectives with an ℓ1 term
@@ -117,34 +117,14 @@ func (Logistic) GradCoeff(dot, y float64) float64 {
 // Name implements Loss.
 func (Logistic) Name() string { return "logistic" }
 
-// Ridge wraps a loss with an L2 penalty (λ/2)·‖w‖².
-type Ridge struct {
-	Inner  Loss
-	Lambda float64
-}
-
-// Value implements Loss. The penalty is amortized per sample assuming the
-// objective is a mean over n samples; callers embed λ already scaled.
-func (r Ridge) Value(x la.SparseVec, y float64, w la.Vec) float64 {
-	return r.Inner.Value(x, y, w) + 0.5*r.Lambda*la.Dot(w, w)
-}
-
-// AddGrad implements Loss.
-func (r Ridge) AddGrad(x la.SparseVec, y float64, w la.Vec, g la.Vec) {
-	r.Inner.AddGrad(x, y, w, g)
-	la.Axpy(r.Lambda, w, g)
-}
-
-// Name implements Loss.
-func (r Ridge) Name() string { return r.Inner.Name() + "+l2" }
-
 // Composite is the elastic-net objective: a smooth inner loss plus
 // (L2/2)·‖w‖² + L1·‖w‖₁. The smooth part (inner + L2 ridge) flows through
 // AddGrad and the gradient kernels; the nonsmooth ℓ1 term is applied only
 // through the prox seam (prox.go) by the prox-capable drivers — AddGrad
 // deliberately excludes it, so solvers without a prox step must reject
 // composites with L1 > 0 (rejectL1) instead of silently solving the wrong
-// problem. Penalties are amortized per sample like Ridge's.
+// problem. The penalties are amortized per sample assuming the objective is
+// a mean over n samples; callers embed the coefficients already scaled.
 type Composite struct {
 	Inner Loss
 	L2    float64
@@ -191,25 +171,20 @@ func (c Composite) Name() string {
 // the smooth core; both penalties are driver-side, so they never disqualify
 // it.
 func splitProx(loss Loss) (lin LinearLoss, l2, l1 float64, ok bool) {
-	switch l := loss.(type) {
-	case Ridge:
-		lin, ok = l.Inner.(LinearLoss)
-		return lin, l.Lambda, 0, ok && l.Lambda >= 0
-	case Composite:
-		lin, ok = l.Inner.(LinearLoss)
-		return lin, l.L2, l.L1, ok && l.L2 >= 0 && l.L1 >= 0
-	default:
-		lin, ok = loss.(LinearLoss)
-		return lin, 0, 0, ok
+	if c, isComposite := loss.(Composite); isComposite {
+		lin, ok = c.Inner.(LinearLoss)
+		return lin, c.L2, c.L1, ok && c.L2 >= 0 && c.L1 >= 0
 	}
+	lin, ok = loss.(LinearLoss)
+	return lin, 0, 0, ok
 }
 
 // Objective evaluates the full mean loss F(w) = (1/n) Σ ℓ_i(w) over a
 // dataset on the driver. Experiments use it post hoc on recorded snapshots
 // so evaluation never perturbs run timing.
 //
-// The penalties of Ridge and Composite do not depend on the sample, so they
-// are peeled off and added once per evaluation — O(nnz + cols), where summing
+// The penalties of a Composite do not depend on the sample, so they are
+// peeled off and added once per evaluation — O(nnz + cols), where summing
 // Loss.Value over the rows would pay O(cols) per row. The result agrees with
 // that sum up to rounding.
 func Objective(d *dataset.Dataset, loss Loss, w la.Vec) float64 {
@@ -218,23 +193,18 @@ func Objective(d *dataset.Dataset, loss Loss, w la.Vec) float64 {
 		return 0
 	}
 	var penalty float64
-peel:
 	for {
-		switch l := loss.(type) {
-		case Ridge:
-			penalty += 0.5 * l.Lambda * la.Dot(w, w)
-			loss = l.Inner
-		case Composite:
-			if l.L2 > 0 {
-				penalty += 0.5 * l.L2 * la.Dot(w, w)
-			}
-			if l.L1 > 0 {
-				penalty += l.L1 * la.Norm1(w)
-			}
-			loss = l.Inner
-		default:
-			break peel
+		c, isComposite := loss.(Composite)
+		if !isComposite {
+			break
 		}
+		if c.L2 > 0 {
+			penalty += 0.5 * c.L2 * la.Dot(w, w)
+		}
+		if c.L1 > 0 {
+			penalty += c.L1 * la.Norm1(w)
+		}
+		loss = c.Inner
 	}
 	var sum float64
 	for i := 0; i < n; i++ {

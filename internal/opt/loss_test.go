@@ -53,7 +53,7 @@ func gradCheck(t *testing.T, loss Loss) {
 
 func TestLeastSquaresGradient(t *testing.T) { gradCheck(t, LeastSquares{}) }
 func TestLogisticGradient(t *testing.T)     { gradCheck(t, Logistic{}) }
-func TestRidgeGradient(t *testing.T)        { gradCheck(t, Ridge{Inner: LeastSquares{}, Lambda: 0.3}) }
+func TestRidgeGradient(t *testing.T)        { gradCheck(t, Composite{Inner: LeastSquares{}, L2: 0.3}) }
 
 func TestLogisticValueStable(t *testing.T) {
 	x, _ := la.NewSparseVec(1, []int32{0}, []float64{1})
@@ -194,7 +194,7 @@ func TestScheduleDecayMonotone(t *testing.T) {
 	}
 }
 
-// TestObjectivePenaltiesOnce: Objective adds a Ridge/Composite penalty once
+// TestObjectivePenaltiesOnce: Objective adds a Composite's penalties once
 // per evaluation; that must agree, to rounding, with what it replaces — the
 // mean of the per-sample Loss.Value, whose semantics stay — on dense and on
 // CSR-sparse data, for nested wrappers too.
@@ -214,11 +214,11 @@ func TestObjectivePenaltiesOnce(t *testing.T) {
 		}
 		for _, loss := range []Loss{
 			LeastSquares{},
-			Ridge{Inner: LeastSquares{}, Lambda: 0.3},
-			Ridge{Inner: Logistic{}, Lambda: 0.01},
+			Composite{Inner: LeastSquares{}, L2: 0.3},
+			Composite{Inner: Logistic{}, L2: 0.01},
 			Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.1},
 			Composite{Inner: Logistic{}, L1: 0.05},
-			Composite{Inner: Ridge{Inner: LeastSquares{}, Lambda: 0.1}, L2: 0.2, L1: 0.3},
+			Composite{Inner: Composite{Inner: LeastSquares{}, L2: 0.1}, L2: 0.2, L1: 0.3},
 		} {
 			var sum float64
 			for i := 0; i < d.NumRows(); i++ {

@@ -19,8 +19,7 @@ import (
 // objective. The same struct parameterizes the facade (SolveConfig.
 // Objective) and the jobs HTTP API (Spec.Objective), so both describe
 // objectives identically. Resolve maps it onto the Loss hierarchy: the bare
-// smooth loss, Ridge for L2-only (preserving the established "+l2" trace
-// names), or Composite when an ℓ1 term is present.
+// smooth loss, or a Composite when either penalty is present.
 type ObjectiveSpec struct {
 	Loss string  `json:"loss,omitempty"`
 	L2   float64 `json:"l2,omitempty"`
@@ -54,14 +53,10 @@ func (o ObjectiveSpec) Resolve() (Loss, error) {
 	if o.L1 < 0 || math.IsNaN(o.L1) || math.IsInf(o.L1, 0) {
 		return nil, fmt.Errorf("opt: objective l1 %v must be finite and non-negative", o.L1)
 	}
-	switch {
-	case o.L1 > 0:
+	if o.L1 > 0 || o.L2 > 0 {
 		return Composite{Inner: inner, L2: o.L2, L1: o.L1}, nil
-	case o.L2 > 0:
-		return Ridge{Inner: inner, Lambda: o.L2}, nil
-	default:
-		return inner, nil
 	}
+	return inner, nil
 }
 
 // Key is a canonical cache key: equal keys describe the same objective

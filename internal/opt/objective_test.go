@@ -21,7 +21,7 @@ func TestObjectiveSpecResolve(t *testing.T) {
 		{"ls alias", ObjectiveSpec{Loss: "ls"}, LeastSquares{}.Name()},
 		{"canonical", ObjectiveSpec{Loss: "least-squares"}, LeastSquares{}.Name()},
 		{"logistic", ObjectiveSpec{Loss: "Logistic"}, Logistic{}.Name()},
-		{"l2 only is ridge", ObjectiveSpec{L2: 0.1}, Ridge{Inner: LeastSquares{}, Lambda: 0.1}.Name()},
+		{"l2 only is ridge", ObjectiveSpec{L2: 0.1}, Composite{Inner: LeastSquares{}, L2: 0.1}.Name()},
 		{"l1 is composite", ObjectiveSpec{L2: 0.1, L1: 0.01}, Composite{Inner: LeastSquares{}, L2: 0.1, L1: 0.01}.Name()},
 		{"unknown loss", ObjectiveSpec{Loss: "hinge"}, ""},
 		{"negative l2", ObjectiveSpec{L2: -1}, ""},
@@ -150,7 +150,7 @@ func TestReferenceOptimumForComposite(t *testing.T) {
 // match on.
 func TestAcceptsGate(t *testing.T) {
 	l1 := Composite{Inner: LeastSquares{}, L1: 0.01}
-	ridge := Ridge{Inner: LeastSquares{}, Lambda: 0.1}
+	ridge := Composite{Inner: LeastSquares{}, L2: 0.1}
 	for _, tc := range []struct {
 		solver string
 		loss   Loss

@@ -37,7 +37,7 @@ func TestProxOf(t *testing.T) {
 	if !ProxOf(LeastSquares{}).IsIdentity() {
 		t.Fatal("smooth loss must carry the identity prox")
 	}
-	if !ProxOf(Ridge{Inner: LeastSquares{}, Lambda: 0.1}).IsIdentity() {
+	if !ProxOf(Composite{Inner: LeastSquares{}, L2: 0.1}).IsIdentity() {
 		t.Fatal("ridge is smooth: identity prox")
 	}
 	p := ProxOf(Composite{Inner: LeastSquares{}, L1: 0.5})
@@ -148,7 +148,7 @@ func TestRejectL1(t *testing.T) {
 	if err := rejectL1(enet, "saga"); err == nil {
 		t.Fatal("ℓ1 objective accepted by a prox-free solver")
 	}
-	if err := rejectL1(Ridge{Inner: LeastSquares{}, Lambda: 0.1}, "saga"); err != nil {
+	if err := rejectL1(Composite{Inner: LeastSquares{}, L2: 0.1}, "saga"); err != nil {
 		t.Fatalf("smooth ridge rejected: %v", err)
 	}
 	r := newRig(t, 1, 2, nil)

@@ -1,11 +1,13 @@
 package opt
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/rdd"
 )
 
 // cacheCensusOp reports, from inside a worker, what its broadcast cache and
@@ -107,6 +109,53 @@ func TestWorkerCacheRetention(t *testing.T) {
 			if c[0] != 2 || c[1] != 0 || c[2] != 1 { // newest of sgd.w and of saga.w
 				t.Fatalf("after ResetRun: worker %d holds %d versions, %d references, %d readable; want 2, 0, 1", w, c[0], c[1], c[2])
 			}
+		}
+	})
+}
+
+// TestPruningCannotStarveHistory: the driver keeps only the newest 4·workers
+// versions of a model, and asaga reads versions far older than that. It
+// never asks the driver for them: a worker retains what its history table
+// references, so the only version a task fetches is the one it was
+// dispatched with. Rows are drawn rarely enough here that most historical
+// reads reach versions the driver dropped long ago. The run dispatches under
+// the BSP barrier, so no task waits long enough for its own version to leave
+// the driver (the timing failure ErrTaskFailed documents); any fetch the
+// driver cannot serve is then a historical read that went back to it, and
+// any task that fails has failed on one. There must be none, and the driver
+// serves at most one fetch per task dispatched — a historical version
+// evicted and asked for again would show up as a second one.
+func TestPruningCannotStarveHistory(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		const workers = 2
+		r := newRigOn(t, tr, workers, 4, nil, denseCfg())
+		// stand between the workers and the driver store to see the misses
+		var missed atomic.Int64
+		r.rctx.Broadcast("saga.w", nil) // installs the store's own handler first
+		r.c.SetFetchHandler(func(id string, ver int64) (any, error) {
+			v, err := r.rctx.DriverValue(rdd.Broadcast{ID: id, Version: ver})
+			if err != nil {
+				missed.Add(1)
+			}
+			return v, err
+		})
+		p := Params{Step: InvSqrt{A: 0.05}, SampleFrac: 0.05, Updates: 2000, SnapshotEvery: 500, Barrier: core.BSP()}
+		if _, err := ASAGA(r.ac, r.d, p, r.fstar); err != nil {
+			t.Fatal(err)
+		}
+		if n := missed.Load(); n != 0 {
+			t.Fatalf("%d fetches asked the driver for a version it had dropped", n)
+		}
+		tasks, fetches := r.ac.Coordinator().DispatchSeq(), r.c.FetchCount()
+		if tasks < int64(p.Updates) || fetches > tasks {
+			t.Fatalf("%d fetches for %d tasks: a historical read went back to the driver", fetches, tasks)
+		}
+		deep := false
+		for _, c := range cacheCensus(t, r, "saga.w") {
+			deep = deep || c[2] > 4*workers
+		}
+		if !deep {
+			t.Fatal("no worker's history reaches past the driver's retention — the test exercises nothing")
 		}
 	})
 }

@@ -40,21 +40,6 @@ func (e *PreemptedError) Error() string {
 	return fmt.Sprintf("opt: run preempted at update %d", e.Checkpoint.Updates)
 }
 
-// publishMode selects how the runtime stages the model for the workers each
-// dispatch cycle.
-type publishMode int
-
-const (
-	// pubStamped re-broadcasts only when an update landed since the last
-	// cycle (ASYNCbroadcastStamped keyed by the global update clock) — the
-	// steady-state mode of the asynchronous solvers.
-	pubStamped publishMode = iota
-	// pubPlain registers a fresh version every cycle (lazy worker fetch).
-	pubPlain
-	// pubEager additionally pushes the value to all live workers.
-	pubEager
-)
-
 // loopSpec parameterizes runLoop: everything that varies between solvers
 // besides the Updater itself.
 type loopSpec struct {
@@ -67,11 +52,7 @@ type loopSpec struct {
 
 	// Target is the run budget: global model updates, or rounds when
 	// RoundBudget is set.
-	Target  int64
-	Publish publishMode
-	// Prune trims the driver-side broadcast store to 4x the worker count
-	// after each publish.
-	Prune bool
+	Target int64
 	// Barrier overrides P.Barrier (the bulk-synchronous solvers force BSP);
 	// nil inherits P.Barrier.
 	Barrier core.BarrierFunc
@@ -218,22 +199,14 @@ func (rt *runState) preempted(ac *core.Context, global int64) (*Result, error) {
 	return nil, &PreemptedError{Checkpoint: cp}
 }
 
-// publish stages the settled model for the workers per the spec's mode.
+// publish stages the settled model for the workers under the global update
+// clock: a cycle that came round without an update re-issues the handle it
+// already has — no settle, no clone, no new version for a worker to fetch.
 func (rt *runState) publish(ac *core.Context, global int64) core.DynBroadcast {
-	spec := rt.spec
-	switch spec.Publish {
-	case pubStamped:
-		return ac.ASYNCbroadcastStamped(spec.Key, global, func() any {
-			rt.settle()
-			return rt.u.Model().Clone()
-		})
-	case pubEager:
+	return ac.ASYNCbroadcastStamped(rt.spec.Key, global, func() any {
 		rt.settle()
-		return ac.ASYNCbroadcastEager(spec.Key, rt.u.Model().Clone())
-	default:
-		rt.settle()
-		return ac.ASYNCbroadcast(spec.Key, rt.u.Model().Clone())
-	}
+		return rt.u.Model().Clone()
+	})
 }
 
 // runLoop is the single solve loop every solver drives: it owns resume
@@ -296,10 +269,6 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 	if spec.Round && ru == nil {
 		return nil, fmt.Errorf("opt: %s: round spec without a RoundUpdater", spec.Algo)
 	}
-	keep := 0
-	if spec.Prune {
-		keep = 4 * ac.RDD().Cluster().NumWorkers()
-	}
 	barrier := spec.Barrier
 	if barrier == nil {
 		barrier = p.Barrier
@@ -353,9 +322,6 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 		}
 
 		wBr := rt.publish(ac, global)
-		if keep > 0 {
-			ac.RDD().PruneBroadcast(spec.Key, keep)
-		}
 		sel, err := ac.ASYNCbarrier(barrier, p.Filter)
 		if err != nil {
 			return nil, fmt.Errorf("opt: %s after %d updates: %w", spec.Algo, global, err)

@@ -321,7 +321,7 @@ func TestResumeEquivalenceLazyRidge(t *testing.T) {
 	}
 	resumePair(t, 40, 1e-9, makeRig, func(r *rig, seg segCfg) (*Result, error) {
 		p := Params{
-			Loss: Ridge{Inner: LeastSquares{}, Lambda: 0.05},
+			Loss: Composite{Inner: LeastSquares{}, L2: 0.05},
 			Step: InvSqrt{A: 0.1}, SampleFrac: 0.3, Updates: 100, SnapshotEvery: 25,
 		}
 		seg.apply(&p)

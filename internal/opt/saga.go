@@ -230,8 +230,7 @@ func SAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "SAGA", Name: "saga", Key: "saga.w",
-		P: &p, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubPlain,
+		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true, RoundBudget: true,
 		Dispatch: dispatch,
 	})
@@ -266,8 +265,7 @@ func ASAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resu
 	}
 	return runLoop(ac, d, sagaStreamUpdater{st}, &loopSpec{
 		Algo: "ASAGA", Name: "asaga", Key: "saga.w",
-		P: &p, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubStamped,
+		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Dispatch: dispatch,
 	})
 }

@@ -269,8 +269,7 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "SGD", Name: "sgd", Key: "sgd.w",
-		P: &p, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubEager, Prune: true,
+		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true, RoundBudget: true,
 		Dispatch: dispatch,
 	})
@@ -318,8 +317,7 @@ func ASGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	u := &asgdUpdater{w: w, ap: newProxApplier(&p, d.NumCols())}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "ASGD", Name: "asgd", Key: "sgd.w",
-		P: &p, Loss: p.Loss, FStar: fstar,
-		Target: int64(p.Updates), Publish: pubStamped, Prune: true,
+		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Dispatch: dispatch,
 	})
 }

@@ -78,7 +78,7 @@ func TestSparsePathMatchesDenseASGD(t *testing.T) {
 // computes (to rounding — the deferred factors telescope into products).
 func TestSparsePathMatchesDenseRidge(t *testing.T) {
 	p := Params{
-		Loss: Ridge{Inner: LeastSquares{}, Lambda: 0.05},
+		Loss: Composite{Inner: LeastSquares{}, L2: 0.05},
 		Step: InvSqrt{A: 0.1}, SampleFrac: 0.3, Updates: 150, SnapshotEvery: 50,
 	}
 	wSparse := runASGD(t, p)
@@ -189,7 +189,7 @@ func TestSparseKernelPayloadTypes(t *testing.T) {
 		}
 		la.PutDelta(d)
 	}
-	if v := collect(GradKernel(Ridge{Inner: LeastSquares{}, Lambda: 0.1}, br, 0.25)); v != nil {
+	if v := collect(GradKernel(Composite{Inner: LeastSquares{}, L2: 0.1}, br, 0.25)); v != nil {
 		d, ok := v.(*la.DeltaVec)
 		if !ok {
 			t.Fatalf("sparse ridge GradKernel shipped %T, want *la.DeltaVec (λ is driver-side)", v)
@@ -205,7 +205,7 @@ func TestSparseKernelPayloadTypes(t *testing.T) {
 		la.PutDelta(sd.HistSum)
 	}
 	// lazy SAGA shrinkage is unsupported: ridge SAGA stays dense
-	if v := collect(SagaKernel(Ridge{Inner: LeastSquares{}, Lambda: 0.1}, br, 0.25)); v != nil {
+	if v := collect(SagaKernel(Composite{Inner: LeastSquares{}, L2: 0.1}, br, 0.25)); v != nil {
 		sp, ok := v.(SagaPartial)
 		if !ok {
 			t.Fatalf("ridge SagaKernel shipped %T, want dense SagaPartial", v)

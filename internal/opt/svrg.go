@@ -94,7 +94,7 @@ func (u *vrUpdater) Import(cp *Checkpoint) error {
 }
 
 // begin opens an epoch: settle the previous epoch's drift, take (or, on a
-// mid-epoch resume, keep) the anchor, broadcast it eagerly, and recompute
+// mid-epoch resume, keep) the anchor, broadcast it, and recompute
 // μ = ∇F(w̃) with a synchronous full pass — unless μ arrived with a
 // mid-epoch checkpoint, in which case the pass is skipped and the resumed
 // run continues bit-for-bit where the original stopped.
@@ -105,7 +105,7 @@ func (u *vrUpdater) begin(global int64) error {
 	if !keep {
 		u.anchor = u.w.Clone()
 	}
-	u.anchorBr = u.ac.ASYNCbroadcastEager("vr.anchor", u.anchor)
+	u.anchorBr = u.ac.ASYNCbroadcast("vr.anchor", u.anchor)
 	if keep {
 		return nil // μ was imported alongside the anchor
 	}
@@ -182,7 +182,6 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p Params, c VRConfig, fstar f
 		Algo: "EpochVR", Name: "svrg", Key: "vr.w",
 		P: &p, Loss: p.Loss, FStar: fstar,
 		Target:     int64(c.Epochs) * int64(c.UpdatesPerEpoch),
-		Publish:    pubStamped,
 		EpochLen:   int64(c.UpdatesPerEpoch),
 		EpochBegin: u.begin,
 		Dispatch:   dispatch,

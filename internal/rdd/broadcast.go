@@ -6,10 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// Broadcast is a Spark-style broadcast variable: the driver wraps a value,
-// pushes it to every worker eagerly, and tasks read it by id. Each call to
-// Context.Broadcast ships the whole value to every worker — the overhead
-// the ASYNCbroadcaster exists to avoid when history is needed (§4.3).
+// Broadcast is the handle of a registered broadcast value: tasks carry the
+// (id, version) pair and workers resolve the value through the fetch path,
+// at most once per version while their cache keeps it (§4.3).
 type Broadcast struct {
 	ID      string
 	Version int64
@@ -17,8 +16,7 @@ type Broadcast struct {
 
 var bcastSeq atomic.Int64
 
-// driverStore keeps driver-side copies so the fetch path can serve workers
-// that missed the eager push (e.g. a worker recovered after a crash).
+// driverStore holds the driver-side copies the fetch path serves.
 type driverStore struct {
 	mu   sync.RWMutex
 	vals map[string]map[int64]any
@@ -28,7 +26,8 @@ func newDriverStore() *driverStore {
 	return &driverStore{vals: map[string]map[int64]any{}}
 }
 
-func (s *driverStore) put(id string, ver int64, v any) {
+// put registers (id, ver) and trims id to its newest keep versions.
+func (s *driverStore) put(id string, ver int64, v any, keep int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok := s.vals[id]
@@ -37,16 +36,14 @@ func (s *driverStore) put(id string, ver int64, v any) {
 		s.vals[id] = m
 	}
 	m[ver] = v
+	trim(m, keep)
 }
 
-// prune drops all but the newest keep versions of id.
-func (s *driverStore) prune(id string, keep int) {
+// trim drops all but the newest keep (at least one) versions of m.
+func trim(m map[int64]any, keep int) {
 	if keep < 1 {
 		keep = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.vals[id]
 	for len(m) > keep {
 		oldest := int64(-1)
 		for ver := range m {
@@ -79,23 +76,22 @@ func (ctx *Context) ensureStore() *driverStore {
 	return ctx.store
 }
 
-// Broadcast ships value to every live worker (Spark semantics: the full
-// value goes out on every call) and returns a handle tasks can dereference
-// with BroadcastValue.
+// Broadcast registers value under a fresh version of id on the driver;
+// nothing is sent. Re-broadcasting costs an (id, version) pair inside the
+// tasks, not the value.
+//
+// This is the one place that decides how long the driver keeps a version:
+// the newest 4·NumWorkers() of each id. A worker runs one task at a time, so
+// at most NumWorkers() versions are named by a task in flight and not yet
+// fetched; the versions a history table reads back live in that worker's
+// cache and are never asked of the driver again. The other 3·NumWorkers()
+// are slack for a worker that fetches late and patch bases for workers a few
+// versions behind — a base that is gone costs a dense reply, never an error.
+// A worker stalled for longer than that finds its version gone: its task
+// fails and is dispatched again (see core.ErrTaskFailed).
 func (ctx *Context) Broadcast(id string, value any) Broadcast {
 	ver := bcastSeq.Add(1)
-	ctx.ensureStore().put(id, ver, value)
-	ctx.c.PushAll(id, ver, value)
-	return Broadcast{ID: id, Version: ver}
-}
-
-// BroadcastQuiet registers the value on the driver only; workers resolve it
-// lazily through the fetch path. This is the building block the
-// ASYNCbroadcaster uses: re-broadcasting costs an (id, version) pair, not
-// the value.
-func (ctx *Context) BroadcastQuiet(id string, value any) Broadcast {
-	ver := bcastSeq.Add(1)
-	ctx.ensureStore().put(id, ver, value)
+	ctx.ensureStore().put(id, ver, value, 4*ctx.c.NumWorkers())
 	return Broadcast{ID: id, Version: ver}
 }
 
@@ -104,10 +100,12 @@ func (ctx *Context) DriverValue(b Broadcast) (any, error) {
 	return ctx.ensureStore().get(b.ID, b.Version)
 }
 
-// PruneBroadcast drops all but the newest keep versions of a broadcast id
-// from the driver store. Safe only for ids whose history is never read
-// (e.g. plain SGD model broadcasts); history-dependent methods like SAGA
-// must keep every version still referenced.
+// PruneBroadcast trims id to its newest keep versions now, ahead of the trim
+// every Broadcast applies. Nothing needs it: its last caller is
+// benchmark/probe.go, and it goes with that call under ROADMAP 8(c).
 func (ctx *Context) PruneBroadcast(id string, keep int) {
-	ctx.ensureStore().prune(id, keep)
+	s := ctx.ensureStore()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	trim(s.vals[id], keep)
 }

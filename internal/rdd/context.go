@@ -1,10 +1,10 @@
 // Package rdd implements the Spark-like dataflow layer the paper builds on:
 // resilient distributed datasets with lazy, lineage-tracked transformations,
 // synchronous actions (reduce, collect, aggregate — Spark's bulk-synchronous
-// model), Spark-style broadcast variables, and fault tolerance by
-// recomputation: every derived partition is recomputed from its base
-// partition, and base partitions are re-installed on a live worker when
-// their owner dies.
+// model), versioned broadcast variables fetched on first use, and fault
+// tolerance by recomputation: every derived partition is recomputed from
+// its base partition, and base partitions are re-installed on a live worker
+// when their owner dies.
 //
 // The ASYNC engine (internal/core) layers its asynchronous primitives —
 // ASYNCreduce, ASYNCbarrier, ASYNCbroadcast — on top of this package's

@@ -11,7 +11,11 @@ func TestPruneBroadcastKeepsLatest(t *testing.T) {
 	ctx, _, _ := testSetup(t, 1, 1)
 	var last Broadcast
 	for i := 0; i < 10; i++ {
-		last = ctx.BroadcastQuiet("p", i)
+		last = ctx.Broadcast("p", i)
+	}
+	// registering already trimmed the id to 4·workers
+	if n := ctx.DriverVersions()["p"]; n != 4 {
+		t.Fatalf("%d versions held after 10 broadcasts on one worker, want 4", n)
 	}
 	ctx.PruneBroadcast("p", 3)
 	// the latest must survive

@@ -273,37 +273,9 @@ func TestRecoverNoLineageRoot(t *testing.T) {
 	}
 }
 
-func TestBroadcastEagerAndValue(t *testing.T) {
-	ctx, r, _ := testSetup(t, 2, 2)
-	b := ctx.Broadcast("w", la.Vec{1, 2, 3})
-	time.Sleep(20 * time.Millisecond) // pushes are async
-	norms, err := MapPartitions(r, func(part int, in []Point) ([]float64, error) {
-		return []float64{0}, nil
-	}).Collect()
-	_ = norms
-	if err != nil {
-		t.Fatal(err)
-	}
-	// read via a task
-	got, err := Aggregate(r, 0.0,
-		func(acc float64, p Point) float64 { return acc },
-		func(a, b float64) float64 { return a + b })
-	_ = got
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := ctx.DriverValue(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !la.Equal(v.(la.Vec), la.Vec{1, 2, 3}, 0) {
-		t.Fatalf("driver value %v", v)
-	}
-}
-
 func TestBroadcastQuietServedByFetch(t *testing.T) {
 	ctx, r, _ := testSetup(t, 2, 2)
-	b := ctx.BroadcastQuiet("lazy", la.Vec{4, 5})
+	b := ctx.Broadcast("lazy", la.Vec{4, 5})
 	// a task resolving the broadcast must succeed via the fetch path
 	results, err := ctx.RunSync(r.partitions(), func(part int) *cluster.Task {
 		tk := &cluster.Task{ID: ctx.Cluster().NextTaskID(), Partition: part}
