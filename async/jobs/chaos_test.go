@@ -253,6 +253,8 @@ func TestChaosPartitionFencedE2E(t *testing.T) {
 	if m := mem.Metrics(); m.FencedAppends < 1 {
 		t.Fatalf("no fenced operations counted: %+v", m)
 	}
+	assertStatsMatchScrape(t, sA) // the fenced side
+	assertStatsMatchScrape(t, sB) // the adopter
 }
 
 // TestChaosCrashRecoverLoopE2E kills and replaces the owning replica twice

@@ -90,18 +90,10 @@ func (s *Scheduler) recover() error {
 		// the Prometheus counters would reset to zero on every restart while
 		// the job listing still showed the finished work. Jobs that fail
 		// during rebuild (stale spec) are counted by finalizeLocked itself.
-		s.submitted++
-		s.tenantSub[j.spec.Tenant]++
-		s.preemptedN += int64(j.Preemptions)
-		switch j.Phase {
-		case store.PhaseDone:
-			s.doneN++
-			s.tenantDone[j.spec.Tenant]++
-		case store.PhaseFailed:
-			s.failedN++
-		case store.PhaseCanceled:
-			s.killedN++
-		}
+		s.count.submitted.Inc()
+		s.count.byTenant(s.count.tenantSub, j.spec.Tenant).Inc()
+		s.count.preempted.Add(int64(j.Preemptions))
+		s.countOutcomeLocked(j)
 		if j.Phase.Terminal() {
 			terminal = append(terminal, j)
 			continue
@@ -123,7 +115,7 @@ func (s *Scheduler) recover() error {
 		// it (work since update 0 is lost, which the log can only ever
 		// under-state, never invent)
 		if j.cp, err = s.cfg.Store.LoadCheckpoint(string(j.id), j.CpSeq); err != nil {
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 			continue
 		}
 		s.emitLocked(j, EventPreempted, "recovered")
@@ -133,7 +125,7 @@ func (s *Scheduler) recover() error {
 	for _, j := range terminal {
 		s.finishLocked(j)
 	}
-	s.recoveredN = len(s.jobs)
+	s.count.recovered.SetInt(int64(len(s.jobs)))
 	// replica mode: jobs whose live lease another replica holds are
 	// mirrors, not local work — pull them back out of the queue. Expired
 	// foreign leases mark adoption candidates (the failover latency
@@ -156,7 +148,7 @@ func (s *Scheduler) recover() error {
 				}
 			}
 		} else {
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 		}
 	}
 	// recovery ends with a compaction — in single-owner mode only: the
@@ -169,7 +161,7 @@ func (s *Scheduler) recover() error {
 			return fmt.Errorf("jobs: post-recovery compaction: %w", err)
 		}
 	}
-	s.recoveryDur = time.Since(start)
+	s.count.recoverySec.Set(time.Since(start).Seconds())
 	s.dispatchLocked()
 	return nil
 }
@@ -201,7 +193,7 @@ func (s *Scheduler) spillLocked(j *job, cp *opt.Checkpoint, typ store.Type) erro
 	seq := cp.Int("dispatch_seq")
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.SaveCheckpoint(string(j.id), seq, cp); err != nil {
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 			return nil
 		}
 	}
@@ -230,7 +222,7 @@ func (s *Scheduler) commitLocked(j *job, rec *store.Record) error {
 	if err == nil && s.cfg.Store != nil && s.leaseStore == nil &&
 		s.cfg.Store.Metrics().AppendsSinceCompact >= int64(s.cfg.CompactEvery) {
 		if err := s.compactLocked(); err != nil {
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 		}
 	}
 	return nil
@@ -252,10 +244,10 @@ func (s *Scheduler) appendLocked(rec *store.Record) error {
 	case err == nil:
 		s.degraded = false
 	case errors.Is(err, store.ErrFenced):
-		s.storeErrs++
-		s.fencedN++
+		s.count.storeErrs.Inc()
+		s.count.fenced.Inc()
 	default:
-		s.storeErrs++
+		s.count.storeErrs.Inc()
 		s.degraded = true
 	}
 	return err

@@ -69,7 +69,7 @@ func (s *Scheduler) claimLocked(j *job) bool {
 		s.yieldLocked(j)
 		return false
 	case err != nil:
-		s.storeErrs++
+		s.count.storeErrs.Inc()
 		s.degraded = true
 		return false
 	}
@@ -79,13 +79,9 @@ func (s *Scheduler) claimLocked(j *job) bool {
 	if !j.orphanedAt.IsZero() {
 		lat := time.Since(j.orphanedAt)
 		j.orphanedAt = time.Time{}
-		s.adoptedN++
+		s.count.adopted.Inc()
 		if lat > 0 {
-			s.failoverTotal += lat
-			s.failoverN++
-			if s.mFailover != nil {
-				s.mFailover.ObserveDuration(lat)
-			}
+			s.count.failover.ObserveDuration(lat)
 		}
 		j.trace.Event("adopted", "epoch", l.Epoch,
 			"failover_ms", float64(lat.Microseconds())/1000.0)
@@ -96,7 +92,7 @@ func (s *Scheduler) claimLocked(j *job) bool {
 		if cp, err := s.cfg.Store.LoadCheckpoint(string(j.id), j.CpSeq); err == nil {
 			j.cp = cp
 		} else {
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 		}
 	}
 	return true
@@ -113,7 +109,7 @@ func (s *Scheduler) releaseLeaseLocked(j *job) {
 	j.lease = store.Lease{}
 	if err := s.leaseStore.Release(string(j.id), lease.Owner, lease.Epoch); err != nil &&
 		!errors.Is(err, store.ErrFenced) {
-		s.storeErrs++
+		s.count.storeErrs.Inc()
 	}
 }
 
@@ -200,7 +196,7 @@ func (s *Scheduler) renewHeldLeases() {
 			// self-fence now so the run stops burning its update budget
 			s.fenceRunningLocked(h.j)
 		default:
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 			s.degraded = true
 			if time.Until(time.Unix(0, h.lease.ExpiresAt)) < s.cfg.RenewEvery {
 				// the store is unreachable and the lease will lapse before
@@ -223,7 +219,7 @@ func (s *Scheduler) syncTail() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.storeErrs++
+		s.count.storeErrs.Inc()
 		return
 	}
 	s.wm = wm
@@ -309,13 +305,14 @@ func (s *Scheduler) importRemoteSubmitLocked(rec *store.Record) {
 	}
 	spec, err := decodeSpec(rec)
 	if err != nil {
-		s.storeErrs++
+		s.count.storeErrs.Inc()
 		return
 	}
 	if err := spec.normalize(); err != nil {
 		return
 	}
 	j := newJob(rec, spec)
+	s.count.byTenant(s.count.tenantSub, spec.Tenant) // listed like a local tenant
 	j.trace.Event("imported", "algorithm", spec.Algorithm, "tenant", spec.Tenant)
 	s.jobs[j.id] = j
 	s.requeueLocked(j)
@@ -332,7 +329,7 @@ func (s *Scheduler) adoptOrphans() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		s.storeErrs++
+		s.count.storeErrs.Inc()
 		return
 	}
 	if s.closed || s.draining {

@@ -15,7 +15,6 @@ import (
 	"repro/async/jobs/store"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/telemetry"
 )
@@ -225,51 +224,29 @@ type Scheduler struct {
 	closed   bool
 	draining bool
 	wg       sync.WaitGroup
+	// freed is closed, and cleared, when a run gives its slot back; Drain
+	// waits on it
+	freed chan struct{}
 
-	submitted, rejected     int64
-	doneN, failedN, killedN int64
-	preemptedN              int64
-	startedN                int64
-	queueWaitTotal          time.Duration
-	queueWaitMax            time.Duration
-
-	// durability + multi-tenant accounting
-	storeErrs   int64
-	recoveredN  int
-	recoveryDur time.Duration
-	degraded    bool
-	startedAt   time.Time
-	tenantSub   map[string]int64
-	tenantRej   map[string]int64
-	tenantDone  map[string]int64
+	degraded  bool // the last store operation failed
+	startedAt time.Time
 
 	// replica mode (nil/zero in single-owner mode): the store's lease
-	// surface, the shared-log tail position, the loop stop signal, and the
-	// fencing/failover counters.
-	leaseStore    store.LeaseStore
-	wm            store.Watermark
-	replicaStop   chan struct{}
-	fencedN       int64
-	adoptedN      int64
-	retriesN      int64
-	failoverTotal time.Duration
-	failoverN     int64
+	// surface, the shared-log tail position, and the loop stop signal.
+	leaseStore  store.LeaseStore
+	wm          store.Watermark
+	replicaStop chan struct{}
 
 	dsMu    sync.Mutex
 	dsCache map[string]*dsEntry
 	dsOrder []string // LRU order, least-recent first
 
 	// telemetry: the scheduler-private registry (asyncd_* families), the
-	// live queue-wait histograms observed at dispatch, and the snapshot the
-	// scrape-time function metrics read (refreshed by WritePrometheus).
+	// serving counts that are its instruments, and the one figure a
+	// histogram does not keep
 	reg          *telemetry.Registry
-	mQWaitPrio   telemetry.HistogramVec
-	mQWaitTenant telemetry.HistogramVec
-	mFailover    *telemetry.Histogram
-	scrapeMu     sync.Mutex
-	scrape       Stats
-	scrapeUptime float64
-	scrapeStore  *storeMetricsView
+	count        counts
+	queueWaitMax time.Duration
 }
 
 // New builds a scheduler; engines spin up lazily on demand. With a
@@ -279,13 +256,10 @@ type Scheduler struct {
 func New(cfg Config) (*Scheduler, error) {
 	cfg.defaults()
 	s := &Scheduler{
-		cfg:        cfg,
-		jobs:       map[ID]*job{},
-		dsCache:    map[string]*dsEntry{},
-		startedAt:  time.Now(),
-		tenantSub:  map[string]int64{},
-		tenantRej:  map[string]int64{},
-		tenantDone: map[string]int64{},
+		cfg:       cfg,
+		jobs:      map[ID]*job{},
+		dsCache:   map[string]*dsEntry{},
+		startedAt: time.Now(),
 	}
 	if cfg.ReplicaID != "" {
 		ls, ok := cfg.Store.(store.LeaseStore)
@@ -350,14 +324,14 @@ func (s *Scheduler) Submit(spec Spec) (ID, error) {
 			}
 		}
 		if held >= s.cfg.TenantQuota {
-			s.rejected++
-			s.tenantRej[spec.Tenant]++
+			s.count.rejected.Inc()
+			s.count.byTenant(s.count.tenantRej, spec.Tenant).Inc()
 			return "", fmt.Errorf("%w: tenant %q at quota %d", ErrQueueFull, spec.Tenant, s.cfg.TenantQuota)
 		}
 	}
 	if len(s.queue) >= s.cfg.QueueDepth {
-		s.rejected++
-		s.tenantRej[spec.Tenant]++
+		s.count.rejected.Inc()
+		s.count.byTenant(s.count.tenantRej, spec.Tenant).Inc()
 		return "", fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	id := fmt.Sprintf("job-%06d", s.seq+1)
@@ -383,8 +357,8 @@ func (s *Scheduler) Submit(spec Spec) (ID, error) {
 		"priority", spec.Priority, "resumed_from", string(src))
 	s.jobs[j.id] = j
 	s.enqueueLocked(j)
-	s.submitted++
-	s.tenantSub[spec.Tenant]++
+	s.count.submitted.Inc()
+	s.count.byTenant(s.count.tenantSub, spec.Tenant).Inc()
 	s.emitLocked(j, EventQueued, "")
 	s.dispatchLocked()
 	return j.id, nil
@@ -662,91 +636,123 @@ func (s *Scheduler) Subscribe(id ID) (<-chan Event, func(), error) {
 	return ch, stop, nil
 }
 
-// Stats snapshots the serving counters.
+// Stats snapshots the serving counters: the instruments /v1/metrics
+// exposes, and the live state it reads at scrape through the same accessors.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c := &s.count
 	st := Stats{
-		Submitted:  s.submitted,
-		Rejected:   s.rejected,
-		Done:       s.doneN,
-		Failed:     s.failedN,
-		Canceled:   s.killedN,
-		Preempted:  s.preemptedN,
-		Queued:     len(s.queue),
-		EnginesMax: s.cfg.Engines,
-		QueueDepth: s.cfg.QueueDepth,
+		Submitted:      c.submitted.Value(),
+		Rejected:       c.rejected.Value(),
+		Done:           c.done.Value(),
+		Failed:         c.failed.Value(),
+		Canceled:       c.canceled.Value(),
+		Preempted:      c.preempted.Value(),
+		Queued:         len(s.queue),
+		EnginesMax:     s.cfg.Engines,
+		QueueDepth:     s.cfg.QueueDepth,
+		AvgQueueWaitMS: 1000 * s.avgQueueWait(),
+		MaxQueueWaitMS: 1000 * s.queueWaitMax.Seconds(),
+		RecoveredJobs:  int(c.recovered.Value()),
+		RecoveryMS:     1000 * c.recoverySec.Value(),
+		StoreErrors:    c.storeErrs.Value(),
+		Degraded:       s.degraded,
+		Retries:        c.retried.Value(),
+		Tenants:        s.tenantStatsLocked(),
 	}
-	for _, sl := range s.slots {
-		if sl.eng != nil || sl.busy {
-			st.EnginesLive++
-		}
-		if sl.busy {
-			st.Running++
-		}
-	}
-	if s.startedN > 0 {
-		st.AvgQueueWaitMS = float64(s.queueWaitTotal.Microseconds()) / 1000.0 / float64(s.startedN)
-		st.MaxQueueWaitMS = float64(s.queueWaitMax.Microseconds()) / 1000.0
-	}
-	st.RecoveredJobs = s.recoveredN
-	st.RecoveryMS = float64(s.recoveryDur.Microseconds()) / 1000.0
-	st.StoreErrors = s.storeErrs
-	st.Degraded = s.degraded
-	st.Retries = s.retriesN
-	st.Tenants = s.tenantStatsLocked()
+	st.EnginesLive, st.Running = s.enginesLocked()
 	if s.cfg.ReplicaID != "" {
 		st.Replica = s.cfg.ReplicaID
-		st.Fenced = s.fencedN
-		st.Adopted = s.adoptedN
-		for _, j := range s.jobs {
-			if j.lease.Epoch != 0 && !j.Phase.Terminal() {
-				st.LeasesHeld++
-			}
-			if j.remote && !j.Phase.Terminal() {
-				st.RemoteJobs++
-			}
-		}
-		if s.failoverN > 0 {
-			st.FailoverMS = float64(s.failoverTotal.Microseconds()) / 1000.0 / float64(s.failoverN)
+		st.Fenced, st.Adopted = c.fenced.Value(), c.adopted.Value()
+		st.LeasesHeld, st.RemoteJobs = s.leasesLocked()
+		if n := c.failover.Count(); n > 0 {
+			st.FailoverMS = 1000 * c.failover.Sum() / float64(n)
 		}
 	}
 	return st
 }
 
-// tenantStatsLocked assembles the per-tenant breakdown; the unnamed tenant
-// ("") stays aggregate-only. Nil when no job ever named a tenant.
-func (s *Scheduler) tenantStatsLocked() map[string]TenantStats {
-	names := map[string]bool{}
-	for t := range s.tenantSub {
-		names[t] = true
+// countOutcomeLocked counts the terminal phase a job reached (nothing for
+// a job still live).
+func (s *Scheduler) countOutcomeLocked(j *job) {
+	switch j.Phase {
+	case store.PhaseDone:
+		s.count.done.Inc()
+		s.count.byTenant(s.count.tenantDone, j.spec.Tenant).Inc()
+	case store.PhaseFailed:
+		s.count.failed.Inc()
+	case store.PhaseCanceled:
+		s.count.canceled.Inc()
 	}
-	for t := range s.tenantRej {
-		names[t] = true
+}
+
+// avgQueueWait is the mean queue wait of dispatched runs in seconds, read
+// off the per-priority histograms (every dispatch observes exactly one).
+func (s *Scheduler) avgQueueWait() float64 {
+	var sum, n float64
+	s.count.qWaitPrio.Each(func(_ string, h *telemetry.Histogram) {
+		sum, n = sum+h.Sum(), n+float64(h.Count())
+	})
+	if n == 0 {
+		return 0
 	}
+	return sum / n
+}
+
+// enginesLocked counts the pool's spun-up engines and the busy ones.
+func (s *Scheduler) enginesLocked() (live, running int) {
+	for _, sl := range s.slots {
+		if sl.eng != nil || sl.busy {
+			live++
+		}
+		if sl.busy {
+			running++
+		}
+	}
+	return live, running
+}
+
+// leasesLocked counts the non-terminal jobs whose lease this replica holds
+// and those another replica owns.
+func (s *Scheduler) leasesLocked() (held, remote int) {
 	for _, j := range s.jobs {
-		names[j.spec.Tenant] = true
+		if j.Phase.Terminal() {
+			continue
+		}
+		if j.lease.Epoch != 0 {
+			held++
+		}
+		if j.remote {
+			remote++
+		}
 	}
-	delete(names, "")
-	if len(names) == 0 {
-		return nil
-	}
-	out := make(map[string]TenantStats, len(names))
-	for t := range names {
-		out[t] = TenantStats{Submitted: s.tenantSub[t], Rejected: s.tenantRej[t], Done: s.tenantDone[t]}
-	}
+	return held, remote
+}
+
+// tenantStatsLocked assembles the per-tenant breakdown over the tenants the
+// per-tenant counter families hold a series for — every named tenant that
+// submitted, was rejected or owns a held job; the unnamed tenant ("") stays
+// aggregate-only. Nil when no job ever named a tenant.
+func (s *Scheduler) tenantStatsLocked() map[string]TenantStats {
+	var out map[string]TenantStats
+	s.count.tenantSub.Each(func(t string, sub *telemetry.Counter) {
+		if out == nil {
+			out = map[string]TenantStats{}
+		}
+		out[t] = TenantStats{Submitted: sub.Value(), Rejected: s.count.tenantRej.With(t).Value(),
+			Done: s.count.tenantDone.With(t).Value()}
+	})
 	for _, q := range s.queue {
-		if t := q.spec.Tenant; t != "" {
-			ts := out[t]
+		if ts, ok := out[q.spec.Tenant]; ok {
 			ts.Queued++
-			out[t] = ts
+			out[q.spec.Tenant] = ts
 		}
 	}
 	for _, j := range s.jobs {
-		if t := j.spec.Tenant; t != "" && j.state() == StateRunning {
-			ts := out[t]
+		if ts, ok := out[j.spec.Tenant]; ok && j.state() == StateRunning {
 			ts.Running++
-			out[t] = ts
+			out[j.spec.Tenant] = ts
 		}
 	}
 	return out
@@ -772,27 +778,23 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 			j.askPreempt()
 		}
 	}
-	s.mu.Unlock()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
 	for {
-		s.mu.Lock()
-		busy := 0
-		for _, sl := range s.slots {
-			if sl.busy {
-				busy++
-			}
-		}
-		s.mu.Unlock()
-		if busy == 0 {
+		if _, busy := s.enginesLocked(); busy == 0 {
 			break
 		}
+		if s.freed == nil {
+			s.freed = make(chan struct{})
+		}
+		freed := s.freed
+		s.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-tick.C:
+		case <-freed:
 		}
+		s.mu.Lock()
 	}
+	s.mu.Unlock()
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.Sync(); err != nil {
 			return fmt.Errorf("jobs: drain sync: %w", err)
@@ -888,14 +890,10 @@ func (s *Scheduler) dispatchLocked() {
 		j.preempt = opt.NewPreemptSignal() // fresh per dispatch; Preempt targets it
 		j.started = time.Now()
 		wait := j.started.Sub(j.queued)
-		s.queueWaitTotal += wait
-		if wait > s.queueWaitMax {
-			s.queueWaitMax = wait
-		}
-		s.startedN++
-		s.mQWaitPrio.With(strconv.Itoa(j.spec.Priority)).ObserveDuration(wait)
+		s.queueWaitMax = max(s.queueWaitMax, wait)
+		s.count.qWaitPrio.With(strconv.Itoa(j.spec.Priority)).ObserveDuration(wait)
 		if t := j.spec.Tenant; t != "" {
-			s.mQWaitTenant.With(t).ObserveDuration(wait)
+			s.count.qWaitTenant.With(t).ObserveDuration(wait)
 		}
 		j.trace.Event("dispatched", "engine", sl.id,
 			"wait_ms", float64(wait.Microseconds())/1000.0, "resumed", resumed)
@@ -1069,6 +1067,10 @@ func (s *Scheduler) run(sl *slot, j *job) {
 	sl.busy = false
 	s.useSeq++
 	sl.lastUsed = s.useSeq
+	if s.freed != nil {
+		close(s.freed)
+		s.freed = nil
+	}
 	// replica mode: before any state transition, confirm we still own the
 	// job. A fenced run's outcome — success included — must be abandoned,
 	// not finalized: the adopter owns the job's history now. leaseLost is
@@ -1086,7 +1088,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 			lost = j.leaseLost || errors.Is(rerr, store.ErrFenced)
 		}
 		if lost {
-			s.fencedN++
+			s.count.fenced.Inc()
 			s.abandonLocked(j)
 			s.dispatchLocked()
 			return
@@ -1100,7 +1102,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 			return
 		}
 		j.preempting = false
-		s.preemptedN++
+		s.count.preempted.Inc()
 		j.trace.Event("preempted", "updates", pe.Checkpoint.Updates, "preemptions", j.Preemptions)
 		j.cp = pe.Checkpoint
 		// the lease releases with the spill durable: any replica (this one
@@ -1124,7 +1126,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 		// transient runtime failure with retry budget left: re-queue and
 		// resume from the last durable checkpoint instead of failing
 		j.retries++
-		s.retriesN++
+		s.count.retried.Inc()
 		j.trace.Event("retrying", "attempt", j.retries, "error", err.Error())
 		s.releaseLeaseLocked(j)
 		s.requeueLocked(j)
@@ -1261,7 +1263,6 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) error {
 		return nil
 	}
 	rec := &store.Record{Job: string(j.id)}
-	var wait *metrics.WaitSummary
 	switch {
 	case err == nil:
 		rec.Type, rec.Updates = store.TypeDone, j.Updates
@@ -1269,8 +1270,6 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) error {
 			if fe := finitePtr(res.Trace.FinalError()); fe != nil {
 				rec.FinalError, rec.HasFinal = *fe, true
 			}
-			w := res.Trace.Waits()
-			wait = &w
 			if n := len(res.Trace.Points); n > 0 {
 				rec.Updates = res.Trace.Points[n-1].Updates
 			}
@@ -1288,20 +1287,17 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) error {
 		}
 		return cerr
 	}
-	switch j.Phase {
-	case store.PhaseDone:
-		j.result, j.wait = res, wait
-		s.doneN++
-		s.tenantDone[j.spec.Tenant]++
-	case store.PhaseCanceled:
-		s.killedN++
-	default:
-		s.failedN++
+	if j.Phase == store.PhaseDone {
+		j.result = res
+		if j.runStats != nil {
+			j.wait = &j.runStats.Wait // captured by run() with the run's statistics
+		}
 	}
+	s.countOutcomeLocked(j)
 	j.lease = store.Lease{} // the terminal record cleared it store-side
 	if s.cfg.Store != nil {
 		if err := s.cfg.Store.DropJob(string(j.id)); err != nil {
-			s.storeErrs++
+			s.count.storeErrs.Inc()
 		}
 	}
 	s.finishLocked(j)

@@ -5,7 +5,7 @@ import "repro/internal/telemetry"
 // WAL instrumentation on the process-global registry. These are live views
 // of the durable log: every append/fsync observes directly; size tracks the
 // file length after each mutation. The asyncd_wal_* families exposed by the
-// jobs scheduler mirror the same counters per-store via Metrics().
+// jobs scheduler are not a copy: they read this handle's Metrics() at scrape.
 var (
 	walAppends = telemetry.Default().Counter("async_wal_appends_total",
 		"Records durably appended to the WAL (compaction rewrites included).")

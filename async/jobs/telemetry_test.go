@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -259,6 +262,230 @@ func TestCountersSurviveRestart(t *testing.T) {
 	}
 }
 
+var (
+	gateAgree  = newGate("gate-agree")
+	pgateAgree = newPGate("pgate-agree")
+	flakyAgree = &flakySolver{name: "flaky-agree", failN: 1}
+	failAgree  = &flakySolver{name: "fail-agree", failN: 1 << 30}
+)
+
+func init() {
+	for _, s := range []async.Solver{gateAgree, pgateAgree, flakyAgree, failAgree} {
+		if err := async.Register(s); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// scrapeSamples maps every sample of a scrape, series (name and labels) to
+// value.
+func scrapeSamples(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// assertStatsMatchScrape checks that Stats and one scrape taken right after
+// it report the same numbers: every counter, the live gauges, every tenant's
+// series (and no tenant beyond Stats.Tenants), and in replica mode the
+// fencing, adoption and failover-latency figures. The scheduler must be
+// quiescent.
+func assertStatsMatchScrape(t *testing.T, s *jobs.Scheduler) {
+	t.Helper()
+	st := s.Stats()
+	m := scrapeSamples(t, promText(s))
+	eq := func(series string, want float64) {
+		t.Helper()
+		got, ok := m[series]
+		if !ok {
+			t.Errorf("scrape has no %s (Stats says %v)", series, want)
+		} else if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Errorf("%s = %v, Stats says %v", series, got, want)
+		}
+	}
+	eq("asyncd_jobs_submitted_total", float64(st.Submitted))
+	eq("asyncd_jobs_rejected_total", float64(st.Rejected))
+	eq("asyncd_jobs_done_total", float64(st.Done))
+	eq("asyncd_jobs_failed_total", float64(st.Failed))
+	eq("asyncd_jobs_canceled_total", float64(st.Canceled))
+	eq("asyncd_jobs_preempted_total", float64(st.Preempted))
+	eq("asyncd_jobs_retried_total", float64(st.Retries))
+	eq("asyncd_store_errors_total", float64(st.StoreErrors))
+	eq("asyncd_jobs_queued", float64(st.Queued))
+	eq("asyncd_jobs_running", float64(st.Running))
+	eq("asyncd_engines_live", float64(st.EnginesLive))
+	eq("asyncd_recovered_jobs", float64(st.RecoveredJobs))
+	eq("asyncd_recovery_seconds", st.RecoveryMS/1000)
+	eq("asyncd_queue_wait_avg_seconds", st.AvgQueueWaitMS/1000)
+	eq("asyncd_queue_wait_max_seconds", st.MaxQueueWaitMS/1000)
+	tenantSeries := 0
+	for series := range m {
+		if strings.HasPrefix(series, "asyncd_tenant_jobs_") {
+			tenantSeries++
+		}
+	}
+	if want := 4 * len(st.Tenants); tenantSeries != want {
+		t.Errorf("scrape has %d per-tenant job series, Stats lists %d tenants", tenantSeries, len(st.Tenants))
+	}
+	for name, ts := range st.Tenants {
+		label := fmt.Sprintf("{tenant=%q}", name)
+		eq("asyncd_tenant_jobs_submitted_total"+label, float64(ts.Submitted))
+		eq("asyncd_tenant_jobs_rejected_total"+label, float64(ts.Rejected))
+		eq("asyncd_tenant_jobs_queued"+label, float64(ts.Queued))
+		eq("asyncd_tenant_jobs_running"+label, float64(ts.Running))
+	}
+	if st.Replica == "" {
+		return
+	}
+	eq("asyncd_fenced_total", float64(st.Fenced))
+	eq("asyncd_jobs_adopted_total", float64(st.Adopted))
+	eq("asyncd_leases_held", float64(st.LeasesHeld))
+	eq("asyncd_remote_jobs", float64(st.RemoteJobs))
+	n := m["asyncd_failover_seconds_count"]
+	if n != float64(st.Adopted) {
+		t.Errorf("%v failover latencies observed for %d adoptions", n, st.Adopted)
+	}
+	if n == 0 {
+		if st.FailoverMS != 0 {
+			t.Errorf("FailoverMS %v with no failover observed", st.FailoverMS)
+		}
+		return
+	}
+	eq("asyncd_failover_seconds_sum", st.FailoverMS/1000*n)
+}
+
+// TestStatsAgreeWithScrape runs a mixed workload over two tenants — done,
+// failed, canceled, rejected by a full queue and by a tenant quota,
+// preempted, retried — and pins that Stats and the scrape agree on every
+// number, before and after a restart over the same store; then a kill
+// failover over a shared directory pins the replica-mode figures.
+func TestStatsAgreeWithScrape(t *testing.T) {
+	flakyAgree.attempts.Store(0) // its one transient failure, again under -count
+	dir := t.TempDir()
+	w1, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := jobs.Config{Engines: 1, QueueDepth: 2, TenantQuota: 1, Store: w1}
+	s1 := newScheduler(t, cfg)
+	submit := func(spec jobs.Spec, tenant string) (jobs.ID, error) {
+		spec.Tenant = tenant
+		return s1.Submit(spec)
+	}
+	preempted, err := submit(gateSpec2(pgateAgree.name, 21), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectStartTag(t, pgateAgree.starts, 21)
+	queued, err := submit(gateSpec(gateAgree, 22), "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submit(gateSpec(gateAgree, 23), "bob"); !errors.Is(err, jobs.ErrQueueFull) {
+		t.Fatalf("submit past bob's quota: %v, want ErrQueueFull", err)
+	}
+	canceled, err := submit(gateSpec(gateAgree, 24), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := submit(gateSpec(gateAgree, 25), ""); !errors.Is(err, jobs.ErrQueueFull) {
+		t.Fatalf("submit past the queue depth: %v, want ErrQueueFull", err)
+	}
+	if err := s1.Cancel(canceled); err != nil {
+		t.Fatal(err)
+	}
+	assertStatsMatchScrape(t, s1) // one running, one queued
+
+	if err := s1.Preempt(preempted); err != nil {
+		t.Fatal(err)
+	}
+	expectStart(t, gateAgree, 22)
+	release(t, gateAgree)
+	waitState(t, s1, queued, jobs.StateDone)
+	expectResume(t, pgateAgree, 21)
+	releasePG(t, pgateAgree)
+	waitState(t, s1, preempted, jobs.StateDone)
+	retried, err := submit(flakySpec(flakyAgree.name, 26), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, retried, jobs.StateDone)
+	failing := flakySpec(failAgree.name, 27)
+	failing.MaxRetries = -1
+	failed, err := submit(failing, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, failed, jobs.StateFailed)
+
+	st := s1.Stats()
+	if st.Submitted != 5 || st.Rejected != 2 || st.Done != 3 || st.Failed != 1 ||
+		st.Canceled != 1 || st.Preempted != 1 || st.Retries != 1 {
+		t.Fatalf("workload counted %+v", st)
+	}
+	if al, bo := st.Tenants["alice"], st.Tenants["bob"]; len(st.Tenants) != 2 ||
+		al.Submitted != 3 || al.Rejected != 0 || al.Done != 2 ||
+		bo.Submitted != 2 || bo.Rejected != 1 || bo.Done != 1 {
+		t.Fatalf("tenants counted %+v", st.Tenants)
+	}
+	assertStatsMatchScrape(t, s1)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w1.Close()
+
+	w2, err := store.Open(dir, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	cfg.Store = w2
+	s2 := newScheduler(t, cfg)
+	if st := s2.Stats(); st.Submitted != 5 || st.Done != 3 || st.Failed != 1 ||
+		st.Canceled != 1 || st.Preempted != 1 || st.RecoveredJobs != 5 {
+		t.Fatalf("replay rebuilt %+v", st)
+	}
+	assertStatsMatchScrape(t, s2)
+
+	shared := t.TempDir()
+	shA, err := store.OpenShared(shared, "a", store.SharedOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sA := newScheduler(t, replicaConfig(shA, "a"))
+	orphan, err := sA.Submit(gateSpec(gateAgree, 28))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectStart(t, gateAgree, 28)
+	sA.Kill()
+	shA.Kill()
+	shB, err := store.OpenShared(shared, "b", store.SharedOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shB.Close()
+	sB := newScheduler(t, replicaConfig(shB, "b"))
+	expectStart(t, gateAgree, 28) // adopted once a's lease lapses
+	release(t, gateAgree)
+	waitState(t, sB, orphan, jobs.StateDone)
+	if st := sB.Stats(); st.Adopted != 1 || st.FailoverMS <= 0 {
+		t.Fatalf("survivor adopted %d, failover %v ms", st.Adopted, st.FailoverMS)
+	}
+	assertStatsMatchScrape(t, sB)
+}
+
 // TestTraceEndpointAndPprof pins the live-observability endpoints: the
 // per-job JSONL trace download and the pprof index.
 func TestTraceEndpointAndPprof(t *testing.T) {
@@ -364,6 +591,22 @@ func TestRunStatsInStatus(t *testing.T) {
 	}
 	if job.RunStats.Wait.Workers != 2 {
 		t.Fatalf("wait summary workers = %d, want 2", job.RunStats.Wait.Workers)
+	}
+	// one wait summary: the snapshot's, the terminal event's and the run
+	// statistics' are the same figures
+	events, stop, err := s.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var terminal jobs.Event
+	for ev := range events {
+		terminal = ev
+	}
+	if terminal.Type != jobs.EventDone || terminal.Wait == nil || job.Wait == nil ||
+		*terminal.Wait != job.RunStats.Wait || *job.Wait != job.RunStats.Wait {
+		t.Fatalf("wait summaries differ: event %s %+v, job %+v, run stats %+v",
+			terminal.Type, terminal.Wait, job.Wait, job.RunStats.Wait)
 	}
 
 	resp, err := http.Get(srv.URL + "/v1/jobs/" + string(id))

@@ -1,7 +1,7 @@
 // Package maxip answers maximum-inner-product (MaxIP) queries over the
 // columns of a CSR matrix in sublinear time per selection decision — the
 // data structure behind greedy (Gauss-Southwell) coordinate selection and
-// scan-free top-k (ROADMAP item 4, after Shrivastava/Song/Xu,
+// scan-free top-k (ROADMAP item 5, after Shrivastava/Song/Xu,
 // arXiv:2111.15139: conditional-gradient-type methods can pick their next
 // atom without an O(d) pass when a MaxIP structure stands between the
 // iterate and the dictionary).

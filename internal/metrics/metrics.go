@@ -103,13 +103,8 @@ type WaitSummary struct {
 	Workers int     `json:"workers"`
 }
 
-// Waits summarizes the trace's per-worker average wait times.
-func (t *Trace) Waits() WaitSummary {
-	return SummarizeWaits(t.AvgWait)
-}
-
-// SummarizeWaits condenses a per-worker wait map (coordinator WaitTimes or
-// trace AvgWait) into the scalar summary the serving layer reports.
+// SummarizeWaits condenses a per-worker wait map (coordinator WaitTimes)
+// into the scalar summary the serving layer reports.
 func SummarizeWaits(waits map[int]time.Duration) WaitSummary {
 	s := WaitSummary{Workers: len(waits)}
 	if len(waits) == 0 {

@@ -1,8 +1,9 @@
 // Package telemetry is the repo's dependency-free observability spine: a
 // metrics registry (atomic counters, gauges, fixed-bucket histograms,
-// single-label families, scrape-time callback metrics) rendered in the
-// Prometheus text exposition format, plus run-scoped structured trace
-// events (JSONL via log/slog) correlated by run ID and dispatch_seq.
+// single-label families, and func metrics read at scrape time — for state,
+// or for counts another component keeps) rendered in the Prometheus text
+// exposition format, plus run-scoped structured trace events (JSONL via
+// log/slog) correlated by run ID and dispatch_seq.
 //
 // # Zero-allocation invariant
 //

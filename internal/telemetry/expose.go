@@ -37,15 +37,7 @@ func (f *family) expose(b *bytes.Buffer) {
 	b.WriteByte(' ')
 	b.WriteString(f.kind.String())
 	b.WriteByte('\n')
-	switch f.kind {
-	case kindCounterFunc, kindGaugeFunc:
-		if f.fn != nil {
-			writeSample(b, f.name, "", "", f.fn())
-		}
-	case kindLabeledCounterFunc, kindLabeledGaugeFunc:
-		if f.collect == nil {
-			return
-		}
+	if f.collect != nil {
 		type sample struct {
 			label string
 			v     float64
@@ -58,27 +50,18 @@ func (f *family) expose(b *bytes.Buffer) {
 		for _, s := range samples {
 			writeSample(b, f.name, f.label, s.label, s.v)
 		}
-	default:
-		f.mu.RLock()
-		labels := make([]string, 0, len(f.children))
-		children := make(map[string]any, len(f.children))
-		for l, c := range f.children {
-			labels = append(labels, l)
-			children[l] = c
-		}
-		f.mu.RUnlock()
-		sort.Strings(labels)
-		for _, l := range labels {
-			switch c := children[l].(type) {
-			case *Counter:
-				writeSample(b, f.name, f.label, l, float64(c.Value()))
-			case *Gauge:
-				writeSample(b, f.name, f.label, l, c.Value())
-			case *Histogram:
-				writeHistogram(b, f.name, f.label, l, c)
-			}
-		}
+		return
 	}
+	f.each(func(l string, c any) {
+		switch c := c.(type) {
+		case *Counter:
+			writeSample(b, f.name, f.label, l, float64(c.Value()))
+		case *Gauge:
+			writeSample(b, f.name, f.label, l, c.Value())
+		case *Histogram:
+			writeHistogram(b, f.name, f.label, l, c)
+		}
+	})
 }
 
 func writeSample(b *bytes.Buffer, name, label, labelValue string, v float64) {

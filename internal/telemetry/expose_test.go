@@ -101,24 +101,24 @@ func TestExposeFuncMetrics(t *testing.T) {
 	n := 41.0
 	r.CounterFunc("fc_total", "fc", func() float64 { return n })
 	r.GaugeFunc("fg", "fg", func() float64 { return -2 })
-	r.LabeledCounterFunc("lc_total", "lc", "tenant", func(emit func(string, float64)) {
+	r.LabeledGaugeFunc("lg", "lg", "tenant", func(emit func(string, float64)) {
 		emit("b", 2)
 		emit("a", 1)
 	})
-	r.LabeledGaugeFunc("lg", "lg", "tenant", func(emit func(string, float64)) {})
+	r.LabeledGaugeFunc("lz", "lz", "tenant", func(emit func(string, float64)) {})
 	n++
 	got := expose(r)
 	for _, want := range []string{
-		"fc_total 42\n", "fg -2\n",
-		`lc_total{tenant="a"} 1`, `lc_total{tenant="b"} 2`,
-		"# TYPE lg gauge\n", // metadata only: no samples yet
+		"# TYPE fc_total counter\nfc_total 42\n", "# TYPE fg gauge\nfg -2\n",
+		`lg{tenant="a"} 1`, `lg{tenant="b"} 2`,
+		"# TYPE lz gauge\n", // metadata only: no samples yet
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("missing %q in:\n%s", want, got)
 		}
 	}
-	ia := strings.Index(got, `lc_total{tenant="a"}`)
-	ib := strings.Index(got, `lc_total{tenant="b"}`)
+	ia := strings.Index(got, `lg{tenant="a"}`)
+	ib := strings.Index(got, `lg{tenant="b"}`)
 	if ia > ib {
 		t.Fatalf("labeled func samples not sorted:\n%s", got)
 	}

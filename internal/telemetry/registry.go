@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -47,29 +48,16 @@ func (g *Gauge) Add(d float64) {
 // Value reads the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// kind discriminates family storage; String maps it to the exposition TYPE.
+// kind is a family's exposition TYPE.
 type kind int
 
 const (
 	kindCounter kind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
-	kindGaugeFunc
-	kindLabeledCounterFunc
-	kindLabeledGaugeFunc
 )
 
-func (k kind) String() string {
-	switch k {
-	case kindGauge, kindGaugeFunc, kindLabeledGaugeFunc:
-		return "gauge"
-	case kindHistogram:
-		return "histogram"
-	default:
-		return "counter"
-	}
-}
+func (k kind) String() string { return [...]string{"counter", "gauge", "histogram"}[k] }
 
 // family is one named metric with its children (one per label value; the
 // unlabeled case is the single child keyed "").
@@ -83,8 +71,9 @@ type family struct {
 	mu       sync.RWMutex
 	children map[string]any // label value -> *Counter | *Gauge | *Histogram
 
-	fn      func() float64                            // func metrics, read at scrape
-	collect func(emit func(label string, v float64)) // labeled func metrics
+	// collect, when set, makes this a func metric: it has no children and
+	// emits its samples at scrape time.
+	collect func(emit func(label string, v float64))
 }
 
 // child returns the metric for one label value, creating it on first use.
@@ -95,6 +84,9 @@ func (f *family) child(labelValue string) any {
 	f.mu.RUnlock()
 	if c != nil {
 		return c
+	}
+	if f.collect != nil {
+		panic(fmt.Sprintf("telemetry: %s: func metric has no children", f.name))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -109,14 +101,29 @@ func (f *family) child(labelValue string) any {
 		n = &Gauge{}
 	case kindHistogram:
 		n = newHistogram(f.bounds)
-	default:
-		panic(fmt.Sprintf("telemetry: %s: func metric has no children", f.name))
 	}
 	if f.children == nil {
 		f.children = map[string]any{}
 	}
 	f.children[labelValue] = n
 	return n
+}
+
+// each calls fn for every child in label-value order, outside the lock (fn
+// may create children).
+func (f *family) each(fn func(label string, c any)) {
+	f.mu.RLock()
+	labels := make([]string, 0, len(f.children))
+	children := make(map[string]any, len(f.children))
+	for l, c := range f.children {
+		labels = append(labels, l)
+		children[l] = c
+	}
+	f.mu.RUnlock()
+	sort.Strings(labels)
+	for _, l := range labels {
+		fn(l, children[l])
+	}
 }
 
 // Registry is a name-keyed set of metric families. Registration is
@@ -148,7 +155,7 @@ func (r *Registry) family(name, help string, k kind, label string, bounds []floa
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind.String() != k.String() || f.label != label {
+		if f.kind != k || f.label != label {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered as %s{%s}, was %s{%s}",
 				name, k, label, f.kind, f.label))
 		}
@@ -208,16 +215,10 @@ func (r *Registry) CounterVec(name, help, label string) CounterVec {
 // Cache the result on hot paths.
 func (v CounterVec) With(value string) *Counter { return v.f.child(value).(*Counter) }
 
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or returns) a single-label gauge family.
-func (r *Registry) GaugeVec(name, help, label string) GaugeVec {
-	return GaugeVec{r.family(name, help, kindGauge, label, nil)}
+// Each calls fn for every child, in label-value order.
+func (v CounterVec) Each(fn func(value string, c *Counter)) {
+	v.f.each(func(l string, c any) { fn(l, c.(*Counter)) })
 }
-
-// With returns the gauge for one label value, creating it on first use.
-func (v GaugeVec) With(value string) *Gauge { return v.f.child(value).(*Gauge) }
 
 // HistogramVec is a histogram family keyed by one label.
 type HistogramVec struct{ f *family }
@@ -230,24 +231,24 @@ func (r *Registry) HistogramVec(name, help, label string, buckets []float64) His
 // With returns the histogram for one label value, creating it on first use.
 func (v HistogramVec) With(value string) *Histogram { return v.f.child(value).(*Histogram) }
 
+// Each calls fn for every child, in label-value order.
+func (v HistogramVec) Each(fn func(value string, h *Histogram)) {
+	v.f.each(func(l string, h any) { fn(l, h.(*Histogram)) })
+}
+
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time (for owners that already keep an authoritative count).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.family(name, help, kindCounterFunc, "", nil).fn = fn
+	r.family(name, help, kindCounter, "", nil).collect = func(emit func(string, float64)) { emit("", fn()) }
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.family(name, help, kindGaugeFunc, "", nil).fn = fn
+	r.family(name, help, kindGauge, "", nil).collect = func(emit func(string, float64)) { emit("", fn()) }
 }
 
-// LabeledCounterFunc registers a counter family whose label set is dynamic:
+// LabeledGaugeFunc registers a gauge family whose label set is dynamic:
 // collect is called at scrape time and emits one sample per label value.
-func (r *Registry) LabeledCounterFunc(name, help, label string, collect func(emit func(labelValue string, v float64))) {
-	r.family(name, help, kindLabeledCounterFunc, label, nil).collect = collect
-}
-
-// LabeledGaugeFunc registers a gauge family with a dynamic label set.
 func (r *Registry) LabeledGaugeFunc(name, help, label string, collect func(emit func(labelValue string, v float64))) {
-	r.family(name, help, kindLabeledGaugeFunc, label, nil).collect = collect
+	r.family(name, help, kindGauge, label, nil).collect = collect
 }

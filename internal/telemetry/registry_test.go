@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -113,16 +115,33 @@ func TestVecChildren(t *testing.T) {
 	if v.With("a").Value() != 2 || v.With("b").Value() != 3 {
 		t.Fatalf("vec children: a=%d b=%d", v.With("a").Value(), v.With("b").Value())
 	}
-	gv := r.GaugeVec("gv", "help", "k")
-	gv.With("x").Set(9)
-	if gv.With("x").Value() != 9 {
-		t.Fatal("gauge vec child")
+	var seen []string
+	v.Each(func(l string, c *Counter) { seen = append(seen, fmt.Sprintf("%s=%d", l, c.Value())) })
+	if strings.Join(seen, ",") != "a=2,b=3" {
+		t.Fatalf("vec Each = %v, want a=2,b=3 in label order", seen)
 	}
 	hv := r.HistogramVec("hv", "help", "k", []float64{1})
-	hv.With("x").Observe(0.5)
-	if hv.With("x").Count() != 1 {
+	hv.With("y").Observe(0.5)
+	hv.With("x").Observe(2)
+	if hv.With("y").Count() != 1 {
 		t.Fatal("histogram vec child")
 	}
+	var sum float64
+	hv.Each(func(_ string, h *Histogram) { sum += h.Sum() })
+	if sum != 2.5 {
+		t.Fatalf("histogram vec Each summed %v, want 2.5", sum)
+	}
+}
+
+func TestFuncMetricHasNoChildren(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("f_total", "help", func() float64 { return 1 })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a counter instrument under a func metric's name must panic")
+		}
+	}()
+	r.Counter("f_total", "help")
 }
 
 func TestKindMismatchPanics(t *testing.T) {
