@@ -30,10 +30,10 @@
 // WithPartitions, WithStraggler and WithMinTaskTime.
 //
 // Algorithms are resolved through a name-keyed registry: the paper's
-// methods (sgd, asgd, saga, asaga, svrg, admm, bcd), the composite-
-// objective family (cd — proximal coordinate descent with incremental
-// residuals, gcg — restart-based generalized conjugate gradient) and the
-// Mllib-style baseline (mllib-sgd) are pre-registered, and new workloads
+// methods (sgd, asgd, saga, asaga, svrg, admm, bcd), the composite-objective
+// family (cd — proximal coordinate descent, the one solver with selection
+// modes; gcg — restarted Polak–Ribière+ CG, then an ℓ1 soft-threshold) and
+// the Mllib-style baseline (mllib-sgd) are pre-registered, and new workloads
 // plug in via Register without touching the engine. Every solver but the
 // baseline dispatches registered ops, so it runs on either transport; the
 // names asgd-remote and asaga-remote are deprecated aliases of asgd and

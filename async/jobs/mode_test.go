@@ -39,8 +39,8 @@ func TestModeSubmitValidation(t *testing.T) {
 			jobs.Spec{Algorithm: "cd", Dataset: ds, Mode: "steepest"},
 			"unknown mode"},
 		{"cd-only mode on gcg",
-			jobs.Spec{Algorithm: "gcg", Dataset: ds, Mode: "cyclic"},
-			"unknown mode"},
+			jobs.Spec{Algorithm: "gcg", Dataset: ds, Mode: "greedy"},
+			"no selection modes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,49 +55,43 @@ func TestModeSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestGreedyModeJobsEndToEnd runs greedy-selection cd and gcg jobs through
-// the scheduler: the mode survives the wire format, the solve completes,
+// TestGreedyModeJobsEndToEnd runs greedy-selection cd jobs through the
+// scheduler: the mode survives the wire format, the solve completes,
 // and the ℓ1 term still produces exact zeros (greedy changes the visit
 // order, not the prox math).
 func TestGreedyModeJobsEndToEnd(t *testing.T) {
 	s := newScheduler(t, jobs.Config{Engines: 1})
-	for _, algo := range []string{"cd", "gcg"} {
-		t.Run(algo, func(t *testing.T) {
-			sp := jobs.Spec{
-				Algorithm: algo, Mode: "greedy",
-				Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
-				Objective: async.Objective{Loss: "least-squares", L2: 0.01, L1: 0.01},
-				Updates:   60, SnapshotEvery: 20,
-			}
-			if algo == "gcg" {
-				sp.Step = jobs.StepSpec{Kind: "const", A: 0.02}
-			}
-			id, err := s.Submit(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			job := waitState(t, s, id, jobs.StateDone)
-			if job.Spec.Mode != "greedy" {
-				t.Fatalf("mode lost in normalization: %+v", job.Spec)
-			}
-			res, err := s.Result(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			zeros, nonzeros := 0, 0
-			for _, x := range res.W {
-				if x == 0 {
-					zeros++
-				} else {
-					nonzeros++
-				}
-			}
-			if zeros == 0 {
-				t.Fatalf("%s greedy: ℓ1 objective produced no exact zeros", algo)
-			}
-			if nonzeros == 0 {
-				t.Fatalf("%s greedy: solve collapsed to the all-zero model", algo)
-			}
+	t.Run("cd", func(t *testing.T) {
+		id, err := s.Submit(jobs.Spec{
+			Algorithm: "cd", Mode: "greedy",
+			Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
+			Objective: async.Objective{Loss: "least-squares", L2: 0.01, L1: 0.01},
+			Updates:   60, SnapshotEvery: 20,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := waitState(t, s, id, jobs.StateDone)
+		if job.Spec.Mode != "greedy" {
+			t.Fatalf("mode lost in normalization: %+v", job.Spec)
+		}
+		res, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeros, nonzeros := 0, 0
+		for _, x := range res.W {
+			if x == 0 {
+				zeros++
+			} else {
+				nonzeros++
+			}
+		}
+		if zeros == 0 {
+			t.Fatal("greedy cd: ℓ1 objective produced no exact zeros")
+		}
+		if nonzeros == 0 {
+			t.Fatal("greedy cd: solve collapsed to the all-zero model")
+		}
+	})
 }

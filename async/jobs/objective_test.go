@@ -179,7 +179,7 @@ func TestFacadeRejectsWhatSubmitRejects(t *testing.T) {
 						Params:    opt.Params{Step: opt.Constant{A: 0.01}, SampleFrac: 0.3, Updates: 2},
 						Objective: obj,
 					}
-					opts.CD.Mode, opts.GCG.Mode = mode, mode
+					opts.CD.Mode = mode
 					_, solveErr := eng.Solve(context.Background(), solver, d, opts)
 					if (subErr == nil) != (solveErr == nil) {
 						t.Fatalf("Submit: %v\nSolve:  %v", subErr, solveErr)

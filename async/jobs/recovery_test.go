@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/async"
 	"repro/async/jobs"
 	"repro/async/jobs/store"
+	"repro/internal/la"
+	"repro/internal/opt"
 )
 
 // TestRecoveryEdgeCases replays a hand-built log through a Mem-backed
@@ -109,4 +112,77 @@ func TestRecoveryResubmittedAfterLostAck(t *testing.T) {
 	expectStart(t, gateQueued, 32)
 	release(t, gateQueued)
 	waitState(t, s, "job-000001", jobs.StateDone)
+}
+
+// TestRecoveryFailsStoredGCGModes: submission once accepted gcg with a
+// selection mode, so a durable log may hold such jobs. gcg has no modes
+// now: the non-terminal ones — queued, and checkpointed mid-run — fail at
+// boot with a recovery-prefixed detail instead of wedging the queue, the
+// finished one lists as it was, the queue still serves, and the counters
+// agree with the scrape.
+func TestRecoveryFailsStoredGCGModes(t *testing.T) {
+	m := store.NewMem()
+	spec := func(algo, mode string) []byte {
+		b, err := json.Marshal(jobs.Spec{
+			Algorithm: algo, Mode: mode,
+			Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
+			Step:      jobs.StepSpec{Kind: "const", A: 0.02},
+			Objective: async.Objective{Loss: "least-squares", L2: 0.01, L1: 0.01},
+			Updates:   20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := m.SaveCheckpoint("job-000002", 4, &opt.Checkpoint{Algorithm: "gcg", W: la.NewVec(8), Updates: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*store.Record{
+		{Type: store.TypeSubmitted, Job: "job-000001", JobSeq: 1, Time: 100, Spec: spec("gcg", "greedy")},
+		{Type: store.TypeSubmitted, Job: "job-000002", JobSeq: 2, Time: 200, Spec: spec("gcg", "full")},
+		{Type: store.TypeDispatched, Job: "job-000002", Time: 300},
+		{Type: store.TypeCheckpointed, Job: "job-000002", Time: 400, Updates: 10, DispatchSeq: 4},
+		{Type: store.TypeSubmitted, Job: "job-000003", JobSeq: 3, Time: 500, Spec: spec("gcg", "greedy")},
+		{Type: store.TypeDispatched, Job: "job-000003", Time: 600},
+		{Type: store.TypeDone, Job: "job-000003", Time: 700, Updates: 20, FinalError: 0.25, HasFinal: true},
+	} {
+		if err := m.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := newScheduler(t, jobs.Config{Engines: 1, Store: m})
+	if st := s.Stats(); st.RecoveredJobs != 3 {
+		t.Fatalf("recovered %d jobs, want 3", st.RecoveredJobs)
+	}
+	for _, id := range []jobs.ID{"job-000001", "job-000002"} {
+		job, err := s.Status(id)
+		if err != nil || job.State != jobs.StateFailed ||
+			!strings.Contains(job.Err, "recovery:") || !strings.Contains(job.Err, "no selection modes") {
+			t.Fatalf("%s %+v (err %v), want failed with a recovery-prefixed \"no selection modes\"", id, job, err)
+		}
+	}
+	var done *jobs.Job
+	for _, j := range s.List() {
+		if j.ID == "job-000003" {
+			done = &j
+		}
+	}
+	if done == nil || done.State != jobs.StateDone || done.Updates != 20 || done.FinalError == nil || *done.FinalError != 0.25 ||
+		done.Spec.Algorithm != "gcg" || done.Spec.Mode != "greedy" || done.Err != "" {
+		t.Fatalf("finished gcg+greedy job lists as %+v, want it as it was", done)
+	}
+
+	id, err := s.Submit(jobs.Spec{
+		Algorithm: "cd", Mode: "greedy",
+		Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
+		Objective: async.Objective{Loss: "least-squares", L2: 0.01, L1: 0.01},
+		Updates:   20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, jobs.StateDone)
+	assertStatsMatchScrape(t, s)
 }

@@ -417,8 +417,8 @@ func (sp Spec) solveOptions(workers int) (async.SolveOptions, error) {
 		Objective: sp.objective(),
 		FStar:     sp.FStar,
 	}
-	// a solver reads its own family's mode; submission has checked the
-	// chosen one accepts it
-	out.CD.Mode, out.GCG.Mode = sp.Mode, sp.Mode
+	// only cd has selection modes; submission has refused a mode on any
+	// other solver
+	out.CD.Mode = sp.Mode
 	return out, nil
 }

@@ -13,7 +13,7 @@ import (
 
 // solverFrames are wire frames carrying the payload types internal/opt
 // registers — the args of every kernel op, the block and consensus partials,
-// the cd/gcg round delta — in the shapes a run produces, the nil delta and
+// the cd round delta — in the shapes a run produces, the nil delta and
 // the empty block included. Importing opt also registers its codecs in this
 // test binary, so FuzzDecodeFrame mutates into them.
 func solverFrames() [][]byte {

@@ -222,17 +222,11 @@ func (co *Coordinator) sweep() {
 	}
 }
 
-// ResetRun clears per-run coordinator state between solves on a reused
-// engine: the logical update clock, undelivered results, wait and
-// staleness statistics, and per-worker dispatch bookkeeping. It first
-// waits (bounded by timeout) for in-flight tasks of the previous run to
-// land, discarding their results — an aborted run skips its drain, and its
-// strays must not leak into the next run's result queue. If stragglers are
-// still in flight at the deadline it fails: their eventual results would
-// be computed against the previous run's (possibly different) dataset, so
-// starting the next run would silently corrupt it. Call only while no
-// solve is active.
-func (co *Coordinator) ResetRun(timeout time.Duration) error {
+// Drain waits, bounded by timeout, until no task is in flight, discarding
+// every result queued meanwhile and at return, so the result queue is
+// empty for what comes next. It fails if tasks are still in flight at the
+// deadline.
+func (co *Coordinator) Drain(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
 		co.mu.Lock()
@@ -243,13 +237,30 @@ func (co *Coordinator) ResetRun(timeout time.Duration) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for co.pending > 0 && !co.closed && time.Now().Before(deadline) {
-		co.queue = nil
 		co.cond.Wait()
 	}
-	if co.pending > 0 && !co.closed {
-		return fmt.Errorf("core: reset-run: %d tasks of the previous run still in flight after %v", co.pending, timeout)
-	}
 	co.queue = nil
+	if co.pending > 0 && !co.closed {
+		return fmt.Errorf("%d tasks still in flight after %v", co.pending, timeout)
+	}
+	return nil
+}
+
+// ResetRun clears per-run coordinator state between solves on a reused
+// engine: the logical update clock, undelivered results, wait and
+// staleness statistics, and per-worker dispatch bookkeeping. It first
+// drains the previous run's in-flight tasks, discarding their results — an
+// aborted run skips its drain, and its strays must not leak into the next
+// run's result queue. If stragglers are still in flight at the deadline it
+// fails: their eventual results would be computed against the previous
+// run's (possibly different) dataset, so starting the next run would
+// silently corrupt it. Call only while no solve is active.
+func (co *Coordinator) ResetRun(timeout time.Duration) error {
+	if err := co.Drain(timeout); err != nil {
+		return fmt.Errorf("core: reset-run: previous run: %w", err)
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
 	co.updates = 0
 	co.dispatchSeq = 0
 	co.failures, co.taskErr = 0, nil

@@ -182,34 +182,14 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 	}
 }
 
-// coordStep is the per-coordinate step rule — the one thing cd and greedy
-// gcg differ in: from w_j, the round's summed block gradient g and curvature
-// h on j, and the scheduled step size, it returns the coordinate's new value
-// (ok=false leaves the coordinate alone). A rule is built from the dataset
-// rows, the penalties and CDConfig.Step.
-type coordStep func(wj, g, h, alpha float64) (uj float64, ok bool)
-
-// proxNewtonStep is cd's rule, the damped preconditioned prox step of the
-// file comment (sum units; the schedule is unused).
-func proxNewtonStep(n int, l2, l1, damp float64) coordStep {
-	nl2, nl1 := float64(n)*l2, float64(n)*l1
-	return func(wj, g, h, _ float64) (float64, bool) {
-		den := h + nl2
-		if den <= 0 {
-			return 0, false
-		}
-		tau := damp / den
-		return SoftThreshold(wj-tau*(g+nl2*wj), tau*nl1), true
-	}
-}
-
 // cdUpdater owns the coordinate-descent driver state: the model, the block
 // cursor/RNG (dispatch-counted for checkpoint replay, like BCD), the
-// round's combined partials, and the last applied coordinate delta. Greedy
-// gcg runs on it too, with its own step rule (gcg.go).
+// round's combined partials, and the last applied coordinate delta. nl2,
+// nl1 and damp are the step's n·λ2, n·λ1 and CDConfig.Step.
 type cdUpdater struct {
 	w          la.Vec
-	step       coordStep
+	nl2, nl1   float64
+	damp       float64
 	blockSize  int
 	cyclic     bool
 	sel        *gsSelector // greedy mode; nil otherwise
@@ -226,15 +206,16 @@ type cdUpdater struct {
 }
 
 // newCDUpdater builds the updater for the objective loss under c (defaults
-// applied), stepping by the rule step builds.
-func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig, step func(n int, l2, l1, damp float64) coordStep) (*cdUpdater, error) {
+// applied).
+func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) (*cdUpdater, error) {
 	cols := d.NumCols()
 	lin, l2, l1, ok := splitProx(loss)
 	if !ok {
 		return nil, fmt.Errorf("opt: cd cannot decompose objective %q into a linear core", loss.Name())
 	}
+	n := float64(d.NumRows())
 	u := &cdUpdater{
-		w: la.NewVec(cols), step: step(d.NumRows(), l2, l1, c.Step), blockSize: c.BlockSize,
+		w: la.NewVec(cols), nl2: n * l2, nl1: n * l1, damp: c.Step, blockSize: c.BlockSize,
 		cyclic: c.Mode != "random",
 		rng:    rand.New(rand.NewSource(c.Seed + 1)),
 		perm:   make([]int32, cols),
@@ -314,7 +295,9 @@ func (u *cdUpdater) Apply(payload any, _ *core.Attrs, _ float64) error {
 	return nil
 }
 
-func (u *cdUpdater) FlushRound(alpha float64) (bool, error) {
+// FlushRound takes the damped preconditioned prox step of the file comment
+// on each block coordinate (sum units; the scheduled step is unused).
+func (u *cdUpdater) FlushRound(float64) (bool, error) {
 	if u.got == 0 {
 		u.g.Zero()
 		u.h.Zero()
@@ -328,10 +311,12 @@ func (u *cdUpdater) FlushRound(alpha float64) (bool, error) {
 	}
 	delta := &la.DeltaVec{N: len(u.w)}
 	for k, j := range u.block {
-		uj, ok := u.step(u.w[j], u.g[k], u.h[k], alpha)
-		if !ok {
+		den := u.h[k] + u.nl2
+		if den <= 0 {
 			continue
 		}
+		tau := u.damp / den
+		uj := SoftThreshold(u.w[j]-tau*(u.g[k]+u.nl2*u.w[j]), tau*u.nl1)
 		if d := uj - u.w[j]; d != 0 {
 			delta.Idx = append(delta.Idx, j)
 			delta.Val = append(delta.Val, d)
@@ -388,28 +373,23 @@ func CD(ac *core.Context, d *dataset.Dataset, p Params, c CDConfig, fstar float6
 	if err := c.defaults(d.NumCols()); err != nil {
 		return nil, err
 	}
-	u, err := newCDUpdater(d, p.Loss, c, proxNewtonStep)
+	u, err := newCDUpdater(d, p.Loss, c)
 	if err != nil {
 		return nil, err
 	}
-	return u.run(ac, d, &p, "CD", "cd", fstar)
-}
-
-// run drives u as solver name: bulk-synchronous rounds, each dispatching
-// opt.cd on the round's block against the model and the name.delta stamp.
-func (u *cdUpdater) run(ac *core.Context, d *dataset.Dataset, p *Params, algo, name string, fstar float64) (*Result, error) {
-	deltaID := name + ".delta"
+	// bulk-synchronous rounds, each dispatching opt.cd on the round's block
+	// against the model and the cd.delta stamp
 	dispatch, err := kernelDispatch(ac, cdOpName, p.Loss, 0, func(a *GradOpArgs) {
 		u.block = u.pickBlock()
-		dBr := ac.ASYNCbroadcast(deltaID, u.exportDelta())
+		dBr := ac.ASYNCbroadcast("cd.delta", u.exportDelta())
 		a.AuxID, a.AuxVersion, a.Block = dBr.ID, dBr.Version, u.block
 	})
 	if err != nil {
 		return nil, err
 	}
 	return runLoop(ac, d, u, &loopSpec{
-		Algo: algo, Name: name, Key: name + ".w",
-		P: p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
+		Algo: "CD", Name: "cd", Key: "cd.w",
+		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true,
 		Dispatch: dispatch,
 	})

@@ -8,20 +8,21 @@ import (
 	"repro/internal/la"
 )
 
-// Restart-based generalized conjugate gradient for composite objectives —
-// the CG family of the related work (Lu & Chen's conjugate-gradient ℓ1
-// solver), run as bulk-synchronous full-gradient rounds on the unified
-// runtime. Each round every worker returns its exact gradient sum at the
-// broadcast model; the driver combines them into the mean smooth gradient
-// g (the λ2 term rides the Composite loss), updates a Polak–Ribière+
-// conjugate direction
+// Restart-based nonlinear conjugate gradient for composite objectives, run
+// as bulk-synchronous full-gradient rounds on the unified runtime. Each round
+// every worker returns its exact gradient sum at the broadcast model; the
+// driver combines them into the mean smooth gradient g (the λ2 term rides
+// the Composite loss), updates a Polak–Ribière+ conjugate direction
 //
 //	β = max(0, g·(g − g_prev)/‖g_prev‖²),  dir ← −g + β·dir
 //
 // (reset to steepest descent whenever dir stops being a descent direction),
-// steps w ← w + α·dir, and applies the ℓ1 prox soft(·, α·λ1) — generalized
-// CG in the proximal-gradient sense: the conjugate recursion accelerates
-// the smooth part, the prox keeps the composite part exact.
+// steps w ← w + α·dir at the scheduled size, and then soft-thresholds,
+// w ← soft(w, α·λ1). That is Polak–Ribière+ CG on the smooth part followed
+// by the ℓ1 prox: with λ1 = 0 it is plain restarted nonlinear CG, and once
+// λ1 > 0 it carries no convergence guarantee — the conjugate recursion knows
+// nothing of the thresholding. It is not Lu & Chen's generalized CG for
+// ℓ1-regularised QPs (arXiv:1511.07837); that method is ROADMAP item 11(a).
 //
 // Restarts reuse the checkpoint machinery: every RestartEvery updates the
 // runtime's epoch boundary exports the driver state through a Checkpoint
@@ -31,36 +32,15 @@ import (
 // same state as a restart at that boundary, which is what makes resumed
 // GCG runs bitwise-reproducible at restart boundaries.
 
-// GCGConfig carries the generalized-CG knobs: RestartEvery updates between
-// conjugate restarts (zero is 20; full mode), the Mode (gcgModes; empty is
-// the first) and, in greedy mode, Atoms coordinates per round (zero is 32,
-// capped at cols). Of the run's Params the solver reads the objective, step
-// schedule, update budget and checkpoint/preempt/resume hooks; SampleFrac is
-// ignored (every round is a full gradient pass) and the barrier is forced to
-// BSP.
-//
-// Mode "greedy" switches from full-gradient conjugate rounds to greedy atom
-// rounds: each round the driver's MaxIP selector (internal/la/maxip, shared
-// with greedy CD) picks the Atoms steepest coordinates, the workers return
-// exact per-atom gradients via the block kernel, and the driver takes one
-// proximal step on just those atoms at the scheduled step size — the
-// conditional-gradient-type "select the next atoms without an O(d) pass"
-// move. There is no conjugate recursion over the changing active set, and
-// RestartEvery is ignored; the selector's verification contract (rebuild on
-// miss, permanent cyclic fallback on repeated misses) applies unchanged.
+// GCGConfig carries the conjugate-gradient knobs: RestartEvery updates
+// between conjugate restarts (zero is 20). Of the run's Params the solver
+// reads the objective, step schedule, update budget and
+// checkpoint/preempt/resume hooks; SampleFrac is ignored (every round is a
+// full gradient pass) and the barrier is forced to BSP. gcg has no
+// selection modes.
 type GCGConfig struct {
 	RestartEvery int
-	Mode         string
-	Atoms        int
-
-	// exactBelow forwards to the greedy selector's maxip.Options.ExactBelow
-	// (the test knob; zero = package default, negative = force the tree).
-	exactBelow int
 }
-
-// gcgModes are gcg's round kinds: the full-gradient conjugate solver, or
-// greedy MaxIP atom selection.
-var gcgModes = []string{"full", "greedy"}
 
 func (c *GCGConfig) defaults() error {
 	if c.RestartEvery < 0 {
@@ -69,10 +49,7 @@ func (c *GCGConfig) defaults() error {
 	if c.RestartEvery == 0 {
 		c.RestartEvery = 20
 	}
-	if c.Atoms < 0 {
-		return fmt.Errorf("opt: GCG atoms %d must be non-negative", c.Atoms)
-	}
-	return checkMode("gcg", gcgModes, &c.Mode)
+	return nil
 }
 
 // gcgUpdater owns the conjugate-gradient driver state: the model, the
@@ -178,30 +155,7 @@ func (u *gcgUpdater) restart(global int64) error {
 	return u.Import(cp)
 }
 
-// scheduledStep is greedy gcg's coordinate rule: one proximal-gradient step
-// at the scheduled size on the mean-unit composite gradient of the atom
-// (kernel gradients are sum-unit; the curvature the block kernel also
-// returns, and cd's damping, are not used).
-func scheduledStep(n int, l2, l1, _ float64) coordStep {
-	rows := float64(n)
-	return func(wj, g, _, alpha float64) (float64, bool) {
-		gj := g/rows + l2*wj
-		return SoftThreshold(wj-alpha*gj, alpha*l1), true
-	}
-}
-
-// newGreedyGCGUpdater is greedy coordinate descent with the scheduled step:
-// block pick, residual-delta chain, selector verification and resume are
-// cd's (cd.go), under the "gcg.delta" broadcast id.
-func newGreedyGCGUpdater(d *dataset.Dataset, loss Loss, c GCGConfig) (*cdUpdater, error) {
-	cc := CDConfig{BlockSize: c.Atoms, Mode: "greedy", exactBelow: c.exactBelow}
-	if err := cc.defaults(d.NumCols()); err != nil {
-		return nil, err
-	}
-	return newCDUpdater(d, loss, cc, scheduledStep)
-}
-
-// GCG runs restart-based generalized conjugate gradient over the composite
+// GCG runs restart-based conjugate gradient over the composite
 // objective p.Loss. fstar is the reference optimum used for error traces.
 func GCG(ac *core.Context, d *dataset.Dataset, p Params, c GCGConfig, fstar float64) (*Result, error) {
 	if err := p.needStep(); err != nil {
@@ -212,13 +166,6 @@ func GCG(ac *core.Context, d *dataset.Dataset, p Params, c GCGConfig, fstar floa
 	}
 	if err := c.defaults(); err != nil {
 		return nil, err
-	}
-	if c.Mode == "greedy" {
-		u, err := newGreedyGCGUpdater(d, p.Loss, c)
-		if err != nil {
-			return nil, err
-		}
-		return u.run(ac, d, &p, "GCG-greedy", "gcg", fstar)
 	}
 	u := newGCGUpdater(d.NumCols(), p.Loss)
 	dispatch, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/la"
@@ -73,130 +75,24 @@ func TestGCGRestartIsCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGCGGreedyConverges: greedy atom selection on the concentrated-signal
-// design converges, reduces the composite objective far faster than the
-// same budget of full-gradient rounds spends on tail coordinates, and the
-// two selector backends (tree / exact scan) agree at 1e-9.
-func TestGCGGreedyConverges(t *testing.T) {
-	eachTransport(t, func(t *testing.T, tr transport) {
-		d := illCondDataset(t, 200, 512, 8, 61)
-		loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
-		run := func(exactBelow int) la.Vec {
-			ac := cdRigOn(t, tr, d, 1, 2)
-			p, c := Params{}, GCGConfig{Mode: "greedy", Atoms: 8, exactBelow: exactBelow}
-			p.Loss = loss
-			p.Step = Constant{A: 0.02}
-			p.Updates = 60
-			p.SnapshotEvery = 10
-			res, err := GCG(ac, d, p, c, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.W
-		}
-		wTree := run(-1)
-		wScan := run(1 << 30)
-		if !la.Equal(wTree, wScan, 1e-9) {
-			t.Fatal("tree-selector and scan-selector greedy GCG diverged")
-		}
-		f0 := Objective(d, loss, la.NewVec(d.NumCols()))
-		if f := Objective(d, loss, wTree); f >= f0*0.1 {
-			t.Fatalf("greedy GCG barely moved: %v → %v", f0, f)
-		}
-	})
-}
-
-// TestGCGModeValidation: unknown modes and negative atom counts error out.
+// TestGCGModeValidation: gcg has no selection modes, so a mode on it is
+// refused through the registry, and a negative restart interval errors out.
 func TestGCGModeValidation(t *testing.T) {
 	r := newRig(t, 1, 1, nil)
-	p, c := Params{}, GCGConfig{Mode: "sideways"}
-	p.Step = Constant{A: 0.05}
-	p.Updates = 1
-	if _, err := GCG(r.ac, r.d, p, c, 0); err == nil {
-		t.Fatal("unknown GCG mode accepted")
-	}
-	if _, err := GCG(r.ac, r.d, p, GCGConfig{Atoms: -1}, 0); err == nil {
-		t.Fatal("negative atom count accepted")
-	}
-}
-
-// TestGCGGreedyResume: a greedy GCG run preempted at a checkpoint and
-// resumed matches the uninterrupted run at 1e-9 — atom picks re-derive
-// from the restored model (the selector rebuilds rather than replaying
-// draws), and the step schedule continues from the restored update count.
-func TestGCGGreedyResume(t *testing.T) {
-	eachTransport(t, func(t *testing.T, tr transport) {
-		d := illCondDataset(t, 120, 256, 8, 71)
-		loss := Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.0005}
-		c := GCGConfig{Mode: "greedy", Atoms: 8}
-		params := func() Params {
-			var p Params
-			p.Loss = loss
-			p.Step = Constant{A: 0.02}
-			p.SnapshotEvery = 10
-			return p
-		}
-
-		full := params()
-		full.Updates = 30
-		res, err := GCG(cdRigOn(t, tr, d, 1, 2), d, full, c, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		var cp *Checkpoint
-		head := params()
-		head.Updates = 10
-		head.CheckpointEvery = 10
-		head.OnCheckpoint = func(c *Checkpoint) { cp = c }
-		if _, err := GCG(cdRigOn(t, tr, d, 1, 2), d, head, c, 0); err != nil {
-			t.Fatal(err)
-		}
-		if cp == nil {
-			t.Fatal("no checkpoint emitted")
-		}
-		tail := params()
-		tail.Updates = 30
-		tail.Resume = cp
-		resumed, err := GCG(cdRigOn(t, tr, d, 1, 2), d, tail, c, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !la.Equal(resumed.W, res.W, 1e-9) {
-			t.Fatal("resumed greedy GCG diverged from the uninterrupted run")
-		}
-	})
-}
-
-// TestGCGGreedyFallbackCursor: once the verification fallback trips, atom
-// picks come from a deterministic cyclic cursor — consecutive, sorted,
-// wrapping blocks keyed off the dispatch counter.
-func TestGCGGreedyFallbackCursor(t *testing.T) {
-	d := illCondDataset(t, 60, 40, 4, 73)
-	u, err := newGreedyGCGUpdater(d, Composite{Inner: LeastSquares{}, L2: 0.01}, GCGConfig{Mode: "greedy", Atoms: 16})
+	p := Params{Step: Constant{A: 0.05}, Updates: 1}
+	gcg, err := LookupSolver("gcg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.sel.fallback = true
-	seen := map[int32]bool{}
-	for r := 0; r < 3; r++ {
-		block := u.pickBlock()
-		if len(block) != 16 {
-			t.Fatalf("pick %d: got %d atoms, want 16", r, len(block))
-		}
-		for k := 1; k < len(block); k++ {
-			if block[k] <= block[k-1] {
-				t.Fatalf("pick %d not sorted ascending: %v", r, block)
-			}
-		}
-		for _, j := range block {
-			if int(j) >= d.NumCols() {
-				t.Fatalf("pick %d out of range: %v", r, block)
-			}
-			seen[j] = true
+	for _, mode := range []string{"full", "greedy"} {
+		cfg := SolveConfig{Params: p}
+		cfg.CD.Mode = mode
+		_, err := gcg.Solve(context.Background(), SolveRequest{AC: r.ac, Data: r.d, Config: cfg})
+		if err == nil || !strings.Contains(err.Error(), "no selection modes") {
+			t.Fatalf("mode %q on gcg: err = %v, want one mentioning %q", mode, err, "no selection modes")
 		}
 	}
-	if len(seen) != 40 { // 3 picks × 16 atoms wrap the 40 columns (48 mod 40)
-		t.Fatalf("cyclic cursor covered %d/40 columns across 3 wrapping picks", len(seen))
+	if _, err := GCG(r.ac, r.d, p, GCGConfig{RestartEvery: -1}, 0); err == nil {
+		t.Fatal("negative restart interval accepted")
 	}
 }

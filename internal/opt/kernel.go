@@ -43,7 +43,7 @@ type GradOpArgs struct {
 
 	// The rest is optional: zero for the ops that do not read it.
 	AuxID      string  // a second broadcast (with AuxVersion): svrg's anchor, the
-	AuxVersion int64   // cd.delta/gcg.delta stamp
+	AuxVersion int64   // cd.delta stamp
 	Block      []int32 // opt.cd, opt.bcd: the coordinate block of the round
 	Rho, CGTol float64 // opt.admm: penalty and local-solve tolerance
 	CGIters    int     // opt.admm: local-solve iteration cap

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -12,7 +12,7 @@ import (
 // samePayload compares two kernel payloads bit for bit.
 func samePayload(a, b any) bool {
 	sameDelta := func(x, y *la.DeltaVec) bool {
-		return x.N == y.N && reflect.DeepEqual(x.Idx, y.Idx) && la.Equal(x.Val, y.Val, 0)
+		return x.N == y.N && slices.Equal(x.Idx, y.Idx) && la.Equal(x.Val, y.Val, 0)
 	}
 	switch x := a.(type) {
 	case la.Vec:
@@ -137,9 +137,8 @@ func TestKernelSolversRejectUnnameableLoss(t *testing.T) {
 		"svrg": func(p Params) (*Result, error) {
 			return EpochVR(r.ac, r.d, p, VRConfig{Epochs: 1, UpdatesPerEpoch: 1}, 0)
 		},
-		"cd":         func(p Params) (*Result, error) { return CD(r.ac, r.d, p, CDConfig{}, 0) },
-		"gcg":        func(p Params) (*Result, error) { return GCG(r.ac, r.d, p, GCGConfig{}, 0) },
-		"gcg-greedy": func(p Params) (*Result, error) { return GCG(r.ac, r.d, p, GCGConfig{Mode: "greedy"}, 0) },
+		"cd":  func(p Params) (*Result, error) { return CD(r.ac, r.d, p, CDConfig{}, 0) },
+		"gcg": func(p Params) (*Result, error) { return GCG(r.ac, r.d, p, GCGConfig{}, 0) },
 	}
 	for _, loss := range []Loss{
 		badLoss{},

@@ -159,7 +159,7 @@ func TestAcceptsGate(t *testing.T) {
 	}{
 		{"asgd", l1, "", ""},
 		{"cd", l1, "greedy", ""},
-		{"gcg", Logistic{}, "full", ""},
+		{"gcg", Logistic{}, "", ""},
 		{"admm", nil, "", ""},
 		{"bcd", LeastSquares{}, "", ""},
 		{"saga", l1, "", "no proximal step"},
@@ -168,7 +168,8 @@ func TestAcceptsGate(t *testing.T) {
 		{"admm", ridge, "", "ignores penalty terms"},
 		{"bcd", Logistic{}, "", "plain least squares only"},
 		{"sgd", nil, "greedy", "no selection modes"},
-		{"gcg", nil, "cyclic", "unknown mode"},
+		{"gcg", Logistic{}, "full", "no selection modes"},
+		{"cd", nil, "full", "unknown mode"},
 		{"not-built-in", l1, "bogus", ""}, // extensions answer for themselves
 	} {
 		err := Accepts(tc.solver, tc.loss, tc.mode)

@@ -139,12 +139,8 @@ func (s solverFunc) Solve(ctx context.Context, req SolveRequest) (*Result, error
 	if err := cfg.ApplyObjective(); err != nil {
 		return nil, err
 	}
-	// the facade carries the mode per family; a solver reads its own
-	mode := cfg.CD.Mode
-	if mode == "" {
-		mode = cfg.GCG.Mode
-	}
-	if err := s.accepts(cfg.Loss, mode); err != nil {
+	// the selection mode rides CDConfig, the one family that has modes
+	if err := s.accepts(cfg.Loss, cfg.CD.Mode); err != nil {
 		return nil, err
 	}
 	if req.AC != nil {
@@ -235,7 +231,7 @@ func init() {
 	RegisterSolver(solverFunc{name: "cd", prox: true, modes: cdModes, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return CD(r.AC, r.Data, r.Config.Params, r.Config.CD, r.Config.FStar)
 	}})
-	RegisterSolver(solverFunc{name: "gcg", prox: true, modes: gcgModes, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
+	RegisterSolver(solverFunc{name: "gcg", prox: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return GCG(r.AC, r.Data, r.Config.Params, r.Config.GCG, r.Config.FStar)
 	}})
 	RegisterSolver(solverFunc{name: "mllib-sgd", fn: func(ctx context.Context, r SolveRequest) (*Result, error) {

@@ -192,7 +192,7 @@ func (rt *runState) preempted(ac *core.Context, global int64) (*Result, error) {
 	rt.settle()
 	cp := rt.export(global)
 	if ac != nil {
-		drain(ac, 5*time.Second)
+		drain(ac)
 	}
 	optPreempts.Inc()
 	rt.spec.P.Trace.Event("preempted", "algo", rt.spec.Algo, "global", global)
@@ -311,7 +311,7 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 			if s := global / spec.EpochLen; s != seg {
 				if seg >= 0 {
 					// drain this epoch's stragglers before re-anchoring
-					drain(ac, 5*time.Second)
+					drain(ac)
 				}
 				if err := spec.EpochBegin(global); err != nil {
 					return nil, err
@@ -416,7 +416,7 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 	}
 	p.Trace.Event("run_done", "algo", spec.Algo, "global", global)
 	if ac != nil {
-		drain(ac, 5*time.Second)
+		drain(ac)
 		return &Result{Trace: newTrace(ac, spec.Algo, d, rec, spec.Loss, spec.FStar), W: u.Model()}, nil
 	}
 	return &Result{
@@ -432,21 +432,10 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 }
 
 // drain discards leftover in-flight results so the AC is clean for the next
-// run. It returns once nothing is pending or the timeout passes.
-func drain(ac *core.Context, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for ac.Pending() > 0 || ac.HasNext() {
-		if ac.HasNext() {
-			if _, err := ac.ASYNCcollect(); err != nil {
-				return
-			}
-			continue
-		}
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
+// run, waiting at most five seconds for stragglers; a straggler still in
+// flight after that is left to the next ResetRun.
+func drain(ac *core.Context) {
+	_ = ac.Coordinator().Drain(5 * time.Second)
 }
 
 // newTrace assembles trace metadata after a run.

@@ -246,3 +246,40 @@ func TestCDGreedyResume(t *testing.T) {
 		}
 	})
 }
+
+// TestCDGreedyFallbackCursor: once the verification fallback trips, greedy
+// picks come from a deterministic cyclic cursor — consecutive, sorted,
+// wrapping blocks keyed off the dispatch counter.
+func TestCDGreedyFallbackCursor(t *testing.T) {
+	d := illCondDataset(t, 60, 40, 4, 73)
+	c := CDConfig{BlockSize: 16, Mode: "greedy"}
+	if err := c.defaults(d.NumCols()); err != nil {
+		t.Fatal(err)
+	}
+	u, err := newCDUpdater(d, Composite{Inner: LeastSquares{}, L2: 0.01}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.sel.fallback = true
+	seen := map[int32]bool{}
+	for r := 0; r < 3; r++ {
+		block := u.pickBlock()
+		if len(block) != 16 {
+			t.Fatalf("pick %d: got %d coordinates, want 16", r, len(block))
+		}
+		for k := 1; k < len(block); k++ {
+			if block[k] <= block[k-1] {
+				t.Fatalf("pick %d not sorted ascending: %v", r, block)
+			}
+		}
+		for _, j := range block {
+			if int(j) >= d.NumCols() {
+				t.Fatalf("pick %d out of range: %v", r, block)
+			}
+			seen[j] = true
+		}
+	}
+	if len(seen) != 40 { // 3 picks × 16 coordinates wrap the 40 columns (48 mod 40)
+		t.Fatalf("cyclic cursor covered %d/40 columns across 3 wrapping picks", len(seen))
+	}
+}

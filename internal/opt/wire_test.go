@@ -114,7 +114,7 @@ func TestWireOpArgsRoundTrip(t *testing.T) {
 
 // TestWireSolverPayloadsRoundTrip: the three value types the converted
 // solvers put on a wire — block partials and consensus partials as task
-// results, the cd/gcg round delta as a fetched broadcast value — come back
+// results, the cd round delta as a fetched broadcast value — come back
 // bit for bit, the empty and nil shapes included.
 func TestWireSolverPayloadsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

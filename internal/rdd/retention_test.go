@@ -10,7 +10,7 @@ import (
 )
 
 // TestEverySolverLeavesABoundedDriverStore walks the registry: whatever a
-// solver broadcasts (its model, svrg's anchor, cd's and gcg's delta stamp),
+// solver broadcasts (its model, svrg's anchor, cd's delta stamp),
 // the driver holds at most 4·workers versions of each id when the run ends,
 // and a second run on the same engine — an asyncd engine serves jobs for its
 // lifetime — does not add to that. Retention is the broadcaster's, so no
