@@ -51,6 +51,31 @@ func replicaConfig(st store.Store, replica string) jobs.Config {
 	}
 }
 
+// openSole opens a sole-owner WAL on a fresh directory. It closes when the
+// test ends, after any scheduler built over it (cleanups run last-in
+// first-out).
+func openSole(t *testing.T) *store.WAL {
+	t.Helper()
+	w, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// openReplica opens the named replica handle on dir, closed like openSole's.
+func openReplica(t *testing.T, dir, name string, opts store.SharedOptions) *store.WAL {
+	t.Helper()
+	opts.NoSync = true
+	w, err := store.OpenShared(dir, name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 // verifyLog replays the shared log and enforces the cluster-wide safety
 // invariants: claim epochs strictly increase per job, no job in the log has
 // more than one terminal record, and the job under test has exactly one
@@ -209,48 +234,85 @@ func TestChaosKillReplicaFailoverE2E(t *testing.T) {
 // finishes the job. When the partition heals, the stale owner is fenced —
 // its run is abandoned, its epoch rejects appends — and exactly one Done
 // record lands in the log.
-func TestChaosPartitionFencedE2E(t *testing.T) {
-	mem := store.NewMem()
-	fA := faulty.Wrap(mem, faulty.Plan{Seed: chaosSeed()})
-	sA := newScheduler(t, replicaConfig(fA, "a"))
-	sB := newScheduler(t, replicaConfig(mem, "b"))
+func TestChaosPartitionFencedE2E(t *testing.T) { partitionStory(t, 0, 901) }
 
-	id, err := sA.Submit(gateSpec(gateChaos, 901))
+// TestChaosPartitionAcrossCompactionE2E tells the same story with both
+// handles compacting themselves every 8 appends, and makes the adopter
+// compact while the stale owner is paused: when the partition heals, the
+// stale owner's handle finds wal.log renamed over the file it holds and
+// re-reads the rewritten log from the top — and must still be fenced.
+func TestChaosPartitionAcrossCompactionE2E(t *testing.T) { partitionStory(t, 8, 902) }
+
+// partitionStory partitions the replica running the job tagged tag, lets
+// its peer adopt it, heals the partition and checks the stale owner was
+// fenced. Both replica handles self-compact every compactEvery appends
+// (SharedOptions.CompactEvery); with a positive value the adopter is made
+// to compact during the partition.
+func partitionStory(t *testing.T, compactEvery, tag int) {
+	dir := t.TempDir()
+	opts := store.SharedOptions{CompactEvery: compactEvery}
+	shA := openReplica(t, dir, "a", opts)
+	shB := openReplica(t, dir, "b", opts)
+	fA := faulty.Wrap(shA, faulty.Plan{Seed: chaosSeed()})
+	sA := newScheduler(t, replicaConfig(fA, "a"))
+	t.Cleanup(fA.Resume) // runs before sA closes, so a failure cannot wedge it
+	sB := newScheduler(t, replicaConfig(shB, "b"))
+
+	id, err := sA.Submit(gateSpec(gateChaos, tag))
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectStart(t, gateChaos, 901) // a runs it
+	expectStart(t, gateChaos, tag) // a runs it
 
 	fA.Pause() // partition: a cannot renew, append, or even observe the log
+	compacted := shB.Metrics().Compactions
 	// b imports the submission from the tail, sees the lease expire, adopts
-	expectStart(t, gateChaos, 901) // the adopted re-dispatch on b
+	expectStart(t, gateChaos, tag) // the adopted re-dispatch on b
 	waitFor(t, 10*time.Second, "adoption counted on b", func() bool {
 		return sB.Stats().Adopted >= 1
 	})
+	if compactEvery > 0 {
+		// b's claim, dispatch and renewals count toward its threshold, but
+		// only a lifecycle append checks it: a submission (canceled before
+		// it can run) swaps the log's inode under a
+		waitFor(t, 10*time.Second, "the compaction threshold on b", func() bool {
+			return shB.Metrics().AppendsSinceCompact >= int64(compactEvery)
+		})
+		extra, err := sB.Submit(gateSpec(gateChaos, tag+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := shB.Metrics(); m.Compactions <= compacted {
+			t.Fatalf("no self-compaction on b during the partition: %+v", m)
+		}
+		if err := sB.Cancel(extra); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	fA.Resume() // heal: a's next heartbeat learns it was fenced
 	waitFor(t, 10*time.Second, "stale owner fenced on a", func() bool {
 		return sA.Stats().Fenced >= 1
 	})
 	// the stale epoch is dead: post-expiry appends are rejected
-	err = mem.Append(&store.Record{Type: store.TypeDone, Job: string(id), Owner: "a", Epoch: 1})
+	err = shA.Append(&store.Record{Type: store.TypeDone, Job: string(id), Owner: "a", Epoch: 1})
 	if !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("stale-owner append: %v, want ErrFenced", err)
 	}
 
 	release(t, gateChaos) // only b's run still holds the gate
 	job := waitState(t, sB, id, jobs.StateDone)
-	if job.Updates != 901 {
-		t.Fatalf("adopted run logged %d updates, want 901", job.Updates)
+	if job.Updates != int64(tag) {
+		t.Fatalf("adopted run logged %d updates, want %d", job.Updates, tag)
 	}
-	verifyLog(t, mem.Replay, id)
+	verifyLog(t, shB.Replay, id)
 
 	// the healed replica mirrors the adopter's terminal record
 	waitFor(t, 10*time.Second, "terminal mirror on a", func() bool {
 		j, err := sA.Status(id)
 		return err == nil && j.State == jobs.StateDone
 	})
-	if m := mem.Metrics(); m.FencedAppends < 1 {
+	if m := shA.Metrics(); m.FencedAppends < 1 {
 		t.Fatalf("no fenced operations counted: %+v", m)
 	}
 	assertStatsMatchScrape(t, sA) // the fenced side
@@ -317,8 +379,7 @@ func TestChaosCrashRecoverLoopE2E(t *testing.T) {
 // surfaces ErrStoreUnavailable — the client retries — and every accepted
 // job still finishes: append failures degrade durability, never liveness.
 func TestChaosSeededAppendFaults(t *testing.T) {
-	mem := store.NewMem()
-	f := faulty.Wrap(mem, faulty.Plan{Seed: chaosSeed(), AppendFailProb: 0.2})
+	f := faulty.Wrap(openSole(t), faulty.Plan{Seed: chaosSeed(), AppendFailProb: 0.2})
 	cfg := jobs.Config{Engines: 1, Store: f, EngineOptions: chaosEngOpts}
 	s := newScheduler(t, cfg)
 

@@ -33,11 +33,13 @@ func init() {
 // claims and runs it. a.Cancel(J) is fenced at the log, so a must report
 // the job remote — not go terminal, not delete b's spill files.
 func TestFencedCancelIsNotApplied(t *testing.T) {
-	mem := store.NewMem()
-	cfgA := replicaConfig(mem, "a")
+	dir := t.TempDir()
+	shA := openReplica(t, dir, "a", store.SharedOptions{})
+	shB := openReplica(t, dir, "b", store.SharedOptions{})
+	cfgA := replicaConfig(shA, "a")
 	cfgA.AdoptScanEvery = time.Hour
 	sA := newScheduler(t, cfgA)
-	sB := newScheduler(t, replicaConfig(mem, "b"))
+	sB := newScheduler(t, replicaConfig(shB, "b"))
 
 	if _, err := sA.Submit(gateSpec(gateHoldA, 11)); err != nil {
 		t.Fatal(err)
@@ -60,7 +62,7 @@ func TestFencedCancelIsNotApplied(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run took no checkpoint command")
 	}
-	waitFor(t, 10*time.Second, "b's spill", func() bool { return mem.Metrics().CheckpointSpills >= 1 })
+	waitFor(t, 10*time.Second, "b's spill", func() bool { return shB.Metrics().CheckpointSpills >= 1 })
 
 	if err := sA.Cancel(id); !errors.Is(err, jobs.ErrRemoteJob) {
 		t.Fatalf("cancel of a job another replica runs: %v, want ErrRemoteJob", err)
@@ -75,7 +77,7 @@ func TestFencedCancelIsNotApplied(t *testing.T) {
 	if st := sA.Stats(); st.Fenced < 1 {
 		t.Fatalf("fenced %d, want the refused append counted", st.Fenced)
 	}
-	if _, err := mem.LoadCheckpoint(string(id), 7); err != nil {
+	if _, err := shA.LoadCheckpoint(string(id), 7); err != nil {
 		t.Fatalf("b's spill after a's refused cancel: %v", err)
 	}
 
@@ -86,7 +88,7 @@ func TestFencedCancelIsNotApplied(t *testing.T) {
 	}
 	waitState(t, sB, id, jobs.StateDone)
 	release(t, gateHoldA)
-	verifyLog(t, mem.Replay, id)
+	verifyLog(t, shA.Replay, id)
 }
 
 // TestTerminalJobRefusesClaim: a finished job never runs again. a cancels
@@ -94,9 +96,10 @@ func TestFencedCancelIsNotApplied(t *testing.T) {
 // before b's next tail scan, so b tries to claim J — the log refuses, b
 // drops its copy, and the next scan mirrors the one terminal record.
 func TestTerminalJobRefusesClaim(t *testing.T) {
-	mem := store.NewMem()
-	sA := newScheduler(t, replicaConfig(mem, "a"))
-	cfgB := replicaConfig(mem, "b")
+	dir := t.TempDir()
+	shA := openReplica(t, dir, "a", store.SharedOptions{})
+	sA := newScheduler(t, replicaConfig(shA, "a"))
+	cfgB := replicaConfig(openReplica(t, dir, "b", store.SharedOptions{}), "b")
 	cfgB.AdoptScanEvery = time.Second
 	sB := newScheduler(t, cfgB)
 
@@ -131,7 +134,7 @@ func TestTerminalJobRefusesClaim(t *testing.T) {
 		t.Fatalf("canceled job ran again (tag %d)", tag)
 	default:
 	}
-	if err := mem.Replay(func(r store.Record) error {
+	if err := shA.Replay(func(r store.Record) error {
 		if r.Job == string(id) && r.Type == store.TypeClaimed {
 			t.Fatalf("claim on a canceled job was accepted: %+v", r)
 		}
@@ -140,5 +143,5 @@ func TestTerminalJobRefusesClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	release(t, gateHoldA)
-	verifyTerminalOnce(t, mem.Replay)
+	verifyTerminalOnce(t, shA.Replay)
 }

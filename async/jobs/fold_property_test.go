@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -52,11 +54,12 @@ func replayed(t *testing.T, st store.Store) []store.Record {
 
 // TestFoldAgreesAcrossReaders is the seeded property test of the lifecycle
 // fold: a random legal history for a handful of jobs goes through the
-// scheduler's one commit path, and every reader of the resulting log must
-// tell the same story — the live fold, the test's hand-kept model, boot
-// replay, the scheduler's compaction snapshot (directly and through
-// Mem.Compact), and a replica handle's self-compaction — and compacting twice must
-// change nothing. Seeded by CHAOS_SEED; a failure prints the seed.
+// scheduler's one commit path over a sole-owner WAL, and every reader of the
+// resulting log must tell the same story — the live fold, the test's
+// hand-kept model, boot replay, the scheduler's compaction snapshot
+// (directly and installed by the WAL's Compact), and a replica handle's
+// self-compaction — and compacting twice must change nothing. Seeded by
+// CHAOS_SEED; a failure prints the seed.
 func TestFoldAgreesAcrossReaders(t *testing.T) {
 	seed := chaosSeed()
 	rng := rand.New(rand.NewSource(seed))
@@ -65,8 +68,8 @@ func TestFoldAgreesAcrossReaders(t *testing.T) {
 		t.Fatalf("CHAOS_SEED=%d: %s", seed, fmt.Sprintf(format, args...))
 	}
 
-	mem := store.NewMem()
-	s := newScheduler(t, jobs.Config{Engines: 1, Store: mem, CompactEvery: 1 << 30, QueueDepth: 64})
+	wal := openSole(t)
+	s := newScheduler(t, jobs.Config{Engines: 1, Store: wal, CompactEvery: 1 << 30, QueueDepth: 64})
 	s.HoldDispatchForTest()
 	models := map[string]*jobModel{}
 	var ids []string
@@ -158,18 +161,38 @@ func TestFoldAgreesAcrossReaders(t *testing.T) {
 		}
 	}
 
-	// boot replay of the raw log
-	log := replayed(t, mem)
-	boot, err := jobs.ReplayFoldsForTest(mem)
-	if err != nil {
-		t.Fatal(err)
+	// boot replay reads the log back from disk, as a restarted process
+	// would: a copy of wal.log recovered by a fresh sole owner
+	bootReplay := func() map[string]store.JobState {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(wal.Dir(), "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := store.Open(dir, store.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		folds, err := jobs.ReplayFoldsForTest(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return folds
 	}
-	agree("boot replay", boot)
+
+	// boot replay of the raw log
+	log := replayed(t, wal)
+	agree("boot replay", bootReplay())
 
 	// a finished job refuses further records at the log
 	for id, m := range models {
 		if m.phase.Terminal() {
-			err := mem.Append(&store.Record{Type: store.TypeDispatched, Job: id})
+			err := wal.Append(&store.Record{Type: store.TypeDispatched, Job: id})
 			if !errors.Is(err, store.ErrFenced) {
 				fail("dispatch of finished job %s: %v, want ErrFenced", id, err)
 			}
@@ -195,14 +218,10 @@ func TestFoldAgreesAcrossReaders(t *testing.T) {
 	if !reflect.DeepEqual(values(again), values(snap)) {
 		fail("compacting the compaction snapshot changed it:\n got %v\nwant %v", values(again), values(snap))
 	}
-	if err := mem.Compact(snap); err != nil {
+	if err := wal.Compact(snap); err != nil {
 		t.Fatal(err)
 	}
-	boot, err = jobs.ReplayFoldsForTest(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree("boot replay of the compacted log", boot)
+	agree("boot replay of the compacted log", bootReplay())
 
 	// a replica handle's self-compaction of the same raw log, once and twice
 	sh, err := store.OpenShared(t.TempDir(), "a", store.SharedOptions{NoSync: true, CompactEvery: -1})

@@ -92,17 +92,17 @@ func init() {
 	}
 }
 
-// recordingStore is a store.Mem that keeps the stream of acknowledged
+// recordingStore is a sole-owner WAL that keeps the stream of acknowledged
 // appends as (Type, Job, Updates, DispatchSeq, Detail, HasFinal) tuples —
 // everything a record says except when it said it.
 type recordingStore struct {
-	*store.Mem
+	*store.WAL
 	mu     sync.Mutex
 	stream []string
 }
 
 func (r *recordingStore) Append(rec *store.Record) error {
-	if err := r.Mem.Append(rec); err != nil {
+	if err := r.WAL.Append(rec); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -140,13 +140,13 @@ done job-000005 updates=600 dispatch_seq=0 detail="" has_final=true
 `
 
 // TestGoldenRecordStream pins what the scheduler writes to its log: one
-// single-owner scheduler over store.Mem runs a scripted history — a job
+// single-owner scheduler over a WAL runs a scripted history — a job
 // that checkpoints, is preempted by hand, resumes and finishes; one
 // canceled while queued; one that fails; a drain and restart with a
 // preempted and a queued job in flight; compactions every six appends and
 // after recovery — and the appended stream must match the literal above.
 func TestGoldenRecordStream(t *testing.T) {
-	rs := &recordingStore{Mem: store.NewMem()}
+	rs := &recordingStore{WAL: openSole(t)}
 	spec := func(updates int) jobs.Spec {
 		return jobs.Spec{
 			Algorithm:  goldSolver.name,

@@ -198,7 +198,10 @@ func TestFacadeRejectsWhatSubmitRejects(t *testing.T) {
 
 // TestElasticNetJobsEndToEnd runs real elastic-net solves through the
 // scheduler for every prox-capable solver family and asserts the ℓ1 term
-// actually produced a sparse final model (exact zero coordinates).
+// actually produced a sparse final model (exact zero coordinates). The
+// asgd arm runs on a one-worker engine: ASP on one worker is sequential,
+// hence deterministic, and which multi-worker interleaving a run happens
+// to get is not what this test checks.
 func TestElasticNetJobsEndToEnd(t *testing.T) {
 	if _, err := async.Lookup("cd"); err != nil {
 		t.Fatalf("cd not registered: %v", err)
@@ -207,8 +210,16 @@ func TestElasticNetJobsEndToEnd(t *testing.T) {
 		t.Fatalf("gcg not registered: %v", err)
 	}
 	s := newScheduler(t, jobs.Config{Engines: 1})
+	sequential := newScheduler(t, jobs.Config{
+		Engines:       1,
+		EngineOptions: []async.Option{async.WithWorkers(1), async.WithPartitions(2)},
+	})
 	for _, algo := range []string{"cd", "gcg", "asgd"} {
 		t.Run(algo, func(t *testing.T) {
+			s := s
+			if algo == "asgd" {
+				s = sequential
+			}
 			id, err := s.Submit(jobs.Spec{
 				Algorithm: algo,
 				Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},

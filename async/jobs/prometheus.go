@@ -47,7 +47,7 @@ func (s *Scheduler) registerMetrics() {
 	r := telemetry.NewRegistry()
 	s.reg = r
 	c := &s.count
-	durable, replica := s.cfg.Store != nil, s.cfg.ReplicaID != ""
+	durable, replica := s.cfg.Store != nil, s.replica()
 	// a count whose family this mode does not expose still counts, for
 	// Stats, on a registry nothing renders
 	exposedIf := map[bool]*telemetry.Registry{true: r, false: telemetry.NewRegistry()}

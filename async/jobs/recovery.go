@@ -22,22 +22,11 @@ func decodeSpec(rec *store.Record) (Spec, error) {
 
 // replayLocked folds the store's log straight into jobs: a submitted
 // record opens a job, every later record goes through its Apply. Nothing
-// but s.jobs (and, in replica mode, the tail watermark) changes; the jobs
-// come back in submission order.
+// but s.jobs and the tail watermark changes; the jobs come back in
+// submission order. The replay goes through the watermarked tail reader so
+// a replica's tail-scan loop starts exactly where recovery stopped.
 func (s *Scheduler) replayLocked() ([]*job, error) {
-	replay := s.cfg.Store.Replay
-	if s.leaseStore != nil {
-		// replica mode replays through the watermarked tail reader so the
-		// tail-scan loop starts exactly where recovery stopped
-		replay = func(fn func(store.Record) error) error {
-			wm, rerr := s.leaseStore.ReplaySince(store.Watermark{}, fn)
-			if rerr == nil {
-				s.wm = wm
-			}
-			return rerr
-		}
-	}
-	err := replay(func(rec store.Record) error {
+	wm, err := s.cfg.Store.ReplaySince(store.Watermark{}, func(rec store.Record) error {
 		if j := s.jobs[ID(rec.Job)]; j != nil {
 			if !j.Apply(&rec) || rec.Type != store.TypeSubmitted {
 				return nil
@@ -59,6 +48,7 @@ func (s *Scheduler) replayLocked() ([]*job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobs: recovery replay: %w", err)
 	}
+	s.wm = wm
 	// submission order, so queue FIFO-within-priority and the ID sequence
 	// both restore deterministically
 	return s.orderedLocked(), nil
@@ -132,8 +122,8 @@ func (s *Scheduler) recover() error {
 	// anchors to the expiry instant). Our own pre-crash leases need no
 	// handling: the jobs re-enqueued above and re-claim through the CAS,
 	// which bumps the epoch past the stale one.
-	if s.leaseStore != nil {
-		if leases, lerr := s.leaseStore.Leases(); lerr == nil {
+	if s.replica() {
+		if leases, lerr := s.cfg.Store.Leases(); lerr == nil {
 			now := time.Now()
 			for _, l := range leases {
 				j, ok := s.jobs[ID(l.Job)]
@@ -156,7 +146,7 @@ func (s *Scheduler) recover() error {
 	// is rewritten to exactly it. A replica must never rewrite the shared
 	// log around its peers' live jobs; a replica handle self-compacts from
 	// the full log instead.
-	if s.leaseStore == nil {
+	if !s.replica() {
 		if err := s.compactLocked(); err != nil {
 			return fmt.Errorf("jobs: post-recovery compaction: %w", err)
 		}
@@ -209,7 +199,7 @@ func (s *Scheduler) spillLocked(j *job, cp *opt.Checkpoint, typ store.Type) erro
 // Without a store the fold is all there is. Compaction triggers here, after
 // the fold, so the snapshot includes the record just committed.
 func (s *Scheduler) commitLocked(j *job, rec *store.Record) error {
-	if s.leaseStore != nil && j.lease.Epoch != 0 {
+	if j.lease.Epoch != 0 {
 		rec.Owner, rec.Epoch = j.lease.Owner, j.lease.Epoch
 	}
 	err := s.appendLocked(rec)
@@ -219,7 +209,7 @@ func (s *Scheduler) commitLocked(j *job, rec *store.Record) error {
 	j.Apply(rec)
 	// a replica never rewrites the shared log around its peers' live jobs;
 	// a replica handle self-compacts past its own threshold instead
-	if err == nil && s.cfg.Store != nil && s.leaseStore == nil &&
+	if err == nil && s.cfg.Store != nil && !s.replica() &&
 		s.cfg.Store.Metrics().AppendsSinceCompact >= int64(s.cfg.CompactEvery) {
 		if err := s.compactLocked(); err != nil {
 			s.count.storeErrs.Inc()

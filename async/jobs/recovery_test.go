@@ -12,14 +12,12 @@ import (
 	"repro/internal/opt"
 )
 
-// TestRecoveryEdgeCases replays a hand-built log through a Mem-backed
-// scheduler (the store is a seam — recovery must not care which
-// implementation is underneath): terminal jobs land in retention with their
-// detail, orphan transitions are skipped, a checkpointed record whose spill
+// TestRecoveryEdgeCases replays a hand-built log through a scheduler over
+// a sole-owner WAL: terminal jobs land in retention with their detail, orphan transitions are skipped, a checkpointed record whose spill
 // is missing restarts the job from scratch, and a spec that no longer
 // normalizes fails loudly instead of wedging the queue.
 func TestRecoveryEdgeCases(t *testing.T) {
-	m := store.NewMem()
+	m := openSole(t)
 	specJSON := func(sp jobs.Spec) []byte {
 		b, err := json.Marshal(sp)
 		if err != nil {
@@ -92,7 +90,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 // log then holds two submitted records for one ID, and the second is the
 // one the client was told about. Recovery must serve that one.
 func TestRecoveryResubmittedAfterLostAck(t *testing.T) {
-	m := store.NewMem()
+	m := openSole(t)
 	lost := jobs.Spec{Algorithm: gateQueued.name, Dataset: jobs.DatasetSpec{Name: "rcv1-like"}, Updates: 31}
 	acked := lost
 	acked.Updates = 32
@@ -121,7 +119,7 @@ func TestRecoveryResubmittedAfterLostAck(t *testing.T) {
 // finished one lists as it was, the queue still serves, and the counters
 // agree with the scrape.
 func TestRecoveryFailsStoredGCGModes(t *testing.T) {
-	m := store.NewMem()
+	m := openSole(t)
 	spec := func(algo, mode string) []byte {
 		b, err := json.Marshal(jobs.Spec{
 			Algorithm: algo, Mode: mode,

@@ -8,8 +8,8 @@ import (
 	"repro/async/jobs/store"
 )
 
-// Replica mode: several schedulers share one lease-capable store (replica
-// handles of the WAL in a common directory, or one *Mem in tests). Every
+// Replica mode: several schedulers share one log, each through its own
+// replica handle of the WAL (store.OpenShared on a common directory). Every
 // job is claimed through the store's lease CAS before it dispatches, every
 // ownership-asserting append carries the claim's (owner, epoch) fencing
 // token, and two background loops keep the replicas coherent:
@@ -28,6 +28,9 @@ import (
 // keeps running past its lease expiry has every subsequent append rejected
 // with ErrFenced, so at most one replica's records for a job land after
 // failover, and epochs for a job strictly increase across owners.
+
+// replica reports whether the scheduler serves in replica mode.
+func (s *Scheduler) replica() bool { return s.cfg.ReplicaID != "" }
 
 // startReplicaLoops launches the heartbeat and tail-scan goroutines.
 // Called once from New, after recovery.
@@ -63,7 +66,7 @@ func (s *Scheduler) every(period time.Duration, stop <-chan struct{}, fn func())
 // claim of an adoption candidate loads the orphan's last spilled checkpoint
 // and records the failover latency.
 func (s *Scheduler) claimLocked(j *job) bool {
-	l, err := s.leaseStore.Claim(string(j.id), s.cfg.ReplicaID, s.cfg.LeaseTTL)
+	l, err := s.cfg.Store.Claim(string(j.id), s.cfg.ReplicaID, s.cfg.LeaseTTL)
 	switch {
 	case errors.Is(err, store.ErrLeaseHeld), errors.Is(err, store.ErrFenced):
 		s.yieldLocked(j)
@@ -102,12 +105,12 @@ func (s *Scheduler) claimLocked(j *job) bool {
 // checkpoint is durable, so any replica — this one included — may re-claim
 // the job through the CAS.
 func (s *Scheduler) releaseLeaseLocked(j *job) {
-	if s.leaseStore == nil || j.lease.Epoch == 0 {
+	if j.lease.Epoch == 0 {
 		return
 	}
 	lease := j.lease
 	j.lease = store.Lease{}
-	if err := s.leaseStore.Release(string(j.id), lease.Owner, lease.Epoch); err != nil &&
+	if err := s.cfg.Store.Release(string(j.id), lease.Owner, lease.Epoch); err != nil &&
 		!errors.Is(err, store.ErrFenced) {
 		s.count.storeErrs.Inc()
 	}
@@ -183,7 +186,7 @@ func (s *Scheduler) renewHeldLeases() {
 	}
 	s.mu.Unlock()
 	for _, h := range hs {
-		l, err := s.leaseStore.Renew(string(h.j.id), h.lease.Owner, h.lease.Epoch, s.cfg.LeaseTTL)
+		l, err := s.cfg.Store.Renew(string(h.j.id), h.lease.Owner, h.lease.Epoch, s.cfg.LeaseTTL)
 		s.mu.Lock()
 		switch {
 		case err == nil:
@@ -212,7 +215,7 @@ func (s *Scheduler) renewHeldLeases() {
 // other replicas' records into local state.
 func (s *Scheduler) syncTail() {
 	var recs []store.Record
-	wm, err := s.leaseStore.ReplaySince(s.wm, func(r store.Record) error {
+	wm, err := s.cfg.Store.ReplaySince(s.wm, func(r store.Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -325,7 +328,7 @@ func (s *Scheduler) importRemoteSubmitLocked(rec *store.Record) {
 // the orphan's last spilled checkpoint. Live foreign leases the tail scan
 // has not seen yet mark jobs remote.
 func (s *Scheduler) adoptOrphans() {
-	leases, err := s.leaseStore.Leases()
+	leases, err := s.cfg.Store.Leases()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -399,7 +402,7 @@ func (s *Scheduler) Kill() {
 	s.queue = nil
 	for _, j := range s.jobs {
 		if j.state() == StateRunning {
-			if s.leaseStore != nil {
+			if s.replica() {
 				j.leaseLost = true // unwind abandons instead of finalizing
 			} else {
 				j.cancelRequested = true

@@ -28,10 +28,10 @@ func idSeq(t *testing.T, id jobs.ID) int64 {
 // the bare ordinal strictly-greater would skip or duplicate entries at
 // ties.
 func TestListPageCrossReplicaTies(t *testing.T) {
-	mem := store.NewMem()
-	cfgA := replicaConfig(mem, "a")
+	dir := t.TempDir()
+	cfgA := replicaConfig(openReplica(t, dir, "a", store.SharedOptions{}), "a")
 	cfgA.EngineOptions = chaosEngOpts
-	cfgB := replicaConfig(mem, "b")
+	cfgB := replicaConfig(openReplica(t, dir, "b", store.SharedOptions{}), "b")
 	cfgB.EngineOptions = chaosEngOpts
 	sA := newScheduler(t, cfgA)
 	sB := newScheduler(t, cfgB)
@@ -90,5 +90,13 @@ func TestListPageCrossReplicaTies(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("pagination visited %d of %d jobs (ties skipped)", len(got), len(want))
 		}
+	}
+}
+
+// TestReplicaModeNeedsAStore: replicas coordinate through the store's lease
+// surface, so New refuses a ReplicaID without a Store.
+func TestReplicaModeNeedsAStore(t *testing.T) {
+	if _, err := jobs.New(jobs.Config{ReplicaID: "a"}); err == nil || !strings.Contains(err.Error(), "needs a store") {
+		t.Fatalf("replica mode without a store: %v, want a refusal", err)
 	}
 }

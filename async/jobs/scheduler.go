@@ -96,8 +96,8 @@ type Config struct {
 	// equal priority (default 5s).
 	SLOSlack time.Duration
 	// ReplicaID enables multi-replica serving: the scheduler claims jobs
-	// through the store's lease CAS before dispatching (the Store must
-	// implement store.LeaseStore), renews held leases on a heartbeat,
+	// through the store's lease CAS before dispatching (a Store is
+	// required), renews held leases on a heartbeat,
 	// fences every owned append with its lease epoch, mirrors the other
 	// replicas' records by tailing the shared log, and adopts orphaned
 	// jobs whose lease expired. Empty (the default) keeps single-owner
@@ -231,9 +231,8 @@ type Scheduler struct {
 	degraded  bool // the last store operation failed
 	startedAt time.Time
 
-	// replica mode (nil/zero in single-owner mode): the store's lease
-	// surface, the shared-log tail position, and the loop stop signal.
-	leaseStore  store.LeaseStore
+	// replica mode (zero in single-owner mode): the shared-log tail
+	// position and the loop stop signal.
 	wm          store.Watermark
 	replicaStop chan struct{}
 
@@ -261,12 +260,8 @@ func New(cfg Config) (*Scheduler, error) {
 		dsCache:   map[string]*dsEntry{},
 		startedAt: time.Now(),
 	}
-	if cfg.ReplicaID != "" {
-		ls, ok := cfg.Store.(store.LeaseStore)
-		if !ok {
-			return nil, fmt.Errorf("jobs: replica mode needs a lease-capable store (store.LeaseStore), got %T", cfg.Store)
-		}
-		s.leaseStore = ls
+	if s.replica() && cfg.Store == nil {
+		return nil, fmt.Errorf("jobs: replica mode %q needs a store", cfg.ReplicaID)
 	}
 	s.registerMetrics()
 	if cfg.Store != nil {
@@ -274,7 +269,7 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, err
 		}
 	}
-	if s.leaseStore != nil {
+	if s.replica() {
 		s.startReplicaLoops()
 	}
 	return s, nil
@@ -335,7 +330,7 @@ func (s *Scheduler) Submit(spec Spec) (ID, error) {
 		return "", fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	id := fmt.Sprintf("job-%06d", s.seq+1)
-	if s.cfg.ReplicaID != "" {
+	if s.replica() {
 		// replica-qualified IDs: two replicas minting concurrently must
 		// never collide
 		id = fmt.Sprintf("job-%s-%06d", s.cfg.ReplicaID, s.seq+1)
@@ -662,7 +657,7 @@ func (s *Scheduler) Stats() Stats {
 		Tenants:        s.tenantStatsLocked(),
 	}
 	st.EnginesLive, st.Running = s.enginesLocked()
-	if s.cfg.ReplicaID != "" {
+	if s.replica() {
 		st.Replica = s.cfg.ReplicaID
 		st.Fenced, st.Adopted = c.fenced.Value(), c.adopted.Value()
 		st.LeasesHeld, st.RemoteJobs = s.leasesLocked()
@@ -872,7 +867,7 @@ func (s *Scheduler) dispatchLocked() {
 			s.maybePreemptLocked()
 			return
 		}
-		if s.leaseStore != nil && !s.claimLocked(j) {
+		if s.replica() && !s.claimLocked(j) {
 			if j.remote {
 				continue // lost the claim CAS; try the next queued job
 			}
@@ -1078,12 +1073,12 @@ func (s *Scheduler) run(sl *slot, j *job) {
 	// record drops the lease while fencing us, and that unwind must still
 	// abandon, not fall through to the preempt/retry branches on an
 	// already-terminal job.
-	if s.leaseStore != nil && (j.leaseLost || j.lease.Epoch != 0) {
+	if s.replica() && (j.leaseLost || j.lease.Epoch != 0) {
 		lost := j.leaseLost
 		if !lost {
 			lease := j.lease
 			s.mu.Unlock()
-			_, rerr := s.leaseStore.Renew(string(j.id), lease.Owner, lease.Epoch, s.cfg.LeaseTTL)
+			_, rerr := s.cfg.Store.Renew(string(j.id), lease.Owner, lease.Epoch, s.cfg.LeaseTTL)
 			s.mu.Lock()
 			lost = j.leaseLost || errors.Is(rerr, store.ErrFenced)
 		}

@@ -93,8 +93,8 @@
 // live foreign lease exists — is rejected with ErrFenced, so a replica
 // that lost its lease can never retroactively finalize the job.
 //
-// Mem and WAL (the LeaseStore implementations) keep each job's fold
-// beside the lease table, under the lock that orders the log, and a job
+// Every WAL handle keeps each job's fold beside the lease table, under the
+// lock that orders the log, and a job
 // whose fold is terminal refuses every further claim and append with
 // ErrFenced: a peer still holding a stale queued copy of a canceled job
 // cannot claim, run and finish it a second time. That is where "exactly
@@ -143,8 +143,8 @@
 // counters — is one code path.
 //
 // The scheduler depends only on the Store interface (append / replay /
-// checkpoint spill / compact), the optional LeaseStore extension, and the
-// JobState fold. WAL is the file implementation and Mem the in-memory one
-// used by tests; faulty.Wrap layers deterministic fault injection over
-// either.
+// checkpoint spill / compact / lease / tail replay) and the JobState fold.
+// WAL is its one implementation, and tests run on it too: a sole owner on a
+// temp directory, or one OpenShared handle per replica on a shared one.
+// faulty.Wrap layers deterministic fault injection over a WAL handle.
 package store

@@ -82,49 +82,3 @@ func TestWALKillFailpoint(t *testing.T) {
 		}
 	})
 }
-
-// TestMemStoreLifecycle covers the in-memory seam implementation beyond
-// what the parity test touches: DropJob, Sync, Metrics, checkpoint
-// replacement, and post-Close errors.
-func TestMemStoreLifecycle(t *testing.T) {
-	m := NewMem()
-	if err := m.Append(testRecord(0, TypeSubmitted, "job-000001")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SaveCheckpoint("job-000001", 1, testCheckpoint(10, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// a newer spill replaces the older one
-	if err := m.SaveCheckpoint("job-000001", 2, testCheckpoint(20, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LoadCheckpoint("job-000001", 1); err == nil {
-		t.Fatal("older spill survived replacement")
-	}
-	cp, err := m.LoadCheckpoint("job-000001", 2)
-	if err != nil || cp.Updates != 20 {
-		t.Fatalf("newest spill: %+v, %v", cp, err)
-	}
-	if err := m.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	mm := m.Metrics()
-	if mm.Appends != 1 || mm.CheckpointSpills != 2 {
-		t.Fatalf("metrics %+v, want appends=1 spills=2", mm)
-	}
-	if err := m.DropJob("job-000001"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LoadCheckpoint("job-000001", 2); err == nil {
-		t.Fatal("spill survived DropJob")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Append(testRecord(0, TypeDispatched, "job-000001")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after close: %v, want ErrClosed", err)
-	}
-	if err := m.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("sync after close: %v, want ErrClosed", err)
-	}
-}

@@ -1,9 +1,8 @@
-// Package faulty wraps a lease-capable store with deterministic,
-// seed-driven fault injection for chaos testing: fail/stall/torn-write on
-// the Nth append, dropped acks, fsync errors, and whole-replica pauses
-// that force lease expiry. Every fault fires at an exact operation count
-// (or from a seeded PRNG), so a failing chaos run replays bit-for-bit from
-// its seed.
+// Package faulty wraps a WAL handle with deterministic, seed-driven fault
+// injection for chaos testing: fail/stall/torn-write on the Nth append,
+// dropped acks, fsync errors, and whole-replica pauses that force lease
+// expiry. Every fault fires at an exact operation count (or from a seeded
+// PRNG), so a failing chaos run replays bit-for-bit from its seed.
 package faulty
 
 import (
@@ -46,14 +45,11 @@ type Plan struct {
 	FailSyncN int64
 }
 
-// failpointer is the crash-failpoint surface the file log exposes.
-type failpointer interface{ FailAfterAppends(n int64) }
-
-// Store wraps an inner LeaseStore with the Plan's faults. It implements
-// store.LeaseStore; Pause/Resume additionally freeze every operation to
-// simulate a partitioned or GC-stalled replica.
+// Store wraps a WAL handle with the Plan's faults. It implements
+// store.Store; Pause/Resume additionally freeze every operation to simulate
+// a partitioned or GC-stalled replica.
 type Store struct {
-	inner store.LeaseStore
+	inner *store.WAL
 	plan  Plan
 
 	mu       sync.Mutex
@@ -66,15 +62,12 @@ type Store struct {
 }
 
 // Wrap builds the fault-injecting wrapper around inner. If the plan tears
-// an append and inner exposes FailAfterAppends, the failpoint is armed
-// here.
-func Wrap(inner store.LeaseStore, plan Plan) *Store {
+// an append, inner's crash failpoint is armed here.
+func Wrap(inner *store.WAL, plan Plan) *Store {
 	f := &Store{inner: inner, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 	f.cond = sync.NewCond(&f.mu)
 	if plan.TornAppendN > 0 {
-		if fp, ok := inner.(failpointer); ok {
-			fp.FailAfterAppends(plan.TornAppendN - 1)
-		}
+		inner.FailAfterAppends(plan.TornAppendN - 1)
 	}
 	return f
 }

@@ -10,6 +10,18 @@ import (
 	"repro/internal/opt"
 )
 
+// openWAL opens a sole-owner WAL handle on a fresh directory, closed when
+// the test ends.
+func openWAL(t *testing.T) *store.WAL {
+	t.Helper()
+	w, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 func rec(seq uint64, typ store.Type, job string) *store.Record {
 	r := &store.Record{Type: typ, Job: job, Time: 1700000000_000000000 + int64(seq), JobSeq: int64(seq)}
 	if typ == store.TypeSubmitted {
@@ -22,8 +34,7 @@ func rec(seq uint64, typ store.Type, job string) *store.Record {
 // append fails before the write, the drop-ack append fails after a durable
 // write, and the Nth sync fails — everything else passes through.
 func TestAppendFaultOrdinals(t *testing.T) {
-	inner := store.NewMem()
-	f := Wrap(inner, Plan{FailAppendN: 1, DropAckAppendN: 2, FailSyncN: 1})
+	f := Wrap(openWAL(t), Plan{FailAppendN: 1, DropAckAppendN: 2, FailSyncN: 1})
 
 	if err := f.Append(rec(1, store.TypeSubmitted, "job-000001")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append 1: %v, want ErrInjected", err)
@@ -66,8 +77,8 @@ func TestAppendFaultOrdinals(t *testing.T) {
 // chaos harness leans on to replay a failing run bit-for-bit.
 func TestProbabilisticFaultsReplayFromSeed(t *testing.T) {
 	plan := Plan{Seed: 9, AppendFailProb: 0.4}
-	a := Wrap(store.NewMem(), plan)
-	b := Wrap(store.NewMem(), plan)
+	a := Wrap(openWAL(t), plan)
+	b := Wrap(openWAL(t), plan)
 	var injected int
 	for i := 1; i <= 40; i++ {
 		errA := a.Append(rec(uint64(i), store.TypeSubmitted, "job-000001"))
@@ -87,7 +98,7 @@ func TestProbabilisticFaultsReplayFromSeed(t *testing.T) {
 // TestStallAppend: the stalled ordinal sleeps for StallFor before the
 // write, the fault window a lease TTL is meant to fence.
 func TestStallAppend(t *testing.T) {
-	f := Wrap(store.NewMem(), Plan{StallAppendN: 1, StallFor: 30 * time.Millisecond})
+	f := Wrap(openWAL(t), Plan{StallAppendN: 1, StallFor: 30 * time.Millisecond})
 	start := time.Now()
 	if err := f.Append(rec(1, store.TypeSubmitted, "job-000001")); err != nil {
 		t.Fatal(err)
@@ -100,7 +111,7 @@ func TestStallAppend(t *testing.T) {
 // TestPauseGatesEveryOperation: a paused wrapper blocks operations until
 // Resume — the stop-the-world replica failure mode.
 func TestPauseGatesEveryOperation(t *testing.T) {
-	f := Wrap(store.NewMem(), Plan{})
+	f := Wrap(openWAL(t), Plan{})
 	f.Pause()
 	done := make(chan error, 1)
 	go func() { done <- f.Append(rec(1, store.TypeSubmitted, "job-000001")) }()
@@ -115,10 +126,15 @@ func TestPauseGatesEveryOperation(t *testing.T) {
 	}
 }
 
-// TestDelegatedSurface drives the pass-through methods against a real Mem
-// store so the wrapper is substitutable anywhere a LeaseStore is.
+// TestDelegatedSurface drives the pass-through methods against a replica
+// handle of the WAL, so the wrapper is substitutable anywhere a Store is.
 func TestDelegatedSurface(t *testing.T) {
-	f := Wrap(store.NewMem(), Plan{})
+	w, err := store.OpenShared(t.TempDir(), "r1", store.SharedOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	f := Wrap(w, Plan{})
 	const job = "job-000001"
 	if err := f.Append(rec(1, store.TypeSubmitted, job)); err != nil {
 		t.Fatal(err)

@@ -42,48 +42,10 @@ type Watermark struct {
 	Seq uint64 `json:"seq"`
 }
 
-// LeaseStore is the multi-replica extension of Store: lease-based job
-// claiming with epoch fencing, plus incremental tail replay so replicas
-// learn of each other's appends. WAL (a replica handle of the flock'd file
-// log) and Mem implement it; a remote backend slots in behind the same
-// surface.
-//
-// Fencing contract: Append with a non-empty rec.Owner succeeds only while
-// the job's live lease matches (Owner, Epoch) exactly and is unexpired;
-// otherwise ErrFenced. Claim succeeds when the job is unleased, its lease
-// expired, or the claimant already owns it — always bumping the epoch.
-// Renew extends a live lease the caller holds; a renew after expiry fails
-// with ErrFenced (the owner must re-claim, racing any adopter through the
-// same CAS). Terminal records clear the lease implicitly, and from then on
-// the job refuses claims and appends alike with ErrFenced.
-type LeaseStore interface {
-	Store
-	// Claim atomically acquires the job's lease for owner with the given
-	// TTL, bumping the epoch past every epoch ever observed for the job.
-	// Fails with ErrLeaseHeld while another owner's lease is live, and with
-	// ErrFenced once the job has a terminal record.
-	Claim(job, owner string, ttl time.Duration) (Lease, error)
-	// Renew extends the caller's live lease; ErrFenced if the (owner,
-	// epoch) pair is stale or the lease already expired.
-	Renew(job, owner string, epoch int64, ttl time.Duration) (Lease, error)
-	// Release ends the caller's lease; ErrFenced on a stale pair. Releasing
-	// an already-cleared lease is a no-op.
-	Release(job, owner string, epoch int64) error
-	// Leases snapshots the lease table, expired entries included (the
-	// caller distinguishes by ExpiresAt — an expired entry is an orphan
-	// candidate).
-	Leases() ([]Lease, error)
-	// ReplaySince streams records appended after the watermark and returns
-	// the new watermark. After a compaction the generation changes and the
-	// log replays from its (rewritten) beginning.
-	ReplaySince(w Watermark, fn func(Record) error) (Watermark, error)
-}
-
-// leaseTable is the in-memory state both lease-capable stores derive from
-// the record stream: who holds which job, and — beside it — each job's
-// lifecycle fold, so the lock that orders the log is also where a finished
-// job refuses to be claimed or moved again. Not self-locking: the owning
-// store guards it.
+// leaseTable is the in-memory state a WAL handle derives from the record
+// stream: who holds which job, and — beside it — each job's lifecycle fold,
+// so the lock that orders the log is also where a finished job refuses to
+// be claimed or moved again. Not self-locking: the owning handle guards it.
 type leaseTable struct {
 	leases   map[string]Lease
 	maxEpoch map[string]int64 // highest epoch ever observed per job

@@ -11,10 +11,9 @@ import (
 // store.
 var ErrClosed = errors.New("store: closed")
 
-// Store is the durability seam the scheduler writes through. WAL is the
-// file implementation — one log, opened by its sole owner (Open) or shared
-// by replicas (OpenShared) — and Mem backs tests; both are also LeaseStores
-// (lease-based job claiming for replicas).
+// Store is the durability seam the scheduler writes through. WAL implements
+// it — one log, opened by its sole owner (Open) or shared by replicas
+// (OpenShared) — and faulty.Wrap layers fault injection over a WAL handle.
 //
 // Append must make the record durable before returning (append-before-ack);
 // SaveCheckpoint must durably spill the capture before the caller appends
@@ -23,9 +22,21 @@ var ErrClosed = errors.New("store: closed")
 // garbage-collects checkpoints of jobs absent from it — except on a replica
 // handle, whose caller cannot see its peers' jobs: it compacts to the
 // snapshot the log itself folds to.
+//
+// Replicas coordinate through the lease methods: lease-based job claiming
+// with epoch fencing, plus incremental tail replay so replicas learn of each
+// other's appends. Fencing contract: Append with a non-empty rec.Owner
+// succeeds only while the job's live lease matches (Owner, Epoch) exactly
+// and is unexpired; otherwise ErrFenced. Claim succeeds when the job is
+// unleased, its lease expired, or the claimant already owns it — always
+// bumping the epoch. Renew extends a live lease the caller holds; a renew
+// after expiry fails with ErrFenced (the owner must re-claim, racing any
+// adopter through the same CAS). Terminal records clear the lease
+// implicitly, and from then on the job refuses claims and appends alike
+// with ErrFenced.
 type Store interface {
-	// Replay streams the recovered records in log order. It is called once,
-	// before the first Append.
+	// Replay streams the log's records in order: ReplaySince from the zero
+	// Watermark, without the watermark.
 	Replay(fn func(Record) error) error
 	// Append durably logs one transition, assigning rec.Seq.
 	Append(rec *Record) error
@@ -43,6 +54,26 @@ type Store interface {
 	// Metrics snapshots the store's counters.
 	Metrics() Metrics
 	Close() error
+
+	// Claim atomically acquires the job's lease for owner with the given
+	// TTL, bumping the epoch past every epoch ever observed for the job.
+	// Fails with ErrLeaseHeld while another owner's lease is live, and with
+	// ErrFenced once the job has a terminal record.
+	Claim(job, owner string, ttl time.Duration) (Lease, error)
+	// Renew extends the caller's live lease; ErrFenced if the (owner,
+	// epoch) pair is stale or the lease already expired.
+	Renew(job, owner string, epoch int64, ttl time.Duration) (Lease, error)
+	// Release ends the caller's lease; ErrFenced on a stale pair. Releasing
+	// an already-cleared lease is a no-op.
+	Release(job, owner string, epoch int64) error
+	// Leases snapshots the lease table, expired entries included (the
+	// caller distinguishes by ExpiresAt — an expired entry is an orphan
+	// candidate).
+	Leases() ([]Lease, error)
+	// ReplaySince streams records appended after the watermark and returns
+	// the new watermark. After a compaction the generation changes and the
+	// log replays from its (rewritten) beginning.
+	ReplaySince(w Watermark, fn func(Record) error) (Watermark, error)
 }
 
 // Metrics is a point-in-time snapshot of a store's counters, surfaced
@@ -69,7 +100,7 @@ type Metrics struct {
 	// corrupt log tail — expected after a crash mid-append.
 	TruncatedTail bool `json:"truncated_tail,omitempty"`
 
-	// Lease-layer counters (LeaseStore implementations only).
+	// Lease-layer counters.
 	LeaseClaims   int64 `json:"lease_claims,omitempty"`
 	LeaseRenewals int64 `json:"lease_renewals,omitempty"`
 	LeasesHeld    int64 `json:"leases_held,omitempty"`

@@ -432,8 +432,8 @@ func (w *WAL) Replica() string { return w.replica }
 // sole reports whether Open, not OpenShared, handed the handle out.
 func (w *WAL) sole() bool { return w.replica == "" }
 
-// Replay streams the current log from the top. Called once at scheduler
-// boot; later cross-replica records arrive through ReplaySince.
+// Replay streams the current log from the top (ReplaySince from the zero
+// Watermark).
 func (w *WAL) Replay(fn func(Record) error) error {
 	_, err := w.ReplaySince(Watermark{}, fn)
 	return err

@@ -275,6 +275,9 @@ func TestWALCheckpointSpill(t *testing.T) {
 		if err := w.SaveCheckpoint("job-000001", 20, testCheckpoint(200, 20)); err != nil {
 			t.Fatal(err)
 		}
+		if m := w.Metrics(); m.CheckpointSpills != 2 {
+			t.Fatalf("metrics %+v, want 2 spills", m)
+		}
 		// the newer spill replaced the older
 		if _, err := w.LoadCheckpoint("job-000001", 10); err == nil {
 			t.Fatal("stale spill survived a newer one")
@@ -473,39 +476,4 @@ func TestSecondOpenRefused(t *testing.T) {
 	}
 	_, err = Open(dir, Options{})
 	refused("Open beside the reopened owner", dir, err)
-}
-
-// TestMemStoreParity drives Mem through the same motions to pin the seam's
-// contract on both implementations.
-func TestMemStoreParity(t *testing.T) {
-	m := NewMem()
-	for i := 1; i <= 4; i++ {
-		if err := m.Append(testRecord(uint64(i), TypeSubmitted, "job-000001")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.SaveCheckpoint("job-000001", 9, testCheckpoint(90, 9)); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := m.LoadCheckpoint("job-000001", 9)
-	if err != nil || cp.Updates != 90 {
-		t.Fatalf("mem load: %v %+v", err, cp)
-	}
-	if err := m.Compact([]*Record{testRecord(1, TypeSubmitted, "job-000002")}); err != nil {
-		t.Fatal(err)
-	}
-	if recs := replayAll(t, m); len(recs) != 1 || recs[0].Job != "job-000002" {
-		t.Fatalf("mem compact: %+v", recs)
-	}
-	if _, err := m.LoadCheckpoint("job-000001", 9); err == nil {
-		t.Fatal("mem compaction kept a dropped job's spill")
-	}
-	m.Close()
-	if err := m.Append(testRecord(9, TypeSubmitted, "job-000003")); err == nil {
-		t.Fatal("closed mem store accepted an append")
-	}
-	m.Reopen()
-	if err := m.Append(testRecord(9, TypeSubmitted, "job-000003")); err != nil {
-		t.Fatal(err)
-	}
 }
