@@ -222,7 +222,7 @@ func BenchmarkTable3_WaitTime32(b *testing.B) {
 
 // BenchmarkAblationBroadcast measures the ASYNCbroadcaster against the
 // full-table broadcast of Algorithm 3. Metric: byte blow-up of the
-// Spark-only path.
+// Spark-only path over the registry's saga.
 func BenchmarkAblationBroadcast(b *testing.B) {
 	o := benchOpts()
 	var blowup float64
@@ -240,7 +240,7 @@ func BenchmarkAblationBroadcast(b *testing.B) {
 			switch r.Label {
 			case "full-table":
 				full = v
-			case "asyncbroadcast":
+			case "saga":
 				async = v
 			}
 		}

@@ -1,10 +1,15 @@
-// saga_history demonstrates the ASYNCbroadcaster (§4.3): SAGA and ASAGA
-// need per-sample historical gradients, which ASYNC supports by versioned
-// broadcast — the driver re-broadcasts only (id, version); each worker
-// caches the model versions it has seen and resolves w_br.value(index)
-// locally. The example runs both variants through the solver registry
-// under a controlled-delay straggler and reports the value traffic the
-// fetch path actually carried.
+// saga_history demonstrates the ASYNCbroadcaster (§4.3) with SAGA and
+// ASAGA, which need per-sample historical gradients. The driver
+// re-broadcasts only (id, version), and each worker fetches a version's
+// value once. The paper's Algorithm 4 reads a sample's historical gradient
+// at w_br.value(index), the model version the sample last saw, so its
+// workers keep old versions cached. The registry solvers run here read no
+// old version: for the linear losses they take, a sample's gradient is one
+// scalar times its row, and each worker stores that scalar per sample.
+// opt.SAGAVersionHistory (the ablation-broadcast experiment) keeps the
+// version-reading form. The example runs both variants through the solver
+// registry under a controlled-delay straggler and reports the value traffic
+// the fetch path actually carried.
 package main
 
 import (
@@ -50,7 +55,7 @@ func run(algo string, updates int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-6s final error %.4g in %v; broadcast values fetched: %d (ID-only re-broadcast otherwise)\n",
+	fmt.Printf("%-6s final error %.4g in %v; broadcast values fetched: %d (ID-only re-broadcast otherwise, history is one scalar per sample)\n",
 		algo, res.Trace.FinalError(), res.Trace.Total.Round(1000), eng.Cluster().FetchCount())
 }
 

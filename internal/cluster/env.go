@@ -99,8 +99,9 @@ func (e *Env) Cache() *BroadcastCache { return e.cache }
 func (e *Env) Scratch() *Scratch { return &e.scratch }
 
 // StoreGetOrCreate returns the worker-local value under key, creating it
-// with mk on first use. The ASYNC layer keeps per-worker history tables
-// (sample index → model version) here.
+// with mk on first use. Per-run worker state lives here: SAGA's per-row
+// gradient coefficients, the Table-1 history tables (sample index → model
+// version), ADMM and CD state.
 func (e *Env) StoreGetOrCreate(key string, mk func() any) any {
 	e.storeMu.Lock()
 	defer e.storeMu.Unlock()
@@ -131,7 +132,7 @@ func (e *Env) StoreDelete(key string) {
 }
 
 // StoreClear drops every worker-local value. The store holds per-run state
-// (broadcast history tables, ADMM subproblem state), so a reused engine
+// (SAGA coefficient and history tables, ADMM subproblem state), so a reused engine
 // clears it between runs to keep jobs from observing a predecessor's
 // state. The history tables are what holds references into the broadcast
 // cache, so those are all released with them.
@@ -168,10 +169,12 @@ func (e *Env) BroadcastValue(id string, version int64) (any, error) {
 // plus every version marked by Retain — the versions the worker's history
 // table (core.BroadcastHistory.Record) still references — and nothing else.
 // A Put drops the previous newest version unless it is retained; a Release
-// drops its version unless it is the newest. A plain SGD-style run therefore
-// holds 1–2 versions per id and a SAGA-style run exactly the versions
-// Algorithm 4 can still read; anything evicted and asked for again is
-// fetched again.
+// drops its version unless it is the newest. Every registry solver, saga and
+// asaga included (their history is one coefficient per row), therefore
+// holds 1–2 versions per id; only the paper-literal version-history arm
+// (opt.SAGAVersionHistory, whose history table is the one non-test caller
+// of Retain and Release) holds exactly the versions Algorithm 4 can still
+// read. Anything evicted and asked for again is fetched again.
 //
 // Versions arrive in increasing order: a worker runs one task at a time,
 // tasks reach it in dispatch order, the driver numbers the versions of an id

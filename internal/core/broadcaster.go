@@ -20,7 +20,10 @@ import (
 // references — a version BroadcastHistory.Record stored for some sample and
 // no later Record overwrote — so a historical read never goes back to the
 // driver. Everything else is dropped from the worker's cache
-// (cluster.BroadcastCache). ResetRun drops all references.
+// (cluster.BroadcastCache). ResetRun drops all references. The history
+// half (History, TryValueAt, Record) is the paper's Table-1
+// w_br.value(index); saga/asaga keep a coefficient per row instead
+// (opt.SagaKernel), so its one non-test caller is opt.SAGAVersionHistory.
 type DynBroadcast struct {
 	ID      string
 	Version int64
@@ -73,8 +76,9 @@ func (b DynBroadcast) Value(env *cluster.Env) (any, error) {
 }
 
 // historyTable records, per broadcast id, the version each sample index
-// last used — the worker half of historical gradients. Partitions are
-// pinned to workers, so each worker owns the table shard for its samples.
+// last used — the worker half of Algorithm 4's historical gradients.
+// Partitions are pinned to workers, so each worker owns the table shard for
+// its samples.
 //
 // Every live version has one versionRef counting the samples that point at
 // it; the worker's broadcast cache is told when a count crosses 0↔1
@@ -136,22 +140,8 @@ func (h *historyTable) record(cache *cluster.BroadcastCache, id string, index in
 	}
 }
 
-// historyKeys interns the per-id store keys: resolving a history handle is
-// on the per-task path, and rebuilding the key would put a string concat
-// allocation back on it. The id set is tiny (one per broadcast name).
-var historyKeys sync.Map // id → "core.history." + id
-
-func historyKey(id string) string {
-	if k, ok := historyKeys.Load(id); ok {
-		return k.(string)
-	}
-	k := "core.history." + id
-	historyKeys.Store(id, k)
-	return k
-}
-
 func getHistory(env *cluster.Env, id string) *historyTable {
-	return env.StoreGetOrCreate(historyKey(id), func() any {
+	return env.StoreGetOrCreate("core.history."+id, func() any {
 		return &historyTable{vers: map[int]*sampleRef{}, refs: map[int64]*versionRef{}}
 	}).(*historyTable)
 }

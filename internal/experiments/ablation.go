@@ -27,10 +27,12 @@ func newAblationEngine(o Options) (*async.Engine, error) {
 	)
 }
 
-// AblationBroadcast quantifies the ASYNCbroadcaster design (§4.3): SAGA
-// with versioned history broadcast versus the Spark-only full-table
-// broadcast of Algorithm 3, same updates, same data. Reported: wall time
-// and bytes of model state shipped.
+// AblationBroadcast quantifies the ASYNCbroadcaster design (§4.3) on SAGA,
+// same updates, same data: full-table re-broadcasts the whole history table
+// every round (Algorithm 3 on Spark); version-history reads each row's model
+// version back (Table-1 ASYNCbroadcast + History); saga keeps one gradient
+// coefficient per row (the registry's saga). Reported: wall time, bytes of
+// model state shipped and final error.
 func AblationBroadcast(o Options) (*metrics.Table, error) {
 	o = o.withDefaults()
 	cfg := dataset.RCV1Like(o.Scale, o.Seed)
@@ -38,15 +40,33 @@ func AblationBroadcast(o Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	updates := o.SyncUpdates
-	frac := fracSAGA(cfg.Name)
+	p := opt.Params{
+		Step: stepFor(AlgoSAGA, cfg, cdsWorkers), SampleFrac: fracSAGA(cfg.Name),
+		Updates: o.SyncUpdates, SnapshotEvery: o.SnapshotEvery,
+	}
 	tb := &metrics.Table{
-		Title:   "ablation: ASYNCbroadcast vs full-table broadcast (SAGA, " + cfg.Name + ")",
+		Title:   "ablation: full-table broadcast vs ASYNCbroadcast with version or coefficient history (SAGA, " + cfg.Name + ")",
 		Columns: []string{"total_ms", "bytes_shipped", "final_err"},
 	}
-
-	// Spark-style: full history table with every broadcast.
-	{
+	// the versioned arms ship a model value once per worker fetch
+	fetched := func(eng *async.Engine) int64 { return eng.Cluster().FetchCount() * int64(pr.d.NumCols()) * 8 }
+	arms := []struct {
+		label string
+		run   func(*async.Engine, *async.Data) (*opt.Result, int64, error)
+	}{
+		{"full-table", func(eng *async.Engine, points *async.Data) (*opt.Result, int64, error) {
+			return opt.SAGAFullTableBroadcast(eng.RDD(), points, pr.d, p, pr.fstar)
+		}},
+		{"version-history", func(eng *async.Engine, _ *async.Data) (*opt.Result, int64, error) {
+			res, err := opt.SAGAVersionHistory(eng.Context(), pr.d, p, pr.fstar)
+			return res, fetched(eng), err
+		}},
+		{"saga", func(eng *async.Engine, _ *async.Data) (*opt.Result, int64, error) {
+			res, err := eng.Solve(context.Background(), "saga", pr.d, async.SolveOptions{Params: p, FStar: pr.fstar})
+			return res, fetched(eng), err
+		}},
+	}
+	for _, arm := range arms {
 		eng, err := newAblationEngine(o)
 		if err != nil {
 			return nil, err
@@ -56,44 +76,13 @@ func AblationBroadcast(o Options) (*metrics.Table, error) {
 			eng.Close()
 			return nil, err
 		}
-		res, bytes, err := opt.SAGAFullTableBroadcast(eng.RDD(), points, pr.d, opt.Params{
-			Step: stepFor(AlgoSAGA, cfg, cdsWorkers), SampleFrac: frac,
-			Updates: updates, SnapshotEvery: o.SnapshotEvery,
-		}, pr.fstar)
+		res, bytes, err := arm.run(eng, points)
 		eng.Close()
 		if err != nil {
 			return nil, err
 		}
 		tb.Rows = append(tb.Rows, metrics.Row{
-			Label: "full-table",
-			Values: map[string]string{
-				"total_ms":      fmt.Sprintf("%.1f", float64(res.Trace.Total.Microseconds())/1000.0),
-				"bytes_shipped": fmt.Sprintf("%d", bytes),
-				"final_err":     fmt.Sprintf("%.4g", res.Trace.FinalError()),
-			},
-		})
-	}
-
-	// ASYNC: versioned broadcast, value fetched at most once per worker.
-	{
-		eng, err := newAblationEngine(o)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.Solve(context.Background(), "saga", pr.d, async.SolveOptions{
-			Params: opt.Params{
-				Step: stepFor(AlgoSAGA, cfg, cdsWorkers), SampleFrac: frac,
-				Updates: updates, SnapshotEvery: o.SnapshotEvery,
-			},
-			FStar: pr.fstar,
-		})
-		bytes := eng.Cluster().FetchCount() * int64(pr.d.NumCols()) * 8
-		eng.Close()
-		if err != nil {
-			return nil, err
-		}
-		tb.Rows = append(tb.Rows, metrics.Row{
-			Label: "asyncbroadcast",
+			Label: arm.label,
 			Values: map[string]string{
 				"total_ms":      fmt.Sprintf("%.1f", float64(res.Trace.Total.Microseconds())/1000.0),
 				"bytes_shipped": fmt.Sprintf("%d", bytes),

@@ -150,31 +150,24 @@ func TestAblationBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 2 {
+	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	var full, async string
+	bytes := map[string]int64{}
 	for _, r := range tb.Rows {
-		switch r.Label {
-		case "full-table":
-			full = r.Values["bytes_shipped"]
-		case "asyncbroadcast":
-			async = r.Values["bytes_shipped"]
+		var b int64
+		if _, err := fmtSscan(r.Values["bytes_shipped"], &b); err != nil {
+			t.Fatalf("%s: %v", r.Label, err)
 		}
+		bytes[r.Label] = b
 	}
-	if full == "" || async == "" {
-		t.Fatalf("missing rows: %+v", tb.Rows)
-	}
-	// the whole point: full-table ships strictly more bytes
-	var fb, ab int64
-	if _, err := fmtSscan(full, &fb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(async, &ab); err != nil {
-		t.Fatal(err)
-	}
-	if fb <= ab {
-		t.Fatalf("full-table bytes %d not above asyncbroadcast bytes %d", fb, ab)
+	// the whole point: full-table ships strictly more bytes than either
+	// versioned arm
+	for _, arm := range []string{"version-history", "saga"} {
+		b, ok := bytes[arm]
+		if !ok || bytes["full-table"] <= b {
+			t.Fatalf("full-table bytes %d not above %s bytes %d (rows %+v)", bytes["full-table"], arm, b, tb.Rows)
+		}
 	}
 }
 

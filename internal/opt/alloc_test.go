@@ -89,6 +89,30 @@ func TestGradKernelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSagaKernelSteadyStateAllocs does the same for the dense SAGA kernel:
+// a row's history is a slot in a table sized once per partition, so fresh
+// sample sets (new seeds reach rows never sampled) allocate nothing either.
+func TestSagaKernelSteadyStateAllocs(t *testing.T) {
+	env, idx, _, _ := benchEnv(t, 500, 120, 2)
+	kern := SagaKernel(LeastSquares{}, core.DynBroadcast{ID: "w", Version: 1}, 0.3)
+	seed := int64(0)
+	work := func() {
+		v, _, err := kern(env, idx, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		la.PutVec(v.(SagaPartial).Sum)
+		la.PutVec(v.(SagaPartial).HistSum)
+		seed++
+	}
+	for i := 0; i < 3; i++ {
+		work() // warm the pool, the scratch RNG and the history table
+	}
+	if allocs := testing.AllocsPerRun(100, work); allocs > 1 {
+		t.Errorf("SagaKernel steady state allocates %v per task, want ≤ 1 (payload boxing)", allocs)
+	}
+}
+
 // TestGradKernelSeedReproducibility pins the reproducibility contract from
 // the GradKernel doc: the same task seed draws the same sample set (and so
 // the same gradient) no matter what ran on the worker's RNG before, and

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/rdd"
@@ -85,12 +87,15 @@ func MllibSGD(ctx context.Context, rctx *rdd.Context, points *rdd.RDD[rdd.Point]
 // It returns the total bytes shipped so the ablation bench can report the
 // communication blow-up.
 func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *dataset.Dataset, p Params, fstar float64) (*Result, int64, error) {
-	if err := p.defaults(); err != nil {
+	st, err := newSagaRun(d, &p, "saga-table")
+	if err != nil {
 		return nil, 0, err
 	}
 	cols := d.NumCols()
-	st := newSagaState(cols, d.NumRows())
-	loss := p.Loss
+	loss := p.Loss // the partials carry loss gradients only: st applies the ridge term
+	if c, ok := loss.(Composite); ok {
+		loss = c.Inner
+	}
 	// history table: sample index → model at last touch (driver side);
 	// untouched samples contribute zero historical gradient, matching
 	// SagaKernel's zero-initialized table
@@ -162,4 +167,83 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 		},
 	})
 	return res, bytesShipped, err
+}
+
+// sagaHistoryOpName is the registered op of the version-history arm.
+const sagaHistoryOpName = "opt.saga.history"
+
+func init() {
+	registerKernelOp(sagaHistoryOpName, true, func(loss Loss, a GradOpArgs) core.Kernel {
+		return versionHistoryKernel(loss, a.model(), a.Frac)
+	})
+}
+
+// SAGAVersionHistory is SAGA with Algorithm 4's history taken literally,
+// the ablation comparator for SagaKernel's per-row coefficients: a worker
+// reads a row's historical gradient at the model version the row last saw
+// (w_br.value(index), the Table-1 DynBroadcast.History handle), so its
+// cache retains every version some row still references. It runs SAGA's
+// BSP rounds on the same driver state, over every transport.
+func SAGAVersionHistory(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
+	return runSAGA(ac, d, p, fstar, sagaHistoryOpName, true)
+}
+
+// versionHistoryKernel computes SagaKernel's payload the paper's way: per
+// sampled row the loss gradient at the current model and, if the row was
+// recorded before, at its recorded version; then it records the current
+// version for the row. Both sums accumulate sparsely; a dense task expands
+// them at the end, adding the same terms in the same order a dense sweep
+// would. Its loss is linear: the op's args name only linear losses.
+func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
+	lin, l2, _, _ := splitProx(loss)
+	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
+		w, err := modelVec(env, wBr)
+		if err != nil {
+			return nil, 0, err
+		}
+		cur := env.Scratch().Delta("opt.saga.cur", len(w))
+		hist := env.Scratch().Delta("opt.saga.hist", len(w))
+		cur.Reset()
+		hist.Reset()
+		rng := env.Scratch().Rand(seed)
+		versions := wBr.History(env)
+		n := 0
+		for _, pi := range parts {
+			p, err := env.Partition(pi)
+			if err != nil {
+				return nil, 0, err
+			}
+			for local := 0; local < p.NumRows(); local++ {
+				if rng.Float64() >= frac {
+					continue
+				}
+				idx, val := p.X.RowNZ(local)
+				cur.Accum(lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local]), idx, val)
+				hv, touched, err := versions.TryValueAt(env, p.GlobalRow(local))
+				if err != nil {
+					return nil, 0, err
+				}
+				if touched {
+					wHist, err := asVec(hv)
+					if err != nil {
+						return nil, 0, err
+					}
+					hist.Accum(lin.GradCoeff(la.SparseDot(idx, val, wHist), p.Y[local]), idx, val)
+				}
+				versions.Record(p.GlobalRow(local))
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, 0, nil
+		}
+		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
+			return SagaDelta{Sum: cur.Compact(), HistSum: hist.Compact()}, n, nil
+		}
+		dense := func(d *la.DeltaVec) la.Vec {
+			defer la.PutDelta(d)
+			return d.Dense()
+		}
+		return SagaPartial{Sum: dense(cur.Compact()), HistSum: dense(hist.Compact())}, n, nil
+	}
 }

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -20,8 +21,9 @@ import (
 // alloc_test.go pins the inner loops at zero allocations per run.
 
 // SagaPartial is a worker's locally reduced SAGA contribution: the sum of
-// current-gradient terms, the sum of historical-gradient terms, and the
-// sample count (carried in the result attributes).
+// current-gradient terms, the sum of historical-gradient terms (both of the
+// loss alone; a ridge term is the driver's), and the sample count (carried
+// in the result attributes).
 type SagaPartial struct {
 	Sum     la.Vec // Σ_{i∈S} ∇f_i(w_current)
 	HistSum la.Vec // Σ_{i∈S} ∇f_i(w_hist(i))
@@ -264,109 +266,129 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	}
 }
 
-// SagaKernel builds the historical-gradient kernel of Algorithm 4: for each
-// sampled row it computes the gradient at the current model AND at the
-// model version recorded for that row (w_br.value(index)), then records the
-// current version for the row. Rows never touched contribute zero
-// historical gradient (the standard zero-initialized SAGA table, which is
-// also the only initialization under which Algorithm 3's
-// `averageHistory = 0` start is consistent). Sampling follows GradKernel's
-// reproducibility contract (per-worker RNG reseeded with the task seed).
-// frac is validated by the drivers' defaults(), not here.
+// SagaKernel builds the historical-gradient kernel of SAGA for a linear
+// loss. Row i's gradient at a model v is c_i·x_i with the scalar
+// c_i = GradCoeff(x_i·w_v, y_i), so the worker stores that scalar per row
+// (sagaCoefs) in place of the version the row last saw (arXiv:1407.0202
+// §4): per sampled row it scatters c·x_i into the current-gradient sum, the
+// stored coefficient times x_i into the historical sum if the row was
+// sampled before, and stores c. That is, operation for operation, the
+// arithmetic of re-evaluating the gradient at the recorded version (the
+// paper-literal arm in baseline.go ships the same bits), but a task reads
+// only the version it names. Rows never sampled contribute zero historical
+// gradient, the only start consistent with Algorithm 3's
+// `averageHistory = 0`. The sums are of the loss alone; the driver applies
+// a ridge term exactly (sagaState.apply). Sampling follows GradKernel's
+// reproducibility contract.
 //
-// Sparse-delta path: for an unregularized linear loss over partitions below
-// sparseDensityThreshold the kernel returns a SagaDelta of pooled sparse
-// sums (the current and historical gradients of a sampled row share its
-// support); the driver applies the update — including the dense avgHist
-// drift — lazily in O(nnz) (see saga.go).
+// Sparse-delta path: without a ridge term, over partitions below
+// sparseDensityThreshold, the sums ship as a SagaDelta and the driver
+// applies the update, avgHist drift included, lazily in O(nnz) (saga.go).
 func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
-	lin, lambda, linOK := splitLoss(loss)
-	sparseOK := linOK && lambda == 0 // lazy SAGA shrinkage is not supported
+	lin, l2, _, linOK := splitProx(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
+		if !linOK {
+			return nil, 0, fmt.Errorf("opt: SAGA kernel needs a linear loss, not %q", loss.Name())
+		}
 		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
-		n := 0
 		rng := env.Scratch().Rand(seed)
-		hist := wBr.History(env) // hoisted: per-sample lookups are alloc-free
-		if sparseOK && sparseTaskViable(env, parts, frac, len(w)) {
-			accCur := env.Scratch().Delta("opt.saga.cur", len(w))
-			accHist := env.Scratch().Delta("opt.saga.hist", len(w))
-			accCur.Reset()
-			accHist.Reset()
-			for _, pi := range parts {
-				p, err := env.Partition(pi)
-				if err != nil {
-					return nil, 0, err
-				}
-				for local := 0; local < p.NumRows(); local++ {
-					if rng.Float64() >= frac {
-						continue
-					}
-					idx := p.GlobalRow(local)
-					rowIdx, rowVal := p.X.RowNZ(local)
-					y := p.Y[local]
-					accCur.Accum(lin.GradCoeff(la.SparseDot(rowIdx, rowVal, w), y), rowIdx, rowVal)
-					hv, touched, err := hist.TryValueAt(env, idx)
-					if err != nil {
-						return nil, 0, err
-					}
-					if touched {
-						wHist, err := asVec(hv)
-						if err != nil {
-							return nil, 0, err
-						}
-						accHist.Accum(lin.GradCoeff(la.SparseDot(rowIdx, rowVal, wHist), y), rowIdx, rowVal)
-					}
-					hist.Record(idx)
-					n++
-				}
-			}
+		coefs := sagaCoefTable(env, wBr.ID)
+		// a sweep reports 0 rows on error as on an empty sample
+		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
+			cur := env.Scratch().Delta("opt.saga.cur", len(w))
+			hist := env.Scratch().Delta("opt.saga.hist", len(w))
+			cur.Reset()
+			hist.Reset()
+			n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, cur, hist)
 			if n == 0 {
-				return nil, 0, nil
+				return nil, 0, err
 			}
-			return SagaDelta{Sum: accCur.Compact(), HistSum: accHist.Compact()}, n, nil
+			return SagaDelta{Sum: cur.Compact(), HistSum: hist.Compact()}, n, nil
 		}
-		gCur := la.GetVec(len(w))
-		gHist := la.GetVec(len(w))
-		fail := func(err error) (any, int, error) {
-			la.PutVec(gCur)
-			la.PutVec(gHist)
+		cur, hist := la.GetVec(len(w)), la.GetVec(len(w))
+		n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, denseAccum(cur), denseAccum(hist))
+		if n == 0 {
+			la.PutVec(cur)
+			la.PutVec(hist)
 			return nil, 0, err
 		}
-		for _, pi := range parts {
-			p, err := env.Partition(pi)
-			if err != nil {
-				return fail(err)
-			}
-			for local := 0; local < p.NumRows(); local++ {
-				if rng.Float64() >= frac {
-					continue
-				}
-				idx := p.GlobalRow(local)
-				x, y := p.X.Row(local), p.Y[local]
-				loss.AddGrad(x, y, w, gCur)
-				hv, touched, err := hist.TryValueAt(env, idx)
-				if err != nil {
-					return fail(err)
-				}
-				if touched {
-					wHist, err := asVec(hv)
-					if err != nil {
-						return fail(err)
-					}
-					loss.AddGrad(x, y, wHist, gHist)
-				}
-				hist.Record(idx)
-				n++
-			}
-		}
-		if n == 0 {
-			return fail(nil)
-		}
-		return SagaPartial{Sum: gCur, HistSum: gHist}, n, nil
+		return SagaPartial{Sum: cur, HistSum: hist}, n, nil
 	}
+}
+
+// rowAccum is sagaSweep's scatter: *la.DeltaAccum (sparse) or denseAccum.
+type rowAccum interface {
+	Accum(c float64, idx []int32, val []float64)
+}
+
+type denseAccum la.Vec
+
+func (g denseAccum) Accum(c float64, idx []int32, val []float64) {
+	la.GradAccum(c, idx, val, la.Vec(g))
+}
+
+// sagaSweep is SagaKernel's row loop over the task's partitions, scattering
+// rows into cur and hist. It returns the number of sampled rows, 0 with the
+// error when a partition is missing.
+func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, parts []int, rng *rand.Rand, frac float64, w la.Vec, cur, hist A) (int, error) {
+	n := 0
+	for _, pi := range parts {
+		p, err := env.Partition(pi)
+		if err != nil {
+			return 0, err
+		}
+		rows := coefs.rows(p)
+		for local := 0; local < p.NumRows(); local++ {
+			if rng.Float64() >= frac {
+				continue
+			}
+			idx, val := p.X.RowNZ(local)
+			c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
+			cur.Accum(c, idx, val)
+			if rows.touched[local] {
+				hist.Accum(rows.coef[local], idx, val)
+			}
+			rows.coef[local], rows.touched[local] = c, true
+			n++
+		}
+	}
+	return n, nil
+}
+
+// sagaCoefs is a worker's SAGA history for one broadcast id, by partition
+// index: each row's last gradient coefficient and whether it was sampled.
+// It lives in the worker's store, which ResetRun clears (what
+// Checkpoint.HistoryAttached reports on); a worker runs one task at a time.
+type sagaCoefs map[int]*sagaRows
+
+type sagaRows struct {
+	coef    []float64
+	touched []bool
+}
+
+// rows returns p's table, sized when a task first samples the partition.
+func (t sagaCoefs) rows(p *dataset.Partition) *sagaRows {
+	r := t[p.Index]
+	if r == nil || len(r.coef) != p.NumRows() {
+		r = &sagaRows{coef: make([]float64, p.NumRows()), touched: make([]bool, p.NumRows())}
+		t[p.Index] = r
+	}
+	return r
+}
+
+// sagaCoefKeys interns the per-id store keys, so resolving a table on the
+// per-task path does not allocate.
+var sagaCoefKeys sync.Map // id → "opt.saga.coef." + id
+
+func sagaCoefTable(env *cluster.Env, id string) sagaCoefs {
+	k, ok := sagaCoefKeys.Load(id)
+	if !ok {
+		k, _ = sagaCoefKeys.LoadOrStore(id, "opt.saga.coef."+id)
+	}
+	return env.StoreGetOrCreate(k.(string), func() any { return sagaCoefs{} }).(sagaCoefs)
 }
 
 // VRKernel builds the inner-loop kernel of the epoch-based variance-reduced

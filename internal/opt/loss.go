@@ -19,7 +19,9 @@
 // the eager dense update (pinned to 1e-9 in sparse_test.go); under
 // asynchrony both orderings are valid async-SGD variants — the deferred
 // one simply commutes the shrinkage past intervening sparse updates.
-// Dense payloads always carry their loss's own λ·w terms eagerly.
+// Dense SGD-family payloads carry their loss's own λ·w terms eagerly; SAGA
+// payloads carry the loss alone, and the driver applies the ridge term at
+// the model it updates (sagaState.apply).
 package opt
 
 import (

@@ -66,10 +66,12 @@ func cacheCensus(t *testing.T, r *rig, id string) [][]int {
 
 // TestWorkerCacheRetention pins the retention rule end to end on both
 // transports: a long asgd run leaves at most two versions of the model on
-// any worker and no references; an asaga run leaves exactly the versions
-// Algorithm 4 can still read — those its history table records, plus the
-// newest — each held by one reference; and a reused engine starts its next
-// run with no references and one version.
+// any worker and no references, and so does an asaga run — its history is
+// one coefficient per row, not a model version; the version-history arm
+// (Algorithm 4 read literally) leaves exactly the versions it can still
+// read — those its history table records, plus the newest — each held by
+// one reference; and a reused engine starts its next run with no
+// references and one version.
 func TestWorkerCacheRetention(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 2, 4, nil, denseCfg())
@@ -90,16 +92,28 @@ func TestWorkerCacheRetention(t *testing.T) {
 		if _, err := ASAGA(r.ac, r.d, p, r.fstar); err != nil {
 			t.Fatal(err)
 		}
-		sawHistory := false
 		for w, c := range cacheCensus(t, r, "saga.w") {
 			// the asgd run's last "sgd.w" version is still the newest of its id
+			if got := c[0] - 1; got < 1 || got > 2 || c[1] != 0 {
+				t.Fatalf("asaga: worker %d holds %d versions of saga.w, %d references; want ≤ 2 and 0", w, got, c[1])
+			}
+		}
+
+		if err := r.ac.ResetRun(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runSAGA(r.ac, r.d, p, r.fstar, sagaHistoryOpName, false); err != nil {
+			t.Fatal(err)
+		}
+		sawHistory := false
+		for w, c := range cacheCensus(t, r, "saga.w") {
 			if got := c[0] - 1; got != c[2] || c[1] < c[2]-1 || c[1] > c[2] {
-				t.Fatalf("asaga: worker %d holds %d versions of saga.w under %d references; its history can read %d", w, got, c[1], c[2])
+				t.Fatalf("asaga-history: worker %d holds %d versions of saga.w under %d references; its history can read %d", w, got, c[1], c[2])
 			}
 			sawHistory = sawHistory || c[2] > 2
 		}
 		if !sawHistory {
-			t.Fatal("asaga left no history to retain — the test exercises nothing")
+			t.Fatal("asaga-history left no history to retain — the test exercises nothing")
 		}
 
 		if err := r.ac.ResetRun(5 * time.Second); err != nil {
@@ -114,8 +128,9 @@ func TestWorkerCacheRetention(t *testing.T) {
 }
 
 // TestPruningCannotStarveHistory: the driver keeps only the newest 4·workers
-// versions of a model, and asaga reads versions far older than that. It
-// never asks the driver for them: a worker retains what its history table
+// versions of a model, and the version-history arm of asaga (Algorithm 4
+// read literally) reads versions far older than that. It never asks the
+// driver for them: a worker retains what its history table
 // references, so the only version a task fetches is the one it was
 // dispatched with. Rows are drawn rarely enough here that most historical
 // reads reach versions the driver dropped long ago. The run dispatches under
@@ -140,7 +155,7 @@ func TestPruningCannotStarveHistory(t *testing.T) {
 			return v, err
 		})
 		p := Params{Step: InvSqrt{A: 0.05}, SampleFrac: 0.05, Updates: 2000, SnapshotEvery: 500, Barrier: core.BSP()}
-		if _, err := ASAGA(r.ac, r.d, p, r.fstar); err != nil {
+		if _, err := runSAGA(r.ac, r.d, p, r.fstar, sagaHistoryOpName, false); err != nil {
 			t.Fatal(err)
 		}
 		if n := missed.Load(); n != 0 {

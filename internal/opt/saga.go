@@ -17,8 +17,9 @@ import (
 // finish, or a dense partial.
 type sagaState struct {
 	w       la.Vec
-	avgHist la.Vec // running average of historical gradients
+	avgHist la.Vec // running average of the loss's historical gradients
 	n       float64
+	l2      float64 // the ridge coefficient, applied by apply (ridge partials ship dense)
 	drift   lazyDrift
 }
 
@@ -28,6 +29,20 @@ func newSagaState(cols, rows int) *sagaState {
 		avgHist: la.NewVec(cols),
 		n:       float64(rows),
 	}
+}
+
+// newSagaRun validates p for the SAGA run named name and builds its driver
+// state: warm start applied, the objective's ridge term kept by the driver.
+func newSagaRun(d *dataset.Dataset, p *Params, name string) (*sagaState, error) {
+	if err := p.defaults(); err != nil {
+		return nil, err
+	}
+	if err := rejectL1(p.Loss, name); err != nil {
+		return nil, err
+	}
+	st := newSagaState(d.NumCols(), d.NumRows())
+	_, st.l2, _ = splitLoss(p.Loss)
+	return st, st.init(*p)
 }
 
 // settle flushes the deferred avgHist drift so w is externally consistent.
@@ -52,15 +67,17 @@ func (s *sagaState) init(p Params) error {
 
 // Updater state half shared by every SAGA flavour. The checkpoint carries
 // the settled model plus the history average. avgHist is the mean of the
-// gradients stored in the worker-side history shards, so the two must stay
-// consistent: a same-context resume (shards intact) restores avgHist for
-// an exact continuation, while a resume after an engine reset (shards
-// cleared — every sample reports zero historical gradient again) restarts
-// avgHist at zero too. Restoring avgHist over empty shards would bake the
-// old gradient mass in forever: nothing ever subtracts it, permanently
-// biasing the estimator. Zero table + zero average is the standard SAGA
-// cold start from the checkpointed model — unbiased, merely without the
-// variance reduction history until samples are re-touched.
+// historical gradients the workers' history tables hold (SagaKernel's
+// per-row coefficients, or the version-history arm's recorded versions), so
+// the two must stay consistent: a same-context resume (tables intact)
+// restores avgHist for an exact continuation, while a resume after an
+// engine reset (tables cleared — every sample reports zero historical
+// gradient again) restarts avgHist at zero too. Restoring avgHist over
+// empty tables would bake the old gradient mass in forever: nothing ever
+// subtracts it, permanently biasing the estimator. Zero table + zero
+// average is the standard SAGA cold start from the checkpointed model —
+// unbiased, merely without the variance reduction history until samples
+// are re-touched.
 func (s *sagaState) Model() la.Vec { return s.w }
 func (s *sagaState) Settle()       { s.settle() }
 
@@ -78,12 +95,14 @@ func (s *sagaState) Import(cp *Checkpoint) error {
 	return nil
 }
 
-// apply performs one SAGA update from a collected partial:
+// apply performs one SAGA update from a collected partial of loss gradients:
 //
-//	w ← w − α·[ (ΣgCur − ΣgHist)/b + avgHist ]
+//	w ← w − α·[ (ΣgCur − ΣgHist)/b + avgHist + λ·w ]
 //	avgHist ← avgHist + (ΣgCur − ΣgHist)/n
 //
-// which is Algorithm 4 lines 8–9 with the minibatch scaling written out.
+// which is Algorithm 4 lines 8–9 with the minibatch scaling written out and
+// a ridge term taken exactly at the model updated (unbiased SAGA with an
+// exact regularizer).
 func (s *sagaState) apply(alpha float64, part SagaPartial, batch int) error {
 	if batch <= 0 {
 		return fmt.Errorf("opt: SAGA partial with batch %d", batch)
@@ -94,6 +113,9 @@ func (s *sagaState) apply(alpha float64, part SagaPartial, batch int) error {
 	// a dense update reads and eagerly applies avgHist everywhere, so any
 	// deferred drift must land first
 	s.settle()
+	if s.l2 != 0 {
+		la.Scale(1-alpha*s.l2, s.w)
+	}
 	// One fused pass instead of four BLAS-1 sweeps: d = ΣgCur − ΣgHist,
 	// w −= α·(d/b + avgHist), avgHist += d/n (Algorithm 4 lines 8–9).
 	ab := alpha / float64(batch)
@@ -206,34 +228,11 @@ func (u *sagaRoundUpdater) FlushRound(alpha float64) (bool, error) {
 
 // SAGA is the synchronous variant of Algorithm 3, but implemented with the
 // ASYNCbroadcaster instead of re-broadcasting the model-parameter table
-// each round — the optimization §4.3 exists for. Rounds are BSP: every
-// worker contributes one partial per update.
+// each round — the optimization §4.3 exists for — and with SagaKernel's
+// per-row history. Rounds are BSP: every worker contributes one partial
+// per update.
 func SAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
-	if err := p.defaults(); err != nil {
-		return nil, err
-	}
-	if err := rejectL1(p.Loss, "saga"); err != nil {
-		return nil, err
-	}
-	st := newSagaState(d.NumCols(), d.NumRows())
-	if err := st.init(p); err != nil {
-		return nil, err
-	}
-	dispatch, err := kernelDispatch(ac, SagaOpName, p.Loss, p.SampleFrac, nil)
-	if err != nil {
-		return nil, err
-	}
-	u := &sagaRoundUpdater{
-		sagaState: st,
-		sum:       newRoundAccum(d.NumCols()),
-		hist:      newRoundAccum(d.NumCols()),
-	}
-	return runLoop(ac, d, u, &loopSpec{
-		Algo: "SAGA", Name: "saga", Key: "saga.w",
-		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
-		Barrier: core.BSP(), Round: true, RoundBudget: true,
-		Dispatch: dispatch,
-	})
+	return runSAGA(ac, d, p, fstar, SagaOpName, true)
 }
 
 // sagaStreamUpdater applies one collected SAGA partial per model update
@@ -245,29 +244,43 @@ func (u sagaStreamUpdater) Apply(payload any, attrs *core.Attrs, alpha float64) 
 }
 
 // ASAGA is asynchronous SAGA (Algorithm 4): workers compute current and
-// historical gradients against their locally cached model versions, the
+// historical gradients against the model version their task names, the
 // driver applies an update per collected partial, and no round barrier
 // exists (barrier defaults to ASP).
 func ASAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
-	if err := p.defaults(); err != nil {
-		return nil, err
+	return runSAGA(ac, d, p, fstar, SagaOpName, false)
+}
+
+// runSAGA runs the SAGA family on kernel op (SagaOpName, or the
+// version-history arm of baseline.go): in BSP rounds when round is set, one
+// update per collected partial otherwise.
+func runSAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64, op string, round bool) (*Result, error) {
+	algo, name := "ASAGA", "asaga"
+	if round {
+		algo, name = "SAGA", "saga"
 	}
-	if err := rejectL1(p.Loss, "asaga"); err != nil {
-		return nil, err
+	if op != SagaOpName {
+		algo, name = algo+"-history", name+"-history"
 	}
-	st := newSagaState(d.NumCols(), d.NumRows())
-	if err := st.init(p); err != nil {
-		return nil, err
-	}
-	dispatch, err := kernelDispatch(ac, SagaOpName, p.Loss, p.SampleFrac, nil)
+	st, err := newSagaRun(d, &p, name)
 	if err != nil {
 		return nil, err
 	}
-	return runLoop(ac, d, sagaStreamUpdater{st}, &loopSpec{
-		Algo: "ASAGA", Name: "asaga", Key: "saga.w",
+	dispatch, err := kernelDispatch(ac, op, p.Loss, p.SampleFrac, nil)
+	if err != nil {
+		return nil, err
+	}
+	spec := &loopSpec{
+		Algo: algo, Name: name, Key: "saga.w",
 		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Dispatch: dispatch,
-	})
+	}
+	if !round {
+		return runLoop(ac, d, sagaStreamUpdater{st}, spec)
+	}
+	spec.Barrier, spec.Round, spec.RoundBudget = core.BSP(), true, true
+	u := &sagaRoundUpdater{sagaState: st, sum: newRoundAccum(d.NumCols()), hist: newRoundAccum(d.NumCols())}
+	return runLoop(ac, d, u, spec)
 }
 
 // applySagaPayload dispatches a collected partial to the dense or sparse

@@ -258,14 +258,15 @@ func TestSparseGradKernelZeroAlloc(t *testing.T) {
 }
 
 // TestSparseSagaKernelZeroAlloc does the same for the historical-gradient
-// kernel (two accumulators, history table lookups included).
+// kernel (two accumulators, history table reads and writes included). The
+// seed changes every task: the history table is sized once per partition,
+// so rows sampled for the first time cost no allocation either.
 func TestSparseSagaKernelZeroAlloc(t *testing.T) {
 	env, idx, _ := sparseKernelEnv(t)
 	kern := SagaKernel(LeastSquares{}, core.DynBroadcast{ID: "w", Version: 1}, 0.3)
-	// fixed seed: a fresh sample set would insert new history-table keys,
-	// which is real per-sample state growth, not a hot-path regression
+	seed := int64(0)
 	work := func() {
-		v, n, err := kern(env, idx, 7)
+		v, n, err := kern(env, idx, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,6 +275,7 @@ func TestSparseSagaKernelZeroAlloc(t *testing.T) {
 			la.PutDelta(sd.Sum)
 			la.PutDelta(sd.HistSum)
 		}
+		seed++
 	}
 	for i := 0; i < 5; i++ {
 		work()
