@@ -30,9 +30,10 @@
 // WithPartitions, WithStraggler and WithMinTaskTime.
 //
 // Algorithms are resolved through a name-keyed registry: the paper's
-// methods (sgd, asgd, saga, asaga, svrg, admm, bcd), the composite-objective
-// family (cd — proximal coordinate descent, the one solver with selection
-// modes; gcg — restarted Polak–Ribière+ CG, then an ℓ1 soft-threshold) and
+// methods (sgd, asgd, saga, asaga, svrg, admm), the composite-objective
+// family (cd — proximal block coordinate descent, the one solver with
+// selection modes, in BSP rounds or per-partial steps as its barrier says;
+// gcg — restarted Polak–Ribière+ CG, then an ℓ1 soft-threshold) and
 // the Mllib-style baseline (mllib-sgd) are pre-registered, and new workloads
 // plug in via Register without touching the engine. Every solver but the
 // baseline dispatches registered ops, so it runs on either transport; the

@@ -8,7 +8,7 @@
 // # Model
 //
 // A Job is one Solve described declaratively by a Spec: a registry
-// algorithm name (sgd, asgd, saga, asaga, svrg, admm, bcd, ...), a named
+// algorithm name (sgd, asgd, saga, asaga, svrg, admm, cd, ...), a named
 // synthetic dataset from the catalog (rcv1-like, mnist8m-like,
 // epsilon-like) at a scale, a barrier policy (ASP, BSP, SSP), a step
 // schedule, and a budget. Specs are plain JSON-marshalable data, so the

@@ -1,11 +1,14 @@
 package jobs_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/async"
 	"repro/async/jobs"
+	"repro/internal/dataset"
+	"repro/internal/opt"
 )
 
 // TestModeSubmitValidation pins the Spec.Mode gate: per-algorithm mode
@@ -94,4 +97,47 @@ func TestGreedyModeJobsEndToEnd(t *testing.T) {
 			t.Fatal("greedy cd: solve collapsed to the all-zero model")
 		}
 	})
+}
+
+// TestCDBarrierPicksTheArm: cd honours the barrier it is given. Under SSP
+// greedy mode is refused on Engine.Solve, since its selector needs the whole
+// round gradient and a non-BSP barrier steps on each partial; a cd job
+// submitted with an ssp barrier runs the per-partial arm to the end.
+func TestCDBarrierPicksTheArm(t *testing.T) {
+	eng, err := async.New(async.WithWorkers(2), async.WithPartitions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	d, err := dataset.Generate(dataset.RCV1Like(dataset.ScaleTiny, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := async.SolveOptions{Params: opt.Params{Updates: 10, Barrier: async.SSP(2)}}
+	opts.CD.Mode = "greedy"
+	if _, err := eng.Solve(context.Background(), "cd", d, opts); err == nil ||
+		!strings.Contains(err.Error(), `"greedy"`) || !strings.Contains(err.Error(), "BSP barrier") {
+		t.Fatalf("greedy cd under SSP: err = %v, want a refusal naming greedy and the barrier", err)
+	}
+
+	s := newScheduler(t, jobs.Config{Engines: 1})
+	for barrier, algo := range map[jobs.BarrierSpec]string{{Kind: "ssp", Staleness: 2}: "CD-async", {}: "CD"} {
+		id, err := s.Submit(jobs.Spec{
+			Algorithm: "cd", Dataset: jobs.DatasetSpec{Name: "rcv1-like"},
+			Barrier:   barrier,
+			Objective: async.Objective{Loss: "least-squares", L2: 0.01, L1: 0.01},
+			Updates:   30, SnapshotEvery: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, id, jobs.StateDone)
+		res, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trace.Algorithm != algo {
+			t.Fatalf("cd job under barrier %+v ran as %q, want %q", barrier, res.Trace.Algorithm, algo)
+		}
+	}
 }

@@ -103,16 +103,8 @@ func TestObjectiveSubmitRejections(t *testing.T) {
 			jobs.Spec{Algorithm: "admm", Dataset: ds,
 				Objective: async.Objective{L2: 0.01}},
 			"ignores penalty terms"},
-		{"penalty on bcd",
-			jobs.Spec{Algorithm: "bcd", Dataset: ds,
-				Objective: async.Objective{L2: 0.01}},
-			"ignores penalty terms"},
 		{"auto_fstar objective mismatch", // stopped by the least-squares gate, auto_fstar or not
 			jobs.Spec{Algorithm: "admm", Dataset: ds, AutoFStar: true,
-				Objective: async.Objective{Loss: "logistic"}},
-			"plain least squares only"},
-		{"logistic on bcd",
-			jobs.Spec{Algorithm: "bcd", Dataset: ds,
 				Objective: async.Objective{Loss: "logistic"}},
 			"plain least squares only"},
 		{"unknown loss",
@@ -139,9 +131,10 @@ func TestObjectiveSubmitRejections(t *testing.T) {
 
 // TestFacadeRejectsWhatSubmitRejects pins that the two entry points apply
 // one gate: over every built-in solver × objective × mode, Scheduler.Submit
-// refuses exactly what Engine.Solve refuses, on the same ground. (admm and
-// bcd once solved plain least squares for an l2 or logistic objective handed
-// to the facade, which only submission rejected.)
+// refuses exactly what Engine.Solve refuses, on the same ground. (admm once
+// solved plain least squares for an l2 or logistic objective handed to the
+// facade, which only submission rejected.) A retired name, bcd, is refused
+// by both as an unknown solver.
 func TestFacadeRejectsWhatSubmitRejects(t *testing.T) {
 	s := newScheduler(t, jobs.Config{Engines: 1})
 	eng, err := async.New(async.WithWorkers(2), async.WithPartitions(2))
@@ -153,7 +146,7 @@ func TestFacadeRejectsWhatSubmitRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gates := []string{"no proximal step", "ignores penalty terms", "no selection modes", "unknown mode"}
+	gates := []string{"unknown solver", "no proximal step", "ignores penalty terms", "no selection modes", "unknown mode"}
 	gateOf := func(err error) string {
 		for _, g := range gates {
 			if strings.Contains(err.Error(), g) {
@@ -162,7 +155,7 @@ func TestFacadeRejectsWhatSubmitRejects(t *testing.T) {
 		}
 		return ""
 	}
-	for _, solver := range opt.SolverNames() {
+	for _, solver := range append(opt.SolverNames(), "bcd") {
 		for name, obj := range map[string]async.Objective{
 			"plain": {}, "l2": {L2: 0.1}, "l1": {L1: 0.01}, "logistic": {Loss: "logistic"},
 		} {

@@ -113,11 +113,11 @@ func TestRecoveryResubmittedAfterLostAck(t *testing.T) {
 }
 
 // TestRecoveryFailsStoredGCGModes: submission once accepted gcg with a
-// selection mode, so a durable log may hold such jobs. gcg has no modes
-// now: the non-terminal ones — queued, and checkpointed mid-run — fail at
-// boot with a recovery-prefixed detail instead of wedging the queue, the
-// finished one lists as it was, the queue still serves, and the counters
-// agree with the scrape.
+// selection mode, and a bcd solver once existed, so a durable log may hold
+// such jobs. gcg has no modes and bcd is gone now: the non-terminal ones —
+// queued, and checkpointed mid-run — fail at boot with a recovery-prefixed
+// detail instead of wedging the queue, the finished ones list as they were,
+// the queue still serves, and the counters agree with the scrape.
 func TestRecoveryFailsStoredGCGModes(t *testing.T) {
 	m := openSole(t)
 	spec := func(algo, mode string) []byte {
@@ -133,8 +133,10 @@ func TestRecoveryFailsStoredGCGModes(t *testing.T) {
 		}
 		return b
 	}
-	if err := m.SaveCheckpoint("job-000002", 4, &opt.Checkpoint{Algorithm: "gcg", W: la.NewVec(8), Updates: 10}); err != nil {
-		t.Fatal(err)
+	for id, algo := range map[string]string{"job-000002": "gcg", "job-000005": "bcd"} {
+		if err := m.SaveCheckpoint(id, 4, &opt.Checkpoint{Algorithm: algo, W: la.NewVec(8), Updates: 10}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, rec := range []*store.Record{
 		{Type: store.TypeSubmitted, Job: "job-000001", JobSeq: 1, Time: 100, Spec: spec("gcg", "greedy")},
@@ -144,6 +146,13 @@ func TestRecoveryFailsStoredGCGModes(t *testing.T) {
 		{Type: store.TypeSubmitted, Job: "job-000003", JobSeq: 3, Time: 500, Spec: spec("gcg", "greedy")},
 		{Type: store.TypeDispatched, Job: "job-000003", Time: 600},
 		{Type: store.TypeDone, Job: "job-000003", Time: 700, Updates: 20, FinalError: 0.25, HasFinal: true},
+		{Type: store.TypeSubmitted, Job: "job-000004", JobSeq: 4, Time: 800, Spec: spec("bcd", "")},
+		{Type: store.TypeSubmitted, Job: "job-000005", JobSeq: 5, Time: 900, Spec: spec("bcd", "")},
+		{Type: store.TypeDispatched, Job: "job-000005", Time: 1000},
+		{Type: store.TypeCheckpointed, Job: "job-000005", Time: 1100, Updates: 10, DispatchSeq: 4},
+		{Type: store.TypeSubmitted, Job: "job-000006", JobSeq: 6, Time: 1200, Spec: spec("bcd", "")},
+		{Type: store.TypeDispatched, Job: "job-000006", Time: 1300},
+		{Type: store.TypeDone, Job: "job-000006", Time: 1400, Updates: 20, FinalError: 0.5, HasFinal: true},
 	} {
 		if err := m.Append(rec); err != nil {
 			t.Fatal(err)
@@ -151,25 +160,32 @@ func TestRecoveryFailsStoredGCGModes(t *testing.T) {
 	}
 
 	s := newScheduler(t, jobs.Config{Engines: 1, Store: m})
-	if st := s.Stats(); st.RecoveredJobs != 3 {
-		t.Fatalf("recovered %d jobs, want 3", st.RecoveredJobs)
+	if st := s.Stats(); st.RecoveredJobs != 6 {
+		t.Fatalf("recovered %d jobs, want 6", st.RecoveredJobs)
 	}
-	for _, id := range []jobs.ID{"job-000001", "job-000002"} {
+	for id, want := range map[jobs.ID]string{
+		"job-000001": "no selection modes", "job-000002": "no selection modes",
+		"job-000004": `unknown solver "bcd"`, "job-000005": `unknown solver "bcd"`,
+	} {
 		job, err := s.Status(id)
 		if err != nil || job.State != jobs.StateFailed ||
-			!strings.Contains(job.Err, "recovery:") || !strings.Contains(job.Err, "no selection modes") {
-			t.Fatalf("%s %+v (err %v), want failed with a recovery-prefixed \"no selection modes\"", id, job, err)
+			!strings.Contains(job.Err, "recovery:") || !strings.Contains(job.Err, want) {
+			t.Fatalf("%s %+v (err %v), want failed with a recovery-prefixed %q", id, job, err, want)
 		}
 	}
-	var done *jobs.Job
+	listed := map[jobs.ID]jobs.Job{}
 	for _, j := range s.List() {
-		if j.ID == "job-000003" {
-			done = &j
-		}
+		listed[j.ID] = j
 	}
-	if done == nil || done.State != jobs.StateDone || done.Updates != 20 || done.FinalError == nil || *done.FinalError != 0.25 ||
-		done.Spec.Algorithm != "gcg" || done.Spec.Mode != "greedy" || done.Err != "" {
-		t.Fatalf("finished gcg+greedy job lists as %+v, want it as it was", done)
+	for id, want := range map[jobs.ID]struct {
+		algo, mode string
+		final      float64
+	}{"job-000003": {"gcg", "greedy", 0.25}, "job-000006": {"bcd", "", 0.5}} {
+		done, ok := listed[id]
+		if !ok || done.State != jobs.StateDone || done.Updates != 20 || done.FinalError == nil || *done.FinalError != want.final ||
+			done.Spec.Algorithm != want.algo || done.Spec.Mode != want.mode || done.Err != "" {
+			t.Fatalf("finished %s job %s lists as %+v, want it as it was", want.algo, id, done)
+		}
 	}
 
 	id, err := s.Submit(jobs.Spec{

@@ -13,7 +13,7 @@ import (
 // TestPaperAlgorithmsRegistered asserts every optimization method the
 // paper evaluates is registered and resolvable by name.
 func TestPaperAlgorithmsRegistered(t *testing.T) {
-	want := []string{"sgd", "asgd", "saga", "asaga", "svrg", "admm", "bcd"}
+	want := []string{"sgd", "asgd", "saga", "asaga", "svrg", "admm"}
 	names := map[string]bool{}
 	for _, n := range async.Solvers() {
 		names[n] = true
@@ -67,7 +67,7 @@ func TestEverySolverRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sgd", "asgd", "saga", "asaga", "svrg", "admm", "bcd", "mllib-sgd"} {
+	for _, name := range []string{"sgd", "asgd", "saga", "asaga", "svrg", "admm", "cd", "mllib-sgd"} {
 		t.Run(name, func(t *testing.T) {
 			eng, err := async.New(async.WithWorkers(2), async.WithSeed(23), async.WithPartitions(4))
 			if err != nil {

@@ -6,8 +6,9 @@
 // Engine with functional options (workers, seed, transport, barrier
 // policy, partitions), and Engine.Solve runs any optimization method
 // registered in the solver registry by name — the paper's methods (sgd,
-// asgd, saga, asaga, svrg, admm, bcd), the Mllib-style baseline, and the
-// TCP-transport variants are pre-registered.
+// asgd, saga, asaga, svrg, admm), proximal coordinate descent (cd) and
+// conjugate gradient (gcg), and the Mllib-style baseline are
+// pre-registered.
 //
 // async/jobs layers multi-tenant serving on top: a Scheduler owning a
 // pool of engines and a bounded priority queue of jobs, with dataset-

@@ -21,7 +21,6 @@ type Scratch struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	vecs   map[string]la.Vec
-	i32s   map[string][]int32
 	deltas map[string]*la.DeltaAccum
 }
 
@@ -41,24 +40,6 @@ func (s *Scratch) Vec(key string, n int) la.Vec {
 	}
 	s.mu.Unlock()
 	v.Zero()
-	return v
-}
-
-// I32 returns a scratch []int32 of length n under key, reusing the previous
-// buffer when the length matches. Unlike Vec the contents are NOT cleared:
-// kernels that maintain a lookup table across tasks (e.g. the BCD block
-// index) rely on restoring their own sentinel values before returning.
-func (s *Scratch) I32(key string, n int) []int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.i32s == nil {
-		s.i32s = map[string][]int32{}
-	}
-	v, ok := s.i32s[key]
-	if !ok || len(v) != n {
-		v = make([]int32, n)
-		s.i32s[key] = v
-	}
 	return v
 }
 

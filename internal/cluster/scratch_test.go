@@ -34,16 +34,6 @@ func TestScratchVecReuse(t *testing.T) {
 	}
 }
 
-func TestScratchI32KeepsContents(t *testing.T) {
-	env := NewEnv(0, 1, nil)
-	a := env.Scratch().I32("lookup", 4)
-	a[2] = 7
-	b := env.Scratch().I32("lookup", 4)
-	if &b[0] != &a[0] || b[2] != 7 {
-		t.Fatal("I32 must reuse the buffer without clearing")
-	}
-}
-
 // TestScratchRandMatchesFresh pins the reproducibility contract: the
 // reseeded per-worker RNG draws exactly the stream a freshly constructed
 // rand.New(rand.NewSource(seed)) would, for every reseed.

@@ -35,8 +35,8 @@ func solverFrames() [][]byte {
 			AuxID: "cd.delta", AuxVersion: 4, Block: seedBlock,
 		}),
 		task(opt.GradOpArgs{BroadcastID: "admm.z", Version: 2, Parts: []int{1}, Rho: 1, CGTol: 1e-8, CGIters: 200}),
-		result(opt.BCDPartial{Block: seedBlock, G: la.Vec{1, 2, 3}, H: la.Vec{4, 5, 6}}),
-		result(opt.BCDPartial{G: la.Vec{}, H: la.Vec{}}),
+		result(opt.CDPartial{Block: seedBlock, G: la.Vec{1, 2, 3}, H: la.Vec{4, 5, 6}}),
+		result(opt.CDPartial{G: la.Vec{}, H: la.Vec{}}),
 		result(opt.ADMMPartial{XPlusU: la.Vec{1, 2, 3}, PrimalSq: 0.5}),
 		delta(opt.CDDelta{RunID: 2, Round: 8, Delta: &la.DeltaVec{N: 100, Idx: []int32{3, 40}, Val: []float64{0.5, -2}}}),
 		delta(opt.CDDelta{RunID: 2}),

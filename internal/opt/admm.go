@@ -243,8 +243,10 @@ func ADMM(ac *core.Context, d *dataset.Dataset, p Params, c ADMMConfig, fstar fl
 	})
 }
 
-// isBSPBarrier distinguishes the trace label only; behaviour comes from the
-// predicate itself.
+// isBSPBarrier probes whether f waits for every alive worker. It decides
+// behaviour, not just a label: cd runs BSP rounds or per-partial steps by
+// it, and admm's trace label follows it. A nil f is not BSP here; cd treats
+// a nil barrier as BSP before asking.
 func isBSPBarrier(ac *core.Context, f core.BarrierFunc) bool {
 	if f == nil {
 		return false

@@ -296,6 +296,42 @@ func TestASGDHonoursInitW(t *testing.T) {
 	})
 }
 
+// TestEverySolverHonoursInitW walks the registry: every solver's first
+// progress sample is the warm start, not zeros — the runtime imports InitW
+// the way it imports a resume, so no solver can ignore it.
+func TestEverySolverHonoursInitW(t *testing.T) {
+	for _, name := range SolverNames() {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 1, 2, nil)
+			s, err := LookupSolver(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			init := la.NewVec(r.d.NumCols())
+			for j := range init {
+				init[j] = float64(j+1) / 8
+			}
+			var first la.Vec
+			p := asgdParams()
+			p.InitW = init
+			p.OnProgress = func(pr Progress) {
+				if first == nil {
+					first = pr.W
+				}
+			}
+			if _, err := s.Solve(context.Background(), SolveRequest{
+				AC: r.ac, Points: r.points, Data: r.d,
+				Config: SolveConfig{Params: p, FStar: r.fstar},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !la.Equal(first, init, 0) {
+				t.Fatalf("first sample %v, want InitW %v", first, init)
+			}
+		})
+	}
+}
+
 // TestClosureSolverOverTCPFailsLoudly: a driver written against the closure
 // form of ASYNCreduce hands the engine a kernel no wire can carry. On a TCP
 // cluster the dispatch must say so up front — not mark workers down one

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -33,15 +34,27 @@ import (
 // missing or stale (cold start, resume, engine reset) rebuilds it from the
 // model broadcast in one O(partition nnz) pass and is incremental again
 // from the next round.
+//
+// Under an explicit non-BSP barrier (ASP, SSP, any predicate that does not
+// wait for every worker) the same step runs per partial instead, in the
+// family of asynchronous coordinate methods the paper cites (PASSCoDe,
+// asynchronous Jacobi-style solvers): each dispatch draws a block, each
+// worker returns the exact block partial at its task's model version —
+// there is no delta broadcast, so every task rebuilds its residuals — and
+// the driver steps on that partial's block as it lands, with the partial's
+// row count standing in for n. The partials are stale in exactly the ASYNC
+// sense.
 
 // CDConfig carries the proximal coordinate-descent knobs: coordinates per
 // block (zero is 32, capped at cols), the block order Mode (cdModes; empty
 // is the first), the damping Step in (0,1] (zero is 1, the full
 // preconditioned prox step) and the block RNG seed of random mode. Of the
-// run's Params the solver reads the objective, the update budget, trace
-// resolution and the checkpoint/preempt/resume hooks; Step and SampleFrac
-// are unused (a full-pass coordinate solver with its own damping), and the
-// barrier is forced to BSP — the block step needs every worker's rows.
+// run's Params the solver reads the objective, the update budget, the
+// barrier, trace resolution and the checkpoint/preempt/resume hooks; Step
+// and SampleFrac are unused (a full-pass coordinate solver with its own
+// damping). A nil or BSP barrier runs rounds that sum every worker's
+// partial into one step; any other barrier steps per partial (CD-async),
+// which greedy mode refuses — its selector needs the whole round gradient.
 type CDConfig struct {
 	BlockSize int
 	Mode      string
@@ -84,7 +97,16 @@ type CDDelta struct {
 	Delta *la.DeltaVec // nil only before the first flush
 }
 
-// cdRunSeq hands every CD run a process-unique residual fence.
+// CDPartial is one worker's block gradient and diagonal curvature over its
+// rows.
+type CDPartial struct {
+	Block []int32
+	G     la.Vec
+	H     la.Vec
+}
+
+// cdRunSeq hands every CD run a process-unique residual fence (from 1: the
+// per-partial arm's stamp is 0).
 var cdRunSeq atomic.Int64
 
 // cdPartState is one partition's persistent worker-side residual state.
@@ -111,16 +133,21 @@ func init() {
 
 // cdKernel evaluates the block gradient g_J = Σ_i ℓ'(r_i, y_i)·x_iJ and
 // curvature h_J = curv·Σ_i x_iJ² over the worker's rows, maintaining the
-// per-row residuals incrementally from the delta broadcast.
+// per-row residuals incrementally from the delta broadcast. A task without
+// one (the per-partial arm) rebuilds them from its model version.
 func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []int32) core.Kernel {
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		dv, err := dBr.Value(env)
-		if err != nil {
-			return nil, 0, err
-		}
-		dd, ok := dv.(CDDelta)
-		if !ok {
-			return nil, 0, fmt.Errorf("opt: cd delta broadcast is %T", dv)
+		var dd CDDelta
+		chained := dBr.ID != ""
+		if chained {
+			dv, err := dBr.Value(env)
+			if err != nil {
+				return nil, 0, err
+			}
+			var ok bool
+			if dd, ok = dv.(CDDelta); !ok {
+				return nil, 0, fmt.Errorf("opt: cd delta broadcast is %T", dv)
+			}
 		}
 		st := env.StoreGetOrCreate("opt.cd.state", func() any {
 			return &cdState{parts: map[int]*cdPartState{}}
@@ -147,15 +174,15 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 				st.parts[pi] = ps
 			}
 			switch {
-			case ps.runID == dd.RunID && ps.round == dd.Round:
+			case chained && ps.runID == dd.RunID && ps.round == dd.Round:
 				// already current (idempotent re-dispatch)
-			case ps.runID == dd.RunID && ps.round == dd.Round-1 && dd.Delta != nil:
+			case chained && ps.runID == dd.RunID && ps.round == dd.Round-1 && dd.Delta != nil:
 				// incremental: advance residuals by the changed columns only
 				ps.cv.ApplyDelta(dd.Delta, ps.r)
 				ps.round = dd.Round
 			default:
-				// cold start, resume, or missed rounds: rebuild from the
-				// model broadcast in one O(partition nnz) pass
+				// cold start, resume, missed rounds or no delta chain:
+				// rebuild from the model broadcast in one O(partition nnz) pass
 				w, err := modelVec(env, wBr)
 				if err != nil {
 					return fail(err)
@@ -178,20 +205,21 @@ func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []
 		if rows == 0 {
 			return fail(nil)
 		}
-		return BCDPartial{Block: block, G: g, H: h}, rows, nil
+		return CDPartial{Block: block, G: g, H: h}, rows, nil
 	}
 }
 
 // cdUpdater owns the coordinate-descent driver state: the model, the block
-// cursor/RNG (dispatch-counted for checkpoint replay, like BCD), the
-// round's combined partials, and the last applied coordinate delta. nl2,
-// nl1 and damp are the step's n·λ2, n·λ1 and CDConfig.Step.
+// cursor/RNG (dispatch-counted for checkpoint replay), the round's combined
+// partials, and the last applied coordinate delta. n, l2, l1 and damp are
+// the step's dataset rows, λ2, λ1 and CDConfig.Step.
 type cdUpdater struct {
 	w          la.Vec
-	nl2, nl1   float64
+	n, l2, l1  float64
 	damp       float64
 	blockSize  int
 	cyclic     bool
+	perPartial bool        // step on each partial as it lands, not per round
 	sel        *gsSelector // greedy mode; nil otherwise
 	rng        *rand.Rand
 	perm       []int32
@@ -213,9 +241,8 @@ func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) (*cdUpdater, error)
 	if !ok {
 		return nil, fmt.Errorf("opt: cd cannot decompose objective %q into a linear core", loss.Name())
 	}
-	n := float64(d.NumRows())
 	u := &cdUpdater{
-		w: la.NewVec(cols), nl2: n * l2, nl1: n * l1, damp: c.Step, blockSize: c.BlockSize,
+		w: la.NewVec(cols), n: float64(d.NumRows()), l2: l2, l1: l1, damp: c.Step, blockSize: c.BlockSize,
 		cyclic: c.Mode != "random",
 		rng:    rand.New(rand.NewSource(c.Seed + 1)),
 		perm:   make([]int32, cols),
@@ -280,23 +307,49 @@ func (u *cdUpdater) exportDelta() CDDelta {
 func (u *cdUpdater) Model() la.Vec { return u.w }
 func (u *cdUpdater) Settle()       {}
 
-func (u *cdUpdater) Apply(payload any, _ *core.Attrs, _ float64) error {
-	part, ok := payload.(BCDPartial)
+func (u *cdUpdater) Apply(payload any, attrs *core.Attrs, _ float64) error {
+	part, ok := payload.(CDPartial)
 	if !ok {
 		return fmt.Errorf("unexpected payload %T", payload)
 	}
-	// greedy blocks can come up short of BlockSize when the data stores
-	// fewer distinct columns; the accumulators are sized for the maximum
-	la.Axpy(1, part.G, u.g[:len(part.G)])
-	la.Axpy(1, part.H, u.h[:len(part.H)])
-	u.got++
+	if u.perPartial {
+		u.proxStep(part.Block, part.G, part.H, float64(attrs.MiniBatch))
+	} else {
+		// greedy blocks can come up short of BlockSize when the data stores
+		// fewer distinct columns; the accumulators are sized for the maximum
+		la.Axpy(1, part.G, u.g[:len(part.G)])
+		la.Axpy(1, part.H, u.h[:len(part.H)])
+		u.got++
+	}
 	la.PutVec(part.G)
 	la.PutVec(part.H)
 	return nil
 }
 
-// FlushRound takes the damped preconditioned prox step of the file comment
-// on each block coordinate (sum units; the scheduled step is unused).
+// proxStep takes the damped preconditioned prox step of the file comment on
+// each coordinate of block, for sums g and h over n rows, and returns the
+// coordinate changes.
+func (u *cdUpdater) proxStep(block []int32, g, h la.Vec, n float64) *la.DeltaVec {
+	nl2, nl1 := n*u.l2, n*u.l1
+	delta := &la.DeltaVec{N: len(u.w)}
+	for k, j := range block {
+		den := h[k] + nl2
+		if den <= 0 {
+			continue
+		}
+		tau := u.damp / den
+		uj := SoftThreshold(u.w[j]-tau*(g[k]+nl2*u.w[j]), tau*nl1)
+		if d := uj - u.w[j]; d != 0 {
+			delta.Idx = append(delta.Idx, j)
+			delta.Val = append(delta.Val, d)
+			u.w[j] = uj
+		}
+	}
+	return delta
+}
+
+// FlushRound steps on the round's summed partials (the scheduled step is
+// unused).
 func (u *cdUpdater) FlushRound(float64) (bool, error) {
 	if u.got == 0 {
 		u.g.Zero()
@@ -309,20 +362,7 @@ func (u *cdUpdater) FlushRound(float64) (bool, error) {
 		// the still-pre-step model) or trip the permanent cyclic fallback
 		u.sel.verify(u.block, u.g[:len(u.block)])
 	}
-	delta := &la.DeltaVec{N: len(u.w)}
-	for k, j := range u.block {
-		den := u.h[k] + u.nl2
-		if den <= 0 {
-			continue
-		}
-		tau := u.damp / den
-		uj := SoftThreshold(u.w[j]-tau*(u.g[k]+u.nl2*u.w[j]), tau*u.nl1)
-		if d := uj - u.w[j]; d != 0 {
-			delta.Idx = append(delta.Idx, j)
-			delta.Val = append(delta.Val, d)
-			u.w[j] = uj
-		}
-	}
+	delta := u.proxStep(u.block, u.g, u.h, u.n)
 	if u.sel != nil && !u.sel.fallback {
 		u.sel.advance(delta)
 	}
@@ -365,32 +405,43 @@ func (u *cdUpdater) Import(cp *Checkpoint) error {
 }
 
 // CD runs proximal coordinate descent over the composite objective
-// p.Loss. fstar is the reference optimum used for error traces.
+// p.Loss: BSP rounds under a nil or BSP barrier, per-partial steps under
+// any other. fstar is the reference optimum used for error traces.
 func CD(ac *core.Context, d *dataset.Dataset, p Params, c CDConfig, fstar float64) (*Result, error) {
+	perPartial := p.Barrier != nil && !isBSPBarrier(ac, p.Barrier)
 	if err := p.runDefaults(10); err != nil {
 		return nil, err
 	}
 	if err := c.defaults(d.NumCols()); err != nil {
 		return nil, err
 	}
+	if perPartial && c.Mode == "greedy" {
+		return nil, errors.New("opt: cd mode \"greedy\" needs a BSP barrier: its selector reads the whole round's gradient, and a non-BSP barrier steps on each partial")
+	}
 	u, err := newCDUpdater(d, p.Loss, c)
 	if err != nil {
 		return nil, err
 	}
-	// bulk-synchronous rounds, each dispatching opt.cd on the round's block
-	// against the model and the cd.delta stamp
-	dispatch, err := kernelDispatch(ac, cdOpName, p.Loss, 0, func(a *GradOpArgs) {
-		u.block = u.pickBlock()
-		dBr := ac.ASYNCbroadcast("cd.delta", u.exportDelta())
-		a.AuxID, a.AuxVersion, a.Block = dBr.ID, dBr.Version, u.block
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runLoop(ac, d, u, &loopSpec{
+	spec := &loopSpec{
 		Algo: "CD", Name: "cd", Key: "cd.w",
 		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true,
-		Dispatch: dispatch,
-	})
+	}
+	// bulk-synchronous rounds, each dispatching opt.cd on the round's block
+	// against the model and the cd.delta stamp
+	fill := func(a *GradOpArgs) {
+		u.block = u.pickBlock()
+		dBr := ac.ASYNCbroadcast("cd.delta", u.exportDelta())
+		a.AuxID, a.AuxVersion, a.Block = dBr.ID, dBr.Version, u.block
+	}
+	if perPartial {
+		// each dispatch draws a block, and each partial steps on its own
+		u.perPartial = true
+		spec.Algo, spec.Barrier, spec.Round = "CD-async", nil, false
+		fill = func(a *GradOpArgs) { a.Block = u.pickBlock() }
+	}
+	if spec.Dispatch, err = kernelDispatch(ac, cdOpName, p.Loss, 0, fill); err != nil {
+		return nil, err
+	}
+	return runLoop(ac, d, u, spec)
 }

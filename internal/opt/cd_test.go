@@ -2,12 +2,15 @@ package opt
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/rdd"
+	"repro/internal/straggler"
 )
 
 // cdRigOn assembles an engine over a hand-constructed dataset, its workers
@@ -194,6 +197,123 @@ func TestCDLogisticConverges(t *testing.T) {
 			t.Fatalf("logistic CD barely moved: %v → %v", f0, f)
 		}
 	})
+}
+
+// TestCDRandomBSPConverges: under BSP, random-mode cd at λ = 0 is the
+// synchronous Jacobi block solver — every worker's partial of the round's
+// block summed into one damped diagonal-Newton step.
+func TestCDRandomBSPConverges(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := CD(r.ac, r.d, Params{Updates: 20, Barrier: core.BSP(), SnapshotEvery: 5},
+			CDConfig{BlockSize: 4, Mode: "random", Step: 0.9, Seed: 1}, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+		if res.Trace.Algorithm != "CD" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
+}
+
+// asyncCD runs cd's per-partial arm under ASP with the block and damping
+// the asynchronous pins share.
+func asyncCD(r *rig, loss Loss, seed int64, fstar float64) (*Result, error) {
+	p := Params{Loss: loss, Updates: 400, SnapshotEvery: 100, Barrier: core.ASP()}
+	return CD(r.ac, r.d, p, CDConfig{BlockSize: 4, Mode: "random", Step: 0.5, Seed: seed}, fstar)
+}
+
+// TestCDAsyncConverges: under ASP each worker's partial steps on its own
+// block at its task's model version, and the stale steps still converge.
+func TestCDAsyncConverges(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		res, err := asyncCD(r, nil, 2, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 10)
+		if res.Trace.Algorithm != "CD-async" {
+			t.Fatalf("algo %q", res.Trace.Algorithm)
+		}
+	})
+}
+
+// TestCDAsyncUnderStraggler: one worker at a third of the speed only makes
+// its partials staler; the run still converges.
+func TestCDAsyncUnderStraggler(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, straggler.ControlledDelay{Worker: 1, Intensity: 2}, denseCfg())
+		res, err := asyncCD(r, nil, 3, r.fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.assertConverged(t, res, 5)
+	})
+}
+
+// TestCDAsyncElasticNetConverges: the per-partial step takes the penalties
+// in the partial's own units (its rows stand in for n), so the async arm
+// converges on the elastic net it is given, measured against that
+// objective's own optimum.
+func TestCDAsyncElasticNetConverges(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tr transport) {
+		r := newRigOn(t, tr, 4, 8, nil, denseCfg())
+		loss := Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.05}
+		_, fstar, err := ReferenceOptimumFor(r.d, loss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := asyncCD(r, loss, 4, fstar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := Objective(r.d, loss, la.NewVec(r.d.NumCols())) - fstar
+		if final := Objective(r.d, loss, res.W) - fstar; final > initial/10 {
+			t.Fatalf("did not converge: error %v → %v (want ≥10x reduction)", initial, final)
+		}
+	})
+}
+
+// TestCDValidation: config outside its ranges is refused, and so is greedy
+// mode under a barrier that steps per partial — its selector needs the
+// whole round gradient. Zero BlockSize and Step are "use the default".
+func TestCDValidation(t *testing.T) {
+	r := newRig(t, 1, 1, nil)
+	for i, tc := range []struct {
+		p    Params
+		c    CDConfig
+		want string
+	}{
+		{Params{Updates: 10}, CDConfig{Step: -1}, "outside (0,1]"},
+		{Params{Updates: 10}, CDConfig{Step: 1.5}, "outside (0,1]"},
+		{Params{Updates: 10}, CDConfig{Mode: "steepest"}, "unknown mode"},
+		{Params{}, CDConfig{}, "Updates must be positive"},
+		{Params{Updates: 10, Barrier: core.ASP()}, CDConfig{Mode: "greedy"}, `"greedy" needs a BSP barrier`},
+		{Params{Updates: 10, Barrier: core.SSP(2)}, CDConfig{Mode: "greedy"}, `"greedy" needs a BSP barrier`},
+	} {
+		if _, err := CD(r.ac, r.d, tc.p, tc.c, r.fstar); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want one mentioning %q", i, err, tc.want)
+		}
+	}
+}
+
+// TestCDProxStep pins the step both arms take at λ = 0: the damped
+// diagonal-Newton update w_j −= step·g_j/h_j on the block alone, and no
+// move where the curvature is zero.
+func TestCDProxStep(t *testing.T) {
+	u := &cdUpdater{w: la.NewVec(4), damp: 0.5}
+	delta := u.proxStep([]int32{1, 3}, la.Vec{2, 4}, la.Vec{1, 2}, 10)
+	if !la.Equal(u.w, la.Vec{0, -1, 0, -1}, 0) {
+		t.Fatalf("w = %v", u.w)
+	}
+	if !slices.Equal(delta.Idx, []int32{1, 3}) || !la.Equal(delta.Val, la.Vec{-1, -1}, 0) {
+		t.Fatalf("delta = %+v", delta)
+	}
+	if delta = u.proxStep([]int32{0}, la.Vec{5}, la.Vec{0}, 10); u.w[0] != 0 || len(delta.Idx) != 0 {
+		t.Fatalf("zero-curvature coordinate moved: %v", u.w)
+	}
 }
 
 // TestCDRejectsUnknownObjective: a loss without a linear core or curvature

@@ -15,7 +15,7 @@ import (
 // the model, the logical update clock, and whatever solver-specific driver
 // state the algorithm carries (SAGA's running history average, momentum
 // velocity, SVRG's epoch anchor and full gradient, ADMM's per-worker
-// contributions, BCD's dispatch count for RNG replay). Lazily deferred
+// contributions, CD's dispatch count for block replay). Lazily deferred
 // update terms are always settled before export, so a checkpoint never
 // stores drift state. Worker-side state — broadcast caches, SAGA history
 // shards, ADMM primal/dual iterates — is soft state: a resumed run re-seeds
@@ -36,7 +36,7 @@ type Checkpoint struct {
 	// velocity, SVRG mu/anchor, ADMM contributions). Every entry has the
 	// model's dimension.
 	Vecs map[string]la.Vec
-	// Ints holds named solver-specific counters (BCD dispatch count, the
+	// Ints holds named solver-specific counters (CD dispatch count, the
 	// round and dispatch-sequence positions).
 	Ints map[string]int64
 

@@ -46,7 +46,7 @@ type GradOpArgs struct {
 	// The rest is optional: zero for the ops that do not read it.
 	AuxID      string  // a second broadcast (with AuxVersion): svrg's anchor, the
 	AuxVersion int64   // cd.delta stamp
-	Block      []int32 // opt.cd, opt.bcd: the coordinate block of the round
+	Block      []int32 // opt.cd: the coordinate block of the dispatch
 	Rho, CGTol float64 // opt.admm: penalty and local-solve tolerance
 	CGIters    int     // opt.admm: local-solve iteration cap
 }
@@ -60,8 +60,8 @@ func (a GradOpArgs) aux() core.DynBroadcast {
 }
 
 // The registered ops: GradKernel and SagaKernel behind the two exported
-// names, and one per remaining kernel (cd.go, admm.go and bcd.go register
-// theirs beside the kernel).
+// names, and one per remaining kernel (cd.go and admm.go register theirs
+// beside the kernel).
 const (
 	GradOpName     = "opt.grad"
 	SagaOpName     = "opt.saga"
@@ -69,7 +69,6 @@ const (
 	fullGradOpName = "opt.fullgrad"
 	cdOpName       = "opt.cd"
 	admmOpName     = "opt.admm"
-	bcdOpName      = "opt.bcd"
 )
 
 func init() {

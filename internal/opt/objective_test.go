@@ -161,12 +161,11 @@ func TestAcceptsGate(t *testing.T) {
 		{"cd", l1, "greedy", ""},
 		{"gcg", Logistic{}, "", ""},
 		{"admm", nil, "", ""},
-		{"bcd", LeastSquares{}, "", ""},
 		{"saga", l1, "", "no proximal step"},
 		{"asaga-remote", l1, "", "asaga has no proximal step"}, // judged as the solver the alias runs
 		{"admm", l1, "", "no proximal step"},
 		{"admm", ridge, "", "ignores penalty terms"},
-		{"bcd", Logistic{}, "", "plain least squares only"},
+		{"admm", Logistic{}, "", "plain least squares only"},
 		{"sgd", nil, "greedy", "no selection modes"},
 		{"gcg", Logistic{}, "full", "no selection modes"},
 		{"cd", nil, "full", "unknown mode"},

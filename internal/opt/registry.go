@@ -16,7 +16,7 @@ import (
 // SolveConfig is the one parameter form of a run: the shared Params plus
 // each solver family's own config. A solver reads Params and its own
 // family; what a zero field means is said once, in the defaults method
-// beside that solver (svrg.go, admm.go, bcd.go, cd.go, gcg.go).
+// beside that solver (svrg.go, admm.go, cd.go, gcg.go).
 type SolveConfig struct {
 	Params
 
@@ -31,7 +31,6 @@ type SolveConfig struct {
 
 	VR   VRConfig
 	ADMM ADMMConfig
-	BCD  BCDConfig
 	CD   CDConfig
 	GCG  GCGConfig
 }
@@ -224,9 +223,6 @@ func init() {
 	}})
 	RegisterSolver(solverFunc{name: "admm", plainLS: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return ADMM(r.AC, r.Data, r.Config.Params, r.Config.ADMM, r.Config.FStar)
-	}})
-	RegisterSolver(solverFunc{name: "bcd", plainLS: true, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
-		return AsyncBCD(r.AC, r.Data, r.Config.Params, r.Config.BCD, r.Config.FStar)
 	}})
 	RegisterSolver(solverFunc{name: "cd", prox: true, modes: cdModes, fn: func(_ context.Context, r SolveRequest) (*Result, error) {
 		return CD(r.AC, r.Data, r.Config.Params, r.Config.CD, r.Config.FStar)

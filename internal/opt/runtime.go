@@ -217,8 +217,13 @@ func (rt *runState) publish(ac *core.Context, global int64) core.DynBroadcast {
 func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*Result, error) {
 	p := spec.P
 	rt := &runState{spec: spec, u: u, ac: ac}
-	if p.Resume != nil {
-		if err := p.Resume.Validate(); err != nil {
+	resume := p.Resume
+	if resume == nil && p.InitW != nil {
+		// a warm start is a resume at update 0 that carries only the model
+		resume = &Checkpoint{Algorithm: spec.Name, W: p.InitW}
+	}
+	if resume != nil {
+		if err := resume.Validate(); err != nil {
 			return nil, fmt.Errorf("opt: resume %s: %w", spec.Algo, err)
 		}
 		// import through a shallow copy carrying the worker-state verdict:
@@ -226,18 +231,18 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 		// kept every worker's run state; a resume after an engine reset
 		// (clock back at zero) did not, and solvers whose driver state is
 		// coupled to worker shards must restart those terms consistently
-		cp := *p.Resume
+		cp := *resume
 		cp.historyAttached = ac != nil && ac.Updates() == cp.Updates
 		if err := u.Import(&cp); err != nil {
 			return nil, fmt.Errorf("opt: resume %s: %w", spec.Algo, err)
 		}
-		rt.base = p.Resume.Updates
-		rt.round = p.Resume.Int("round")
+		rt.base = resume.Updates
+		rt.round = resume.Int("round")
 		if ac != nil {
 			// continue the interrupted run's task-seed stream: a reset
 			// engine restarts the dispatch counter at zero, which would
 			// otherwise re-draw the first segment's samples
-			if seq := p.Resume.Int("dispatch_seq"); seq > ac.Coordinator().DispatchSeq() {
+			if seq := resume.Int("dispatch_seq"); seq > ac.Coordinator().DispatchSeq() {
 				ac.Coordinator().SetDispatchSeq(seq)
 			}
 		}

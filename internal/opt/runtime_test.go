@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/telemetry"
 )
@@ -115,7 +116,7 @@ func asgdParams() Params {
 // TestEverySolverTracesItsRun walks the registry: whatever Params carries
 // reaches the runtime, so every solver's run-scoped trace says when the run
 // started, checkpointed and finished. A solver that rebuilds its Params by
-// hand and forgets a field (admm and bcd once dropped Trace) fails here.
+// hand and forgets a field (admm once dropped Trace) fails here.
 func TestEverySolverTracesItsRun(t *testing.T) {
 	for _, name := range SolverNames() {
 		t.Run(name, func(t *testing.T) {
@@ -192,13 +193,14 @@ func TestResumeEquivalenceASAGA(t *testing.T) {
 // TestTransportsAgreeBitwise: on one worker a run is sequential, so the
 // same solver on the same seeds must produce the same bits over channels
 // and over sockets — the wire moves values, it never changes them. Every
-// AC-based registry solver is here, cd in two of its modes.
+// AC-based registry solver is here, cd in two of its modes and in its
+// per-partial arm.
 func TestTransportsAgreeBitwise(t *testing.T) {
 	elastic := Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.01}
-	cd := func(mode string) func(*rig, Params) (*Result, error) {
+	cd := func(mode string, barrier core.BarrierFunc) func(*rig, Params) (*Result, error) {
 		return func(r *rig, p Params) (*Result, error) {
-			p.Loss = elastic
-			return CD(r.ac, r.d, p, CDConfig{BlockSize: 4, Mode: mode}, 0)
+			p.Loss, p.Barrier = elastic, barrier
+			return CD(r.ac, r.d, p, CDConfig{BlockSize: 4, Mode: mode, Seed: 5}, 0)
 		}
 	}
 	for name, solve := range map[string]func(*rig, Params) (*Result, error){
@@ -209,18 +211,15 @@ func TestTransportsAgreeBitwise(t *testing.T) {
 		"svrg": func(r *rig, p Params) (*Result, error) {
 			return EpochVR(r.ac, r.d, p, VRConfig{Epochs: 3, UpdatesPerEpoch: 4}, r.fstar)
 		},
-		"cd-cyclic": cd("cyclic"),
-		"cd-greedy": cd("greedy"),
+		"cd-cyclic": cd("cyclic", nil),
+		"cd-greedy": cd("greedy", nil),
+		"cd-async":  cd("random", core.ASP()),
 		"gcg-full": func(r *rig, p Params) (*Result, error) {
 			p.Loss = elastic
 			return GCG(r.ac, r.d, p, GCGConfig{RestartEvery: 5}, 0)
 		},
 		"admm": func(r *rig, p Params) (*Result, error) {
 			return ADMM(r.ac, r.d, Params{Updates: p.Updates, SnapshotEvery: p.SnapshotEvery}, ADMMConfig{Rho: 1}, r.fstar)
-		},
-		"bcd": func(r *rig, p Params) (*Result, error) {
-			return AsyncBCD(r.ac, r.d, Params{Updates: p.Updates, SnapshotEvery: p.SnapshotEvery},
-				BCDConfig{BlockSize: 4, Step: 1, Seed: 5}, r.fstar)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -260,12 +259,17 @@ func TestResumeEquivalenceADMM(t *testing.T) {
 	})
 }
 
-func TestResumeEquivalenceBCD(t *testing.T) {
-	// the checkpointed dispatch count replays the block RNG exactly
+// TestResumeEquivalenceCDAsync: on the per-partial arm every task rebuilds
+// its residuals from its model version, and the checkpointed dispatch count
+// replays the block RNG, so the resumed run is bitwise the uninterrupted one.
+func TestResumeEquivalenceCDAsync(t *testing.T) {
 	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
-		p := Params{Updates: 12, SnapshotEvery: 4}
+		p, c := Params{Barrier: core.ASP()}, CDConfig{BlockSize: 4, Mode: "random", Seed: 5}
+		p.Loss = Composite{Inner: LeastSquares{}, L2: 0.05, L1: 0.01}
+		p.Updates = 12
+		p.SnapshotEvery = 4
 		seg.apply(&p)
-		return AsyncBCD(r.ac, r.d, p, BCDConfig{BlockSize: 4, Step: 1, Seed: 5}, r.fstar)
+		return CD(r.ac, r.d, p, c, 0)
 	})
 }
 

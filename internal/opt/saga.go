@@ -32,7 +32,7 @@ func newSagaState(cols, rows int) *sagaState {
 }
 
 // newSagaRun validates p for the SAGA run named name and builds its driver
-// state: warm start applied, the objective's ridge term kept by the driver.
+// state, the objective's ridge term kept by the driver.
 func newSagaRun(d *dataset.Dataset, p *Params, name string) (*sagaState, error) {
 	if err := p.defaults(); err != nil {
 		return nil, err
@@ -42,28 +42,11 @@ func newSagaRun(d *dataset.Dataset, p *Params, name string) (*sagaState, error) 
 	}
 	st := newSagaState(d.NumCols(), d.NumRows())
 	_, st.l2, _ = splitLoss(p.Loss)
-	return st, st.init(*p)
+	return st, nil
 }
 
 // settle flushes the deferred avgHist drift so w is externally consistent.
 func (s *sagaState) settle() { s.drift.settleAll(s.w, s.avgHist) }
-
-// init applies warm starts from Params (checkpoint resume).
-func (s *sagaState) init(p Params) error {
-	if p.InitW != nil {
-		if len(p.InitW) != len(s.w) {
-			return fmt.Errorf("opt: InitW dim %d != %d", len(p.InitW), len(s.w))
-		}
-		s.w.CopyFrom(p.InitW)
-	}
-	if p.InitAvgHist != nil {
-		if len(p.InitAvgHist) != len(s.avgHist) {
-			return fmt.Errorf("opt: InitAvgHist dim %d != %d", len(p.InitAvgHist), len(s.avgHist))
-		}
-		s.avgHist.CopyFrom(p.InitAvgHist)
-	}
-	return nil
-}
 
 // Updater state half shared by every SAGA flavour. The checkpoint carries
 // the settled model plus the history average. avgHist is the mean of the

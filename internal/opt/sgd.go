@@ -19,7 +19,8 @@ type Params struct {
 	Updates    int      // number of model updates to perform
 
 	// Barrier and Filter drive the ASYNCscheduler for asynchronous
-	// variants. nil Barrier means ASP (fully asynchronous).
+	// variants. nil Barrier means ASP (fully asynchronous); cd alone reads
+	// a nil barrier as BSP rounds (CDConfig).
 	Barrier core.BarrierFunc
 	Filter  core.WorkerFilter
 
@@ -30,11 +31,9 @@ type Params struct {
 	// Momentum is the heavy-ball coefficient μ ∈ [0,1); 0 disables it.
 	Momentum float64
 
-	// InitW warm-starts the model (e.g. from a Checkpoint); nil = zeros.
+	// InitW warm-starts the model of every solver: the runtime imports it
+	// as a checkpoint at update 0 that carries only the model; nil = zeros.
 	InitW la.Vec
-
-	// InitAvgHist warm-starts the SAGA history average (checkpoint resume).
-	InitAvgHist la.Vec
 
 	// SnapshotEvery controls trace resolution (model snapshots per updates).
 	SnapshotEvery int
@@ -66,18 +65,6 @@ type Params struct {
 	// epoch_begin, checkpoint, preempted, run_done) from the driver runtime,
 	// correlated by the supervising layer's run ID. Never serialized.
 	Trace *telemetry.Trace
-}
-
-// initModel builds the starting model for a run.
-func (p *Params) initModel(cols int) (la.Vec, error) {
-	w := la.NewVec(cols)
-	if p.InitW != nil {
-		if len(p.InitW) != cols {
-			return nil, fmt.Errorf("opt: InitW dim %d != %d", len(p.InitW), cols)
-		}
-		w.CopyFrom(p.InitW)
-	}
-	return w, nil
 }
 
 // stepper applies (optionally momentum-accelerated) gradient steps.
@@ -251,17 +238,13 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 	if err := p.defaults(); err != nil {
 		return nil, err
 	}
-	w, err := p.initModel(d.NumCols())
-	if err != nil {
-		return nil, err
-	}
 	dispatch, err := kernelDispatch(ac, GradOpName, p.Loss, p.SampleFrac, nil)
 	if err != nil {
 		return nil, err
 	}
 	_, lambda, l1, _ := splitProx(p.Loss)
 	u := &syncSGDUpdater{
-		w:      w,
+		w:      la.NewVec(d.NumCols()),
 		st:     newStepper(p.Momentum, d.NumCols()),
 		lambda: lambda,
 		l1:     l1,
@@ -306,15 +289,11 @@ func ASGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	if err := p.defaults(); err != nil {
 		return nil, err
 	}
-	w, err := p.initModel(d.NumCols())
-	if err != nil {
-		return nil, err
-	}
 	dispatch, err := kernelDispatch(ac, GradOpName, p.Loss, p.SampleFrac, nil)
 	if err != nil {
 		return nil, err
 	}
-	u := &asgdUpdater{w: w, ap: newProxApplier(&p, d.NumCols())}
+	u := &asgdUpdater{w: la.NewVec(d.NumCols()), ap: newProxApplier(&p, d.NumCols())}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "ASGD", Name: "asgd", Key: "sgd.w",
 		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),

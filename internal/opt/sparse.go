@@ -86,7 +86,7 @@ const (
 	payloadSagaPartial byte = 17
 	payloadSagaDelta   byte = 18
 	payloadGradOpArgs  byte = 19
-	payloadBCDPartial  byte = 20
+	payloadCDPartial   byte = 20
 	payloadADMMPartial byte = 21
 	payloadCDDelta     byte = 22
 )
@@ -194,18 +194,18 @@ func init() {
 			a.Rho, a.CGTol, a.CGIters = r.Float64(), r.Float64(), int(r.Varint())
 			return a, r.Err()
 		})
-	registerPayload(payloadBCDPartial,
-		func(w *cluster.BinWriter, p BCDPartial) error {
+	registerPayload(payloadCDPartial,
+		func(w *cluster.BinWriter, p CDPartial) error {
 			putBlock(w, p.Block)
 			return putPair(w, p.G, p.H)
 		},
-		func(r *cluster.BinReader) (p BCDPartial, err error) {
+		func(r *cluster.BinReader) (p CDPartial, err error) {
 			p.Block = readBlock(r)
 			if p.G, err = readVec(r, true); err == nil {
 				p.H, err = readVec(r, true)
 			}
 			if err == nil && (len(p.G) != len(p.Block) || len(p.H) != len(p.Block)) {
-				err = fmt.Errorf("opt: bcd-partial of %d coordinates carries %d gradients, %d curvatures", len(p.Block), len(p.G), len(p.H))
+				err = fmt.Errorf("opt: cd-partial of %d coordinates carries %d gradients, %d curvatures", len(p.Block), len(p.G), len(p.H))
 			}
 			return p, err
 		})

@@ -89,10 +89,10 @@ func TestWireOpArgsRoundTrip(t *testing.T) {
 		{BroadcastID: "saga.w", Version: 4, Frac: 1, Parts: []int{1}, Loss: "least-squares", L2: 0.05, L1: 0.001},
 		{BroadcastID: "w", Frac: 0.5},
 		// the optional fields: svrg's anchor, a cd round (sorted block, delta
-		// stamp), a bcd round (a block in draw order), the ADMM scalars
+		// stamp), a cd per-partial dispatch (no stamp), the ADMM scalars
 		{BroadcastID: "vr.w", Version: 9, Frac: 0.3, Parts: []int{0, 1}, AuxID: "vr.anchor", AuxVersion: 2},
 		{BroadcastID: "cd.w", Version: 7, Parts: []int{2}, L2: 0.01, L1: 0.02, AuxID: "cd.delta", AuxVersion: 7, Block: []int32{1, 5, 199999}},
-		{BroadcastID: "bcd.w", Version: 3, Parts: []int{0}, Block: []int32{7, 0, 3}},
+		{BroadcastID: "cd.w", Version: 3, Parts: []int{0}, Block: []int32{0, 3, 7}},
 		{BroadcastID: "admm.z", Version: 5, Parts: []int{1, 3}, Rho: 1.5, CGTol: 1e-8, CGIters: 200},
 	} {
 		m := cluster.Message{Kind: cluster.KindRunTask, Task: &cluster.Task{
@@ -119,9 +119,9 @@ func TestWireOpArgsRoundTrip(t *testing.T) {
 func TestWireSolverPayloadsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for name, payload := range map[string]any{
-		"bcd partial":       BCDPartial{Block: []int32{9, 2, 5}, G: wireRandVec(rng, 3), H: wireRandVec(rng, 3)},
-		"bcd partial empty": BCDPartial{G: la.Vec{}, H: la.Vec{}},
-		"admm partial":      ADMMPartial{XPlusU: wireRandVec(rng, 40), PrimalSq: 0.125},
+		"cd partial":       CDPartial{Block: []int32{2, 5, 9}, G: wireRandVec(rng, 3), H: wireRandVec(rng, 3)},
+		"cd partial empty": CDPartial{G: la.Vec{}, H: la.Vec{}},
+		"admm partial":     ADMMPartial{XPlusU: wireRandVec(rng, 40), PrimalSq: 0.125},
 	} {
 		got, ok := wireTrip(t, core.ReducePayload{Val: payload, N: 4}).(core.ReducePayload)
 		if !ok || got.N != 4 || !reflect.DeepEqual(got.Val, payload) {
