@@ -471,9 +471,10 @@ func TestParamsValidation(t *testing.T) {
 
 func TestSagaStateApplyMath(t *testing.T) {
 	st := newSagaState(2, 10)
-	part := SagaPartial{Sum: []float64{2, 4}, HistSum: []float64{1, 1}}
-	// alpha=1, batch=1: w = -( (2-1), (4-1) ) = (-1, -3); avgHist = (0.1, 0.3)
-	if err := st.apply(1, part, 1); err != nil {
+	// the worker's current-gradient sum {2, 4} minus its historical {1, 1}
+	d := la.Vec{1, 3}
+	// alpha=1, batch=1: w = -d = (-1, -3); avgHist = d/n = (0.1, 0.3)
+	if err := st.apply(1, d, 1); err != nil {
 		t.Fatal(err)
 	}
 	approx := func(got, want float64) bool { return math.Abs(got-want) < 1e-12 }
@@ -484,13 +485,13 @@ func TestSagaStateApplyMath(t *testing.T) {
 		t.Fatalf("avgHist = %v", st.avgHist)
 	}
 	// second apply includes the avgHist correction term
-	if err := st.apply(1, SagaPartial{Sum: []float64{0, 0}, HistSum: []float64{0, 0}}, 1); err != nil {
+	if err := st.apply(1, la.Vec{0, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !approx(st.w[0], -1.1) || !approx(st.w[1], -3.3) {
 		t.Fatalf("w after correction = %v", st.w)
 	}
-	if err := st.apply(1, part, 0); err == nil {
+	if err := st.apply(1, d, 0); err == nil {
 		t.Fatal("zero batch accepted")
 	}
 }

@@ -101,8 +101,7 @@ func TestSagaKernelSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		la.PutVec(v.(SagaPartial).Sum)
-		la.PutVec(v.(SagaPartial).HistSum)
+		la.PutVec(v.(la.Vec))
 		seed++
 	}
 	for i := 0; i < 3; i++ {

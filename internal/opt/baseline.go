@@ -119,19 +119,19 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 			bytesShipped += workers * int64(cols) * 8 // the model itself
 			sampled := points.Sample(p.SampleFrac)
 			type sagaAgg struct {
-				Part SagaPartial
-				N    int
-				Idx  []int
+				Sum, Hist la.Vec
+				N         int
+				Idx       []int
 			}
 			agg, err := rdd.Aggregate(sampled, sagaAgg{},
 				func(acc sagaAgg, pt rdd.Point) sagaAgg {
-					if acc.Part.Sum == nil {
-						acc.Part.Sum = la.NewVec(cols)
-						acc.Part.HistSum = la.NewVec(cols)
+					if acc.Sum == nil {
+						acc.Sum = la.NewVec(cols)
+						acc.Hist = la.NewVec(cols)
 					}
-					loss.AddGrad(pt.X, pt.Y, wRound, acc.Part.Sum)
+					loss.AddGrad(pt.X, pt.Y, wRound, acc.Sum)
 					if hw, ok := tableCopy[pt.GlobalIndex]; ok {
-						loss.AddGrad(pt.X, pt.Y, hw, acc.Part.HistSum)
+						loss.AddGrad(pt.X, pt.Y, hw, acc.Hist)
 					}
 					acc.N++
 					acc.Idx = append(acc.Idx, pt.GlobalIndex)
@@ -139,13 +139,13 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 				},
 				func(a, b sagaAgg) sagaAgg {
 					switch {
-					case a.Part.Sum == nil:
+					case a.Sum == nil:
 						return b
-					case b.Part.Sum == nil:
+					case b.Sum == nil:
 						return a
 					default:
-						la.Axpy(1, b.Part.Sum, a.Part.Sum)
-						la.Axpy(1, b.Part.HistSum, a.Part.HistSum)
+						la.Axpy(1, b.Sum, a.Sum)
+						la.Axpy(1, b.Hist, a.Hist)
 						a.N += b.N
 						a.Idx = append(a.Idx, b.Idx...)
 						return a
@@ -157,7 +157,9 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 			if agg.N == 0 {
 				return false, nil
 			}
-			if err := st.apply(p.Step.Alpha(k), agg.Part, agg.N); err != nil {
+			// the driver reads only the difference of the two sums
+			la.Axpy(-1, agg.Hist, agg.Sum)
+			if err := st.apply(p.Step.Alpha(k), agg.Sum, agg.N); err != nil {
 				return false, err
 			}
 			for _, idx := range agg.Idx {
@@ -189,11 +191,12 @@ func SAGAVersionHistory(ac *core.Context, d *dataset.Dataset, p Params, fstar fl
 }
 
 // versionHistoryKernel computes SagaKernel's payload the paper's way: per
-// sampled row the loss gradient at the current model and, if the row was
-// recorded before, at its recorded version; then it records the current
-// version for the row. Both sums accumulate sparsely; a dense task expands
-// them at the end, adding the same terms in the same order a dense sweep
-// would. Its loss is linear: the op's args name only linear losses.
+// sampled row the loss gradient coefficient at the current model, minus the
+// one at the row's recorded version if it has one, scattered once; then it
+// records the current version for the row. The sum accumulates sparsely; a
+// dense task expands it at the end, adding the same terms in the same order
+// a dense sweep would. Its loss is linear: the op's args name only linear
+// losses.
 func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	lin, l2, _, _ := splitProx(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
@@ -201,10 +204,8 @@ func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.K
 		if err != nil {
 			return nil, 0, err
 		}
-		cur := env.Scratch().Delta("opt.saga.cur", len(w))
-		hist := env.Scratch().Delta("opt.saga.hist", len(w))
-		cur.Reset()
-		hist.Reset()
+		acc := env.Scratch().Delta("opt.saga.acc", len(w))
+		acc.Reset()
 		rng := env.Scratch().Rand(seed)
 		versions := wBr.History(env)
 		n := 0
@@ -218,7 +219,7 @@ func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.K
 					continue
 				}
 				idx, val := p.X.RowNZ(local)
-				cur.Accum(lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local]), idx, val)
+				d := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
 				hv, touched, err := versions.TryValueAt(env, p.GlobalRow(local))
 				if err != nil {
 					return nil, 0, err
@@ -228,8 +229,9 @@ func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.K
 					if err != nil {
 						return nil, 0, err
 					}
-					hist.Accum(lin.GradCoeff(la.SparseDot(idx, val, wHist), p.Y[local]), idx, val)
+					d -= lin.GradCoeff(la.SparseDot(idx, val, wHist), p.Y[local])
 				}
+				acc.Accum(d, idx, val)
 				versions.Record(p.GlobalRow(local))
 				n++
 			}
@@ -237,13 +239,11 @@ func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.K
 		if n == 0 {
 			return nil, 0, nil
 		}
+		diff := acc.Compact()
 		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
-			return SagaDelta{Sum: cur.Compact(), HistSum: hist.Compact()}, n, nil
+			return diff, n, nil
 		}
-		dense := func(d *la.DeltaVec) la.Vec {
-			defer la.PutDelta(d)
-			return d.Dense()
-		}
-		return SagaPartial{Sum: dense(cur.Compact()), HistSum: dense(hist.Compact())}, n, nil
+		defer la.PutDelta(diff)
+		return diff.Dense(), n, nil
 	}
 }

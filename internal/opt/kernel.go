@@ -20,13 +20,13 @@ import (
 // unavoidable per-task allocation is boxing the result payload into `any`.
 // alloc_test.go pins the inner loops at zero allocations per run.
 
-// SagaPartial is a worker's locally reduced SAGA contribution: the sum of
-// current-gradient terms, the sum of historical-gradient terms (both of the
-// loss alone; a ridge term is the driver's), and the sample count (carried
-// in the result attributes).
+// SagaPartial was the dense SAGA payload of two sums; SagaKernel now ships
+// their difference as a la.Vec. Nothing produces it: its last reference is
+// benchmark/probe.go's payload recycler, and it goes with that case under
+// ROADMAP 8(c).
 type SagaPartial struct {
-	Sum     la.Vec // Σ_{i∈S} ∇f_i(w_current)
-	HistSum la.Vec // Σ_{i∈S} ∇f_i(w_hist(i))
+	Sum     la.Vec
+	HistSum la.Vec
 }
 
 // GradOpArgs parameterize the registered kernel ops — the one task form
@@ -268,21 +268,24 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 // SagaKernel builds the historical-gradient kernel of SAGA for a linear
 // loss. Row i's gradient at a model v is c_i·x_i with the scalar
 // c_i = GradCoeff(x_i·w_v, y_i), so the worker stores that scalar per row
-// (sagaCoefs) in place of the version the row last saw (arXiv:1407.0202
-// §4): per sampled row it scatters c·x_i into the current-gradient sum, the
-// stored coefficient times x_i into the historical sum if the row was
-// sampled before, and stores c. That is, operation for operation, the
-// arithmetic of re-evaluating the gradient at the recorded version (the
-// paper-literal arm in baseline.go ships the same bits), but a task reads
-// only the version it names. Rows never sampled contribute zero historical
-// gradient, the only start consistent with Algorithm 3's
-// `averageHistory = 0`. The sums are of the loss alone; the driver applies
-// a ridge term exactly (sagaState.apply). Sampling follows GradKernel's
-// reproducibility contract.
+// (sagaCoefs) in place of the version the row last saw, and the history
+// enters only as the per-row difference (c_i − c_i^old)·x_i (arXiv:1407.0202
+// §4): per sampled row it takes one dot, scatters c − c_old (c if the row
+// was never sampled) once, and stores c. The payload is the one sum
+// Σ_{i∈S} ∇f_i(w_current) − ∇f_i(w_hist(i)) — the only form the driver
+// reads — in the types GradKernel ships. The per-row arithmetic is that of
+// re-evaluating the gradient at the recorded version (the paper-literal arm
+// in baseline.go ships the same bits), but a task reads only the version it
+// names. Rows never sampled contribute zero historical gradient, the only
+// start consistent with Algorithm 3's `averageHistory = 0`. The sum is of
+// the loss alone; the driver applies a ridge term exactly
+// (sagaState.apply). Sampling follows GradKernel's reproducibility
+// contract.
 //
 // Sparse-delta path: without a ridge term, over partitions below
-// sparseDensityThreshold, the sums ship as a SagaDelta and the driver
-// applies the update, avgHist drift included, lazily in O(nnz) (saga.go).
+// sparseDensityThreshold, the difference ships as a pooled *la.DeltaVec and
+// the driver applies the update, avgHist drift included, lazily in O(nnz)
+// (saga.go).
 func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	lin, l2, _, linOK := splitProx(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
@@ -297,24 +300,21 @@ func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 		coefs := sagaCoefTable(env, wBr.ID)
 		// a sweep reports 0 rows on error as on an empty sample
 		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
-			cur := env.Scratch().Delta("opt.saga.cur", len(w))
-			hist := env.Scratch().Delta("opt.saga.hist", len(w))
-			cur.Reset()
-			hist.Reset()
-			n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, cur, hist)
+			acc := env.Scratch().Delta("opt.saga.acc", len(w))
+			acc.Reset()
+			n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, acc)
 			if n == 0 {
 				return nil, 0, err
 			}
-			return SagaDelta{Sum: cur.Compact(), HistSum: hist.Compact()}, n, nil
+			return acc.Compact(), n, nil
 		}
-		cur, hist := la.GetVec(len(w)), la.GetVec(len(w))
-		n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, denseAccum(cur), denseAccum(hist))
+		diff := la.GetVec(len(w))
+		n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, denseAccum(diff))
 		if n == 0 {
-			la.PutVec(cur)
-			la.PutVec(hist)
+			la.PutVec(diff)
 			return nil, 0, err
 		}
-		return SagaPartial{Sum: cur, HistSum: hist}, n, nil
+		return diff, n, nil
 	}
 }
 
@@ -330,9 +330,9 @@ func (g denseAccum) Accum(c float64, idx []int32, val []float64) {
 }
 
 // sagaSweep is SagaKernel's row loop over the task's partitions, scattering
-// rows into cur and hist. It returns the number of sampled rows, 0 with the
-// error when a partition is missing.
-func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, parts []int, rng *rand.Rand, frac float64, w la.Vec, cur, hist A) (int, error) {
+// each sampled row's gradient difference into acc. It returns the number of
+// sampled rows, 0 with the error when a partition is missing.
+func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, parts []int, rng *rand.Rand, frac float64, w la.Vec, acc A) (int, error) {
 	n := 0
 	for _, pi := range parts {
 		p, err := env.Partition(pi)
@@ -346,10 +346,11 @@ func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, pa
 			}
 			idx, val := p.X.RowNZ(local)
 			c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
-			cur.Accum(c, idx, val)
+			d := c
 			if rows.touched[local] {
-				hist.Accum(rows.coef[local], idx, val)
+				d -= rows.coef[local]
 			}
+			acc.Accum(d, idx, val)
 			rows.coef[local], rows.touched[local] = c, true
 			n++
 		}

@@ -21,12 +21,6 @@ func samePayload(a, b any) bool {
 	case *la.DeltaVec:
 		y, ok := b.(*la.DeltaVec)
 		return ok && sameDelta(x, y)
-	case SagaPartial:
-		y, ok := b.(SagaPartial)
-		return ok && la.Equal(x.Sum, y.Sum, 0) && la.Equal(x.HistSum, y.HistSum, 0)
-	case SagaDelta:
-		y, ok := b.(SagaDelta)
-		return ok && sameDelta(x.Sum, y.Sum) && sameDelta(x.HistSum, y.HistSum)
 	default:
 		return false
 	}

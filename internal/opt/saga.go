@@ -78,20 +78,22 @@ func (s *sagaState) Import(cp *Checkpoint) error {
 	return nil
 }
 
-// apply performs one SAGA update from a collected partial of loss gradients:
+// apply performs one SAGA update from a collected partial, the sum
+// d = Σ_{i∈S} ∇f_i(w_current) − ∇f_i(w_hist(i)) of the loss's gradient
+// differences that SagaKernel ships:
 //
-//	w ← w − α·[ (ΣgCur − ΣgHist)/b + avgHist + λ·w ]
-//	avgHist ← avgHist + (ΣgCur − ΣgHist)/n
+//	w ← w − α·[ d/b + avgHist + λ·w ]
+//	avgHist ← avgHist + d/n
 //
 // which is Algorithm 4 lines 8–9 with the minibatch scaling written out and
 // a ridge term taken exactly at the model updated (unbiased SAGA with an
 // exact regularizer).
-func (s *sagaState) apply(alpha float64, part SagaPartial, batch int) error {
+func (s *sagaState) apply(alpha float64, diff la.Vec, batch int) error {
 	if batch <= 0 {
 		return fmt.Errorf("opt: SAGA partial with batch %d", batch)
 	}
-	if len(part.Sum) != len(s.w) || len(part.HistSum) != len(s.w) {
-		return fmt.Errorf("opt: SAGA partial dims (%d,%d) != %d", len(part.Sum), len(part.HistSum), len(s.w))
+	if len(diff) != len(s.w) {
+		return fmt.Errorf("opt: SAGA partial dim %d != %d", len(diff), len(s.w))
 	}
 	// a dense update reads and eagerly applies avgHist everywhere, so any
 	// deferred drift must land first
@@ -99,13 +101,11 @@ func (s *sagaState) apply(alpha float64, part SagaPartial, batch int) error {
 	if s.l2 != 0 {
 		la.Scale(1-alpha*s.l2, s.w)
 	}
-	// One fused pass instead of four BLAS-1 sweeps: d = ΣgCur − ΣgHist,
-	// w −= α·(d/b + avgHist), avgHist += d/n (Algorithm 4 lines 8–9).
+	// one fused pass instead of three BLAS-1 sweeps
 	ab := alpha / float64(batch)
 	invN := 1 / s.n
 	w, avg := s.w, s.avgHist
-	for j := range w {
-		d := part.Sum[j] - part.HistSum[j]
+	for j, d := range diff {
 		w[j] -= ab*d + alpha*avg[j]
 		avg[j] += d * invN
 	}
@@ -116,37 +116,20 @@ func (s *sagaState) apply(alpha float64, part SagaPartial, batch int) error {
 // coordinates are settled through this update (including its own −α·avgHist
 // term, read before avgHist moves, matching the dense order of operations)
 // and every untouched coordinate's drift stays deferred.
-func (s *sagaState) applyDelta(alpha float64, part SagaDelta, batch int) error {
+func (s *sagaState) applyDelta(alpha float64, diff *la.DeltaVec, batch int) error {
 	if batch <= 0 {
 		return fmt.Errorf("opt: SAGA partial with batch %d", batch)
 	}
-	if part.Sum == nil || part.HistSum == nil || part.Sum.N != len(s.w) || part.HistSum.N != len(s.w) {
-		return fmt.Errorf("opt: SAGA sparse partial dims != %d", len(s.w))
+	if diff.N != len(s.w) {
+		return fmt.Errorf("opt: SAGA sparse partial dim %d != %d", diff.N, len(s.w))
 	}
 	s.drift.ensure(len(s.w))
 	s.drift.advance(alpha)
 	ab := alpha / float64(batch)
 	invN := 1 / s.n
 	w, avg := s.w, s.avgHist
-	// merged walk over the two supports (each sorted, possibly different:
-	// rows with no recorded history contribute no historical gradient)
-	S, H := part.Sum, part.HistSum
-	si, hi := 0, 0
-	for si < len(S.Idx) || hi < len(H.Idx) {
-		var j int32
-		var d float64
-		switch {
-		case hi >= len(H.Idx) || (si < len(S.Idx) && S.Idx[si] < H.Idx[hi]):
-			j, d = S.Idx[si], S.Val[si]
-			si++
-		case si >= len(S.Idx) || H.Idx[hi] < S.Idx[si]:
-			j, d = H.Idx[hi], -H.Val[hi]
-			hi++
-		default:
-			j, d = S.Idx[si], S.Val[si]-H.Val[hi]
-			si++
-			hi++
-		}
+	for k, j := range diff.Idx {
+		d := diff.Val[k]
 		s.drift.settleCoord(w, avg, j)
 		w[j] -= ab * d
 		avg[j] += d * invN
@@ -154,25 +137,22 @@ func (s *sagaState) applyDelta(alpha float64, part SagaDelta, batch int) error {
 	return nil
 }
 
-// sagaRoundUpdater is the bulk-synchronous SAGA round state: current- and
-// historical-gradient partials fold into two roundAccums (sparse partials
-// merge without densifying), and the flush applies one combined update —
-// dense math when any partial was dense, the O(nnz) lazy-drift path when
-// the whole round was sparse.
+// sagaRoundUpdater is the bulk-synchronous SAGA round state: partials fold
+// into one roundAccum (sparse partials merge without densifying), and the
+// flush applies one combined update — dense math when any partial was
+// dense, the O(nnz) lazy-drift path when the whole round was sparse.
 type sagaRoundUpdater struct {
 	*sagaState
-	sum, hist *roundAccum
-	batch     int
+	acc   *roundAccum
+	batch int
 }
 
 func (u *sagaRoundUpdater) Apply(payload any, attrs *core.Attrs, _ float64) error {
 	switch part := payload.(type) {
-	case SagaPartial:
-		u.sum.AddDense(part.Sum)
-		u.hist.AddDense(part.HistSum)
-	case SagaDelta:
-		u.sum.AddSparse(part.Sum)
-		u.hist.AddSparse(part.HistSum)
+	case la.Vec:
+		u.acc.AddDense(part)
+	case *la.DeltaVec:
+		u.acc.AddSparse(part)
 	default:
 		return fmt.Errorf("unexpected SAGA payload %T", payload)
 	}
@@ -183,30 +163,20 @@ func (u *sagaRoundUpdater) Apply(payload any, attrs *core.Attrs, _ float64) erro
 func (u *sagaRoundUpdater) FlushRound(alpha float64) (bool, error) {
 	batch := u.batch
 	u.batch = 0
-	defer func() {
-		u.sum.Reset()
-		u.hist.Reset()
-	}()
-	if batch == 0 {
+	defer u.acc.Reset()
+	switch {
+	case batch == 0:
 		return false, nil
-	}
-	if u.sum.Dense() != nil || u.hist.Dense() != nil {
+	case u.acc.Dense() != nil:
 		// any dense partial forces the dense combined apply (BSP rounds
 		// were O(d) on the driver historically; the sparse win was worker
 		// compute and wire bytes)
-		combined := SagaPartial{Sum: u.sum.Densify(), HistSum: u.hist.Densify()}
-		return true, u.apply(alpha, combined, batch)
+		return true, u.apply(alpha, u.acc.Densify(), batch)
+	case u.acc.Sparse() != nil:
+		// all-sparse round: one merged O(nnz) update with lazy avgHist drift
+		return true, u.applyDelta(alpha, u.acc.Sparse(), batch)
 	}
-	if u.sum.Sparse() == nil {
-		return false, nil
-	}
-	// all-sparse round: one merged O(nnz) update with lazy avgHist drift
-	delta := SagaDelta{Sum: u.sum.Sparse(), HistSum: u.hist.Sparse()}
-	if delta.HistSum == nil {
-		// rows with no recorded history contributed no historical partials
-		delta.HistSum = &la.DeltaVec{N: len(u.w)}
-	}
-	return true, u.applyDelta(alpha, delta, batch)
+	return false, nil
 }
 
 // SAGA is the synchronous variant of Algorithm 3, but implemented with the
@@ -226,10 +196,10 @@ func (u sagaStreamUpdater) Apply(payload any, attrs *core.Attrs, alpha float64) 
 	return applySagaPayload(u.sagaState, alpha, payload, attrs.MiniBatch)
 }
 
-// ASAGA is asynchronous SAGA (Algorithm 4): workers compute current and
-// historical gradients against the model version their task names, the
-// driver applies an update per collected partial, and no round barrier
-// exists (barrier defaults to ASP).
+// ASAGA is asynchronous SAGA (Algorithm 4): workers compute current minus
+// historical gradients at the model version their task names, the driver
+// applies an update per collected partial, and no round barrier exists
+// (barrier defaults to ASP).
 func ASAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Result, error) {
 	return runSAGA(ac, d, p, fstar, SagaOpName, false)
 }
@@ -262,7 +232,7 @@ func runSAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64, op s
 		return runLoop(ac, d, sagaStreamUpdater{st}, spec)
 	}
 	spec.Barrier, spec.Round, spec.RoundBudget = core.BSP(), true, true
-	u := &sagaRoundUpdater{sagaState: st, sum: newRoundAccum(d.NumCols()), hist: newRoundAccum(d.NumCols())}
+	u := &sagaRoundUpdater{sagaState: st, acc: newRoundAccum(d.NumCols())}
 	return runLoop(ac, d, u, spec)
 }
 
@@ -270,15 +240,13 @@ func runSAGA(ac *core.Context, d *dataset.Dataset, p Params, fstar float64, op s
 // apply and recycles its pooled storage.
 func applySagaPayload(st *sagaState, alpha float64, payload any, batch int) error {
 	switch part := payload.(type) {
-	case SagaPartial:
+	case la.Vec:
 		err := st.apply(alpha, part, batch)
-		la.PutVec(part.Sum)
-		la.PutVec(part.HistSum)
+		la.PutVec(part)
 		return err
-	case SagaDelta:
+	case *la.DeltaVec:
 		err := st.applyDelta(alpha, part, batch)
-		la.PutDelta(part.Sum)
-		la.PutDelta(part.HistSum)
+		la.PutDelta(part)
 		return err
 	default:
 		return fmt.Errorf("unexpected SAGA payload %T", payload)

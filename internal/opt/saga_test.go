@@ -14,24 +14,11 @@ import (
 // recycleSaga hands a SAGA kernel payload's pooled storage back.
 func recycleSaga(v any) {
 	switch part := v.(type) {
-	case SagaPartial:
-		la.PutVec(part.Sum)
-		la.PutVec(part.HistSum)
-	case SagaDelta:
-		la.PutDelta(part.Sum)
-		la.PutDelta(part.HistSum)
+	case la.Vec:
+		la.PutVec(part)
+	case *la.DeltaVec:
+		la.PutDelta(part)
 	}
-}
-
-// hasHistory reports whether a SAGA payload carries any historical gradient.
-func hasHistory(v any) bool {
-	switch part := v.(type) {
-	case SagaPartial:
-		return la.Norm2(part.HistSum) > 0
-	case SagaDelta:
-		return len(part.HistSum.Idx) > 0
-	}
-	return false
 }
 
 // TestSagaCoefficientsMatchVersionHistory is the oracle of SagaKernel's
@@ -84,23 +71,26 @@ func TestSagaCoefficientsMatchVersionHistory(t *testing.T) {
 							envName, loss.Name(), v, k, got, gn, want, wn)
 					}
 					payloads[fmt.Sprintf("%T", got)] = true
-					if hasHistory(got) {
-						withHistory++
-					}
 					// replay the task's sampling (the per-worker RNG reseeded
-					// with the task seed is rand.NewSource(seed)'s stream)
-					rng, isNew := rand.New(rand.NewSource(seed)), false
+					// with the task seed is rand.NewSource(seed)'s stream): a
+					// row sampled before carries history, one never sampled is new
+					rng, isNew, hasHist := rand.New(rand.NewSource(seed)), false, false
 					for _, pi := range parts {
 						p, _ := env.Partition(pi)
 						for local := 0; local < p.NumRows(); local++ {
 							if rng.Float64() < frac {
-								isNew = isNew || !sampled[[2]int{pi, local}]
-								sampled[[2]int{pi, local}] = true
+								row := [2]int{pi, local}
+								isNew = isNew || !sampled[row]
+								hasHist = hasHist || sampled[row]
+								sampled[row] = true
 							}
 						}
 					}
 					if isNew && len(sampled) > wn {
 						fresh++
+					}
+					if hasHist {
+						withHistory++
 					}
 					recycleSaga(want)
 					recycleSaga(got)
@@ -112,7 +102,7 @@ func TestSagaCoefficientsMatchVersionHistory(t *testing.T) {
 			}
 		}
 	}
-	if !payloads["opt.SagaPartial"] || !payloads["opt.SagaDelta"] {
+	if !payloads["la.Vec"] || !payloads["*la.DeltaVec"] {
 		t.Fatalf("payload kinds compared: %v, want both", payloads)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // Sparse-delta task path. When a task's partitions are sparse enough and
 // its loss is linear (see LinearLoss), the gradient kernels accumulate only
 // the coordinates the sampled rows touch — O(nnz) per task instead of O(d)
-// — and ship the result as a pooled la.DeltaVec (or SagaDelta) instead of a
-// dense vector. The drivers recognise the payload type and apply the update
-// in O(nnz) too (see lazy.go). Sampling draws from the same worker RNG in
+// — and ship the result as a pooled la.DeltaVec instead of a dense vector.
+// The drivers recognise the payload type and apply the update in O(nnz)
+// too (see lazy.go). Sampling draws from the same worker RNG in
 // the same order as the dense sweep, and the scatter arithmetic mirrors the
 // dense kernels operation for operation, so on a fixed seed the sparse and
 // dense paths produce bitwise-identical gradients (regression-tested in
@@ -71,20 +71,19 @@ func gradSweepSparse(lin LinearLoss, p *dataset.Partition, rng *rand.Rand, frac 
 	return n
 }
 
-// SagaDelta is the sparse counterpart of SagaPartial: the current- and
-// historical-gradient sums restricted to the coordinates the sampled rows
-// touch. Both deltas are pooled; the driver returns them with la.PutDelta
-// after applying the update.
+// SagaDelta was the sparse SAGA payload of two sums; SagaKernel now ships
+// their difference as a *la.DeltaVec. Nothing produces it: its last
+// reference is benchmark/probe.go's payload recycler, and it goes with that
+// case under ROADMAP 8(c).
 type SagaDelta struct {
-	Sum     *la.DeltaVec // Σ_{i∈S} ∇f_i(w_current)
-	HistSum *la.DeltaVec // Σ_{i∈S} ∇f_i(w_hist(i))
+	Sum     *la.DeltaVec
+	HistSum *la.DeltaVec
 }
 
 // Binary payload codes claimed by the opt layer (the core layer owns 16;
-// see internal/core/codec.go).
+// see internal/core/codec.go). 17 and 18 carried the two-sum SAGA payloads
+// and stay retired: a frame naming either is refused, never reinterpreted.
 const (
-	payloadSagaPartial byte = 17
-	payloadSagaDelta   byte = 18
 	payloadGradOpArgs  byte = 19
 	payloadCDPartial   byte = 20
 	payloadADMMPartial byte = 21
@@ -122,19 +121,10 @@ func registerPayload[T any](code byte, enc func(*cluster.BinWriter, T) error, de
 		func(r *cluster.BinReader) (any, error) { return dec(r) })
 }
 
-// putPair appends two payload values back to back.
-func putPair(w *cluster.BinWriter, a, b any) error {
-	if err := w.PutValue(a); err != nil {
-		return err
-	}
-	return w.PutValue(b)
-}
-
-// readDelta decodes a payload value that must be a sparse delta, or nil
-// where the field may be unset.
-func readDelta(r *cluster.BinReader, required bool) (*la.DeltaVec, error) {
+// readDelta decodes a payload value that must be a sparse delta or nil.
+func readDelta(r *cluster.BinReader) (*la.DeltaVec, error) {
 	v, err := r.Value()
-	if err != nil || (v == nil && !required) {
+	if err != nil || v == nil {
 		return nil, err
 	}
 	d, ok := v.(*la.DeltaVec)
@@ -145,22 +135,6 @@ func readDelta(r *cluster.BinReader, required bool) (*la.DeltaVec, error) {
 }
 
 func init() {
-	registerPayload(payloadSagaPartial,
-		func(w *cluster.BinWriter, p SagaPartial) error { return putPair(w, p.Sum, p.HistSum) },
-		func(r *cluster.BinReader) (p SagaPartial, err error) {
-			if p.Sum, err = readVec(r, false); err == nil {
-				p.HistSum, err = readVec(r, false)
-			}
-			return p, err
-		})
-	registerPayload(payloadSagaDelta,
-		func(w *cluster.BinWriter, p SagaDelta) error { return putPair(w, p.Sum, p.HistSum) },
-		func(r *cluster.BinReader) (p SagaDelta, err error) {
-			if p.Sum, err = readDelta(r, true); err == nil {
-				p.HistSum, err = readDelta(r, true)
-			}
-			return p, err
-		})
 	registerPayload(payloadGradOpArgs,
 		func(w *cluster.BinWriter, a GradOpArgs) error {
 			w.PutString(a.BroadcastID)
@@ -197,7 +171,10 @@ func init() {
 	registerPayload(payloadCDPartial,
 		func(w *cluster.BinWriter, p CDPartial) error {
 			putBlock(w, p.Block)
-			return putPair(w, p.G, p.H)
+			if err := w.PutValue(p.G); err != nil {
+				return err
+			}
+			return w.PutValue(p.H)
 		},
 		func(r *cluster.BinReader) (p CDPartial, err error) {
 			p.Block = readBlock(r)
@@ -230,7 +207,7 @@ func init() {
 		},
 		func(r *cluster.BinReader) (d CDDelta, err error) {
 			d.RunID, d.Round = r.Varint(), r.Varint()
-			d.Delta, err = readDelta(r, false)
+			d.Delta, err = readDelta(r)
 			return d, err
 		})
 }

@@ -109,7 +109,7 @@ func TestSparsePathMatchesDenseASAGA(t *testing.T) {
 		return res.W
 	}
 	wSparse := run(local)
-	// the SagaDelta pairs cross a real wire unchanged
+	// the sparse partials cross a real wire unchanged
 	if wTCP := run(loopback); !la.Equal(wSparse, wTCP, 0) {
 		t.Fatal("sparse ASAGA over TCP diverged from the in-process run")
 	}
@@ -197,21 +197,19 @@ func TestSparseKernelPayloadTypes(t *testing.T) {
 		la.PutDelta(d)
 	}
 	if v := collect(SagaKernel(Logistic{}, br, 0.25)); v != nil {
-		sd, ok := v.(SagaDelta)
+		d, ok := v.(*la.DeltaVec)
 		if !ok {
-			t.Fatalf("sparse SagaKernel shipped %T, want SagaDelta", v)
+			t.Fatalf("sparse SagaKernel shipped %T, want *la.DeltaVec", v)
 		}
-		la.PutDelta(sd.Sum)
-		la.PutDelta(sd.HistSum)
+		la.PutDelta(d)
 	}
 	// lazy SAGA shrinkage is unsupported: ridge SAGA stays dense
 	if v := collect(SagaKernel(Composite{Inner: LeastSquares{}, L2: 0.1}, br, 0.25)); v != nil {
-		sp, ok := v.(SagaPartial)
+		g, ok := v.(la.Vec)
 		if !ok {
-			t.Fatalf("ridge SagaKernel shipped %T, want dense SagaPartial", v)
+			t.Fatalf("ridge SagaKernel shipped %T, want la.Vec", v)
 		}
-		la.PutVec(sp.Sum)
-		la.PutVec(sp.HistSum)
+		la.PutVec(g)
 	}
 	if v := collect(VRKernel(LeastSquares{}, br, br, 0.25)); v != nil {
 		d, ok := v.(*la.DeltaVec)
@@ -258,9 +256,10 @@ func TestSparseGradKernelZeroAlloc(t *testing.T) {
 }
 
 // TestSparseSagaKernelZeroAlloc does the same for the historical-gradient
-// kernel (two accumulators, history table reads and writes included). The
-// seed changes every task: the history table is sized once per partition,
-// so rows sampled for the first time cost no allocation either.
+// kernel (history table reads and writes included): it ships a pooled
+// *la.DeltaVec too, so it allocates nothing. The seed changes every task:
+// the history table is sized once per partition, so rows sampled for the
+// first time cost no allocation either.
 func TestSparseSagaKernelZeroAlloc(t *testing.T) {
 	env, idx, _ := sparseKernelEnv(t)
 	kern := SagaKernel(LeastSquares{}, core.DynBroadcast{ID: "w", Version: 1}, 0.3)
@@ -271,19 +270,15 @@ func TestSparseSagaKernelZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n > 0 {
-			sd := v.(SagaDelta)
-			la.PutDelta(sd.Sum)
-			la.PutDelta(sd.HistSum)
+			la.PutDelta(v.(*la.DeltaVec))
 		}
 		seed++
 	}
 	for i := 0; i < 5; i++ {
 		work()
 	}
-	// SagaDelta is a two-pointer struct: boxing it into `any` is the one
-	// unavoidable steady-state allocation (like the dense payload boxing)
-	if allocs := testing.AllocsPerRun(100, work); allocs > 1 {
-		t.Errorf("sparse SagaKernel steady state allocates %v per task, want ≤ 1 (payload boxing)", allocs)
+	if allocs := testing.AllocsPerRun(100, work); allocs != 0 {
+		t.Errorf("sparse SagaKernel steady state allocates %v per task, want 0", allocs)
 	}
 }
 

@@ -1,9 +1,11 @@
 package opt
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -50,35 +52,32 @@ func wireRandDelta(rng *rand.Rand, n, nnz int) *la.DeltaVec {
 	return d
 }
 
-func TestWireSagaPartialRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	orig := core.ReducePayload{
-		Val: SagaPartial{Sum: wireRandVec(rng, 64), HistSum: wireRandVec(rng, 64)},
-		N:   17,
+// TestWireRetiredSagaCodesRefused: payload codes 17 and 18 carried the
+// two-sum SAGA payloads. A SAGA result is now a la.Vec or *la.DeltaVec, whose
+// round trips TestCodecResultRoundTripDense and TestCodecResultRoundTripSparse
+// (internal/cluster) pin, so a task-result frame naming either retired code
+// must decode to an error, not a panic or a misread payload.
+func TestWireRetiredSagaCodesRefused(t *testing.T) {
+	m := cluster.Message{Kind: cluster.KindTaskResult, Result: &cluster.Result{
+		TaskID: 3, Worker: 1, Op: SagaOpName,
+		Payload: core.ReducePayload{Val: la.Vec{0.5, -2, 3}, N: 1000},
+	}}
+	frame, _, err := cluster.EncodeFrame(m, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, ok := wireTrip(t, orig).(core.ReducePayload)
-	if !ok {
-		t.Fatal("reduce payload lost its type")
+	// the reduce wrapper: code 16, varint N = 1000, not-empty; the inner
+	// value's code follows
+	wrapper := []byte{16, 0xd0, 0x0f, 0}
+	at := bytes.Index(frame, wrapper)
+	if at < 0 {
+		t.Fatal("encoded result lost its reduce wrapper")
 	}
-	sp := got.Val.(SagaPartial)
-	want := orig.Val.(SagaPartial)
-	if got.N != orig.N || !la.Equal(sp.Sum, want.Sum, 0) || !la.Equal(sp.HistSum, want.HistSum, 0) {
-		t.Fatal("SagaPartial did not survive the binary wire")
-	}
-}
-
-func TestWireSagaDeltaRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	orig := SagaDelta{Sum: wireRandDelta(rng, 5000, 80), HistSum: wireRandDelta(rng, 5000, 40)}
-	got, ok := wireTrip(t, core.ReducePayload{Val: orig, N: 9}).(core.ReducePayload)
-	if !ok {
-		t.Fatal("reduce payload lost its type")
-	}
-	sd := got.Val.(SagaDelta)
-	for _, pair := range [][2]*la.DeltaVec{{sd.Sum, orig.Sum}, {sd.HistSum, orig.HistSum}} {
-		if pair[0].N != pair[1].N || !reflect.DeepEqual(pair[0].Idx, pair[1].Idx) ||
-			!reflect.DeepEqual(pair[0].Val, pair[1].Val) {
-			t.Fatal("SagaDelta did not survive the binary wire")
+	for _, code := range []byte{17, 18} {
+		bad := slices.Clone(frame)
+		bad[at+len(wrapper)] = code
+		if _, err := cluster.DecodeFrame(bad); err == nil || !strings.Contains(err.Error(), "unknown payload code") {
+			t.Errorf("a result frame with retired payload code %d: err %v, want an unknown-code error", code, err)
 		}
 	}
 }
