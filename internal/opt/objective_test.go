@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -142,6 +143,128 @@ func TestReferenceOptimumForComposite(t *testing.T) {
 	// objectives without a usable smooth core are refused, not mis-solved
 	if _, _, err := ReferenceOptimumFor(d, Composite{Inner: badLoss{}, L1: 0.1}); err == nil {
 		t.Fatal("reference solve accepted an objective without a linear core")
+	}
+}
+
+// spreadDiag is a diagonal design's entries, |a_j| over 0.02–5: its
+// curvatures a_j² span nearly five orders of magnitude, badly conditioned
+// as the wide sparse sets are, and λmax(XᵀX) = 25.
+var spreadDiag = []float64{5, -0.02, 3.1, 0.05, -1.7, 0.4, 2.2, -0.1, 0.9, 4.4, -0.03, 1.3}
+
+// TestReferenceOptimumForClosedForm checks the composite reference solve
+// against an oracle that shares no code with it: on spreadDiag's design the
+// minimizer is
+//
+//	w*_j = soft(2·a_j·y_j, n·λ1) / (2·a_j² + n·λ2),
+//
+// including the exact zeros the soft-threshold produces.
+func TestReferenceOptimumForClosedForm(t *testing.T) {
+	a := spreadDiag
+	y := []float64{1.2, 40, -0.9, 9, 0.1, -2.5, 0.05, 7, -1.1, 0.02, -30, 0.6}
+	const l2, l1 = 0.01, 0.05
+	d := diagDataset(t, a, y)
+	n := float64(len(a))
+	w, _, err := ReferenceOptimumFor(d, Composite{Inner: LeastSquares{}, L2: l2, L1: l1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(la.Vec, len(a))
+	for j := range a {
+		want[j] = SoftThreshold(2*a[j]*y[j], n*l1) / (2*a[j]*a[j] + n*l2)
+	}
+	// the solve stops on steps relative to 1 + ‖w‖∞, so its error is too
+	tol := 1e-9 * (1 + la.NormInf(want))
+	zeros := 0
+	for j := range a {
+		if math.Abs(w[j]-want[j]) > tol {
+			t.Fatalf("w[%d] = %v, closed form %v (tolerance %.2g)", j, w[j], want[j], tol)
+		}
+		if want[j] == 0 {
+			if w[j] != 0 {
+				t.Fatalf("w[%d] = %v, closed form is exactly 0", j, w[j])
+			}
+			zeros++
+		}
+	}
+	if zeros == 0 || zeros == len(a) {
+		t.Fatalf("%d of %d closed-form zeros: the design exercises too little", zeros, len(a))
+	}
+}
+
+// greedyCDObjective is the elastic net the greedy_cd benchmark workload
+// solves on sparse-wide data.
+var greedyCDObjective = Composite{Inner: LeastSquares{}, L2: 0.001, L1: 0.01}
+
+// TestReferenceOptimumStopsOnTolerance pins the restart: on the wide sparse
+// elastic net, where unrestarted FISTA oscillates into its 4000-iteration
+// cap, the reference solve meets its own tolerance within 1000 iterations.
+func TestReferenceOptimumStopsOnTolerance(t *testing.T) {
+	lin, l2, l1, _ := splitProx(greedyCDObjective)
+	for _, seed := range []int64{42, 7} {
+		d, err := dataset.Generate(dataset.SparseWide(dataset.ScaleTiny, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lip := curvOf(lin)*powerLambdaMax(d.X)/float64(d.NumRows()) + l2
+		if _, iters := proxGradient(d, lin, l2, l1, lip); iters > 1000 {
+			t.Fatalf("seed %d: %d iterations, want ≤ 1000", seed, iters)
+		}
+	}
+}
+
+// TestPowerLambdaMaxIsSafe: the padded estimate bounds λmax(XᵀX) from
+// above — exactly max a_j² on a diagonal design, and a long independent
+// power iteration on the sparse catalog shapes.
+func TestPowerLambdaMaxIsSafe(t *testing.T) {
+	a := spreadDiag
+	if got := powerLambdaMax(diagDataset(t, a, make([]float64, len(a))).X); got < 25 {
+		t.Fatalf("diagonal design: estimate %v below λmax 25", got)
+	}
+	for _, mk := range []func(dataset.Scale, int64) dataset.SynthConfig{dataset.SparseWide, dataset.RCV1Like} {
+		for _, seed := range []int64{42, 7} {
+			cfg := mk(dataset.ScaleTiny, seed)
+			d, err := dataset.Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ref := powerLambdaMax(d.X), gramNormBelow(d.X, 1000); got < ref {
+				t.Fatalf("%s seed %d: estimate %v below %v", cfg.Name, seed, got, ref)
+			}
+		}
+	}
+}
+
+// gramNormBelow runs iters steps of power iteration on XᵀX from a random
+// start and returns the last ‖XᵀXv‖ (‖v‖ = 1), a lower bound on λmax(XᵀX).
+func gramNormBelow(m *la.CSR, iters int) float64 {
+	rng := rand.New(rand.NewSource(1))
+	v := la.NewVec(m.NumCols)
+	for j := range v {
+		v[j] = rng.Float64()
+	}
+	la.Scale(1/la.Norm2(v), v)
+	xv := la.NewVec(m.NumRows)
+	var lam float64
+	for range iters {
+		m.MatVec(v, xv)
+		m.MatTVec(xv, v)
+		lam = la.Norm2(v)
+		la.Scale(1/lam, v)
+	}
+	return lam
+}
+
+// BenchmarkReferenceOptimumFor times the composite reference solve (power
+// iteration plus restarted FISTA) on sparse-wide tiny data.
+func BenchmarkReferenceOptimumFor(b *testing.B) {
+	d, err := dataset.Generate(dataset.SparseWide(dataset.ScaleTiny, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, _, err := ReferenceOptimumFor(d, greedyCDObjective); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
