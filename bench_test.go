@@ -388,6 +388,46 @@ func BenchmarkGradKernelLocal(b *testing.B) {
 	}
 }
 
+// BenchmarkGradKernelSample measures one mini-batch gradient task at
+// wire_asgd's shape: two 5 000-row partitions of a 10 000-column set with 32
+// nonzeros a row, sampled at frac 0.0008 (about 8 rows a task). At this
+// fraction the row draw, not the arithmetic, is most of a task.
+func BenchmarkGradKernelSample(b *testing.B) {
+	d, err := dataset.Generate(dataset.SynthConfig{
+		Name: "tall-sparse", Rows: 10_000, Cols: 10_000, NNZPerRow: 32, Noise: 0.3, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts, err := dataset.Split(d, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := cluster.NewEnv(0, 1, nil)
+	for _, p := range parts {
+		if err := env.InstallPartition(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	env.Cache().Put("w", 1, la.NewVec(d.NumCols()))
+	kern := opt.GradKernel(opt.LeastSquares{}, core.DynBroadcast{ID: "w", Version: 1}, 0.0008)
+	partIdx := []int{0, 1}
+	samples := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, n, err := kern(env, partIdx, int64(i)*1_000_003)
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples += n
+		if v, ok := v.(*la.DeltaVec); ok {
+			la.PutDelta(v)
+		}
+	}
+	b.ReportMetric(float64(samples)/float64(b.N), "rows/op")
+}
+
 // BenchmarkGradInnerLoop measures just the mini-batch gradient inner loop —
 // the paper's per-task arithmetic with every coordination layer stripped
 // away. ns/gradient (reported as ns/sample) is the number the CI regression

@@ -95,7 +95,7 @@ func (e *Env) Rand(f func(*rand.Rand)) {
 func (e *Env) Cache() *BroadcastCache { return e.cache }
 
 // Scratch exposes the worker's typed scratch store (reusable compute
-// buffers and the per-worker task RNG). See Scratch for the reuse contract.
+// buffers). See Scratch for the reuse contract.
 func (e *Env) Scratch() *Scratch { return &e.scratch }
 
 // StoreGetOrCreate returns the worker-local value under key, creating it

@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"math/rand"
 	"sync"
 
 	"repro/internal/la"
 )
 
-// Scratch is the worker-local typed scratch store: reusable dense buffers
-// and a reseedable RNG that task kernels use instead of allocating per task.
+// Scratch is the worker-local typed scratch store: reusable dense and
+// sparse buffers that task kernels use instead of allocating per task.
 // It sits next to Env's untyped KV store but holds only throwaway compute
 // state — contents carry no meaning between tasks, so unlike the KV store it
 // survives Env.StoreClear and run resets, which is what keeps a reused
@@ -19,7 +18,6 @@ import (
 // callers that probe an Env from tests or tooling.
 type Scratch struct {
 	mu     sync.Mutex
-	rng    *rand.Rand
 	vecs   map[string]la.Vec
 	deltas map[string]*la.DeltaAccum
 }
@@ -60,19 +58,4 @@ func (s *Scratch) Delta(key string, n int) *la.DeltaAccum {
 		s.deltas[key] = a
 	}
 	return a
-}
-
-// Rand returns the worker's reusable task RNG reseeded with seed. Reseeding
-// yields exactly the stream of rand.New(rand.NewSource(seed)), so kernels
-// that switched from per-task construction keep their reproducibility
-// contract: the same task seed always draws the same sample set.
-func (s *Scratch) Rand(seed int64) *rand.Rand {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(seed))
-		return s.rng
-	}
-	s.rng.Seed(seed)
-	return s.rng
 }

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestScratchVecReuse(t *testing.T) {
 	env := NewEnv(0, 1, nil)
@@ -34,30 +31,12 @@ func TestScratchVecReuse(t *testing.T) {
 	}
 }
 
-// TestScratchRandMatchesFresh pins the reproducibility contract: the
-// reseeded per-worker RNG draws exactly the stream a freshly constructed
-// rand.New(rand.NewSource(seed)) would, for every reseed.
-func TestScratchRandMatchesFresh(t *testing.T) {
-	env := NewEnv(0, 1, nil)
-	for _, seed := range []int64{1, 42, -7, 1 << 40} {
-		got := env.Scratch().Rand(seed)
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 100; i++ {
-			if g, w := got.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d draw %d: %v != %v", seed, i, g, w)
-			}
-		}
-	}
-}
-
 func TestScratchAllocFree(t *testing.T) {
 	env := NewEnv(0, 1, nil)
 	env.Scratch().Vec("g", 64)
-	env.Scratch().Rand(1)
 	if allocs := testing.AllocsPerRun(100, func() {
 		v := env.Scratch().Vec("g", 64)
 		v[0] = 1
-		_ = env.Scratch().Rand(7).Float64()
 	}); allocs != 0 {
 		t.Errorf("steady-state scratch access allocates %v per run, want 0", allocs)
 	}

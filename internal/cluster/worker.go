@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/la"
@@ -66,15 +67,17 @@ func (w *Worker) Run() error {
 			wait = start.Sub(lastSubmit)
 		}
 		payload, err := w.execute(t)
-		compute := time.Since(start)
-		if compute < w.minTaskTime {
-			time.Sleep(w.minTaskTime - compute)
-			compute = w.minTaskTime
+		// the straggler model scales the padded nominal time; the result
+		// books what compute and both sleeps really took
+		nominal := time.Since(start)
+		if nominal < w.minTaskTime {
+			time.Sleep(w.minTaskTime - nominal)
+			nominal = w.minTaskTime
 		}
-		if extra := w.delay.Delay(w.id, compute); extra > 0 {
+		if extra := w.delay.Delay(w.id, nominal); extra > 0 {
 			time.Sleep(extra)
-			compute += extra
 		}
+		compute := time.Since(start)
 		res := &Result{
 			TaskID:      t.ID,
 			Worker:      w.id,
@@ -92,6 +95,10 @@ func (w *Worker) Run() error {
 			return fmt.Errorf("cluster: worker %d submit: %w", w.id, err)
 		}
 		lastSubmit = time.Now()
+		// yield: with tasks of a few microseconds, the driver and this
+		// worker could otherwise hand work back and forth on one processor
+		// while the other workers' goroutines wait to run
+		runtime.Gosched()
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/async"
@@ -104,16 +103,14 @@ func perSampleKernel(loss opt.Loss, wBr core.DynBroadcast, frac float64) core.Ke
 		}
 		w := wv.(la.Vec)
 		var gs []la.Vec
-		rng := rand.New(rand.NewSource(seed))
+		rows := cluster.NewRowSampler(seed, frac)
 		for _, pi := range parts {
 			p, err := env.Partition(pi)
 			if err != nil {
 				return nil, 0, err
 			}
-			for local := 0; local < p.NumRows(); local++ {
-				if rng.Float64() >= frac {
-					continue
-				}
+			nr := p.NumRows()
+			for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
 				g := la.NewVec(len(w))
 				loss.AddGrad(p.X.Row(local), p.Y[local], w, g)
 				gs = append(gs, g)

@@ -51,10 +51,10 @@ func TestGradSweepAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := la.NewVec(len(w))
-	rng := rand.New(rand.NewSource(3))
+	rows := cluster.NewRowSampler(3, 0.3)
 	for _, loss := range []Loss{LeastSquares{}, Logistic{}, Composite{Inner: LeastSquares{}, L2: 0.01}} {
 		if allocs := testing.AllocsPerRun(50, func() {
-			gradSweep(loss, p, rng, 0.3, w, g)
+			gradSweep(loss, p, &rows, w, g)
 		}); allocs != 0 {
 			t.Errorf("%s: gradSweep allocates %v per run, want 0", loss.Name(), allocs)
 		}
@@ -62,12 +62,12 @@ func TestGradSweepAllocFree(t *testing.T) {
 }
 
 // TestGradKernelSteadyStateAllocs bounds the whole per-task path: with the
-// scratch RNG, pooled accumulator, and fused kernels, the only remaining
+// row sampler, pooled accumulator, and fused kernels, the only remaining
 // per-task allocation is boxing the result payload into `any`.
 func TestGradKernelSteadyStateAllocs(t *testing.T) {
 	env, idx, _, _ := benchEnv(t, 500, 120, 2)
 	kern := GradKernel(LeastSquares{}, core.DynBroadcast{ID: "w", Version: 1}, 0.3)
-	// warm the pool and the scratch RNG
+	// warm the pool
 	for i := 0; i < 3; i++ {
 		v, _, err := kern(env, idx, int64(i))
 		if err != nil {
@@ -105,7 +105,7 @@ func TestSagaKernelSteadyStateAllocs(t *testing.T) {
 		seed++
 	}
 	for i := 0; i < 3; i++ {
-		work() // warm the pool, the scratch RNG and the history table
+		work() // warm the pool and the history table
 	}
 	if allocs := testing.AllocsPerRun(100, work); allocs > 1 {
 		t.Errorf("SagaKernel steady state allocates %v per task, want ≤ 1 (payload boxing)", allocs)

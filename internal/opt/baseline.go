@@ -206,7 +206,7 @@ func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.K
 		}
 		acc := env.Scratch().Delta("opt.saga.acc", len(w))
 		acc.Reset()
-		rng := env.Scratch().Rand(seed)
+		rows := cluster.NewRowSampler(seed, frac)
 		versions := wBr.History(env)
 		n := 0
 		for _, pi := range parts {
@@ -214,10 +214,8 @@ func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.K
 			if err != nil {
 				return nil, 0, err
 			}
-			for local := 0; local < p.NumRows(); local++ {
-				if rng.Float64() >= frac {
-					continue
-				}
+			nr := p.NumRows()
+			for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
 				idx, val := p.X.RowNZ(local)
 				d := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
 				hv, touched, err := versions.TryValueAt(env, p.GlobalRow(local))

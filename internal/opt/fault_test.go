@@ -63,18 +63,29 @@ func TestSyncSGDSurvivesWorkerDeath(t *testing.T) {
 
 // TestASAGASurvivesWorkerDeath: ASAGA loses the dead worker's history shard
 // (its partitions' recorded versions) but the algorithm continues and
-// converges on the survivors.
+// converges on the survivors. The worker dies at the run's snapshot of
+// update 100, taken on the driver, not after a wall-clock delay or from a
+// polling goroutine (which a busy machine can starve until the run is
+// over), so the death lands a quarter of the way into the run on any
+// machine.
 func TestASAGASurvivesWorkerDeath(t *testing.T) {
+	const killAt, updates = 100, 400
 	r := newRig(t, 4, 8, nil)
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		r.ac.RDD().Cluster().Kill(3)
-	}()
+	killedAt := int64(-1)
 	res, err := ASAGA(r.ac, r.d, Params{
-		Step: Constant{A: 0.05 / 4}, SampleFrac: 0.3, Updates: 400, SnapshotEvery: 100,
+		Step: Constant{A: 0.05 / 4}, SampleFrac: 0.3, Updates: updates, SnapshotEvery: 100,
+		OnProgress: func(p Progress) {
+			if killedAt < 0 && p.Updates >= killAt {
+				r.ac.RDD().Cluster().Kill(3)
+				killedAt = p.Updates
+			}
+		},
 	}, r.fstar)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if killedAt < 0 || killedAt >= updates {
+		t.Fatalf("worker 3 was not killed mid-run (killed at update %d of %d)", killedAt, updates)
 	}
 	r.assertConverged(t, res, 3)
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/cluster"
@@ -16,8 +15,9 @@ import (
 // state. Accumulators that travel with the task result come from la.GetVec
 // (the driver returns them with la.PutVec once the update is applied),
 // purely local temporaries come from the worker's Env scratch store, and
-// sampling uses the per-worker RNG reseeded with the task seed. The only
-// unavoidable per-task allocation is boxing the result payload into `any`.
+// sampling walks a cluster.RowSampler value seeded with the task seed. The
+// only unavoidable per-task allocation is boxing the result payload into
+// `any`.
 // alloc_test.go pins the inner loops at zero allocations per run.
 
 // SagaPartial was the dense SAGA payload of two sums; SagaKernel now ships
@@ -181,17 +181,14 @@ func asVec(v any) (la.Vec, error) {
 }
 
 // gradSweep is the steady-state mini-batch inner loop shared by the
-// gradient kernels: sample each row of partition p with probability frac
-// and accumulate the per-sample loss gradient at w into g, returning the
+// gradient kernels: walk the rows s samples from partition p and
+// accumulate the per-sample loss gradient at w into g, returning the
 // number of sampled rows. It is allocation-free (asserted by
 // TestGradSweepAllocFree): row views are zero-copy CSR slices and the loss
 // accumulates through the unrolled la kernels.
-func gradSweep(loss Loss, p *dataset.Partition, rng *rand.Rand, frac float64, w, g la.Vec) int {
-	n := 0
-	for local := 0; local < p.NumRows(); local++ {
-		if rng.Float64() >= frac {
-			continue
-		}
+func gradSweep(loss Loss, p *dataset.Partition, s *cluster.RowSampler, w, g la.Vec) int {
+	n, rows := 0, p.NumRows()
+	for local := s.Next(0, rows); local < rows; local = s.Next(local+1, rows) {
 		loss.AddGrad(p.X.Row(local), p.Y[local], w, g)
 		n++
 	}
@@ -213,11 +210,10 @@ func gradSweep(loss Loss, p *dataset.Partition, rng *rand.Rand, frac float64, w,
 // the inner gradient only; the driver applies the shrinkage lazily
 // (lazy.go). Dense partitions keep the dense path unchanged.
 //
-// Reproducibility contract: sampling draws from the worker's reusable RNG
-// reseeded with the task seed, which yields exactly the stream of
-// rand.New(rand.NewSource(seed)) — the same seed always selects the same
-// sample set regardless of what ran on the worker before (see
-// TestGradKernelSeedReproducibility). The sparse sweep consumes the RNG
+// Reproducibility contract: sampling walks a cluster.RowSampler seeded with
+// the task seed, so the same seed, frac and partitions select the same rows
+// on any worker, regardless of what ran there before (see
+// TestGradKernelSeedReproducibility). The sparse sweep walks the sampler
 // identically, so both paths sample the same rows.
 func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	// splitProx, not splitLoss: an ℓ1 term never disqualifies the sparse
@@ -230,7 +226,7 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 		if err != nil {
 			return nil, 0, err
 		}
-		rng := env.Scratch().Rand(seed)
+		rows := cluster.NewRowSampler(seed, frac)
 		if linOK && sparseTaskViable(env, parts, frac, len(w)) {
 			acc := env.Scratch().Delta("opt.grad.acc", len(w))
 			acc.Reset()
@@ -240,7 +236,7 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 				if err != nil {
 					return nil, 0, err
 				}
-				n += gradSweepSparse(lin, p, rng, frac, w, acc)
+				n += gradSweepSparse(lin, p, &rows, w, acc)
 			}
 			if n == 0 {
 				return nil, 0, nil // empty sample: no result
@@ -255,7 +251,7 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 				la.PutVec(g)
 				return nil, 0, err
 			}
-			n += gradSweep(loss, p, rng, frac, w, g)
+			n += gradSweep(loss, p, &rows, w, g)
 		}
 		if n == 0 {
 			la.PutVec(g)
@@ -296,20 +292,20 @@ func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 		if err != nil {
 			return nil, 0, err
 		}
-		rng := env.Scratch().Rand(seed)
+		rows := cluster.NewRowSampler(seed, frac)
 		coefs := sagaCoefTable(env, wBr.ID)
 		// a sweep reports 0 rows on error as on an empty sample
 		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
 			acc := env.Scratch().Delta("opt.saga.acc", len(w))
 			acc.Reset()
-			n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, acc)
+			n, err := sagaSweep(env, coefs, lin, parts, &rows, w, acc)
 			if n == 0 {
 				return nil, 0, err
 			}
 			return acc.Compact(), n, nil
 		}
 		diff := la.GetVec(len(w))
-		n, err := sagaSweep(env, coefs, lin, parts, rng, frac, w, denseAccum(diff))
+		n, err := sagaSweep(env, coefs, lin, parts, &rows, w, denseAccum(diff))
 		if n == 0 {
 			la.PutVec(diff)
 			return nil, 0, err
@@ -332,18 +328,15 @@ func (g denseAccum) Accum(c float64, idx []int32, val []float64) {
 // sagaSweep is SagaKernel's row loop over the task's partitions, scattering
 // each sampled row's gradient difference into acc. It returns the number of
 // sampled rows, 0 with the error when a partition is missing.
-func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, parts []int, rng *rand.Rand, frac float64, w la.Vec, acc A) (int, error) {
+func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
 	n := 0
 	for _, pi := range parts {
 		p, err := env.Partition(pi)
 		if err != nil {
 			return 0, err
 		}
-		rows := coefs.rows(p)
-		for local := 0; local < p.NumRows(); local++ {
-			if rng.Float64() >= frac {
-				continue
-			}
+		rows, nr := coefs.rows(p), p.NumRows()
+		for local := s.Next(0, nr); local < nr; local = s.Next(local+1, nr) {
 			idx, val := p.X.RowNZ(local)
 			c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
 			d := c
@@ -411,7 +404,7 @@ func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Ker
 		if err != nil {
 			return nil, 0, err
 		}
-		rng := env.Scratch().Rand(seed)
+		rows := cluster.NewRowSampler(seed, frac)
 		if sparseOK && sparseTaskViable(env, parts, frac, len(w)) {
 			acc := env.Scratch().Delta("opt.vr.acc", len(w))
 			acc.Reset()
@@ -421,10 +414,8 @@ func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Ker
 				if err != nil {
 					return nil, 0, err
 				}
-				for local := 0; local < p.NumRows(); local++ {
-					if rng.Float64() >= frac {
-						continue
-					}
+				nr := p.NumRows()
+				for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
 					idx, val := p.X.RowNZ(local)
 					y := p.Y[local]
 					c := lin.GradCoeff(la.SparseDot(idx, val, w), y) -
@@ -447,10 +438,8 @@ func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Ker
 				la.PutVec(diff)
 				return nil, 0, err
 			}
-			for local := 0; local < p.NumRows(); local++ {
-				if rng.Float64() >= frac {
-					continue
-				}
+			nr := p.NumRows()
+			for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
 				x, y := p.X.Row(local), p.Y[local]
 				loss.AddGrad(x, y, w, diff)
 				tmp.Zero()

@@ -71,19 +71,18 @@ func TestSagaCoefficientsMatchVersionHistory(t *testing.T) {
 							envName, loss.Name(), v, k, got, gn, want, wn)
 					}
 					payloads[fmt.Sprintf("%T", got)] = true
-					// replay the task's sampling (the per-worker RNG reseeded
-					// with the task seed is rand.NewSource(seed)'s stream): a
-					// row sampled before carries history, one never sampled is new
-					rng, isNew, hasHist := rand.New(rand.NewSource(seed)), false, false
+					// replay the task's sampling (a row sampler seeded with
+					// the task seed): a row sampled before carries history,
+					// one never sampled is new
+					rows, isNew, hasHist := cluster.NewRowSampler(seed, frac), false, false
 					for _, pi := range parts {
 						p, _ := env.Partition(pi)
-						for local := 0; local < p.NumRows(); local++ {
-							if rng.Float64() < frac {
-								row := [2]int{pi, local}
-								isNew = isNew || !sampled[row]
-								hasHist = hasHist || sampled[row]
-								sampled[row] = true
-							}
+						nr := p.NumRows()
+						for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
+							row := [2]int{pi, local}
+							isNew = isNew || !sampled[row]
+							hasHist = hasHist || sampled[row]
+							sampled[row] = true
 						}
 					}
 					if isNew && len(sampled) > wn {

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
@@ -14,8 +13,8 @@ import (
 // the coordinates the sampled rows touch — O(nnz) per task instead of O(d)
 // — and ship the result as a pooled la.DeltaVec instead of a dense vector.
 // The drivers recognise the payload type and apply the update in O(nnz)
-// too (see lazy.go). Sampling draws from the same worker RNG in
-// the same order as the dense sweep, and the scatter arithmetic mirrors the
+// too (see lazy.go). Sampling walks the same row sampler in the same order
+// as the dense sweep, and the scatter arithmetic mirrors the
 // dense kernels operation for operation, so on a fixed seed the sparse and
 // dense paths produce bitwise-identical gradients (regression-tested in
 // sparse_test.go).
@@ -53,16 +52,13 @@ func sparseTaskViable(env *cluster.Env, parts []int, frac float64, dim int) bool
 	return frac*float64(totalNNZ)*sparseWorkFactor <= float64(dim)
 }
 
-// gradSweepSparse is the sparse counterpart of gradSweep: sample each row
-// of partition p with probability frac (consuming the RNG exactly like the
-// dense sweep) and scatter the per-sample gradient coefficient into the
-// accumulator, touching only the row's nonzeros.
-func gradSweepSparse(lin LinearLoss, p *dataset.Partition, rng *rand.Rand, frac float64, w la.Vec, acc *la.DeltaAccum) int {
-	n := 0
-	for local := 0; local < p.NumRows(); local++ {
-		if rng.Float64() >= frac {
-			continue
-		}
+// gradSweepSparse is the sparse counterpart of gradSweep: walk the rows s
+// samples from partition p (exactly as the dense sweep does) and scatter
+// the per-sample gradient coefficient into the accumulator, touching only
+// the row's nonzeros.
+func gradSweepSparse(lin LinearLoss, p *dataset.Partition, s *cluster.RowSampler, w la.Vec, acc *la.DeltaAccum) int {
+	n, rows := 0, p.NumRows()
+	for local := s.Next(0, rows); local < rows; local = s.Next(local+1, rows) {
 		idx, val := p.X.RowNZ(local)
 		c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
 		acc.Accum(c, idx, val)

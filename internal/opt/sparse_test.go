@@ -248,7 +248,7 @@ func TestSparseGradKernelZeroAlloc(t *testing.T) {
 		seed++
 	}
 	for i := 0; i < 5; i++ {
-		work() // warm the accumulator, pool, and scratch RNG
+		work() // warm the accumulator and pool
 	}
 	if allocs := testing.AllocsPerRun(100, work); allocs != 0 {
 		t.Errorf("sparse GradKernel steady state allocates %v per task, want 0", allocs)

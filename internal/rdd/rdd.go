@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cluster"
 	"repro/internal/la"
@@ -100,8 +99,10 @@ func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 }
 
 // Sample takes a random fraction of each partition without replacement,
-// Spark's sample(false, frac). The per-task seed (mixed with the partition
-// index) drives the choice, so a given task is reproducible.
+// Spark's sample(false, frac): each element is kept independently with
+// probability frac. The per-task seed, mixed with the partition index,
+// seeds a cluster.RowSampler, so the same seed, frac and partition keep the
+// same elements on any worker.
 func (r *RDD[T]) Sample(frac float64) *RDD[T] {
 	parent := r.compute
 	return NewRDD(r.ctx, r.nParts, func(env *cluster.Env, part int, seed int64) ([]T, error) {
@@ -112,13 +113,10 @@ func (r *RDD[T]) Sample(frac float64) *RDD[T] {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(seed*1000003 + int64(part)))
-		// sample a binomial-distributed subset, like Spark's per-element coin flips
+		rows := cluster.NewRowSampler(seed*1000003+int64(part), frac)
 		out := make([]T, 0, int(frac*float64(len(in)))+1)
-		for _, v := range in {
-			if rng.Float64() < frac {
-				out = append(out, v)
-			}
+		for i := rows.Next(0, len(in)); i < len(in); i = rows.Next(i+1, len(in)) {
+			out = append(out, in[i])
 		}
 		return out, nil
 	})
