@@ -263,8 +263,7 @@ func (e *Engine) Context() *core.Context { return e.ac }
 // synchronous stage execution).
 func (e *Engine) RDD() *rdd.Context { return e.rctx }
 
-// Cluster exposes the worker pool (liveness, fetch counters, elastic
-// scale-out).
+// Cluster exposes the worker pool (liveness, fetch counters).
 func (e *Engine) Cluster() *cluster.Cluster { return e.c }
 
 // Points returns the distributed dataset handle, nil before Distribute.

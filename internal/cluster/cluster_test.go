@@ -40,7 +40,7 @@ func newTestCluster(t *testing.T, n int, delay straggler.Model) *Cluster {
 func awaitResult(t *testing.T, c *Cluster) *Result {
 	t.Helper()
 	select {
-	case r := <-c.Results():
+	case r := <-c.results:
 		return r
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for result")
@@ -151,13 +151,6 @@ func TestEnvPartitions(t *testing.T) {
 	}
 	if err := e.InstallPartition(nil); err == nil {
 		t.Fatal("nil partition accepted")
-	}
-	if got := e.Partitions(); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("Partitions = %v", got)
-	}
-	e.DropPartition(5)
-	if len(e.Partitions()) != 0 {
-		t.Fatal("partition not dropped")
 	}
 }
 
@@ -383,11 +376,11 @@ func TestInstallUnknownWorker(t *testing.T) {
 
 func TestFetchPath(t *testing.T) {
 	c := newTestCluster(t, 1, nil)
-	c.SetFetchHandler(func(id string, ver int64) (any, error) {
-		if id != "model" || ver != 7 {
-			return nil, fmt.Errorf("unexpected fetch %s@%d", id, ver)
+	c.SetFetchHandler(func(id string, ver, have int64) (FetchAnswer, error) {
+		if id != "model" || ver != 7 || have != 0 {
+			return FetchAnswer{}, fmt.Errorf("unexpected fetch %s@%d (have %d)", id, ver, have)
 		}
-		return "v7", nil
+		return FetchAnswer{Value: "v7"}, nil
 	})
 	task := &Task{ID: c.NextTaskID()}
 	task.SetFunc(func(env *Env, tk *Task) (any, error) {

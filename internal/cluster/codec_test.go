@@ -439,12 +439,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		m, err := DecodeFrame(data) // must not panic
 		if err == nil && m.Kind == KindFetchReply && m.FetchReply.Base != 0 {
 			base := la.Vec{1, 2, 3, 4, 5, 6, 7, 8}
-			v, err := applyPatch(m.FetchReply, 3, base)
+			v, err := applyPatch(m.FetchReply, 3, base, false)
 			if err == nil && len(v) != len(base) {
 				t.Fatalf("patch produced %d coordinates from a base of %d", len(v), len(base))
 			}
 			if !bitsEqual(base, la.Vec{1, 2, 3, 4, 5, 6, 7, 8}) {
 				t.Fatal("applying a patch wrote its base")
+			}
+			// in place, a refused patch writes nothing and an accepted one
+			// leaves in the base what the copy holds
+			want := base.Clone()
+			if err == nil {
+				want = v
+			}
+			if _, errIn := applyPatch(m.FetchReply, 3, base, true); (errIn == nil) != (err == nil) || !bitsEqual(base, want) {
+				t.Fatal("applying a patch in place differs from applying it to a copy")
 			}
 			return
 		}

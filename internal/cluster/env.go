@@ -65,24 +65,6 @@ func (e *Env) Partition(i int) (*dataset.Partition, error) {
 	return p, nil
 }
 
-// Partitions returns the indices of partitions held by the worker.
-func (e *Env) Partitions() []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]int, 0, len(e.parts))
-	for i := range e.parts {
-		out = append(out, i)
-	}
-	return out
-}
-
-// DropPartition removes partition i (used when rebalancing after recovery).
-func (e *Env) DropPartition(i int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.parts, i)
-}
-
 // Rand calls f with the worker's seeded RNG under a lock. Task functions use
 // it for mini-batch sampling when the task does not carry its own seed.
 func (e *Env) Rand(f func(*rand.Rand)) {
@@ -114,21 +96,6 @@ func (e *Env) StoreGetOrCreate(key string, mk func() any) any {
 		e.store[key] = v
 	}
 	return v
-}
-
-// StoreGet returns the worker-local value under key.
-func (e *Env) StoreGet(key string) (any, bool) {
-	e.storeMu.Lock()
-	defer e.storeMu.Unlock()
-	v, ok := e.store[key]
-	return v, ok
-}
-
-// StoreDelete removes a worker-local value.
-func (e *Env) StoreDelete(key string) {
-	e.storeMu.Lock()
-	defer e.storeMu.Unlock()
-	delete(e.store, key)
 }
 
 // StoreClear drops every worker-local value. The store holds per-run state
@@ -183,6 +150,12 @@ func (e *Env) BroadcastValue(id string, version int64) (any, error) {
 // cached, no Put). Only a caller resolving a handle older than one this
 // worker already resolved can Put below the newest; it gets its value, and
 // the cache keeps it only if it is retained.
+//
+// Invariant: a task does not keep a value of an id after it resolves a newer
+// version of that id, unless the value is retained. A fetch that patches an
+// unretained newest version into a newer one writes the patch into the old
+// value (see Worker.fetchFromServer), so a reference kept past that point
+// would read the newer bits.
 type BroadcastCache struct {
 	mu   sync.RWMutex
 	byID map[string]*idVersions
@@ -276,6 +249,17 @@ func (c *BroadcastCache) Retain(id string, version int64) {
 	c.mu.Lock()
 	c.entry(id).held[version] = struct{}{}
 	c.mu.Unlock()
+}
+
+// retained reports whether (id, version) is marked by Retain.
+func (c *BroadcastCache) retained(id string, version int64) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if e := c.byID[id]; e != nil {
+		_, held := e.held[version]
+		return held
+	}
+	return false
 }
 
 // Release drops the reference Retain took; the version is evicted unless it

@@ -111,14 +111,9 @@ func TestEnvStore(t *testing.T) {
 	if v != 42 || made != 1 {
 		t.Fatalf("second create ran: %v %d", v, made)
 	}
-	if got, ok := e.StoreGet("k"); !ok || got != 42 {
-		t.Fatalf("get: %v %v", got, ok)
-	}
-	e.StoreDelete("k")
-	if _, ok := e.StoreGet("k"); ok {
-		t.Fatal("delete did not remove")
-	}
-	if _, ok := e.StoreGet("missing"); ok {
-		t.Fatal("missing key found")
+	e.StoreClear()
+	v = e.StoreGetOrCreate("k", func() any { made++; return 99 })
+	if v != 99 || made != 2 {
+		t.Fatalf("create after clear: %v %d", v, made)
 	}
 }

@@ -18,15 +18,19 @@
 //
 //   - Base == 0: Value is the whole value. Always so on the in-process
 //     endpoint pair, which passes the driver's pointer and never copies.
-//   - Base != 0: Value is a *la.DeltaVec patch against version Base — the
-//     coordinates whose float64 bit patterns differ between the two versions,
-//     with their replacement (not additive) values. Sent only on an endpoint
-//     that serialises, when Base == Have, both versions are la.Vec of equal
-//     length still in the driver store, and the patch encodes shorter than
-//     the dense vector. The worker copies its base — only its executor
-//     goroutine, the one waiting for this reply, ever changes its cache — and
-//     overwrites the listed coordinates: the result is bit-identical to the
-//     driver's vector whatever produced the change.
+//   - Base != 0: Value is a *la.DeltaVec patch against version Base: a list
+//     of coordinates with their replacement (not additive) values. The driver
+//     lists the coordinates it logged as changed in (Base, Version] — which
+//     can include a few whose bits did not change — or, where its change log
+//     does not cover the range, the coordinates whose float64 bit patterns
+//     differ between the two versions (diffVec). Sent only on an endpoint
+//     that serialises, when Base == Have, the value is an la.Vec, and the
+//     patch encodes shorter than the dense vector. The worker overwrites the
+//     listed coordinates — in its base itself when it owns the base (the
+//     base is not retained and Version is newer), else in a copy; only its
+//     executor goroutine, the one waiting for this reply, ever changes its
+//     cache. The result is bit-identical to the driver's vector whatever
+//     produced the change.
 //
 // The worker validates a patch before touching anything: Base must equal the
 // Have it sent, the value must be a sparse delta (whose decode already

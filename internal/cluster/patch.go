@@ -37,15 +37,36 @@ func diffVec(base, next la.Vec) *la.DeltaVec {
 	return d
 }
 
+// patchAt lists next's values at the sorted, distinct coordinates idx — a
+// patch built from the driver's change log — or returns nil when it would
+// encode no shorter than next itself, the rule diffVec applies as it goes.
+// The delta comes from the la pool.
+func patchAt(next la.Vec, idx []int32) *la.DeltaVec {
+	size, prev := uvarintLen(uint64(len(idx))), int32(0)
+	for _, j := range idx {
+		size += 8 + uvarintLen(uint64(j-prev))
+		prev = j
+	}
+	if size >= 8*len(next) {
+		return nil
+	}
+	d := la.GetDelta(len(idx), len(next))
+	copy(d.Idx, idx)
+	for k, j := range idx {
+		d.Val[k] = next[j]
+	}
+	return d
+}
+
 // uvarintLen is the encoded size of v as a uvarint: 7 bits to the byte.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// applyPatch rebuilds the vector a patch reply stands for: a copy of base
-// (the worker's version have of the id) with the listed coordinates
-// overwritten. base itself is never written. A reply that does not fit the
+// applyPatch rebuilds the vector a patch reply stands for: base (the
+// worker's version have of the id) with the listed coordinates overwritten,
+// in base itself when inPlace, else in a copy. A reply that does not fit the
 // request — a base the worker did not offer, a value that is not a sparse
-// delta, a dimension other than base's — is an error.
-func applyPatch(rep *FetchReply, have int64, base any) (la.Vec, error) {
+// delta, a dimension other than base's — is an error, and nothing is written.
+func applyPatch(rep *FetchReply, have int64, base any, inPlace bool) (la.Vec, error) {
 	b, ok := base.(la.Vec)
 	if rep.Base != have || !ok {
 		return nil, fmt.Errorf("patch against version %d, but the worker offered %d", rep.Base, have)
@@ -57,8 +78,11 @@ func applyPatch(rep *FetchReply, have int64, base any) (la.Vec, error) {
 	if d.N != len(b) {
 		return nil, fmt.Errorf("patch of dimension %d against a base of dimension %d", d.N, len(b))
 	}
-	v := la.GetVec(len(b))
-	copy(v, b)
+	v := b
+	if !inPlace {
+		v = la.GetVec(len(b))
+		copy(v, b)
+	}
 	for k, j := range d.Idx {
 		v[j] = d.Val[k]
 	}

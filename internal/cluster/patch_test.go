@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -101,7 +103,7 @@ func TestPatchRoundTripBitwise(t *testing.T) {
 			got = rep.Value.(la.Vec)
 		} else {
 			var err error
-			if got, err = applyPatch(rep, 7, base); err != nil {
+			if got, err = applyPatch(rep, 7, base, false); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}
@@ -323,68 +325,132 @@ func TestCodecRoundTripAllocs(t *testing.T) {
 	}
 }
 
-// TestFetchPatchOverTCP drives the whole miss path over a socket: the first
-// fetch of an id is dense, a small change goes as a patch, a change of every
-// coordinate goes dense again, and a base the driver no longer has falls
-// back to dense — each time rebuilding the driver's vector bit for bit and
-// holding one version of the id on the worker.
+// TestFetchPatchOverTCP drives the whole miss path over a socket, one
+// version of "model" after another, rebuilding the driver's vector bit for
+// bit each time: a first fetch goes dense; a logged change goes as a patch
+// of the logged coordinates, written into the worker's base; a change the
+// log does not cover goes as a diff, or dense when every coordinate moves or
+// the base is gone; a logged chain still patches after its base is gone. A
+// retained base is patched in a copy and keeps its bits, and a fetch of a
+// version older than the newest never writes to the newest.
 func TestFetchPatchOverTCP(t *testing.T) {
 	c := startTCPCluster(t, 1)
 	rng := rand.New(rand.NewSource(14))
+	type stored struct {
+		v       la.Vec
+		changed []int32 // logged against the version before; nil = not logged
+	}
 	var mu sync.Mutex
-	store := map[int64]la.Vec{}
-	c.SetFetchHandler(func(id string, ver int64) (any, error) {
+	store := map[int64]stored{}
+	c.SetFetchHandler(func(id string, ver, have int64) (FetchAnswer, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		v, ok := store[ver]
+		s, ok := store[ver]
 		if !ok {
-			return nil, errTest("pruned")
+			return FetchAnswer{}, errTest("pruned")
 		}
-		return v, nil
+		ans := FetchAnswer{Value: s.v, Changed: s.changed, Logged: s.changed != nil && have == ver-1}
+		if b, ok := store[have]; ok {
+			ans.Base = b.v
+		}
+		return ans, nil
 	})
-	cur := randVec(rng, 2000)
-	patches, denses := fetchPatch.Value(), fetchDense.Value()
-	for ver := int64(1); ver <= 6; ver++ {
-		next := cur.Clone()
-		wantPatch := true
-		switch ver {
-		case 1: // nothing held yet
-			wantPatch = false
-		case 3: // every coordinate moves
-			for i := range next {
-				next[i] *= 1.5
-			}
-			wantPatch = false
-		case 5: // the base is gone from the driver
-			next[7] = math.Copysign(0, -1)
-			mu.Lock()
-			delete(store, ver-1)
-			mu.Unlock()
-			wantPatch = false
-		default:
-			for k := 0; k < 40; k++ {
-				next[rng.Intn(len(next))] = rng.NormFloat64()
-			}
-		}
-		mu.Lock()
-		store[ver] = next
-		mu.Unlock()
-		cur = next
-		if err := c.Submit(0, &Task{ID: c.NextTaskID(), Op: "test.fetchBits", Args: ver}); err != nil {
+	run := func(op string, args []int) la.Vec {
+		t.Helper()
+		if err := c.Submit(0, &Task{ID: c.NextTaskID(), Op: op, Args: args}); err != nil {
 			t.Fatal(err)
 		}
 		r := awaitResult(t, c)
 		if r.Failed() {
-			t.Fatalf("version %d: %s", ver, r.Err)
+			t.Fatalf("%s %v: %s", op, args, r.Err)
 		}
-		if !bitsEqual(r.Payload.(la.Vec), next) {
-			t.Fatalf("version %d: the worker's vector differs from the driver's", ver)
+		v, _ := r.Payload.(la.Vec)
+		return v
+	}
+	cur := randVec(rng, 2000)
+	counts := func() [3]int64 { return [3]int64{fetchPatch.Value(), fetchDiff.Value(), fetchDense.Value()} }
+	last := counts()
+	ver := int64(0)
+	for _, step := range []struct {
+		name                 string
+		change               string // "some" coordinates, "all" of them, or "none"
+		logged               bool
+		dropPrev, retainPrev bool
+		reply                int // index into counts: 0 patch, 1 diff, 2 dense
+		inPlace              bool
+	}{
+		{name: "first fetch", change: "none", reply: 2},
+		{name: "logged change", change: "some", logged: true, reply: 0, inPlace: true},
+		{name: "every coordinate moves", change: "all", reply: 2},
+		{name: "retained base", change: "some", logged: true, retainPrev: true, reply: 0},
+		{name: "unlogged change", change: "some", reply: 1, inPlace: true},
+		{name: "base gone, unlogged", change: "some", dropPrev: true, reply: 2},
+		{name: "base gone, logged", change: "some", logged: true, dropPrev: true, reply: 0, inPlace: true},
+	} {
+		ver++
+		next, changed := cur.Clone(), []int32{}
+		switch step.change {
+		case "all":
+			for i := range next {
+				next[i] *= 1.5
+			}
+		case "some":
+			for _, j := range rng.Perm(len(next))[:40] {
+				changed = append(changed, int32(j))
+			}
+			slices.Sort(changed)
+			for _, j := range changed[:30] { // the log may list a few unchanged ones
+				next[j] = rng.NormFloat64()
+			}
+			next[changed[0]] = math.Copysign(0, -1)
 		}
-		p, d := fetchPatch.Value(), fetchDense.Value()
-		if gotPatch := p > patches; gotPatch != wantPatch || (p-patches)+(d-denses) != 1 {
-			t.Fatalf("version %d: patch replies +%d, dense +%d, want patch=%v", ver, p-patches, d-denses, wantPatch)
+		s := stored{v: next}
+		if step.logged {
+			s.changed = changed
 		}
-		patches, denses = p, d
+		mu.Lock()
+		store[ver] = s
+		if step.dropPrev {
+			delete(store, ver-1)
+		}
+		mu.Unlock()
+		if step.retainPrev {
+			run("test.retain", []int{int(ver - 1)})
+		}
+		mode := 0
+		if step.inPlace {
+			mode = 1
+		}
+		if got := run("test.fetchBits", []int{int(ver), mode}); !bitsEqual(got, next) {
+			t.Fatalf("%s: the worker's vector differs from the driver's", step.name)
+		}
+		now := counts()
+		want := last
+		want[step.reply]++
+		if now != want {
+			t.Fatalf("%s: replies patch/diff/dense went %v → %v, want %v", step.name, last, now, want)
+		}
+		last = now
+		if step.retainPrev {
+			if got := run("test.cachedBits", []int{int(ver - 1)}); !bitsEqual(got, cur) {
+				t.Fatalf("%s: the retained base lost its bits", step.name)
+			}
+		}
+		cur = next
+	}
+	// an older version (evicted from the worker, still on the driver) goes
+	// as a diff against the newest, applied to a copy
+	mu.Lock()
+	old := store[4].v
+	mu.Unlock()
+	if got := run("test.fetchBits", []int{4, 0}); !bitsEqual(got, old) {
+		t.Fatal("an older version: the worker's vector differs from the driver's")
+	}
+	if now := counts(); now[1] != last[1]+1 {
+		t.Fatalf("an older version: replies patch/diff/dense now %v, was %v, want one more diff", now, last)
+	}
+	if got := run("test.cachedBits", []int{int(ver)}); !bitsEqual(got, cur) {
+		t.Fatal("fetching an older version wrote to the newest")
 	}
 }
 
@@ -393,16 +459,36 @@ type errTest string
 func (e errTest) Error() string { return string(e) }
 
 func init() {
-	// returns the resolved vector itself, and fails unless it is the only
-	// version the worker holds — checked here because the worker's Env
-	// belongs to another goroutine
+	// Args [version, mode] resolves "model"@version and returns a copy.
+	// mode 1 requires the value to reuse the memory of the newest version
+	// cached before (patched in place); mode 0 forbids it. The worker must
+	// hold only the newest version plus the ones it retains. Checked here
+	// because the worker's Env belongs to another goroutine.
 	RegisterOp("test.fetchBits", func(env *Env, t *Task) (any, error) {
-		v, err := env.BroadcastValue("model", t.Args.(int64))
+		args := t.Args.([]int)
+		_, prev, _ := env.Cache().Latest("model")
+		v, err := env.BroadcastValue("model", int64(args[0]))
 		if err != nil {
 			return nil, err
 		}
-		if n := env.Cache().Stats().Versions; n != 1 {
-			return nil, errTest("worker holds more than the newest version")
+		p, _ := prev.(la.Vec)
+		if inPlace := len(p) > 0 && &p[0] == &v.(la.Vec)[0]; inPlace != (args[1] == 1) {
+			return nil, errTest(fmt.Sprintf("patched in place: %v, want %v", inPlace, args[1] == 1))
+		}
+		if st := env.Cache().Stats(); st.Versions != 1+st.Retained {
+			return nil, errTest("worker holds more than the newest and the retained versions")
+		}
+		return v.(la.Vec).Clone(), nil
+	})
+	RegisterOp("test.retain", func(env *Env, t *Task) (any, error) {
+		env.Cache().Retain("model", int64(t.Args.([]int)[0]))
+		return nil, nil
+	})
+	// returns a copy of a cached version without fetching it
+	RegisterOp("test.cachedBits", func(env *Env, t *Task) (any, error) {
+		v, ok := env.Cache().Get("model", int64(t.Args.([]int)[0]))
+		if !ok {
+			return nil, errTest("not cached")
 		}
 		return v.(la.Vec).Clone(), nil
 	})

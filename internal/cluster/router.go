@@ -19,7 +19,7 @@ type Router struct {
 }
 
 // Router returns the cluster's router, starting its consume loop on first
-// use. After calling this, do not read Cluster.Results directly.
+// use; that loop is the only reader of the merged result stream.
 func (c *Cluster) Router() *Router {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -15,9 +15,20 @@ import (
 // ErrWorkerDown is returned when submitting to a dead worker.
 var ErrWorkerDown = errors.New("cluster: worker is down")
 
-// FetchHandler serves broadcast values for worker cache misses. It is
-// installed by the ASYNCbroadcaster.
-type FetchHandler func(id string, version int64) (any, error)
+// FetchHandler serves a worker's cache miss of (id, version). have is the
+// version the worker offers as a patch base, 0 for none. It is installed by
+// the ASYNCbroadcaster.
+type FetchHandler func(id string, version, have int64) (FetchAnswer, error)
+
+// FetchAnswer is what the driver holds for one fetch: the requested Value,
+// have's value as Base (nil once trimmed), and — when the driver's change log
+// covers (have, version] without a break (Logged) — the sorted coordinates
+// changed in that range. serveFetch only reads Changed.
+type FetchAnswer struct {
+	Value, Base any
+	Changed     []int32
+	Logged      bool
+}
 
 // Config describes a local (in-process) cluster.
 type Config struct {
@@ -153,44 +164,56 @@ func (c *Cluster) recvLoop(h *workerHandle) {
 func (c *Cluster) FetchCount() int64 { return c.fetchCount.Load() }
 
 // serveFetch answers one fetch. Over an endpoint that serialises, a dense
-// vector the worker already holds an older version of goes out as a patch
-// against that version whenever the patch is the shorter encoding (see the
-// protocol comment in message.go); everything else goes out whole.
+// vector the worker holds an older version of goes out as a patch against
+// that version whenever the patch is the shorter encoding (see the protocol
+// comment in message.go): built from the driver's change log when it covers
+// the range, else found by diffVec. Everything else goes out whole.
 func (c *Cluster) serveFetch(h *workerHandle, req *FetchReq) {
 	c.fetchCount.Add(1)
 	c.fetchMu.RLock()
 	fn := c.fetch
 	c.fetchMu.RUnlock()
 	rep := FetchReply{ID: req.ID, Version: req.Version}
+	have := req.Have
+	if !h.wire {
+		have = 0 // the in-process pair passes the driver's pointer
+	}
 	var patch *la.DeltaVec
 	if fn == nil {
 		rep.Err = "no fetch handler installed"
-	} else if v, err := fn(req.ID, req.Version); err != nil {
+	} else if ans, err := fn(req.ID, req.Version, have); err != nil {
 		rep.Err = err.Error()
 	} else {
-		rep.Value = v
-		if next, ok := v.(la.Vec); ok && h.wire && req.Have != 0 {
-			base, _ := fn(req.ID, req.Have) // pruned from the store: no base, so dense
-			if b, ok := base.(la.Vec); ok {
-				patch = diffVec(b, next)
-			}
+		rep.Value = ans.Value
+		next, isVec := ans.Value.(la.Vec)
+		base, hasBase := ans.Base.(la.Vec)
+		form := fetchDense
+		switch {
+		case !isVec || have == 0:
+		case ans.Logged:
+			patch, form = patchAt(next, ans.Changed), fetchPatch
+		case hasBase:
+			patch, form = diffVec(base, next), fetchDiff
 		}
 		if patch != nil {
-			rep.Base, rep.Value = req.Have, patch
-			fetchPatch.Inc()
+			rep.Base, rep.Value = have, patch
 		} else {
-			fetchDense.Inc()
+			form = fetchDense
 		}
+		form.Inc()
 	}
 	_ = h.ep.Send(Message{Kind: KindFetchReply, FetchReply: &rep})
 	la.PutDelta(patch) // Send has serialised it
 }
 
-// SetFetchHandler installs the broadcast fetch handler.
-func (c *Cluster) SetFetchHandler(fn FetchHandler) {
+// SetFetchHandler installs the broadcast fetch handler and returns the one
+// it replaces, so a caller can wrap it.
+func (c *Cluster) SetFetchHandler(fn FetchHandler) FetchHandler {
 	c.fetchMu.Lock()
+	defer c.fetchMu.Unlock()
+	prev := c.fetch
 	c.fetch = fn
-	c.fetchMu.Unlock()
+	return prev
 }
 
 // NextTaskID allocates a unique task id.
@@ -223,9 +246,6 @@ func (c *Cluster) Submit(worker int, t *Task) error {
 	return nil
 }
 
-// Results returns the merged result stream from all workers.
-func (c *Cluster) Results() <-chan *Result { return c.results }
-
 // Install synchronously ships a partition to a worker, waiting for the ack.
 func (c *Cluster) Install(worker int, p *dataset.Partition, timeout time.Duration) error {
 	h, err := c.handle(worker)
@@ -256,25 +276,6 @@ func (c *Cluster) Install(worker int, p *dataset.Partition, timeout time.Duratio
 		h.ackMu.Unlock()
 		return fmt.Errorf("cluster: install on worker %d timed out after %v", worker, timeout)
 	}
-}
-
-// AddLocalWorker grows an in-process cluster by one worker (elastic
-// scale-out, in the spirit of Litz-style elasticity the paper cites). The
-// new worker gets the next free id and starts empty: move partitions to it
-// with rdd.Context.MovePartition so it can take on work. Returns the id.
-func (c *Cluster) AddLocalWorker(delay straggler.Model, seed int64) int {
-	c.mu.Lock()
-	id := len(c.workers)
-	c.mu.Unlock()
-	se, we := NewInprocPair()
-	w := NewWorker(id, we, delay, seed)
-	c.addWorker(id, se)
-	c.workerWg.Add(1)
-	go func() {
-		defer c.workerWg.Done()
-		_ = w.Run()
-	}()
-	return id
 }
 
 // Kill abruptly severs a worker (crash injection for fault-tolerance tests).

@@ -122,8 +122,8 @@ func TestTCPClusterOpTask(t *testing.T) {
 func TestTCPClusterFetchPath(t *testing.T) {
 	c := startTCPCluster(t, 1)
 	model := la.Vec{3, 4}
-	c.SetFetchHandler(func(id string, ver int64) (any, error) {
-		return model, nil
+	c.SetFetchHandler(func(string, int64, int64) (FetchAnswer, error) {
+		return FetchAnswer{Value: model}, nil
 	})
 	task := &Task{ID: c.NextTaskID(), Op: "test.tcpBroadcastNorm", Args: int64(5)}
 	if err := c.Submit(0, task); err != nil {
@@ -157,7 +157,7 @@ func TestTCPSubmitFuncTaskRefused(t *testing.T) {
 	if !c.Alive(0) {
 		t.Fatal("an unencodable task marked its worker down")
 	}
-	c.SetFetchHandler(func(string, int64) (any, error) { return la.Vec{3, 4}, nil })
+	c.SetFetchHandler(func(string, int64, int64) (FetchAnswer, error) { return FetchAnswer{Value: la.Vec{3, 4}}, nil })
 	if err := c.Submit(0, &Task{ID: c.NextTaskID(), Op: "test.tcpBroadcastNorm", Args: int64(1)}); err != nil {
 		t.Fatal(err)
 	}

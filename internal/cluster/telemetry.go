@@ -14,8 +14,9 @@ var (
 
 	// Broadcast-value traffic and the worker caches it fills (every cache in
 	// the process; the gauge is the number of (id, version) values held now).
-	fetchReplies   = telemetry.Default().CounterVec("async_broadcast_fetches_total", "Broadcast fetches served, by reply form: patch (changed coordinates against the version the worker held) or dense (the whole value).", "reply")
+	fetchReplies   = telemetry.Default().CounterVec("async_broadcast_fetches_total", "Broadcast fetches served, by reply form: patch (the coordinates the driver logged as changed since the version the worker held), diff (a patch found by comparing the two versions, O(model)) or dense (the whole value).", "reply")
 	fetchPatch     = fetchReplies.With("patch")
+	fetchDiff      = fetchReplies.With("diff")
 	fetchDense     = fetchReplies.With("dense")
 	cacheEvictions = telemetry.Default().Counter("async_broadcast_cache_evictions_total", "Broadcast versions dropped from worker caches by the retention rule.")
 	cacheVersions  = telemetry.Default().Gauge("async_broadcast_cache_versions", "Broadcast (id, version) values held in worker caches.")

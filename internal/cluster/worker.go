@@ -163,11 +163,18 @@ func (w *Worker) recvLoop() {
 // for the reply. No goroutine but the executor's — this one — mutates the
 // cache (recvLoop only hands the reply over), so the base cannot change
 // during the exchange and at most one fetch is outstanding per worker.
+//
+// A patch is written straight into the base when the version asked for is
+// newer than the base and the base is not retained: the Put that follows
+// would evict the base anyway, and no task keeps a value of an id after it
+// resolves a newer version of that id (see BroadcastCache). Otherwise the
+// patch is applied to a copy and the base keeps its bits.
 func (w *Worker) fetchFromServer(id string, version int64) (any, error) {
 	have, base, ok := w.env.Cache().Latest(id)
 	if _, isVec := base.(la.Vec); !ok || !isVec || have <= 0 {
 		have, base = 0, nil
 	}
+	inPlace := version > have && !w.env.Cache().retained(id, have)
 	req := Message{Kind: KindFetch, Fetch: &FetchReq{Worker: w.id, ID: id, Version: version, Have: have}}
 	if err := w.ep.Send(req); err != nil {
 		return nil, err
@@ -186,7 +193,7 @@ func (w *Worker) fetchFromServer(id string, version int64) (any, error) {
 			if rep.Base == 0 {
 				return rep.Value, nil
 			}
-			v, err := applyPatch(rep, have, base)
+			v, err := applyPatch(rep, have, base, inPlace)
 			if d, ok := rep.Value.(*la.DeltaVec); ok {
 				la.PutDelta(d) // decoded from the wire: nobody else holds it
 			}

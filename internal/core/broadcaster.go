@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/rdd"
 )
 
 // DynBroadcast is the handle returned by ASYNCbroadcast (§4.3): a broadcast
@@ -45,8 +46,11 @@ func (ac *Context) ASYNCbroadcast(id string, value any) DynBroadcast {
 // (no clone, no allocation), and workers whose caches already hold that
 // version skip the fetch entirely. Drivers pass the model-update clock as
 // the stamp, which makes a re-broadcast of an unchanged model free on the
-// driver and on the wire.
-func (ac *Context) ASYNCbroadcastStamped(id string, stamp int64, value func() any) DynBroadcast {
+// driver and on the wire. value also reports what changed since the
+// previous version of id; the driver logs it, and a TCP fetch from a worker
+// a few versions behind is patched from that log
+// (rdd.Context.BroadcastChanged).
+func (ac *Context) ASYNCbroadcastStamped(id string, stamp int64, value func() (any, rdd.Changed)) DynBroadcast {
 	ac.bcastMu.Lock()
 	if ac.bcastMemo == nil {
 		ac.bcastMemo = map[string]stampedBroadcast{}
@@ -56,7 +60,8 @@ func (ac *Context) ASYNCbroadcastStamped(id string, stamp int64, value func() an
 		return m.br
 	}
 	ac.bcastMu.Unlock()
-	br := ac.ASYNCbroadcast(id, value())
+	v, ch := value()
+	br := DynBroadcast{ID: id, Version: ac.rctx.BroadcastChanged(id, v, ch).Version}
 	ac.bcastMu.Lock()
 	ac.bcastMemo[id] = stampedBroadcast{stamp: stamp, br: br}
 	ac.bcastMu.Unlock()

@@ -191,8 +191,8 @@ func (co *Coordinator) ingest(r *cluster.Result) {
 
 // sweep reconciles the worker table with cluster liveness: dead workers are
 // marked and their in-flight slots released (so barriers and pending counts
-// cannot hang on a crash), and workers added to the cluster after startup —
-// elastic scale-out — are discovered and become schedulable.
+// cannot hang on a crash), and live workers the table does not list yet are
+// added and become schedulable.
 func (co *Coordinator) sweep() {
 	alive := co.c.AliveWorkers()
 	co.mu.Lock()

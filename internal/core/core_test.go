@@ -264,7 +264,8 @@ func TestMinAvailableBarrier(t *testing.T) {
 func TestASYNCreduceRDDMatchesSyncReduce(t *testing.T) {
 	ac, points := setup(t, 2, 4, nil)
 	ys := rdd.Map(points, func(p rdd.Point) float64 { return p.Y })
-	want, err := ys.Reduce(func(a, b float64) float64 { return a + b })
+	add := func(a, b float64) float64 { return a + b }
+	want, err := rdd.Aggregate(ys, 0, add, add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestASYNCreduceRDDMatchesSyncReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ASYNCreduceRDD(ac, ys, func(a, b float64) float64 { return a + b }, sel)
+	n, err := ASYNCreduceRDD(ac, ys, add, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,5 +669,37 @@ func TestTaskFailureRule(t *testing.T) {
 	}
 	if err := round(countKernel); errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("ResetRun kept the previous run's failure: %v", err)
+	}
+}
+
+// TestStalenessHistogram: the coordinator aggregates staleness counts.
+func TestStalenessHistogram(t *testing.T) {
+	ac, _ := setup(t, 2, 2, nil)
+	for round := 0; round < 3; round++ {
+		sel, err := ac.ASYNCbarrier(BSP(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := ac.ASYNCreduce(sel, countKernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := ac.ASYNCcollect(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ac.AdvanceClock()
+	}
+	hist := ac.Coordinator().StalenessHistogram()
+	var total int64
+	for stale, count := range hist {
+		if stale < 0 || count <= 0 {
+			t.Fatalf("bad histogram entry %d:%d", stale, count)
+		}
+		total += count
+	}
+	if total != 6 { // 3 rounds × 2 workers
+		t.Fatalf("histogram total %d, want 6", total)
 	}
 }

@@ -2,107 +2,9 @@ package opt
 
 import (
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/rdd"
 	"repro/internal/straggler"
 )
-
-// TestSoakCrashAndElasticReplace is the end-to-end resilience scenario: a
-// long ASGD run under production-cluster stragglers, during which one
-// worker crashes, a replacement joins, and the dead worker's partitions are
-// rebalanced onto it. The run must finish and converge, and the replacement
-// must have done real work.
-func TestSoakCrashAndElasticReplace(t *testing.T) {
-	// the task floor stretches the run well past the coordinator's 50ms
-	// liveness sweep, so the mid-run join is always discovered with plenty
-	// of work left for the replacement
-	c, err := cluster.NewLocal(cluster.Config{
-		NumWorkers:  6,
-		Delay:       mustPCS(t, 6),
-		Seed:        77,
-		MinTaskTime: 500 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
-	d, err := dataset.Generate(dataset.SynthConfig{
-		Name: "soak", Rows: 240, Cols: 10, NNZPerRow: 5, Noise: 0.05, Seed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rctx := rdd.NewContext(c)
-	if _, err := rctx.Distribute(d, 12); err != nil {
-		t.Fatal(err)
-	}
-	ac := core.New(rctx)
-	t.Cleanup(ac.Close)
-	_, fstar, err := ReferenceOptimum(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// choreograph the failure while the optimization runs
-	const victim = 1
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		c.Kill(victim)
-		// replacement joins with no straggler handicap
-		id := c.AddLocalWorker(straggler.None{}, 999)
-		// rebalance the victim's partitions onto the replacement
-		for _, part := range rctx.PartitionsOn(victim) {
-			if err := rctx.MovePartition(part, id); err != nil {
-				t.Errorf("move partition %d: %v", part, err)
-				return
-			}
-		}
-	}()
-
-	res, err := ASGD(ac, d, Params{
-		Step: Scaled{Base: InvSqrt{A: 0.06}, Factor: 6}, SampleFrac: 0.3,
-		Updates: 2500, SnapshotEvery: 500,
-	}, fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0 := Objective(d, LeastSquares{}, make([]float64, d.NumCols()))
-	final := Objective(d, LeastSquares{}, res.W) - fstar
-	if final > (f0-fstar)/4 {
-		t.Fatalf("soak run did not converge: %v → %v", f0-fstar, final)
-	}
-	// the replacement worker (id 6) must have completed tasks
-	st := ac.STAT()
-	var replacement *core.WorkerStat
-	for i := range st.Workers {
-		if st.Workers[i].Worker == 6 {
-			replacement = &st.Workers[i]
-		}
-	}
-	if replacement == nil || !replacement.Alive {
-		t.Fatalf("replacement worker missing from STAT: %+v", st.Workers)
-	}
-	if replacement.TasksCompleted == 0 {
-		t.Fatal("replacement worker completed no tasks")
-	}
-	// and the victim must be recorded dead
-	if st.AliveWorkers != 6 { // 6 original − 1 dead + 1 replacement
-		t.Fatalf("alive workers = %d, want 6", st.AliveWorkers)
-	}
-}
-
-func mustPCS(t *testing.T, n int) straggler.Model {
-	t.Helper()
-	m, err := straggler.NewProductionCluster(n, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
 
 // TestLongASAGAStability: long ASAGA runs under a controlled straggler
 // must usually stay numerically stable and converge — guards against

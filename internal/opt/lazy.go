@@ -3,8 +3,10 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/la"
+	"repro/internal/rdd"
 )
 
 // Driver-side lazy model updates for the sparse-delta data path.
@@ -70,11 +72,17 @@ type proxApplier struct {
 	dirty    bool
 
 	scatter la.Vec // dense scratch for the momentum fallback
+
+	// what changed since the last report (changes): the coordinates sparse
+	// steps touched, or every one (all) once a dense step, a momentum step,
+	// a settle or an import moved them all
+	touched []int32
+	all     bool
 }
 
 // newProxApplier builds the applier for a run over cols coordinates.
 func newProxApplier(p *Params, cols int) *proxApplier {
-	a := &proxApplier{st: newStepper(p.Momentum, cols), prod: 1}
+	a := &proxApplier{st: newStepper(p.Momentum, cols), prod: 1, all: true}
 	if _, l2, l1, ok := splitProx(p.Loss); ok {
 		a.lambda, a.l1 = l2, l1
 	}
@@ -89,6 +97,7 @@ func (a *proxApplier) apply(w la.Vec, payload any, alpha float64, batch int) err
 	case la.Vec:
 		// dense partials already carry the smooth λ2·w_task terms
 		a.settle(w)
+		a.all = true
 		a.st.apply(w, g, alpha/float64(batch))
 		a.proxSweep(w, alpha)
 		la.PutVec(g)
@@ -109,6 +118,7 @@ func (a *proxApplier) applySparse(w la.Vec, g *la.DeltaVec, alpha float64, batch
 		// expand the delta and take the dense step (the sparse payload
 		// still saved worker compute and wire bytes)
 		a.settle(w)
+		a.all = true
 		if a.scatter == nil {
 			a.scatter = la.NewVec(len(w))
 		}
@@ -120,6 +130,11 @@ func (a *proxApplier) applySparse(w la.Vec, g *la.DeltaVec, alpha float64, batch
 		a.st.apply(w, a.scatter, ab)
 		a.proxSweep(w, alpha)
 		return
+	}
+	// every path below changes w at g's coordinates alone; the deferred
+	// terms reach the others at the next settle, which reports them all
+	if a.all = a.all || len(a.touched)+len(g.Idx) > len(w); !a.all {
+		a.touched = append(a.touched, g.Idx...)
 	}
 	if a.lambda <= 0 && a.l1 <= 0 {
 		g.AxpyDense(-ab, w)
@@ -193,6 +208,7 @@ func (a *proxApplier) settle(w la.Vec) {
 	if !a.dirty {
 		return
 	}
+	a.all = true
 	if a.l1last == nil {
 		for j := range w {
 			if a.lastProd[j] != a.prod {
@@ -217,6 +233,19 @@ func (a *proxApplier) settle(w la.Vec) {
 	a.prod = 1
 	a.l1cum = 0
 	a.dirty = false
+}
+
+// changes reports what the steps since the last report changed and starts
+// the next report. The touched list is sorted and deduplicated in place and
+// handed out as a copy of its own, which the driver store keeps.
+func (a *proxApplier) changes() rdd.Changed {
+	ch := rdd.Changed{All: a.all}
+	if !a.all {
+		slices.Sort(a.touched)
+		ch.Idx = slices.Clone(slices.Compact(a.touched))
+	}
+	a.touched, a.all = a.touched[:0], false
+	return ch
 }
 
 // AxpyPayload applies w += alpha·g for a collected gradient payload of

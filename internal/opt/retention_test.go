@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/rdd"
 )
 
 // cacheCensusOp reports, from inside a worker, what its broadcast cache and
@@ -17,6 +16,10 @@ import (
 // the loopback transport), so the census has to be taken by a task.
 const cacheCensusOp = "test.cache-census"
 
+// censusParts bounds the partition indices the census probes: the rigs here
+// place fewer.
+const censusParts = 64
+
 func init() {
 	cluster.RegisterOp(cacheCensusOp, func(env *cluster.Env, t *cluster.Task) (any, error) {
 		id := t.Args.(string)
@@ -24,10 +27,10 @@ func init() {
 		if ver, _, ok := env.Cache().Latest(id); ok {
 			readable[ver] = true
 		}
-		for _, pi := range env.Partitions() {
+		for pi := 0; pi < censusParts; pi++ {
 			p, err := env.Partition(pi)
 			if err != nil {
-				return nil, err
+				continue // placed on another worker
 			}
 			for local := 0; local < p.NumRows(); local++ {
 				if ver, ok := (core.DynBroadcast{ID: id}).RecordedVersion(env, p.GlobalRow(local)); ok {
@@ -147,12 +150,13 @@ func TestPruningCannotStarveHistory(t *testing.T) {
 		// stand between the workers and the driver store to see the misses
 		var missed atomic.Int64
 		r.rctx.Broadcast("saga.w", nil) // installs the store's own handler first
-		r.c.SetFetchHandler(func(id string, ver int64) (any, error) {
-			v, err := r.rctx.DriverValue(rdd.Broadcast{ID: id, Version: ver})
+		store := r.c.SetFetchHandler(nil)
+		r.c.SetFetchHandler(func(id string, ver, have int64) (cluster.FetchAnswer, error) {
+			ans, err := store(id, ver, have)
 			if err != nil {
 				missed.Add(1)
 			}
-			return v, err
+			return ans, err
 		})
 		p := Params{Step: InvSqrt{A: 0.05}, SampleFrac: 0.05, Updates: 2000, SnapshotEvery: 500, Barrier: core.BSP()}
 		if _, err := runSAGA(r.ac, r.d, p, r.fstar, sagaHistoryOpName, false); err != nil {

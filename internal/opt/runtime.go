@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/metrics"
+	"repro/internal/rdd"
 )
 
 // PreemptSignal requests a mid-run stop at the next update boundary: the
@@ -199,13 +200,25 @@ func (rt *runState) preempted(ac *core.Context, global int64) (*Result, error) {
 	return nil, &PreemptedError{Checkpoint: cp}
 }
 
+// changeReporter is an Updater that can name the model coordinates changed
+// since its previous report. The runtime reports at every publish, so the
+// driver logs what changed between consecutive versions and a TCP fetch
+// ships only that. An Updater without it changes every coordinate.
+type changeReporter interface {
+	changes() rdd.Changed
+}
+
 // publish stages the settled model for the workers under the global update
 // clock: a cycle that came round without an update re-issues the handle it
 // already has — no settle, no clone, no new version for a worker to fetch.
 func (rt *runState) publish(ac *core.Context, global int64) core.DynBroadcast {
-	return ac.ASYNCbroadcastStamped(rt.spec.Key, global, func() any {
+	return ac.ASYNCbroadcastStamped(rt.spec.Key, global, func() (any, rdd.Changed) {
 		rt.settle()
-		return rt.u.Model().Clone()
+		ch := rdd.Changed{All: true}
+		if r, ok := rt.u.(changeReporter); ok {
+			ch = r.changes()
+		}
+		return rt.u.Model().Clone(), ch
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/la"
 	"repro/internal/metrics"
+	"repro/internal/rdd"
 	"repro/internal/telemetry"
 )
 
@@ -278,8 +279,11 @@ func (u *asgdUpdater) Import(cp *Checkpoint) error {
 		return err
 	}
 	u.ap.st.importFrom(cp)
+	u.ap.all = true
 	return nil
 }
+
+func (u *asgdUpdater) changes() rdd.Changed { return u.ap.changes() }
 
 // ASGD is asynchronous mini-batch SGD (Algorithm 2): the driver broadcasts
 // the model, tasks whichever workers the barrier admits, and applies an

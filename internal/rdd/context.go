@@ -1,6 +1,6 @@
 // Package rdd implements the Spark-like dataflow layer the paper builds on:
 // resilient distributed datasets with lazy, lineage-tracked transformations,
-// synchronous actions (reduce, collect, aggregate — Spark's bulk-synchronous
+// synchronous actions (aggregate, collect, count — Spark's bulk-synchronous
 // model), versioned broadcast variables fetched on first use, and fault
 // tolerance by recomputation: every derived partition is recomputed from
 // its base partition, and base partitions are re-installed on a live worker
@@ -14,6 +14,7 @@ package rdd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -141,46 +142,10 @@ func (ctx *Context) Recover(part int) (int, error) {
 	}
 	ctx.mu.Lock()
 	ctx.placement[part] = target
-	old = ctx.prunePlacementLocked(part, old, target)
-	ctx.mu.Unlock()
-	_ = old
-	return target, nil
-}
-
-func (ctx *Context) prunePlacementLocked(part, old, target int) int {
-	ws := ctx.byWorker[old]
-	for i, p := range ws {
-		if p == part {
-			ctx.byWorker[old] = append(ws[:i], ws[i+1:]...)
-			break
-		}
-	}
+	ctx.byWorker[old] = slices.DeleteFunc(ctx.byWorker[old], func(p int) bool { return p == part })
 	ctx.byWorker[target] = append(ctx.byWorker[target], part)
-	return old
-}
-
-// MovePartition re-installs a partition's lineage root on the given worker
-// and updates placement — explicit rebalancing, e.g. onto a worker added
-// after startup.
-func (ctx *Context) MovePartition(part, worker int) error {
-	ctx.mu.Lock()
-	old, placed := ctx.placement[part]
-	m := ctx.master[part]
 	ctx.mu.Unlock()
-	if !placed || m == nil {
-		return fmt.Errorf("rdd: partition %d has no lineage root", part)
-	}
-	if old == worker {
-		return nil
-	}
-	if err := ctx.c.Install(worker, m, installTimeout); err != nil {
-		return err
-	}
-	ctx.mu.Lock()
-	ctx.placement[part] = worker
-	ctx.prunePlacementLocked(part, old, worker)
-	ctx.mu.Unlock()
-	return nil
+	return target, nil
 }
 
 // RunSync submits one task per listed partition and waits for all results —
@@ -255,24 +220,4 @@ func (ctx *Context) RunSync(parts []int, mk func(part int) *cluster.Task) ([]*cl
 		}
 	}
 	return out, nil
-}
-
-// AllPartitions lists every placed partition id in ascending order.
-func (ctx *Context) AllPartitions() []int {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	out := make([]int, 0, len(ctx.placement))
-	for p := range ctx.placement {
-		out = append(out, p)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

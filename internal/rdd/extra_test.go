@@ -7,6 +7,13 @@ import (
 	"repro/internal/la"
 )
 
+// driverValue reads a broadcast value from the driver store, as a fetch from
+// a worker holding nothing does.
+func driverValue(ctx *Context, b Broadcast) (any, error) {
+	ans, err := ctx.ensureStore().fetch(b.ID, b.Version, 0)
+	return ans.Value, err
+}
+
 func TestPruneBroadcastKeepsLatest(t *testing.T) {
 	ctx, _, _ := testSetup(t, 1, 1)
 	var last Broadcast
@@ -19,7 +26,7 @@ func TestPruneBroadcastKeepsLatest(t *testing.T) {
 	}
 	ctx.PruneBroadcast("p", 3)
 	// the latest must survive
-	v, err := ctx.DriverValue(last)
+	v, err := driverValue(ctx, last)
 	if err != nil {
 		t.Fatalf("latest version pruned: %v", err)
 	}
@@ -27,35 +34,13 @@ func TestPruneBroadcastKeepsLatest(t *testing.T) {
 		t.Fatalf("latest value %v", v)
 	}
 	// the oldest must be gone
-	if _, err := ctx.DriverValue(Broadcast{ID: "p", Version: last.Version - 9}); err == nil {
+	if _, err := driverValue(ctx, Broadcast{ID: "p", Version: last.Version - 9}); err == nil {
 		t.Fatal("oldest version survived prune to 3")
 	}
 	// prune with keep < 1 clamps to 1
 	ctx.PruneBroadcast("p", 0)
-	if _, err := ctx.DriverValue(last); err != nil {
+	if _, err := driverValue(ctx, last); err != nil {
 		t.Fatal("prune(0) removed the latest version")
-	}
-}
-
-func TestMovePartitionUpdatesByWorker(t *testing.T) {
-	ctx, _, _ := testSetup(t, 2, 4)
-	part := 0
-	from, err := ctx.WorkerFor(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	to := 1 - from
-	before := len(ctx.PartitionsOn(to))
-	if err := ctx.MovePartition(part, to); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(ctx.PartitionsOn(to)); got != before+1 {
-		t.Fatalf("target owns %d partitions, want %d", got, before+1)
-	}
-	for _, p := range ctx.PartitionsOn(from) {
-		if p == part {
-			t.Fatal("source still listed as owner")
-		}
 	}
 }
 
@@ -126,19 +111,6 @@ func TestPointRowViewMatchesDataset(t *testing.T) {
 		want := d.X.Row(p.GlobalIndex)
 		if !la.Equal(p.X.Dense(), want.Dense(), 0) {
 			t.Fatalf("row %d features differ", p.GlobalIndex)
-		}
-	}
-}
-
-func TestAllPartitionsSorted(t *testing.T) {
-	ctx, _, _ := testSetup(t, 3, 6)
-	parts := ctx.AllPartitions()
-	if len(parts) != 6 {
-		t.Fatalf("parts = %v", parts)
-	}
-	for i := 1; i < len(parts); i++ {
-		if parts[i] <= parts[i-1] {
-			t.Fatalf("not sorted: %v", parts)
 		}
 	}
 }

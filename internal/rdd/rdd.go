@@ -122,18 +122,6 @@ func (r *RDD[T]) Sample(frac float64) *RDD[T] {
 	})
 }
 
-// MapPartitions transforms a whole partition at once.
-func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *RDD[U] {
-	parent := r.compute
-	return NewRDD(r.ctx, r.nParts, func(env *cluster.Env, part int, seed int64) ([]U, error) {
-		in, err := parent(env, part, seed)
-		if err != nil {
-			return nil, err
-		}
-		return f(part, in)
-	})
-}
-
 // partitionTask wraps per-partition computation plus a local fold into a
 // cluster task. The fold output type must be concrete for transport.
 func partitionTask[T, U any](r *RDD[T], part int, fold func([]T) (U, error)) *cluster.Task {
@@ -147,50 +135,6 @@ func partitionTask[T, U any](r *RDD[T], part int, fold func([]T) (U, error)) *cl
 		return fold(in)
 	})
 	return t
-}
-
-// Reduce aggregates all elements with an associative operator, Spark-style:
-// partials are computed per partition on workers, combined on the driver,
-// and the action blocks until every partition has reported (the
-// bulk-synchronous behaviour ASYNC exists to relax).
-func (r *RDD[T]) Reduce(f func(T, T) T) (T, error) {
-	var zero T
-	type partial struct {
-		val T
-		ok  bool
-	}
-	results, err := r.ctx.RunSync(r.partitions(), func(part int) *cluster.Task {
-		return partitionTask(r, part, func(in []T) (partial, error) {
-			if len(in) == 0 {
-				return partial{}, nil
-			}
-			acc := in[0]
-			for _, v := range in[1:] {
-				acc = f(acc, v)
-			}
-			return partial{val: acc, ok: true}, nil
-		})
-	})
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	seen := false
-	for _, res := range results {
-		p := res.Payload.(partial)
-		if !p.ok {
-			continue
-		}
-		if !seen {
-			acc, seen = p.val, true
-		} else {
-			acc = f(acc, p.val)
-		}
-	}
-	if !seen {
-		return zero, fmt.Errorf("rdd: reduce of empty RDD")
-	}
-	return acc, nil
 }
 
 // Aggregate folds with a zero value, per-partition seqOp and driver-side

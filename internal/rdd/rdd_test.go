@@ -1,6 +1,7 @@
 package rdd
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func TestDistributePlacement(t *testing.T) {
 		t.Fatalf("ctx partitions = %d", ctx.NumPartitions())
 	}
 	counts := map[int]int{}
-	for _, p := range ctx.AllPartitions() {
+	for p := 0; p < ctx.NumPartitions(); p++ {
 		w, err := ctx.WorkerFor(p)
 		if err != nil {
 			t.Fatal(err)
@@ -92,57 +93,29 @@ func TestCollectMatchesDataset(t *testing.T) {
 	}
 }
 
-func TestReduceSumsLabels(t *testing.T) {
-	_, r, d := testSetup(t, 2, 4)
-	ys := Map(r, func(p Point) float64 { return p.Y })
-	got, err := ys.Reduce(func(a, b float64) float64 { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want float64
-	for _, y := range d.Y {
-		want += y
-	}
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("Reduce = %v, want %v", got, want)
-	}
-}
-
-func TestReduceEmptyRDDFails(t *testing.T) {
-	_, r, _ := testSetup(t, 2, 4)
-	empty := r.Filter(func(Point) bool { return false })
-	if _, err := empty.Reduce(func(a, b Point) Point { return a }); err == nil {
-		t.Fatal("reduce of empty RDD succeeded")
-	}
-}
-
-func TestReduceWithSomeEmptyPartitions(t *testing.T) {
-	_, r, _ := testSetup(t, 2, 4)
-	// keep only global index 0 — three of four partitions become empty
-	one := r.Filter(func(p Point) bool { return p.GlobalIndex == 0 })
-	got, err := Map(one, func(Point) int { return 1 }).Reduce(func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("Reduce = %d, want 1", got)
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	_, r, d := testSetup(t, 2, 4)
 	type acc struct {
 		N   int
 		Sum float64
 	}
-	got, err := Aggregate(r, acc{},
-		func(a acc, p Point) acc { return acc{a.N + 1, a.Sum + p.Y} },
-		func(a, b acc) acc { return acc{a.N + b.N, a.Sum + b.Sum} })
+	seq := func(a acc, p Point) acc { return acc{a.N + 1, a.Sum + p.Y} }
+	comb := func(a, b acc) acc { return acc{a.N + b.N, a.Sum + b.Sum} }
+	got, err := Aggregate(r, acc{}, seq, comb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N != d.NumRows() {
-		t.Fatalf("Aggregate N = %d, want %d", got.N, d.NumRows())
+	var sum float64
+	for _, y := range d.Y {
+		sum += y
+	}
+	if got.N != d.NumRows() || math.Abs(got.Sum-sum) > 1e-9 {
+		t.Fatalf("Aggregate = %+v, want N %d and sum %v", got, d.NumRows(), sum)
+	}
+	// three of four partitions empty: each contributes the zero value
+	one := r.Filter(func(p Point) bool { return p.GlobalIndex == 0 })
+	if got, err := Aggregate(one, acc{}, seq, comb); err != nil || got.N != 1 || got.Sum != d.Y[0] {
+		t.Fatalf("Aggregate over mostly empty partitions = %+v, %v; want row 0 alone", got, err)
 	}
 }
 
@@ -192,26 +165,6 @@ func TestSampleBadFraction(t *testing.T) {
 	}
 }
 
-func TestMapPartitions(t *testing.T) {
-	_, r, _ := testSetup(t, 2, 4)
-	sizes, err := MapPartitions(r, func(part int, in []Point) ([]int, error) {
-		return []int{len(in)}, nil
-	}).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sizes) != 4 {
-		t.Fatalf("got %d partition sizes", len(sizes))
-	}
-	sum := 0
-	for _, s := range sizes {
-		sum += s
-	}
-	if sum != 64 {
-		t.Fatalf("sizes sum to %d, want 64", sum)
-	}
-}
-
 func TestRecoveryAfterWorkerDeath(t *testing.T) {
 	ctx, r, d := testSetup(t, 3, 6)
 	// kill a worker, then run an action: RunSync must recover its partitions
@@ -224,7 +177,7 @@ func TestRecoveryAfterWorkerDeath(t *testing.T) {
 		t.Fatalf("Count after death = %d, want %d", n, d.NumRows())
 	}
 	// every partition must now be placed on a live worker
-	for _, p := range ctx.AllPartitions() {
+	for p := 0; p < ctx.NumPartitions(); p++ {
 		w, err := ctx.WorkerFor(p)
 		if err != nil {
 			t.Fatal(err)
@@ -305,8 +258,8 @@ func TestBroadcastVersionsDistinct(t *testing.T) {
 	if b1.Version == b2.Version {
 		t.Fatal("broadcast versions collide")
 	}
-	v1, _ := ctx.DriverValue(b1)
-	v2, _ := ctx.DriverValue(b2)
+	v1, _ := driverValue(ctx, b1)
+	v2, _ := driverValue(ctx, b2)
 	if v1 != 1 || v2 != 2 {
 		t.Fatalf("history lost: %v %v", v1, v2)
 	}
@@ -314,7 +267,7 @@ func TestBroadcastVersionsDistinct(t *testing.T) {
 
 func TestDriverValueUnknown(t *testing.T) {
 	ctx, _, _ := testSetup(t, 1, 1)
-	if _, err := ctx.DriverValue(Broadcast{ID: "x", Version: 999}); err == nil {
+	if _, err := driverValue(ctx, Broadcast{ID: "x", Version: 999}); err == nil {
 		t.Fatal("unknown broadcast accepted")
 	}
 }
