@@ -187,9 +187,3 @@ func (bh BroadcastHistory) TryValueAt(env *cluster.Env, index int) (any, bool, e
 func (bh BroadcastHistory) Record(index int) {
 	bh.h.record(bh.cache, bh.b.ID, index, bh.b.Version)
 }
-
-// RecordedVersion reports the version recorded for a sample (testing and
-// diagnostics).
-func (b DynBroadcast) RecordedVersion(env *cluster.Env, index int) (int64, bool) {
-	return getHistory(env, b.ID).lookup(index)
-}

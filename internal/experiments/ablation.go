@@ -111,8 +111,8 @@ func perSampleKernel(loss opt.Loss, wBr core.DynBroadcast, frac float64) core.Ke
 			}
 			nr := p.NumRows()
 			for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
-				g := la.NewVec(len(w))
-				loss.AddGrad(p.X.Row(local), p.Y[local], w, g)
+				g, x := la.NewVec(len(w)), p.X.Row(local)
+				x.AxpyDense(loss.GradCoeff(x.DotDense(w), p.Y[local]), g)
 				gs = append(gs, g)
 			}
 		}

@@ -187,9 +187,10 @@ type DeltaAccum struct {
 	tmp     []int32 // radix-sort scratch, grown to the running max nnz
 }
 
-// NewDeltaAccum builds an accumulator of logical dimension n.
+// NewDeltaAccum builds an empty accumulator of logical dimension n. Its
+// generation starts past the zero marks, so it is ready without a Reset.
 func NewDeltaAccum(n int) *DeltaAccum {
-	return &DeltaAccum{acc: make([]float64, n), mark: make([]uint64, n)}
+	return &DeltaAccum{acc: make([]float64, n), mark: make([]uint64, n), gen: 1}
 }
 
 // Dim returns the logical dimension.

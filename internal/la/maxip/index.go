@@ -97,10 +97,6 @@ func New(x *la.CSR, cv *la.ColView, u la.Vec, opts Options) *Index {
 // Cols returns the number of distinct columns the index ranks.
 func (ix *Index) Cols() int { return len(ix.cv.Cols) }
 
-// Exact reports whether the index runs in exact-scan mode (below the
-// dimension threshold) rather than on the tournament tree.
-func (ix *Index) Exact() bool { return ix.exact }
-
 // colDot recomputes slot k's inner product by a full column dot in storage
 // order — the one arithmetic Rebuild also uses, which is what makes
 // incremental maintenance bitwise-equal to a rebuild.

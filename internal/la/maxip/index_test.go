@@ -87,8 +87,8 @@ func TestIndexMatchesOracle(t *testing.T) {
 		cv := la.NewColView(x)
 		u := make(la.Vec, x.NumRows)
 		ix := New(x, cv, u, Options{ExactBelow: exactBelow})
-		if (exactBelow < 0) == ix.Exact() {
-			t.Fatalf("exactBelow %d: mode = exact(%v)", exactBelow, ix.Exact())
+		if (exactBelow < 0) == ix.exact {
+			t.Fatalf("exactBelow %d: mode = exact(%v)", exactBelow, ix.exact)
 		}
 		if ix.Cols() != len(cv.Cols) {
 			t.Fatalf("Cols() = %d, view stores %d", ix.Cols(), len(cv.Cols))

@@ -107,7 +107,7 @@ func TestFlushRepairShapes(t *testing.T) {
 				return math.Abs(s) + math.Abs(h.w[col])
 			}}
 			h.ix = New(x, cv, nil, opts)
-			if h.ix.Exact() {
+			if h.ix.exact {
 				t.Fatal("case must run on the tree")
 			}
 			tc.edit(h)

@@ -60,28 +60,6 @@ func (s SparseVec) AxpyDense(alpha float64, y Vec) {
 	GradAccum(alpha, s.Idx, s.Val, y)
 }
 
-// Norm2Sq returns the squared Euclidean norm of s.
-func (s SparseVec) Norm2Sq() float64 {
-	var acc float64
-	for _, v := range s.Val {
-		acc += v * v
-	}
-	return acc
-}
-
-// SparseFromDense converts a dense vector into sparse form, dropping zeros.
-func SparseFromDense(d Vec) SparseVec {
-	var idx []int32
-	var val []float64
-	for j, x := range d {
-		if x != 0 {
-			idx = append(idx, int32(j))
-			val = append(val, x)
-		}
-	}
-	return SparseVec{Idx: idx, Val: val, N: len(d)}
-}
-
 // SparseFromMap builds a sparse vector from a map of index to value,
 // dropping explicit zeros and sorting indices.
 func SparseFromMap(n int, m map[int32]float64) SparseVec {

@@ -109,16 +109,6 @@ func Scale(alpha float64, v Vec) {
 	}
 }
 
-// AddInto sets dst = a + b.
-func AddInto(dst, a, b Vec) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("la: AddInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // SubInto sets dst = a - b.
 func SubInto(dst, a, b Vec) {
 	if len(dst) != len(a) || len(a) != len(b) {
@@ -145,17 +135,6 @@ func Norm1(v Vec) float64 {
 		s += math.Abs(x)
 	}
 	return s
-}
-
-// NormInf returns the max-absolute-value norm of v.
-func NormInf(v Vec) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Equal reports whether a and b have the same length and elements within tol.

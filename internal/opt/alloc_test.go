@@ -46,15 +46,13 @@ func benchEnv(t testing.TB, rows, cols, nParts int) (*cluster.Env, []int, la.Vec
 // every loss on the hot path.
 func TestGradSweepAllocFree(t *testing.T) {
 	env, idx, w, _ := benchEnv(t, 500, 120, 1)
-	p, err := env.Partition(idx[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := la.NewVec(len(w))
 	rows := cluster.NewRowSampler(3, 0.3)
 	for _, loss := range []Loss{LeastSquares{}, Logistic{}, Composite{Inner: LeastSquares{}, L2: 0.01}} {
 		if allocs := testing.AllocsPerRun(50, func() {
-			gradSweep(loss, p, &rows, w, g)
+			if _, err := gradSweep(env, loss, idx, &rows, w, nil, denseAccum(g)); err != nil {
+				t.Fatal(err)
+			}
 		}); allocs != 0 {
 			t.Errorf("%s: gradSweep allocates %v per run, want 0", loss.Name(), allocs)
 		}

@@ -33,10 +33,11 @@ func MllibSGD(ctx context.Context, rctx *rdd.Context, points *rdd.RDD[rdd.Point]
 		return nil, err
 	}
 	u := &vecUpdater{w: la.NewVec(d.NumCols())}
-	w, loss := u.w, p.Loss
+	w, lin := u.w, bare(p.Loss)
+	l2, _ := p.Loss.Penalties()
 	return runLoop(nil, d, u, &loopSpec{
 		Algo: "Mllib-SGD", Name: "mllib-sgd",
-		P: &p, Loss: loss, FStar: fstar,
+		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), RoundBudget: true,
 		Workers: rctx.Cluster().NumWorkers(),
 		SyncStep: func(k int64) (bool, error) {
@@ -52,7 +53,8 @@ func MllibSGD(ctx context.Context, rctx *rdd.Context, points *rdd.RDD[rdd.Point]
 					if acc.G == nil {
 						acc.G = la.NewVec(len(wRound))
 					}
-					loss.AddGrad(pt.X, pt.Y, wRound, acc.G)
+					idx, val := pt.X.Idx, pt.X.Val
+					la.GradAccum(lin.GradCoeff(la.SparseDot(idx, val, wRound), pt.Y), idx, val, acc.G)
 					acc.N++
 					return acc
 				},
@@ -74,6 +76,11 @@ func MllibSGD(ctx context.Context, rctx *rdd.Context, points *rdd.RDD[rdd.Point]
 			if agg.N == 0 {
 				return false, nil
 			}
+			// the ridge term at the model updated, as Mllib's
+			// SquaredL2Updater takes it
+			if l2 > 0 {
+				la.Axpy(float64(agg.N)*l2, w, agg.G)
+			}
 			la.Axpy(-p.Step.Alpha(k)/float64(agg.N), agg.G, w)
 			return true, nil
 		},
@@ -92,10 +99,7 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 		return nil, 0, err
 	}
 	cols := d.NumCols()
-	loss := p.Loss // the partials carry loss gradients only: st applies the ridge term
-	if c, ok := loss.(Composite); ok {
-		loss = c.Inner
-	}
+	lin := bare(p.Loss) // the partials carry loss gradients only: st applies the ridge term
 	// history table: sample index → model at last touch (driver side);
 	// untouched samples contribute zero historical gradient, matching
 	// SagaKernel's zero-initialized table
@@ -104,7 +108,7 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 	workers := int64(len(rctx.Cluster().AliveWorkers()))
 	res, err := runLoop(nil, d, sagaStreamUpdater{st}, &loopSpec{
 		Algo: "SAGA-table", Name: "saga-table",
-		P: &p, Loss: loss, FStar: fstar,
+		P: &p, Loss: p.Loss, FStar: fstar,
 		Target: int64(p.Updates), RoundBudget: true,
 		Workers: rctx.Cluster().NumWorkers(),
 		SyncStep: func(k int64) (bool, error) {
@@ -129,9 +133,10 @@ func SAGAFullTableBroadcast(rctx *rdd.Context, points *rdd.RDD[rdd.Point], d *da
 						acc.Sum = la.NewVec(cols)
 						acc.Hist = la.NewVec(cols)
 					}
-					loss.AddGrad(pt.X, pt.Y, wRound, acc.Sum)
+					idx, val := pt.X.Idx, pt.X.Val
+					la.GradAccum(lin.GradCoeff(la.SparseDot(idx, val, wRound), pt.Y), idx, val, acc.Sum)
 					if hw, ok := tableCopy[pt.GlobalIndex]; ok {
-						loss.AddGrad(pt.X, pt.Y, hw, acc.Hist)
+						la.GradAccum(lin.GradCoeff(la.SparseDot(idx, val, hw), pt.Y), idx, val, acc.Hist)
 					}
 					acc.N++
 					acc.Idx = append(acc.Idx, pt.GlobalIndex)
@@ -193,55 +198,66 @@ func SAGAVersionHistory(ac *core.Context, d *dataset.Dataset, p Params, fstar fl
 // versionHistoryKernel computes SagaKernel's payload the paper's way: per
 // sampled row the loss gradient coefficient at the current model, minus the
 // one at the row's recorded version if it has one, scattered once; then it
-// records the current version for the row. The sum accumulates sparsely; a
-// dense task expands it at the end, adding the same terms in the same order
-// a dense sweep would. Its loss is linear: the op's args name only linear
-// losses.
+// records the current version for the row. It ships in the types and under
+// the gate SagaKernel ships, with the same bits.
 func versionHistoryKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
-	lin, l2, _, _ := splitProx(loss)
+	l2, _ := loss.Penalties()
+	lin := bare(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
 		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
-		acc := env.Scratch().Delta("opt.saga.acc", len(w))
-		acc.Reset()
 		rows := cluster.NewRowSampler(seed, frac)
 		versions := wBr.History(env)
-		n := 0
-		for _, pi := range parts {
-			p, err := env.Partition(pi)
-			if err != nil {
+		// a sweep reports 0 rows on error as on an empty sample
+		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
+			acc := env.Scratch().Delta("opt.saga.acc", len(w))
+			acc.Reset()
+			n, err := historySweep(env, versions, lin, parts, &rows, w, acc)
+			if n == 0 {
 				return nil, 0, err
 			}
-			nr := p.NumRows()
-			for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
-				idx, val := p.X.RowNZ(local)
-				d := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
-				hv, touched, err := versions.TryValueAt(env, p.GlobalRow(local))
-				if err != nil {
-					return nil, 0, err
-				}
-				if touched {
-					wHist, err := asVec(hv)
-					if err != nil {
-						return nil, 0, err
-					}
-					d -= lin.GradCoeff(la.SparseDot(idx, val, wHist), p.Y[local])
-				}
-				acc.Accum(d, idx, val)
-				versions.Record(p.GlobalRow(local))
-				n++
-			}
+			return acc.Compact(), n, nil
 		}
+		diff := la.GetVec(len(w))
+		n, err := historySweep(env, versions, lin, parts, &rows, w, denseAccum(diff))
 		if n == 0 {
-			return nil, 0, nil
+			la.PutVec(diff)
+			return nil, 0, err
 		}
-		diff := acc.Compact()
-		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
-			return diff, n, nil
-		}
-		defer la.PutDelta(diff)
-		return diff.Dense(), n, nil
+		return diff, n, nil
 	}
+}
+
+// historySweep is versionHistoryKernel's row loop, sagaSweep's with the
+// historical coefficient re-evaluated at the row's recorded version.
+func historySweep[A rowAccum](env *cluster.Env, versions core.BroadcastHistory, lin Loss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
+	n := 0
+	for _, pi := range parts {
+		p, err := env.Partition(pi)
+		if err != nil {
+			return 0, err
+		}
+		nr := p.NumRows()
+		for local := s.Next(0, nr); local < nr; local = s.Next(local+1, nr) {
+			idx, val := p.X.RowNZ(local)
+			c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
+			hv, touched, err := versions.TryValueAt(env, p.GlobalRow(local))
+			if err != nil {
+				return 0, err
+			}
+			if touched {
+				wHist, err := asVec(hv)
+				if err != nil {
+					return 0, err
+				}
+				c -= lin.GradCoeff(la.SparseDot(idx, val, wHist), p.Y[local])
+			}
+			acc.Accum(c, idx, val)
+			versions.Record(p.GlobalRow(local))
+			n++
+		}
+	}
+	return n, nil
 }

@@ -15,7 +15,8 @@ import (
 
 // Proximal (block) coordinate descent on the unified runtime — the CGD
 // family of the related work (linlearn's cgd_cycle, Lu & Chen's ℓ1-QP CG),
-// generalized to composite elastic-net objectives through the prox seam.
+// generalized to composite elastic-net objectives through the separable
+// soft-threshold prox.
 // Each BSP round the driver picks a coordinate block, every worker returns
 // the exact block gradient and diagonal curvature over its rows, and the
 // driver takes one preconditioned prox step per coordinate:
@@ -126,8 +127,7 @@ type cdState struct {
 
 func init() {
 	registerKernelOp(cdOpName, false, func(loss Loss, a GradOpArgs) core.Kernel {
-		lin, _, _, _ := splitProx(loss) // a resolved objective always has a linear core
-		return cdKernel(lin, curvOf(lin), a.model(), a.aux(), a.Block)
+		return cdKernel(bare(loss), a.model(), a.aux(), a.Block)
 	})
 }
 
@@ -135,7 +135,8 @@ func init() {
 // curvature h_J = curv·Σ_i x_iJ² over the worker's rows, maintaining the
 // per-row residuals incrementally from the delta broadcast. A task without
 // one (the per-partial arm) rebuilds them from its model version.
-func cdKernel(lin LinearLoss, curv float64, wBr, dBr core.DynBroadcast, block []int32) core.Kernel {
+func cdKernel(lin Loss, wBr, dBr core.DynBroadcast, block []int32) core.Kernel {
+	curv := lin.Curvature()
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
 		var dd CDDelta
 		chained := dBr.ID != ""
@@ -235,12 +236,9 @@ type cdUpdater struct {
 
 // newCDUpdater builds the updater for the objective loss under c (defaults
 // applied).
-func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) (*cdUpdater, error) {
+func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) *cdUpdater {
 	cols := d.NumCols()
-	lin, l2, l1, ok := splitProx(loss)
-	if !ok {
-		return nil, fmt.Errorf("opt: cd cannot decompose objective %q into a linear core", loss.Name())
-	}
+	l2, l1 := loss.Penalties()
 	u := &cdUpdater{
 		w: la.NewVec(cols), n: float64(d.NumRows()), l2: l2, l1: l1, damp: c.Step, blockSize: c.BlockSize,
 		cyclic: c.Mode != "random",
@@ -250,12 +248,12 @@ func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) (*cdUpdater, error)
 		g:      la.NewVec(c.BlockSize), h: la.NewVec(c.BlockSize),
 	}
 	if c.Mode == "greedy" {
-		u.sel = newGSSelector(d, lin, l2, l1, u.w, c.exactBelow)
+		u.sel = newGSSelector(d, bare(loss), l2, l1, u.w, c.exactBelow)
 	}
 	for j := range u.perm {
 		u.perm[j] = int32(j)
 	}
-	return u, nil
+	return u
 }
 
 // pickBlock draws the next coordinate block — the cyclic cursor position or
@@ -418,10 +416,7 @@ func CD(ac *core.Context, d *dataset.Dataset, p Params, c CDConfig, fstar float6
 	if perPartial && c.Mode == "greedy" {
 		return nil, errors.New("opt: cd mode \"greedy\" needs a BSP barrier: its selector reads the whole round's gradient, and a non-BSP barrier steps on each partial")
 	}
-	u, err := newCDUpdater(d, p.Loss, c)
-	if err != nil {
-		return nil, err
-	}
+	u := newCDUpdater(d, p.Loss, c)
 	spec := &loopSpec{
 		Algo: "CD", Name: "cd", Key: "cd.w",
 		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
@@ -440,8 +435,10 @@ func CD(ac *core.Context, d *dataset.Dataset, p Params, c CDConfig, fstar float6
 		spec.Algo, spec.Barrier, spec.Round = "CD-async", nil, false
 		fill = func(a *GradOpArgs) { a.Block = u.pickBlock() }
 	}
-	if spec.Dispatch, err = kernelDispatch(ac, cdOpName, p.Loss, 0, fill); err != nil {
+	dispatch, err := kernelDispatch(ac, cdOpName, p.Loss, 0, fill)
+	if err != nil {
 		return nil, err
 	}
+	spec.Dispatch = dispatch
 	return runLoop(ac, d, u, spec)
 }

@@ -315,22 +315,3 @@ func TestCDProxStep(t *testing.T) {
 		t.Fatalf("zero-curvature coordinate moved: %v", u.w)
 	}
 }
-
-// TestCDRejectsUnknownObjective: a loss without a linear core or curvature
-// bound fails fast instead of looping.
-func TestCDRejectsUnknownObjective(t *testing.T) {
-	r := newRig(t, 1, 2, nil)
-	p, c := Params{}, CDConfig{}
-	p.Loss = Composite{Inner: badLoss{}, L2: 0.1}
-	p.Updates = 4
-	if _, err := CD(r.ac, r.d, p, c, 0); err == nil {
-		t.Fatal("CD accepted an objective it cannot decompose")
-	}
-}
-
-// badLoss is a non-linear stand-in.
-type badLoss struct{}
-
-func (badLoss) Value(la.SparseVec, float64, la.Vec) float64   { return 0 }
-func (badLoss) AddGrad(la.SparseVec, float64, la.Vec, la.Vec) {}
-func (badLoss) Name() string                                  { return "bad" }

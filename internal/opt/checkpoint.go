@@ -232,12 +232,3 @@ func readVec(br *cluster.BinReader, required bool) (la.Vec, error) {
 	}
 	return w, nil
 }
-
-// FromResult builds a checkpoint from a finished run.
-func FromResult(res *Result, updates int64) *Checkpoint {
-	return &Checkpoint{
-		Algorithm: res.Trace.Algorithm,
-		W:         res.W.Clone(),
-		Updates:   updates,
-	}
-}

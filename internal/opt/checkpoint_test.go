@@ -151,7 +151,7 @@ func TestResumeFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, FromResult(first, 300)); err != nil {
+	if err := SaveCheckpoint(&buf, &Checkpoint{Algorithm: first.Trace.Algorithm, W: first.W.Clone(), Updates: 300}); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := LoadCheckpoint(&buf)

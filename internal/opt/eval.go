@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/la"
@@ -39,21 +38,4 @@ func Accuracy(d *dataset.Dataset, w la.Vec) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(scores)), nil
-}
-
-// RMSE computes the root-mean-square prediction error on d.
-func RMSE(d *dataset.Dataset, w la.Vec) (float64, error) {
-	scores, err := Predict(d, w)
-	if err != nil {
-		return 0, err
-	}
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("opt: RMSE of empty dataset")
-	}
-	var sum float64
-	for i, s := range scores {
-		r := s - d.Y[i]
-		sum += r * r
-	}
-	return math.Sqrt(sum / float64(len(scores))), nil
 }

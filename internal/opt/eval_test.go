@@ -65,33 +65,6 @@ func TestPredictDims(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	d, err := dataset.Generate(dataset.SynthConfig{
-		Name: "rmse", Rows: 100, Cols: 8, NNZPerRow: 8, Noise: 0, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _, err := ReferenceOptimum(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, err := RMSE(d, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmse > 1e-4 {
-		t.Fatalf("RMSE %v at optimum of noiseless problem", rmse)
-	}
-	zero, err := RMSE(d, la.NewVec(d.NumCols()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zero <= rmse {
-		t.Fatal("zero model beat the optimum")
-	}
-}
-
 func TestTrainTestSplit(t *testing.T) {
 	d := evalDataset(t)
 	train, test, err := dataset.TrainTestSplit(d, 0.25, 3)
@@ -135,18 +108,10 @@ func TestGeneralizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainRMSE, err := RMSE(train, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testRMSE, err := RMSE(test, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroRMSE, err := RMSE(test, la.NewVec(test.NumCols()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// the least-squares objective is the mean squared residual
+	rmse := func(d *dataset.Dataset, w la.Vec) float64 { return math.Sqrt(Objective(d, LeastSquares{}, w)) }
+	trainRMSE, testRMSE := rmse(train, w), rmse(test, w)
+	zeroRMSE := rmse(test, la.NewVec(test.NumCols()))
 	if testRMSE >= zeroRMSE {
 		t.Fatalf("no generalization: test %v vs zero-model %v", testRMSE, zeroRMSE)
 	}

@@ -10,9 +10,9 @@ import (
 
 // Restart-based nonlinear conjugate gradient for composite objectives, run
 // as bulk-synchronous full-gradient rounds on the unified runtime. Each round
-// every worker returns its exact gradient sum at the broadcast model; the
-// driver combines them into the mean smooth gradient g (the λ2 term rides
-// the Composite loss), updates a Polak–Ribière+ conjugate direction
+// every worker returns its exact loss gradient sum at the broadcast model;
+// the driver combines them into the mean smooth gradient g (adding the λ2·w
+// ridge term itself), updates a Polak–Ribière+ conjugate direction
 //
 //	β = max(0, g·(g − g_prev)/‖g_prev‖²),  dir ← −g + β·dir
 //
@@ -57,7 +57,7 @@ func (c *GCGConfig) defaults() error {
 // previous gradient).
 type gcgUpdater struct {
 	w      la.Vec
-	l1     float64
+	l2, l1 float64
 	acc    la.Vec // round gradient sum across workers
 	rows   int
 	g      la.Vec // mean gradient scratch
@@ -67,26 +67,20 @@ type gcgUpdater struct {
 }
 
 func newGCGUpdater(cols int, loss Loss) *gcgUpdater {
-	_, _, l1, _ := splitProx(loss)
-	return &gcgUpdater{
-		w: la.NewVec(cols), l1: l1,
-		acc: la.NewVec(cols), g: la.NewVec(cols),
+	u := &gcgUpdater{
+		w: la.NewVec(cols), acc: la.NewVec(cols), g: la.NewVec(cols),
 		dir: la.NewVec(cols), gPrev: la.NewVec(cols),
 	}
+	u.l2, u.l1 = loss.Penalties()
+	return u
 }
 
 func (u *gcgUpdater) Model() la.Vec { return u.w }
 func (u *gcgUpdater) Settle()       {}
 
 func (u *gcgUpdater) Apply(payload any, attrs *core.Attrs, _ float64) error {
-	g, ok := payload.(la.Vec)
-	if !ok {
-		return fmt.Errorf("unexpected payload %T", payload)
-	}
-	la.Axpy(1, g, u.acc)
 	u.rows += attrs.MiniBatch
-	la.PutVec(g)
-	return nil
+	return AxpyPayload(1, payload, u.acc)
 }
 
 func (u *gcgUpdater) FlushRound(alpha float64) (bool, error) {
@@ -98,6 +92,9 @@ func (u *gcgUpdater) FlushRound(alpha float64) (bool, error) {
 	}
 	la.ScaleAddInto(u.g, 1/float64(rows), u.acc, 0, u.acc) // g = acc/rows
 	u.acc.Zero()
+	if u.l2 > 0 {
+		la.Axpy(u.l2, u.w, u.g)
+	}
 
 	if !u.hasDir {
 		la.ScaleAddInto(u.dir, -1, u.g, 0, u.g)
@@ -168,7 +165,7 @@ func GCG(ac *core.Context, d *dataset.Dataset, p Params, c GCGConfig, fstar floa
 		return nil, err
 	}
 	u := newGCGUpdater(d.NumCols(), p.Loss)
-	dispatch, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)
+	dispatch, err := kernelDispatch(ac, GradOpName, p.Loss, 1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,7 @@ func TestGCGElasticNet(t *testing.T) {
 // updater in exactly the state a checkpoint export/import produces (model
 // preserved bitwise, conjugate direction and gradient memory dropped).
 func TestGCGRestartIsCheckpointRoundTrip(t *testing.T) {
-	u := newGCGUpdater(4, nil)
+	u := newGCGUpdater(4, LeastSquares{})
 	copy(u.w, []float64{1, -2, 3, -4})
 	copy(u.dir, []float64{0.5, 0.5, 0.5, 0.5})
 	copy(u.gPrev, []float64{1, 1, 1, 1})

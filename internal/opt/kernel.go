@@ -61,14 +61,13 @@ func (a GradOpArgs) aux() core.DynBroadcast {
 
 // The registered ops: GradKernel and SagaKernel behind the two exported
 // names, and one per remaining kernel (cd.go and admm.go register theirs
-// beside the kernel).
+// beside the kernel). A full gradient pass is GradOpName at Frac 1.
 const (
-	GradOpName     = "opt.grad"
-	SagaOpName     = "opt.saga"
-	vrOpName       = "opt.vr"
-	fullGradOpName = "opt.fullgrad"
-	cdOpName       = "opt.cd"
-	admmOpName     = "opt.admm"
+	GradOpName = "opt.grad"
+	SagaOpName = "opt.saga"
+	vrOpName   = "opt.vr"
+	cdOpName   = "opt.cd"
+	admmOpName = "opt.admm"
 )
 
 func init() {
@@ -80,9 +79,6 @@ func init() {
 	})
 	registerKernelOp(vrOpName, true, func(loss Loss, a GradOpArgs) core.Kernel {
 		return VRKernel(loss, a.model(), a.aux(), a.Frac)
-	})
-	registerKernelOp(fullGradOpName, false, func(loss Loss, a GradOpArgs) core.Kernel {
-		return FullGradKernel(loss, a.model())
 	})
 }
 
@@ -124,17 +120,14 @@ func checkBlock(block []int32, cols int) error {
 }
 
 // wireObjective names loss in ObjectiveSpec terms — what a kernel op's args
-// carry in place of the Loss value. Only the family ObjectiveSpec.Resolve
-// rebuilds qualifies: least squares or logistic, bare or under a
-// Composite.
+// carry in place of the Loss value — and checks it there, the one check of
+// a hand-built objective: it must be what an ObjectiveSpec resolves to
+// (least squares or logistic, under at most one Composite whose penalties
+// are finite and non-negative), or a worker could not rebuild it.
 func wireObjective(loss Loss) (ObjectiveSpec, error) {
-	if lin, l2, l1, ok := splitProx(loss); ok {
-		switch lin.(type) {
-		case LeastSquares, Logistic:
-			return ObjectiveSpec{Loss: lin.Name(), L2: l2, L1: l1}, nil
-		}
-	}
-	return ObjectiveSpec{}, fmt.Errorf("opt: loss %q cannot be named to a worker (least-squares or logistic, optionally under a Composite)", loss.Name())
+	l2, l1 := loss.Penalties()
+	o := ObjectiveSpec{Loss: bare(loss).Name(), L2: l2, L1: l1}
+	return o, o.Validate()
 }
 
 // kernelDispatch builds the loopSpec.Dispatch of every AC-based solver: each
@@ -180,114 +173,105 @@ func asVec(v any) (la.Vec, error) {
 	return w, nil
 }
 
-// gradSweep is the steady-state mini-batch inner loop shared by the
-// gradient kernels: walk the rows s samples from partition p and
-// accumulate the per-sample loss gradient at w into g, returning the
-// number of sampled rows. It is allocation-free (asserted by
-// TestGradSweepAllocFree): row views are zero-copy CSR slices and the loss
-// accumulates through the unrolled la kernels.
-func gradSweep(loss Loss, p *dataset.Partition, s *cluster.RowSampler, w, g la.Vec) int {
-	n, rows := 0, p.NumRows()
-	for local := s.Next(0, rows); local < rows; local = s.Next(local+1, rows) {
-		loss.AddGrad(p.X.Row(local), p.Y[local], w, g)
-		n++
-	}
-	return n
-}
-
-// GradKernel builds the mini-batch gradient kernel used by SGD and ASGD:
-// sample each row of the worker's partitions with probability frac, sum the
-// per-sample loss gradients at the broadcast model, and return the
-// (unnormalized) gradient sum. The driver divides by the batch size from
-// the result attributes. frac is validated by the drivers' defaults() (and
-// by the op handler for args that arrive over a wire) so the hot path
-// carries no range check.
+// GradKernel builds the mini-batch gradient kernel used by SGD and ASGD,
+// and at frac 1 the full pass of svrg and gcg: sample each row of the
+// worker's partitions with probability frac and return the (unnormalized)
+// sum of the sampled rows' loss gradients at the broadcast model. The
+// driver divides by the batch size from the result attributes and adds the
+// penalties itself (see the package comment). frac is validated by the
+// drivers' defaults() (and by the op handler for args that arrive over a
+// wire) so the hot path carries no range check.
 //
-// Sparse-delta path: when the loss is linear (see LinearLoss) and every
-// partition of the task sits below sparseDensityThreshold, the kernel
-// accumulates only touched coordinates and returns a pooled *la.DeltaVec —
-// O(nnz) per task. For an L2-regularized loss the sparse payload carries
-// the inner gradient only; the driver applies the shrinkage lazily
-// (lazy.go). Dense partitions keep the dense path unchanged.
+// The sum ships as a pooled *la.DeltaVec when every partition of the task
+// sits below sparseDensityThreshold — O(nnz) per task — and as a pooled
+// la.Vec otherwise; the one row loop (gradSweep) fills either with the same
+// bits.
 //
 // Reproducibility contract: sampling walks a cluster.RowSampler seeded with
 // the task seed, so the same seed, frac and partitions select the same rows
 // on any worker, regardless of what ran there before (see
-// TestGradKernelSeedReproducibility). The sparse sweep walks the sampler
-// identically, so both paths sample the same rows.
+// TestGradKernelSeedReproducibility).
 func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
-	// splitProx, not splitLoss: an ℓ1 term never disqualifies the sparse
-	// path — both penalties are applied driver-side (lazy L2 shrinkage,
-	// prox-at-settle ℓ1), so sparse payloads always carry the inner
-	// gradient only
-	lin, _, _, linOK := splitProx(loss)
+	lin := bare(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
 		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
 		}
 		rows := cluster.NewRowSampler(seed, frac)
-		if linOK && sparseTaskViable(env, parts, frac, len(w)) {
+		// a sweep reports 0 rows on error as on an empty sample
+		if sparseTaskViable(env, parts, frac, len(w)) {
 			acc := env.Scratch().Delta("opt.grad.acc", len(w))
 			acc.Reset()
-			n := 0
-			for _, pi := range parts {
-				p, err := env.Partition(pi)
-				if err != nil {
-					return nil, 0, err
-				}
-				n += gradSweepSparse(lin, p, &rows, w, acc)
-			}
+			n, err := gradSweep(env, lin, parts, &rows, w, nil, acc)
 			if n == 0 {
-				return nil, 0, nil // empty sample: no result
+				return nil, 0, err
 			}
 			return acc.Compact(), n, nil
 		}
 		g := la.GetVec(len(w))
-		n := 0
-		for _, pi := range parts {
-			p, err := env.Partition(pi)
-			if err != nil {
-				la.PutVec(g)
-				return nil, 0, err
-			}
-			n += gradSweep(loss, p, &rows, w, g)
-		}
+		n, err := gradSweep(env, lin, parts, &rows, w, nil, denseAccum(g))
 		if n == 0 {
 			la.PutVec(g)
-			return nil, 0, nil // empty sample: no result
+			return nil, 0, err
 		}
 		return g, n, nil
 	}
 }
 
-// SagaKernel builds the historical-gradient kernel of SAGA for a linear
-// loss. Row i's gradient at a model v is c_i·x_i with the scalar
-// c_i = GradCoeff(x_i·w_v, y_i), so the worker stores that scalar per row
-// (sagaCoefs) in place of the version the row last saw, and the history
-// enters only as the per-row difference (c_i − c_i^old)·x_i (arXiv:1407.0202
-// §4): per sampled row it takes one dot, scatters c − c_old (c if the row
-// was never sampled) once, and stores c. The payload is the one sum
+// gradSweep is the row loop of GradKernel and VRKernel over the task's
+// partitions: per sampled row one dot, one GradCoeff and one scatter of
+// c·x into acc. With an anchor it scatters the variance-reduced difference
+// (c(w) − c(anchor))·x instead. It returns the number of sampled rows, 0
+// with the error when a partition is missing. It is allocation-free
+// (TestGradSweepAllocFree): row views are zero-copy CSR slices.
+func gradSweep[A rowAccum](env *cluster.Env, lin Loss, parts []int, s *cluster.RowSampler, w, anchor la.Vec, acc A) (int, error) {
+	n := 0
+	for _, pi := range parts {
+		p, err := env.Partition(pi)
+		if err != nil {
+			return 0, err
+		}
+		nr := p.NumRows()
+		for local := s.Next(0, nr); local < nr; local = s.Next(local+1, nr) {
+			idx, val := p.X.RowNZ(local)
+			y := p.Y[local]
+			c := lin.GradCoeff(la.SparseDot(idx, val, w), y)
+			if anchor != nil {
+				c -= lin.GradCoeff(la.SparseDot(idx, val, anchor), y)
+			}
+			acc.Accum(c, idx, val)
+			n++
+		}
+	}
+	return n, nil
+}
+
+// SagaKernel builds the historical-gradient kernel of SAGA. Row i's
+// gradient at a model v is c_i·x_i with the scalar c_i = GradCoeff(x_i·w_v,
+// y_i), so the worker stores that scalar per row (sagaCoefs) in place of the
+// version the row last saw, and the history enters only as the per-row
+// difference (c_i − c_i^old)·x_i (arXiv:1407.0202 §4): per sampled row it
+// takes one dot, scatters c − c_old (c if the row was never sampled) once,
+// and stores c. The payload is the one sum
 // Σ_{i∈S} ∇f_i(w_current) − ∇f_i(w_hist(i)) — the only form the driver
 // reads — in the types GradKernel ships. The per-row arithmetic is that of
 // re-evaluating the gradient at the recorded version (the paper-literal arm
 // in baseline.go ships the same bits), but a task reads only the version it
 // names. Rows never sampled contribute zero historical gradient, the only
-// start consistent with Algorithm 3's `averageHistory = 0`. The sum is of
-// the loss alone; the driver applies a ridge term exactly
-// (sagaState.apply). Sampling follows GradKernel's reproducibility
-// contract.
+// start consistent with Algorithm 3's `averageHistory = 0`. Like every
+// kernel it ships the loss alone; the driver applies the ridge term at the
+// model it updates (sagaState.apply). Sampling follows GradKernel's
+// reproducibility contract.
 //
-// Sparse-delta path: without a ridge term, over partitions below
-// sparseDensityThreshold, the difference ships as a pooled *la.DeltaVec and
-// the driver applies the update, avgHist drift included, lazily in O(nnz)
-// (saga.go).
+// Sparse-delta path: over partitions below sparseDensityThreshold the
+// difference ships as a pooled *la.DeltaVec and the driver applies the
+// update, avgHist drift included, lazily in O(nnz) (saga.go). The lazy
+// drift has no deferred shrinkage, so a ridge objective ships dense.
 func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
-	lin, l2, _, linOK := splitProx(loss)
+	l2, _ := loss.Penalties()
+	lin := bare(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		if !linOK {
-			return nil, 0, fmt.Errorf("opt: SAGA kernel needs a linear loss, not %q", loss.Name())
-		}
 		w, err := modelVec(env, wBr)
 		if err != nil {
 			return nil, 0, err
@@ -314,7 +298,9 @@ func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 	}
 }
 
-// rowAccum is sagaSweep's scatter: *la.DeltaAccum (sparse) or denseAccum.
+// rowAccum is the row loops' scatter: *la.DeltaAccum (sparse) or
+// denseAccum. The loops are generic over it, so each path's scatter is a
+// direct call.
 type rowAccum interface {
 	Accum(c float64, idx []int32, val []float64)
 }
@@ -328,7 +314,7 @@ func (g denseAccum) Accum(c float64, idx []int32, val []float64) {
 // sagaSweep is SagaKernel's row loop over the task's partitions, scattering
 // each sampled row's gradient difference into acc. It returns the number of
 // sampled rows, 0 with the error when a partition is missing.
-func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin LinearLoss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
+func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin Loss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
 	n := 0
 	for _, pi := range parts {
 		p, err := env.Partition(pi)
@@ -385,16 +371,17 @@ func sagaCoefTable(env *cluster.Env, id string) sagaCoefs {
 }
 
 // VRKernel builds the inner-loop kernel of the epoch-based variance-reduced
-// scheme (Listing 3 / SVRG): per sampled row it returns ∇f_i(w) − ∇f_i(w̃),
-// where w̃ is the epoch anchor.
+// scheme (Listing 3 / SVRG): per sampled row it scatters the loss gradient
+// difference ∇ℓ_i(w) − ∇ℓ_i(w̃) = (c_w − c_w̃)·x, where w̃ is the epoch
+// anchor — one scatter over the row's support (gradSweep with an anchor).
 //
-// Sparse-delta path: for an unregularized linear loss the per-sample
-// difference is (c_w − c_w̃)·x — one scatter over the row's support — so
-// sparse partitions ship a pooled *la.DeltaVec and the driver defers the
-// dense μ term lazily (see svrg.go).
+// Sparse-delta path: without a ridge term, sparse partitions ship a pooled
+// *la.DeltaVec and the driver defers the dense μ term lazily (see svrg.go);
+// the lazy drift has no deferred shrinkage, so a ridge objective ships
+// dense.
 func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Kernel {
-	lin, lambda, linOK := splitLoss(loss)
-	sparseOK := linOK && lambda == 0
+	l2, _ := loss.Penalties()
+	lin := bare(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
 		w, err := modelVec(env, wBr)
 		if err != nil {
@@ -405,83 +392,21 @@ func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Ker
 			return nil, 0, err
 		}
 		rows := cluster.NewRowSampler(seed, frac)
-		if sparseOK && sparseTaskViable(env, parts, frac, len(w)) {
+		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
 			acc := env.Scratch().Delta("opt.vr.acc", len(w))
 			acc.Reset()
-			n := 0
-			for _, pi := range parts {
-				p, err := env.Partition(pi)
-				if err != nil {
-					return nil, 0, err
-				}
-				nr := p.NumRows()
-				for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
-					idx, val := p.X.RowNZ(local)
-					y := p.Y[local]
-					c := lin.GradCoeff(la.SparseDot(idx, val, w), y) -
-						lin.GradCoeff(la.SparseDot(idx, val, anchor), y)
-					acc.Accum(c, idx, val)
-					n++
-				}
-			}
+			n, err := gradSweep(env, lin, parts, &rows, w, anchor, acc)
 			if n == 0 {
-				return nil, 0, nil
+				return nil, 0, err
 			}
 			return acc.Compact(), n, nil
 		}
 		diff := la.GetVec(len(w))
-		tmp := env.Scratch().Vec("opt.vr.tmp", len(w))
-		n := 0
-		for _, pi := range parts {
-			p, err := env.Partition(pi)
-			if err != nil {
-				la.PutVec(diff)
-				return nil, 0, err
-			}
-			nr := p.NumRows()
-			for local := rows.Next(0, nr); local < nr; local = rows.Next(local+1, nr) {
-				x, y := p.X.Row(local), p.Y[local]
-				loss.AddGrad(x, y, w, diff)
-				tmp.Zero()
-				loss.AddGrad(x, y, anchor, tmp)
-				la.Axpy(-1, tmp, diff)
-				n++
-			}
-		}
+		n, err := gradSweep(env, lin, parts, &rows, w, anchor, denseAccum(diff))
 		if n == 0 {
 			la.PutVec(diff)
-			return nil, 0, nil
-		}
-		return diff, n, nil
-	}
-}
-
-// FullGradKernel computes the exact gradient sum over the worker's
-// partitions (frac = 1, no sampling) — the synchronous full pass at the top
-// of each variance-reduction epoch.
-func FullGradKernel(loss Loss, wBr core.DynBroadcast) core.Kernel {
-	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		w, err := modelVec(env, wBr)
-		if err != nil {
 			return nil, 0, err
 		}
-		g := la.GetVec(len(w))
-		n := 0
-		for _, pi := range parts {
-			p, err := env.Partition(pi)
-			if err != nil {
-				la.PutVec(g)
-				return nil, 0, err
-			}
-			for local := 0; local < p.NumRows(); local++ {
-				loss.AddGrad(p.X.Row(local), p.Y[local], w, g)
-				n++
-			}
-		}
-		if n == 0 {
-			la.PutVec(g)
-			return nil, 0, nil
-		}
-		return g, n, nil
+		return diff, n, nil
 	}
 }

@@ -1,7 +1,10 @@
 package opt
 
 import (
+	"context"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -118,6 +121,11 @@ func TestKernelOpValidatesArgs(t *testing.T) {
 	}
 }
 
+// unnamedLoss is a linear loss outside the family an ObjectiveSpec names.
+type unnamedLoss struct{ LeastSquares }
+
+func (unnamedLoss) Name() string { return "unnamed" }
+
 // TestKernelSolversRejectUnnameableLoss: the solvers that take a Loss ship it
 // by name, so one outside the nameable family fails at the driver before any
 // task — never as a silently different objective on the workers.
@@ -135,13 +143,54 @@ func TestKernelSolversRejectUnnameableLoss(t *testing.T) {
 		"gcg": func(p Params) (*Result, error) { return GCG(r.ac, r.d, p, GCGConfig{}, 0) },
 	}
 	for _, loss := range []Loss{
-		badLoss{},
-		Composite{Inner: badLoss{}, L2: 0.1},
+		unnamedLoss{},
+		Composite{Inner: unnamedLoss{}, L2: 0.1},
 		Composite{Inner: Composite{Inner: LeastSquares{}, L2: 0.1}, L2: 0.1},
 	} {
 		for name, solve := range solvers {
 			if _, err := solve(Params{Loss: loss, Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 1}); err == nil {
 				t.Errorf("%s accepted loss %q it cannot name to a worker", name, loss.Name())
+			}
+		}
+	}
+	if st := r.ac.STAT(); st.Pending != 0 {
+		t.Fatalf("a refused run dispatched %d tasks", st.Pending)
+	}
+}
+
+// TestEverySolverRefusesABadPenalty: a hand-built Composite whose penalty
+// ObjectiveSpec validation refuses (negative or NaN) is refused in the one
+// place that check lives, by every registry solver — at the capability gate
+// and through Solve — and by kernelDispatch, the entry every AC-based
+// solver's direct form passes; no task is dispatched.
+func TestEverySolverRefusesABadPenalty(t *testing.T) {
+	r := newRig(t, 1, 2, nil)
+	const want = "must be finite and non-negative"
+	nan := math.NaN()
+	for _, loss := range []Composite{
+		{Inner: LeastSquares{}, L2: -1},
+		{Inner: LeastSquares{}, L2: nan},
+		{Inner: Logistic{}, L1: -1},
+		{Inner: Logistic{}, L1: nan},
+	} {
+		for _, name := range SolverNames() {
+			if err := Accepts(name, loss, ""); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Accepts(%s, l2=%v l1=%v) = %v, want %q", name, loss.L2, loss.L1, err, want)
+			}
+			s, err := LookupSolver(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := SolveRequest{AC: r.ac, Points: r.points, Data: r.d, Config: SolveConfig{Params: Params{
+				Loss: loss, Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 1,
+			}}}
+			if _, err := s.Solve(context.Background(), req); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s.Solve(l2=%v l1=%v) = %v, want %q", name, loss.L2, loss.L1, err, want)
+			}
+		}
+		for _, op := range []string{GradOpName, SagaOpName, vrOpName, cdOpName} {
+			if _, err := kernelDispatch(r.ac, op, loss, 0.5, nil); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("kernelDispatch(%s, l2=%v l1=%v) = %v, want %q", op, loss.L2, loss.L1, err, want)
 			}
 		}
 	}

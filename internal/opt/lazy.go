@@ -52,14 +52,15 @@ const shrinkRenorm = 1e-120
 // l1cum − l1last[j] loses precision.
 const l1cumRenorm = 1e18
 
-// proxApplier applies collected gradient payloads for the SGD family
-// (SyncSGD has its own per-round reduction; ASGD uses this).
-// Dense la.Vec payloads take the eager path; sparse *la.DeltaVec payloads
-// take the O(nnz) path with lazy L2 shrinkage and prox-at-settle ℓ1
-// soft-thresholding.
+// proxApplier applies collected gradient payloads for the SGD family: ASGD
+// per payload, and SyncSGD per round through denseStep. Payloads carry the
+// loss gradient alone; the applier adds the penalties at the model it
+// updates. Dense la.Vec payloads take the eager path (denseStep); sparse
+// *la.DeltaVec payloads take the O(nnz) path with lazy L2 shrinkage and
+// prox-at-settle ℓ1 soft-thresholding.
 type proxApplier struct {
 	st     *stepper
-	lambda float64 // L2 coefficient peeled off the objective (0 = none)
+	lambda float64 // the objective's L2 coefficient (0 = none)
 	l1     float64 // ℓ1 coefficient, applied as prox-at-settle (0 = none)
 
 	// lazy state: the true model is (prod/lastProd[j])·soft(w[j], pending_j)
@@ -83,9 +84,7 @@ type proxApplier struct {
 // newProxApplier builds the applier for a run over cols coordinates.
 func newProxApplier(p *Params, cols int) *proxApplier {
 	a := &proxApplier{st: newStepper(p.Momentum, cols), prod: 1, all: true}
-	if _, l2, l1, ok := splitProx(p.Loss); ok {
-		a.lambda, a.l1 = l2, l1
-	}
+	a.lambda, a.l1 = p.Loss.Penalties()
 	return a
 }
 
@@ -95,11 +94,9 @@ func newProxApplier(p *Params, cols int) *proxApplier {
 func (a *proxApplier) apply(w la.Vec, payload any, alpha float64, batch int) error {
 	switch g := payload.(type) {
 	case la.Vec:
-		// dense partials already carry the smooth λ2·w_task terms
 		a.settle(w)
 		a.all = true
-		a.st.apply(w, g, alpha/float64(batch))
-		a.proxSweep(w, alpha)
+		a.denseStep(w, g, alpha, batch)
 		la.PutVec(g)
 		return nil
 	case *la.DeltaVec:
@@ -109,6 +106,18 @@ func (a *proxApplier) apply(w la.Vec, payload any, alpha float64, batch int) err
 	default:
 		return fmt.Errorf("opt: unexpected gradient payload %T", payload)
 	}
+}
+
+// denseStep takes one eager step from g, the loss gradient summed over batch
+// rows: the ridge term batch·λ2·w joins g at the model being updated, then
+// the (momentum) step and the ℓ1 prox sweep. w must be settled; g is
+// overwritten.
+func (a *proxApplier) denseStep(w, g la.Vec, alpha float64, batch int) {
+	if a.lambda > 0 {
+		la.Axpy(float64(batch)*a.lambda, w, g)
+	}
+	a.st.apply(w, g, alpha/float64(batch))
+	a.proxSweep(w, alpha)
 }
 
 func (a *proxApplier) applySparse(w la.Vec, g *la.DeltaVec, alpha float64, batch int) {
@@ -124,11 +133,7 @@ func (a *proxApplier) applySparse(w la.Vec, g *la.DeltaVec, alpha float64, batch
 		}
 		a.scatter.Zero()
 		g.AxpyDense(1, a.scatter)
-		if a.lambda > 0 {
-			la.Axpy(float64(batch)*a.lambda, w, a.scatter)
-		}
-		a.st.apply(w, a.scatter, ab)
-		a.proxSweep(w, alpha)
+		a.denseStep(w, a.scatter, alpha, batch)
 		return
 	}
 	// every path below changes w at g's coordinates alone; the deferred

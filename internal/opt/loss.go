@@ -11,17 +11,15 @@
 // loop, recorder cadence, lazy-settle scheduling, mid-run checkpointing
 // (Params.CheckpointEvery / Resume), and preemption (Params.Preempt).
 //
-// Semantics of lazy L2 under staleness: on the sparse task path the L2
-// shrinkage (1−αλ)·w is deferred per coordinate and applied at the
-// driver's CURRENT model when a coordinate is next touched or the model is
-// settled — not at the (possibly stale) worker model the task's inner
-// gradient was computed against. At zero staleness this is identical to
-// the eager dense update (pinned to 1e-9 in sparse_test.go); under
-// asynchrony both orderings are valid async-SGD variants — the deferred
-// one simply commutes the shrinkage past intervening sparse updates.
-// Dense SGD-family payloads carry their loss's own λ·w terms eagerly; SAGA
-// payloads carry the loss alone, and the driver applies the ridge term at
-// the model it updates (sagaState.apply).
+// The objective is the paper's (Eq. 3/4): the mean of a linear loss
+// ℓ(x_i·w, y_i) over the rows, plus the separable penalties
+// (L2/2)·‖w‖² + L1·‖w‖₁. A worker reads the model only through row dots and
+// ships the loss part alone, Σ GradCoeff(x_i·w, y_i)·x_i; the penalties
+// never leave the driver. Ridge follows one rule: it is applied at the
+// driver's model, the model being updated — eagerly for dense payloads
+// (batch·λ2·w joins the step) and lazily for sparse ones (the shrinkage
+// (1−αλ2) is deferred per coordinate, lazy.go). A task's gradient may be
+// stale; its ridge term never is. The ℓ1 term is a prox step at the driver.
 package opt
 
 import (
@@ -32,36 +30,23 @@ import (
 	"repro/internal/la"
 )
 
-// Loss is a per-sample convex loss ℓ(x·w, y) with gradient accumulation.
+// Loss is an objective in the one form every solver runs: a linear loss
+// ℓ(x·w, y), read through the row dot, plus its separable penalties.
 type Loss interface {
-	// Value returns ℓ for one sample.
-	Value(x la.SparseVec, y float64, w la.Vec) float64
-	// AddGrad accumulates ∇ℓ for one sample into g (g += ∇ℓ(x·w, y)).
-	AddGrad(x la.SparseVec, y float64, w la.Vec, g la.Vec)
-	Name() string
-}
-
-// LinearLoss marks losses of the generalized linear form ℓ(x·w, y): the
-// per-sample gradient factors as GradCoeff(x·w, y)·x, touching exactly the
-// row's nonzero coordinates. This is what lets the sparse task path
-// accumulate gradients in O(nnz) instead of O(d) — see kernel.go.
-type LinearLoss interface {
-	Loss
-	// GradCoeff returns dℓ/d(x·w) evaluated at (dot, y).
+	// Value returns ℓ(dot, y) for one row with dot = x·w.
+	Value(dot, y float64) float64
+	// GradCoeff returns dℓ/d(dot) at (dot, y): the row's gradient is
+	// GradCoeff(x·w, y)·x, touching exactly the row's nonzeros.
 	GradCoeff(dot, y float64) float64
-}
-
-// splitLoss decomposes a loss into its linear core and an L2 coefficient:
-// LeastSquares and Logistic are their own cores with λ = 0, an ℓ1-free
-// Composite peels off its penalty when the inner loss is linear.
-// ok reports whether the sparse task path can represent the loss at all;
-// when it can and λ > 0, workers ship inner-only gradients and the driver
-// applies the shrinkage lazily (see lazy.go). Objectives with an ℓ1 term
-// are never ok here — the solvers on this path have no prox step (the
-// SGD-family appliers use splitProx instead).
-func splitLoss(loss Loss) (lin LinearLoss, lambda float64, ok bool) {
-	lin, l2, l1, ok := splitProx(loss)
-	return lin, l2, ok && l1 == 0
+	// Curvature bounds ℓ”(dot, y) over every dot: the data-independent
+	// factor of the diagonal curvature h_j = curv·Σᵢ x_ij² the coordinate
+	// methods precondition with, and of the reference solve's Lipschitz
+	// step.
+	Curvature() float64
+	// Penalties returns the ridge and ℓ1 coefficients, amortized per row
+	// over the mean objective (0, 0 for a bare loss).
+	Penalties() (l2, l1 float64)
+	Name() string
 }
 
 // LeastSquares is the paper's experimental objective (Eq. 3/4):
@@ -69,19 +54,19 @@ func splitLoss(loss Loss) (lin LinearLoss, lambda float64, ok bool) {
 type LeastSquares struct{}
 
 // Value implements Loss.
-func (LeastSquares) Value(x la.SparseVec, y float64, w la.Vec) float64 {
-	r := x.DotDense(w) - y
+func (LeastSquares) Value(dot, y float64) float64 {
+	r := dot - y
 	return r * r
 }
 
-// AddGrad implements Loss.
-func (LeastSquares) AddGrad(x la.SparseVec, y float64, w la.Vec, g la.Vec) {
-	r := x.DotDense(w) - y
-	x.AxpyDense(2*r, g)
-}
-
-// GradCoeff implements LinearLoss: ∇ℓ = 2(x·w − y)·x.
+// GradCoeff implements Loss.
 func (LeastSquares) GradCoeff(dot, y float64) float64 { return 2 * (dot - y) }
+
+// Curvature implements Loss: ℓ” = 2 exactly.
+func (LeastSquares) Curvature() float64 { return 2 }
+
+// Penalties implements Loss.
+func (LeastSquares) Penalties() (l2, l1 float64) { return 0, 0 }
 
 // Name implements Loss.
 func (LeastSquares) Name() string { return "least-squares" }
@@ -91,8 +76,8 @@ func (LeastSquares) Name() string { return "least-squares" }
 type Logistic struct{}
 
 // Value implements Loss.
-func (Logistic) Value(x la.SparseVec, y float64, w la.Vec) float64 {
-	m := y * x.DotDense(w)
+func (Logistic) Value(dot, y float64) float64 {
+	m := y * dot
 	// numerically stable log(1+exp(−m))
 	if m > 0 {
 		return math.Log1p(math.Exp(-m))
@@ -100,59 +85,45 @@ func (Logistic) Value(x la.SparseVec, y float64, w la.Vec) float64 {
 	return -m + math.Log1p(math.Exp(m))
 }
 
-// AddGrad implements Loss.
-func (Logistic) AddGrad(x la.SparseVec, y float64, w la.Vec, g la.Vec) {
-	m := y * x.DotDense(w)
-	// σ(−m) = 1/(1+exp(m))
-	s := 1.0 / (1.0 + math.Exp(m))
-	x.AxpyDense(-y*s, g)
-}
-
-// GradCoeff implements LinearLoss: ∇ℓ = −y·σ(−y·x·w)·x. The arithmetic
-// mirrors AddGrad operation for operation so the sparse and dense task
-// paths produce bitwise-identical gradients.
+// GradCoeff implements Loss: ∇ℓ = −y·σ(−y·x·w)·x, with σ(−m) = 1/(1+exp(m)).
 func (Logistic) GradCoeff(dot, y float64) float64 {
 	s := 1.0 / (1.0 + math.Exp(y*dot))
 	return -y * s
 }
 
+// Curvature implements Loss: σ(1−σ) ≤ ¼.
+func (Logistic) Curvature() float64 { return 0.25 }
+
+// Penalties implements Loss.
+func (Logistic) Penalties() (l2, l1 float64) { return 0, 0 }
+
 // Name implements Loss.
 func (Logistic) Name() string { return "logistic" }
 
-// Composite is the elastic-net objective: a smooth inner loss plus
-// (L2/2)·‖w‖² + L1·‖w‖₁. The smooth part (inner + L2 ridge) flows through
-// AddGrad and the gradient kernels; the nonsmooth ℓ1 term is applied only
-// through the prox seam (prox.go) by the prox-capable drivers — AddGrad
-// deliberately excludes it, so solvers without a prox step must reject
-// composites with L1 > 0 (rejectL1) instead of silently solving the wrong
-// problem. The penalties are amortized per sample assuming the objective is
-// a mean over n samples; callers embed the coefficients already scaled.
+// Composite is the elastic-net objective: a bare loss plus
+// (L2/2)·‖w‖² + L1·‖w‖₁. Its row methods are the inner loss's; the
+// penalties are read through Penalties and applied by the driver (see the
+// package comment), and a solver without a prox step refuses L1 > 0
+// (rejectL1). Inner is a bare loss: an objective is checked against what an
+// ObjectiveSpec resolves to (wireObjective), which refuses a nested
+// Composite.
 type Composite struct {
 	Inner Loss
 	L2    float64
 	L1    float64
 }
 
-// Value implements Loss: the full composite value, both penalties included.
-func (c Composite) Value(x la.SparseVec, y float64, w la.Vec) float64 {
-	v := c.Inner.Value(x, y, w)
-	if c.L2 > 0 {
-		v += 0.5 * c.L2 * la.Dot(w, w)
-	}
-	if c.L1 > 0 {
-		v += c.L1 * la.Norm1(w)
-	}
-	return v
-}
+// Value implements Loss.
+func (c Composite) Value(dot, y float64) float64 { return c.Inner.Value(dot, y) }
 
-// AddGrad implements Loss with the SMOOTH part only (inner + L2·w); the ℓ1
-// subgradient is never accumulated — see the type doc.
-func (c Composite) AddGrad(x la.SparseVec, y float64, w la.Vec, g la.Vec) {
-	c.Inner.AddGrad(x, y, w, g)
-	if c.L2 > 0 {
-		la.Axpy(c.L2, w, g)
-	}
-}
+// GradCoeff implements Loss.
+func (c Composite) GradCoeff(dot, y float64) float64 { return c.Inner.GradCoeff(dot, y) }
+
+// Curvature implements Loss.
+func (c Composite) Curvature() float64 { return c.Inner.Curvature() }
+
+// Penalties implements Loss.
+func (c Composite) Penalties() (l2, l1 float64) { return c.L2, c.L1 }
 
 // Name implements Loss.
 func (c Composite) Name() string {
@@ -166,51 +137,47 @@ func (c Composite) Name() string {
 	}
 }
 
-// splitProx decomposes a composite objective for the prox-capable task
-// paths: the linear smooth core, the L2 coefficient (applied lazily as a
-// running shrink product) and the L1 coefficient (applied as prox-at-settle
-// soft-thresholds). ok reports whether the sparse task path can represent
-// the smooth core; both penalties are driver-side, so they never disqualify
-// it.
-func splitProx(loss Loss) (lin LinearLoss, l2, l1 float64, ok bool) {
-	if c, isComposite := loss.(Composite); isComposite {
-		lin, ok = c.Inner.(LinearLoss)
-		return lin, c.L2, c.L1, ok && c.L2 >= 0 && c.L1 >= 0
+// bare returns loss without its penalties: the loss a row loop calls, so a
+// Composite costs no second method hop per row.
+func bare(loss Loss) Loss {
+	if c, ok := loss.(Composite); ok {
+		return c.Inner
 	}
-	lin, ok = loss.(LinearLoss)
-	return lin, 0, 0, ok
+	return loss
 }
 
-// Objective evaluates the full mean loss F(w) = (1/n) Σ ℓ_i(w) over a
-// dataset on the driver. Experiments use it post hoc on recorded snapshots
-// so evaluation never perturbs run timing.
-//
-// The penalties of a Composite do not depend on the sample, so they are
-// peeled off and added once per evaluation — O(nnz + cols), where summing
-// Loss.Value over the rows would pay O(cols) per row. The result agrees with
-// that sum up to rounding.
+// rejectL1 guards solvers without a prox step: silently dropping the ℓ1
+// term would report the composite objective while optimizing a different
+// one.
+func rejectL1(loss Loss, solver string) error {
+	if _, l1 := loss.Penalties(); l1 > 0 {
+		return fmt.Errorf("opt: %s has no proximal step and cannot solve an ℓ1 objective (use sgd, asgd, cd or gcg)", solver)
+	}
+	return nil
+}
+
+// Objective evaluates the full mean loss F(w) = (1/n) Σ ℓ(x_i·w, y_i) plus
+// the penalties over a dataset on the driver, in O(nnz + cols).
+// Experiments use it post hoc on recorded snapshots so evaluation never
+// perturbs run timing.
 func Objective(d *dataset.Dataset, loss Loss, w la.Vec) float64 {
 	n := d.NumRows()
 	if n == 0 {
 		return 0
 	}
 	var penalty float64
-	for {
-		c, isComposite := loss.(Composite)
-		if !isComposite {
-			break
-		}
-		if c.L2 > 0 {
-			penalty += 0.5 * c.L2 * la.Dot(w, w)
-		}
-		if c.L1 > 0 {
-			penalty += c.L1 * la.Norm1(w)
-		}
-		loss = c.Inner
+	l2, l1 := loss.Penalties()
+	if l2 > 0 {
+		penalty += 0.5 * l2 * la.Dot(w, w)
 	}
+	if l1 > 0 {
+		penalty += l1 * la.Norm1(w)
+	}
+	lin := bare(loss)
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += loss.Value(d.X.Row(i), d.Y[i], w)
+		idx, val := d.X.RowNZ(i)
+		sum += lin.Value(la.SparseDot(idx, val, w), d.Y[i])
 	}
 	return sum/float64(n) + penalty
 }

@@ -9,59 +9,68 @@ import (
 	"repro/internal/la"
 )
 
-// numGrad approximates ∇ℓ by central differences.
-func numGrad(loss Loss, x la.SparseVec, y float64, w la.Vec) la.Vec {
-	const h = 1e-6
-	g := la.NewVec(len(w))
-	for j := range w {
-		wp := w.Clone()
-		wm := w.Clone()
-		wp[j] += h
-		wm[j] -= h
-		g[j] = (loss.Value(x, y, wp) - loss.Value(x, y, wm)) / (2 * h)
-	}
-	return g
-}
-
+// gradCheck pins a loss's row methods against each other by central
+// differences over random (dot, y): GradCoeff is dValue/d(dot), and the
+// numerical second derivative stays within the Curvature bound.
 func gradCheck(t *testing.T, loss Loss) {
 	t.Helper()
+	const h = 1e-5
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(6)
-		w := la.NewVec(n)
-		for j := range w {
-			w[j] = rng.NormFloat64()
-		}
-		m := map[int32]float64{}
-		for j := 0; j < n; j++ {
-			if rng.Float64() < 0.7 {
-				m[int32(j)] = rng.NormFloat64()
-			}
-		}
-		x := la.SparseFromMap(n, m)
+	for trial := 0; trial < 200; trial++ {
+		dot := 4 * rng.NormFloat64()
 		y := float64(1 - 2*rng.Intn(2)) // ±1
-		got := la.NewVec(n)
-		loss.AddGrad(x, y, w, got)
-		want := numGrad(loss, x, y, w)
-		for j := range got {
-			if math.Abs(got[j]-want[j]) > 1e-4*(math.Abs(want[j])+1) {
-				t.Fatalf("%s: grad[%d] = %v, finite diff %v (trial %d)", loss.Name(), j, got[j], want[j], trial)
-			}
+		want := (loss.Value(dot+h, y) - loss.Value(dot-h, y)) / (2 * h)
+		if got := loss.GradCoeff(dot, y); math.Abs(got-want) > 1e-6*(math.Abs(want)+1) {
+			t.Fatalf("%s: GradCoeff(%v, %v) = %v, finite diff %v", loss.Name(), dot, y, got, want)
+		}
+		curv := (loss.GradCoeff(dot+h, y) - loss.GradCoeff(dot-h, y)) / (2 * h)
+		if curv > loss.Curvature()+1e-6 {
+			t.Fatalf("%s: ℓ” = %v at (%v, %v) exceeds the bound %v", loss.Name(), curv, dot, y, loss.Curvature())
 		}
 	}
 }
 
 func TestLeastSquaresGradient(t *testing.T) { gradCheck(t, LeastSquares{}) }
 func TestLogisticGradient(t *testing.T)     { gradCheck(t, Logistic{}) }
-func TestRidgeGradient(t *testing.T)        { gradCheck(t, Composite{Inner: LeastSquares{}, L2: 0.3}) }
+
+// TestRidgeGradient: the ridge objective's gradient is the mean row
+// gradient GradCoeff(x·w, y)·x plus λ2·w — the split every driver relies on
+// when it adds the ridge term itself — checked against central differences
+// of Objective.
+func TestRidgeGradient(t *testing.T) {
+	d, err := dataset.Generate(dataset.SynthConfig{Name: "ridge", Rows: 30, Cols: 6, NNZPerRow: 4, Noise: 0.2, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := Composite{Inner: LeastSquares{}, L2: 0.3}
+	rng := rand.New(rand.NewSource(22))
+	w := la.NewVec(d.NumCols())
+	for j := range w {
+		w[j] = rng.NormFloat64()
+	}
+	g := la.NewVec(len(w))
+	for i := 0; i < d.NumRows(); i++ {
+		x := d.X.Row(i)
+		x.AxpyDense(loss.GradCoeff(x.DotDense(w), d.Y[i])/float64(d.NumRows()), g)
+	}
+	la.Axpy(loss.L2, w, g)
+	const h = 1e-6
+	for j := range w {
+		wp, wm := w.Clone(), w.Clone()
+		wp[j] += h
+		wm[j] -= h
+		want := (Objective(d, loss, wp) - Objective(d, loss, wm)) / (2 * h)
+		if math.Abs(g[j]-want) > 1e-5*(math.Abs(want)+1) {
+			t.Fatalf("grad[%d] = %v, finite diff %v", j, g[j], want)
+		}
+	}
+}
 
 func TestLogisticValueStable(t *testing.T) {
-	x, _ := la.NewSparseVec(1, []int32{0}, []float64{1})
-	big := la.Vec{500}
-	if v := (Logistic{}).Value(x, 1, big); v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+	if v := (Logistic{}).Value(500, 1); v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Fatalf("logistic value at large margin = %v", v)
 	}
-	if v := (Logistic{}).Value(x, -1, big); math.IsNaN(v) || math.IsInf(v, 0) {
+	if v := (Logistic{}).Value(500, -1); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Fatalf("logistic value at large negative margin = %v", v)
 	}
 }
@@ -134,18 +143,11 @@ func TestSchedules(t *testing.T) {
 	if a := s.Alpha(3); math.Abs(a-0.5) > 1e-12 {
 		t.Fatalf("invsqrt(3) = %v, want 0.5", a)
 	}
-	p := Polynomial{A: 6, B: 2, C: 1}
-	if a := p.Alpha(0); a != 3 {
-		t.Fatalf("poly(0) = %v", a)
-	}
-	if a := p.Alpha(4); a != 1 {
-		t.Fatalf("poly(4) = %v", a)
-	}
 	sc := Scaled{Base: Constant{A: 1}, Factor: 8}
 	if a := sc.Alpha(0); a != 0.125 {
 		t.Fatalf("scaled = %v", a)
 	}
-	for _, sch := range []Schedule{Constant{A: 1}, s, p, sc} {
+	for _, sch := range []Schedule{Constant{A: 1}, s, sc} {
 		if sch.Name() == "" {
 			t.Fatal("schedule without a name")
 		}
@@ -179,7 +181,7 @@ func TestAsyncDecayMatchesSyncPerRound(t *testing.T) {
 }
 
 func TestScheduleDecayMonotone(t *testing.T) {
-	for _, sch := range []Schedule{InvSqrt{A: 1}, Polynomial{A: 1, B: 1, C: 0.5}, AsyncDecay{A: 1, Workers: 4}} {
+	for _, sch := range []Schedule{InvSqrt{A: 1}, Scaled{Base: InvSqrt{A: 1}, Factor: 2}, AsyncDecay{A: 1, Workers: 4}} {
 		prev := math.Inf(1)
 		for k := int64(0); k < 50; k++ {
 			a := sch.Alpha(k)
@@ -195,9 +197,9 @@ func TestScheduleDecayMonotone(t *testing.T) {
 }
 
 // TestObjectivePenaltiesOnce: Objective adds a Composite's penalties once
-// per evaluation; that must agree, to rounding, with what it replaces — the
-// mean of the per-sample Loss.Value, whose semantics stay — on dense and on
-// CSR-sparse data, for nested wrappers too.
+// per evaluation; that must agree, to rounding, with the textbook sum —
+// plain nested loops over the dense rows, then both penalties — on dense
+// and on CSR-sparse data.
 func TestObjectivePenaltiesOnce(t *testing.T) {
 	for _, cfg := range []dataset.SynthConfig{
 		{Name: "dense", Rows: 120, Cols: 16, NNZPerRow: 16, Noise: 0.3, Seed: 5},
@@ -218,15 +220,24 @@ func TestObjectivePenaltiesOnce(t *testing.T) {
 			Composite{Inner: Logistic{}, L2: 0.01},
 			Composite{Inner: LeastSquares{}, L2: 0.02, L1: 0.1},
 			Composite{Inner: Logistic{}, L1: 0.05},
-			Composite{Inner: Composite{Inner: LeastSquares{}, L2: 0.1}, L2: 0.2, L1: 0.3},
 		} {
-			var sum float64
+			var sum, sq, abs float64
 			for i := 0; i < d.NumRows(); i++ {
-				sum += loss.Value(d.X.Row(i), d.Y[i], w)
+				x := d.X.Row(i).Dense()
+				var dot float64
+				for j := range x {
+					dot += x[j] * w[j]
+				}
+				sum += loss.Value(dot, d.Y[i])
 			}
-			want := sum / float64(d.NumRows())
+			for _, v := range w {
+				sq += v * v
+				abs += math.Abs(v)
+			}
+			l2, l1 := loss.Penalties()
+			want := sum/float64(d.NumRows()) + 0.5*l2*sq + l1*abs
 			if got := Objective(d, loss, w); math.Abs(got-want) > 1e-12*math.Abs(want) {
-				t.Errorf("%s, %s: Objective %v, per-sample mean %v", cfg.Name, loss.Name(), got, want)
+				t.Errorf("%s, %s: Objective %v, textbook %v", cfg.Name, loss.Name(), got, want)
 			}
 		}
 	}

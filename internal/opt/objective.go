@@ -18,8 +18,8 @@ import (
 // L1 are the elastic-net coefficients, amortized per sample over the mean
 // objective. The same struct parameterizes the facade (SolveConfig.
 // Objective) and the jobs HTTP API (Spec.Objective), so both describe
-// objectives identically. Resolve maps it onto the Loss hierarchy: the bare
-// smooth loss, or a Composite when either penalty is present.
+// objectives identically. Resolve maps it onto a Loss: the bare loss, or a
+// Composite when either penalty is present.
 type ObjectiveSpec struct {
 	Loss string  `json:"loss,omitempty"`
 	L2   float64 `json:"l2,omitempty"`
@@ -81,14 +81,8 @@ func ReferenceOptimumFor(d *dataset.Dataset, loss Loss) (w la.Vec, fstar float64
 	if _, isLS := loss.(LeastSquares); isLS || loss == nil {
 		return ReferenceOptimum(d)
 	}
-	lin, l2, l1, ok := splitProx(loss)
-	if !ok {
-		return nil, 0, fmt.Errorf("opt: reference optimum: objective %q has no linear smooth core", loss.Name())
-	}
-	curv := curvOf(lin)
-	if curv <= 0 {
-		return nil, 0, fmt.Errorf("opt: reference optimum: no curvature bound for loss %q", lin.Name())
-	}
+	l2, l1 := loss.Penalties()
+	lin := bare(loss)
 	n := d.NumRows()
 	if n == 0 {
 		return la.NewVec(d.NumCols()), 0, nil
@@ -96,7 +90,7 @@ func ReferenceOptimumFor(d *dataset.Dataset, loss Loss) (w la.Vec, fstar float64
 	// Lipschitz constant of the smooth mean gradient:
 	// L = curv·λmax(XᵀX)/n + l2, with λmax over-estimated slightly so the
 	// 1/L step stays safe.
-	lip := curv*powerLambdaMax(d.X)/float64(n) + l2
+	lip := lin.Curvature()*powerLambdaMax(d.X)/float64(n) + l2
 	if lip <= 0 || math.IsNaN(lip) || math.IsInf(lip, 0) {
 		return nil, 0, fmt.Errorf("opt: reference optimum: degenerate Lipschitz estimate %g", lip)
 	}
@@ -108,7 +102,7 @@ func ReferenceOptimumFor(d *dataset.Dataset, loss Loss) (w la.Vec, fstar float64
 // and returns the minimizer and the iterations it took. Momentum restarts
 // whenever a step points uphill, so a badly conditioned objective converges
 // at the accelerated linear rate instead of oscillating into maxIter.
-func proxGradient(d *dataset.Dataset, lin LinearLoss, l2, l1, lip float64) (la.Vec, int) {
+func proxGradient(d *dataset.Dataset, lin Loss, l2, l1, lip float64) (la.Vec, int) {
 	const (
 		maxIter = 4000
 		tol     = 1e-12

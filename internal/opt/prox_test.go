@@ -32,23 +32,6 @@ func TestSoftThresholdIdentities(t *testing.T) {
 	}
 }
 
-// TestProxOf resolves the objective → prox mapping.
-func TestProxOf(t *testing.T) {
-	if !ProxOf(LeastSquares{}).IsIdentity() {
-		t.Fatal("smooth loss must carry the identity prox")
-	}
-	if !ProxOf(Composite{Inner: LeastSquares{}, L2: 0.1}).IsIdentity() {
-		t.Fatal("ridge is smooth: identity prox")
-	}
-	p := ProxOf(Composite{Inner: LeastSquares{}, L1: 0.5})
-	if p.IsIdentity() {
-		t.Fatal("ℓ1 composite must carry the soft-threshold prox")
-	}
-	if got := p.Call1(2, 1); got != SoftThreshold(2, 0.5) {
-		t.Fatalf("L1Prox.Call1 = %v, want soft(2, 0.5)", got)
-	}
-}
-
 // elasticNetParams is the shared ASGD configuration of the prox
 // path-equivalence runs.
 func elasticNetParams(l2, l1 float64) Params {

@@ -84,15 +84,22 @@ type solverFunc struct {
 
 func (s solverFunc) Name() string { return s.name }
 
-// accepts is the capability gate: it rejects an objective the solver would
-// optimize as a different one, and a selection mode it does not have.
+// accepts is the capability gate: it rejects an objective no worker could
+// rebuild (wireObjective), one the solver would optimize as a different
+// one, and a selection mode it does not have.
 func (s solverFunc) accepts(loss Loss, mode string) error {
+	if loss == nil {
+		loss = LeastSquares{}
+	}
+	if _, err := wireObjective(loss); err != nil {
+		return err
+	}
 	if !s.prox {
 		if err := rejectL1(loss, s.name); err != nil {
 			return err
 		}
 	}
-	if _, isLS := loss.(LeastSquares); s.plainLS && loss != nil && !isLS {
+	if _, isLS := loss.(LeastSquares); s.plainLS && !isLS {
 		return fmt.Errorf("opt: %s optimizes plain least squares only: it ignores penalty terms and any other loss, so it cannot solve objective %q", s.name, loss.Name())
 	}
 	if mode == "" {

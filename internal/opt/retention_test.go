@@ -9,47 +9,28 @@ import (
 	"repro/internal/core"
 )
 
-// cacheCensusOp reports, from inside a worker, what its broadcast cache and
-// history table hold for the broadcast id in Args:
-// [versions cached, references held, |recorded versions ∪ {newest cached}|].
-// A worker's Env belongs to its own goroutine (and sits behind a socket on
-// the loopback transport), so the census has to be taken by a task.
+// cacheCensusOp reports, from inside a worker, what its broadcast cache
+// holds: [versions cached, references held]. A history table holds one
+// reference per version it records (pinned in internal/core), so the
+// second count is the number of versions the table can read. A worker's
+// Env belongs to its own goroutine (and sits behind a socket on the
+// loopback transport), so the census has to be taken by a task.
 const cacheCensusOp = "test.cache-census"
-
-// censusParts bounds the partition indices the census probes: the rigs here
-// place fewer.
-const censusParts = 64
 
 func init() {
 	cluster.RegisterOp(cacheCensusOp, func(env *cluster.Env, t *cluster.Task) (any, error) {
-		id := t.Args.(string)
-		readable := map[int64]bool{}
-		if ver, _, ok := env.Cache().Latest(id); ok {
-			readable[ver] = true
-		}
-		for pi := 0; pi < censusParts; pi++ {
-			p, err := env.Partition(pi)
-			if err != nil {
-				continue // placed on another worker
-			}
-			for local := 0; local < p.NumRows(); local++ {
-				if ver, ok := (core.DynBroadcast{ID: id}).RecordedVersion(env, p.GlobalRow(local)); ok {
-					readable[ver] = true
-				}
-			}
-		}
 		st := env.Cache().Stats()
-		return []int{st.Versions, st.Retained, len(readable)}, nil
+		return []int{st.Versions, st.Retained}, nil
 	})
 }
 
 // cacheCensus runs cacheCensusOp on every worker of r.
-func cacheCensus(t *testing.T, r *rig, id string) [][]int {
+func cacheCensus(t *testing.T, r *rig) [][]int {
 	t.Helper()
 	var out [][]int
 	for _, w := range r.c.AliveWorkers() {
 		ch := make(chan *cluster.Result, 1)
-		task := &cluster.Task{ID: r.c.NextTaskID(), Op: cacheCensusOp, Args: id, Partition: -1}
+		task := &cluster.Task{ID: r.c.NextTaskID(), Op: cacheCensusOp, Partition: -1}
 		r.c.Router().Route(task.ID, ch)
 		if err := r.c.Submit(w, task); err != nil {
 			t.Fatal(err)
@@ -72,9 +53,8 @@ func cacheCensus(t *testing.T, r *rig, id string) [][]int {
 // any worker and no references, and so does an asaga run — its history is
 // one coefficient per row, not a model version; the version-history arm
 // (Algorithm 4 read literally) leaves exactly the versions it can still
-// read — those its history table records, plus the newest — each held by
-// one reference; and a reused engine starts its next run with no
-// references and one version.
+// read — one reference each — plus at most the newest; and a reused engine
+// starts its next run with no references and one version.
 func TestWorkerCacheRetention(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 2, 4, nil, denseCfg())
@@ -82,7 +62,7 @@ func TestWorkerCacheRetention(t *testing.T) {
 		if _, err := ASGD(r.ac, r.d, p, r.fstar); err != nil {
 			t.Fatal(err)
 		}
-		for w, c := range cacheCensus(t, r, "sgd.w") {
+		for w, c := range cacheCensus(t, r) {
 			if c[0] < 1 || c[0] > 2 || c[1] != 0 {
 				t.Fatalf("asgd: worker %d holds %d versions, %d references; want ≤ 2 and 0", w, c[0], c[1])
 			}
@@ -95,7 +75,7 @@ func TestWorkerCacheRetention(t *testing.T) {
 		if _, err := ASAGA(r.ac, r.d, p, r.fstar); err != nil {
 			t.Fatal(err)
 		}
-		for w, c := range cacheCensus(t, r, "saga.w") {
+		for w, c := range cacheCensus(t, r) {
 			// the asgd run's last "sgd.w" version is still the newest of its id
 			if got := c[0] - 1; got < 1 || got > 2 || c[1] != 0 {
 				t.Fatalf("asaga: worker %d holds %d versions of saga.w, %d references; want ≤ 2 and 0", w, got, c[1])
@@ -109,11 +89,11 @@ func TestWorkerCacheRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		sawHistory := false
-		for w, c := range cacheCensus(t, r, "saga.w") {
-			if got := c[0] - 1; got != c[2] || c[1] < c[2]-1 || c[1] > c[2] {
-				t.Fatalf("asaga-history: worker %d holds %d versions of saga.w under %d references; its history can read %d", w, got, c[1], c[2])
+		for w, c := range cacheCensus(t, r) {
+			if got := c[0] - 1; got < c[1] || got > c[1]+1 {
+				t.Fatalf("asaga-history: worker %d holds %d versions of saga.w; its history can read %d", w, got, c[1])
 			}
-			sawHistory = sawHistory || c[2] > 2
+			sawHistory = sawHistory || c[1] > 2
 		}
 		if !sawHistory {
 			t.Fatal("asaga-history left no history to retain — the test exercises nothing")
@@ -122,9 +102,9 @@ func TestWorkerCacheRetention(t *testing.T) {
 		if err := r.ac.ResetRun(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		for w, c := range cacheCensus(t, r, "saga.w") {
-			if c[0] != 2 || c[1] != 0 || c[2] != 1 { // newest of sgd.w and of saga.w
-				t.Fatalf("after ResetRun: worker %d holds %d versions, %d references, %d readable; want 2, 0, 1", w, c[0], c[1], c[2])
+		for w, c := range cacheCensus(t, r) {
+			if c[0] != 2 || c[1] != 0 { // newest of sgd.w and of saga.w
+				t.Fatalf("after ResetRun: worker %d holds %d versions, %d references; want 2, 0", w, c[0], c[1])
 			}
 		}
 	})
@@ -170,8 +150,8 @@ func TestPruningCannotStarveHistory(t *testing.T) {
 			t.Fatalf("%d fetches for %d tasks: a historical read went back to the driver", fetches, tasks)
 		}
 		deep := false
-		for _, c := range cacheCensus(t, r, "saga.w") {
-			deep = deep || c[2] > 4*workers
+		for _, c := range cacheCensus(t, r) {
+			deep = deep || c[1] > 4*workers
 		}
 		if !deep {
 			t.Fatal("no worker's history reaches past the driver's retention — the test exercises nothing")

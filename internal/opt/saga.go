@@ -41,7 +41,7 @@ func newSagaRun(d *dataset.Dataset, p *Params, name string) (*sagaState, error) 
 		return nil, err
 	}
 	st := newSagaState(d.NumCols(), d.NumRows())
-	_, st.l2, _ = splitLoss(p.Loss)
+	st.l2, _ = p.Loss.Penalties()
 	return st, nil
 }
 

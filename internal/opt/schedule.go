@@ -51,15 +51,6 @@ func (s AsyncDecay) Alpha(k int64) float64 {
 // Name implements Schedule.
 func (s AsyncDecay) Name() string { return fmt.Sprintf("async(%g,P=%g)", s.A, s.Workers) }
 
-// Polynomial is the classical α_k = a/(b + c·k) form discussed in §2.
-type Polynomial struct{ A, B, C float64 }
-
-// Alpha implements Schedule.
-func (p Polynomial) Alpha(k int64) float64 { return p.A / (p.B + p.C*float64(k)) }
-
-// Name implements Schedule.
-func (p Polynomial) Name() string { return fmt.Sprintf("poly(%g,%g,%g)", p.A, p.B, p.C) }
-
 // Scaled divides a base schedule by a constant factor — the paper's
 // heuristic of running asynchronous variants at (sync step)/(num workers).
 type Scaled struct {

@@ -48,7 +48,7 @@ type gsSelector struct {
 	d        *dataset.Dataset
 	cv       *la.ColView
 	ix       *maxip.Index
-	lin      LinearLoss
+	lin      Loss
 	w        la.Vec // the updater's model (aliased, driver-owned)
 	nl2, nl1 float64
 	r        la.Vec // residual mirror r_i = x_i·w
@@ -63,7 +63,7 @@ type gsSelector struct {
 // exactBelow forwards to maxip.Options.ExactBelow: 0 is the package default
 // threshold, negative forces the tournament tree (tests pin tree vs scan
 // equivalence through this knob).
-func newGSSelector(d *dataset.Dataset, lin LinearLoss, l2, l1 float64, w la.Vec, exactBelow int) *gsSelector {
+func newGSSelector(d *dataset.Dataset, lin Loss, l2, l1 float64, w la.Vec, exactBelow int) *gsSelector {
 	s := &gsSelector{
 		d: d, cv: la.NewColView(d.X), lin: lin, w: w,
 		nl2: float64(d.NumRows()) * l2, nl1: float64(d.NumRows()) * l1,

@@ -256,10 +256,7 @@ func TestCDGreedyFallbackCursor(t *testing.T) {
 	if err := c.defaults(d.NumCols()); err != nil {
 		t.Fatal(err)
 	}
-	u, err := newCDUpdater(d, Composite{Inner: LeastSquares{}, L2: 0.01}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := newCDUpdater(d, Composite{Inner: LeastSquares{}, L2: 0.01}, c)
 	u.sel.fallback = true
 	seen := map[int32]bool{}
 	for r := 0; r < 3; r++ {

@@ -155,15 +155,15 @@ type Result struct {
 
 // syncSGDUpdater is the bulk-synchronous SGD round state: partials fold
 // into a roundAccum (sparse partials merge without densifying), and the
-// flush applies one averaged, optionally momentum-accelerated step.
+// flush applies one averaged, optionally momentum-accelerated step through
+// the SGD applier's dense step, penalties included.
 type syncSGDUpdater struct {
-	w      la.Vec
-	st     *stepper
-	lambda float64
-	l1     float64 // ℓ1 coefficient: eager full-sweep soft-threshold per round
-	acc    *roundAccum
-	batch  int
-	sparse int // samples behind sparse partials (their λ·w is driver-side)
+	w la.Vec
+	// ap carries the penalties and the stepper; a round's step is eager,
+	// so its lazy state stays unused
+	ap    *proxApplier
+	acc   *roundAccum
+	batch int
 }
 
 func (u *syncSGDUpdater) Model() la.Vec { return u.w }
@@ -172,14 +172,9 @@ func (u *syncSGDUpdater) Settle()       {}
 func (u *syncSGDUpdater) Apply(payload any, attrs *core.Attrs, _ float64) error {
 	switch g := payload.(type) {
 	case la.Vec:
-		// dense partials already carry the loss's own λ·w_task terms
 		u.acc.AddDense(g)
 	case *la.DeltaVec:
-		// sparse partials carry the inner gradient only; their λ·w terms
-		// are restored once per round below (under BSP the workers' model
-		// is exactly w, so this is the dense math)
 		u.acc.AddSparse(g)
-		u.sparse += attrs.MiniBatch
 	default:
 		return fmt.Errorf("unexpected gradient payload %T", payload)
 	}
@@ -188,45 +183,30 @@ func (u *syncSGDUpdater) Apply(payload any, attrs *core.Attrs, _ float64) error 
 }
 
 func (u *syncSGDUpdater) FlushRound(alpha float64) (bool, error) {
-	batch, sparse := u.batch, u.sparse
-	u.batch, u.sparse = 0, 0
+	batch := u.batch
+	u.batch = 0
+	defer u.acc.Reset()
 	if batch == 0 {
-		u.acc.Reset()
 		return false, nil // every worker sampled zero rows; retry round
 	}
-	ab := alpha / float64(batch)
-	needDense := u.st.mu > 0 || (u.lambda > 0 && sparse > 0) || (u.acc.Dense() != nil && u.acc.Sparse() != nil)
-	if needDense {
-		g := u.acc.Densify()
-		if u.lambda > 0 && sparse > 0 {
-			la.Axpy(float64(sparse)*u.lambda, u.w, g)
-		}
-		u.st.apply(u.w, g, ab)
-	} else if g := u.acc.Dense(); g != nil {
-		u.st.apply(u.w, g, ab)
-	} else if s := u.acc.Sparse(); s != nil {
-		// pure sparse round: the averaged step touches only the merged
-		// support — O(round nnz) on the driver
-		s.AxpyDense(-ab, u.w)
+	if s := u.acc.Sparse(); s != nil && u.acc.Dense() == nil && u.ap.st.mu == 0 && u.ap.lambda == 0 {
+		// pure sparse round without momentum or ridge: the averaged step
+		// touches only the merged support — O(round nnz) on the driver —
+		// and an ℓ1 term rides the round barrier as one O(d) sweep
+		s.AxpyDense(-alpha/float64(batch), u.w)
+		u.ap.proxSweep(u.w, alpha)
+		return true, nil
 	}
-	if u.l1 > 0 {
-		// under BSP a round is one update, so the prox applies eagerly to
-		// every coordinate — the O(d) sweep rides the round barrier
-		thr := alpha * u.l1
-		for j := range u.w {
-			u.w[j] = SoftThreshold(u.w[j], thr)
-		}
-	}
-	u.acc.Reset()
+	u.ap.denseStep(u.w, u.acc.Densify(), alpha, batch)
 	return true, nil
 }
 
-func (u *syncSGDUpdater) Export(cp *Checkpoint) { u.st.export(cp) }
+func (u *syncSGDUpdater) Export(cp *Checkpoint) { u.ap.st.export(cp) }
 func (u *syncSGDUpdater) Import(cp *Checkpoint) error {
 	if err := importModel(u.w, cp); err != nil {
 		return err
 	}
-	u.st.importFrom(cp)
+	u.ap.st.importFrom(cp)
 	return nil
 }
 
@@ -243,13 +223,10 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	_, lambda, l1, _ := splitProx(p.Loss)
 	u := &syncSGDUpdater{
-		w:      la.NewVec(d.NumCols()),
-		st:     newStepper(p.Momentum, d.NumCols()),
-		lambda: lambda,
-		l1:     l1,
-		acc:    newRoundAccum(d.NumCols()),
+		w:   la.NewVec(d.NumCols()),
+		ap:  newProxApplier(&p, d.NumCols()),
+		acc: newRoundAccum(d.NumCols()),
 	}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "SGD", Name: "sgd", Key: "sgd.w",

@@ -4,20 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/dataset"
 	"repro/internal/la"
 )
 
-// Sparse-delta task path. When a task's partitions are sparse enough and
-// its loss is linear (see LinearLoss), the gradient kernels accumulate only
-// the coordinates the sampled rows touch — O(nnz) per task instead of O(d)
-// — and ship the result as a pooled la.DeltaVec instead of a dense vector.
-// The drivers recognise the payload type and apply the update in O(nnz)
-// too (see lazy.go). Sampling walks the same row sampler in the same order
-// as the dense sweep, and the scatter arithmetic mirrors the
-// dense kernels operation for operation, so on a fixed seed the sparse and
-// dense paths produce bitwise-identical gradients (regression-tested in
-// sparse_test.go).
+// Sparse-delta task path. When a task's partitions are sparse enough, the
+// gradient kernels accumulate only the coordinates the sampled rows touch —
+// O(nnz) per task instead of O(d) — and ship the result as a pooled
+// la.DeltaVec instead of a dense vector. The drivers recognise the payload
+// type and apply the update in O(nnz) too (see lazy.go). Both paths run the
+// same row loop over the same sampled rows, scattering into a
+// *la.DeltaAccum or a dense vector (rowAccum), so on a fixed seed they
+// produce bitwise-identical gradients (regression-tested in
+// sparse_test.go and FuzzRowLoop).
 
 // sparseDensityThreshold gates the sparse task path: a task takes it only
 // when every partition it sweeps has density (nnz / rows·cols) at or below
@@ -50,21 +48,6 @@ func sparseTaskViable(env *cluster.Env, parts []int, frac float64, dim int) bool
 		totalNNZ += p.X.NNZ()
 	}
 	return frac*float64(totalNNZ)*sparseWorkFactor <= float64(dim)
-}
-
-// gradSweepSparse is the sparse counterpart of gradSweep: walk the rows s
-// samples from partition p (exactly as the dense sweep does) and scatter
-// the per-sample gradient coefficient into the accumulator, touching only
-// the row's nonzeros.
-func gradSweepSparse(lin LinearLoss, p *dataset.Partition, s *cluster.RowSampler, w la.Vec, acc *la.DeltaAccum) int {
-	n, rows := 0, p.NumRows()
-	for local := s.Next(0, rows); local < rows; local = s.Next(local+1, rows) {
-		idx, val := p.X.RowNZ(local)
-		c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
-		acc.Accum(c, idx, val)
-		n++
-	}
-	return n
 }
 
 // SagaDelta was the sparse SAGA payload of two sums; SagaKernel now ships

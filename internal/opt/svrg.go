@@ -37,11 +37,12 @@ func (c *VRConfig) defaults(updates int) error {
 // instead of re-anchoring.
 type vrUpdater struct {
 	ac       *core.Context
-	fullPass func(core.DynBroadcast, *core.Selection) (int, error) // opt.fullgrad dispatch
+	fullPass func(core.DynBroadcast, *core.Selection) (int, error) // opt.grad dispatch at Frac 1
 	filter   core.WorkerFilter
 	epochLen int64
 
-	w, mu    la.Vec
+	w, mu    la.Vec // μ is the loss's mean gradient at the anchor
+	l2       float64
 	anchor   la.Vec
 	anchorBr core.DynBroadcast
 	drift    lazyDrift
@@ -56,6 +57,9 @@ func (u *vrUpdater) Apply(payload any, attrs *core.Attrs, alpha float64) error {
 	switch diff := payload.(type) {
 	case la.Vec:
 		u.Settle()
+		if u.l2 != 0 {
+			la.Scale(1-alpha*u.l2, u.w)
+		}
 		la.Axpy(-ab, diff, u.w)
 		la.Axpy(-alpha, u.mu, u.w)
 		la.PutVec(diff)
@@ -122,14 +126,8 @@ func (u *vrUpdater) begin(global int64) error {
 				return u.fullPass(u.anchorBr, sel)
 			},
 			func(payload any, attrs *core.Attrs) error {
-				g, ok := payload.(la.Vec)
-				if !ok {
-					return fmt.Errorf("unexpected full-pass payload %T", payload)
-				}
-				la.Axpy(1, g, u.mu)
-				la.PutVec(g)
 				total += attrs.MiniBatch
-				return nil
+				return AxpyPayload(1, payload, u.mu)
 			})
 		if err != nil {
 			return fmt.Errorf("opt: EpochVR anchor at update %d: %w", global, err)
@@ -143,10 +141,13 @@ func (u *vrUpdater) begin(global int64) error {
 }
 
 // EpochVR is the epoch-based variance-reduced scheme of Listing 3 (SVRG
-// style): each epoch synchronously computes the full gradient μ = ∇F(w̃) at
+// style): each epoch synchronously computes the loss's full gradient μ at
 // the anchor w̃ via a BSP reduction, then runs asynchronous inner updates
 //
-//	w ← w − α·[ (∇f_S(w) − ∇f_S(w̃))/b + μ ]
+//	w ← w − α·[ (∇ℓ_S(w) − ∇ℓ_S(w̃))/b + μ + λ2·w ]
+//
+// with the ridge term taken at the driver's model (the ridge parts of
+// ∇F(w) − ∇F(w̃) + ∇F(w̃) telescope to λ2·w).
 //
 // mixing synchronous Spark-style actions with ASYNC's asynchronous
 // reductions, which is exactly the pattern the listing demonstrates.
@@ -160,7 +161,7 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p Params, c VRConfig, fstar f
 	if err := rejectL1(p.Loss, "svrg"); err != nil {
 		return nil, err
 	}
-	fullPass, err := kernelDispatch(ac, fullGradOpName, p.Loss, 0, nil)
+	fullPass, err := kernelDispatch(ac, GradOpName, p.Loss, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -172,6 +173,7 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p Params, c VRConfig, fstar f
 		w:        la.NewVec(d.NumCols()),
 		mu:       la.NewVec(d.NumCols()),
 	}
+	u.l2, _ = p.Loss.Penalties()
 	dispatch, err := kernelDispatch(ac, vrOpName, p.Loss, p.SampleFrac, func(a *GradOpArgs) {
 		a.AuxID, a.AuxVersion = u.anchorBr.ID, u.anchorBr.Version
 	})

@@ -128,18 +128,3 @@ func (p *ProductionCluster) Delay(worker int, base time.Duration) time.Duration 
 
 // Name implements Model.
 func (p *ProductionCluster) Name() string { return "pcs" }
-
-// Stragglers returns the indices of workers that straggle, and which of
-// those are long-tail, for reporting.
-func (p *ProductionCluster) Stragglers() (uniform, longTail []int) {
-	for w, b := range p.bands {
-		switch {
-		case b.hi == 0:
-		case b.hi > pcsUniformHi:
-			longTail = append(longTail, w)
-		default:
-			uniform = append(uniform, w)
-		}
-	}
-	return uniform, longTail
-}

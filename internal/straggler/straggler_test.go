@@ -48,7 +48,7 @@ func TestProductionClusterPaperCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, lt := p.Stragglers()
+	uni, lt := stragglers(p)
 	if len(uni) != 6 {
 		t.Fatalf("uniform stragglers = %d, want 6", len(uni))
 	}
@@ -62,7 +62,7 @@ func TestProductionClusterBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, lt := p.Stragglers()
+	uni, lt := stragglers(p)
 	base := 100 * time.Millisecond
 	isStraggler := map[int]bool{}
 	for _, w := range uni {
@@ -95,8 +95,8 @@ func TestProductionClusterBands(t *testing.T) {
 func TestProductionClusterSeedDeterminesAssignment(t *testing.T) {
 	p1, _ := NewProductionCluster(32, 9)
 	p2, _ := NewProductionCluster(32, 9)
-	u1, l1 := p1.Stragglers()
-	u2, l2 := p2.Stragglers()
+	u1, l1 := stragglers(p1)
+	u2, l2 := stragglers(p2)
 	if len(u1) != len(u2) || len(l1) != len(l2) {
 		t.Fatal("same seed, different counts")
 	}
@@ -146,8 +146,23 @@ func TestSmallClusterStillHasStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, lt := p.Stragglers()
+	uni, lt := stragglers(p)
 	if len(uni)+len(lt) != 2 {
 		t.Fatalf("8 workers should yield 2 stragglers, got %d", len(uni)+len(lt))
 	}
+}
+
+// stragglers returns the indices of workers that straggle, and which of
+// those are long-tail.
+func stragglers(p *ProductionCluster) (uniform, longTail []int) {
+	for w, b := range p.bands {
+		switch {
+		case b.hi == 0:
+		case b.hi > pcsUniformHi:
+			longTail = append(longTail, w)
+		default:
+			uniform = append(uniform, w)
+		}
+	}
+	return uniform, longTail
 }
