@@ -22,11 +22,7 @@ func FuzzMaxIPIndex(f *testing.F) {
 		x := randomCSR(t, rng, rows, cols, 1+rng.Intn(5))
 		cv := la.NewColView(x)
 		u := make(la.Vec, rows)
-		exactBelow := -1
-		if len(ops) > 0 && ops[0]&1 == 1 {
-			exactBelow = 1 << 20 // exercise exact-scan mode too
-		}
-		ix := New(x, cv, nil, Options{ExactBelow: exactBelow})
+		ix := New(x, cv, nil, Options{})
 
 		for _, op := range ops {
 			switch op % 4 {
@@ -72,8 +68,8 @@ func FuzzMaxIPIndex(f *testing.F) {
 				}
 			}
 		}
-		// terminal invariant: every maintained score and every tree node
-		// bitwise-equals a fresh build
-		requireRebuildEqual(t, ix, u, Options{ExactBelow: exactBelow})
+		// terminal invariant: every maintained score and rank bitwise-equals
+		// a fresh build
+		requireRebuildEqual(t, ix, u, Options{})
 	})
 }

@@ -3,34 +3,26 @@ package maxip
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/la"
 )
 
 // Options configure an Index.
 type Options struct {
-	// ExactBelow is the distinct-column count under which the index skips
-	// the tournament tree and answers TopK by exact linear scan (the scan
-	// beats tree bookkeeping at small d, and doubles as the reference
-	// selector). Zero picks DefaultExactBelow; negative forces the tree.
-	ExactBelow int
-
 	// Scorer maps a column and its maintained inner product s = ⟨x_j, u⟩ to
 	// the ranking value TopK maximises. nil ranks by |s|. Scorers must
-	// return non-negative finite values (the extraction sentinel is −Inf)
-	// and may read consumer state beyond s — but then the consumer must
-	// MarkCol every column whose outside state changed.
+	// return finite values and may read consumer state beyond s — but then
+	// the consumer must MarkCol every column whose outside state changed.
 	Scorer func(col int32, s float64) float64
 }
 
-// DefaultExactBelow is the dimension threshold below which the exact-scan
-// fallback replaces the tournament tree.
-const DefaultExactBelow = 1024
-
 // Index maintains the exact inner products s_j = ⟨x_j, u⟩ of every stored
-// CSR column against a mutable query vector u, and answers top-k-by-rank
-// queries without scanning all columns. See the package comment for the
-// maintenance cost model and the rebuild-equivalence invariant.
+// CSR column against a mutable query vector u, re-scores only the columns
+// a query edit can have moved, and answers top-k-by-rank queries with one
+// scan over the ranks. See the package comment for the cost model and the
+// rebuild-equivalence invariant.
 //
 // An Index is not safe for concurrent use.
 type Index struct {
@@ -42,21 +34,13 @@ type Index struct {
 	rank   []float64 // per slot: scorer(col, s)
 	scorer func(col int32, s float64) float64
 
-	exact bool
-	base  int     // leaf span (power of two ≥ len(cv.Cols)); tree mode only
-	tree  []int32 // winner slots; tree[1] is the root, leaves at [base, 2·base)
-
 	rowMark   []uint64
 	rowGen    uint64
 	dirtyRows []int32
-	colMark   []uint64
-	colGen    uint64
-	dirtyCols []int32  // dirty slots, first-touch order
-	nodeMark  []uint32 // per internal tree node: Flush generation that replayed it
-	nodeGen   uint32
+	dirty     []uint64 // bitset over slots awaiting a re-score
+	marked    bool     // MarkCol set a bit since the last Flush
 
-	savedSlot []int32 // TopK mask/restore scratch
-	savedRank []float64
+	buf []entry // TopK scratch
 }
 
 // New builds the index of x's columns (via its column view cv) at the query
@@ -66,10 +50,6 @@ func New(x *la.CSR, cv *la.ColView, u la.Vec, opts Options) *Index {
 	if u != nil && len(u) != x.NumRows {
 		panic(fmt.Sprintf("maxip: query dim %d != %d rows", len(u), x.NumRows))
 	}
-	exactBelow := opts.ExactBelow
-	if exactBelow == 0 {
-		exactBelow = DefaultExactBelow
-	}
 	c := len(cv.Cols)
 	ix := &Index{
 		x: x, cv: cv,
@@ -77,18 +57,9 @@ func New(x *la.CSR, cv *la.ColView, u la.Vec, opts Options) *Index {
 		s:       make([]float64, c),
 		rank:    make([]float64, c),
 		scorer:  opts.Scorer,
-		exact:   c <= exactBelow,
 		rowMark: make([]uint64, x.NumRows),
-		colMark: make([]uint64, c),
-		rowGen:  1, colGen: 1,
-	}
-	if !ix.exact {
-		ix.base = 1
-		for ix.base < c {
-			ix.base <<= 1
-		}
-		ix.tree = make([]int32, 2*ix.base)
-		ix.nodeMark = make([]uint32, ix.base)
+		rowGen:  1,
+		dirty:   make([]uint64, (c+63)/64),
 	}
 	ix.Rebuild(u)
 	return ix
@@ -97,10 +68,10 @@ func New(x *la.CSR, cv *la.ColView, u la.Vec, opts Options) *Index {
 // Cols returns the number of distinct columns the index ranks.
 func (ix *Index) Cols() int { return len(ix.cv.Cols) }
 
-// colDot recomputes slot k's inner product by a full column dot in storage
+// rescore recomputes slot k's inner product by a full column dot in storage
 // order — the one arithmetic Rebuild also uses, which is what makes
-// incremental maintenance bitwise-equal to a rebuild.
-func (ix *Index) colDot(k int) float64 {
+// incremental maintenance bitwise-equal to a rebuild — and re-ranks it.
+func (ix *Index) rescore(k int) {
 	start, end := ix.cv.Starts[k], ix.cv.Starts[k+1]
 	rows := ix.cv.Rows[start:end]
 	vals := ix.cv.Vals[start:end]
@@ -108,18 +79,16 @@ func (ix *Index) colDot(k int) float64 {
 	for t, i := range rows {
 		s += vals[t] * ix.u[i]
 	}
-	return s
-}
-
-func (ix *Index) rankOf(k int) float64 {
+	ix.s[k] = s
 	if ix.scorer == nil {
-		return math.Abs(ix.s[k])
+		ix.rank[k] = math.Abs(s)
+	} else {
+		ix.rank[k] = ix.scorer(ix.cv.Cols[k], s)
 	}
-	return ix.scorer(ix.cv.Cols[k], ix.s[k])
 }
 
-// Rebuild recomputes every score (and the tree) from scratch at the query
-// vector u; nil keeps the current query. O(nnz + c).
+// Rebuild recomputes every score from scratch at the query vector u; nil
+// keeps the current query. O(nnz + c).
 func (ix *Index) Rebuild(u la.Vec) {
 	if u != nil {
 		if len(u) != len(ix.u) {
@@ -128,79 +97,12 @@ func (ix *Index) Rebuild(u la.Vec) {
 		copy(ix.u, u)
 	}
 	for k := range ix.s {
-		ix.s[k] = ix.colDot(k)
-		ix.rank[k] = ix.rankOf(k)
+		ix.rescore(k)
 	}
 	ix.rowGen++
-	ix.colGen++
 	ix.dirtyRows = ix.dirtyRows[:0]
-	ix.dirtyCols = ix.dirtyCols[:0]
-	if ix.exact {
-		return
-	}
-	for i := range ix.tree[ix.base:] {
-		if i < len(ix.s) {
-			ix.tree[ix.base+i] = int32(i)
-		} else {
-			ix.tree[ix.base+i] = -1
-		}
-	}
-	for i := ix.base - 1; i >= 1; i-- {
-		ix.tree[i] = ix.better(ix.tree[2*i], ix.tree[2*i+1])
-	}
-}
-
-// better picks the winning slot: higher rank, ties to the smaller slot
-// (hence the smaller column id — cv.Cols is sorted).
-func (ix *Index) better(a, b int32) int32 {
-	switch {
-	case a < 0:
-		return b
-	case b < 0:
-		return a
-	case ix.rank[a] > ix.rank[b]:
-		return a
-	case ix.rank[a] < ix.rank[b]:
-		return b
-	case a < b:
-		return a
-	default:
-		return b
-	}
-}
-
-// repair fixes the tournament path of slot k after its rank changed.
-func (ix *Index) repair(k int) {
-	for i := (ix.base + k) >> 1; i >= 1; i >>= 1 {
-		ix.tree[i] = ix.better(ix.tree[2*i], ix.tree[2*i+1])
-	}
-}
-
-// repairAbove replays the tournament above a set of re-ranked slots one
-// level at a time: each pass plays the match at every distinct parent of
-// the previous level's nodes, so a match shared by many dirty leaves is
-// played once, after both of its subtrees are final. nodes arrives holding
-// the slots and is consumed as scratch: each level overwrites the last.
-func (ix *Index) repairAbove(nodes []int32) {
-	if ix.nodeGen++; ix.nodeGen == 0 { // stamp wrapped: old marks would alias
-		clear(ix.nodeMark)
-		ix.nodeGen = 1
-	}
-	for t, k := range nodes {
-		nodes[t] = int32(ix.base) + k
-	}
-	for len(nodes) > 0 && nodes[0] > 1 {
-		parents := nodes[:0]
-		for _, c := range nodes {
-			p := c >> 1
-			if ix.nodeMark[p] != ix.nodeGen {
-				ix.nodeMark[p] = ix.nodeGen
-				ix.tree[p] = ix.better(ix.tree[2*p], ix.tree[2*p+1])
-				parents = append(parents, p)
-			}
-		}
-		nodes = parents
-	}
+	clear(ix.dirty)
+	ix.marked = false
 }
 
 // SetRow sets query coordinate i (a matrix row) to v and defers the
@@ -231,40 +133,39 @@ func (ix *Index) AddRows(dv *la.DeltaVec) {
 // ignored.
 func (ix *Index) MarkCol(j int32) {
 	if k := ix.cv.Slot(j); k >= 0 {
-		ix.markSlot(int32(k))
-	}
-}
-
-func (ix *Index) markSlot(k int32) {
-	if ix.colMark[k] != ix.colGen {
-		ix.colMark[k] = ix.colGen
-		ix.dirtyCols = append(ix.dirtyCols, k)
+		ix.dirty[k>>6] |= 1 << (k & 63)
+		ix.marked = true
 	}
 }
 
 // Flush propagates dirty query rows to the columns stored on them (through
-// the view's per-entry slot table — no lookup), re-scores exactly those
-// columns, and replays the tournament matches above them once each.
-// Returns the number of columns re-scored. Cost: O(Σ nnz(dirty rows) +
-// Σ nnz(dirty columns) + distinct tree nodes above the dirty leaves).
+// the view's per-entry slot table — no lookup) and re-scores exactly those
+// columns, once each, in ascending slot order: the column view, the scores
+// and the ranks are all read forward. Returns the number of columns
+// re-scored. Cost: O(Σ nnz(dirty rows) + Σ nnz(dirty columns) + c/64).
 func (ix *Index) Flush() int {
+	if len(ix.dirtyRows) == 0 && !ix.marked {
+		return 0
+	}
 	for _, i := range ix.dirtyRows {
 		for _, k := range ix.cv.EntrySlot[ix.x.RowPtr[i]:ix.x.RowPtr[i+1]] {
-			ix.markSlot(k)
+			ix.dirty[k>>6] |= 1 << (k & 63)
 		}
 	}
 	ix.dirtyRows = ix.dirtyRows[:0]
 	ix.rowGen++
-	n := len(ix.dirtyCols)
-	for _, k := range ix.dirtyCols {
-		ix.s[k] = ix.colDot(int(k))
-		ix.rank[k] = ix.rankOf(int(k))
+	ix.marked = false
+	n := 0
+	for wi, word := range ix.dirty {
+		if word == 0 {
+			continue
+		}
+		ix.dirty[wi] = 0
+		n += bits.OnesCount64(word)
+		for ; word != 0; word &= word - 1 {
+			ix.rescore(wi<<6 | bits.TrailingZeros64(word))
+		}
 	}
-	if !ix.exact {
-		ix.repairAbove(ix.dirtyCols)
-	}
-	ix.dirtyCols = ix.dirtyCols[:0]
-	ix.colGen++
 	return n
 }
 
@@ -295,72 +196,101 @@ func (ix *Index) scoreOf(j int32) float64 {
 // TopK appends the k best-ranked column ids to out (highest rank first,
 // ties by ascending column id) and returns the extended slice. Fewer than
 // k are returned only when the matrix stores fewer distinct columns.
-// Pending updates are flushed first. O(k·log c) on the tree, O(c·log k)
-// in exact-scan mode.
+// Pending updates are flushed first.
+//
+// One forward scan over the ranks collects candidates above a threshold:
+// a slot that cannot enter costs one comparison. Each time 2k candidates
+// have gathered, a quickselect keeps the best k and raises the threshold
+// to the k-th best's rank; a final select and sort order the block.
+// O(c + inserts) expected, plus O(k·log k) for the sort.
 func (ix *Index) TopK(k int, out []int32) []int32 {
 	ix.Flush()
+	k = min(k, len(ix.rank))
 	if k <= 0 {
 		return out
 	}
-	if ix.exact {
-		return ix.scanTopK(k, out)
-	}
-	// extract by mask-and-repair: pop the root winner, sink its rank to
-	// −Inf, repair, repeat; then restore the popped ranks.
-	ix.savedSlot = ix.savedSlot[:0]
-	ix.savedRank = ix.savedRank[:0]
-	for len(ix.savedSlot) < k {
-		w := ix.tree[1]
-		if w < 0 || math.IsInf(ix.rank[w], -1) {
-			break
+	ix.buf = ix.buf[:0]
+	thr := math.Inf(-1)
+	for slot, r := range ix.rank {
+		// slots arrive in ascending order, so a tie with the k-th best
+		// loses: that candidate holds the smaller column id
+		if r > thr {
+			thr = ix.admit(entry{r, int32(slot)}, k, thr)
 		}
-		out = append(out, ix.cv.Cols[w])
-		ix.savedSlot = append(ix.savedSlot, w)
-		ix.savedRank = append(ix.savedRank, ix.rank[w])
-		ix.rank[w] = math.Inf(-1)
-		ix.repair(int(w))
 	}
-	for t, w := range ix.savedSlot {
-		ix.rank[w] = ix.savedRank[t]
-		ix.repair(int(w))
+	if len(ix.buf) > k {
+		selectBest(ix.buf, k)
+		ix.buf = ix.buf[:k]
+	}
+	slices.SortFunc(ix.buf, func(a, b entry) int {
+		if better(a, b) {
+			return -1
+		}
+		return 1 // slots are distinct: never equal
+	})
+	for _, e := range ix.buf {
+		out = append(out, ix.cv.Cols[e.slot])
 	}
 	return out
 }
 
-// scanTopK is the exact-mode selection: one pass over all slots with a
-// bounded insertion buffer, producing the same (rank desc, column asc)
-// order as tree extraction.
-func (ix *Index) scanTopK(k int, out []int32) []int32 {
-	if k > len(ix.s) {
-		k = len(ix.s)
+// admit adds a candidate to TopK's buffer and returns the new threshold:
+// once 2k candidates have gathered, the best k stay and the threshold
+// rises to the k-th best's rank. It is a call, not inline code, so that
+// the scan loop keeps only the slot and the threshold in registers (inline,
+// the loop ran 1.3–2× slower at k = 64).
+//
+//go:noinline
+func (ix *Index) admit(e entry, k int, thr float64) float64 {
+	ix.buf = append(ix.buf, e)
+	if len(ix.buf) < 2*k {
+		return thr
 	}
-	base := len(out)
-	for slot := range ix.s {
-		r := ix.rank[slot]
-		sel := out[base:]
-		if len(sel) == k && r <= ix.rank[sel[len(sel)-1]] {
-			continue // ties keep the incumbent (smaller column id)
-		}
-		// first position ranked strictly below r: equals stay ahead
-		lo, hi := 0, len(sel)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ix.rank[sel[mid]] < r {
-				hi = mid
-			} else {
-				lo = mid + 1
+	selectBest(ix.buf, k)
+	ix.buf = ix.buf[:k]
+	return ix.buf[k-1].rank
+}
+
+// entry is a block candidate: a slot and its rank.
+type entry struct {
+	rank float64
+	slot int32
+}
+
+// better is TopK's total order: a higher rank, or an equal rank and the
+// smaller slot (hence the smaller column id — cv.Cols is sorted).
+func better(a, b entry) bool {
+	return a.rank > b.rank || a.rank == b.rank && a.slot < b.slot
+}
+
+// selectBest reorders h so that h[:k] holds its k best entries with the
+// k-th best at h[k-1] (Hoare quickselect; slots are distinct, so no two
+// entries tie).
+func selectBest(h []entry, k int) {
+	lo, hi := 0, len(h)-1
+	for lo < hi {
+		p := h[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for better(h[i], p) {
+				i++
+			}
+			for better(p, h[j]) {
+				j--
+			}
+			if i <= j {
+				h[i], h[j] = h[j], h[i]
+				i++
+				j--
 			}
 		}
-		if len(sel) < k {
-			out = append(out, 0)
-			sel = out[base:]
+		switch {
+		case k-1 <= j:
+			hi = j
+		case k-1 >= i:
+			lo = i
+		default:
+			return
 		}
-		copy(sel[lo+1:], sel[lo:])
-		sel[lo] = int32(slot)
 	}
-	sel := out[base:]
-	for t, slot := range sel {
-		sel[t] = ix.cv.Cols[slot]
-	}
-	return out
 }

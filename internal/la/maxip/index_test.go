@@ -3,6 +3,7 @@ package maxip
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/la"
@@ -77,42 +78,36 @@ func oracleTopK(cv *la.ColView, u la.Vec, k int, scorer func(int32, float64) flo
 	return ids, scores
 }
 
-// TestIndexMatchesOracle drives both modes (tree and exact-scan) through
-// random query edits and checks TopK ids and Score values against the
-// brute-force oracle, exactly.
+// TestIndexMatchesOracle drives the index through random query edits and
+// checks TopK ids and Score values against the brute-force oracle, exactly.
 func TestIndexMatchesOracle(t *testing.T) {
-	for _, exactBelow := range []int{-1, 1 << 20} { // tree mode, exact mode
-		rng := rand.New(rand.NewSource(7))
-		x := randomCSR(t, rng, 40, 300, 5)
-		cv := la.NewColView(x)
-		u := make(la.Vec, x.NumRows)
-		ix := New(x, cv, u, Options{ExactBelow: exactBelow})
-		if (exactBelow < 0) == ix.exact {
-			t.Fatalf("exactBelow %d: mode = exact(%v)", exactBelow, ix.exact)
+	rng := rand.New(rand.NewSource(7))
+	x := randomCSR(t, rng, 40, 300, 5)
+	cv := la.NewColView(x)
+	u := make(la.Vec, x.NumRows)
+	ix := New(x, cv, u, Options{})
+	if ix.Cols() != len(cv.Cols) {
+		t.Fatalf("Cols() = %d, view stores %d", ix.Cols(), len(cv.Cols))
+	}
+	for step := 0; step < 60; step++ {
+		for e := 0; e < 3; e++ {
+			i := int32(rng.Intn(x.NumRows))
+			v := rng.NormFloat64()
+			u[i] = v
+			ix.SetRow(i, v)
 		}
-		if ix.Cols() != len(cv.Cols) {
-			t.Fatalf("Cols() = %d, view stores %d", ix.Cols(), len(cv.Cols))
+		k := 1 + rng.Intn(12)
+		got := ix.TopK(k, nil)
+		want, wantS := oracleTopK(cv, u, k, nil)
+		if len(got) != len(want) {
+			t.Fatalf("step %d: topk len %d != %d", step, len(got), len(want))
 		}
-		for step := 0; step < 60; step++ {
-			for e := 0; e < 3; e++ {
-				i := int32(rng.Intn(x.NumRows))
-				v := rng.NormFloat64()
-				u[i] = v
-				ix.SetRow(i, v)
+		for p := range got {
+			if got[p] != want[p] {
+				t.Fatalf("step %d rank %d: col %d != oracle %d", step, p, got[p], want[p])
 			}
-			k := 1 + rng.Intn(12)
-			got := ix.TopK(k, nil)
-			want, wantS := oracleTopK(cv, u, k, nil)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: topk len %d != %d", step, len(got), len(want))
-			}
-			for p := range got {
-				if got[p] != want[p] {
-					t.Fatalf("step %d rank %d: col %d != oracle %d", step, p, got[p], want[p])
-				}
-				if s := ix.Score(got[p]); s != wantS[p] {
-					t.Fatalf("step %d col %d: score %v != oracle %v (must be bitwise)", step, got[p], s, wantS[p])
-				}
+			if s := ix.Score(got[p]); s != wantS[p] {
+				t.Fatalf("step %d col %d: score %v != oracle %v (must be bitwise)", step, got[p], s, wantS[p])
 			}
 		}
 	}
@@ -120,13 +115,12 @@ func TestIndexMatchesOracle(t *testing.T) {
 
 // TestIndexRebuildBitwise pins the rebuild-equivalence invariant: after a
 // random sequence of sparse AddRows updates, every maintained score and
-// every tournament node equals a from-scratch build at the same query —
-// bitwise.
+// rank equals a from-scratch build at the same query — bitwise.
 func TestIndexRebuildBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randomCSR(t, rng, 64, 2000, 8)
 	cv := la.NewColView(x)
-	ix := New(x, cv, nil, Options{ExactBelow: -1})
+	ix := New(x, cv, nil, Options{})
 
 	u := make(la.Vec, x.NumRows)
 	for step := 0; step < 25; step++ {
@@ -151,7 +145,7 @@ func TestIndexRebuildBitwise(t *testing.T) {
 			ix.Flush() // mix flushed and pending states across steps
 		}
 	}
-	requireRebuildEqual(t, ix, u, Options{ExactBelow: -1})
+	requireRebuildEqual(t, ix, u, Options{})
 	// and the index's own Rebuild agrees with its incremental state
 	got := ix.TopK(16, nil)
 	ix.Rebuild(u)
@@ -180,7 +174,7 @@ func TestIndexScorerAndMarkCol(t *testing.T) {
 	for i := range u {
 		u[i] = rng.NormFloat64()
 	}
-	ix := New(x, cv, u, Options{ExactBelow: -1, Scorer: scorer})
+	ix := New(x, cv, u, Options{Scorer: scorer})
 
 	base, _ := oracleTopK(cv, u, 1, scorer)
 	if got := ix.TopK(1, nil); got[0] != base[0] {
@@ -211,7 +205,7 @@ func TestIndexScorerAndMarkCol(t *testing.T) {
 }
 
 // TestIndexTopKEdges: k larger than the column count, k = 0, absent
-// columns score 0, and repeated extraction leaves the tree intact.
+// columns score 0, and repeated extraction returns the same order.
 func TestIndexTopKEdges(t *testing.T) {
 	m := la.NewCSR(3, 10, 6)
 	rows := []la.SparseVec{
@@ -225,7 +219,7 @@ func TestIndexTopKEdges(t *testing.T) {
 		}
 	}
 	cv := la.NewColView(m)
-	ix := New(m, cv, la.Vec{1, 1, 1}, Options{ExactBelow: -1})
+	ix := New(m, cv, la.Vec{1, 1, 1}, Options{})
 	if got := ix.TopK(0, nil); len(got) != 0 {
 		t.Fatalf("k=0 returned %v", got)
 	}
@@ -239,7 +233,29 @@ func TestIndexTopKEdges(t *testing.T) {
 	again := ix.TopK(99, nil)
 	for p := range all {
 		if all[p] != again[p] {
-			t.Fatalf("extraction disturbed the tree: %v vs %v", all, again)
+			t.Fatalf("repeated extraction moved: %v vs %v", all, again)
+		}
+	}
+}
+
+// TestTopKTies: with ranks on a coarse grid most columns tie, so the
+// candidate buffer's compactions keep and drop tied columns; every k must
+// still match the oracle's (rank desc, column asc) order.
+func TestTopKTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	x := randomCSR(t, rng, 30, 400, 4)
+	cv := la.NewColView(x)
+	u := make(la.Vec, x.NumRows)
+	for i := range u {
+		u[i] = rng.NormFloat64()
+	}
+	scorer := func(_ int32, s float64) float64 { return math.Floor(math.Abs(s)) }
+	ix := New(x, cv, u, Options{Scorer: scorer})
+	for _, k := range []int{1, 3, 16, 64, 200, len(cv.Cols)} {
+		want, _ := oracleTopK(cv, u, k, scorer)
+		got := ix.TopK(k, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("k=%d: topk %v != oracle %v", k, got, want)
 		}
 	}
 }

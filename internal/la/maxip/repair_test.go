@@ -1,6 +1,7 @@
 package maxip
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,10 +10,9 @@ import (
 	"repro/internal/la"
 )
 
-// requireRebuildEqual flushes ix and asserts its whole state — every score,
-// every rank and every tournament node — bitwise-equals a fresh New at the
-// same query: the rebuild-equivalence invariant, on the tree as well as on
-// the scores it is played over.
+// requireRebuildEqual flushes ix and asserts every score and every rank
+// bitwise-equals a fresh New at the same query: the rebuild-equivalence
+// invariant.
 func requireRebuildEqual(t testing.TB, ix *Index, u la.Vec, opts Options) {
 	t.Helper()
 	ix.Flush()
@@ -25,15 +25,11 @@ func requireRebuildEqual(t testing.TB, ix *Index, u la.Vec, opts Options) {
 			t.Fatalf("slot %d (col %d): incremental rank %v != rebuild %v", k, ix.cv.Cols[k], ix.rank[k], fresh.rank[k])
 		}
 	}
-	for i := 1; i < len(fresh.tree); i++ {
-		if ix.tree[i] != fresh.tree[i] {
-			t.Fatalf("tree node %d of %d: incremental winner %d != rebuild %d", i, len(fresh.tree), ix.tree[i], fresh.tree[i])
-		}
-	}
 }
 
 // diagCSR stores one entry per row: row i holds column 2i (odd columns are
-// absent), so SetRow(i) dirties exactly leaf i of the tournament.
+// absent), so SetRow(i) dirties exactly slot i (the case names below call
+// a slot a leaf).
 func diagCSR(t *testing.T, n int) *la.CSR {
 	t.Helper()
 	m := la.NewCSR(n, 2*n, n)
@@ -45,9 +41,11 @@ func diagCSR(t *testing.T, n int) *la.CSR {
 	return m
 }
 
-// TestFlushRepairShapes drives the level-by-level tree repair through the
-// shapes its de-duplication has to get right, and checks the whole tree
-// against a fresh build after each flush.
+// TestFlushRepairShapes drives Flush through the dirty patterns its slot
+// bitset has to get right — word edges, a final partial word, a slot
+// dirtied twice or by both MarkCol and SetRow — and checks the count Flush
+// returns, then scores, ranks and TopK against a fresh build and the
+// oracle.
 func TestFlushRepairShapes(t *testing.T) {
 	type harness struct {
 		ix   *Index
@@ -58,64 +56,66 @@ func TestFlushRepairShapes(t *testing.T) {
 		h.ix.SetRow(int32(i), v)
 	}
 	cases := []struct {
-		name string
-		cols int // distinct columns (= rows of the diagonal matrix)
-		edit func(h *harness)
+		name  string
+		cols  int // distinct columns (= rows of the diagonal matrix)
+		dirty int // slots the first Flush must re-score
+		edit  func(h *harness)
 	}{
-		{"one dirty leaf", 16, func(h *harness) { set(h, 5, 3) }},
-		{"all leaves dirty", 16, func(h *harness) {
+		{"one dirty leaf", 16, 1, func(h *harness) { set(h, 5, 3) }},
+		{"all leaves dirty", 16, 16, func(h *harness) {
 			for i := range h.u {
 				set(h, i, float64(i%7)-3.5)
 			}
 		}},
-		{"two leaves under one parent", 16, func(h *harness) { set(h, 6, 2); set(h, 7, -9) }},
-		{"same leaf twice", 16, func(h *harness) { set(h, 9, 4); set(h, 9, -1) }},
-		{"padding leaves", 11, func(h *harness) { set(h, 10, 5); set(h, 0, -2) }}, // base 16: leaves 11..15 are -1
-		{"lone real leaf beside padding", 9, func(h *harness) { set(h, 8, 7) }},
-		{"single column", 1, func(h *harness) { set(h, 0, 2) }}, // the leaf is the root
-		{"MarkCol only", 16, func(h *harness) {
+		{"two leaves under one parent", 16, 2, func(h *harness) { set(h, 6, 2); set(h, 7, -9) }},
+		{"same leaf twice", 16, 1, func(h *harness) { set(h, 9, 4); set(h, 9, -1) }},
+		{"word edges", 130, 4, func(h *harness) {
+			for _, i := range []int{63, 64, 127, 128} {
+				set(h, i, float64(i)/10)
+			}
+		}},
+		{"padding leaves", 11, 2, func(h *harness) { set(h, 10, 5); set(h, 0, -2) }}, // one word, bits 11..63 unused
+		{"lone real leaf beside padding", 9, 1, func(h *harness) { set(h, 8, 7) }},
+		{"lone slot in a final partial word", 65, 1, func(h *harness) { set(h, 64, 7) }},
+		{"final partial word", 130, 3, func(h *harness) { set(h, 129, -4); set(h, 128, 2); set(h, 0, 1) }},
+		{"single column", 1, 1, func(h *harness) { set(h, 0, 2) }},
+		{"MarkCol only", 16, 2, func(h *harness) {
 			h.w[6], h.w[20] = 7, -3
 			h.ix.MarkCol(6)
 			h.ix.MarkCol(20)
 			h.ix.MarkCol(5) // absent column: ignored
 		}},
-		{"MarkCol and SetRow on one leaf", 16, func(h *harness) {
+		{"MarkCol and SetRow on one leaf", 16, 1, func(h *harness) {
 			h.w[8] = 2
 			h.ix.MarkCol(8)
 			set(h, 4, 1.5)
 		}},
-		{"generation wrap", 16, func(h *harness) {
-			// the first flush stamps every internal node with generation 1;
-			// after the wrap generation 1 comes round again, and stale
-			// stamps must not pass for this flush's
-			for i := range h.u {
-				set(h, i, 1)
-			}
-			h.ix.Flush()
-			h.ix.nodeGen = math.MaxUint32
-			for i := range h.u {
-				set(h, i, float64(16-i))
-			}
-		}},
+		{"MarkCol of an absent column", 16, 0, func(h *harness) { h.ix.MarkCol(5) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			x := diagCSR(t, tc.cols)
 			cv := la.NewColView(x)
 			h := &harness{u: make(la.Vec, tc.cols), w: make(la.Vec, 2*tc.cols)}
-			opts := Options{ExactBelow: -1, Scorer: func(col int32, s float64) float64 {
+			opts := Options{Scorer: func(col int32, s float64) float64 {
 				return math.Abs(s) + math.Abs(h.w[col])
 			}}
 			h.ix = New(x, cv, nil, opts)
-			if h.ix.exact {
-				t.Fatal("case must run on the tree")
-			}
 			tc.edit(h)
+			if n := h.ix.Flush(); n != tc.dirty {
+				t.Fatalf("Flush re-scored %d slots, want %d", n, tc.dirty)
+			}
+			if n := h.ix.Flush(); n != 0 {
+				t.Fatalf("second Flush re-scored %d slots, want 0", n)
+			}
 			requireRebuildEqual(t, h.ix, h.u, opts)
-			// a second round on the repaired tree: stamps left by the first
-			// flush must not suppress matches in the next
+			// a second round: bits cleared by the first flush must not
+			// linger into the next
 			set(h, tc.cols-1, -11)
 			set(h, 0, 0.5)
+			if n, want := h.ix.Flush(), min(tc.cols, 2); n != want {
+				t.Fatalf("second round re-scored %d slots, want %d", n, want)
+			}
 			requireRebuildEqual(t, h.ix, h.u, opts)
 			want, _ := oracleTopK(cv, h.u, tc.cols, opts.Scorer)
 			got := h.ix.TopK(tc.cols, nil)
@@ -127,7 +127,6 @@ func TestFlushRepairShapes(t *testing.T) {
 					t.Fatalf("rank %d: col %d != oracle %d", p, got[p], want[p])
 				}
 			}
-			requireRebuildEqual(t, h.ix, h.u, opts) // extraction restored the tree
 		})
 	}
 }
@@ -184,18 +183,49 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFlushGreedyRound times Flush at the shape the greedy solver
-// produces (see greedyRound), reporting the dirty-set sizes beside ns/op.
+// BenchmarkFlushGreedyRound times a selection round at the shape the greedy
+// solver produces (see greedyRound): the whole round (SetRow on the rows,
+// Flush, TopK(64)), and each part alone, with TopK at three block sizes.
 func BenchmarkFlushGreedyRound(b *testing.B) {
 	ix, rows := greedyRound(b)
-	var cols int
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
+	setRows := func() {
 		for _, i := range rows {
 			ix.SetRow(i, -ix.u[i])
 		}
-		cols = ix.Flush()
 	}
-	b.ReportMetric(float64(len(rows)), "rows/op")
-	b.ReportMetric(float64(cols), "cols/op")
+	b.Run("Round", func(b *testing.B) {
+		out := make([]int32, 0, 64)
+		for n := 0; n < b.N; n++ {
+			setRows()
+			out = ix.TopK(64, out[:0])
+		}
+	})
+	b.Run("SetRow", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			setRows()
+			ix.dirtyRows = ix.dirtyRows[:0] // drop the marks unflushed
+			ix.rowGen++
+		}
+		b.StopTimer()
+		ix.Rebuild(nil) // re-score what the dropped marks left stale
+	})
+	b.Run("Flush", func(b *testing.B) {
+		var cols int
+		for n := 0; n < b.N; n++ {
+			b.StopTimer()
+			setRows()
+			b.StartTimer()
+			cols = ix.Flush()
+		}
+		b.ReportMetric(float64(len(rows)), "rows/op")
+		b.ReportMetric(float64(cols), "cols/op")
+	})
+	for _, k := range []int{64, 512, 4096} {
+		b.Run(fmt.Sprintf("TopK/k=%d", k), func(b *testing.B) {
+			out := make([]int32, 0, k)
+			for n := 0; n < b.N; n++ {
+				out = ix.TopK(k, out[:0])
+			}
+		})
+	}
 }

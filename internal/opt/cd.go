@@ -56,16 +56,13 @@ import (
 // damping). A nil or BSP barrier runs rounds that sum every worker's
 // partial into one step; any other barrier steps per partial (CD-async),
 // which greedy mode refuses — its selector needs the whole round gradient.
+// Greedy mode's selector (select.go) re-scores the columns each step moved
+// and picks the block with one scan over the ranks.
 type CDConfig struct {
 	BlockSize int
 	Mode      string
 	Step      float64
 	Seed      int64
-
-	// exactBelow forwards to the greedy selector's maxip.Options.ExactBelow
-	// (tests pin tree-vs-scan selector equivalence through it; zero is the
-	// package default threshold, negative forces the tournament tree).
-	exactBelow int
 }
 
 // cdModes are cd's block orders: cyclic cursor, seeded random draw, or
@@ -248,7 +245,7 @@ func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) *cdUpdater {
 		g:      la.NewVec(c.BlockSize), h: la.NewVec(c.BlockSize),
 	}
 	if c.Mode == "greedy" {
-		u.sel = newGSSelector(d, bare(loss), l2, l1, u.w, c.exactBelow)
+		u.sel = newGSSelector(d, bare(loss), l2, l1, u.w)
 	}
 	for j := range u.perm {
 		u.perm[j] = int32(j)

@@ -14,7 +14,11 @@ import (
 // driver-side maxip.Index over the full dataset's columns ranks every
 // coordinate by its penalty-aware gradient score, and each round's block is
 // the top-|score| set — the steepest block instead of the next cursor
-// position, at O(k·log d) per pick instead of the O(nnz + d) exact sweep.
+// position. A round re-scores only the columns the last step moved (the
+// rows of the changed coordinates reach their columns through the view's
+// slot table) and picks the block with one forward scan over the
+// maintained ranks, instead of recomputing every column's gradient in an
+// O(nnz + d) sweep.
 //
 // The correctness contract has two halves. The index's half is exactness
 // given its query vector (see internal/la/maxip). The driver's half is
@@ -43,7 +47,10 @@ var (
 // order) from a genuinely stale score.
 const selVerifyTol = 1e-8
 
-// gsSelector owns the greedy-selection driver state.
+// gsSelector owns the greedy-selection driver state: the residual mirror,
+// the index over the query u_i = GradCoeff(r_i, y_i), and the verification
+// streak. A block is the top k in the index's total order (score
+// descending, column ascending), so a greedy run is deterministic.
 type gsSelector struct {
 	d        *dataset.Dataset
 	cv       *la.ColView
@@ -60,19 +67,13 @@ type gsSelector struct {
 }
 
 // newGSSelector builds the selector at the current model w (usually zeros).
-// exactBelow forwards to maxip.Options.ExactBelow: 0 is the package default
-// threshold, negative forces the tournament tree (tests pin tree vs scan
-// equivalence through this knob).
-func newGSSelector(d *dataset.Dataset, lin Loss, l2, l1 float64, w la.Vec, exactBelow int) *gsSelector {
+func newGSSelector(d *dataset.Dataset, lin Loss, l2, l1 float64, w la.Vec) *gsSelector {
 	s := &gsSelector{
 		d: d, cv: la.NewColView(d.X), lin: lin, w: w,
 		nl2: float64(d.NumRows()) * l2, nl1: float64(d.NumRows()) * l1,
 		r: la.NewVec(d.NumRows()),
 	}
-	s.ix = maxip.New(d.X, s.cv, nil, maxip.Options{
-		ExactBelow: exactBelow,
-		Scorer:     s.score,
-	})
+	s.ix = maxip.New(d.X, s.cv, nil, maxip.Options{Scorer: s.score})
 	s.reset()
 	return s
 }

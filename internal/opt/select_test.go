@@ -3,6 +3,7 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -40,43 +41,97 @@ func TestCDGreedyClosedForm(t *testing.T) {
 	})
 }
 
-// TestCDGreedySelectorEquivalence is the satellite pin: greedy CD run on
-// the exact-scan selector and on the MaxIP tournament tree converges to
-// the same objective (and model) at 1e-9 on fixed seeds. The two selectors
-// share the tie-break order (score desc, column asc), so the entire block
-// sequence — and hence the run — must agree.
-func TestCDGreedySelectorEquivalence(t *testing.T) {
-	eachTransport(t, func(t *testing.T, tr transport) {
-		d, err := dataset.Generate(dataset.SynthConfig{
-			Name: "gs-eq", Rows: 150, Cols: 600, NNZPerRow: 6, Noise: 0.1, Seed: 41,
-		})
-		if err != nil {
-			t.Fatal(err)
+// gsOracle ranks every stored column of d at model w from the CSR arrays
+// alone — residuals r = Xw, the sum gradient g_j = Σ_i GradCoeff(r_i, y_i)·
+// x_ij, the penalty-aware Gauss-Southwell score written out — and returns
+// the columns sorted by (score desc, column asc) with the count that score
+// above 0. It also returns g and the curvature sums h_j = Curvature·Σ_i
+// x_ij², from which a caller takes a round's prox step.
+func gsOracle(d *dataset.Dataset, lin Loss, nl2, nl1 float64, w la.Vec) (order []int32, positive int, g, h []float64) {
+	x := d.X
+	g = make([]float64, x.NumCols)
+	h = make([]float64, x.NumCols)
+	stored := make([]bool, x.NumCols)
+	for i := 0; i < x.NumRows; i++ {
+		var r float64
+		for p := x.RowPtr[i]; p < x.RowPtr[i+1]; p++ {
+			r += x.Val[p] * w[x.ColIdx[p]]
 		}
-		loss := Composite{Inner: LeastSquares{}, L2: 0.01, L1: 0.004}
-		run := func(exactBelow int) la.Vec {
-			ac := cdRigOn(t, tr, d, 1, 3)
-			p, c := Params{}, CDConfig{BlockSize: 16, Mode: "greedy", Step: 0.9, exactBelow: exactBelow}
-			p.Loss = loss
-			p.Updates = 30
-			p.SnapshotEvery = 10
-			res, err := CD(ac, d, p, c, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.W
+		c := lin.GradCoeff(r, d.Y[i])
+		for p := x.RowPtr[i]; p < x.RowPtr[i+1]; p++ {
+			j := x.ColIdx[p]
+			g[j] += c * x.Val[p]
+			h[j] += lin.Curvature() * x.Val[p] * x.Val[p]
+			stored[j] = true
 		}
-		wTree := run(-1)      // force the tournament tree
-		wScan := run(1 << 30) // force the exact linear scan
-		if !la.Equal(wTree, wScan, 1e-9) {
-			t.Fatal("tree-selector and scan-selector greedy CD diverged")
+	}
+	score := make([]float64, x.NumCols)
+	for j := range g {
+		if !stored[j] {
+			continue
 		}
-		fTree := Objective(d, loss, wTree)
-		fScan := Objective(d, loss, wScan)
-		if math.Abs(fTree-fScan) > 1e-9*math.Max(1, math.Abs(fScan)) {
-			t.Fatalf("objectives diverged: tree %v vs scan %v", fTree, fScan)
+		switch {
+		case w[j] > 0:
+			score[j] = math.Abs(g[j] + nl2*w[j] + nl1)
+		case w[j] < 0:
+			score[j] = math.Abs(g[j] + nl2*w[j] - nl1)
+		default:
+			score[j] = math.Max(math.Abs(g[j])-nl1, 0)
 		}
+		if score[j] > 0 {
+			positive++
+		}
+		order = append(order, int32(j))
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if sa, sb := score[order[a]], score[order[b]]; sa != sb {
+			return sa > sb
+		}
+		return order[a] < order[b]
 	})
+	return order, positive, g, h
+}
+
+// TestGSSelectorMatchesOracle drives the greedy selector through 30 rounds
+// of real prox steps, folded in through advance, and checks every pick
+// against gsOracle, which shares no code with the index. Each round also
+// picks a block 8 wider than the positive scores reach, whose tail is
+// zero-scored columns chosen by the tie-break alone.
+func TestGSSelectorMatchesOracle(t *testing.T) {
+	d, err := dataset.Generate(dataset.SynthConfig{
+		Name: "gs-eq", Rows: 150, Cols: 600, NNZPerRow: 6, Noise: 0.1, Seed: 41,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const l2, l1, k = 0.01, 0.004, 16
+	c := CDConfig{BlockSize: k, Mode: "greedy", Step: 0.9}
+	if err := c.defaults(d.NumCols()); err != nil {
+		t.Fatal(err)
+	}
+	u := newCDUpdater(d, Composite{Inner: LeastSquares{}, L2: l2, L1: l1}, c)
+	n := float64(d.NumRows())
+	top := func(order []int32, k int) []int32 {
+		return slices.Sorted(slices.Values(order[:k]))
+	}
+	for round := 0; round < 30; round++ {
+		order, positive, g, h := gsOracle(d, LeastSquares{}, n*l2, n*l1, u.w)
+		if positive+8 > len(order) {
+			t.Fatalf("round %d: %d of %d columns score above 0, no zero-scored tail", round, positive, len(order))
+		}
+		if got, want := u.sel.pick(positive+8), top(order, positive+8); !slices.Equal(got, want) {
+			t.Fatalf("round %d: wide pick %v, oracle %v", round, got, want)
+		}
+		block := u.sel.pick(k)
+		if want := top(order, k); !slices.Equal(block, want) {
+			t.Fatalf("round %d: pick %v, oracle %v", round, block, want)
+		}
+		gb, hb := la.NewVec(k), la.NewVec(k)
+		for p, j := range block {
+			gb[p], hb[p] = g[j], h[j]
+		}
+		u.sel.advance(u.proxStep(block, gb, hb, n))
+	}
 }
 
 // illCondDataset builds the concentrated-signal design greedy selection is
@@ -171,7 +226,7 @@ func TestGSSelectorVerifyContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := la.NewVec(d.NumCols())
-	s := newGSSelector(d, LeastSquares{}, 0.01, 0, w, 0)
+	s := newGSSelector(d, LeastSquares{}, 0.01, 0, w)
 	block := append([]int32(nil), s.pick(6)...)
 
 	exact := la.NewVec(len(block))
