@@ -25,9 +25,10 @@
 //	})
 //
 // Engines are configured with functional options: WithWorkers, WithSeed,
-// WithTransport (Local or TCP), WithBarrier / WithStalenessBound (the
-// default barrier-control policy: ASP, BSP, SSP or any custom predicate),
-// WithPartitions, WithStraggler and WithMinTaskTime.
+// WithTransport (Local or TCP), WithBarrier (the default barrier-control
+// policy: ASP, BSP, SSP or any custom predicate), WithPartitions,
+// WithStraggler and WithMinTaskTime. A run resumes from a checkpoint
+// through Solve with Params.Resume set.
 //
 // Algorithms are resolved through a name-keyed registry: the paper's
 // methods (sgd, asgd, saga, asaga, svrg, admm), the composite-objective

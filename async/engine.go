@@ -93,7 +93,6 @@ func New(opts ...Option) (*Engine, error) {
 	}
 	rctx := rdd.NewContext(c)
 	ac := core.New(rctx)
-	ac.BarrierTimeout = cfg.barrierTimeout
 	return &Engine{cfg: cfg, c: c, closer: closer, rctx: rctx, ac: ac}, nil
 }
 
@@ -203,9 +202,6 @@ func (e *Engine) Solve(ctx context.Context, algorithm string, d *dataset.Dataset
 	if opts.Barrier == nil {
 		opts.Barrier = e.cfg.barrier
 	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = e.cfg.checkpointEvery
-	}
 	// distribute and claim the engine in one critical section: a Release
 	// sneaking in between them would pull the placement out from under the
 	// run (Release checks the solving flag under this same mutex)
@@ -236,22 +232,6 @@ func (e *Engine) Solve(ctx context.Context, algorithm string, d *dataset.Dataset
 		}
 	}
 	return s.Solve(ctx, e, d, opts)
-}
-
-// SolveFrom resumes a checkpointed run: the solver comes from the
-// checkpoint's recorded algorithm, the full driver state (model, update
-// clock, solver accumulators) is imported, and the run continues until
-// opts' global update budget is reached. Preempted jobs and restart-based
-// schemes both resume through here.
-func (e *Engine) SolveFrom(ctx context.Context, cp *opt.Checkpoint, d *dataset.Dataset, opts SolveOptions) (*Result, error) {
-	if cp == nil {
-		return nil, errors.New("async: SolveFrom(nil checkpoint)")
-	}
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	opts.Params.Resume = cp
-	return e.Solve(ctx, cp.Algorithm, d, opts)
 }
 
 // Context exposes the underlying Asynchronous Context for drivers that use

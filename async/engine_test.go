@@ -40,9 +40,7 @@ func TestOptionValidation(t *testing.T) {
 		{"WithPartitions(0)", async.WithPartitions(0)},
 		{"WithTransport(nil)", async.WithTransport(nil)},
 		{"WithBarrier(nil)", async.WithBarrier(nil)},
-		{"WithStalenessBound(0)", async.WithStalenessBound(0)},
 		{"WithMinTaskTime(-1)", async.WithMinTaskTime(-time.Millisecond)},
-		{"WithBarrierTimeout(0)", async.WithBarrierTimeout(0)},
 	}
 	for _, tc := range bad {
 		if eng, err := async.New(tc.opt); err == nil {
@@ -297,9 +295,9 @@ func TestConcurrentSolveRejected(t *testing.T) {
 }
 
 func TestEngineBarrierDefault(t *testing.T) {
-	// An SSP default via WithStalenessBound must flow into solves that
-	// leave Barrier nil; the run should still converge on a tiny budget.
-	eng, err := async.New(async.WithWorkers(2), async.WithSeed(17), async.WithStalenessBound(8))
+	// An SSP default via WithBarrier must flow into solves that leave
+	// Barrier nil; the run should still converge on a tiny budget.
+	eng, err := async.New(async.WithWorkers(2), async.WithSeed(17), async.WithBarrier(async.SSP(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,38 +309,40 @@ func TestEngineBarrierDefault(t *testing.T) {
 }
 
 // TestCheckpointEveryAndSolveFrom covers the mid-run checkpoint surface of
-// the facade: an engine-wide WithCheckpointEvery default feeds every
-// solve's OnCheckpoint observer, and SolveFrom resumes the captured
-// driver state (the resumed trace picks up at the checkpoint's clock and
-// runs out the remaining global budget).
+// the facade: a solve's CheckpointEvery cadence feeds its OnCheckpoint
+// observer, and Solve with Params.Resume continues the captured driver
+// state (the resumed trace picks up at the checkpoint's clock and runs out
+// the remaining global budget).
 func TestCheckpointEveryAndSolveFrom(t *testing.T) {
-	eng, err := async.New(
-		async.WithWorkers(1),
-		async.WithPartitions(2),
-		async.WithCheckpointEvery(20),
-	)
+	eng, err := async.New(async.WithWorkers(1), async.WithPartitions(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	d := tinyData(t, 5)
+	resume := func(cp *opt.Checkpoint) (*async.Result, error) {
+		opts := async.SolveOptions{Params: tinyParams(60)}
+		opts.Params.Resume = cp
+		return eng.Solve(context.Background(), cp.Algorithm, d, opts)
+	}
 
 	var cps []*opt.Checkpoint
 	opts := async.SolveOptions{Params: tinyParams(60)}
+	opts.Params.CheckpointEvery = 20
 	opts.Params.OnCheckpoint = func(cp *opt.Checkpoint) { cps = append(cps, cp) }
 	res, err := eng.Solve(context.Background(), "asgd", d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cps) != 3 {
-		t.Fatalf("engine cadence 20 over 60 updates captured %d checkpoints, want 3", len(cps))
+		t.Fatalf("cadence 20 over 60 updates captured %d checkpoints, want 3", len(cps))
 	}
 	mid := cps[1]
 	if mid.Algorithm != "asgd" || mid.Updates != 40 {
 		t.Fatalf("checkpoint %+v, want asgd@40", mid)
 	}
 
-	resumed, err := eng.SolveFrom(context.Background(), mid, d, async.SolveOptions{Params: tinyParams(60)})
+	resumed, err := resume(mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +356,13 @@ func TestCheckpointEveryAndSolveFrom(t *testing.T) {
 		t.Fatalf("resumed model dim %d != %d", len(resumed.W), len(res.W))
 	}
 
-	// a checkpoint written when asgd had a TCP-only twin names that twin;
-	// the alias resolves, so it resumes like any other
+	// a checkpoint written when asgd had a TCP-only twin and a momentum
+	// option names that twin and may carry a velocity: the alias resolves
+	// and the velocity is ignored, so it resumes like the original
 	old := *mid
 	old.Algorithm = "asgd-remote"
-	again, err := eng.SolveFrom(context.Background(), &old, d, async.SolveOptions{Params: tinyParams(60)})
+	old.Vecs = map[string]la.Vec{"vel": make(la.Vec, len(mid.W))}
+	again, err := resume(&old)
 	if err != nil {
 		t.Fatalf("resume of an asgd-remote checkpoint: %v", err)
 	}
@@ -368,15 +370,8 @@ func TestCheckpointEveryAndSolveFrom(t *testing.T) {
 		t.Fatal("the asgd-remote checkpoint resumed to a different model than its asgd original")
 	}
 
-	// validation paths
-	if _, err := eng.SolveFrom(context.Background(), nil, d, async.SolveOptions{Params: tinyParams(60)}); err == nil {
-		t.Fatal("SolveFrom(nil) accepted")
-	}
-	if _, err := eng.SolveFrom(context.Background(), &opt.Checkpoint{Algorithm: "asgd"}, d, async.SolveOptions{Params: tinyParams(60)}); err == nil {
+	// a checkpoint without a model is refused before the run starts
+	if _, err := resume(&opt.Checkpoint{Algorithm: "asgd"}); err == nil {
 		t.Fatal("invalid checkpoint accepted")
-	}
-	if eng2, err := async.New(async.WithCheckpointEvery(-1)); err == nil {
-		eng2.Close()
-		t.Fatal("WithCheckpointEvery(-1) accepted")
 	}
 }

@@ -239,7 +239,7 @@ func TestPreemptValidation(t *testing.T) {
 // layer: a real ASGD job preempted mid-run and resumed from its checkpoint
 // must produce bit-for-bit the same final model as the same spec run
 // uninterrupted (single-worker engines; the checkpoint carries the update
-// clock, momentum state, and the task-seed stream position).
+// clock and the task-seed stream position).
 func TestPreemptResumeEquivalenceE2E(t *testing.T) {
 	spec := jobs.Spec{
 		Algorithm:     "asgd",
@@ -427,37 +427,6 @@ func TestResumeFromInheritsSpec(t *testing.T) {
 	s.Cancel(resumedID)
 	releasePG(t, gateManual)
 	waitState(t, s, srcID, jobs.StateDone)
-}
-
-// TestEngineDefaultCheckpointCadence: a pool-wide WithCheckpointEvery
-// default must surface checkpoints for jobs that set no cadence of their
-// own (the scheduler wires OnCheckpoint unconditionally).
-func TestEngineDefaultCheckpointCadence(t *testing.T) {
-	s := newScheduler(t, jobs.Config{
-		Engines: 1,
-		EngineOptions: []async.Option{
-			async.WithWorkers(1),
-			async.WithPartitions(2),
-			async.WithCheckpointEvery(25),
-		},
-	})
-	id, err := s.Submit(jobs.Spec{
-		Algorithm: "asgd",
-		Dataset:   jobs.DatasetSpec{Name: "rcv1-like"},
-		Step:      jobs.StepSpec{Kind: "const", A: 0.01},
-		Updates:   200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := waitState(t, s, id, jobs.StateDone)
-	if !job.HasCheckpoint {
-		t.Fatal("engine-default cadence produced no retrievable checkpoint")
-	}
-	cp, err := s.Checkpoint(id)
-	if err != nil || cp.Algorithm != "asgd" || cp.Updates%25 != 0 || cp.Updates == 0 {
-		t.Fatalf("checkpoint %+v (err %v), want asgd at a multiple of 25", cp, err)
-	}
 }
 
 // TestCancelWhilePreempted: a job canceled while parked in StatePreempted

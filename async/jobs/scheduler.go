@@ -1192,8 +1192,7 @@ func (s *Scheduler) execute(sl *slot, j *job) (*async.Result, error) {
 	// run-scoped trace: the driver runtime adds its own lifecycle events
 	// (run_start, checkpoint, ...) to the job's stream
 	opts.Params.Trace = j.trace
-	// always wired: it only fires when a cadence is active, which may come
-	// from the spec or from an engine-level WithCheckpointEvery default
+	// always wired: it only fires when the spec sets a checkpoint cadence
 	opts.Params.OnCheckpoint = func(cp *opt.Checkpoint) {
 		s.mu.Lock()
 		if j.state() == StateRunning {

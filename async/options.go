@@ -41,15 +41,13 @@ func PSP(p float64, rng *rand.Rand) Filter { return core.PSP(p, rng) }
 
 // config collects the engine settings the functional options mutate.
 type config struct {
-	workers         int
-	seed            int64
-	partitions      int
-	transport       Transport
-	barrier         Barrier
-	delay           straggler.Model
-	minTask         time.Duration
-	barrierTimeout  time.Duration
-	checkpointEvery int
+	workers    int
+	seed       int64
+	partitions int
+	transport  Transport
+	barrier    Barrier
+	delay      straggler.Model
+	minTask    time.Duration
 }
 
 func defaultConfig() config {
@@ -118,17 +116,6 @@ func WithBarrier(b Barrier) Option {
 	}
 }
 
-// WithStalenessBound is shorthand for WithBarrier(SSP(s)).
-func WithStalenessBound(s int64) Option {
-	return func(c *config) error {
-		if s <= 0 {
-			return fmt.Errorf("async: WithStalenessBound(%d): bound must be positive", s)
-		}
-		c.barrier = SSP(s)
-		return nil
-	}
-}
-
 // WithStraggler injects a delay model into local workers (TCP workers own
 // their delay model at ServeWorker time).
 func WithStraggler(m straggler.Model) Option {
@@ -146,32 +133,6 @@ func WithMinTaskTime(d time.Duration) Option {
 			return fmt.Errorf("async: WithMinTaskTime(%v): negative duration", d)
 		}
 		c.minTask = d
-		return nil
-	}
-}
-
-// WithCheckpointEvery sets the engine's default mid-run checkpoint cadence:
-// every Solve whose options leave Params.CheckpointEvery zero captures a
-// driver checkpoint every n model updates (delivered to the run's
-// Params.OnCheckpoint observer). 0 disables the default.
-func WithCheckpointEvery(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("async: WithCheckpointEvery(%d): cadence must be non-negative", n)
-		}
-		c.checkpointEvery = n
-		return nil
-	}
-}
-
-// WithBarrierTimeout bounds how long a barrier may block before reporting
-// that the system cannot make progress (default 30s).
-func WithBarrierTimeout(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("async: WithBarrierTimeout(%v): need a positive duration", d)
-		}
-		c.barrierTimeout = d
 		return nil
 	}
 }

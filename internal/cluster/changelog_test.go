@@ -129,9 +129,9 @@ func logFault(ans cluster.FetchAnswer) (served bool, fault string) {
 
 // TestChangeLogCoversDiff runs every registry solver over loopback TCP and
 // checks every fetch the driver answers from its change log (logFault).
-// asgd runs plain, elastic-net and with momentum: the plain run must serve
-// patches from its log; the other two settle or step every coordinate, so
-// the log must decline all of their fetches.
+// asgd runs plain and elastic-net: the plain run must serve patches from
+// its log; the elastic-net run settles every coordinate, so the log must
+// decline all of its fetches.
 func TestChangeLogCoversDiff(t *testing.T) {
 	arms := map[string]opt.SolveConfig{}
 	for _, name := range opt.SolverNames() {
@@ -140,9 +140,7 @@ func TestChangeLogCoversDiff(t *testing.T) {
 		}
 	}
 	elastic := opt.SolveConfig{Params: sparseParams(), Objective: opt.ObjectiveSpec{Loss: "least-squares", L2: 0.01, L1: 0.001}}
-	momentum := opt.SolveConfig{Params: sparseParams()}
-	momentum.Momentum = 0.5
-	arms["asgd/elastic-net"], arms["asgd/momentum"] = elastic, momentum
+	arms["asgd/elastic-net"] = elastic
 	for arm, cfg := range arms {
 		t.Run(arm, func(t *testing.T) {
 			e := newWiredEngine(t)
@@ -176,7 +174,7 @@ func TestChangeLogCoversDiff(t *testing.T) {
 				if served == 0 {
 					t.Fatalf("an unpenalised sparse asgd run served no patch from its log (%d logged answers)", logged)
 				}
-			case "asgd/elastic-net", "asgd/momentum":
+			case "asgd/elastic-net":
 				if logged != 0 {
 					t.Fatalf("%d fetches answered from the log of a run that changes every coordinate", logged)
 				}

@@ -1,20 +1,16 @@
 package cluster
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Router is the single consumer of a Cluster's merged result stream. Callers
 // register a destination channel per task id before submitting the task;
-// results for unregistered ids are counted and dropped (they can only arise
-// from abandoned computations). The router lets the synchronous RDD actions
-// and the asynchronous ASYNC engine share one cluster without stealing each
+// results for unregistered ids are dropped (they can only arise from
+// abandoned computations). The router lets the synchronous RDD actions and
+// the asynchronous ASYNC engine share one cluster without stealing each
 // other's results.
 type Router struct {
 	mu      sync.Mutex
 	routes  map[int64]chan<- *Result
-	dropped atomic.Int64
 	stopped chan struct{}
 }
 
@@ -40,11 +36,9 @@ func (r *Router) run(results <-chan *Result) {
 			ch := r.routes[res.TaskID]
 			delete(r.routes, res.TaskID)
 			r.mu.Unlock()
-			if ch == nil {
-				r.dropped.Add(1)
-				continue
+			if ch != nil {
+				ch <- res
 			}
-			ch <- res
 		}
 	}
 }
@@ -66,9 +60,6 @@ func (r *Router) Unroute(id int64) {
 	delete(r.routes, id)
 	r.mu.Unlock()
 }
-
-// Dropped reports how many results arrived with no registered route.
-func (r *Router) Dropped() int64 { return r.dropped.Load() }
 
 // Stop terminates the router loop (tests only; normally the router lives as
 // long as the cluster).

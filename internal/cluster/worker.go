@@ -42,9 +42,6 @@ func NewWorker(id int, ep Endpoint, delay straggler.Model, seed int64) *Worker {
 	return w
 }
 
-// Env exposes the worker-local environment (tests and local tooling only).
-func (w *Worker) Env() *Env { return w.env }
-
 // Run executes the worker loop until shutdown or transport failure. It
 // always returns a non-nil reason; ErrClosed and clean shutdown are normal.
 func (w *Worker) Run() error {

@@ -261,9 +261,26 @@ func TestMinAvailableBarrier(t *testing.T) {
 	}
 }
 
+// mapRDD is the element-wise transformation, built on the parent's lineage
+// function.
+func mapRDD[T, U any](r *rdd.RDD[T], f func(T) U) *rdd.RDD[U] {
+	parent := r.Compute()
+	return rdd.NewRDD(r.Context(), r.NumPartitions(), func(env *cluster.Env, part int, seed int64) ([]U, error) {
+		in, err := parent(env, part, seed)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]U, len(in))
+		for i, v := range in {
+			out[i] = f(v)
+		}
+		return out, nil
+	})
+}
+
 func TestASYNCreduceRDDMatchesSyncReduce(t *testing.T) {
 	ac, points := setup(t, 2, 4, nil)
-	ys := rdd.Map(points, func(p rdd.Point) float64 { return p.Y })
+	ys := mapRDD(points, func(p rdd.Point) float64 { return p.Y })
 	add := func(a, b float64) float64 { return a + b }
 	want, err := rdd.Aggregate(ys, 0, add, add)
 	if err != nil {

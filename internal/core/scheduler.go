@@ -88,8 +88,8 @@ type scheduler struct {
 	coord *Coordinator
 }
 
-// barrierTimeout bounds how long a barrier may block before reporting that
-// the system cannot make progress (e.g. every worker died).
+// defaultBarrierTimeout bounds how long a barrier may block before
+// reporting that the system cannot make progress (e.g. every worker died).
 const defaultBarrierTimeout = 30 * time.Second
 
 func (sc *scheduler) await(f BarrierFunc, filter WorkerFilter, timeout time.Duration) ([]int, error) {

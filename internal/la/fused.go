@@ -38,8 +38,7 @@ func DotAxpy(alpha float64, x, y Vec) float64 {
 }
 
 // ScaleAddInto sets dst = a·x + b·y elementwise. dst may alias x or y, so
-// the momentum update vel = μ·vel − α·g and the CG direction update
-// p = r + β·p are both single calls with no temporary.
+// the CG direction update p = r + β·p is a single call with no temporary.
 func ScaleAddInto(dst Vec, a float64, x Vec, b float64, y Vec) {
 	if len(dst) != len(x) || len(x) != len(y) {
 		panic("la: ScaleAddInto length mismatch")

@@ -94,7 +94,7 @@ func TestFusedAgainstNaive(t *testing.T) {
 		for i := range dst {
 			close(t, "ScaleAddInto", dst[i], ca*a[i]+cb*b[i])
 		}
-		// aliased form: dst == y (the momentum update pattern)
+		// aliased form: dst == y (the CG direction update pattern)
 		self := a.Clone()
 		ScaleAddInto(self, ca, self, cb, b)
 		for i := range self {

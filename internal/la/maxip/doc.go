@@ -45,9 +45,9 @@
 //
 // A dirty column is re-scored by a full column dot product in storage
 // order, never by accumulating the increment into the stale score. Scores
-// and ranks after any interleaving of SetRow/AddRows/MarkCol/Flush are
-// therefore bitwise identical to a from-scratch Rebuild at the same u:
-// equal inputs, equal order, equal floating-point result. TopK's order is
+// and ranks after any interleaving of SetRow and Flush are therefore
+// bitwise identical to a from-scratch Rebuild at the same u: equal inputs,
+// equal order, equal floating-point result. TopK's order is
 // total (rank descending, then column ascending), so the block is a pure
 // function of the ranks. TestIndexRebuildBitwise, TestFlushRepairShapes
 // and FuzzMaxIPIndex hold this line on scores and ranks.

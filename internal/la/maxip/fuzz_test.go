@@ -7,7 +7,7 @@ import (
 	"repro/internal/la"
 )
 
-// FuzzMaxIPIndex interleaves query edits (SetRow / sparse AddRows), flushes,
+// FuzzMaxIPIndex interleaves query edits (point sets and sparse increments, both through SetRow), flushes,
 // and TopK queries against a brute-force oracle. Every query's ranking and
 // scores must match the oracle exactly — the bitwise rebuild-equivalence
 // contract under arbitrary operation interleavings.
@@ -42,13 +42,10 @@ func FuzzMaxIPIndex(f *testing.F) {
 						idx = append(idx, i)
 					}
 				}
-				sortI32(idx)
-				dv := &la.DeltaVec{Idx: idx, Val: make([]float64, len(idx)), N: rows}
-				for k := range dv.Val {
-					dv.Val[k] = rng.NormFloat64()
-					u[idx[k]] += dv.Val[k]
+				for _, i := range idx {
+					u[i] += rng.NormFloat64()
+					ix.SetRow(i, u[i])
 				}
-				ix.AddRows(dv)
 			case 2: // explicit flush
 				ix.Flush()
 			case 3: // query and check against the oracle
@@ -58,12 +55,13 @@ func FuzzMaxIPIndex(f *testing.F) {
 				if len(got) != len(want) {
 					t.Fatalf("topk len %d != %d", len(got), len(want))
 				}
+				gotS := ix.Scores(got, nil)
 				for p := range got {
 					if got[p] != want[p] {
 						t.Fatalf("rank %d: col %d != oracle %d", p, got[p], want[p])
 					}
-					if s := ix.Score(got[p]); s != wantS[p] {
-						t.Fatalf("col %d: score %v != oracle %v", got[p], s, wantS[p])
+					if gotS[p] != wantS[p] {
+						t.Fatalf("col %d: score %v != oracle %v", got[p], gotS[p], wantS[p])
 					}
 				}
 			}

@@ -14,7 +14,8 @@ type Options struct {
 	// Scorer maps a column and its maintained inner product s = ⟨x_j, u⟩ to
 	// the ranking value TopK maximises. nil ranks by |s|. Scorers must
 	// return finite values and may read consumer state beyond s — but then
-	// the consumer must MarkCol every column whose outside state changed.
+	// the consumer must SetRow some row of every column whose outside state
+	// changed (re-setting a row to its current value is enough).
 	Scorer func(col int32, s float64) float64
 }
 
@@ -38,7 +39,6 @@ type Index struct {
 	rowGen    uint64
 	dirtyRows []int32
 	dirty     []uint64 // bitset over slots awaiting a re-score
-	marked    bool     // MarkCol set a bit since the last Flush
 
 	buf []entry // TopK scratch
 }
@@ -102,7 +102,6 @@ func (ix *Index) Rebuild(u la.Vec) {
 	ix.rowGen++
 	ix.dirtyRows = ix.dirtyRows[:0]
 	clear(ix.dirty)
-	ix.marked = false
 }
 
 // SetRow sets query coordinate i (a matrix row) to v and defers the
@@ -115,36 +114,13 @@ func (ix *Index) SetRow(i int32, v float64) {
 	}
 }
 
-// AddRows folds a sparse increment into the query vector: u[i] += v for
-// every (i, v) in dv, marking the touched rows dirty. dv indexes matrix
-// rows, so dv.N must equal the row count.
-func (ix *Index) AddRows(dv *la.DeltaVec) {
-	if dv.N != len(ix.u) {
-		panic(fmt.Sprintf("maxip: AddRows dim %d != %d rows", dv.N, len(ix.u)))
-	}
-	for t, i := range dv.Idx {
-		ix.SetRow(i, ix.u[i]+dv.Val[t])
-	}
-}
-
-// MarkCol flags column j for re-ranking at the next Flush even though its
-// inner product did not change — the hook for scorers that read consumer
-// state beyond s (e.g. the model coordinate itself). Unknown columns are
-// ignored.
-func (ix *Index) MarkCol(j int32) {
-	if k := ix.cv.Slot(j); k >= 0 {
-		ix.dirty[k>>6] |= 1 << (k & 63)
-		ix.marked = true
-	}
-}
-
 // Flush propagates dirty query rows to the columns stored on them (through
 // the view's per-entry slot table — no lookup) and re-scores exactly those
 // columns, once each, in ascending slot order: the column view, the scores
 // and the ranks are all read forward. Returns the number of columns
 // re-scored. Cost: O(Σ nnz(dirty rows) + Σ nnz(dirty columns) + c/64).
 func (ix *Index) Flush() int {
-	if len(ix.dirtyRows) == 0 && !ix.marked {
+	if len(ix.dirtyRows) == 0 {
 		return 0
 	}
 	for _, i := range ix.dirtyRows {
@@ -154,7 +130,6 @@ func (ix *Index) Flush() int {
 	}
 	ix.dirtyRows = ix.dirtyRows[:0]
 	ix.rowGen++
-	ix.marked = false
 	n := 0
 	for wi, word := range ix.dirty {
 		if word == 0 {
@@ -169,15 +144,8 @@ func (ix *Index) Flush() int {
 	return n
 }
 
-// Score returns the maintained inner product ⟨x_j, u⟩ (0 for a column with
-// no stored entries), flushing pending updates first.
-func (ix *Index) Score(j int32) float64 {
-	ix.Flush()
-	return ix.scoreOf(j)
-}
-
-// Scores appends the maintained inner products of cols to out, in order,
-// after a single flush — the batch form of Score.
+// Scores appends the maintained inner products ⟨x_j, u⟩ of cols to out, in
+// order (0 for a column with no stored entries), after a single flush.
 func (ix *Index) Scores(cols []int32, out []float64) []float64 {
 	ix.Flush()
 	for _, j := range cols {

@@ -102,20 +102,21 @@ func TestIndexMatchesOracle(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("step %d: topk len %d != %d", step, len(got), len(want))
 		}
+		gotS := ix.Scores(got, nil)
 		for p := range got {
 			if got[p] != want[p] {
 				t.Fatalf("step %d rank %d: col %d != oracle %d", step, p, got[p], want[p])
 			}
-			if s := ix.Score(got[p]); s != wantS[p] {
-				t.Fatalf("step %d col %d: score %v != oracle %v (must be bitwise)", step, got[p], s, wantS[p])
+			if gotS[p] != wantS[p] {
+				t.Fatalf("step %d col %d: score %v != oracle %v (must be bitwise)", step, got[p], gotS[p], wantS[p])
 			}
 		}
 	}
 }
 
 // TestIndexRebuildBitwise pins the rebuild-equivalence invariant: after a
-// random sequence of sparse AddRows updates, every maintained score and
-// rank equals a from-scratch build at the same query — bitwise.
+// random sequence of sparse increments to the query, every maintained score
+// and rank equals a from-scratch build at the same query — bitwise.
 func TestIndexRebuildBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randomCSR(t, rng, 64, 2000, 8)
@@ -134,13 +135,10 @@ func TestIndexRebuildBitwise(t *testing.T) {
 				idx = append(idx, i)
 			}
 		}
-		sortI32(idx)
-		dv := &la.DeltaVec{Idx: idx, Val: make([]float64, len(idx)), N: x.NumRows}
-		for k := range dv.Val {
-			dv.Val[k] = rng.NormFloat64()
-			u[idx[k]] += dv.Val[k]
+		for _, i := range idx {
+			u[i] += rng.NormFloat64()
+			ix.SetRow(i, u[i])
 		}
-		ix.AddRows(dv)
 		if step%7 != 0 {
 			ix.Flush() // mix flushed and pending states across steps
 		}
@@ -158,7 +156,8 @@ func TestIndexRebuildBitwise(t *testing.T) {
 }
 
 // TestIndexScorerAndMarkCol exercises a consumer scorer that reads state
-// outside the index (a model vector), with MarkCol keeping ranks fresh.
+// outside the index (a model vector): re-setting one of a column's rows to
+// its current value re-ranks the column.
 func TestIndexScorerAndMarkCol(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := randomCSR(t, rng, 30, 120, 4)
@@ -182,7 +181,8 @@ func TestIndexScorerAndMarkCol(t *testing.T) {
 	}
 
 	// flip a model coordinate on: its column must outrank the field once
-	// marked — pick a stored column that is not already the leader
+	// one of its rows is re-set — pick a stored column that is not already
+	// the leader
 	var flip int32 = -1
 	for _, j := range cv.Cols {
 		if j != base[0] {
@@ -191,9 +191,10 @@ func TestIndexScorerAndMarkCol(t *testing.T) {
 		}
 	}
 	w[flip] = 1
-	ix.MarkCol(flip)
+	rows, _ := cv.Col(flip)
+	ix.SetRow(rows[0], u[rows[0]])
 	if got := ix.TopK(1, nil); got[0] != flip {
-		t.Fatalf("after MarkCol: leader %d, want flipped col %d", got[0], flip)
+		t.Fatalf("after re-setting row %d: leader %d, want flipped col %d", rows[0], got[0], flip)
 	}
 	want, _ := oracleTopK(cv, u, 5, scorer)
 	got := ix.TopK(5, nil)
@@ -227,8 +228,8 @@ func TestIndexTopKEdges(t *testing.T) {
 	if len(all) != 3 { // only columns 1, 4, 7 are stored
 		t.Fatalf("stored columns: got %v", all)
 	}
-	if s := ix.Score(5); s != 0 {
-		t.Fatalf("absent column score %v", s)
+	if s := ix.Scores([]int32{5}, nil); s[0] != 0 {
+		t.Fatalf("absent column score %v", s[0])
 	}
 	again := ix.TopK(99, nil)
 	for p := range all {

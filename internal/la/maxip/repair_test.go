@@ -43,7 +43,8 @@ func diagCSR(t *testing.T, n int) *la.CSR {
 
 // TestFlushRepairShapes drives Flush through the dirty patterns its slot
 // bitset has to get right — word edges, a final partial word, a slot
-// dirtied twice or by both MarkCol and SetRow — and checks the count Flush
+// dirtied twice, a row re-set to its own value for the scorer's outside
+// state, no edit at all — and checks the count Flush
 // returns, then scores, ranks and TopK against a fresh build and the
 // oracle.
 func TestFlushRepairShapes(t *testing.T) {
@@ -79,18 +80,16 @@ func TestFlushRepairShapes(t *testing.T) {
 		{"lone slot in a final partial word", 65, 1, func(h *harness) { set(h, 64, 7) }},
 		{"final partial word", 130, 3, func(h *harness) { set(h, 129, -4); set(h, 128, 2); set(h, 0, 1) }},
 		{"single column", 1, 1, func(h *harness) { set(h, 0, 2) }},
-		{"MarkCol only", 16, 2, func(h *harness) {
-			h.w[6], h.w[20] = 7, -3
-			h.ix.MarkCol(6)
-			h.ix.MarkCol(20)
-			h.ix.MarkCol(5) // absent column: ignored
+		{"outside state re-ranked by re-set rows", 16, 2, func(h *harness) {
+			h.w[6], h.w[20] = 7, -3 // columns 6 and 20 live on rows 3 and 10
+			set(h, 3, h.u[3])
+			set(h, 10, h.u[10])
 		}},
-		{"MarkCol and SetRow on one leaf", 16, 1, func(h *harness) {
+		{"outside state and a new value on one leaf", 16, 1, func(h *harness) {
 			h.w[8] = 2
-			h.ix.MarkCol(8)
 			set(h, 4, 1.5)
 		}},
-		{"MarkCol of an absent column", 16, 0, func(h *harness) { h.ix.MarkCol(5) }},
+		{"no edit", 16, 0, func(h *harness) {}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -13,11 +13,10 @@ import (
 
 // Checkpoint is the driver-side state needed to resume an optimization run:
 // the model, the logical update clock, and whatever solver-specific driver
-// state the algorithm carries (SAGA's running history average, momentum
-// velocity, SVRG's epoch anchor and full gradient, ADMM's per-worker
-// contributions, CD's dispatch count for block replay). Lazily deferred
-// update terms are always settled before export, so a checkpoint never
-// stores drift state. Worker-side state — broadcast caches, SAGA history
+// state the algorithm carries (SAGA's running history average, SVRG's
+// epoch anchor and full gradient, ADMM's per-worker contributions, CD's
+// dispatch count for block replay). Lazily deferred update terms are always
+// settled before export, so a checkpoint never stores drift state. Worker-side state — broadcast caches, SAGA history
 // shards, ADMM primal/dual iterates — is soft state: a resumed run re-seeds
 // it naturally, so checkpoints stay small and the restore path needs no
 // worker cooperation (the same philosophy as Spark's lineage-based
@@ -32,9 +31,10 @@ type Checkpoint struct {
 	Updates   int64
 	AvgHist   la.Vec // nil for methods without history (legacy field)
 
-	// Vecs holds named solver-specific dense state beyond AvgHist (momentum
-	// velocity, SVRG mu/anchor, ADMM contributions). Every entry has the
-	// model's dimension.
+	// Vecs holds named solver-specific dense state beyond AvgHist (SVRG
+	// mu/anchor, ADMM contributions). Every entry has the model's
+	// dimension. A key no solver reads is loaded and ignored, so a
+	// checkpoint that carries retired state (a "vel" velocity) resumes.
 	Vecs map[string]la.Vec
 	// Ints holds named solver-specific counters (CD dispatch count, the
 	// round and dispatch-sequence positions).

@@ -186,37 +186,3 @@ func TestInitWDimMismatch(t *testing.T) {
 		t.Fatal("SAGA InitW dim mismatch accepted")
 	}
 }
-
-func TestMomentumConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := SyncSGD(r.ac, r.d, Params{
-		Step: InvSqrt{A: 0.04}, SampleFrac: 0.4, Updates: 80,
-		SnapshotEvery: 20, Momentum: 0.5,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 10)
-}
-
-func TestMomentumASGDConverges(t *testing.T) {
-	r := newRig(t, 4, 8, nil)
-	res, err := ASGD(r.ac, r.d, Params{
-		Step: Scaled{Base: InvSqrt{A: 0.04}, Factor: 4}, SampleFrac: 0.4,
-		Updates: 600, SnapshotEvery: 150, Momentum: 0.5,
-	}, r.fstar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.assertConverged(t, res, 5)
-}
-
-func TestMomentumValidation(t *testing.T) {
-	r := newRig(t, 1, 1, nil)
-	for _, mu := range []float64{-0.1, 1.0, 2} {
-		p := Params{Step: Constant{A: 0.01}, SampleFrac: 0.5, Updates: 1, Momentum: mu}
-		if _, err := SyncSGD(r.ac, r.d, p, r.fstar); err == nil {
-			t.Fatalf("momentum %v accepted", mu)
-		}
-	}
-}

@@ -136,7 +136,7 @@ func (r *roundAccum) Dense() la.Vec {
 }
 
 // Densify folds the sparse part into the dense accumulator and returns the
-// complete dense round sum (the momentum / mixed-payload path).
+// complete dense round sum (the ridge / mixed-payload path).
 func (r *roundAccum) Densify() la.Vec {
 	if !r.hasDense {
 		if r.dense == nil {

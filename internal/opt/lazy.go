@@ -59,7 +59,6 @@ const l1cumRenorm = 1e18
 // *la.DeltaVec payloads take the O(nnz) path with lazy L2 shrinkage and
 // prox-at-settle ℓ1 soft-thresholding.
 type proxApplier struct {
-	st     *stepper
 	lambda float64 // the objective's L2 coefficient (0 = none)
 	l1     float64 // ℓ1 coefficient, applied as prox-at-settle (0 = none)
 
@@ -72,18 +71,16 @@ type proxApplier struct {
 	l1last   la.Vec // allocated only when l1 > 0
 	dirty    bool
 
-	scatter la.Vec // dense scratch for the momentum fallback
-
 	// what changed since the last report (changes): the coordinates sparse
-	// steps touched, or every one (all) once a dense step, a momentum step,
-	// a settle or an import moved them all
+	// steps touched, or every one (all) once a dense step, a settle or an
+	// import moved them all
 	touched []int32
 	all     bool
 }
 
-// newProxApplier builds the applier for a run over cols coordinates.
-func newProxApplier(p *Params, cols int) *proxApplier {
-	a := &proxApplier{st: newStepper(p.Momentum, cols), prod: 1, all: true}
+// newProxApplier builds the applier for a run of p.
+func newProxApplier(p *Params) *proxApplier {
+	a := &proxApplier{prod: 1, all: true}
 	a.lambda, a.l1 = p.Loss.Penalties()
 	return a
 }
@@ -110,32 +107,17 @@ func (a *proxApplier) apply(w la.Vec, payload any, alpha float64, batch int) err
 
 // denseStep takes one eager step from g, the loss gradient summed over batch
 // rows: the ridge term batch·λ2·w joins g at the model being updated, then
-// the (momentum) step and the ℓ1 prox sweep. w must be settled; g is
-// overwritten.
+// the step and the ℓ1 prox sweep. w must be settled; g is overwritten.
 func (a *proxApplier) denseStep(w, g la.Vec, alpha float64, batch int) {
 	if a.lambda > 0 {
 		la.Axpy(float64(batch)*a.lambda, w, g)
 	}
-	a.st.apply(w, g, alpha/float64(batch))
+	la.Axpy(-alpha/float64(batch), g, w)
 	a.proxSweep(w, alpha)
 }
 
 func (a *proxApplier) applySparse(w la.Vec, g *la.DeltaVec, alpha float64, batch int) {
 	ab := alpha / float64(batch)
-	if a.st.mu > 0 {
-		// momentum decays every velocity coordinate — inherently O(d), so
-		// expand the delta and take the dense step (the sparse payload
-		// still saved worker compute and wire bytes)
-		a.settle(w)
-		a.all = true
-		if a.scatter == nil {
-			a.scatter = la.NewVec(len(w))
-		}
-		a.scatter.Zero()
-		g.AxpyDense(1, a.scatter)
-		a.denseStep(w, a.scatter, alpha, batch)
-		return
-	}
 	// every path below changes w at g's coordinates alone; the deferred
 	// terms reach the others at the next settle, which reports them all
 	if a.all = a.all || len(a.touched)+len(g.Idx) > len(w); !a.all {

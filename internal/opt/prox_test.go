@@ -89,7 +89,7 @@ func TestProxApplierSettleIdempotent(t *testing.T) {
 	const cols = 32
 	mk := func() (*proxApplier, la.Vec) {
 		p := Params{Loss: Composite{Inner: LeastSquares{}, L2: 0.03, L1: 0.01}, Step: Constant{A: 0.1}}
-		a := newProxApplier(&p, cols)
+		a := newProxApplier(&p)
 		w := la.NewVec(cols)
 		for j := range w {
 			w[j] = float64(j%5) - 2

@@ -75,21 +75,19 @@ func staleModels(cols int) (wTask, wDriver la.Vec) {
 func TestRidgeUnderStalenessApplier(t *testing.T) {
 	const cols, alpha = 4000, 0.1
 	for _, tc := range []struct {
-		name     string
-		loss     Loss
-		momentum float64
+		name string
+		loss Loss
 	}{
-		{"ridge", Composite{Inner: LeastSquares{}, L2: 0.05}, 0},
-		{"elastic-net", Composite{Inner: LeastSquares{}, L2: 0.05, L1: 0.01}, 0},
-		{"ridge-momentum", Composite{Inner: LeastSquares{}, L2: 0.05}, 0.5},
+		{"ridge", Composite{Inner: LeastSquares{}, L2: 0.05}},
+		{"elastic-net", Composite{Inner: LeastSquares{}, L2: 0.05, L1: 0.01}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wTask, wDriver := staleModels(cols)
 			sparse, dense, n := ridgePartial(t, tc.loss, wTask, 5)
-			p := Params{Loss: tc.loss, Momentum: tc.momentum}
+			p := Params{Loss: tc.loss}
 			land := func(payload any) la.Vec {
 				w := wDriver.Clone()
-				a := newProxApplier(&p, cols)
+				a := newProxApplier(&p)
 				if err := a.apply(w, payload, alpha, n); err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +112,7 @@ func TestRidgeUnderStalenessSyncSGD(t *testing.T) {
 	s2, d2, n2 := ridgePartial(t, loss, wTask, 6)
 	round := func(a, b any) la.Vec {
 		p := Params{Loss: loss}
-		u := &syncSGDUpdater{w: wDriver.Clone(), ap: newProxApplier(&p, cols), acc: newRoundAccum(cols)}
+		u := &syncSGDUpdater{w: wDriver.Clone(), ap: newProxApplier(&p), acc: newRoundAccum(cols)}
 		if err := u.Apply(a, &core.Attrs{MiniBatch: n1}, alpha); err != nil {
 			t.Fatal(err)
 		}

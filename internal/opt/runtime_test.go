@@ -164,16 +164,6 @@ func TestResumeEquivalenceASGD(t *testing.T) {
 	})
 }
 
-func TestResumeEquivalenceASGDMomentum(t *testing.T) {
-	// the heavy-ball velocity is driver state: it rides the checkpoint
-	resumePair(t, 6, 0, denseRig, func(r *rig, seg segCfg) (*Result, error) {
-		p := asgdParams()
-		p.Momentum = 0.5
-		seg.apply(&p)
-		return ASGD(r.ac, r.d, p, r.fstar)
-	})
-}
-
 func TestResumeEquivalenceSAGA(t *testing.T) {
 	resumePairEachTransport(t, 6, 0, func(r *rig, seg segCfg) (*Result, error) {
 		p := asgdParams()

@@ -112,12 +112,12 @@ func (s *gsSelector) reset() {
 }
 
 // advance folds one applied round delta into the mirror: residuals move on
-// the changed columns' rows, the query re-derives on exactly those rows,
-// and the changed coordinates re-rank (their w_j feeds the scorer).
+// the changed columns' rows and the query re-derives on exactly those rows.
+// Setting a row dirties every column stored on it, so each changed
+// coordinate re-ranks too (its w_j feeds the scorer).
 func (s *gsSelector) advance(delta *la.DeltaVec) {
 	s.cv.ApplyDelta(delta, s.r)
 	for _, j := range delta.Idx {
-		s.ix.MarkCol(j)
 		rows, _ := s.cv.Col(j)
 		for _, i := range rows {
 			s.ix.SetRow(i, s.lin.GradCoeff(s.r[i], s.d.Y[int(i)]))

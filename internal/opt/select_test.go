@@ -229,10 +229,7 @@ func TestGSSelectorVerifyContract(t *testing.T) {
 	s := newGSSelector(d, LeastSquares{}, 0.01, 0, w)
 	block := append([]int32(nil), s.pick(6)...)
 
-	exact := la.NewVec(len(block))
-	for k, j := range block {
-		exact[k] = s.ix.Score(j)
-	}
+	exact := la.Vec(s.ix.Scores(block, nil))
 	if !s.verify(block, exact) || s.rebuilt || s.fallback {
 		t.Fatal("exact gradients must verify as a hit")
 	}

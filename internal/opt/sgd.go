@@ -29,9 +29,6 @@ type Params struct {
 	// modulation: each result's step is divided by its staleness.
 	StalenessLR bool
 
-	// Momentum is the heavy-ball coefficient μ ∈ [0,1); 0 disables it.
-	Momentum float64
-
 	// InitW warm-starts the model of every solver: the runtime imports it
 	// as a checkpoint at update 0 that carries only the model; nil = zeros.
 	InitW la.Vec
@@ -68,39 +65,6 @@ type Params struct {
 	Trace *telemetry.Trace
 }
 
-// stepper applies (optionally momentum-accelerated) gradient steps.
-type stepper struct {
-	mu  float64
-	vel la.Vec
-}
-
-func newStepper(mu float64, cols int) *stepper {
-	s := &stepper{mu: mu}
-	if mu > 0 {
-		s.vel = la.NewVec(cols)
-	}
-	return s
-}
-
-// apply performs w += μ·v − alpha·g (heavy ball), or a plain step if μ = 0.
-func (s *stepper) apply(w, g la.Vec, alpha float64) {
-	if s.mu <= 0 {
-		la.Axpy(-alpha, g, w)
-		return
-	}
-	la.ScaleAddInto(s.vel, s.mu, s.vel, -alpha, g) // fused vel = μ·vel − α·g
-	la.Axpy(1, s.vel, w)
-}
-
-// export/import of the velocity — the stepper's only driver state.
-func (s *stepper) export(cp *Checkpoint) { cp.SetVec("vel", s.vel) }
-
-func (s *stepper) importFrom(cp *Checkpoint) {
-	if v := cp.Vec("vel"); v != nil && s.vel != nil {
-		s.vel.CopyFrom(v)
-	}
-}
-
 // runDefaults validates and defaults the part of Params every solver's run
 // reads: the objective, the budget, the barrier, the trace resolution
 // (snapshotEvery is the family's default) and the checkpoint cadence.
@@ -132,17 +96,13 @@ func (p *Params) needStep() error {
 }
 
 // defaults is runDefaults plus the sampling part only the stochastic
-// gradient solvers read: the step schedule, the mini-batch rate and the
-// momentum coefficient.
+// gradient solvers read: the step schedule and the mini-batch rate.
 func (p *Params) defaults() error {
 	if err := p.needStep(); err != nil {
 		return err
 	}
 	if p.SampleFrac <= 0 || p.SampleFrac > 1 {
 		return fmt.Errorf("opt: sample fraction %v outside (0,1]", p.SampleFrac)
-	}
-	if p.Momentum < 0 || p.Momentum >= 1 {
-		return fmt.Errorf("opt: momentum %v outside [0,1)", p.Momentum)
 	}
 	return p.runDefaults(10)
 }
@@ -155,12 +115,12 @@ type Result struct {
 
 // syncSGDUpdater is the bulk-synchronous SGD round state: partials fold
 // into a roundAccum (sparse partials merge without densifying), and the
-// flush applies one averaged, optionally momentum-accelerated step through
-// the SGD applier's dense step, penalties included.
+// flush applies one averaged step through the SGD applier's dense step,
+// penalties included.
 type syncSGDUpdater struct {
 	w la.Vec
-	// ap carries the penalties and the stepper; a round's step is eager,
-	// so its lazy state stays unused
+	// ap carries the penalties; a round's step is eager, so its lazy state
+	// stays unused
 	ap    *proxApplier
 	acc   *roundAccum
 	batch int
@@ -189,10 +149,10 @@ func (u *syncSGDUpdater) FlushRound(alpha float64) (bool, error) {
 	if batch == 0 {
 		return false, nil // every worker sampled zero rows; retry round
 	}
-	if s := u.acc.Sparse(); s != nil && u.acc.Dense() == nil && u.ap.st.mu == 0 && u.ap.lambda == 0 {
-		// pure sparse round without momentum or ridge: the averaged step
-		// touches only the merged support — O(round nnz) on the driver —
-		// and an ℓ1 term rides the round barrier as one O(d) sweep
+	if s := u.acc.Sparse(); s != nil && u.acc.Dense() == nil && u.ap.lambda == 0 {
+		// pure sparse round without ridge: the averaged step touches only
+		// the merged support — O(round nnz) on the driver — and an ℓ1 term
+		// rides the round barrier as one O(d) sweep
 		s.AxpyDense(-alpha/float64(batch), u.w)
 		u.ap.proxSweep(u.w, alpha)
 		return true, nil
@@ -201,14 +161,8 @@ func (u *syncSGDUpdater) FlushRound(alpha float64) (bool, error) {
 	return true, nil
 }
 
-func (u *syncSGDUpdater) Export(cp *Checkpoint) { u.ap.st.export(cp) }
-func (u *syncSGDUpdater) Import(cp *Checkpoint) error {
-	if err := importModel(u.w, cp); err != nil {
-		return err
-	}
-	u.ap.st.importFrom(cp)
-	return nil
-}
+func (u *syncSGDUpdater) Export(*Checkpoint)          {}
+func (u *syncSGDUpdater) Import(cp *Checkpoint) error { return importModel(u.w, cp) }
 
 // SyncSGD is mini-batch SGD with bulk-synchronous rounds (Algorithm 1),
 // implemented through the ASYNC engine with a BSP barrier: every round
@@ -225,7 +179,7 @@ func SyncSGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Re
 	}
 	u := &syncSGDUpdater{
 		w:   la.NewVec(d.NumCols()),
-		ap:  newProxApplier(&p, d.NumCols()),
+		ap:  newProxApplier(&p),
 		acc: newRoundAccum(d.NumCols()),
 	}
 	return runLoop(ac, d, u, &loopSpec{
@@ -250,12 +204,11 @@ func (u *asgdUpdater) Apply(payload any, attrs *core.Attrs, alpha float64) error
 	return u.ap.apply(u.w, payload, alpha, attrs.MiniBatch)
 }
 
-func (u *asgdUpdater) Export(cp *Checkpoint) { u.ap.st.export(cp) }
+func (u *asgdUpdater) Export(*Checkpoint) {}
 func (u *asgdUpdater) Import(cp *Checkpoint) error {
 	if err := importModel(u.w, cp); err != nil {
 		return err
 	}
-	u.ap.st.importFrom(cp)
 	u.ap.all = true
 	return nil
 }
@@ -274,7 +227,7 @@ func ASGD(ac *core.Context, d *dataset.Dataset, p Params, fstar float64) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	u := &asgdUpdater{w: la.NewVec(d.NumCols()), ap: newProxApplier(&p, d.NumCols())}
+	u := &asgdUpdater{w: la.NewVec(d.NumCols()), ap: newProxApplier(&p)}
 	return runLoop(ac, d, u, &loopSpec{
 		Algo: "ASGD", Name: "asgd", Key: "sgd.w",
 		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),

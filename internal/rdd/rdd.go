@@ -63,23 +63,6 @@ func (r *RDD[T]) NumPartitions() int { return r.nParts }
 // RDD computation inside asynchronous tasks).
 func (r *RDD[T]) Compute() ComputeFunc[T] { return r.compute }
 
-// Map is the classic element-wise transformation. (Top-level function
-// because Go methods cannot introduce type parameters.)
-func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
-	parent := r.compute
-	return NewRDD(r.ctx, r.nParts, func(env *cluster.Env, part int, seed int64) ([]U, error) {
-		in, err := parent(env, part, seed)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]U, len(in))
-		for i, v := range in {
-			out[i] = f(v)
-		}
-		return out, nil
-	})
-}
-
 // Filter keeps the elements satisfying pred.
 func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
 	parent := r.compute

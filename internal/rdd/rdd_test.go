@@ -190,10 +190,10 @@ func TestRecoveryAfterWorkerDeath(t *testing.T) {
 
 func TestRecoveryMidFlight(t *testing.T) {
 	ctx, r, d := testSetup(t, 3, 3)
-	// a slow map gives us time to kill the worker while tasks are in flight
-	slow := Map(r, func(p Point) Point {
+	// a slow pass gives us time to kill the worker while tasks are in flight
+	slow := r.Filter(func(Point) bool {
 		time.Sleep(time.Millisecond)
-		return p
+		return true
 	})
 	done := make(chan int, 1)
 	errc := make(chan error, 1)
