@@ -1,11 +1,17 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"slices"
@@ -15,7 +21,7 @@ import (
 )
 
 // The design rules of the module, checked on its source with the standard
-// library's parser alone (no type checker, no network).
+// library's parser and type checker alone (no network).
 
 // deadExportScope lists the trees whose exported declarations must each
 // have a caller outside the tests.
@@ -39,6 +45,7 @@ var deadExportAllow = map[string]string{
 	"async/jobs.EventFailed":                       "member of the EventType enumeration a stream client switches on",
 	"async/jobs.EventCanceled":                     "member of the EventType enumeration a stream client switches on",
 	"internal/cluster.Cluster.Kill":                "chaos hook: fails a worker mid-run",
+	"internal/cluster.BroadcastCache.Stats":        "cache census the retention tests of core and opt take inside a worker task",
 	"async/jobs.Scheduler.Kill":                    "chaos hook: a replica dies without draining",
 	"async/jobs/store.WAL.Kill":                    "chaos hook: the log dies mid-write",
 	"async/jobs/store.WAL.FailNextAppendTransient": "failpoint: one transient append failure",
@@ -47,22 +54,23 @@ var deadExportAllow = map[string]string{
 	"internal/telemetry.Trace.Dropped":             "trace accessor for readers of a run's events",
 }
 
-// sortInterface names the methods sort.Sort calls through an interface,
-// which no selector in the module spells out.
-var sortInterface = map[string]bool{"Len": true, "Less": true, "Swap": true}
-
 // TestNoDeadExports: every exported declaration under internal/ and async/
 // has a reference in a non-test file of the module (benchmark/, cmd/ and
 // examples/ count), or a reason in deadExportAllow. Code that only tests
 // reach is code the system does not need. An allowlist entry that names
 // nothing unreferenced fails too, so the list cannot outlive its reasons.
 func TestNoDeadExports(t *testing.T) {
-	files, err := parseModule(".")
+	fset := token.NewFileSet()
+	files, err := parseModule(fset, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := unreferencedExports(modulePath(t), fset, files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	used := map[string]bool{}
-	for _, key := range unreferencedExports(modulePath(t), files) {
+	for _, key := range dead {
 		dir, _, _ := strings.Cut(key, ".")
 		switch {
 		case deadExportAllow[key] != "":
@@ -82,24 +90,35 @@ func TestNoDeadExports(t *testing.T) {
 
 // TestNoDeadExportsTrips feeds the check a synthetic module: the function,
 // method, type and constant nobody outside a test references must be
-// reported, and nothing else.
+// reported, and so must a method whose name a live selector on another type
+// spells; a method reached only through an interface, or one that satisfies
+// a standard interface, must not be.
 func TestNoDeadExportsTrips(t *testing.T) {
 	src := map[string]string{
 		"internal/x/x.go": `package x
 type Live struct{}
 type Dead struct{}
+type Other struct{}
+type Doer interface{ Do() }
 func (Live) Used()   {}
 func (Live) Unused() {}
+func (Live) Do()     {}
+func (Other) Used()  {}
 func New() Live      { return Live{} }
 func Gone()          {}
 const DeadConst = 1
-func (Live) Len() int { return 0 }
+func (Live) Error() string { return "" }
 func self() { self() }`,
 		"internal/x/x_test.go": `package x
-func use() { Gone(); _ = Dead{}; _ = DeadConst; Live{}.Unused() }`,
+func use() { Gone(); _ = Dead{}; _ = DeadConst; Live{}.Unused(); Other{}.Used() }`,
 		"cmd/y/main.go": `package main
 import xx "repro/internal/x"
-func main() { xx.New().Used() }`,
+func main() {
+	xx.New().Used()
+	_ = xx.Other{}
+	var d xx.Doer = xx.New()
+	d.Do()
+}`,
 	}
 	var files []srcFile
 	fset := token.NewFileSet()
@@ -113,8 +132,11 @@ func main() { xx.New().Used() }`,
 		}
 		files = append(files, srcFile{dir: path.Dir(name), f: f})
 	}
-	got := unreferencedExports("repro", files)
-	want := []string{"internal/x.Dead", "internal/x.DeadConst", "internal/x.Gone", "internal/x.Live.Unused"}
+	got, err := unreferencedExports("repro", fset, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"internal/x.Dead", "internal/x.DeadConst", "internal/x.Gone", "internal/x.Live.Unused", "internal/x.Other.Used"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("dead exports %v, want %v", got, want)
 	}
@@ -143,9 +165,8 @@ func modulePath(t *testing.T) string {
 
 // parseModule parses every non-test Go file under root, skipping the
 // directories the go tool skips (hidden, underscored, testdata).
-func parseModule(root string) ([]srcFile, error) {
+func parseModule(fset *token.FileSet, root string) ([]srcFile, error) {
 	var files []srcFile
-	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -174,117 +195,187 @@ func parseModule(root string) ([]srcFile, error) {
 	return files, err
 }
 
-// unreferencedExports returns, sorted, the exported declarations in scope
-// that no file of files references. Without type information a method
-// counts as referenced when any selector anywhere names it, and a
-// package-level name when its own package uses it bare or another package
-// selects it through an import: the check can miss a dead export, never
-// invent one.
-func unreferencedExports(module string, files []srcFile) []string {
-	pkgName := map[string]string{} // dir → package name
-	for _, sf := range files {
-		pkgName[sf.dir] = sf.f.Name.Name
+// unreferencedExports type-checks files, one package per directory, and
+// returns, sorted, the exported declarations in scope that no file
+// references. A reference is resolved to the object it names, so a method
+// is live when a selector reaches that method of that type, or when a type
+// of the module that has it, declared or promoted, implements an interface
+// whose method of that name the module calls or the standard library may
+// call (String, Error, Len and the like). The check can miss a dead method
+// that satisfies such an interface, and can report a live one only on a
+// generic type that nothing but an interface call reaches.
+func unreferencedExports(module string, fset *token.FileSet, files []srcFile) ([]string, error) {
+	imp, err := newModuleImporter(module, fset, files)
+	if err != nil {
+		return nil, err
 	}
-	declared := map[string]bool{} // "dir.Name" or "dir.Recv.Method"
-	pkgRefs := map[string]bool{}  // "dir.Name"
-	methodRefs := map[string]bool{}
-	for _, sf := range files {
-		inScope := slices.ContainsFunc(deadExportScope, func(s string) bool {
-			return sf.dir == s || strings.HasPrefix(sf.dir, s+"/")
-		})
-		skip := map[*ast.Ident]bool{} // declaring names, not uses
-		for _, decl := range sf.f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				skip[d.Name] = true
-				name := d.Name.Name
-				if d.Recv != nil {
-					recv := recvIdent(d.Recv.List[0].Type)
-					skip[recv] = true
-					name = recv.Name + "." + name
-				}
-				if inScope && d.Name.IsExported() {
-					declared[sf.dir+"."+name] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					var names []*ast.Ident
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{s.Name}
-					case *ast.ValueSpec:
-						names = s.Names
-					}
-					for _, id := range names {
-						skip[id] = true
-						if inScope && id.IsExported() {
-							declared[sf.dir+"."+id.Name] = true
-						}
-					}
-				}
-			}
+	declared := map[types.Object]string{} // → "dir.Name" or "dir.Recv.Method"
+	var named []*types.Named              // the module's non-generic types
+	for _, dir := range slices.Sorted(maps.Keys(imp.files)) {
+		pkg, err := imp.check(dir)
+		if err != nil {
+			return nil, err
 		}
-		imports := map[string]string{} // local name → dir
-		for _, imp := range sf.f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(p, module+"/")
-			if !ok {
+		inScope := slices.ContainsFunc(deadExportScope, func(s string) bool { return dir == s || strings.HasPrefix(dir, s+"/") })
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if inScope && obj.Exported() {
+				declared[obj] = dir + "." + name
+			}
+			t, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !ok || !isType {
 				continue
 			}
-			local := pkgName[dir]
-			if imp.Name != nil {
-				local = imp.Name.Name
+			if t.TypeParams().Len() == 0 {
+				named = append(named, t)
 			}
-			imports[local] = dir
+			for m := range t.Methods() {
+				if inScope && m.Exported() {
+					declared[m] = dir + "." + name + "." + m.Name()
+				}
+			}
 		}
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						pkgRefs[dir+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				methodRefs[n.Sel.Name] = true
-				skip[n.Sel] = true
-			case *ast.Ident:
-				if !skip[n] {
-					pkgRefs[sf.dir+"."+n.Name] = true
+	}
+	used := map[types.Object]bool{}
+	for _, obj := range imp.info.Uses {
+		if f, ok := obj.(*types.Func); ok {
+			obj = f.Origin()
+		}
+		used[obj] = true
+	}
+	// calls through an interface: interface → the method names called, or
+	// nil for every method (an interface the standard library calls)
+	calls := map[*types.Interface]map[string]bool{}
+	for _, sel := range imp.info.Selections {
+		f, ok := sel.Obj().(*types.Func)
+		if !ok {
+			continue
+		}
+		if iface, ok := f.Signature().Recv().Type().Underlying().(*types.Interface); ok {
+			if calls[iface] == nil {
+				calls[iface] = map[string]bool{}
+			}
+			calls[iface][f.Name()] = true
+		}
+	}
+	for _, pkg := range imp.stdPkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+				calls[tn.Type().Underlying().(*types.Interface)] = nil
+			}
+		}
+	}
+	calls[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = nil
+	for iface, names := range calls {
+		if iface.NumMethods() == 0 {
+			continue
+		}
+		for _, t := range named {
+			if types.IsInterface(t) || !types.Implements(t, iface) && !types.Implements(types.NewPointer(t), iface) {
+				continue
+			}
+			for m := range iface.Methods() {
+				if names == nil || names[m.Name()] {
+					obj, _, _ := types.LookupFieldOrMethod(t, true, t.Obj().Pkg(), m.Name())
+					used[obj] = true
 				}
 			}
-			return true
-		})
+		}
 	}
 	var dead []string
-	for key := range declared {
-		_, name, _ := strings.Cut(key, ".")
-		_, method, isMethod := strings.Cut(name, ".")
-		switch {
-		case isMethod && (methodRefs[method] || sortInterface[method]):
-		case !isMethod && pkgRefs[key]:
-		default:
+	for obj, key := range declared {
+		if !used[obj] {
 			dead = append(dead, key)
 		}
 	}
 	slices.Sort(dead)
-	return dead
+	return dead, nil
 }
 
-// recvIdent is the type name of a method receiver: T, *T, T[P] or *T[P].
-func recvIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x
-		default:
-			panic("unexpected receiver type")
+// moduleImporter type-checks the module's packages from their parsed files
+// and reads the standard library's from the export data that one go list
+// call reports, so the check needs neither a network nor a second copy of
+// the module's sources.
+type moduleImporter struct {
+	module  string
+	fset    *token.FileSet
+	files   map[string][]*ast.File // dir → files
+	pkgs    map[string]*types.Package
+	info    *types.Info
+	std     types.Importer
+	stdPkgs map[string]*types.Package
+}
+
+func newModuleImporter(module string, fset *token.FileSet, files []srcFile) (*moduleImporter, error) {
+	imp := &moduleImporter{
+		module:  module,
+		fset:    fset,
+		files:   map[string][]*ast.File{},
+		pkgs:    map[string]*types.Package{},
+		info:    &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+		stdPkgs: map[string]*types.Package{},
+	}
+	std := map[string]bool{}
+	for _, sf := range files {
+		imp.files[sf.dir] = append(imp.files[sf.dir], sf.f)
+		for _, is := range sf.f.Imports {
+			p, _ := strconv.Unquote(is.Path.Value)
+			if p != module && !strings.HasPrefix(p, module+"/") {
+				std[p] = true
+			}
 		}
 	}
+	exports := map[string]string{} // import path → export data file
+	if len(std) > 0 {
+		args := append([]string{"list", "-deps", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, slices.Sorted(maps.Keys(std))...)
+		cmd := exec.Command("go", args...)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list the standard library's export data: %w", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			p, file, _ := strings.Cut(line, "\t")
+			exports[p] = file
+		}
+	}
+	imp.std = importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
+		if exports[p] == "" {
+			return nil, fmt.Errorf("no export data for %s", p)
+		}
+		return os.Open(exports[p])
+	})
+	return imp, nil
+}
+
+func (imp *moduleImporter) Import(p string) (*types.Package, error) {
+	if dir, ok := strings.CutPrefix(p, imp.module+"/"); ok {
+		return imp.check(dir)
+	}
+	if p == imp.module {
+		return imp.check(".")
+	}
+	pkg, err := imp.std.Import(p)
+	if err == nil {
+		imp.stdPkgs[p] = pkg
+	}
+	return pkg, err
+}
+
+// check type-checks the package in dir once, its module imports first.
+func (imp *moduleImporter) check(dir string) (*types.Package, error) {
+	if pkg, ok := imp.pkgs[dir]; ok {
+		return pkg, nil
+	}
+	p := imp.module + "/" + dir
+	if dir == "." {
+		p = imp.module
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(p, imp.fset, imp.files[dir], imp.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", dir, err)
+	}
+	imp.pkgs[dir] = pkg
+	return pkg, nil
 }

@@ -1,6 +1,9 @@
 package jobs
 
-import "repro/async/jobs/store"
+import (
+	"repro/async"
+	"repro/async/jobs/store"
+)
 
 // Test seams for the external test package: the fold property test drives
 // the one commit path and reads the folds the scheduler holds.
@@ -47,4 +50,16 @@ func ReplayFoldsForTest(st store.Store) (map[string]store.JobState, error) {
 		return nil, err
 	}
 	return s.FoldsForTest(), nil
+}
+
+// Result returns a terminal job's full solver result (nil for jobs that
+// did not complete successfully), for the tests that compare models.
+func (s *Scheduler) Result(id ID) (*async.Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, ErrUnknownJob
+	}
+	return j.result, nil
 }

@@ -71,7 +71,7 @@ func TestFencedCancelIsNotApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State.Terminal() || !job.Remote {
+	if job.State == jobs.StateDone || job.State == jobs.StateFailed || job.State == jobs.StateCanceled || !job.Remote {
 		t.Fatalf("a's copy after the refused cancel: state %s remote %v, want a live remote mirror", job.State, job.Remote)
 	}
 	if st := sA.Stats(); st.Fenced < 1 {

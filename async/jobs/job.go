@@ -31,11 +31,6 @@ const (
 	StateCanceled  State = "canceled"
 )
 
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
 // EventType discriminates entries of a job's event stream.
 type EventType string
 

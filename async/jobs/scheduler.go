@@ -432,18 +432,6 @@ func (s *Scheduler) Status(id ID) (Job, error) {
 	return j.snapshot(), nil
 }
 
-// Result returns a terminal job's full solver result (nil for jobs that
-// did not complete successfully).
-func (s *Scheduler) Result(id ID) (*async.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrUnknownJob
-	}
-	return j.result, nil
-}
-
 // List snapshots every job the store holds, in submission order.
 func (s *Scheduler) List() []Job {
 	s.mu.Lock()

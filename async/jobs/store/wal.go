@@ -426,9 +426,6 @@ func (w *WAL) unwindAppendLocked() {
 // Dir returns the store directory.
 func (w *WAL) Dir() string { return w.dir }
 
-// Replica returns the handle's replica ID ("" for a sole owner).
-func (w *WAL) Replica() string { return w.replica }
-
 // sole reports whether Open, not OpenShared, handed the handle out.
 func (w *WAL) sole() bool { return w.replica == "" }
 

@@ -8,9 +8,13 @@
 //	asyncbench -exp all -scale tiny
 //	asyncbench -exp fig3 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //
-// Experiments: table2, fig2..fig8, table3, ablation-broadcast,
-// ablation-localreduce, ablation-barrier, ablation-staleness,
-// ext-sspsweep, ext-staleness-dist, all.
+// Each experiment runs its cells once and prints every paper view of them.
+// Experiments (-exp all runs each once): table2, fig2, fig3 (also Fig. 4),
+// fig5 (also Fig. 6), fig7 (also Fig. 8 and Table 3), ablation-broadcast,
+// ablation-localreduce, ablation-barrier, ablation-staleness. The id of a
+// view the sweep prints — fig4, fig6, fig8, table3, ext-sspsweep (the
+// barrier sweep), ext-staleness-dist (the staleness sweep) — runs that
+// sweep.
 package main
 
 import (
@@ -26,6 +30,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintf(os.Stderr, "asyncbench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses the flags and runs the experiments. It returns rather than
+// exits on an error so that the deferred profile stop still flushes the
+// profiles of the run that failed.
+func run() error {
 	var (
 		exp     = flag.String("exp", "all", "experiment id (or 'all'; see package doc)")
 		scale   = flag.String("scale", "small", "dataset scale: tiny|small|full")
@@ -39,12 +53,17 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
+	sc, err := dataset.ParseScale(*scale)
+	if err != nil {
+		return err
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer stopProfiles()
 	o := experiments.Options{
+		Scale:       sc,
 		Seed:        *seed,
 		SyncUpdates: *rounds,
 		MinTask:     *minTask,
@@ -53,11 +72,6 @@ func main() {
 	if !*quiet {
 		o.Log = os.Stderr
 	}
-	sc, err := dataset.ParseScale(*scale)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	o.Scale = sc
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = experiments.IDs()
@@ -65,18 +79,17 @@ func main() {
 	for _, id := range ids {
 		fmt.Printf("==================== %s ====================\n", id)
 		if err := experiments.Run(o, id, os.Stdout); err != nil {
-			fatalf("%s: %v", id, err)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 	}
-	stopProfiles()
+	return nil
 }
 
 // startProfiles arms the pprof outputs named by -cpuprofile/-memprofile so
 // a slow experiment can be diagnosed from the run that showed it. The
-// returned stop is idempotent: it ends the CPU profile and writes the heap
-// snapshot.
+// returned stop ends the CPU profile and writes the heap snapshot.
 func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	stopped := false
+	stopCPU := func() {}
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
@@ -86,36 +99,25 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 			_ = f.Close()
 			return nil, fmt.Errorf("start cpu profile: %w", err)
 		}
-		stop = func() {
+		stopCPU = func() {
 			pprof.StopCPUProfile()
 			_ = f.Close()
 		}
 	}
-	cpuStop := stop
 	return func() {
-		if stopped {
+		stopCPU()
+		if memPath == "" {
 			return
 		}
-		stopped = true
-		if cpuStop != nil {
-			cpuStop()
+		f, err := os.Create(memPath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "asyncbench: memprofile: %v\n", err)
+			return
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "asyncbench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile is stable
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "asyncbench: memprofile: %v\n", err)
-			}
+		defer f.Close()
+		runtime.GC() // settle allocations so the heap profile is stable
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "asyncbench: memprofile: %v\n", err)
 		}
 	}, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "asyncbench: "+format+"\n", args...)
-	os.Exit(1)
 }

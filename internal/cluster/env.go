@@ -65,14 +65,6 @@ func (e *Env) Partition(i int) (*dataset.Partition, error) {
 	return p, nil
 }
 
-// Rand calls f with the worker's seeded RNG under a lock. Task functions use
-// it for mini-batch sampling when the task does not carry its own seed.
-func (e *Env) Rand(f func(*rand.Rand)) {
-	e.rngMu.Lock()
-	defer e.rngMu.Unlock()
-	f(e.rng)
-}
-
 // Cache exposes the worker's broadcast cache.
 func (e *Env) Cache() *BroadcastCache { return e.cache }
 
@@ -308,7 +300,7 @@ func (c *BroadcastCache) Latest(id string) (int64, any, bool) {
 	return e.newest, v, ok
 }
 
-// CacheStats is a snapshot of cache counters, used by the broadcast ablation.
+// CacheStats is a snapshot of cache counters.
 type CacheStats struct {
 	Hits, Misses, Evicted int64
 	Versions              int // (id, version) values held

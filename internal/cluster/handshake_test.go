@@ -117,3 +117,10 @@ func TestEnvStore(t *testing.T) {
 		t.Fatalf("create after clear: %v %d", v, made)
 	}
 }
+
+// Rand calls f with the worker's seeded RNG under a lock.
+func (e *Env) Rand(f func(*rand.Rand)) {
+	e.rngMu.Lock()
+	defer e.rngMu.Unlock()
+	f(e.rng)
+}

@@ -9,9 +9,8 @@ import "sync"
 // the asynchronous ASYNC engine share one cluster without stealing each
 // other's results.
 type Router struct {
-	mu      sync.Mutex
-	routes  map[int64]chan<- *Result
-	stopped chan struct{}
+	mu     sync.Mutex
+	routes map[int64]chan<- *Result
 }
 
 // Router returns the cluster's router, starting its consume loop on first
@@ -20,25 +19,20 @@ func (c *Cluster) Router() *Router {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.router == nil {
-		c.router = &Router{routes: map[int64]chan<- *Result{}, stopped: make(chan struct{})}
+		c.router = &Router{routes: map[int64]chan<- *Result{}}
 		go c.router.run(c.results)
 	}
 	return c.router
 }
 
 func (r *Router) run(results <-chan *Result) {
-	for {
-		select {
-		case <-r.stopped:
-			return
-		case res := <-results:
-			r.mu.Lock()
-			ch := r.routes[res.TaskID]
-			delete(r.routes, res.TaskID)
-			r.mu.Unlock()
-			if ch != nil {
-				ch <- res
-			}
+	for res := range results {
+		r.mu.Lock()
+		ch := r.routes[res.TaskID]
+		delete(r.routes, res.TaskID)
+		r.mu.Unlock()
+		if ch != nil {
+			ch <- res
 		}
 	}
 }
@@ -59,14 +53,4 @@ func (r *Router) Unroute(id int64) {
 	r.mu.Lock()
 	delete(r.routes, id)
 	r.mu.Unlock()
-}
-
-// Stop terminates the router loop (tests only; normally the router lives as
-// long as the cluster).
-func (r *Router) Stop() {
-	select {
-	case <-r.stopped:
-	default:
-		close(r.stopped)
-	}
 }

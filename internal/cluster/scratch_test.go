@@ -2,41 +2,29 @@ package cluster
 
 import "testing"
 
-func TestScratchVecReuse(t *testing.T) {
+func TestScratchDeltaReuse(t *testing.T) {
 	env := NewEnv(0, 1, nil)
-	v := env.Scratch().Vec("g", 16)
-	if len(v) != 16 {
-		t.Fatalf("len %d", len(v))
+	a := env.Scratch().Delta("g", 16)
+	if a.Dim() != 16 {
+		t.Fatalf("dim %d", a.Dim())
 	}
-	for i := range v {
-		v[i] = float64(i + 1)
-	}
-	w := env.Scratch().Vec("g", 16)
-	if &w[0] != &v[0] {
-		t.Fatal("same key+size must reuse the buffer")
-	}
-	for i, x := range w {
-		if x != 0 {
-			t.Fatalf("scratch vec not zeroed at %d: %v", i, x)
-		}
+	if env.Scratch().Delta("g", 16) != a {
+		t.Fatal("same key+size must reuse the accumulator")
 	}
 	// size change reallocates; different key is independent
-	u := env.Scratch().Vec("g", 8)
-	if len(u) != 8 {
-		t.Fatalf("len %d", len(u))
+	if b := env.Scratch().Delta("g", 8); b == a || b.Dim() != 8 {
+		t.Fatalf("size change kept the accumulator (dim %d)", b.Dim())
 	}
-	other := env.Scratch().Vec("h", 16)
-	if &other[0] == &v[0] {
-		t.Fatal("different keys must not share buffers")
+	if env.Scratch().Delta("h", 16) == a {
+		t.Fatal("different keys must not share accumulators")
 	}
 }
 
 func TestScratchAllocFree(t *testing.T) {
 	env := NewEnv(0, 1, nil)
-	env.Scratch().Vec("g", 64)
+	env.Scratch().Delta("g", 64)
 	if allocs := testing.AllocsPerRun(100, func() {
-		v := env.Scratch().Vec("g", 64)
-		v[0] = 1
+		env.Scratch().Delta("g", 64).Reset()
 	}); allocs != 0 {
 		t.Errorf("steady-state scratch access allocates %v per run, want 0", allocs)
 	}

@@ -123,9 +123,6 @@ func (ac *Context) STAT() Stat { return ac.coord.Stat() }
 // HasNext reports whether a task result is waiting (AC.hasNext).
 func (ac *Context) HasNext() bool { return ac.coord.HasNext() }
 
-// Pending counts in-flight tasks.
-func (ac *Context) Pending() int { return ac.coord.Pending() }
-
 // SetUpdateHook registers fn to run synchronously (on the driver goroutine)
 // after every AdvanceClock — the update-boundary hook. The driver runtime
 // uses it to mark checkpoint cadence and preemption boundaries; monitors may

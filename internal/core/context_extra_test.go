@@ -78,7 +78,7 @@ func TestASYNCreduceOpUnknownOpFails(t *testing.T) {
 		t.Fatalf("dispatched %d", n)
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ac.Pending() != 0 {
+	for ac.coord.Pending() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("pending stuck after failed op")
 		}

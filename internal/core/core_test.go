@@ -263,9 +263,9 @@ func TestMinAvailableBarrier(t *testing.T) {
 
 // mapRDD is the element-wise transformation, built on the parent's lineage
 // function.
-func mapRDD[T, U any](r *rdd.RDD[T], f func(T) U) *rdd.RDD[U] {
+func mapRDD[T, U any](ctx *rdd.Context, r *rdd.RDD[T], f func(T) U) *rdd.RDD[U] {
 	parent := r.Compute()
-	return rdd.NewRDD(r.Context(), r.NumPartitions(), func(env *cluster.Env, part int, seed int64) ([]U, error) {
+	return rdd.NewRDD(ctx, r.NumPartitions(), func(env *cluster.Env, part int, seed int64) ([]U, error) {
 		in, err := parent(env, part, seed)
 		if err != nil {
 			return nil, err
@@ -280,7 +280,7 @@ func mapRDD[T, U any](r *rdd.RDD[T], f func(T) U) *rdd.RDD[U] {
 
 func TestASYNCreduceRDDMatchesSyncReduce(t *testing.T) {
 	ac, points := setup(t, 2, 4, nil)
-	ys := mapRDD(points, func(p rdd.Point) float64 { return p.Y })
+	ys := mapRDD(ac.RDD(), points, func(p rdd.Point) float64 { return p.Y })
 	add := func(a, b float64) float64 { return a + b }
 	want, err := rdd.Aggregate(ys, 0, add, add)
 	if err != nil {
@@ -405,9 +405,9 @@ func TestWorkerDeathDuringTask(t *testing.T) {
 		got++
 	}
 	deadline := time.Now().Add(3 * time.Second)
-	for ac.Pending() != 0 {
+	for ac.coord.Pending() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("pending stuck at %d after worker death", ac.Pending())
+			t.Fatalf("pending stuck at %d after worker death", ac.coord.Pending())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -71,16 +71,6 @@ type Selection struct {
 	used    bool
 }
 
-// Release returns reserved workers to the available pool without
-// dispatching (used when the driver decides not to proceed).
-func (s *Selection) Release() {
-	if s.used || s.ac == nil {
-		return
-	}
-	s.used = true
-	s.ac.coord.release(s.Workers)
-}
-
 // scheduler implements the ASYNCscheduler (§4.4): it blocks until the
 // barrier predicate holds and at least one available worker passes the
 // filter, then reserves those workers.

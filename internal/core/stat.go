@@ -56,17 +56,6 @@ type Stat struct {
 	Pending int
 }
 
-// Available lists the ids of live, available workers.
-func (s Stat) Available() []int {
-	var out []int
-	for _, w := range s.Workers {
-		if w.Alive && w.Available {
-			out = append(out, w.Worker)
-		}
-	}
-	return out
-}
-
 // Attrs are the per-task-result attributes the coordinator tags results
 // with (§4.1: worker ID, staleness, mini-batch size, plus timings).
 type Attrs struct {

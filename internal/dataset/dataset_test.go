@@ -40,7 +40,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("labels differ across identical seeds")
 	}
 	for i := 0; i < 15; i++ {
-		if !la.Equal(d1.X.Row(i).Dense(), d2.X.Row(i).Dense(), 0) {
+		if !la.Equal(dense(d1.X.Row(i)), dense(d2.X.Row(i)), 0) {
 			t.Fatalf("row %d differs across identical seeds", i)
 		}
 	}
@@ -111,7 +111,7 @@ func TestSplitCoversAllRows(t *testing.T) {
 	for _, p := range parts {
 		for local := 0; local < p.NumRows(); local++ {
 			g := p.GlobalRow(local)
-			if !la.Equal(p.X.Row(local).Dense(), d.X.Row(g).Dense(), 0) {
+			if !la.Equal(dense(p.X.Row(local)), dense(d.X.Row(g)), 0) {
 				t.Fatalf("partition row %d != dataset row %d", local, g)
 			}
 			if p.Y[local] != d.Y[g] {
@@ -145,7 +145,7 @@ func TestLIBSVMRoundTrip(t *testing.T) {
 		t.Fatalf("round trip shape %dx%d", got.NumRows(), got.NumCols())
 	}
 	for i := 0; i < d.NumRows(); i++ {
-		if !la.Equal(got.X.Row(i).Dense(), d.X.Row(i).Dense(), 1e-12) {
+		if !la.Equal(dense(got.X.Row(i)), dense(d.X.Row(i)), 1e-12) {
 			t.Fatalf("row %d differs after round trip", i)
 		}
 	}
@@ -163,8 +163,8 @@ func TestReadLIBSVMParsing(t *testing.T) {
 	if d.NumRows() != 2 || d.NumCols() != 3 {
 		t.Fatalf("shape %dx%d, want 2x3", d.NumRows(), d.NumCols())
 	}
-	if !la.Equal(d.X.Row(0).Dense(), la.Vec{0.5, 0, 2}, 0) {
-		t.Fatalf("row 0 = %v", d.X.Row(0).Dense())
+	if !la.Equal(dense(d.X.Row(0)), la.Vec{0.5, 0, 2}, 0) {
+		t.Fatalf("row 0 = %v", dense(d.X.Row(0)))
 	}
 	if d.Y[0] != 1 || d.Y[1] != -1 {
 		t.Fatalf("labels %v", d.Y)
@@ -176,8 +176,8 @@ func TestReadLIBSVMUnsortedIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !la.Equal(d.X.Row(0).Dense(), la.Vec{1, 0, 3}, 0) {
-		t.Fatalf("row = %v", d.X.Row(0).Dense())
+	if !la.Equal(dense(d.X.Row(0)), la.Vec{1, 0, 3}, 0) {
+		t.Fatalf("row = %v", dense(d.X.Row(0)))
 	}
 }
 
@@ -255,4 +255,11 @@ func TestScalesMonotone(t *testing.T) {
 	if !(tinyCfg.Rows < small.Rows && small.Rows < full.Rows) {
 		t.Fatalf("rows not monotone: %d %d %d", tinyCfg.Rows, small.Rows, full.Rows)
 	}
+}
+
+// dense expands a sparse row into a freshly allocated dense vector.
+func dense(s la.SparseVec) la.Vec {
+	v := la.NewVec(s.N)
+	s.AxpyDense(1, v)
+	return v
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/async"
@@ -41,7 +42,7 @@ func AblationBroadcast(o Options) (*metrics.Table, error) {
 	}
 	p := opt.Params{
 		Step: stepFor(AlgoSAGA, cfg, cdsWorkers), SampleFrac: fracSAGA(cfg.Name),
-		Updates: o.SyncUpdates, SnapshotEvery: o.SnapshotEvery,
+		Updates: o.SyncUpdates, SnapshotEvery: snapshotEvery,
 	}
 	tb := &metrics.Table{
 		Title:   "ablation: full-table broadcast vs ASYNCbroadcast with version or coefficient history (SAGA, " + cfg.Name + ")",
@@ -219,10 +220,11 @@ func AblationLocalReduce(o Options) (*metrics.Table, error) {
 	return tb, nil
 }
 
-// AblationBarrier compares barrier-control strategies for ASGD under a
-// 100% controlled-delay straggler: ASP, SSP, and BSP (via the barrier
-// predicate), reporting total time and final error at a fixed update
-// budget.
+// AblationBarrier sweeps barrier control for ASGD under a 100%
+// controlled-delay straggler at a fixed update budget: BSP (s → 1), SSP at
+// three staleness thresholds and ASP (s → ∞). Loose barriers run faster
+// (hardware efficiency), tight ones see fresher gradients (statistical
+// efficiency): the trade-off §3 describes.
 func AblationBarrier(o Options) (*metrics.Table, error) {
 	o = o.withDefaults()
 	cfg := dataset.MNIST8MLike(o.Scale, o.Seed+1)
@@ -232,68 +234,103 @@ func AblationBarrier(o Options) (*metrics.Table, error) {
 		name string
 		f    core.BarrierFunc
 	}{
-		{"ASP", core.ASP()},
-		{"SSP(s=64)", core.SSP(64)},
 		{"BSP", core.BSP()},
+		{"SSP(4)", core.SSP(4)},
+		{"SSP(16)", core.SSP(16)},
+		{"SSP(64)", core.SSP(64)},
+		{"ASP", core.ASP()},
 	}
 	tb := &metrics.Table{
 		Title:   "ablation: barrier control under 100% straggler (ASGD, " + cfg.Name + ")",
-		Columns: []string{"total_ms", "final_err", "mean_wait_ms"},
+		Columns: []string{"total_ms", "final_err", "mean_wait_ms", "max_staleness"},
 	}
 	for _, b := range barriers {
-		tr, err := run(o, cfg, RunSpec{
+		tr, stats, err := run(o, cfg, RunSpec{
 			Algo: AlgoASGD, Workers: cdsWorkers, Delay: delay,
 			Frac: fracSGD(cfg.Name), Updates: updates, Barrier: b.f,
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: barrier %s: %w", b.name, err)
 		}
 		tb.Rows = append(tb.Rows, metrics.Row{
 			Label: b.name,
 			Values: map[string]string{
-				"total_ms":     fmt.Sprintf("%.1f", float64(tr.Total.Microseconds())/1000.0),
-				"final_err":    fmt.Sprintf("%.4g", tr.FinalError()),
-				"mean_wait_ms": fmt.Sprintf("%.3f", float64(tr.MeanWait().Microseconds())/1000.0),
+				"total_ms":      fmt.Sprintf("%.1f", float64(tr.Total.Microseconds())/1000.0),
+				"final_err":     fmt.Sprintf("%.4g", tr.FinalError()),
+				"mean_wait_ms":  fmt.Sprintf("%.3f", float64(tr.MeanWait().Microseconds())/1000.0),
+				"max_staleness": fmt.Sprintf("%d", stats.Staleness.Max),
 			},
 		})
 	}
 	return tb, nil
 }
 
+// stalenessBuckets are the rows of the staleness distribution: a result
+// falls in the first bucket whose bound its staleness does not exceed.
+var stalenessBuckets = []struct {
+	label string
+	max   int64
+}{{"0", 0}, {"1-2", 2}, {"3-8", 8}, {"9-32", 32}, {"33-128", 128}, {">128", math.MaxInt64}}
+
 // AblationStalenessLR measures the Listing 1 staleness-dependent learning
 // rate under production-cluster stragglers: ASGD with and without the
-// modulation, same update budget.
-func AblationStalenessLR(o Options) (*metrics.Table, error) {
+// modulation, same update budget. It also returns the observed staleness
+// distribution of both runs — the quantity staleness-aware methods ([72],
+// Listing 1) key on, which ASYNC's bookkeeping makes observable — as the
+// fraction of results per bucket and each run's result count.
+func AblationStalenessLR(o Options) (arms, dist *metrics.Table, err error) {
 	o = o.withDefaults()
 	cfg := dataset.EpsilonLike(o.Scale, o.Seed+2)
 	model, err := straggler.NewProductionCluster(pcsWorkers, o.Seed+7)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	updates := o.SyncUpdates * pcsWorkers
-	tb := &metrics.Table{
+	arms = &metrics.Table{
 		Title:   "ablation: staleness-dependent learning rate (ASGD under PCS, " + cfg.Name + ")",
 		Columns: []string{"total_ms", "final_err"},
 	}
+	dist = &metrics.Table{
+		Title: "staleness distribution of the same runs (fraction of results per bucket, 32 workers)",
+	}
+	for _, b := range stalenessBuckets {
+		dist.Rows = append(dist.Rows, metrics.Row{Label: "staleness " + b.label, Values: map[string]string{}})
+	}
+	dist.Rows = append(dist.Rows, metrics.Row{Label: "results", Values: map[string]string{}})
 	for _, mod := range []bool{false, true} {
-		tr, err := run(o, cfg, RunSpec{
+		tr, stats, err := run(o, cfg, RunSpec{
 			Algo: AlgoASGD, Workers: pcsWorkers, Delay: model,
 			Frac: 0.05, Updates: updates, StalenessLR: mod,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		label := "fixed-lr"
 		if mod {
 			label = "staleness-lr"
 		}
-		tb.Rows = append(tb.Rows, metrics.Row{
+		arms.Rows = append(arms.Rows, metrics.Row{
 			Label: label,
 			Values: map[string]string{
 				"total_ms":  fmt.Sprintf("%.1f", float64(tr.Total.Microseconds())/1000.0),
 				"final_err": fmt.Sprintf("%.4g", tr.FinalError()),
 			},
 		})
+		counts := make([]int64, len(stalenessBuckets))
+		var total int64
+		for s, n := range stats.StalenessHist {
+			i := 0
+			for s > stalenessBuckets[i].max {
+				i++
+			}
+			counts[i] += n
+			total += n
+		}
+		dist.Columns = append(dist.Columns, label)
+		for i, n := range counts {
+			dist.Rows[i].Values[label] = fmt.Sprintf("%.3f", float64(n)/float64(total))
+		}
+		dist.Rows[len(counts)].Values[label] = fmt.Sprintf("%d", total)
 	}
-	return tb, nil
+	return arms, dist, nil
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // WriteSeriesCSV writes each series as <dir>/<label>.csv ('/' → '_').
@@ -47,107 +49,131 @@ func (p printer) series(series []Series) {
 	}
 }
 
-func (p printer) table(tb interface{ Format() string }, err error) error {
-	if err != nil {
-		return err
+func (p printer) tables(tbs ...*metrics.Table) {
+	for _, tb := range tbs {
+		fmt.Fprint(p.w, tb.Format())
 	}
-	fmt.Fprint(p.w, tb.Format())
+}
+
+// sweep is one experiment: it runs its cells once and prints every paper
+// view of them. ids[0] names the sweep; the rest name the views it prints
+// besides its own, so asking for any of them runs the same sweep.
+type sweep struct {
+	ids []string
+	run func(o Options, p printer) error
+}
+
+// lookup returns the sweep that answers to id, or nil.
+func lookup(id string) *sweep {
+	for i := range sweeps {
+		for _, known := range sweeps[i].ids {
+			if known == id {
+				return &sweeps[i]
+			}
+		}
+	}
 	return nil
 }
 
-// experimentReg maps experiment ids to runners; experimentOrder preserves
-// presentation order for IDs(). Experiments register here instead of
-// occupying arms of a switch, mirroring the solver registry.
-var (
-	experimentOrder []string
-	experimentReg   = map[string]func(o Options, p printer) error{}
-)
-
-func registerExperiment(id string, fn func(o Options, p printer) error) {
-	if _, dup := experimentReg[id]; dup {
-		panic("experiments: duplicate experiment id " + id)
-	}
-	experimentOrder = append(experimentOrder, id)
-	experimentReg[id] = fn
-}
-
-// tableExperiment adapts a table harness to the registry signature.
-func tableExperiment[T interface{ Format() string }](f func(Options) (T, error)) func(Options, printer) error {
+// tableSweep adapts a harness that returns one table.
+func tableSweep(f func(Options) (*metrics.Table, error)) func(Options, printer) error {
 	return func(o Options, p printer) error {
 		tb, err := f(o)
-		return p.table(tb, err)
+		if err != nil {
+			return err
+		}
+		p.tables(tb)
+		return nil
 	}
 }
 
-// cdsFigure adapts a controlled-delay-straggler sweep: the error curves
-// plus speedups (fig 3/5), or the wait-time table (fig 4/6).
-func cdsFigure(pair Pair, waitTitle string, curves bool) func(Options, printer) error {
+// cdsFigure adapts a controlled-delay-straggler sweep: the error curves and
+// speed-ups (Fig. 3/5) and the wait-time table (Fig. 4/6) of the same runs.
+func cdsFigure(pair Pair, waitTitle string) func(Options, printer) error {
 	return func(o Options, p printer) error {
 		series, err := CDS(o, pair)
 		if err != nil {
 			return err
 		}
-		if curves {
-			p.series(series)
-			fmt.Fprint(p.w, Speedups(series).Format())
-		} else {
-			fmt.Fprint(p.w, WaitTable(waitTitle, series).Format())
-		}
+		p.series(series)
+		p.tables(Speedups(series), WaitTable(waitTitle, series))
 		return nil
 	}
 }
 
-// pcsFigure adapts a production-cluster-straggler sweep (fig 7/8).
-func pcsFigure(pair Pair) func(Options, printer) error {
-	return func(o Options, p printer) error {
+// pcsFigures runs the production-cluster-straggler sweep of both pairs and
+// prints each pair's curves and speed-ups (Figs. 7 and 8) and the wait-time
+// table of all four algorithms (Table 3).
+func pcsFigures(o Options, p printer) error {
+	var pairs [][]Series
+	for _, pair := range []Pair{SGDPair, SAGAPair} {
 		series, err := PCS(o, pair)
 		if err != nil {
 			return err
 		}
 		p.series(series)
-		fmt.Fprint(p.w, Speedups(series).Format())
-		return nil
+		p.tables(Speedups(series))
+		pairs = append(pairs, series)
 	}
+	p.tables(Table3From(pairs[0], pairs[1]))
+	return nil
 }
 
-func init() {
-	registerExperiment("table2", tableExperiment(Table2))
-	registerExperiment("fig2", func(o Options, p printer) error {
+// sweeps holds the experiments in presentation order. Experiments are
+// entries of this table instead of arms of a switch, mirroring the solver
+// registry.
+var sweeps = []sweep{
+	{[]string{"table2"}, tableSweep(Table2)},
+	{[]string{"fig2"}, func(o Options, p printer) error {
 		series, err := Fig2(o)
 		if err != nil {
 			return err
 		}
 		p.series(series)
 		return nil
-	})
-	registerExperiment("fig3", cdsFigure(SGDPair, "", true))
-	registerExperiment("fig4", cdsFigure(SGDPair, "Fig 4: average wait time per iteration (8 workers, SGD vs ASGD)", false))
-	registerExperiment("fig5", cdsFigure(SAGAPair, "", true))
-	registerExperiment("fig6", cdsFigure(SAGAPair, "Fig 6: average wait time per iteration (8 workers, SAGA vs ASAGA)", false))
-	registerExperiment("fig7", pcsFigure(SGDPair))
-	registerExperiment("fig8", pcsFigure(SAGAPair))
-	registerExperiment("table3", tableExperiment(Table3))
-	registerExperiment("ablation-broadcast", tableExperiment(AblationBroadcast))
-	registerExperiment("ablation-localreduce", tableExperiment(AblationLocalReduce))
-	registerExperiment("ablation-barrier", tableExperiment(AblationBarrier))
-	registerExperiment("ablation-staleness", tableExperiment(AblationStalenessLR))
-	registerExperiment("ext-sspsweep", tableExperiment(SSPSweep))
-	registerExperiment("ext-staleness-dist", tableExperiment(StalenessDistribution))
+	}},
+	{[]string{"fig3", "fig4"}, cdsFigure(SGDPair, "Fig 4: average wait time per iteration (8 workers, SGD vs ASGD)")},
+	{[]string{"fig5", "fig6"}, cdsFigure(SAGAPair, "Fig 6: average wait time per iteration (8 workers, SAGA vs ASAGA)")},
+	{[]string{"fig7", "fig8", "table3"}, pcsFigures},
+	{[]string{"ablation-broadcast"}, tableSweep(AblationBroadcast)},
+	{[]string{"ablation-localreduce"}, tableSweep(AblationLocalReduce)},
+	{[]string{"ablation-barrier", "ext-sspsweep"}, tableSweep(AblationBarrier)},
+	{[]string{"ablation-staleness", "ext-staleness-dist"}, func(o Options, p printer) error {
+		arms, dist, err := AblationStalenessLR(o)
+		if err != nil {
+			return err
+		}
+		p.tables(arms, dist)
+		return nil
+	}},
 }
 
-// IDs lists every experiment id Run accepts, in presentation order.
+// IDs lists every sweep once, by its own id, in presentation order.
 func IDs() []string {
-	return append([]string(nil), experimentOrder...)
+	ids := make([]string, len(sweeps))
+	for i, s := range sweeps {
+		ids[i] = s.ids[0]
+	}
+	return ids
 }
 
-// Run executes one experiment by id and writes its output (series and/or
-// tables) to w; cmd/asyncbench is its command line and does nothing else.
-// When o.CSVDir is set, figure series are additionally written there as CSV
-// files.
+// Run executes the sweep that answers to id — its own id or one of the
+// views it prints — and writes its output (series and/or tables) to w;
+// cmd/asyncbench is its command line and does nothing else. When o.CSVDir
+// is set, figure series are additionally written there as CSV files.
 func Run(o Options, id string, w io.Writer) error {
-	fn, ok := experimentReg[strings.ToLower(id)]
-	if !ok {
-		return fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+	s := lookup(strings.ToLower(id))
+	if s == nil {
+		return fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(artefactIDs(), ", "))
 	}
-	return fn(o, printer{o: o, w: w})
+	return s.run(o, printer{o: o, w: w})
+}
+
+// artefactIDs lists every id Run accepts.
+func artefactIDs() []string {
+	var ids []string
+	for _, s := range sweeps {
+		ids = append(ids, s.ids...)
+	}
+	return ids
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,17 +21,6 @@ func TestRunTable2(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "rcv1-like") {
 		t.Fatalf("table2 output: %s", sb.String())
-	}
-}
-
-func TestRunFig4EmitsWaitTable(t *testing.T) {
-	var sb strings.Builder
-	if err := Run(tinyOpts(), "fig4", &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "avg_wait_ms") || !strings.Contains(out, "ASGD-1.0") {
-		t.Fatalf("fig4 output missing columns: %s", out)
 	}
 }
 
@@ -80,17 +70,28 @@ func osReadDir(dir string) ([]string, error) {
 	return out, nil
 }
 
+// TestIDsAllRunnable: IDs lists the nine sweeps once each, and every
+// artefact id of the paper's evaluation resolves to the sweep that prints it.
 func TestIDsAllRunnable(t *testing.T) {
-	// every listed id must at least be recognized (fast ones actually run
-	// in other tests; here we only validate the registry is consistent)
-	known := map[string]bool{}
-	for _, id := range IDs() {
-		if known[id] {
-			t.Fatalf("duplicate id %s", id)
-		}
-		known[id] = true
+	want := []string{"table2", "fig2", "fig3", "fig5", "fig7", "ablation-broadcast",
+		"ablation-localreduce", "ablation-barrier", "ablation-staleness"}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Fatalf("IDs() = %v, want %v", got, want)
 	}
-	if len(known) != 15 {
-		t.Fatalf("expected 15 experiment ids, got %d", len(known))
+	sweepOf := map[string]string{
+		"table2": "table2", "fig2": "fig2", "fig3": "fig3", "fig4": "fig3",
+		"fig5": "fig5", "fig6": "fig5", "fig7": "fig7", "fig8": "fig7", "table3": "fig7",
+		"ablation-broadcast": "ablation-broadcast", "ablation-localreduce": "ablation-localreduce",
+		"ablation-barrier": "ablation-barrier", "ext-sspsweep": "ablation-barrier",
+		"ablation-staleness": "ablation-staleness", "ext-staleness-dist": "ablation-staleness",
+	}
+	if ids := artefactIDs(); len(ids) != len(sweepOf) {
+		t.Fatalf("sweeps answer to %v, want the %d ids of %v", ids, len(sweepOf), sweepOf)
+	}
+	for id, sweep := range sweepOf {
+		s := lookup(id)
+		if s == nil || s.ids[0] != sweep {
+			t.Errorf("%s resolves to %v, want the %s sweep", id, s, sweep)
+		}
 	}
 }

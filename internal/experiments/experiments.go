@@ -1,9 +1,12 @@
-// Package experiments contains one harness per table and figure of the
-// paper's evaluation (§6): dataset summaries (Table 2), the Mllib
-// comparison (Fig. 2), the controlled-delay-straggler sweeps for SGD/ASGD
-// (Figs. 3–4) and SAGA/ASAGA (Figs. 5–6), the production-cluster-straggler
-// runs on 32 workers (Figs. 7–8), the 32-worker wait-time table (Table 3),
-// and ablations for the design choices DESIGN.md calls out.
+// Package experiments contains one sweep per experiment of the paper's
+// evaluation (§6), each running its cells once and printing every paper
+// view of them: dataset summaries (Table 2), the Mllib comparison (Fig. 2),
+// the controlled-delay-straggler sweeps for SGD/ASGD (Figs. 3–4) and
+// SAGA/ASAGA (Figs. 5–6), the production-cluster-straggler runs on 32
+// workers (Figs. 7–8 and Table 3), and ablations of the engine's design
+// choices: the ASYNCbroadcaster (§4.3), local reduction (§7), barrier
+// control from BSP through SSP to ASP (§3), and the staleness-dependent
+// learning rate with the staleness distribution it keys on (Listing 1).
 //
 // Every harness returns Series/Table values whose Format methods print the
 // same rows or curves the paper reports. Absolute times differ from the
@@ -42,9 +45,6 @@ type Options struct {
 	// consume comparable task counts.
 	SyncUpdates int
 
-	// SnapshotEvery controls trace resolution, in updates.
-	SnapshotEvery int
-
 	// Log receives progress lines; nil silences them.
 	Log io.Writer
 
@@ -67,9 +67,6 @@ func (o Options) withDefaults() Options {
 		default:
 			o.SyncUpdates = 250
 		}
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 5
 	}
 	return o
 }
@@ -134,6 +131,9 @@ const (
 // numPartitions matches the paper: 32 data partitions in every experiment.
 const numPartitions = 32
 
+// snapshotEvery is the trace resolution, in updates.
+const snapshotEvery = 5
+
 // RunSpec describes a single optimization run on a fresh cluster.
 type RunSpec struct {
 	Algo        Algo
@@ -171,14 +171,15 @@ func stepFor(algo Algo, cfg dataset.SynthConfig, workers int) opt.Schedule {
 	}
 }
 
-// run executes one spec on a fresh engine and returns its trace. The
-// algorithm is resolved through the solver registry: spec.Algo values are
-// registry names up to case ("ASGD" → "asgd"), so new methods plug in by
+// run executes one spec on a fresh engine and returns its trace and the
+// coordinator's statistics for it (the staleness histogram). The algorithm
+// is resolved through the solver registry: spec.Algo values are registry
+// names up to case ("ASGD" → "asgd"), so new methods plug in by
 // registration, not another switch arm.
-func run(o Options, cfg dataset.SynthConfig, spec RunSpec) (*metrics.Trace, error) {
+func run(o Options, cfg dataset.SynthConfig, spec RunSpec) (*metrics.Trace, *async.RunStats, error) {
 	pr, err := getProblem(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	delay := spec.Delay
 	if delay == nil {
@@ -192,7 +193,7 @@ func run(o Options, cfg dataset.SynthConfig, spec RunSpec) (*metrics.Trace, erro
 		async.WithPartitions(numPartitions),
 	)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer eng.Close()
 	res, err := eng.Solve(context.Background(), string(spec.Algo), pr.d, async.SolveOptions{
@@ -200,20 +201,20 @@ func run(o Options, cfg dataset.SynthConfig, spec RunSpec) (*metrics.Trace, erro
 			Step:          stepFor(spec.Algo, cfg, spec.Workers),
 			SampleFrac:    effFrac(o.Scale, spec.Frac),
 			Updates:       spec.Updates,
-			SnapshotEvery: o.SnapshotEvery,
+			SnapshotEvery: snapshotEvery,
 			StalenessLR:   spec.StalenessLR,
 			Barrier:       spec.Barrier,
 		},
 		FStar: pr.fstar,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Trace.Straggler = delay.Name()
 	o.logf("  %-10s %-14s straggler=%-10s total=%8.1fms final-err=%.4g",
 		spec.Algo, cfg.Name, delay.Name(),
 		float64(res.Trace.Total.Microseconds())/1000.0, res.Trace.FinalError())
-	return res.Trace, nil
+	return res.Trace, eng.RunStats(), nil
 }
 
 // effFrac adjusts a paper sampling rate to the dataset scale: at reduced

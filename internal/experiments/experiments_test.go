@@ -14,11 +14,10 @@ import (
 // few rounds.
 func tinyOpts() Options {
 	return Options{
-		Scale:         dataset.ScaleTiny,
-		Seed:          5,
-		MinTask:       500 * time.Microsecond,
-		SyncUpdates:   20,
-		SnapshotEvery: 4,
+		Scale:       dataset.ScaleTiny,
+		Seed:        5,
+		MinTask:     500 * time.Microsecond,
+		SyncUpdates: 20,
 	}
 }
 
@@ -62,42 +61,76 @@ func TestFig2SeriesConverge(t *testing.T) {
 	}
 }
 
+// TestCDSShape runs the Fig. 3/4 sweep once, through the Fig. 4 id, and
+// checks every view it prints: 24 curves, 12 speed-ups and the wait table,
+// whose numbers carry the paper's claim.
 func TestCDSShape(t *testing.T) {
-	// one dataset is enough for the shape test; restrict via a custom sweep
-	o := tinyOpts()
-	series, err := CDS(o, SGDPair)
-	if err != nil {
+	var sb strings.Builder
+	if err := Run(tinyOpts(), "fig4", &sb); err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 3*4*2 {
-		t.Fatalf("series = %d, want 24", len(series))
+	out := sb.String()
+	if n := strings.Count(out, "\n--- "); n+1 != 3*4*2 || !strings.HasPrefix(out, "--- ") {
+		t.Fatalf("curves = %d, want 24:\n%s", n+1, out)
+	}
+	if rows := tableRows(t, out, "speedup:"); len(rows) != 3*4 {
+		t.Fatalf("speed-up rows = %d, want 12", len(rows))
 	}
 	// Paper claim (Fig. 3/4): sync wait time grows with delay; async stays
 	// flat. Compare delay=0 vs delay=1.0 for each dataset's sync runs.
-	byLabel := map[string]*metrics.Trace{}
-	for _, s := range series {
-		byLabel[s.Label] = s.Trace
+	wait := tableRows(t, out, "Fig 4:")
+	if len(wait) != 3*4*2 {
+		t.Fatalf("wait rows = %d, want 24", len(wait))
 	}
 	for _, ds := range []string{"rcv1-like", "mnist8m-like", "epsilon-like"} {
-		sync0 := byLabel[ds+"/SGD-0.0"]
-		sync1 := byLabel[ds+"/SGD-1.0"]
-		async0 := byLabel[ds+"/ASGD-0.0"]
-		async1 := byLabel[ds+"/ASGD-1.0"]
-		if sync0 == nil || sync1 == nil || async0 == nil || async1 == nil {
-			t.Fatalf("missing series for %s: %v", ds, byLabel)
+		sync0, sync1 := wait[ds+"/SGD-0.0"], wait[ds+"/SGD-1.0"]
+		async1 := wait[ds+"/ASGD-1.0"]
+		if sync0 == nil || sync1 == nil || wait[ds+"/ASGD-0.0"] == nil || async1 == nil {
+			t.Fatalf("missing series for %s: %v", ds, wait)
 		}
-		if sync1.MeanWait() <= sync0.MeanWait() {
-			t.Errorf("%s: sync wait did not grow with delay: %v vs %v", ds, sync0.MeanWait(), sync1.MeanWait())
+		if sync1["avg_wait_ms"] <= sync0["avg_wait_ms"] {
+			t.Errorf("%s: sync wait did not grow with delay: %v vs %v", ds, sync0["avg_wait_ms"], sync1["avg_wait_ms"])
 		}
 		// async wait under 100%% delay stays below sync wait under 100%% delay
-		if async1.MeanWait() >= sync1.MeanWait() {
-			t.Errorf("%s: async wait %v not below sync wait %v at delay 1.0", ds, async1.MeanWait(), sync1.MeanWait())
+		if async1["avg_wait_ms"] >= sync1["avg_wait_ms"] {
+			t.Errorf("%s: async wait %v not below sync wait %v at delay 1.0", ds, async1["avg_wait_ms"], sync1["avg_wait_ms"])
 		}
 		// sync total runtime grows materially with the straggler
-		if sync1.Total <= sync0.Total {
-			t.Errorf("%s: sync total did not grow with delay: %v vs %v", ds, sync0.Total, sync1.Total)
+		if sync1["total_ms"] <= sync0["total_ms"] {
+			t.Errorf("%s: sync total did not grow with delay: %v vs %v", ds, sync0["total_ms"], sync1["total_ms"])
 		}
 	}
+}
+
+// tableRows parses the printed table whose title starts with title: row
+// label → column → value. Every cell must be a number; a label may hold
+// spaces.
+func tableRows(t *testing.T, out, title string) map[string]map[string]float64 {
+	t.Helper()
+	_, body, ok := strings.Cut(out, "# "+title)
+	if !ok {
+		t.Fatalf("no table %q in:\n%s", title, out)
+	}
+	lines := strings.Split(body, "\n")
+	cols := strings.Fields(lines[1])
+	rows := map[string]map[string]float64{}
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) <= len(cols) || strings.HasPrefix(line, "#") {
+			break
+		}
+		label, cells := strings.Join(f[:len(f)-len(cols)], " "), f[len(f)-len(cols):]
+		row := map[string]float64{}
+		for i, c := range cols {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(cells[i], "x"), 64)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", label, c, err)
+			}
+			row[c] = v
+		}
+		rows[label] = row
+	}
+	return rows
 }
 
 func TestWaitTableFormat(t *testing.T) {
@@ -202,17 +235,23 @@ func TestAblationBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	labels := map[string]bool{}
-	for _, r := range tb.Rows {
-		labels[r.Label] = true
-	}
-	for _, want := range []string{"ASP", "SSP(s=64)", "BSP"} {
-		if !labels[want] {
-			t.Fatalf("missing barrier %s", want)
+	rows := tableRows(t, tb.Format(), "ablation: barrier control")
+	for _, want := range []string{"BSP", "SSP(4)", "SSP(16)", "SSP(64)", "ASP"} {
+		if rows[want] == nil {
+			t.Fatalf("missing barrier %s in %v", want, rows)
 		}
+	}
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rows))
+	}
+	bsp, asp := rows["BSP"], rows["ASP"]
+	// hardware efficiency: ASP runs faster than BSP under the straggler
+	if asp["total_ms"] >= bsp["total_ms"] {
+		t.Errorf("ASP %vms not below BSP %vms", asp["total_ms"], bsp["total_ms"])
+	}
+	// statistical efficiency: BSP observes no more staleness than ASP
+	if bsp["max_staleness"] > asp["max_staleness"] {
+		t.Errorf("BSP max staleness %v above ASP %v", bsp["max_staleness"], asp["max_staleness"])
 	}
 }
 
@@ -220,12 +259,31 @@ func TestAblationStalenessLR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("PCS spins 32 workers")
 	}
-	tb, err := AblationStalenessLR(tinyOpts())
+	arms, dist, err := AblationStalenessLR(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
+	if len(arms.Rows) != 2 {
+		t.Fatalf("rows = %d", len(arms.Rows))
+	}
+	// six staleness buckets and the result count, one column per arm
+	rows := tableRows(t, dist.Format(), "staleness distribution")
+	if len(rows) != 7 || len(dist.Columns) != 2 {
+		t.Fatalf("distribution %d rows × %d columns, want 7 × 2:\n%s", len(rows), len(dist.Columns), dist.Format())
+	}
+	for _, arm := range dist.Columns {
+		var fracSum float64
+		for label, row := range rows {
+			if label != "results" {
+				fracSum += row[arm]
+			}
+		}
+		if fracSum < 0.98 || fracSum > 1.02 {
+			t.Fatalf("%s: fractions sum to %v", arm, fracSum)
+		}
+		if rows["results"][arm] == 0 {
+			t.Fatalf("%s: no results observed", arm)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func Fig2(o Options) ([]Series, error) {
 	for _, cfg := range dataset.Table2(o.Scale, o.Seed) {
 		frac := fracSGD(cfg.Name)
 		for _, algo := range []Algo{AlgoMllibSGD, AlgoSGD} {
-			tr, err := run(o, cfg, RunSpec{
+			tr, _, err := run(o, cfg, RunSpec{
 				Algo: algo, Workers: cdsWorkers, Frac: frac, Updates: o.SyncUpdates,
 			})
 			if err != nil {
@@ -79,14 +79,14 @@ func CDS(o Options, pair Pair) ([]Series, error) {
 			if delay > 0 {
 				model = straggler.ControlledDelay{Worker: 0, Intensity: delay}
 			}
-			syncTr, err := run(o, cfg, RunSpec{
+			syncTr, _, err := run(o, cfg, RunSpec{
 				Algo: pair.Sync, Workers: cdsWorkers, Delay: model,
 				Frac: frac, Updates: o.SyncUpdates,
 			})
 			if err != nil {
 				return nil, err
 			}
-			asyncTr, err := run(o, cfg, RunSpec{
+			asyncTr, _, err := run(o, cfg, RunSpec{
 				Algo: pair.Async, Workers: cdsWorkers, Delay: model,
 				Frac: frac, Updates: o.SyncUpdates * cdsWorkers,
 			})
@@ -137,14 +137,14 @@ func PCS(o Options, pair Pair) ([]Series, error) {
 		if o.Scale != dataset.ScaleFull {
 			frac = 0.05
 		}
-		syncTr, err := run(o, cfg, RunSpec{
+		syncTr, _, err := run(o, cfg, RunSpec{
 			Algo: pair.Sync, Workers: pcsWorkers, Delay: model,
 			Frac: frac, Updates: o.SyncUpdates,
 		})
 		if err != nil {
 			return nil, err
 		}
-		asyncTr, err := run(o, cfg, RunSpec{
+		asyncTr, _, err := run(o, cfg, RunSpec{
 			Algo: pair.Async, Workers: pcsWorkers, Delay: model,
 			Frac: frac, Updates: o.SyncUpdates * pcsWorkers,
 		})
@@ -159,21 +159,8 @@ func PCS(o Options, pair Pair) ([]Series, error) {
 	return out, nil
 }
 
-// Table3 reproduces the 32-worker average-wait-time table from PCS runs of
-// both pairs.
-func Table3(o Options) (*metrics.Table, error) {
-	sgd, err := PCS(o, SGDPair)
-	if err != nil {
-		return nil, err
-	}
-	saga, err := PCS(o, SAGAPair)
-	if err != nil {
-		return nil, err
-	}
-	return Table3From(sgd, saga), nil
-}
-
-// Table3From builds Table 3 from already-computed PCS series.
+// Table3From builds Table 3, the 32-worker average-wait-time table, from the
+// PCS series of both pairs.
 func Table3From(sgdSeries, sagaSeries []Series) *metrics.Table {
 	tb := &metrics.Table{
 		Title:   "Table 3: average wait time per iteration on 32 workers (ms)",

@@ -89,9 +89,6 @@ func (v *ColView) Col(j int32) (rows []int32, vals []float64) {
 	return v.Rows[v.Starts[k]:v.Starts[k+1]], v.Vals[v.Starts[k]:v.Starts[k+1]]
 }
 
-// NNZ returns the number of stored entries.
-func (v *ColView) NNZ() int { return len(v.Rows) }
-
 // AxpyCol performs r[rows(j)] += delta·x_ij over column j's stored entries
 // — the O(nnz(column)) residual maintenance step after coordinate j moved
 // by delta.

@@ -51,8 +51,8 @@ func TestColViewMatchesDense(t *testing.T) {
 		}
 		total += len(idx)
 	}
-	if v.NNZ() != total {
-		t.Fatalf("NNZ = %d, want %d", v.NNZ(), total)
+	if len(v.Rows) != total {
+		t.Fatalf("NNZ = %d, want %d", len(v.Rows), total)
 	}
 
 	for j := int32(0); j < cols; j++ {

@@ -128,7 +128,7 @@ func TestSliceRows(t *testing.T) {
 	// mutating the slice must not affect the original
 	if s.NNZ() > 0 {
 		s.Val[0] += 100
-		if m.Row(3).NNZ() > 0 && m.Row(3).Val[0] == s.Val[0] {
+		if len(m.Row(3).Idx) > 0 && m.Row(3).Val[0] == s.Val[0] {
 			t.Fatal("SliceRows shares storage with parent")
 		}
 	}

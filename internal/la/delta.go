@@ -23,32 +23,12 @@ type DeltaVec struct {
 	N   int       // logical dimension
 }
 
-// NNZ returns the number of stored entries.
-func (d *DeltaVec) NNZ() int { return len(d.Idx) }
-
-// Dense expands d into a freshly allocated dense vector.
-func (d *DeltaVec) Dense() Vec {
-	v := NewVec(d.N)
-	for k, j := range d.Idx {
-		v[j] = d.Val[k]
-	}
-	return v
-}
-
 // AxpyDense computes y += alpha·d for dense y in O(nnz).
 func (d *DeltaVec) AxpyDense(alpha float64, y Vec) {
 	if d.N != len(y) {
 		panic(fmt.Sprintf("la: delta AxpyDense dim mismatch %d != %d", d.N, len(y)))
 	}
 	GradAccum(alpha, d.Idx, d.Val, y)
-}
-
-// DotDense returns the inner product of d with a dense vector in O(nnz).
-func (d *DeltaVec) DotDense(w Vec) float64 {
-	if d.N != len(w) {
-		panic(fmt.Sprintf("la: delta DotDense dim mismatch %d != %d", d.N, len(w)))
-	}
-	return SparseDot(d.Idx, d.Val, w)
 }
 
 // Clone returns an independent copy of d (not pooled).
@@ -196,23 +176,10 @@ func NewDeltaAccum(n int) *DeltaAccum {
 // Dim returns the logical dimension.
 func (a *DeltaAccum) Dim() int { return len(a.acc) }
 
-// NNZ returns the number of coordinates touched since the last Reset.
-func (a *DeltaAccum) NNZ() int { return len(a.touched) }
-
 // Reset clears the accumulator in O(1) by advancing the generation stamp.
 func (a *DeltaAccum) Reset() {
 	a.gen++
 	a.touched = a.touched[:0]
-}
-
-// Add accumulates v into coordinate j.
-func (a *DeltaAccum) Add(j int32, v float64) {
-	if a.mark[j] != a.gen {
-		a.mark[j] = a.gen
-		a.acc[j] = 0
-		a.touched = append(a.touched, j)
-	}
-	a.acc[j] += v
 }
 
 // Accum adds alpha·(idx, val) into the accumulator — the sparse counterpart

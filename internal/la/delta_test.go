@@ -34,7 +34,7 @@ func TestDeltaAxpyDotMatchDense(t *testing.T) {
 			w[i] = rng.NormFloat64()
 		}
 		dd := d.Dense()
-		if got, want := d.DotDense(w), Dot(dd, w); !approx(got, want, 1e-12) {
+		if got, want := SparseDot(d.Idx, d.Val, w), Dot(dd, w); !approx(got, want, 1e-12) {
 			t.Fatalf("DotDense %g != dense %g", got, want)
 		}
 		y1, y2 := w.Clone(), w.Clone()
@@ -143,14 +143,14 @@ func TestSortInt32(t *testing.T) {
 
 func TestDeltaPoolRoundTrip(t *testing.T) {
 	d := GetDelta(8, 100)
-	if d.NNZ() != 8 || d.N != 100 {
-		t.Fatalf("GetDelta shape (%d,%d)", d.NNZ(), d.N)
+	if len(d.Idx) != 8 || d.N != 100 {
+		t.Fatalf("GetDelta shape (%d,%d)", len(d.Idx), d.N)
 	}
 	PutDelta(d)
 	PutDelta(nil) // no-op
 	e := GetDelta(4, 50)
-	if e.NNZ() != 4 || e.N != 50 {
-		t.Fatalf("recycled shape (%d,%d)", e.NNZ(), e.N)
+	if len(e.Idx) != 4 || e.N != 50 {
+		t.Fatalf("recycled shape (%d,%d)", len(e.Idx), e.N)
 	}
 	PutDelta(e)
 }
@@ -183,4 +183,13 @@ func TestPooledDeltaUnevenCapacity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Dense expands d into a freshly allocated dense vector.
+func (d *DeltaVec) Dense() Vec {
+	v := NewVec(d.N)
+	for k, j := range d.Idx {
+		v[j] = d.Val[k]
+	}
+	return v
 }

@@ -65,9 +65,6 @@ func New(x *la.CSR, cv *la.ColView, u la.Vec, opts Options) *Index {
 	return ix
 }
 
-// Cols returns the number of distinct columns the index ranks.
-func (ix *Index) Cols() int { return len(ix.cv.Cols) }
-
 // rescore recomputes slot k's inner product by a full column dot in storage
 // order — the one arithmetic Rebuild also uses, which is what makes
 // incremental maintenance bitwise-equal to a rebuild — and re-ranks it.

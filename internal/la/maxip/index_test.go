@@ -86,8 +86,8 @@ func TestIndexMatchesOracle(t *testing.T) {
 	cv := la.NewColView(x)
 	u := make(la.Vec, x.NumRows)
 	ix := New(x, cv, u, Options{})
-	if ix.Cols() != len(cv.Cols) {
-		t.Fatalf("Cols() = %d, view stores %d", ix.Cols(), len(cv.Cols))
+	if len(ix.cv.Cols) != len(cv.Cols) {
+		t.Fatalf("Cols() = %d, view stores %d", len(ix.cv.Cols), len(cv.Cols))
 	}
 	for step := 0; step < 60; step++ {
 		for e := 0; e < 3; e++ {

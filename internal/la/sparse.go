@@ -30,18 +30,6 @@ func NewSparseVec(n int, idx []int32, val []float64) (SparseVec, error) {
 	return SparseVec{Idx: idx, Val: val, N: n}, nil
 }
 
-// NNZ returns the number of stored (non-zero) entries.
-func (s SparseVec) NNZ() int { return len(s.Idx) }
-
-// Dense expands s into a freshly allocated dense vector.
-func (s SparseVec) Dense() Vec {
-	v := NewVec(s.N)
-	for k, j := range s.Idx {
-		v[j] = s.Val[k]
-	}
-	return v
-}
-
 // DotDense returns the inner product of the sparse vector with a dense one.
 // It delegates to the unrolled SparseDot kernel.
 func (s SparseVec) DotDense(d Vec) float64 {

@@ -42,15 +42,15 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 	if !Equal(s2.Dense(), want, 0) {
 		t.Fatalf("round trip = %v", s2.Dense())
 	}
-	if s2.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2", s2.NNZ())
+	if len(s2.Idx) != 2 {
+		t.Fatalf("NNZ = %d, want 2", len(s2.Idx))
 	}
 }
 
 func TestSparseFromMap(t *testing.T) {
 	s := SparseFromMap(4, map[int32]float64{3: 1, 0: 2, 2: 0})
-	if s.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2 (explicit zero dropped)", s.NNZ())
+	if len(s.Idx) != 2 {
+		t.Fatalf("NNZ = %d, want 2 (explicit zero dropped)", len(s.Idx))
 	}
 	if s.Idx[0] != 0 || s.Idx[1] != 3 {
 		t.Fatalf("indices not sorted: %v", s.Idx)
@@ -100,4 +100,13 @@ func TestSparseAxpyDenseMatchesDense(t *testing.T) {
 			t.Fatalf("sparse axpy %v != dense axpy %v", y1, y2)
 		}
 	}
+}
+
+// Dense expands s into a freshly allocated dense vector.
+func (s SparseVec) Dense() Vec {
+	v := NewVec(s.N)
+	for k, j := range s.Idx {
+		v[j] = s.Val[k]
+	}
+	return v
 }

@@ -116,9 +116,6 @@ func (r *roundAccum) AddSparse(g *la.DeltaVec) {
 	la.PutDelta(g)
 }
 
-// Empty reports whether the round absorbed no payloads.
-func (r *roundAccum) Empty() bool { return !r.hasDense && !r.hasSparse }
-
 // Sparse returns the merged sparse part, nil when the round had none.
 func (r *roundAccum) Sparse() *la.DeltaVec {
 	if !r.hasSparse {

@@ -65,7 +65,7 @@ func TestRoundAccumDenseEquivalence(t *testing.T) {
 		t.Fatal("mixed-round Densify != densified sum")
 	}
 	acc.Reset()
-	if !acc.Empty() {
+	if acc.hasDense || acc.hasSparse {
 		t.Fatal("Reset left the accumulator non-empty")
 	}
 }

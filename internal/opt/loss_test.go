@@ -223,7 +223,7 @@ func TestObjectivePenaltiesOnce(t *testing.T) {
 		} {
 			var sum, sq, abs float64
 			for i := 0; i < d.NumRows(); i++ {
-				x := d.X.Row(i).Dense()
+				x := densify(d.NumCols(), d.X.Row(i))
 				var dot float64
 				for j := range x {
 					dot += x[j] * w[j]
@@ -241,4 +241,12 @@ func TestObjectivePenaltiesOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// densify expands a sparse row or delta of dimension n into a freshly
+// allocated dense vector.
+func densify(n int, x interface{ AxpyDense(float64, la.Vec) }) la.Vec {
+	v := la.NewVec(n)
+	x.AxpyDense(1, v)
+	return v
 }

@@ -87,7 +87,8 @@ func FuzzRowLoop(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse := acc.Compact().Dense()
+		compact := acc.Compact()
+		sparse := densify(compact.N, compact)
 		if nd != ns {
 			t.Fatalf("dense loop sampled %d rows, sparse %d", nd, ns)
 		}

@@ -115,7 +115,7 @@ func TestSparseDeltaAcceptance(t *testing.T) {
 			delta.AxpyDense(-1e-9, w)
 		}
 	}).NsPerOp()
-	dense := delta.Dense()
+	dense := densify(delta.N, delta)
 	denseUpd := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			la.Axpy(-1e-9, dense, w)

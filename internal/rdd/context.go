@@ -92,13 +92,6 @@ func (ctx *Context) Release() {
 	ctx.byWorker = map[int][]int{}
 }
 
-// NumPartitions returns the number of placed partitions.
-func (ctx *Context) NumPartitions() int {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	return len(ctx.placement)
-}
-
 // WorkerFor returns the worker currently owning a partition.
 func (ctx *Context) WorkerFor(part int) (int, error) {
 	ctx.mu.Lock()

@@ -109,8 +109,15 @@ func TestPointRowViewMatchesDataset(t *testing.T) {
 	}
 	for _, p := range pts {
 		want := d.X.Row(p.GlobalIndex)
-		if !la.Equal(p.X.Dense(), want.Dense(), 0) {
+		if !la.Equal(dense(p.X), dense(want), 0) {
 			t.Fatalf("row %d features differ", p.GlobalIndex)
 		}
 	}
+}
+
+// dense expands a sparse row into a freshly allocated dense vector.
+func dense(s la.SparseVec) la.Vec {
+	v := la.NewVec(s.N)
+	s.AxpyDense(1, v)
+	return v
 }

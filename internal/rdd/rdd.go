@@ -53,33 +53,12 @@ func basePointRDD(ctx *Context, nParts int) *RDD[Point] {
 	})
 }
 
-// Context returns the driver context the RDD is bound to.
-func (r *RDD[T]) Context() *Context { return r.ctx }
-
 // NumPartitions returns the RDD's partition count.
 func (r *RDD[T]) NumPartitions() int { return r.nParts }
 
 // Compute exposes the lineage function (used by the ASYNC engine to embed
 // RDD computation inside asynchronous tasks).
 func (r *RDD[T]) Compute() ComputeFunc[T] { return r.compute }
-
-// Filter keeps the elements satisfying pred.
-func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
-	parent := r.compute
-	return NewRDD(r.ctx, r.nParts, func(env *cluster.Env, part int, seed int64) ([]T, error) {
-		in, err := parent(env, part, seed)
-		if err != nil {
-			return nil, err
-		}
-		out := in[:0:0]
-		for _, v := range in {
-			if pred(v) {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	})
-}
 
 // Sample takes a random fraction of each partition without replacement,
 // Spark's sample(false, frac): each element is kept independently with
@@ -139,21 +118,6 @@ func Aggregate[T, U any](r *RDD[T], zero U, seqOp func(U, T) U, combOp func(U, U
 	out = zero
 	for _, res := range results {
 		out = combOp(out, res.Payload.(U))
-	}
-	return out, nil
-}
-
-// Collect gathers every element to the driver.
-func (r *RDD[T]) Collect() ([]T, error) {
-	results, err := r.ctx.RunSync(r.partitions(), func(part int) *cluster.Task {
-		return partitionTask(r, part, func(in []T) ([]T, error) { return in, nil })
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []T
-	for _, res := range results {
-		out = append(out, res.Payload.([]T)...)
 	}
 	return out, nil
 }

@@ -36,11 +36,11 @@ func TestDistributePlacement(t *testing.T) {
 	if r.NumPartitions() != 6 {
 		t.Fatalf("partitions = %d", r.NumPartitions())
 	}
-	if ctx.NumPartitions() != 6 {
-		t.Fatalf("ctx partitions = %d", ctx.NumPartitions())
+	if len(ctx.placement) != 6 {
+		t.Fatalf("ctx partitions = %d", len(ctx.placement))
 	}
 	counts := map[int]int{}
-	for p := 0; p < ctx.NumPartitions(); p++ {
+	for p := 0; p < len(ctx.placement); p++ {
 		w, err := ctx.WorkerFor(p)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestRecoveryAfterWorkerDeath(t *testing.T) {
 		t.Fatalf("Count after death = %d, want %d", n, d.NumRows())
 	}
 	// every partition must now be placed on a live worker
-	for p := 0; p < ctx.NumPartitions(); p++ {
+	for p := 0; p < len(ctx.placement); p++ {
 		w, err := ctx.WorkerFor(p)
 		if err != nil {
 			t.Fatal(err)
@@ -270,4 +270,37 @@ func TestDriverValueUnknown(t *testing.T) {
 	if _, err := driverValue(ctx, Broadcast{ID: "x", Version: 999}); err == nil {
 		t.Fatal("unknown broadcast accepted")
 	}
+}
+
+// Collect gathers every element to the driver.
+func (r *RDD[T]) Collect() ([]T, error) {
+	results, err := r.ctx.RunSync(r.partitions(), func(part int) *cluster.Task {
+		return partitionTask(r, part, func(in []T) ([]T, error) { return in, nil })
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []T
+	for _, res := range results {
+		out = append(out, res.Payload.([]T)...)
+	}
+	return out, nil
+}
+
+// Filter keeps the elements satisfying pred.
+func (r *RDD[T]) Filter(pred func(T) bool) *RDD[T] {
+	parent := r.compute
+	return NewRDD(r.ctx, r.nParts, func(env *cluster.Env, part int, seed int64) ([]T, error) {
+		in, err := parent(env, part, seed)
+		if err != nil {
+			return nil, err
+		}
+		out := in[:0:0]
+		for _, v := range in {
+			if pred(v) {
+				out = append(out, v)
+			}
+		}
+		return out, nil
+	})
 }

@@ -103,24 +103,6 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// Run returns the trace's run ID ("" for a nil trace).
-func (t *Trace) Run() string {
-	if t == nil {
-		return ""
-	}
-	return t.run
-}
-
-// Len reports how many events are currently retained.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.lines)
-}
-
 // Dropped reports how many events the byte budget evicted.
 func (t *Trace) Dropped() int64 {
 	if t == nil {

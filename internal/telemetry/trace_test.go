@@ -50,8 +50,8 @@ func TestTraceEvents(t *testing.T) {
 	if _, ok := first["level"]; ok {
 		t.Fatalf("level key must be dropped: %v", first)
 	}
-	if tr.Run() != "job-000001" || tr.Len() != 2 || tr.Dropped() != 0 {
-		t.Fatalf("accessors: run=%q len=%d dropped=%d", tr.Run(), tr.Len(), tr.Dropped())
+	if tr.run != "job-000001" || len(tr.lines) != 2 || tr.Dropped() != 0 {
+		t.Fatalf("run=%q len=%d dropped=%d", tr.run, len(tr.lines), tr.Dropped())
 	}
 }
 
@@ -80,8 +80,8 @@ func TestTraceNilNoOp(t *testing.T) {
 	if n, err := tr.WriteTo(&strings.Builder{}); n != 0 || err != nil {
 		t.Fatalf("nil WriteTo = %d, %v", n, err)
 	}
-	if tr.Run() != "" || tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatal("nil accessors must be zero")
+	if tr.Dropped() != 0 {
+		t.Fatal("nil Dropped must be zero")
 	}
 }
 
