@@ -25,12 +25,9 @@ func TestRunTable2(t *testing.T) {
 }
 
 func TestRunExtSSPSweep(t *testing.T) {
-	var sb strings.Builder
-	if err := Run(tinyOpts(), "ext-sspsweep", &sb); err != nil {
-		t.Fatal(err)
-	}
+	out := sweepOutput(t, "ext-sspsweep")
 	for _, want := range []string{"BSP", "ASP", "max_staleness"} {
-		if !strings.Contains(sb.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Fatalf("sweep output missing %q", want)
 		}
 	}

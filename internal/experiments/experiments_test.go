@@ -61,15 +61,30 @@ func TestFig2SeriesConverge(t *testing.T) {
 	}
 }
 
-// TestCDSShape runs the Fig. 3/4 sweep once, through the Fig. 4 id, and
-// checks every view it prints: 24 curves, 12 speed-ups and the wait table,
-// whose numbers carry the paper's claim.
-func TestCDSShape(t *testing.T) {
+// sweepOutputs holds what each sweep printed, by sweep id, so the tests that
+// check different views of one sweep share a single run of its cells.
+var sweepOutputs = map[string]string{}
+
+// sweepOutput runs the sweep that answers to id, once per test binary, and
+// returns its printed output.
+func sweepOutput(t *testing.T, id string) string {
+	t.Helper()
+	key := lookup(id).ids[0]
+	if out, ok := sweepOutputs[key]; ok {
+		return out
+	}
 	var sb strings.Builder
-	if err := Run(tinyOpts(), "fig4", &sb); err != nil {
+	if err := Run(tinyOpts(), id, &sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	sweepOutputs[key] = sb.String()
+	return sb.String()
+}
+
+// TestCDSShape checks the curves and speed-ups of the Fig. 3/4 sweep and the
+// paper's claim on its wait table.
+func TestCDSShape(t *testing.T) {
+	out := sweepOutput(t, "fig3")
 	if n := strings.Count(out, "\n--- "); n+1 != 3*4*2 || !strings.HasPrefix(out, "--- ") {
 		t.Fatalf("curves = %d, want 24:\n%s", n+1, out)
 	}
@@ -79,9 +94,6 @@ func TestCDSShape(t *testing.T) {
 	// Paper claim (Fig. 3/4): sync wait time grows with delay; async stays
 	// flat. Compare delay=0 vs delay=1.0 for each dataset's sync runs.
 	wait := tableRows(t, out, "Fig 4:")
-	if len(wait) != 3*4*2 {
-		t.Fatalf("wait rows = %d, want 24", len(wait))
-	}
 	for _, ds := range []string{"rcv1-like", "mnist8m-like", "epsilon-like"} {
 		sync0, sync1 := wait[ds+"/SGD-0.0"], wait[ds+"/SGD-1.0"]
 		async1 := wait[ds+"/ASGD-1.0"]
@@ -98,6 +110,21 @@ func TestCDSShape(t *testing.T) {
 		// sync total runtime grows materially with the straggler
 		if sync1["total_ms"] <= sync0["total_ms"] {
 			t.Errorf("%s: sync total did not grow with delay: %v vs %v", ds, sync0["total_ms"], sync1["total_ms"])
+		}
+	}
+}
+
+// TestRunFig4EmitsWaitTable: the Fig. 4 id runs the Fig. 3 sweep, which
+// prints the wait and total time of all 24 of its runs.
+func TestRunFig4EmitsWaitTable(t *testing.T) {
+	wait := tableRows(t, sweepOutput(t, "fig4"), "Fig 4:")
+	if len(wait) != 3*4*2 {
+		t.Fatalf("wait rows = %d, want 24", len(wait))
+	}
+	for _, ds := range []string{"rcv1-like", "mnist8m-like", "epsilon-like"} {
+		row := wait[ds+"/ASGD-1.0"]
+		if _, ok := row["avg_wait_ms"]; !ok {
+			t.Fatalf("%s/ASGD-1.0 has no avg_wait_ms: %v", ds, wait)
 		}
 	}
 }
@@ -231,11 +258,7 @@ func TestAblationLocalReduce(t *testing.T) {
 }
 
 func TestAblationBarrier(t *testing.T) {
-	tb, err := AblationBarrier(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := tableRows(t, tb.Format(), "ablation: barrier control")
+	rows := tableRows(t, sweepOutput(t, "ablation-barrier"), "ablation: barrier control")
 	for _, want := range []string{"BSP", "SSP(4)", "SSP(16)", "SSP(64)", "ASP"} {
 		if rows[want] == nil {
 			t.Fatalf("missing barrier %s in %v", want, rows)
@@ -244,7 +267,15 @@ func TestAblationBarrier(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
+}
+
+// TestSSPSweep checks the paper's trade-off on the barrier sweep.
+func TestSSPSweep(t *testing.T) {
+	rows := tableRows(t, sweepOutput(t, "ext-sspsweep"), "ablation: barrier control")
 	bsp, asp := rows["BSP"], rows["ASP"]
+	if bsp == nil || asp == nil {
+		t.Fatalf("missing BSP or ASP in %v", rows)
+	}
 	// hardware efficiency: ASP runs faster than BSP under the straggler
 	if asp["total_ms"] >= bsp["total_ms"] {
 		t.Errorf("ASP %vms not below BSP %vms", asp["total_ms"], bsp["total_ms"])
@@ -259,21 +290,30 @@ func TestAblationStalenessLR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("PCS spins 32 workers")
 	}
-	arms, dist, err := AblationStalenessLR(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
+	rows := tableRows(t, sweepOutput(t, "ablation-staleness"), "ablation: staleness-dependent learning rate")
+	if len(rows) != 2 || rows["fixed-lr"] == nil || rows["staleness-lr"] == nil {
+		t.Fatalf("arms = %v, want fixed-lr and staleness-lr", rows)
 	}
-	if len(arms.Rows) != 2 {
-		t.Fatalf("rows = %d", len(arms.Rows))
+}
+
+// TestStalenessDistribution checks the staleness buckets that the
+// staleness ablation prints for its two arms.
+func TestStalenessDistribution(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins 32 workers")
 	}
+	out := sweepOutput(t, "ext-staleness-dist")
 	// six staleness buckets and the result count, one column per arm
-	rows := tableRows(t, dist.Format(), "staleness distribution")
-	if len(rows) != 7 || len(dist.Columns) != 2 {
-		t.Fatalf("distribution %d rows × %d columns, want 7 × 2:\n%s", len(rows), len(dist.Columns), dist.Format())
+	rows := tableRows(t, out, "staleness distribution")
+	if len(rows) != 7 {
+		t.Fatalf("distribution rows = %d, want 7:\n%s", len(rows), out)
 	}
-	for _, arm := range dist.Columns {
+	for _, arm := range []string{"fixed-lr", "staleness-lr"} {
 		var fracSum float64
 		for label, row := range rows {
+			if _, ok := row[arm]; !ok {
+				t.Fatalf("%s: no %s column", label, arm)
+			}
 			if label != "results" {
 				fracSum += row[arm]
 			}
