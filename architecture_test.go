@@ -142,6 +142,187 @@ func main() {
 	}
 }
 
+// designRule forbids code in the non-test files of one package: declaring
+// an object, or using an object or a string literal. An object is named as
+// the dead-export check names it, "dir.Name" or "dir.Recv.Method"; a use is
+// a reference the type checker resolves to it, so a method call matches only
+// on the receiver type named, and comments never match.
+type designRule struct {
+	scope   string   // package directory, relative to the module root
+	exempt  []string // file names in scope the rule does not read
+	declare []string // objects no file in scope may declare
+	use     []string // objects, or quoted string literals, no file in scope may use
+	reason  string
+	trip    string // a file in scope that breaks the rule, for its self-test
+}
+
+var designRules = []designRule{{
+	scope:  "internal/opt",
+	exempt: []string{"baseline.go"},
+	use:    []string{"internal/core.DynBroadcast.History", "internal/core.BroadcastHistory.TryValueAt", "internal/core.BroadcastHistory.Record"},
+	reason: "SAGA history is one float per row: reading the version a row last saw is the paper-literal comparator's alone",
+	trip: `package opt
+import "repro/internal/core"
+func peek(b core.DynBroadcast) { h := b.History(nil); h.TryValueAt(nil, 0); h.Record(0) }`,
+}, {
+	scope:   "internal/opt",
+	declare: []string{"internal/opt.payloadSagaPartial", "internal/opt.payloadSagaDelta"},
+	use:     []string{"internal/opt.SagaPartial", "internal/opt.SagaDelta"},
+	reason:  "a SAGA task ships one difference vector: nothing names the two-sum payloads, so nothing reads their HistSum, and their wire codes stay retired",
+	trip: `package opt
+const payloadSagaPartial, payloadSagaDelta = 17, 18
+func two(p SagaPartial) any { return SagaDelta{} }`,
+}, {
+	scope:   "internal/opt",
+	declare: []string{"internal/opt.VRKernel"},
+	use:     []string{`"vr.anchor"`},
+	reason:  "svrg's inner step reads the anchor's coefficients from the SAGA table: no second kernel, no anchor broadcast",
+	trip: `package opt
+func VRKernel() string { return "vr.anchor" }`,
+}}
+
+// designRuleStubs is the least module the rules' trip files type-check in:
+// the objects they name, and an exempt file that uses them.
+var designRuleStubs = map[string]string{
+	"internal/core/core.go": `package core
+type DynBroadcast struct{}
+type BroadcastHistory struct{}
+func (DynBroadcast) History(any) BroadcastHistory { return BroadcastHistory{} }
+func (BroadcastHistory) TryValueAt(any, int) {}
+func (BroadcastHistory) Record(int) {}`,
+	"internal/opt/kernel.go": `package opt
+type SagaPartial struct{ HistSum []float64 }
+type SagaDelta struct{ HistSum []float64 }`,
+	"internal/opt/baseline.go": `package opt
+import "repro/internal/core"
+func paperLiteral(b core.DynBroadcast) { b.History(nil).Record(0) }`,
+}
+
+// TestDesignRules checks every designRule on the module's non-test files.
+func TestDesignRules(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := parseModule(fset, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken, err := ruleBreaches(modulePath(t), fset, files, designRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range broken {
+		t.Error(b)
+	}
+}
+
+// TestDesignRulesTrip: the stub module breaks no rule — the exempt file and
+// the payload types' own declarations included — and each rule's trip file
+// breaks that rule, there alone, at every name the rule forbids.
+func TestDesignRulesTrip(t *testing.T) {
+	check := func(extra map[string]string, rules []designRule) []string {
+		t.Helper()
+		fset := token.NewFileSet()
+		var files []srcFile
+		for name, body := range maps.All(designRuleStubs) {
+			if _, ok := extra[name]; !ok {
+				extra[name] = body
+			}
+		}
+		for _, name := range slices.Sorted(maps.Keys(extra)) {
+			f, err := parser.ParseFile(fset, name, extra[name], parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, srcFile{dir: path.Dir(name), f: f})
+		}
+		broken, err := ruleBreaches("repro", fset, files, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return broken
+	}
+	if broken := check(map[string]string{}, designRules); len(broken) != 0 {
+		t.Fatalf("the stub module breaks rules: %v", broken)
+	}
+	for i, r := range designRules {
+		trip := r.scope + "/trip.go"
+		broken := check(map[string]string{trip: r.trip}, designRules[i:i+1])
+		for _, name := range slices.Concat(r.declare, r.use) {
+			if !slices.ContainsFunc(broken, func(b string) bool { return strings.Contains(b, ": "+name+" (") }) {
+				t.Errorf("rule %d: its trip file never breaks it at %s: %v", i, name, broken)
+			}
+		}
+		for _, b := range broken {
+			if !strings.HasPrefix(b, trip+":") {
+				t.Errorf("rule %d: breach outside the trip file: %s", i, b)
+			}
+		}
+	}
+}
+
+// ruleBreaches type-checks the packages the rules scope and returns, sorted,
+// one "file:line:col: name (reason)" line per breach.
+func ruleBreaches(module string, fset *token.FileSet, files []srcFile, rules []designRule) ([]string, error) {
+	imp, err := newModuleImporter(module, fset, files)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rules {
+		if _, err := imp.check(r.scope); err != nil {
+			return nil, err
+		}
+	}
+	key := func(obj types.Object) string {
+		if obj == nil || obj.Pkg() == nil {
+			return ""
+		}
+		dir := strings.TrimPrefix(obj.Pkg().Path(), module+"/")
+		if f, ok := obj.(*types.Func); ok && f.Signature().Recv() != nil {
+			recv := f.Signature().Recv().Type()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			if n, ok := recv.(*types.Named); ok {
+				return dir + "." + n.Obj().Name() + "." + f.Name()
+			}
+			return ""
+		}
+		if obj.Parent() != obj.Pkg().Scope() {
+			return ""
+		}
+		return dir + "." + obj.Name()
+	}
+	var broken []string
+	for _, r := range rules {
+		for _, sf := range files {
+			pos := fset.Position(sf.f.Package)
+			if sf.dir != r.scope || slices.Contains(r.exempt, filepath.Base(pos.Filename)) {
+				continue
+			}
+			breach := func(n ast.Node, name string) {
+				broken = append(broken, fmt.Sprintf("%s: %s (%s)", fset.Position(n.Pos()), name, r.reason))
+			}
+			ast.Inspect(sf.f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if k := key(imp.info.Defs[n]); k != "" && slices.Contains(r.declare, k) {
+						breach(n, k)
+					}
+					if k := key(imp.info.Uses[n]); k != "" && slices.Contains(r.use, k) {
+						breach(n, k)
+					}
+				case *ast.BasicLit:
+					if v, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil && slices.Contains(r.use, strconv.Quote(v)) {
+						breach(n, n.Value)
+					}
+				}
+				return true
+			})
+		}
+	}
+	slices.Sort(broken)
+	return broken, nil
+}
+
 // srcFile is a parsed non-test file and its directory, slash-separated and
 // relative to the module root.
 type srcFile struct {
@@ -312,7 +493,7 @@ func newModuleImporter(module string, fset *token.FileSet, files []srcFile) (*mo
 		fset:    fset,
 		files:   map[string][]*ast.File{},
 		pkgs:    map[string]*types.Package{},
-		info:    &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
+		info:    &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}},
 		stdPkgs: map[string]*types.Package{},
 	}
 	std := map[string]bool{}

@@ -55,6 +55,6 @@
 // Status/List return point-in-time snapshots, Wait blocks for a terminal
 // state, and Subscribe streams Events (state transitions plus per-snapshot
 // progress: updates done, current suboptimality, elapsed time) with full
-// history replay. Terminal jobs are retained — result included — until
-// Config.Retention evicts the oldest.
+// history replay. Terminal jobs are retained — status and events, not the
+// model — until Config.Retention evicts the oldest.
 package jobs

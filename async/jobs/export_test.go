@@ -1,6 +1,8 @@
 package jobs
 
 import (
+	"sync"
+
 	"repro/async"
 	"repro/async/jobs/store"
 )
@@ -52,14 +54,29 @@ func ReplayFoldsForTest(st store.Store) (map[string]store.JobState, error) {
 	return s.FoldsForTest(), nil
 }
 
+// results holds every done job's solver result by scheduler and job, which
+// the scheduler itself does not keep.
+var results sync.Map // resultKey → *async.Result
+
+type resultKey struct {
+	s  *Scheduler
+	id ID
+}
+
+func init() {
+	resultHook = func(s *Scheduler, id ID, res *async.Result) { results.Store(resultKey{s, id}, res) }
+}
+
 // Result returns a terminal job's full solver result (nil for jobs that
 // did not complete successfully), for the tests that compare models.
 func (s *Scheduler) Result(id ID) (*async.Result, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	_, ok := s.jobs[id]
+	s.mu.Unlock()
 	if !ok {
 		return nil, ErrUnknownJob
 	}
-	return j.result, nil
+	res, _ := results.Load(resultKey{s, id})
+	r, _ := res.(*async.Result)
+	return r, nil
 }

@@ -138,7 +138,6 @@ type job struct {
 	// SLO); it survives restarts because replay re-derives it.
 	deadline time.Time
 	wait     *metrics.WaitSummary
-	result   *async.Result
 
 	ctx             context.Context
 	cancel          context.CancelFunc

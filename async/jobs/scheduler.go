@@ -56,6 +56,11 @@ const maxEventHistory = 256
 // later job ahead of the current queue head before the head is forced.
 const maxQueueJumps = 4
 
+// datasetCache bounds how many generated datasets (and their cached
+// reference optima) stay resident; beyond it the least-recently-used is
+// dropped and regenerated on next use.
+const datasetCache = 8
+
 // Config sizes a Scheduler. The zero value serves: 2 engines, a 64-job
 // queue, 256 retained terminal jobs, default engine options.
 type Config struct {
@@ -65,19 +70,12 @@ type Config struct {
 	// QueueDepth bounds the number of queued (not yet running) jobs;
 	// Submit returns ErrQueueFull beyond it (default 64).
 	QueueDepth int
-	// Retention is how many terminal jobs (results included) the store
-	// keeps before evicting the oldest (default 256).
+	// Retention is how many terminal jobs (their status and events) the
+	// store keeps before evicting the oldest (default 256).
 	Retention int
-	// DatasetCache bounds how many generated datasets (and their cached
-	// reference optima) stay resident; beyond it the least-recently-used
-	// is dropped and regenerated on next use (default 8).
-	DatasetCache int
 	// EngineOptions configure each pool engine (workers, transport,
 	// barrier default, straggler model, ...).
 	EngineOptions []async.Option
-	// NewEngine overrides engine construction (tests, custom transports);
-	// default async.New(EngineOptions...).
-	NewEngine func(slot int) (*async.Engine, error)
 	// Store, when set, makes job state durable: every lifecycle transition
 	// is appended to it before Submit acknowledges, checkpoints spill
 	// through it, and New replays it to recover jobs from a previous
@@ -124,13 +122,6 @@ func (c *Config) defaults() {
 	}
 	if c.Retention <= 0 {
 		c.Retention = 256
-	}
-	if c.DatasetCache <= 0 {
-		c.DatasetCache = 8
-	}
-	if c.NewEngine == nil {
-		opts := c.EngineOptions
-		c.NewEngine = func(int) (*async.Engine, error) { return async.New(opts...) }
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 1024
@@ -1125,7 +1116,7 @@ func (s *Scheduler) run(sl *slot, j *job) {
 // execute runs outside the scheduler lock; it owns the slot while busy.
 func (s *Scheduler) execute(sl *slot, j *job) (*async.Result, error) {
 	if sl.eng == nil {
-		eng, err := s.cfg.NewEngine(sl.id)
+		eng, err := async.New(s.cfg.EngineOptions...)
 		if err != nil {
 			return nil, fmt.Errorf("jobs: engine %d spin-up: %w", sl.id, err)
 		}
@@ -1236,6 +1227,11 @@ func (s *Scheduler) progress(j *job, p opt.Progress, ds *dataset.Dataset, loss o
 	s.deliverLocked(j, ev)
 }
 
+// resultHook, when set, is handed each done job's solver result, which the
+// scheduler then drops: a job keeps its status and events, not its model.
+// The package's tests set it to compare models.
+var resultHook func(*Scheduler, ID, *async.Result)
+
 // finalizeLocked commits the terminal record a finished run (or a cancel)
 // calls for and, once the log has it, finishes the job. A fenced append
 // means the job is another replica's: nothing is finalized or dropped, the
@@ -1270,9 +1266,11 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) error {
 		return cerr
 	}
 	if j.Phase == store.PhaseDone {
-		j.result = res
 		if j.runStats != nil {
 			j.wait = &j.runStats.Wait // captured by run() with the run's statistics
+		}
+		if resultHook != nil {
+			resultHook(s, j.id, res)
 		}
 	}
 	s.countOutcomeLocked(j)
@@ -1409,7 +1407,7 @@ func (s *Scheduler) entryFor(spec DatasetSpec) *dsEntry {
 		en = &dsEntry{}
 		s.dsCache[key] = en
 		s.dsOrder = append(s.dsOrder, key)
-		for len(s.dsOrder) > s.cfg.DatasetCache {
+		for len(s.dsOrder) > datasetCache {
 			delete(s.dsCache, s.dsOrder[0])
 			s.dsOrder = s.dsOrder[1:]
 		}

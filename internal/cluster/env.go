@@ -152,9 +152,6 @@ type BroadcastCache struct {
 	mu   sync.RWMutex
 	byID map[string]*idVersions
 
-	hits     atomic.Int64
-	misses   atomic.Int64
-	evicted  atomic.Int64
 	versions atomic.Int64
 }
 
@@ -181,11 +178,6 @@ func (c *BroadcastCache) Get(id string, version int64) (any, bool) {
 		v, ok = e.vals[version]
 	}
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	return v, ok
 }
 
@@ -209,7 +201,6 @@ func (c *BroadcastCache) evict(e *idVersions, version int64) {
 	}
 	if _, ok := e.vals[version]; ok {
 		delete(e.vals, version)
-		c.evicted.Add(1)
 		c.versions.Add(-1)
 		cacheEvictions.Inc()
 		cacheVersions.Add(-1)
@@ -300,14 +291,13 @@ func (c *BroadcastCache) Latest(id string) (int64, any, bool) {
 	return e.newest, v, ok
 }
 
-// CacheStats is a snapshot of cache counters.
+// CacheStats is a snapshot of what the cache holds.
 type CacheStats struct {
-	Hits, Misses, Evicted int64
-	Versions              int // (id, version) values held
-	Retained              int // (id, version) references held (Retain without Release)
+	Versions int // (id, version) values held
+	Retained int // (id, version) references held (Retain without Release)
 }
 
-// Stats snapshots the counters.
+// Stats snapshots what the cache holds.
 func (c *BroadcastCache) Stats() CacheStats {
 	c.mu.RLock()
 	retained := 0
@@ -315,11 +305,5 @@ func (c *BroadcastCache) Stats() CacheStats {
 		retained += len(e.held)
 	}
 	c.mu.RUnlock()
-	return CacheStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Evicted:  c.evicted.Load(),
-		Versions: int(c.versions.Load()),
-		Retained: retained,
-	}
+	return CacheStats{Versions: int(c.versions.Load()), Retained: retained}
 }

@@ -50,7 +50,7 @@ func TestGradSweepAllocFree(t *testing.T) {
 	rows := cluster.NewRowSampler(3, 0.3)
 	for _, loss := range []Loss{LeastSquares{}, Logistic{}, Composite{Inner: LeastSquares{}, L2: 0.01}} {
 		if allocs := testing.AllocsPerRun(50, func() {
-			if _, err := gradSweep(env, loss, idx, &rows, w, nil, denseAccum(g)); err != nil {
+			if _, err := gradSweep(env, loss, idx, &rows, w, denseAccum(g)); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {

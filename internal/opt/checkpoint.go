@@ -16,13 +16,15 @@ import (
 // state the algorithm carries (SAGA's running history average, SVRG's
 // epoch anchor and full gradient, ADMM's per-worker contributions, CD's
 // dispatch count for block replay). Lazily deferred update terms are always
-// settled before export, so a checkpoint never stores drift state. Worker-side state — broadcast caches, SAGA history
-// shards, ADMM primal/dual iterates — is soft state: a resumed run re-seeds
-// it naturally, so checkpoints stay small and the restore path needs no
-// worker cooperation (the same philosophy as Spark's lineage-based
-// recovery). The one coupling is SAGA's history average: it is the mean of
-// the shard-stored gradients, so Import restores it only on a same-context
-// resume and restarts it at zero after an engine reset (see sagaState).
+// settled before export, so a checkpoint never stores drift state.
+// Worker-side state — broadcast caches, SAGA's and SVRG's coefficient
+// tables (SVRG refills its at the anchor, vrUpdater.begin), ADMM
+// primal/dual iterates — is soft state: a resumed run re-seeds it, so
+// checkpoints stay small and the restore path needs no worker cooperation
+// (Spark's lineage-based recovery). The one coupling is SAGA's history
+// average: it is the mean of the shard-stored gradients, so Import restores
+// it only on a same-context resume and restarts it at zero after an engine
+// reset (see sagaState).
 type Checkpoint struct {
 	// Algorithm is the registry name of the solver that produced the
 	// checkpoint ("asgd", "saga", ...), resolvable by the solver registry.

@@ -174,7 +174,7 @@ func GCG(ac *core.Context, d *dataset.Dataset, p Params, c GCGConfig, fstar floa
 		P: &p, Loss: p.Loss, FStar: fstar, Target: int64(p.Updates),
 		Barrier: core.BSP(), Round: true,
 		EpochLen: int64(c.RestartEvery),
-		EpochBegin: func(global int64) error {
+		EpochBegin: func(global int64, _ core.DynBroadcast) error {
 			if global == 0 {
 				return nil // run start: nothing to restart
 			}

@@ -44,8 +44,8 @@ type GradOpArgs struct {
 	L2, L1      float64
 
 	// The rest is optional: zero for the ops that do not read it.
-	AuxID      string  // a second broadcast (with AuxVersion): svrg's anchor, the
-	AuxVersion int64   // cd.delta stamp
+	AuxID      string  // opt.cd: the cd.delta broadcast, at AuxVersion
+	AuxVersion int64   // opt.vr: the model version its coefficient table was filled at
 	Block      []int32 // opt.cd: the coordinate block of the dispatch
 	Rho, CGTol float64 // opt.admm: penalty and local-solve tolerance
 	CGIters    int     // opt.admm: local-solve iteration cap
@@ -60,14 +60,17 @@ func (a GradOpArgs) aux() core.DynBroadcast {
 }
 
 // The registered ops: GradKernel and SagaKernel behind the two exported
-// names, and one per remaining kernel (cd.go and admm.go register theirs
-// beside the kernel). A full gradient pass is GradOpName at Frac 1.
+// names, svrg's two uses of SAGA's coefficient table (the full pass fills
+// it, an inner step reads it), and one per remaining kernel (cd.go and
+// admm.go register theirs beside the kernel). A full gradient pass is
+// GradOpName at Frac 1.
 const (
-	GradOpName = "opt.grad"
-	SagaOpName = "opt.saga"
-	vrOpName   = "opt.vr"
-	cdOpName   = "opt.cd"
-	admmOpName = "opt.admm"
+	GradOpName   = "opt.grad"
+	SagaOpName   = "opt.saga"
+	vrOpName     = "opt.vr"
+	vrFillOpName = "opt.vr.fill"
+	cdOpName     = "opt.cd"
+	admmOpName   = "opt.admm"
 )
 
 func init() {
@@ -78,7 +81,10 @@ func init() {
 		return SagaKernel(loss, a.model(), a.Frac)
 	})
 	registerKernelOp(vrOpName, true, func(loss Loss, a GradOpArgs) core.Kernel {
-		return VRKernel(loss, a.model(), a.aux(), a.Frac)
+		return tableKernel(loss, a.model(), a.Frac, tableRead, a.AuxVersion)
+	})
+	registerKernelOp(vrFillOpName, false, func(loss Loss, a GradOpArgs) core.Kernel {
+		return tableKernel(loss, a.model(), 1, tableFill, a.Version)
 	})
 }
 
@@ -174,7 +180,7 @@ func asVec(v any) (la.Vec, error) {
 }
 
 // GradKernel builds the mini-batch gradient kernel used by SGD and ASGD,
-// and at frac 1 the full pass of svrg and gcg: sample each row of the
+// and at frac 1 the full pass of gcg: sample each row of the
 // worker's partitions with probability frac and return the (unnormalized)
 // sum of the sampled rows' loss gradients at the broadcast model. The
 // driver divides by the batch size from the result attributes and adds the
@@ -184,8 +190,7 @@ func asVec(v any) (la.Vec, error) {
 //
 // The sum ships as a pooled *la.DeltaVec when every partition of the task
 // sits below sparseDensityThreshold — O(nnz) per task — and as a pooled
-// la.Vec otherwise; the one row loop (gradSweep) fills either with the same
-// bits.
+// la.Vec otherwise (shipSum).
 //
 // Reproducibility contract: sampling walks a cluster.RowSampler seeded with
 // the task seed, so the same seed, frac and partitions select the same rows
@@ -199,33 +204,42 @@ func GradKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 			return nil, 0, err
 		}
 		rows := cluster.NewRowSampler(seed, frac)
-		// a sweep reports 0 rows on error as on an empty sample
-		if sparseTaskViable(env, parts, frac, len(w)) {
-			acc := env.Scratch().Delta("opt.grad.acc", len(w))
-			acc.Reset()
-			n, err := gradSweep(env, lin, parts, &rows, w, nil, acc)
-			if n == 0 {
-				return nil, 0, err
-			}
-			return acc.Compact(), n, nil
-		}
-		g := la.GetVec(len(w))
-		n, err := gradSweep(env, lin, parts, &rows, w, nil, denseAccum(g))
-		if n == 0 {
-			la.PutVec(g)
-			return nil, 0, err
-		}
-		return g, n, nil
+		return shipSum(env, len(w), sparseTaskViable(env, parts, frac, len(w)),
+			func(acc *la.DeltaAccum) (int, error) { return gradSweep(env, lin, parts, &rows, w, acc) },
+			func(acc denseAccum) (int, error) { return gradSweep(env, lin, parts, &rows, w, acc) })
 	}
 }
 
-// gradSweep is the row loop of GradKernel and VRKernel over the task's
-// partitions: per sampled row one dot, one GradCoeff and one scatter of
-// c·x into acc. With an anchor it scatters the variance-reduced difference
-// (c(w) − c(anchor))·x instead. It returns the number of sampled rows, 0
-// with the error when a partition is missing. It is allocation-free
-// (TestGradSweepAllocFree): row views are zero-copy CSR slices.
-func gradSweep[A rowAccum](env *cluster.Env, lin Loss, parts []int, s *cluster.RowSampler, w, anchor la.Vec, acc A) (int, error) {
+// shipSum runs a kernel's row loop into a pooled accumulator, a
+// *la.DeltaAccum when sparse and a la.Vec otherwise (the loop writes the
+// same bits into either), and returns it as the task's payload with the
+// number of sampled rows. A loop reports 0 rows on error as on an empty
+// sample.
+func shipSum(env *cluster.Env, dim int, sparse bool, sweepSparse func(*la.DeltaAccum) (int, error), sweepDense func(denseAccum) (int, error)) (any, int, error) {
+	if sparse {
+		acc := env.Scratch().Delta("opt.acc", dim)
+		acc.Reset()
+		n, err := sweepSparse(acc)
+		if n == 0 {
+			return nil, 0, err
+		}
+		return acc.Compact(), n, nil
+	}
+	g := la.GetVec(dim)
+	n, err := sweepDense(denseAccum(g))
+	if n == 0 {
+		la.PutVec(g)
+		return nil, 0, err
+	}
+	return g, n, nil
+}
+
+// gradSweep is GradKernel's row loop over the task's partitions: per
+// sampled row one dot, one GradCoeff and one scatter of c·x into acc. It
+// returns the number of sampled rows, 0 with the error when a partition is
+// missing. It is allocation-free (TestGradSweepAllocFree): row views are
+// zero-copy CSR slices.
+func gradSweep[A rowAccum](env *cluster.Env, lin Loss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
 	n := 0
 	for _, pi := range parts {
 		p, err := env.Partition(pi)
@@ -235,12 +249,7 @@ func gradSweep[A rowAccum](env *cluster.Env, lin Loss, parts []int, s *cluster.R
 		nr := p.NumRows()
 		for local := s.Next(0, nr); local < nr; local = s.Next(local+1, nr) {
 			idx, val := p.X.RowNZ(local)
-			y := p.Y[local]
-			c := lin.GradCoeff(la.SparseDot(idx, val, w), y)
-			if anchor != nil {
-				c -= lin.GradCoeff(la.SparseDot(idx, val, anchor), y)
-			}
-			acc.Accum(c, idx, val)
+			acc.Accum(lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local]), idx, val)
 			n++
 		}
 	}
@@ -269,6 +278,26 @@ func gradSweep[A rowAccum](env *cluster.Env, lin Loss, parts []int, s *cluster.R
 // update, avgHist drift included, lazily in O(nnz) (saga.go). The lazy
 // drift has no deferred shrinkage, so a ridge objective ships dense.
 func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
+	return tableKernel(loss, wBr, frac, sagaStep, 0)
+}
+
+// sweepMode is what a sagaSweep does with the coefficient table. svrg is
+// SAGA whose table is refreshed all at once (arXiv:1407.0202 §2): its
+// epoch's full pass fills the table at the anchor w̃, and its inner steps
+// read it without storing, shipping Σ (c_i(w) − c_i(w̃))·x_i.
+type sweepMode uint8
+
+const (
+	sagaStep  sweepMode = iota // ship c − c_old (c for a row never sampled), store c
+	tableFill                  // ship c, store c, stamp the partition with the model version
+	tableRead                  // ship c − c_old over partitions stamped with the task's anchor version
+)
+
+// tableKernel runs sagaSweep in mode over the coefficient table of wBr's id;
+// at is the version a tableFill stamps and a tableRead requires. A
+// tableFill's sum is the full gradient the driver folds into μ, so like
+// GradKernel's it ships sparse under a ridge term too.
+func tableKernel(loss Loss, wBr core.DynBroadcast, frac float64, mode sweepMode, at int64) core.Kernel {
 	l2, _ := loss.Penalties()
 	lin := bare(loss)
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
@@ -278,23 +307,11 @@ func SagaKernel(loss Loss, wBr core.DynBroadcast, frac float64) core.Kernel {
 		}
 		rows := cluster.NewRowSampler(seed, frac)
 		coefs := sagaCoefTable(env, wBr.ID)
-		// a sweep reports 0 rows on error as on an empty sample
-		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
-			acc := env.Scratch().Delta("opt.saga.acc", len(w))
-			acc.Reset()
-			n, err := sagaSweep(env, coefs, lin, parts, &rows, w, acc)
-			if n == 0 {
-				return nil, 0, err
-			}
-			return acc.Compact(), n, nil
-		}
-		diff := la.GetVec(len(w))
-		n, err := sagaSweep(env, coefs, lin, parts, &rows, w, denseAccum(diff))
-		if n == 0 {
-			la.PutVec(diff)
-			return nil, 0, err
-		}
-		return diff, n, nil
+		return shipSum(env, len(w), (l2 == 0 || mode == tableFill) && sparseTaskViable(env, parts, frac, len(w)),
+			func(acc *la.DeltaAccum) (int, error) {
+				return sagaSweep(env, coefs, mode, at, lin, parts, &rows, w, acc)
+			},
+			func(acc denseAccum) (int, error) { return sagaSweep(env, coefs, mode, at, lin, parts, &rows, w, acc) })
 	}
 }
 
@@ -311,51 +328,83 @@ func (g denseAccum) Accum(c float64, idx []int32, val []float64) {
 	la.GradAccum(c, idx, val, la.Vec(g))
 }
 
-// sagaSweep is SagaKernel's row loop over the task's partitions, scattering
-// each sampled row's gradient difference into acc. It returns the number of
-// sampled rows, 0 with the error when a partition is missing.
-func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, lin Loss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
+// sagaSweep is the row loop of the coefficient-table kernels over the
+// task's partitions, scattering each sampled row's coefficient, or its
+// difference from the stored one, into acc as mode says. It returns the
+// number of sampled rows, 0 with the error when a partition is missing or,
+// for a tableRead, not filled at at.
+func sagaSweep[A rowAccum](env *cluster.Env, coefs sagaCoefs, mode sweepMode, at int64, lin Loss, parts []int, s *cluster.RowSampler, w la.Vec, acc A) (int, error) {
 	n := 0
 	for _, pi := range parts {
 		p, err := env.Partition(pi)
 		if err != nil {
 			return 0, err
 		}
-		rows, nr := coefs.rows(p), p.NumRows()
+		rows, err := coefs.rows(p, mode, at)
+		if err != nil {
+			return 0, err
+		}
+		nr := p.NumRows()
 		for local := s.Next(0, nr); local < nr; local = s.Next(local+1, nr) {
 			idx, val := p.X.RowNZ(local)
 			c := lin.GradCoeff(la.SparseDot(idx, val, w), p.Y[local])
 			d := c
-			if rows.touched[local] {
+			if mode != tableFill && rows.touched[local] {
 				d -= rows.coef[local]
 			}
 			acc.Accum(d, idx, val)
-			rows.coef[local], rows.touched[local] = c, true
+			if mode != tableRead {
+				rows.coef[local], rows.touched[local] = c, true
+			}
 			n++
 		}
 	}
 	return n, nil
 }
 
-// sagaCoefs is a worker's SAGA history for one broadcast id, by partition
-// index: each row's last gradient coefficient and whether it was sampled.
-// It lives in the worker's store, which ResetRun clears (what
+// sagaCoefs is a worker's coefficient table for one broadcast id, by
+// partition index: each row's last gradient coefficient and whether it was
+// sampled. It lives in the worker's store, which ResetRun clears (what
 // Checkpoint.HistoryAttached reports on); a worker runs one task at a time.
 type sagaCoefs map[int]*sagaRows
 
 type sagaRows struct {
 	coef    []float64
 	touched []bool
+	at      int64 // the model version a tableFill last filled every row at
 }
 
-// rows returns p's table, sized when a task first samples the partition.
-func (t sagaCoefs) rows(p *dataset.Partition) *sagaRows {
+// rows returns p's table for a sweep in mode. A sagaStep or tableFill sizes
+// it when it first meets the partition, and a tableFill stamps it with at. A
+// tableRead fails unless a tableFill at at filled it: the rows would have no
+// anchor coefficient, and shipping c(w)·x for them would bias the step.
+func (t sagaCoefs) rows(p *dataset.Partition, mode sweepMode, at int64) (*sagaRows, error) {
 	r := t[p.Index]
+	if mode == tableRead {
+		if r == nil || r.at != at || len(r.coef) != p.NumRows() {
+			return nil, &anchorMissingError{part: p.Index, version: at}
+		}
+		return r, nil
+	}
 	if r == nil || len(r.coef) != p.NumRows() {
 		r = &sagaRows{coef: make([]float64, p.NumRows()), touched: make([]bool, p.NumRows())}
 		t[p.Index] = r
 	}
-	return r
+	if mode == tableFill {
+		r.at = at
+	}
+	return r, nil
+}
+
+// anchorMissingError fails an svrg inner task over a partition whose
+// coefficients were not filled at the anchor version the task names.
+type anchorMissingError struct {
+	part    int
+	version int64
+}
+
+func (e *anchorMissingError) Error() string {
+	return fmt.Sprintf("opt: partition %d has no anchor coefficient at model version %d", e.part, e.version)
 }
 
 // sagaCoefKeys interns the per-id store keys, so resolving a table on the
@@ -368,45 +417,4 @@ func sagaCoefTable(env *cluster.Env, id string) sagaCoefs {
 		k, _ = sagaCoefKeys.LoadOrStore(id, "opt.saga.coef."+id)
 	}
 	return env.StoreGetOrCreate(k.(string), func() any { return sagaCoefs{} }).(sagaCoefs)
-}
-
-// VRKernel builds the inner-loop kernel of the epoch-based variance-reduced
-// scheme (Listing 3 / SVRG): per sampled row it scatters the loss gradient
-// difference ∇ℓ_i(w) − ∇ℓ_i(w̃) = (c_w − c_w̃)·x, where w̃ is the epoch
-// anchor — one scatter over the row's support (gradSweep with an anchor).
-//
-// Sparse-delta path: without a ridge term, sparse partitions ship a pooled
-// *la.DeltaVec and the driver defers the dense μ term lazily (see svrg.go);
-// the lazy drift has no deferred shrinkage, so a ridge objective ships
-// dense.
-func VRKernel(loss Loss, wBr, anchorBr core.DynBroadcast, frac float64) core.Kernel {
-	l2, _ := loss.Penalties()
-	lin := bare(loss)
-	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
-		w, err := modelVec(env, wBr)
-		if err != nil {
-			return nil, 0, err
-		}
-		anchor, err := modelVec(env, anchorBr)
-		if err != nil {
-			return nil, 0, err
-		}
-		rows := cluster.NewRowSampler(seed, frac)
-		if l2 == 0 && sparseTaskViable(env, parts, frac, len(w)) {
-			acc := env.Scratch().Delta("opt.vr.acc", len(w))
-			acc.Reset()
-			n, err := gradSweep(env, lin, parts, &rows, w, anchor, acc)
-			if n == 0 {
-				return nil, 0, err
-			}
-			return acc.Compact(), n, nil
-		}
-		diff := la.GetVec(len(w))
-		n, err := gradSweep(env, lin, parts, &rows, w, anchor, denseAccum(diff))
-		if n == 0 {
-			la.PutVec(diff)
-			return nil, 0, err
-		}
-		return diff, n, nil
-	}
 }

@@ -188,7 +188,7 @@ func TestEverySolverRefusesABadPenalty(t *testing.T) {
 				t.Errorf("%s.Solve(l2=%v l1=%v) = %v, want %q", name, loss.L2, loss.L1, err, want)
 			}
 		}
-		for _, op := range []string{GradOpName, SagaOpName, vrOpName, cdOpName} {
+		for _, op := range []string{GradOpName, SagaOpName, vrOpName, vrFillOpName, cdOpName} {
 			if _, err := kernelDispatch(r.ac, op, loss, 0.5, nil); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("kernelDispatch(%s, l2=%v l1=%v) = %v, want %q", op, loss.L2, loss.L1, err, want)
 			}

@@ -10,7 +10,8 @@ import (
 )
 
 // cacheCensusOp reports, from inside a worker, what its broadcast cache
-// holds: [versions cached, references held]. A history table holds one
+// holds: [versions cached, references held, versions of "vr.anchor" (0 or
+// 1: the newest of an id is always kept)]. A history table holds one
 // reference per version it records (pinned in internal/core), so the
 // second count is the number of versions the table can read. A worker's
 // Env belongs to its own goroutine (and sits behind a socket on the
@@ -20,7 +21,11 @@ const cacheCensusOp = "test.cache-census"
 func init() {
 	cluster.RegisterOp(cacheCensusOp, func(env *cluster.Env, t *cluster.Task) (any, error) {
 		st := env.Cache().Stats()
-		return []int{st.Versions, st.Retained}, nil
+		anchor := 0
+		if _, _, ok := env.Cache().Latest("vr.anchor"); ok {
+			anchor = 1
+		}
+		return []int{st.Versions, st.Retained, anchor}, nil
 	})
 }
 
@@ -53,8 +58,10 @@ func cacheCensus(t *testing.T, r *rig) [][]int {
 // any worker and no references, and so does an asaga run — its history is
 // one coefficient per row, not a model version; the version-history arm
 // (Algorithm 4 read literally) leaves exactly the versions it can still
-// read — one reference each — plus at most the newest; and a reused engine
-// starts its next run with no references and one version.
+// read — one reference each — plus at most the newest; a reused engine
+// starts its next run with no references and one version; and an svrg run
+// caches its model alone — the anchor's coefficients sit in the SAGA table,
+// so there is no "vr.anchor" broadcast — at most two versions of it.
 func TestWorkerCacheRetention(t *testing.T) {
 	eachTransport(t, func(t *testing.T, tr transport) {
 		r := newRigOn(t, tr, 2, 4, nil, denseCfg())
@@ -105,6 +112,15 @@ func TestWorkerCacheRetention(t *testing.T) {
 		for w, c := range cacheCensus(t, r) {
 			if c[0] != 2 || c[1] != 0 { // newest of sgd.w and of saga.w
 				t.Fatalf("after ResetRun: worker %d holds %d versions, %d references; want 2, 0", w, c[0], c[1])
+			}
+		}
+
+		if _, err := EpochVR(r.ac, r.d, p, VRConfig{Epochs: 3}, r.fstar); err != nil {
+			t.Fatal(err)
+		}
+		for w, c := range cacheCensus(t, r) {
+			if got := c[0] - 2; got < 1 || got > 2 || c[1] != 0 || c[2] != 0 {
+				t.Fatalf("svrg: worker %d holds %d versions of vr.w, %d references, %d of vr.anchor; want ≤ 2, 0, 0", w, got, c[1], c[2])
 			}
 		}
 	})

@@ -1,8 +1,6 @@
 package opt
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -72,9 +70,10 @@ type loopSpec struct {
 
 	// EpochLen, when positive, divides the run into epochs of that many
 	// updates; EpochBegin runs before the first dispatch of each epoch
-	// (after draining the previous epoch's stragglers).
+	// (after draining the previous epoch's stragglers), given the model the
+	// epoch's first tasks read, settled and published.
 	EpochLen   int64
-	EpochBegin func(global int64) error
+	EpochBegin func(global int64, wBr core.DynBroadcast) error
 
 	// SyncStep replaces the publish/barrier/dispatch/collect machinery for
 	// AC-free synchronous drivers (mllib-sgd): one call is one round, and
@@ -324,6 +323,7 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 			continue
 		}
 
+		wBr := rt.publish(ac, global)
 		// --- epoch boundary (variance-reduced solvers) ---
 		if spec.EpochLen > 0 {
 			if s := global / spec.EpochLen; s != seg {
@@ -331,15 +331,13 @@ func runLoop(ac *core.Context, d *dataset.Dataset, u Updater, spec *loopSpec) (*
 					// drain this epoch's stragglers before re-anchoring
 					drain(ac)
 				}
-				if err := spec.EpochBegin(global); err != nil {
+				if err := spec.EpochBegin(global, wBr); err != nil {
 					return nil, err
 				}
 				p.Trace.Event("epoch_begin", "epoch", s, "global", global)
 				seg = s
 			}
 		}
-
-		wBr := rt.publish(ac, global)
 		sel, err := ac.ASYNCbarrier(barrier, p.Filter)
 		if err != nil {
 			return nil, fmt.Errorf("opt: %s after %d updates: %w", spec.Algo, global, err)
@@ -467,35 +465,4 @@ func newTrace(ac *core.Context, algo string, d *dataset.Dataset, rec *Recorder, 
 		AvgWait:   ac.Coordinator().WaitTimes(),
 		Total:     rec.Total(),
 	}
-}
-
-// bspRound runs one blocking bulk-synchronous reduction outside the main
-// loop (the full-gradient pass of variance-reduced epochs): barrier on BSP,
-// dispatch, collect all n partials, folding each through absorb. A collect
-// error that ends the run (a cancelled context, the task-failure rule) is
-// returned; any other means nothing is left in flight — the remaining
-// partials were empty samples, failed tasks or dead workers' — and ends the
-// round.
-func bspRound(ac *core.Context, filter core.WorkerFilter, dispatch func(*core.Selection) (int, error), absorb func(payload any, attrs *core.Attrs) error) error {
-	sel, err := ac.ASYNCbarrier(core.BSP(), filter)
-	if err != nil {
-		return err
-	}
-	n, err := dispatch(sel)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		tr, err := ac.ASYNCcollectAll()
-		if err != nil {
-			if errors.Is(err, core.ErrTaskFailed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return err
-			}
-			break
-		}
-		if err := absorb(tr.Payload, &tr.Attrs); err != nil {
-			return err
-		}
-	}
-	return nil
 }

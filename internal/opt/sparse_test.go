@@ -211,10 +211,13 @@ func TestSparseKernelPayloadTypes(t *testing.T) {
 		}
 		la.PutVec(g)
 	}
-	if v := collect(VRKernel(LeastSquares{}, br, br, 0.25)); v != nil {
+	// svrg's inner step, over the table its full pass filled (which ships
+	// what GradKernel ships at Frac 1, TestVRTableMatchesAnchorKernel)
+	recycleSaga(collect(tableKernel(LeastSquares{}, br, 1, tableFill, br.Version)))
+	if v := collect(tableKernel(LeastSquares{}, br, 0.25, tableRead, br.Version)); v != nil {
 		d, ok := v.(*la.DeltaVec)
 		if !ok {
-			t.Fatalf("sparse VRKernel shipped %T, want *la.DeltaVec", v)
+			t.Fatalf("sparse svrg inner step shipped %T, want *la.DeltaVec", v)
 		}
 		la.PutDelta(d)
 	}

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -32,21 +34,22 @@ func (c *VRConfig) defaults(updates int) error {
 
 // vrUpdater is the variance-reduced inner-loop state: the anchor w̃ and its
 // full gradient μ (recomputed per epoch by begin), the model, and the
-// deferred −α·μ drift of the sparse task path. A checkpoint carries anchor
-// and μ, so a mid-epoch resume continues against the exact epoch state
-// instead of re-anchoring.
+// deferred −α·μ drift of the sparse task path. The anchor's per-row
+// coefficients c_i(w̃) live on the workers, in the coefficient table SAGA
+// keeps, stamped with anchorVer. A checkpoint carries anchor and μ, so a
+// mid-epoch resume refills the tables and continues against the exact epoch
+// state instead of re-anchoring.
 type vrUpdater struct {
 	ac       *core.Context
-	fullPass func(core.DynBroadcast, *core.Selection) (int, error) // opt.grad dispatch at Frac 1
-	filter   core.WorkerFilter
+	fullPass func(core.DynBroadcast, *core.Selection) (int, error) // opt.vr.fill dispatch
 	epochLen int64
 
-	w, mu    la.Vec // μ is the loss's mean gradient at the anchor
-	l2       float64
-	anchor   la.Vec
-	anchorBr core.DynBroadcast
-	drift    lazyDrift
-	resumed  bool // anchor/μ imported from a checkpoint, valid mid-epoch
+	w, mu     la.Vec // μ is the loss's mean gradient at the anchor
+	l2        float64
+	anchor    la.Vec
+	anchorVer int64 // the model version the workers' tables were filled at
+	drift     lazyDrift
+	resumed   bool // anchor/μ imported from a checkpoint, valid mid-epoch
 }
 
 func (u *vrUpdater) Model() la.Vec { return u.w }
@@ -97,60 +100,81 @@ func (u *vrUpdater) Import(cp *Checkpoint) error {
 	return nil
 }
 
-// begin opens an epoch: settle the previous epoch's drift, take (or, on a
-// mid-epoch resume, keep) the anchor, broadcast it, and recompute
-// μ = ∇F(w̃) with a synchronous full pass — unless μ arrived with a
-// mid-epoch checkpoint, in which case the pass is skipped and the resumed
-// run continues bit-for-bit where the original stopped.
-func (u *vrUpdater) begin(global int64) error {
-	u.Settle()
+// begin opens an epoch at the published model wBr, the new anchor w̃: the
+// full pass stores each row's c_i(w̃) in its worker's table and sums
+// μ = ∇F(w̃). A mid-epoch resume imported the anchor and μ, so its pass
+// reads the anchor from a one-off version of the model's id — a plain
+// broadcast, which the stamped publish never hands out — only to refill the
+// tables: μ stays as imported, and the dispatch counter is put back so the
+// inner tasks draw the seeds the interrupted run drew.
+func (u *vrUpdater) begin(global int64, wBr core.DynBroadcast) error {
 	keep := u.resumed && u.epochLen > 0 && global%u.epochLen != 0
 	u.resumed = false
-	if !keep {
-		u.anchor = u.w.Clone()
-	}
-	u.anchorBr = u.ac.ASYNCbroadcast("vr.anchor", u.anchor)
 	if keep {
-		return nil // μ was imported alongside the anchor
+		co := u.ac.Coordinator()
+		seq := co.DispatchSeq()
+		_, err := u.fill(u.ac.ASYNCbroadcast(wBr.ID, u.anchor), global, la.NewVec(len(u.mu)))
+		co.SetDispatchSeq(seq)
+		return err
 	}
+	u.anchor = u.w.Clone()
 	u.mu.Zero()
-	total := 0
-	// A pass that comes back empty is dispatched again, as the main loop
-	// retries an empty round: when its tasks all failed, the third pass
-	// trips the failure rule and the run ends with core.ErrTaskFailed and
-	// the worker's message. The bound is for a pass empty for another reason.
-	for pass := 0; total == 0 && pass < 3; pass++ {
-		err := bspRound(u.ac,
-			u.filter,
-			func(sel *core.Selection) (int, error) {
-				return u.fullPass(u.anchorBr, sel)
-			},
-			func(payload any, attrs *core.Attrs) error {
-				total += attrs.MiniBatch
-				return AxpyPayload(1, payload, u.mu)
-			})
-		if err != nil {
-			return fmt.Errorf("opt: EpochVR anchor at update %d: %w", global, err)
-		}
-	}
-	if total == 0 {
-		return fmt.Errorf("opt: EpochVR at update %d: empty full pass", global)
+	total, err := u.fill(wBr, global, u.mu)
+	if err != nil {
+		return err
 	}
 	la.Scale(1/float64(total), u.mu)
 	return nil
 }
 
+// fill runs the full pass at br under BSP on every available worker — one
+// the pass skipped would have no anchor coefficients — adds the partial
+// sums into sum and returns the number of rows. Only a collect error that
+// ends the run (cancellation, the task-failure rule) is returned. An empty
+// pass is dispatched again, as the main loop retries an empty round: if
+// its tasks all failed, the third pass trips the failure rule and the run
+// ends with core.ErrTaskFailed and the worker's message.
+func (u *vrUpdater) fill(br core.DynBroadcast, global int64, sum la.Vec) (int, error) {
+	total := 0
+	for pass := 0; total == 0 && pass < 3; pass++ {
+		sel, err := u.ac.ASYNCbarrier(core.BSP(), nil)
+		n := 0
+		if err == nil {
+			n, err = u.fullPass(br, sel)
+		}
+		for i := 0; i < n && err == nil; i++ {
+			tr, cerr := u.ac.ASYNCcollectAll()
+			if cerr != nil {
+				if errors.Is(cerr, core.ErrTaskFailed) || errors.Is(cerr, context.Canceled) || errors.Is(cerr, context.DeadlineExceeded) {
+					err = cerr
+				}
+				break
+			}
+			total += tr.Attrs.MiniBatch
+			err = AxpyPayload(1, tr.Payload, sum)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("opt: EpochVR anchor at update %d: %w", global, err)
+		}
+	}
+	if total == 0 {
+		return 0, fmt.Errorf("opt: EpochVR at update %d: empty full pass", global)
+	}
+	u.anchorVer = br.Version
+	return total, nil
+}
+
 // EpochVR is the epoch-based variance-reduced scheme of Listing 3 (SVRG
-// style): each epoch synchronously computes the loss's full gradient μ at
-// the anchor w̃ via a BSP reduction, then runs asynchronous inner updates
+// style), mixing a synchronous Spark-style action with ASYNC's asynchronous
+// reductions as the listing demonstrates. Each epoch's full pass, a BSP
+// reduction at the anchor w̃, computes the loss's full gradient μ and leaves
+// each row's coefficient c_i(w̃) in its worker's SAGA table; the
+// asynchronous inner updates that follow read those coefficients,
 //
 //	w ← w − α·[ (∇ℓ_S(w) − ∇ℓ_S(w̃))/b + μ + λ2·w ]
 //
 // with the ridge term taken at the driver's model (the ridge parts of
 // ∇F(w) − ∇F(w̃) + ∇F(w̃) telescope to λ2·w).
-//
-// mixing synchronous Spark-style actions with ASYNC's asynchronous
-// reductions, which is exactly the pattern the listing demonstrates.
 func EpochVR(ac *core.Context, d *dataset.Dataset, p Params, c VRConfig, fstar float64) (*Result, error) {
 	if err := p.defaults(); err != nil {
 		return nil, err
@@ -161,21 +185,20 @@ func EpochVR(ac *core.Context, d *dataset.Dataset, p Params, c VRConfig, fstar f
 	if err := rejectL1(p.Loss, "svrg"); err != nil {
 		return nil, err
 	}
-	fullPass, err := kernelDispatch(ac, GradOpName, p.Loss, 1, nil)
+	fullPass, err := kernelDispatch(ac, vrFillOpName, p.Loss, 1, nil)
 	if err != nil {
 		return nil, err
 	}
 	u := &vrUpdater{
 		ac:       ac,
 		fullPass: fullPass,
-		filter:   p.Filter,
 		epochLen: int64(c.UpdatesPerEpoch),
 		w:        la.NewVec(d.NumCols()),
 		mu:       la.NewVec(d.NumCols()),
 	}
 	u.l2, _ = p.Loss.Penalties()
 	dispatch, err := kernelDispatch(ac, vrOpName, p.Loss, p.SampleFrac, func(a *GradOpArgs) {
-		a.AuxID, a.AuxVersion = u.anchorBr.ID, u.anchorBr.Version
+		a.AuxVersion = u.anchorVer
 	})
 	if err != nil {
 		return nil, err

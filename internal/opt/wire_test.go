@@ -87,9 +87,10 @@ func TestWireOpArgsRoundTrip(t *testing.T) {
 		{BroadcastID: "sgd.w", Version: 12, Frac: 0.25, Parts: []int{0, 3, 7}, Loss: "logistic"},
 		{BroadcastID: "saga.w", Version: 4, Frac: 1, Parts: []int{1}, Loss: "least-squares", L2: 0.05, L1: 0.001},
 		{BroadcastID: "w", Frac: 0.5},
-		// the optional fields: svrg's anchor, a cd round (sorted block, delta
-		// stamp), a cd per-partial dispatch (no stamp), the ADMM scalars
-		{BroadcastID: "vr.w", Version: 9, Frac: 0.3, Parts: []int{0, 1}, AuxID: "vr.anchor", AuxVersion: 2},
+		// the optional fields: svrg's anchor version, a cd round (sorted
+		// block, delta stamp), a cd per-partial dispatch (no stamp), the ADMM
+		// scalars
+		{BroadcastID: "vr.w", Version: 9, Frac: 0.3, Parts: []int{0, 1}, AuxVersion: 2},
 		{BroadcastID: "cd.w", Version: 7, Parts: []int{2}, L2: 0.01, L1: 0.02, AuxID: "cd.delta", AuxVersion: 7, Block: []int32{1, 5, 199999}},
 		{BroadcastID: "cd.w", Version: 3, Parts: []int{0}, Block: []int32{0, 3, 7}},
 		{BroadcastID: "admm.z", Version: 5, Parts: []int{1, 3}, Rho: 1.5, CGTol: 1e-8, CGIters: 200},
