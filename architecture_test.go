@@ -179,12 +179,28 @@ func two(p SagaPartial) any { return SagaDelta{} }`,
 	reason:  "svrg's inner step reads the anchor's coefficients from the SAGA table: no second kernel, no anchor broadcast",
 	trip: `package opt
 func VRKernel() string { return "vr.anchor" }`,
+}, {
+	scope:  "internal/opt",
+	use:    []string{"internal/core.Context.ASYNCreduce"},
+	reason: "one task form: solvers dispatch registered ops (ASYNCreduceOp), so each runs on every transport; the closure form stays out of their package",
+	trip: `package opt
+import "repro/internal/core"
+func reduce(ac *core.Context) { ac.ASYNCreduce(nil) }`,
+}, {
+	scope:  "async/jobs",
+	exempt: []string{"doc.go"},
+	use:    []string{`"sgd"`, `"asgd"`, `"saga"`, `"asaga"`, `"svrg"`, `"admm"`, `"cd"`, `"gcg"`, `"mllib-sgd"`},
+	reason: "jobs names no solver: what a solver accepts is declared with its registration in internal/opt and asked through opt.Accepts; a solver name in the serving layer is a second copy of that table",
+	trip: `package jobs
+var names = []string{"sgd", "asgd", "saga", "asaga", "svrg", "admm", "cd", "gcg", "mllib-sgd"}`,
 }}
 
 // designRuleStubs is the least module the rules' trip files type-check in:
 // the objects they name, and an exempt file that uses them.
 var designRuleStubs = map[string]string{
 	"internal/core/core.go": `package core
+type Context struct{}
+func (*Context) ASYNCreduce(any) {}
 type DynBroadcast struct{}
 type BroadcastHistory struct{}
 func (DynBroadcast) History(any) BroadcastHistory { return BroadcastHistory{} }
@@ -196,6 +212,8 @@ type SagaDelta struct{ HistSum []float64 }`,
 	"internal/opt/baseline.go": `package opt
 import "repro/internal/core"
 func paperLiteral(b core.DynBroadcast) { b.History(nil).Record(0) }`,
+	"async/jobs/doc.go": `package jobs
+const example = "asgd"`,
 }
 
 // TestDesignRules checks every designRule on the module's non-test files.

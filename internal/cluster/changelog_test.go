@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"slices"
@@ -88,50 +89,86 @@ func sparseParams() opt.Params {
 	return opt.Params{Step: opt.InvSqrt{A: 0.05}, SampleFrac: 0.02, Updates: 200, SnapshotEvery: 100}
 }
 
-// logFault checks one fetch the driver answered from its change log against
-// diffVec, the oracle: the logged coordinates must include every one whose
-// bits differ between the two stored versions, with the newer version's
-// values, and the patch served must rebuild the newer version bit for bit.
-// It reports whether a patch was served, and what is wrong if anything is.
-func logFault(ans cluster.FetchAnswer) (served bool, fault string) {
-	next := ans.Value.(la.Vec)
-	patch := cluster.PatchAt(next, ans.Changed)
-	if patch == nil {
-		return false, "" // goes dense
-	}
-	defer la.PutDelta(patch)
-	base, ok := ans.Base.(la.Vec)
+// published records the model of every version a run publishes
+// (Params.OnPublish): the ground truth a fetch answer is checked against,
+// copied outside the driver store.
+type published struct {
+	mu   sync.Mutex
+	vers map[int64]la.Vec
+}
+
+func (p *published) record(ver int64, w la.Vec) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.vers[ver] = w.Clone()
+}
+
+func (p *published) model(ver int64) (la.Vec, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w, ok := p.vers[ver]
+	return w, ok
+}
+
+// answerFault checks one fetch answer of a published model version against
+// the model the run published, the oracle. A whole value must be that model
+// bit for bit. A patch must list every coordinate whose bits differ between
+// the models published as have and ver (diffVec), with ver's values, and
+// must rebuild ver's model from have's bit for bit. It reports what is
+// wrong, if anything.
+func answerFault(pub *published, ver, have int64, ans cluster.FetchAnswer) string {
+	next, ok := pub.model(ver)
 	if !ok {
-		return true, "" // the base is trimmed: nothing to diff against
+		if ans.Patch != nil {
+			return "a patch answers a version the run never published"
+		}
+		return "" // not a model version
+	}
+	if ans.Patch == nil {
+		if w, _ := ans.Value.(la.Vec); !bitsEqual(w, next) {
+			return "the value served is not the model published"
+		}
+		return ""
+	}
+	base, ok := pub.model(have)
+	if !ok {
+		return "a patch against a version the run never published"
 	}
 	oracle := cluster.DiffVec(base, next)
 	if oracle == nil {
-		return true, "the log patch is shorter than dense, the diff is not"
+		return "the log patch is shorter than dense, the diff is not"
 	}
 	defer la.PutDelta(oracle)
+	patch := ans.Patch
 	for k, j := range oracle.Idx {
 		at, ok := slices.BinarySearch(patch.Idx, j)
 		if !ok || math.Float64bits(patch.Val[at]) != math.Float64bits(oracle.Val[k]) {
-			return true, fmt.Sprintf("coordinate %d changed, but the log patch does not carry its value", j)
+			return fmt.Sprintf("coordinate %d changed, but the log patch does not carry its value", j)
 		}
 	}
 	rebuilt := base.Clone()
 	for k, j := range patch.Idx {
 		rebuilt[j] = patch.Val[k]
 	}
-	for j := range rebuilt {
-		if math.Float64bits(rebuilt[j]) != math.Float64bits(next[j]) {
-			return true, fmt.Sprintf("the log patch rebuilds coordinate %d wrong", j)
-		}
+	if !bitsEqual(rebuilt, next) {
+		return "the log patch does not rebuild the model published"
 	}
-	return true, ""
+	return ""
 }
 
-// TestChangeLogCoversDiff runs every registry solver over loopback TCP and
-// checks every fetch the driver answers from its change log (logFault).
-// asgd runs plain and elastic-net: the plain run must serve patches from
-// its log; the elastic-net run settles every coordinate, so the log must
-// decline all of its fetches.
+func bitsEqual(a, b la.Vec) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestChangeLogCoversDiff runs every registry solver over loopback TCP,
+// records each model version it publishes, and checks every fetch the
+// driver answers against those models (answerFault): a change report that
+// misses a coordinate leaves it stale in the driver's store. asgd runs
+// plain and elastic-net: the plain run, like sgd's sparse rounds, must serve
+// patches from its log; the elastic-net run settles every coordinate at
+// each publish, so no fetch of it may be answered from the log — as a
+// patch, or as a value served without the base a fetch outside the log
+// carries (cluster.FetchAnswer).
 func TestChangeLogCoversDiff(t *testing.T) {
 	arms := map[string]opt.SolveConfig{}
 	for _, name := range opt.SolverNames() {
@@ -146,33 +183,66 @@ func TestChangeLogCoversDiff(t *testing.T) {
 			e := newWiredEngine(t)
 			e.rctx.Broadcast("install", nil) // installs the driver store's handler
 			store := e.c.SetFetchHandler(nil)
+			pub := &published{vers: map[int64]la.Vec{}}
+			cfg.Params.OnPublish = pub.record
 			var mu sync.Mutex
-			logged, served := 0, 0
-			e.c.SetFetchHandler(func(id string, ver, have int64) (cluster.FetchAnswer, error) {
+			served, logged := 0, 0
+			ids := map[string]bool{}
+			check := func(id string, ver, have int64) (cluster.FetchAnswer, error) {
 				ans, err := store(id, ver, have)
-				if err != nil || !ans.Logged {
+				if err != nil {
 					return ans, err
 				}
-				ok, fault := logFault(ans)
+				fault := answerFault(pub, ver, have, ans)
+				fromLog := ans.Patch != nil
+				if !fromLog && ans.Base == nil && 0 < have && have < ver {
+					// have is stored still, so it was at the fetch: the
+					// store declined the patch its log covered
+					_, err := store(id, have, 0)
+					fromLog = err == nil
+				}
 				mu.Lock()
 				defer mu.Unlock()
-				logged++
-				if ok {
+				if _, ok := pub.model(ver); ok {
+					ids[id] = true
+				}
+				if ans.Patch != nil {
 					served++
+				}
+				if fromLog {
+					logged++
 				}
 				if fault != "" {
 					t.Errorf("%s@%d from %d: %s", id, ver, have, fault)
 				}
 				return ans, nil
-			})
+			}
+			e.c.SetFetchHandler(check)
 			name, _, _ := strings.Cut(arm, "/")
 			e.solve(t, name, cfg)
+			// The versions still stored, read whole and patched from the
+			// one before: a cd worker reads the model at cold start alone.
+			vers := slices.Sorted(maps.Keys(pub.vers))
+			for id := range ids {
+				have := int64(0)
+				for _, ver := range vers {
+					if _, err := check(id, ver, 0); err != nil {
+						continue // trimmed
+					}
+					if have > 0 {
+						if ans, _ := check(id, ver, have); ans.Patch != nil {
+							la.PutDelta(ans.Patch)
+						}
+					}
+					have = ver
+				}
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			switch arm {
-			case "asgd", "asgd-remote":
+			case "asgd", "sgd", "cd":
 				if served == 0 {
-					t.Fatalf("an unpenalised sparse asgd run served no patch from its log (%d logged answers)", logged)
+					t.Fatalf("an unpenalised sparse %s run served no patch from its log (%d logged answers)", arm, logged)
 				}
 			case "asgd/elastic-net":
 				if logged != 0 {

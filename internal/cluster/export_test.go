@@ -9,7 +9,6 @@ var (
 	ExtraFuzzSeeds [][]byte
 	WrapFrame      = wrapFrame
 	DiffVec        = diffVec
-	PatchAt        = patchAt
 )
 
 // FetchReplies reads async_broadcast_fetches_total by reply form.

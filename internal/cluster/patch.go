@@ -11,51 +11,45 @@ import (
 // diffVec lists the coordinates at which next differs from base — compared
 // as float64 bit patterns, so 0.0 → -0.0 and a changed NaN payload count —
 // together with next's values there: the patch of the fetch protocol (see
-// message.go). It makes one pass and gives up, returning nil, as soon as the
-// patch would encode no shorter than next itself. The delta comes from the
-// la pool; the caller hands it back with la.PutDelta.
+// message.go). It makes one pass and returns nil when the patch would not
+// encode shorter than next itself (PatchShorter), giving up as soon as its
+// entries alone, at 9 bytes or more each, rule that out. The delta comes from
+// the la pool; the caller hands it back with la.PutDelta.
 func diffVec(base, next la.Vec) *la.DeltaVec {
 	if len(base) != len(next) || len(next) > math.MaxInt32 {
 		return nil
 	}
-	dense := 8 * len(next)
 	d := la.GetDelta(0, len(next))
-	size, prev := 0, 0
 	for i, x := range next {
 		if math.Float64bits(x) == math.Float64bits(base[i]) {
 			continue
 		}
-		size += 8 + uvarintLen(uint64(i-prev))
-		if size+uvarintLen(uint64(len(d.Idx)+1)) >= dense {
+		if 1+9*(len(d.Idx)+1) >= 8*len(next) {
 			la.PutDelta(d)
 			return nil
 		}
 		d.Idx = append(d.Idx, int32(i))
 		d.Val = append(d.Val, x)
-		prev = i
+	}
+	if !PatchShorter(len(next), d.Idx) {
+		la.PutDelta(d)
+		return nil
 	}
 	return d
 }
 
-// patchAt lists next's values at the sorted, distinct coordinates idx — a
-// patch built from the driver's change log — or returns nil when it would
-// encode no shorter than next itself, the rule diffVec applies as it goes.
-// The delta comes from the la pool.
-func patchAt(next la.Vec, idx []int32) *la.DeltaVec {
+// PatchShorter reports whether a patch of a length-n vector at the sorted,
+// distinct coordinates idx encodes shorter than the dense vector: the one
+// rule for shipping a patch rather than the value, whoever found the
+// coordinates — diffVec, or the driver store's change log before it builds
+// a dense reply.
+func PatchShorter(n int, idx []int32) bool {
 	size, prev := uvarintLen(uint64(len(idx))), int32(0)
 	for _, j := range idx {
 		size += 8 + uvarintLen(uint64(j-prev))
 		prev = j
 	}
-	if size >= 8*len(next) {
-		return nil
-	}
-	d := la.GetDelta(len(idx), len(next))
-	copy(d.Idx, idx)
-	for k, j := range idx {
-		d.Val[k] = next[j]
-	}
-	return d
+	return size < 8*n
 }
 
 // uvarintLen is the encoded size of v as a uvarint: 7 bits to the byte.

@@ -349,7 +349,15 @@ func TestFetchPatchOverTCP(t *testing.T) {
 		if !ok {
 			return FetchAnswer{}, errTest("pruned")
 		}
-		ans := FetchAnswer{Value: s.v, Changed: s.changed, Logged: s.changed != nil && have == ver-1}
+		if s.changed != nil && have == ver-1 && PatchShorter(len(s.v), s.changed) {
+			// the driver store's answer from its log: the logged values
+			p := la.GetDelta(len(s.changed), len(s.v))
+			for k, j := range s.changed {
+				p.Idx[k], p.Val[k] = j, s.v[j]
+			}
+			return FetchAnswer{Patch: p}, nil
+		}
+		ans := FetchAnswer{Value: s.v}
 		if b, ok := store[have]; ok {
 			ans.Base = b.v
 		}

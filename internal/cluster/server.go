@@ -16,18 +16,18 @@ import (
 var ErrWorkerDown = errors.New("cluster: worker is down")
 
 // FetchHandler serves a worker's cache miss of (id, version). have is the
-// version the worker offers as a patch base, 0 for none. It is installed by
-// the ASYNCbroadcaster.
+// version the worker offers as a patch base, 0 for none (always 0 on the
+// in-process pair). It is installed by the ASYNCbroadcaster.
 type FetchHandler func(id string, version, have int64) (FetchAnswer, error)
 
-// FetchAnswer is what the driver holds for one fetch: the requested Value,
-// have's value as Base (nil once trimmed), and — when the driver's change log
-// covers (have, version] without a break (Logged) — the sorted coordinates
-// changed in that range. serveFetch only reads Changed.
+// FetchAnswer is what the driver holds for one fetch: a Patch against have
+// when its change log covers (have, version] and the patch is the shorter
+// encoding (PatchShorter), pooled, and handed back to the la pool once sent;
+// otherwise the requested Value, with have's value as Base (nil once
+// trimmed) when the log does not cover the range, for serveFetch to diff.
 type FetchAnswer struct {
 	Value, Base any
-	Changed     []int32
-	Logged      bool
+	Patch       *la.DeltaVec
 }
 
 // Config describes a local (in-process) cluster.
@@ -166,8 +166,8 @@ func (c *Cluster) FetchCount() int64 { return c.fetchCount.Load() }
 // serveFetch answers one fetch. Over an endpoint that serialises, a dense
 // vector the worker holds an older version of goes out as a patch against
 // that version whenever the patch is the shorter encoding (see the protocol
-// comment in message.go): built from the driver's change log when it covers
-// the range, else found by diffVec. Everything else goes out whole.
+// comment in message.go): the handler's, built from the driver's change log,
+// else one diffVec finds. Everything else goes out whole.
 func (c *Cluster) serveFetch(h *workerHandle, req *FetchReq) {
 	c.fetchCount.Add(1)
 	c.fetchMu.RLock()
@@ -184,21 +184,19 @@ func (c *Cluster) serveFetch(h *workerHandle, req *FetchReq) {
 	} else if ans, err := fn(req.ID, req.Version, have); err != nil {
 		rep.Err = err.Error()
 	} else {
-		rep.Value = ans.Value
-		next, isVec := ans.Value.(la.Vec)
-		base, hasBase := ans.Base.(la.Vec)
-		form := fetchDense
-		switch {
-		case !isVec || have == 0:
-		case ans.Logged:
-			patch, form = patchAt(next, ans.Changed), fetchPatch
-		case hasBase:
-			patch, form = diffVec(base, next), fetchDiff
+		rep.Value, patch = ans.Value, ans.Patch
+		form := fetchPatch
+		if patch == nil {
+			form = fetchDense
+			next, isVec := ans.Value.(la.Vec)
+			if base, ok := ans.Base.(la.Vec); isVec && ok && have != 0 {
+				if patch = diffVec(base, next); patch != nil {
+					form = fetchDiff
+				}
+			}
 		}
 		if patch != nil {
 			rep.Base, rep.Value = have, patch
-		} else {
-			form = fetchDense
 		}
 		form.Inc()
 	}

@@ -16,10 +16,12 @@ import (
 // Every version is published the same way: registered on the driver, fetched
 // by a worker on first use, cached there. Retention has two halves. The
 // driver keeps the newest 4·workers versions of an id (rdd.Context.Broadcast
-// is the one site that decides, and says why). A worker keeps, per id, the
-// newest version it resolved plus every version its history table still
-// references — a version BroadcastHistory.Record stored for some sample and
-// no later Record overwrote — so a historical read never goes back to the
+// is the one site that decides, and says why); a version published with its
+// change set (ASYNCbroadcastStamped) is kept as the values that changed, and
+// its whole vector is built when a worker first reads it. A worker keeps, per
+// id, the newest version it resolved plus every version its history table
+// still references — a version BroadcastHistory.Record stored for some sample
+// and no later Record overwrote — so a historical read never goes back to the
 // driver. Everything else is dropped from the worker's cache
 // (cluster.BroadcastCache). ResetRun drops all references. The history
 // half (History, TryValueAt, Record) is the paper's Table-1
@@ -32,7 +34,9 @@ type DynBroadcast struct {
 
 // ASYNCbroadcast registers value under id with a fresh version on the
 // driver. Nothing is sent: workers resolve (id, version) through the fetch
-// path and cache it. This is the ASYNCbroadcaster's driver half.
+// path and cache it. This is the ASYNCbroadcaster's driver half. The driver
+// takes value over (rdd.Context.Broadcast): the caller passes a value it
+// will not write to again, a copy of a model it keeps updating.
 func (ac *Context) ASYNCbroadcast(id string, value any) DynBroadcast {
 	b := ac.rctx.Broadcast(id, value)
 	return DynBroadcast{ID: id, Version: b.Version}
@@ -42,14 +46,15 @@ func (ac *Context) ASYNCbroadcast(id string, value any) DynBroadcast {
 // driver loop: the value is re-registered under a fresh version only when
 // stamp differs from the previous call's stamp for this id. When the stamp
 // is unchanged — the driver loop came around without applying any update —
-// the existing (id, version) handle is returned, value() is never invoked
-// (no clone, no allocation), and workers whose caches already hold that
-// version skip the fetch entirely. Drivers pass the model-update clock as
-// the stamp, which makes a re-broadcast of an unchanged model free on the
-// driver and on the wire. value also reports what changed since the
-// previous version of id; the driver logs it, and a TCP fetch from a worker
-// a few versions behind is patched from that log
-// (rdd.Context.BroadcastChanged).
+// the existing (id, version) handle is returned, value() is never invoked,
+// and workers whose caches already hold that version skip the fetch
+// entirely. Drivers pass the model-update clock as the stamp, which makes a
+// re-broadcast of an unchanged model free on the driver and on the wire.
+// value returns the live model, which the driver only borrows
+// (rdd.Context.BroadcastChanged), and what changed since the previous
+// version of id: the driver copies the changed values alone, builds the
+// whole vector when a worker first reads the version, and patches a TCP
+// fetch from a worker a few versions behind from the logged values.
 func (ac *Context) ASYNCbroadcastStamped(id string, stamp int64, value func() (any, rdd.Changed)) DynBroadcast {
 	ac.bcastMu.Lock()
 	if ac.bcastMemo == nil {

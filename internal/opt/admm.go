@@ -69,9 +69,12 @@ func init() {
 	})
 }
 
-// admmKernel solves each owned partition's proximal subproblem at the
-// current consensus and returns Σ(x_i + u_i) with the partition count as
-// the batch size (partitions are ADMM's "agents").
+// admmKernel runs each owned partition's round of scaled consensus ADMM
+// (Boyd et al. 2011, §7.1) at the consensus z the task reads: first the dual
+// step of the partition's previous round, u_i += x_i − z, now that z is the
+// consensus that round produced (a partition state created fresh takes
+// none); then the proximal subproblem for x_i. It returns Σ(x_i + u_i) with
+// the partition count as the batch size (partitions are ADMM's "agents").
 func admmKernel(zBr core.DynBroadcast, rho, cgTol float64, cgIters int) core.Kernel {
 	return func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
 		z, err := modelVec(env, zBr)
@@ -100,6 +103,12 @@ func admmKernel(zBr core.DynBroadcast, rho, cgTol float64, cgIters int) core.Ker
 					rhs: la.NewVec(cols), tmp: la.NewVec(p.X.NumRows),
 				}
 				states[pi] = st
+			} else {
+				// the previous round's dual step, at the consensus it
+				// produced: u_i += x_i − z
+				for j := range st.u {
+					st.u[j] += st.x[j] - z[j]
+				}
 			}
 
 			// subproblem: (2 A_iᵀA_i + ρI) x = 2 A_iᵀ b_i + ρ (z − u_i)
@@ -120,9 +129,9 @@ func admmKernel(zBr core.DynBroadcast, rho, cgTol float64, cgIters int) core.Ker
 				la.PutVec(sum)
 				return nil, 0, fmt.Errorf("opt: ADMM partition %d: %w", pi, err)
 			}
-			// dual ascent against the consensus the worker can see
+			// ship x_i + u_i at the dual the solve used; the dual steps at
+			// the start of the next task, against the z it reads
 			for j := range st.u {
-				st.u[j] += st.x[j] - z[j]
 				sum[j] += st.x[j] + st.u[j]
 				d := st.x[j] - z[j]
 				primalSq += d * d

@@ -229,6 +229,10 @@ type cdUpdater struct {
 	g, h  la.Vec
 	got   int
 	delta *la.DeltaVec // last round's coordinate changes (driver-owned)
+
+	// the coordinates the steps since the last publish changed: the round
+	// arm's last delta, or the per-partial arm's deltas since then
+	changeSet
 }
 
 // newCDUpdater builds the updater for the objective loss under c (defaults
@@ -243,6 +247,7 @@ func newCDUpdater(d *dataset.Dataset, loss Loss, c CDConfig) *cdUpdater {
 		perm:   make([]int32, cols),
 		runID:  cdRunSeq.Add(1),
 		g:      la.NewVec(c.BlockSize), h: la.NewVec(c.BlockSize),
+		changeSet: changeSet{all: true},
 	}
 	if c.Mode == "greedy" {
 		u.sel = newGSSelector(d, bare(loss), l2, l1, u.w)
@@ -322,8 +327,8 @@ func (u *cdUpdater) Apply(payload any, attrs *core.Attrs, _ float64) error {
 }
 
 // proxStep takes the damped preconditioned prox step of the file comment on
-// each coordinate of block, for sums g and h over n rows, and returns the
-// coordinate changes.
+// each coordinate of block, for sums g and h over n rows, records the
+// coordinates it changed for the next publish, and returns the changes.
 func (u *cdUpdater) proxStep(block []int32, g, h la.Vec, n float64) *la.DeltaVec {
 	nl2, nl1 := n*u.l2, n*u.l1
 	delta := &la.DeltaVec{N: len(u.w)}
@@ -340,6 +345,7 @@ func (u *cdUpdater) proxStep(block []int32, g, h la.Vec, n float64) *la.DeltaVec
 			u.w[j] = uj
 		}
 	}
+	u.touch(delta.Idx, len(u.w))
 	return delta
 }
 
@@ -396,6 +402,7 @@ func (u *cdUpdater) Import(cp *Checkpoint) error {
 	u.round = 0
 	u.delta = nil
 	u.runID = cdRunSeq.Add(1)
+	u.all = true
 	return nil
 }
 

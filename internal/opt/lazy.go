@@ -3,10 +3,8 @@ package opt
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/la"
-	"repro/internal/rdd"
 )
 
 // Driver-side lazy model updates for the sparse-delta data path.
@@ -71,16 +69,15 @@ type proxApplier struct {
 	l1last   la.Vec // allocated only when l1 > 0
 	dirty    bool
 
-	// what changed since the last report (changes): the coordinates sparse
-	// steps touched, or every one (all) once a dense step, a settle or an
-	// import moved them all
-	touched []int32
-	all     bool
+	// what changed since the last report: the coordinates sparse steps
+	// touched, or every one once a dense step, a settle or an import moved
+	// them all
+	changeSet
 }
 
 // newProxApplier builds the applier for a run of p.
 func newProxApplier(p *Params) *proxApplier {
-	a := &proxApplier{prod: 1, all: true}
+	a := &proxApplier{prod: 1, changeSet: changeSet{all: true}}
 	a.lambda, a.l1 = p.Loss.Penalties()
 	return a
 }
@@ -92,7 +89,6 @@ func (a *proxApplier) apply(w la.Vec, payload any, alpha float64, batch int) err
 	switch g := payload.(type) {
 	case la.Vec:
 		a.settle(w)
-		a.all = true
 		a.denseStep(w, g, alpha, batch)
 		la.PutVec(g)
 		return nil
@@ -109,6 +105,7 @@ func (a *proxApplier) apply(w la.Vec, payload any, alpha float64, batch int) err
 // rows: the ridge term batch·λ2·w joins g at the model being updated, then
 // the step and the ℓ1 prox sweep. w must be settled; g is overwritten.
 func (a *proxApplier) denseStep(w, g la.Vec, alpha float64, batch int) {
+	a.all = true
 	if a.lambda > 0 {
 		la.Axpy(float64(batch)*a.lambda, w, g)
 	}
@@ -120,9 +117,7 @@ func (a *proxApplier) applySparse(w la.Vec, g *la.DeltaVec, alpha float64, batch
 	ab := alpha / float64(batch)
 	// every path below changes w at g's coordinates alone; the deferred
 	// terms reach the others at the next settle, which reports them all
-	if a.all = a.all || len(a.touched)+len(g.Idx) > len(w); !a.all {
-		a.touched = append(a.touched, g.Idx...)
-	}
+	a.touch(g.Idx, len(w))
 	if a.lambda <= 0 && a.l1 <= 0 {
 		g.AxpyDense(-ab, w)
 		return
@@ -182,6 +177,7 @@ func (a *proxApplier) proxSweep(w la.Vec, alpha float64) {
 	if a.l1 <= 0 {
 		return
 	}
+	a.all = true
 	thr := alpha * a.l1
 	for j := range w {
 		w[j] = SoftThreshold(w[j], thr)
@@ -220,19 +216,6 @@ func (a *proxApplier) settle(w la.Vec) {
 	a.prod = 1
 	a.l1cum = 0
 	a.dirty = false
-}
-
-// changes reports what the steps since the last report changed and starts
-// the next report. The touched list is sorted and deduplicated in place and
-// handed out as a copy of its own, which the driver store keeps.
-func (a *proxApplier) changes() rdd.Changed {
-	ch := rdd.Changed{All: a.all}
-	if !a.all {
-		slices.Sort(a.touched)
-		ch.Idx = slices.Clone(slices.Compact(a.touched))
-	}
-	a.touched, a.all = a.touched[:0], false
-	return ch
 }
 
 // AxpyPayload applies w += alpha·g for a collected gradient payload of

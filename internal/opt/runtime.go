@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -201,24 +202,63 @@ func (rt *runState) preempted(ac *core.Context, global int64) (*Result, error) {
 
 // changeReporter is an Updater that can name the model coordinates changed
 // since its previous report. The runtime reports at every publish, so the
-// driver logs what changed between consecutive versions and a TCP fetch
-// ships only that. An Updater without it changes every coordinate.
+// driver stores each version as the values that changed since the one
+// before, and a TCP fetch ships only those. An Updater without it changes
+// every coordinate.
 type changeReporter interface {
 	changes() rdd.Changed
 }
 
+// changeSet is what a changeReporter keeps between reports: the coordinates
+// its steps touched, or every one (all). Updaters start with all set, and an
+// import sets it again: the first version of a run owes the store a whole
+// model.
+type changeSet struct {
+	touched []int32
+	all     bool
+}
+
+// touch records the coordinates idx of a dim-coordinate model as changed;
+// once more are listed than the model has, the report is all.
+func (c *changeSet) touch(idx []int32, dim int) {
+	if c.all = c.all || len(c.touched)+len(idx) > dim; !c.all {
+		c.touched = append(c.touched, idx...)
+	}
+}
+
+// changes reports what the steps since the last report changed and starts
+// the next report. The touched list is sorted and deduplicated in place and
+// handed out as a copy of its own, which the driver store keeps.
+func (c *changeSet) changes() rdd.Changed {
+	ch := rdd.Changed{All: c.all}
+	if !c.all {
+		slices.Sort(c.touched)
+		ch.Idx = slices.Clone(slices.Compact(c.touched))
+	}
+	c.touched, c.all = c.touched[:0], false
+	return ch
+}
+
 // publish stages the settled model for the workers under the global update
 // clock: a cycle that came round without an update re-issues the handle it
-// already has — no settle, no clone, no new version for a worker to fetch.
+// already has — no settle, no new version for a worker to fetch. The store
+// borrows the model and copies only what the updater reports changed, so a
+// version costs O(changed) until something reads it.
 func (rt *runState) publish(ac *core.Context, global int64) core.DynBroadcast {
-	return ac.ASYNCbroadcastStamped(rt.spec.Key, global, func() (any, rdd.Changed) {
+	fresh := false
+	br := ac.ASYNCbroadcastStamped(rt.spec.Key, global, func() (any, rdd.Changed) {
+		fresh = true
 		rt.settle()
 		ch := rdd.Changed{All: true}
 		if r, ok := rt.u.(changeReporter); ok {
 			ch = r.changes()
 		}
-		return rt.u.Model().Clone(), ch
+		return rt.u.Model(), ch
 	})
+	if fresh && rt.spec.P.OnPublish != nil {
+		rt.spec.P.OnPublish(br.Version, rt.u.Model())
+	}
+	return br
 }
 
 // runLoop is the single solve loop every solver drives: it owns resume

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -466,4 +468,49 @@ func TestDivergedRunReturnsError(t *testing.T) {
 			t.Fatalf("%s: ran its whole budget (%d updates) after diverging", name, got)
 		}
 	}
+}
+
+// TestSparsePublishCopiesOnRead pins what a published version costs. A
+// 600-version publish stream, each version changing one coordinate of a
+// 64k-coordinate model and reporting it, read by 4 cold workers at 4
+// distinct versions, makes at most 2 full copies of the model plus one per
+// version read: the first version, the store's base when that version is
+// trimmed, and one vector per read. Cloning the model at every publish made
+// 600. Copies are counted as the bytes the stream allocated, in whole models.
+func TestSparsePublishCopiesOnRead(t *testing.T) {
+	const dim, versions = 1 << 16, 600
+	reads := map[int]bool{0: true, 150: true, 300: true, 599: true}
+	r := newRigOn(t, local, 2, 2, nil, denseCfg())
+	u := &reportingUpdater{vecUpdater: vecUpdater{w: la.NewVec(dim)}, changeSet: changeSet{all: true}}
+	rt := &runState{spec: &loopSpec{Key: "count.w", P: &Params{}}, u: u, ac: r.ac}
+	r.rctx.Broadcast("install", nil) // installs the driver store's handler
+	fetch := r.c.SetFetchHandler(nil)
+	defer r.c.SetFetchHandler(fetch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range versions {
+		j := i * 97 % dim
+		u.w[j]++
+		u.touch([]int32{int32(j)}, dim)
+		br := rt.publish(r.ac, int64(i+1))
+		if reads[i] {
+			ans, err := fetch(br.ID, br.Version, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(ans.Value.(la.Vec), u.w) {
+				t.Fatalf("version %d reads back a different model", i)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if copies := (after.TotalAlloc - before.TotalAlloc) / (8 * dim); copies > uint64(2+len(reads)) {
+		t.Fatalf("%d versions with %d reads allocated %d models, want at most %d", versions, len(reads), copies, 2+len(reads))
+	}
+}
+
+// reportingUpdater is a bare model whose changes the test reports by hand.
+type reportingUpdater struct {
+	vecUpdater
+	changeSet
 }

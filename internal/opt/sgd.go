@@ -48,6 +48,12 @@ type Params struct {
 	// OnCheckpoint observes periodic checkpoints. Never serialized.
 	OnCheckpoint func(*Checkpoint)
 
+	// OnPublish, when non-nil, observes each model version the run publishes
+	// to the workers, with the version number the driver stores it under,
+	// as soon as it is stored. w is the live model, lent for the call.
+	// Never serialized.
+	OnPublish func(version int64, w la.Vec)
+
 	// Preempt, when non-nil, is polled at every update boundary; once
 	// triggered the run settles, captures a checkpoint, drains, and returns
 	// a *PreemptedError carrying it — the hook a preemptive scheduler uses
@@ -151,9 +157,11 @@ func (u *syncSGDUpdater) FlushRound(alpha float64) (bool, error) {
 	}
 	if s := u.acc.Sparse(); s != nil && u.acc.Dense() == nil && u.ap.lambda == 0 {
 		// pure sparse round without ridge: the averaged step touches only
-		// the merged support — O(round nnz) on the driver — and an ℓ1 term
-		// rides the round barrier as one O(d) sweep
+		// the merged support — O(round nnz) on the driver, and so does the
+		// version it publishes — and an ℓ1 term rides the round barrier as
+		// one O(d) sweep that changes every coordinate
 		s.AxpyDense(-alpha/float64(batch), u.w)
+		u.ap.touch(s.Idx, len(u.w))
 		u.ap.proxSweep(u.w, alpha)
 		return true, nil
 	}
@@ -161,8 +169,13 @@ func (u *syncSGDUpdater) FlushRound(alpha float64) (bool, error) {
 	return true, nil
 }
 
-func (u *syncSGDUpdater) Export(*Checkpoint)          {}
-func (u *syncSGDUpdater) Import(cp *Checkpoint) error { return importModel(u.w, cp) }
+func (u *syncSGDUpdater) Export(*Checkpoint) {}
+func (u *syncSGDUpdater) Import(cp *Checkpoint) error {
+	u.ap.all = true
+	return importModel(u.w, cp)
+}
+
+func (u *syncSGDUpdater) changes() rdd.Changed { return u.ap.changes() }
 
 // SyncSGD is mini-batch SGD with bulk-synchronous rounds (Algorithm 1),
 // implemented through the ASYNC engine with a BSP barrier: every round

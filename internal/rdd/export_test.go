@@ -6,9 +6,9 @@ func (ctx *Context) DriverVersions() map[string]int {
 	s := ctx.ensureStore()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]int, len(s.vals))
-	for id, m := range s.vals {
-		out[id] = len(m)
+	out := make(map[string]int, len(s.ids))
+	for id, h := range s.ids {
+		out[id] = len(h.vers)
 	}
 	return out
 }
