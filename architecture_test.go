@@ -142,18 +142,36 @@ func main() {
 	}
 }
 
-// designRule forbids code in the non-test files of one package: declaring
-// an object, or using an object or a string literal. An object is named as
-// the dead-export check names it, "dir.Name" or "dir.Recv.Method"; a use is
-// a reference the type checker resolves to it, so a method call matches only
-// on the receiver type named, and comments never match.
+// designRule forbids code in the non-test files of one package, or of the
+// whole module: declaring an object, using an object or a string literal,
+// or naming an identifier. An object is named as the dead-export check
+// names it, "dir.Name" or "dir.Recv.Method"; a use is a reference the type
+// checker resolves to it, so a method call matches only on the receiver
+// type named. An identifier matches by its name alone, whatever it declares
+// or refers to, in any package. Comments never match.
 type designRule struct {
-	scope   string   // package directory, relative to the module root
+	scope   string   // package directory, relative to the module root; "..." for every package
 	exempt  []string // file names in scope the rule does not read
 	declare []string // objects no file in scope may declare
 	use     []string // objects, or quoted string literals, no file in scope may use
+	names   []string // identifiers no file in scope may declare or refer to
 	reason  string
 	trip    string // a file in scope that breaks the rule, for its self-test
+}
+
+// everyPackage is the scope of a rule that reads the whole module.
+const everyPackage = "..."
+
+// inScope reports whether the rule reads the package in dir.
+func (r designRule) inScope(dir string) bool { return r.scope == everyPackage || dir == r.scope }
+
+// tripFile is where the rule's self-test puts its trip file: in its scope,
+// or for a module-wide rule in a package the stub module does not have.
+func (r designRule) tripFile() string {
+	if r.scope == everyPackage {
+		return "internal/trip/trip.go"
+	}
+	return r.scope + "/trip.go"
 }
 
 var designRules = []designRule{{
@@ -193,6 +211,17 @@ func reduce(ac *core.Context) { ac.ASYNCreduce(nil) }`,
 	reason: "jobs names no solver: what a solver accepts is declared with its registration in internal/opt and asked through opt.Accepts; a solver name in the serving layer is a second copy of that table",
 	trip: `package jobs
 var names = []string{"sgd", "asgd", "saga", "asaga", "svrg", "admm", "cd", "gcg", "mllib-sgd"}`,
+}, {
+	scope:  everyPackage,
+	names:  []string{"AsyncBCD", "BCDConfig", "bcdUpdater", "bcdKernel", "applyBlockStep", "InitAvgHist"},
+	use:    []string{`"opt.bcd"`},
+	reason: "one coordinate method: cd under a non-BSP barrier steps on each partial, so the second solver that did that stays gone, and a warm start is a resume at update 0 rather than a per-solver field",
+	trip: `package trip
+type BCDConfig struct{ InitAvgHist []float64 }
+type bcdUpdater struct{}
+func AsyncBCD(c BCDConfig) string { return "opt.bcd" }
+func bcdKernel() {}
+func (bcdUpdater) applyBlockStep() { bcdKernel(); _ = AsyncBCD(BCDConfig{InitAvgHist: nil}) }`,
 }}
 
 // designRuleStubs is the least module the rules' trip files type-check in:
@@ -262,9 +291,9 @@ func TestDesignRulesTrip(t *testing.T) {
 		t.Fatalf("the stub module breaks rules: %v", broken)
 	}
 	for i, r := range designRules {
-		trip := r.scope + "/trip.go"
+		trip := r.tripFile()
 		broken := check(map[string]string{trip: r.trip}, designRules[i:i+1])
-		for _, name := range slices.Concat(r.declare, r.use) {
+		for _, name := range slices.Concat(r.declare, r.use, r.names) {
 			if !slices.ContainsFunc(broken, func(b string) bool { return strings.Contains(b, ": "+name+" (") }) {
 				t.Errorf("rule %d: its trip file never breaks it at %s: %v", i, name, broken)
 			}
@@ -285,8 +314,12 @@ func ruleBreaches(module string, fset *token.FileSet, files []srcFile, rules []d
 		return nil, err
 	}
 	for _, r := range rules {
-		if _, err := imp.check(r.scope); err != nil {
-			return nil, err
+		for dir := range imp.files {
+			if r.inScope(dir) {
+				if _, err := imp.check(dir); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 	key := func(obj types.Object) string {
@@ -313,7 +346,7 @@ func ruleBreaches(module string, fset *token.FileSet, files []srcFile, rules []d
 	for _, r := range rules {
 		for _, sf := range files {
 			pos := fset.Position(sf.f.Package)
-			if sf.dir != r.scope || slices.Contains(r.exempt, filepath.Base(pos.Filename)) {
+			if !r.inScope(sf.dir) || slices.Contains(r.exempt, filepath.Base(pos.Filename)) {
 				continue
 			}
 			breach := func(n ast.Node, name string) {
@@ -322,6 +355,9 @@ func ruleBreaches(module string, fset *token.FileSet, files []srcFile, rules []d
 			ast.Inspect(sf.f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
+					if slices.Contains(r.names, n.Name) {
+						breach(n, n.Name)
+					}
 					if k := key(imp.info.Defs[n]); k != "" && slices.Contains(r.declare, k) {
 						breach(n, k)
 					}

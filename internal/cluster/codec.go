@@ -527,8 +527,9 @@ func putPartition(w *BinWriter, p *dataset.Partition) error {
 // partition decodes putPartition's encoding. Every count is checked against
 // the remaining input before its slice is allocated, and the CSR invariants
 // the kernels index by without checks — row pointers starting at 0,
-// non-decreasing and ending at nnz, column indices below NumCols, one label
-// per row, RowHi−RowLo rows — are enforced here, at the wire boundary.
+// non-decreasing and ending at nnz, each row's column indices strictly
+// increasing below NumCols, one label per row, RowHi−RowLo rows — are
+// enforced here, at the wire boundary.
 func (r *BinReader) partition() *dataset.Partition {
 	p := &dataset.Partition{
 		Dataset: r.String(),
@@ -569,16 +570,19 @@ func (r *BinReader) partition() *dataset.Partition {
 		return nil
 	}
 	x.ColIdx = make([]int32, nnz)
-	for k := range x.ColIdx {
-		j := r.Uvarint()
-		if r.err != nil {
-			return nil
+	for i := 0; i < rows; i++ {
+		next := uint64(0) // the least index the row's next entry may take
+		for k := x.RowPtr[i]; k < x.RowPtr[i+1]; k++ {
+			j := r.Uvarint()
+			if r.err != nil {
+				return nil
+			}
+			if j < next || j >= cols {
+				r.fail("row %d: column index %d out of order or out of range [0,%d)", i, j, cols)
+				return nil
+			}
+			x.ColIdx[k], next = int32(j), j+1
 		}
-		if j >= cols {
-			r.fail("column index %d out of range [0,%d)", j, cols)
-			return nil
-		}
-		x.ColIdx[k] = int32(j)
 	}
 	x.Val = make([]float64, nnz)
 	r.Float64s(x.Val)

@@ -279,10 +279,16 @@ func wrapFrame(body []byte) []byte {
 func badInstallFrames() map[string][]byte {
 	out := map[string][]byte{}
 	for want, breakIt := range map[string]func(*rawInstall){
-		"truncated":           func(ri *rawInstall) { ri.floats-- },
-		"monotonicity":        func(ri *rawInstall) { ri.rowPtr = []uint64{0, 3, 1} },
-		"row pointer 0":       func(ri *rawInstall) { ri.rowPtr = []uint64{1, 1, 3} },
-		"out of range":        func(ri *rawInstall) { ri.colIdx = []uint64{0, 4, 3} },
+		"truncated":     func(ri *rawInstall) { ri.floats-- },
+		"monotonicity":  func(ri *rawInstall) { ri.rowPtr = []uint64{0, 3, 1} },
+		"row pointer 0": func(ri *rawInstall) { ri.rowPtr = []uint64{1, 1, 3} },
+		"out of range":  func(ri *rawInstall) { ri.colIdx = []uint64{0, 4, 3} },
+		// a permuted full row of 4 columns: every index in range, and the
+		// full-row kernels would sum it as if it were in order
+		"out of order": func(ri *rawInstall) {
+			ri.rows, ri.rowHi, ri.rowPtr, ri.nnz = 1, ri.rowLo+1, []uint64{0, 4}, 4
+			ri.colIdx, ri.floats = []uint64{0, 2, 1, 3}, 4+1
+		},
 		"row pointers end at": func(ri *rawInstall) { ri.rowPtr = []uint64{0, 1, 2} },
 		"do not span":         func(ri *rawInstall) { ri.rowHi++ },
 		// a count far past the frame must fail as a count, before any slice
@@ -474,10 +480,14 @@ func FuzzDecodeFrame(f *testing.F) {
 			if x.RowPtr[i+1] < x.RowPtr[i] {
 				t.Fatalf("row pointers decrease at %d", i)
 			}
-		}
-		for _, j := range x.ColIdx {
-			if j < 0 || int(j) >= x.NumCols {
-				t.Fatalf("column index %d outside [0,%d)", j, x.NumCols)
+			// each row keeps la's index contract: strictly increasing
+			// within [0, NumCols), so a full row holds 0..NumCols−1
+			prev := int32(-1)
+			for _, j := range x.ColIdx[x.RowPtr[i]:x.RowPtr[i+1]] {
+				if j <= prev || int(j) >= x.NumCols {
+					t.Fatalf("row %d: column index %d after %d, outside [0,%d) or out of order", i, j, prev, x.NumCols)
+				}
+				prev = j
 			}
 		}
 	})

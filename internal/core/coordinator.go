@@ -80,8 +80,11 @@ type Coordinator struct {
 
 	// failures counts failed tasks since the last one that succeeded;
 	// taskErr is set when they exhaust the retry rule (see ErrTaskFailed).
-	failures int
-	taskErr  error
+	// lastFailure names the run's last failed task, so a Collect that a
+	// tolerated failure left with nothing to wait for can say why.
+	failures    int
+	taskErr     error
+	lastFailure string
 
 	// waitSamples accumulate the per-worker wait-time metric (Fig. 4/6).
 	waitTotal map[int]time.Duration
@@ -159,6 +162,7 @@ func (co *Coordinator) ingest(r *cluster.Result) {
 		mDispatchRoundtrip.ObserveSince(ws.dispatchAt)
 	}
 	if r.Failed() {
+		co.lastFailure = fmt.Sprintf("worker %d: %s", r.Worker, r.Err)
 		if co.failures++; co.failures > maxTaskRetries*co.statLocked().AliveWorkers && co.taskErr == nil {
 			co.taskErr = fmt.Errorf("%w on worker %d (%d failures in a row): %s", ErrTaskFailed, r.Worker, co.failures, r.Err)
 		}
@@ -263,7 +267,7 @@ func (co *Coordinator) ResetRun(timeout time.Duration) error {
 	defer co.mu.Unlock()
 	co.updates = 0
 	co.dispatchSeq = 0
-	co.failures, co.taskErr = 0, nil
+	co.failures, co.taskErr, co.lastFailure = 0, nil, ""
 	co.waitTotal = map[int]time.Duration{}
 	co.waitCount = map[int]int64{}
 	co.staleHist = map[int64]int64{}
@@ -442,9 +446,11 @@ func (co *Coordinator) Pending() int {
 
 // Collect pops the oldest task result, blocking until one is available or
 // timeout elapses (0 = block indefinitely while work is possible). It fails
-// when nothing is queued and nothing is in flight, or — like a cancelled
-// context, and met again at the driver loop's next barrier — once the run's
-// tasks have failed past the retry rule (see ErrTaskFailed).
+// when nothing is queued and nothing is in flight — naming the run's last
+// failed task, if one failed: a tolerated failure yields no result, so it
+// can be what left the flight empty — or, like a cancelled context, and met
+// again at the driver loop's next barrier, once the run's tasks have failed
+// past the retry rule (see ErrTaskFailed).
 func (co *Coordinator) Collect(timeout time.Duration) (TaskResult, error) {
 	deadline := time.Time{}
 	if timeout > 0 {
@@ -470,7 +476,10 @@ func (co *Coordinator) Collect(timeout time.Duration) (TaskResult, error) {
 			return TaskResult{}, errors.New("core: coordinator closed")
 		}
 		if co.pending == 0 {
-			return TaskResult{}, fmt.Errorf("core: collect with no results and no tasks in flight")
+			if co.lastFailure != "" {
+				return TaskResult{}, fmt.Errorf("core: collect with no results and no tasks in flight; the run's last failed task, on %s", co.lastFailure)
+			}
+			return TaskResult{}, errors.New("core: collect with no results and no tasks in flight")
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return TaskResult{}, fmt.Errorf("core: collect timed out after %v", timeout)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,6 +337,47 @@ func TestCollectWithNothingPendingFails(t *testing.T) {
 	ac, _ := setup(t, 2, 2, nil)
 	if _, err := ac.ASYNCcollect(); err == nil {
 		t.Fatal("collect with nothing in flight succeeded")
+	}
+}
+
+// TestCollectNamesTheFailureThatEmptiedTheFlight: a tolerated task failure
+// yields no result, so under ASP a collect after it finds nothing queued
+// and nothing in flight. Its error must carry that failure's worker and
+// cause, and must not read as the end of the run (ErrTaskFailed).
+func TestCollectNamesTheFailureThatEmptiedTheFlight(t *testing.T) {
+	ac, _ := setup(t, 2, 2, nil)
+	var failed atomic.Bool
+	failOnce := func(env *cluster.Env, parts []int, seed int64) (any, int, error) {
+		if failed.CompareAndSwap(false, true) {
+			return nil, 0, errTest("version 7 pruned before the task read it")
+		}
+		return countKernel(env, parts, seed)
+	}
+	sel, err := ac.ASYNCbarrier(ASP(), func(w WorkerStat) bool { return w.Worker == 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ac.ASYNCreduce(sel, failOnce); err != nil || n != 1 {
+		t.Fatalf("dispatched %d, err %v", n, err)
+	}
+	_, err = ac.ASYNCcollect()
+	if err == nil || errors.Is(err, ErrTaskFailed) {
+		t.Fatalf("collect after a tolerated failure: err = %v, want a non-fatal error", err)
+	}
+	for _, want := range []string{"no tasks in flight", "worker 0", "version 7 pruned before the task read it"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("collect error %q does not name %q", err, want)
+		}
+	}
+	// the run goes on: the next task succeeds and is collected
+	if sel, err = ac.ASYNCbarrier(ASP(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ac.ASYNCreduce(sel, failOnce); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ac.ASYNCcollect(); err != nil {
+		t.Fatalf("collect after the failure: %v", err)
 	}
 }
 

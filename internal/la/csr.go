@@ -26,13 +26,18 @@ func NewCSR(rows, cols int, nnzHint int) *CSR {
 }
 
 // AppendRow appends a row given by a sparse vector. The matrix must have been
-// created with NewCSR; rows are appended in order.
+// created with NewCSR; rows are appended in order. A row whose indices are
+// not strictly increasing within [0, NumCols) is refused, as NewSparseVec
+// refuses it: the row kernels index by that contract without checking it.
 func (m *CSR) AppendRow(r SparseVec) error {
 	if r.N != m.NumCols {
 		return fmt.Errorf("la: AppendRow dim mismatch %d != %d", r.N, m.NumCols)
 	}
 	if len(m.RowPtr)-1 >= m.NumRows {
 		return fmt.Errorf("la: AppendRow matrix already has %d rows", m.NumRows)
+	}
+	if err := checkRow(m.NumCols, r.Idx, r.Val); err != nil {
+		return fmt.Errorf("la: AppendRow row %d: %w", len(m.RowPtr)-1, err)
 	}
 	m.ColIdx = append(m.ColIdx, r.Idx...)
 	m.Val = append(m.Val, r.Val...)
@@ -60,16 +65,25 @@ func (m *CSR) RowNZ(i int) ([]int32, []float64) {
 	return m.ColIdx[lo:hi], m.Val[lo:hi]
 }
 
-// MatVec computes y = A x for dense x, y. y must have length NumRows.
+// MatVec computes y = A x for dense x, y. y must have length NumRows. Each
+// row sums into one accumulator in index order; a full row reads x
+// contiguously.
 func (m *CSR) MatVec(x, y Vec) {
 	if len(x) != m.NumCols || len(y) != m.NumRows {
 		panic(fmt.Sprintf("la: MatVec dims (%d,%d) vs x=%d y=%d", m.NumRows, m.NumCols, len(x), len(y)))
 	}
 	for i := 0; i < m.NumRows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		idx, val := m.RowNZ(i)
 		var acc float64
-		for k := lo; k < hi; k++ {
-			acc += m.Val[k] * x[m.ColIdx[k]]
+		if fullRow(idx, m.NumCols) {
+			x := x[:len(val)]
+			for k, v := range val {
+				acc += v * x[k]
+			}
+		} else {
+			for k, v := range val {
+				acc += v * x[idx[k]]
+			}
 		}
 		y[i] = acc
 	}
@@ -82,13 +96,17 @@ func (m *CSR) MatTVec(x, y Vec) {
 	}
 	y.Zero()
 	for i := 0; i < m.NumRows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		xi := x[i]
 		if xi == 0 {
 			continue
 		}
-		for k := lo; k < hi; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xi
+		idx, val := m.RowNZ(i)
+		if fullRow(idx, m.NumCols) {
+			Axpy(xi, val, y)
+			continue
+		}
+		for k, v := range val {
+			y[idx[k]] += v * xi
 		}
 	}
 }

@@ -31,15 +31,6 @@ func (d *DeltaVec) AxpyDense(alpha float64, y Vec) {
 	GradAccum(alpha, d.Idx, d.Val, y)
 }
 
-// Clone returns an independent copy of d (not pooled).
-func (d *DeltaVec) Clone() *DeltaVec {
-	return &DeltaVec{
-		Idx: append([]int32(nil), d.Idx...),
-		Val: append([]float64(nil), d.Val...),
-		N:   d.N,
-	}
-}
-
 // MergeFrom adds o into d in place (d ← d + o), keeping indices sorted and
 // unique. The merge runs backwards over grown slices, so it allocates only
 // when d's capacity cannot hold the union. o is left unchanged.

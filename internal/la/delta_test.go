@@ -54,7 +54,7 @@ func TestDeltaMergeFrom(t *testing.T) {
 		b := randDelta(rng, n, 1+rng.Intn(n))
 		want := a.Dense()
 		Axpy(1, b.Dense(), want)
-		bCopy := b.Clone()
+		bLen, bDense := len(b.Idx), b.Dense()
 		a.MergeFrom(b)
 		// result sorted, unique, matches the dense sum
 		for k := 1; k < len(a.Idx); k++ {
@@ -66,7 +66,7 @@ func TestDeltaMergeFrom(t *testing.T) {
 			t.Fatal("merge result disagrees with dense sum")
 		}
 		// b untouched
-		if len(b.Idx) != len(bCopy.Idx) || !Equal(b.Dense(), bCopy.Dense(), 0) {
+		if len(b.Idx) != bLen || !Equal(b.Dense(), bDense, 0) {
 			t.Fatal("MergeFrom mutated its argument")
 		}
 	}

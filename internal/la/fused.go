@@ -8,6 +8,22 @@ import "fmt"
 // inner loops in internal/opt are built exclusively from these kernels plus
 // per-worker scratch buffers, and alloc_test.go / the opt allocation tests
 // lock the invariant in with testing.AllocsPerRun.
+//
+// The row kernels (SparseDot, GradAccum, CSR.MatVec, CSR.MatTVec) detect a
+// full row — every column stored, as a dense dataset stores each row — and
+// run the contiguous loop on it instead of gathering through the index:
+// the same operations in the same order, so the result is bit for bit the
+// gather loop's.
+
+// fullRow reports whether a row with indices idx stores every column of an
+// n-column matrix. Under the index contract (strictly increasing within
+// [0, n), checked where rows enter: NewSparseVec, CSR.AppendRow and the
+// wire decoder) n indices can only be 0..n−1, so idx[k] == k. The length
+// is all it reads: a load of idx[0] or idx[n−1] would miss the cache on a
+// sampled row whose contiguous loop never touches idx.
+func fullRow(idx []int32, n int) bool {
+	return len(idx) == n
+}
 
 // DotAxpy performs y += alpha·x and returns the squared 2-norm of the
 // updated y in the same pass — the fused residual-update + convergence-check
@@ -57,10 +73,15 @@ func ScaleAddInto(dst Vec, a float64, x Vec, b float64, y Vec) {
 
 // SparseDot returns Σ_k val[k]·w[idx[k]] over raw CSR row slices (see
 // CSR.RowNZ), the residual computation of every per-sample gradient. The
-// indices must be in range for w; out-of-range indices panic.
+// indices must be strictly increasing and in range for w, as a CSR row's
+// are. A full row is Dot(val, w): the same four accumulators over the same
+// products.
 func SparseDot(idx []int32, val []float64, w Vec) float64 {
 	if len(idx) != len(val) {
 		panic(fmt.Sprintf("la: SparseDot idx/val length mismatch %d != %d", len(idx), len(val)))
+	}
+	if fullRow(idx, len(w)) {
+		return Dot(val, w)
 	}
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -79,10 +100,14 @@ func SparseDot(idx []int32, val []float64, w Vec) float64 {
 // GradAccum accumulates g[idx[k]] += alpha·val[k] over raw CSR row slices —
 // the scatter half of every per-sample gradient (g += alpha·x for a sparse
 // row x). Indices within one row are strictly increasing, so the unrolled
-// writes never alias.
+// writes never alias. A full row is Axpy(alpha, val, g).
 func GradAccum(alpha float64, idx []int32, val []float64, g Vec) {
 	if len(idx) != len(val) {
 		panic(fmt.Sprintf("la: GradAccum idx/val length mismatch %d != %d", len(idx), len(val)))
+	}
+	if fullRow(idx, len(g)) {
+		Axpy(alpha, val, g)
+		return
 	}
 	i := 0
 	for ; i < len(idx)-3; i += 4 {

@@ -24,6 +24,85 @@ func naiveSparseDot(idx []int32, val []float64, w Vec) float64 {
 	return s
 }
 
+// The gather loops the row kernels ran before they took a contiguous loop
+// on full rows: the bit-for-bit oracle of that loop.
+
+func gatherSparseDot(idx []int32, val []float64, w Vec) float64 {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i < len(idx)-3; i += 4 {
+		s0 += val[i] * w[idx[i]]
+		s1 += val[i+1] * w[idx[i+1]]
+		s2 += val[i+2] * w[idx[i+2]]
+		s3 += val[i+3] * w[idx[i+3]]
+	}
+	for ; i < len(idx); i++ {
+		s0 += val[i] * w[idx[i]]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+func gatherGradAccum(alpha float64, idx []int32, val []float64, g Vec) {
+	for k, j := range idx {
+		g[j] += alpha * val[k]
+	}
+}
+
+func gatherMatVec(m *CSR, x, y Vec) {
+	for i := 0; i < m.NumRows; i++ {
+		var acc float64
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			acc += m.Val[k] * x[m.ColIdx[k]]
+		}
+		y[i] = acc
+	}
+}
+
+func gatherMatTVec(m *CSR, x, y Vec) {
+	y.Zero()
+	for i := 0; i < m.NumRows; i++ {
+		if x[i] == 0 {
+			continue
+		}
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			y[m.ColIdx[k]] += m.Val[k] * x[i]
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fullAndNearFull returns the index sets of a full n-column row and of the
+// rows one column short of it: the first, the last and an interior column
+// missing. Only the first is a full row.
+func fullAndNearFull(n int) map[string][]int32 {
+	without := func(skip int) []int32 {
+		var idx []int32
+		for j := 0; j < n; j++ {
+			if j != skip {
+				idx = append(idx, int32(j))
+			}
+		}
+		return idx
+	}
+	rows := map[string][]int32{"full": without(-1), "first missing": without(0), "last missing": without(n - 1)}
+	if n >= 3 {
+		rows["interior missing"] = without(n / 2)
+	}
+	return rows
+}
+
 func randVec(rng *rand.Rand, n int) Vec {
 	v := NewVec(n)
 	for i := range v {
@@ -118,6 +197,47 @@ func TestFusedAgainstNaive(t *testing.T) {
 			t.Fatalf("GradAccum n=%d", n)
 		}
 	}
+
+	// full and near-full rows: the row kernels must agree bit for bit with
+	// the gather loops whichever loop they take
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 129, 400} {
+		rows := fullAndNearFull(n)
+		m := NewCSR(len(rows), n, len(rows)*n)
+		for _, name := range []string{"full", "first missing", "last missing", "interior missing"} {
+			idx, ok := rows[name]
+			if !ok {
+				continue
+			}
+			val := randVec(rng, len(idx))
+			if err := m.AppendRow(SparseVec{Idx: idx, Val: val, N: n}); err != nil {
+				t.Fatal(err)
+			}
+			w, alpha := randVec(rng, n), rng.NormFloat64()
+			if got, want := SparseDot(idx, val, w), gatherSparseDot(idx, val, w); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("SparseDot n=%d %s: %v, gather loop %v", n, name, got, want)
+			}
+			g := randVec(rng, n)
+			gRef := g.Clone()
+			GradAccum(alpha, idx, val, g)
+			gatherGradAccum(alpha, idx, val, gRef)
+			if !sameBits(g, gRef) {
+				t.Fatalf("GradAccum n=%d %s: %v, gather loop %v", n, name, g, gRef)
+			}
+		}
+		x, xt := randVec(rng, n), randVec(rng, m.NumRows)
+		y, yRef := NewVec(m.NumRows), NewVec(m.NumRows)
+		m.MatVec(x, y)
+		gatherMatVec(m, x, yRef)
+		if !sameBits(y, yRef) {
+			t.Fatalf("MatVec n=%d: %v, gather loop %v", n, y, yRef)
+		}
+		z, zRef := NewVec(n), NewVec(n)
+		m.MatTVec(xt, z)
+		gatherMatTVec(m, xt, zRef)
+		if !sameBits(z, zRef) {
+			t.Fatalf("MatTVec n=%d: %v, gather loop %v", n, z, zRef)
+		}
+	}
 }
 
 // TestRowNZMatchesRow checks that RowNZ exposes exactly the slices of the
@@ -165,17 +285,29 @@ func TestKernelsAllocFree(t *testing.T) {
 		}
 	}
 	x, y := randVec(rng, n), NewVec(4)
+	full := fullAndNearFull(n)["full"]
+	dense := NewCSR(4, n, 4*n)
+	for i := 0; i < 4; i++ {
+		if err := dense.AppendRow(SparseVec{Idx: full, Val: b, N: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	z := NewVec(n)
 	var sink float64
 	checks := map[string]func(){
-		"Dot":          func() { sink += Dot(a, b) },
-		"Axpy":         func() { Axpy(0.5, a, b) },
-		"DotAxpy":      func() { sink += DotAxpy(0.5, a, b) },
-		"ScaleAddInto": func() { ScaleAddInto(dst, 0.5, a, 0.25, b) },
-		"SparseDot":    func() { sink += SparseDot(idx, val, a) },
-		"GradAccum":    func() { GradAccum(0.5, idx, val, dst) },
-		"RowNZ":        func() { i, v := m.RowNZ(2); sink += float64(len(i)) + v[0] },
-		"Row+DotDense": func() { sink += m.Row(1).DotDense(a) },
-		"MatVec":       func() { m.MatVec(x, y) },
+		"SparseDot full row": func() { sink += SparseDot(full, a, b) },
+		"GradAccum full row": func() { GradAccum(0.5, full, a, dst) },
+		"MatVec full rows":   func() { dense.MatVec(x, y) },
+		"MatTVec full rows":  func() { dense.MatTVec(y, z) },
+		"Dot":                func() { sink += Dot(a, b) },
+		"Axpy":               func() { Axpy(0.5, a, b) },
+		"DotAxpy":            func() { sink += DotAxpy(0.5, a, b) },
+		"ScaleAddInto":       func() { ScaleAddInto(dst, 0.5, a, 0.25, b) },
+		"SparseDot":          func() { sink += SparseDot(idx, val, a) },
+		"GradAccum":          func() { GradAccum(0.5, idx, val, dst) },
+		"RowNZ":              func() { i, v := m.RowNZ(2); sink += float64(len(i)) + v[0] },
+		"Row+DotDense":       func() { sink += m.Row(1).DotDense(a) },
+		"MatVec":             func() { m.MatVec(x, y) },
 	}
 	for name, f := range checks {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {

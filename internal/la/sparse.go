@@ -6,8 +6,9 @@ import (
 )
 
 // SparseVec is a sparse vector in coordinate form with strictly increasing
-// indices. It is the row view handed to gradient kernels; dense rows are
-// represented with a full index set so the kernels need a single code path.
+// indices. It is the row view handed to gradient kernels; a dense row is
+// stored with the full index set 0..N−1, which the row kernels detect and
+// run as a contiguous loop with no index gather, bit for bit the same.
 type SparseVec struct {
 	Idx []int32   // strictly increasing column indices
 	Val []float64 // values, len(Val) == len(Idx)
@@ -17,17 +18,26 @@ type SparseVec struct {
 // NewSparseVec builds a sparse vector from parallel index/value slices.
 // The indices must be strictly increasing and within [0, n).
 func NewSparseVec(n int, idx []int32, val []float64) (SparseVec, error) {
+	if err := checkRow(n, idx, val); err != nil {
+		return SparseVec{}, fmt.Errorf("la: sparse vec %w", err)
+	}
+	return SparseVec{Idx: idx, Val: val, N: n}, nil
+}
+
+// checkRow enforces the row contract the kernels index by: parallel
+// index/value slices, and indices strictly increasing within [0, n).
+func checkRow(n int, idx []int32, val []float64) error {
 	if len(idx) != len(val) {
-		return SparseVec{}, fmt.Errorf("la: sparse vec idx/val length mismatch %d != %d", len(idx), len(val))
+		return fmt.Errorf("idx/val length mismatch %d != %d", len(idx), len(val))
 	}
 	prev := int32(-1)
 	for _, j := range idx {
 		if j <= prev || int(j) >= n {
-			return SparseVec{}, fmt.Errorf("la: sparse vec index %d out of order or out of range [0,%d)", j, n)
+			return fmt.Errorf("index %d out of order or out of range [0,%d)", j, n)
 		}
 		prev = j
 	}
-	return SparseVec{Idx: idx, Val: val, N: n}, nil
+	return nil
 }
 
 // DotDense returns the inner product of the sparse vector with a dense one.

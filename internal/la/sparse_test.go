@@ -24,6 +24,35 @@ func TestNewSparseVecValidation(t *testing.T) {
 	}
 }
 
+// TestAppendRowValidation: AppendRow refuses what NewSparseVec refuses, so
+// a row that bypassed NewSparseVec — a permuted full row among them, which
+// the full-row kernels would sum as if it were in order — never enters a
+// matrix.
+func TestAppendRowValidation(t *testing.T) {
+	bad := map[string]SparseVec{
+		"permuted full row": {Idx: []int32{0, 2, 1, 3}, Val: []float64{1, 2, 3, 4}, N: 4},
+		"duplicate index":   {Idx: []int32{0, 1, 1, 3}, Val: []float64{1, 2, 3, 4}, N: 4},
+		"negative index":    {Idx: []int32{-1, 2}, Val: []float64{1, 2}, N: 4},
+		"index past N":      {Idx: []int32{1, 4}, Val: []float64{1, 2}, N: 4},
+		"length mismatch":   {Idx: []int32{0, 1}, Val: []float64{1}, N: 4},
+	}
+	for name, r := range bad {
+		m := NewCSR(1, 4, 4)
+		if err := m.AppendRow(r); err == nil {
+			t.Errorf("%s: AppendRow accepted %v", name, r.Idx)
+		}
+		if m.NNZ() != 0 || len(m.RowPtr) != 1 {
+			t.Errorf("%s: a refused row left %d entries and %d row pointers", name, m.NNZ(), len(m.RowPtr))
+		}
+	}
+	m := NewCSR(2, 4, 6)
+	for _, r := range []SparseVec{{Idx: []int32{0, 1, 2, 3}, Val: []float64{1, 2, 3, 4}, N: 4}, {N: 4}} {
+		if err := m.AppendRow(r); err != nil {
+			t.Fatalf("valid row %v refused: %v", r.Idx, err)
+		}
+	}
+}
+
 func TestSparseDenseRoundTrip(t *testing.T) {
 	s, err := NewSparseVec(6, []int32{1, 3}, []float64{2.5, -1})
 	if err != nil {

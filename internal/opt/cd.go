@@ -228,7 +228,7 @@ type cdUpdater struct {
 	block []int32 // the in-flight round's (sorted) block
 	g, h  la.Vec
 	got   int
-	delta *la.DeltaVec // last round's coordinate changes (driver-owned)
+	delta *la.DeltaVec // last round's coordinate changes (read-only once flushed: the cd.delta broadcast shares it)
 
 	// the coordinates the steps since the last publish changed: the round
 	// arm's last delta, or the per-partial arm's deltas since then
@@ -294,14 +294,12 @@ func (u *cdUpdater) pickBlock() []int32 {
 	return block
 }
 
-// exportDelta stages the delta broadcast for the next round. The DeltaVec
-// is cloned: broadcast history may outlive the driver's round state.
+// exportDelta stages the delta broadcast for the next round. It shares the
+// DeltaVec: proxStep builds a fresh one each round, and after FlushRound
+// nothing writes it — the workers, the selector and the change set only
+// read it — so broadcast history that outlives the round reads it intact.
 func (u *cdUpdater) exportDelta() CDDelta {
-	dd := CDDelta{RunID: u.runID, Round: u.round}
-	if u.delta != nil {
-		dd.Delta = u.delta.Clone()
-	}
-	return dd
+	return CDDelta{RunID: u.runID, Round: u.round, Delta: u.delta}
 }
 
 func (u *cdUpdater) Model() la.Vec { return u.w }

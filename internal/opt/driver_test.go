@@ -42,8 +42,7 @@ func TestRoundAccumDenseEquivalence(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		d := randomDelta(rng, dim, 20+rng.Intn(40))
 		d.AxpyDense(1, want)
-		acc.AddSparse(d.Clone()) // AddSparse recycles its argument
-		la.PutDelta(d)
+		acc.AddSparse(d) // AddSparse recycles its argument
 	}
 	if acc.Dense() != nil {
 		t.Fatal("sparse-only round grew a dense part")

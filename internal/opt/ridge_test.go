@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -54,7 +55,12 @@ func ridgePartial(t *testing.T, loss Loss, wTask la.Vec, seed int64) (*la.DeltaV
 	if !ok {
 		t.Fatalf("dense-forced partial is %T", dv)
 	}
-	return sparse.Clone(), dense.Clone(), n
+	return cloneDelta(sparse), dense.Clone(), n
+}
+
+// cloneDelta copies d: the appliers recycle the deltas they are handed.
+func cloneDelta(d *la.DeltaVec) *la.DeltaVec {
+	return &la.DeltaVec{Idx: slices.Clone(d.Idx), Val: slices.Clone(d.Val), N: d.N}
 }
 
 // staleModels returns a worker model and a different driver model.
@@ -124,11 +130,11 @@ func TestRidgeUnderStalenessSyncSGD(t *testing.T) {
 		}
 		return u.w
 	}
-	want := round(s1.Clone(), s2.Clone())
+	want := round(cloneDelta(s1), cloneDelta(s2))
 	if got := round(d1.Clone(), d2.Clone()); !la.Equal(got, want, 1e-12) {
 		t.Fatal("an all-dense round of stale partials took the ridge term elsewhere than an all-sparse one")
 	}
-	if got := round(d1.Clone(), s2.Clone()); !la.Equal(got, want, 1e-12) {
+	if got := round(d1.Clone(), cloneDelta(s2)); !la.Equal(got, want, 1e-12) {
 		t.Fatal("a mixed round of stale partials took the ridge term elsewhere than an all-sparse one")
 	}
 }
